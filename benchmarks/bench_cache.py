@@ -3,7 +3,7 @@
 Seeds a result cache with a real (micro) workload sweep, then probes
 it the two ways the harness historically could:
 
-* **naive** — one ``peek`` per key, the pre-backend warm path: every
+* **naive** — one ``peek`` per key, the pre-index warm path: every
   probe costs a payload ``open`` attempt, *including the misses* (a
   sweep's warm path probes far more keys than it stores — absent keys
   dominate on partially-warm caches and planner surrogate harvests).
@@ -15,9 +15,7 @@ Reported numbers:
 
 * **opens_ratio** — naive payload-open attempts divided by batched
   (deterministic: probe count vs hit count),
-* **speedup** — naive wall time divided by batched wall time,
-* **memory_speedup** — disk ``get_many`` vs the in-RAM re-read the
-  ``memory`` backend tier serves.
+* **speedup** — naive wall time divided by batched wall time.
 
 ``--check`` is the CI mode: it passes when ``opens_ratio >= 5`` OR
 ``speedup >= 3`` — the repo's pinned warm-path win.  ``--json``
@@ -44,7 +42,7 @@ import time
 from repro import __version__
 from repro.common.config import SystemConfig
 from repro.harness import evaluate_workload
-from repro.harness.cache import MemoryTierBackend, ShardedFileBackend
+from repro.harness.cache import ResultCache
 
 #: the micro sweep that seeds the cache (the test suite's smoke scale)
 SEED_SWEEP = dict(
@@ -98,14 +96,14 @@ def main(argv=None) -> int:
             designs=SEED_SWEEP["designs"], jobs=args.jobs, cache_dir=root,
             trace_store="off",
         )
-        real = ShardedFileBackend(root).keys()
+        real = ResultCache(root).keys()
         probes = probe_keys(real, args.absent)
         print(f"seeded {len(real)} entr(ies); probing {len(probes)} key(s) "
               f"({len(probes) - len(real)} absent)", flush=True)
 
         naive_s, batched_s = float("inf"), float("inf")
         for _ in range(args.repeat):
-            naive = ShardedFileBackend(root)
+            naive = ResultCache(root)
             start = time.perf_counter()
             hits = {
                 key: value for key in probes
@@ -114,7 +112,7 @@ def main(argv=None) -> int:
             naive_s = min(naive_s, time.perf_counter() - start)
             naive_opens = naive.stats.file_opens
 
-            batched = ShardedFileBackend(root)
+            batched = ResultCache(root)
             start = time.perf_counter()
             bulk = batched.peek_many(probes)
             batched_s = min(batched_s, time.perf_counter() - start)
@@ -124,28 +122,13 @@ def main(argv=None) -> int:
             assert set(bulk) == set(hits), \
                 "peek_many diverged from per-key peeks"
 
-        disk_s, ram_s = float("inf"), float("inf")
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            ShardedFileBackend(root).get_many(real)
-            disk_s = min(disk_s, time.perf_counter() - start)
-
-            tier = MemoryTierBackend(ShardedFileBackend(root))
-            tier.get_many(real)  # populate the RAM tier
-            start = time.perf_counter()
-            tier.get_many(real)
-            ram_s = min(ram_s, time.perf_counter() - start)
-
     opens_ratio = naive_opens / max(1, batched_opens)
     speedup = naive_s / batched_s if batched_s else float("inf")
-    memory_speedup = disk_s / ram_s if ram_s else float("inf")
 
     print(f"naive:   {naive_opens} open attempt(s), {naive_s * 1e3:.1f} ms")
     print(f"batched: {batched_opens} open attempt(s), "
           f"{batched_s * 1e3:.1f} ms")
-    print(f"opens_ratio {opens_ratio:.1f}x  speedup {speedup:.1f}x  "
-          f"memory re-read {memory_speedup:.1f}x "
-          f"({disk_s * 1e3:.2f} ms disk -> {ram_s * 1e3:.2f} ms RAM)")
+    print(f"opens_ratio {opens_ratio:.1f}x  speedup {speedup:.1f}x")
 
     if args.json:
         payload = {
@@ -158,9 +141,6 @@ def main(argv=None) -> int:
             "naive_ms": round(naive_s * 1e3, 3),
             "batched_ms": round(batched_s * 1e3, 3),
             "speedup": round(speedup, 2),
-            "disk_ms": round(disk_s * 1e3, 3),
-            "ram_ms": round(ram_s * 1e3, 3),
-            "memory_speedup": round(memory_speedup, 2),
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)

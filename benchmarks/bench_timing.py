@@ -1,8 +1,9 @@
-"""Benchmark: vectorized timing engine vs the reference replay loop.
+"""Benchmark: batched timing replay vs the access-at-a-time oracle.
 
-Runs one workload's trace through both engines under each design,
-verifies the equivalence contract (every ``SimResult`` metric
-bit-identical), and reports the per-design wall-clock breakdown.
+Runs one workload's trace through :meth:`TimingSystem.run` and through
+the reference loop kept as a test oracle (``tests/oracles.py``) under
+each design, verifies the equivalence contract (every ``SimResult``
+metric bit-identical), and reports the per-design wall-clock breakdown.
 
 Default mode replays the largest seed workload trace (kmeans: 393k
 accesses at the default 50k/core budget on 8 cores).  ``--check`` is
@@ -10,7 +11,7 @@ the CI mode: a small trace, equivalence enforced — it exits nonzero on
 any metric divergence, and prints nothing slower than a smoke job
 should be.  ``--designs`` narrows either mode to a subset (e.g. just
 the AVR fast path), ``--repeat`` takes the best of N timings per
-engine (shared runners are noisy; state never carries over because
+path (shared runners are noisy; state never carries over because
 every timed run builds a fresh system), and ``--json`` records the
 breakdown — the repo's ``BENCH_timing_avr.json`` is
 ``--designs avr --repeat 3 --json BENCH_timing_avr.json``.
@@ -36,6 +37,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from repro import __version__
 from repro.common.config import SystemConfig
@@ -46,13 +48,16 @@ from repro.system.factory import build_system
 from repro.trace.generator import generate_trace
 from repro.workloads import WORKLOADS
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import run_reference  # noqa: E402
+
 #: the largest seed trace at the default per-core access budget
 DEFAULT_WORKLOAD = "kmeans"
 BENCH_DESIGNS = (BASELINE, TRUNCATE, DGANGER, AVR)
 
 
 def build_context(workload_name: str, scale: float, cores: int, accesses: int, seed: int):
-    """Functional layer once, then the layout + trace both engines share."""
+    """Functional layer once, then the layout + trace both paths share."""
     point = SweepPoint(
         workload=workload_name, scale=scale, seed=seed,
         max_accesses_per_core=accesses,
@@ -80,25 +85,30 @@ def build_scenario_bench_context(mix: str, scale: float, accesses: int, seed: in
     )
 
 
-def time_engine(design, config, layout, trace, footprint, engine: str):
+def time_replay(design, config, layout, trace, footprint, replay):
+    """Wall clock and result of ``replay(system, trace)`` on a fresh system."""
     system = build_system(design, config, layout, footprint)
     start = time.perf_counter()
-    result = system.run(trace, engine=engine)
+    result = replay(system, trace)
     return time.perf_counter() - start, result
 
 
-def compare(design, config, layout, trace, footprint, repeat: int = 1):
-    """Time both engines on ``design``; returns (ref_s, vec_s, diffs).
+def run_fast(system, trace):
+    return system.run(trace)
 
-    With ``repeat > 1`` each engine runs that many times and the best
+
+def compare(design, config, layout, trace, footprint, repeat: int = 1):
+    """Time oracle and replay on ``design``; returns (ref_s, vec_s, diffs).
+
+    With ``repeat > 1`` each path runs that many times and the best
     wall-clock is reported (every run builds a fresh system, so timings
     are independent); equivalence is checked on every pair of results.
     """
     ref_s = vec_s = float("inf")
     diffs: list[str] = []
     for _ in range(repeat):
-        r_s, ref = time_engine(design, config, layout, trace, footprint, "reference")
-        v_s, vec = time_engine(design, config, layout, trace, footprint, "vectorized")
+        r_s, ref = time_replay(design, config, layout, trace, footprint, run_reference)
+        v_s, vec = time_replay(design, config, layout, trace, footprint, run_fast)
         ref_s = min(ref_s, r_s)
         vec_s = min(vec_s, v_s)
         diffs = diffs or ref.metric_diffs(vec)
@@ -136,7 +146,7 @@ def main(argv=None) -> int:
         return n
 
     parser.add_argument("--repeat", type=positive_int, default=1,
-                        help="time each engine N times, report the best")
+                        help="time each path N times, report the best")
     parser.add_argument("--json", metavar="PATH",
                         help="write the per-design breakdown as JSON")
     parser.add_argument("--min-speedup", type=float, default=None,
@@ -169,7 +179,7 @@ def main(argv=None) -> int:
     print(f"trace: {trace.total_accesses} accesses total", flush=True)
 
     # Warm numpy's kernels so the first timed run is not penalized.
-    time_engine(designs[0], config, layout, trace, footprint, "vectorized")
+    time_replay(designs[0], config, layout, trace, footprint, run_fast)
 
     failures = 0
     best = 0.0
@@ -213,12 +223,13 @@ def main(argv=None) -> int:
         print(f"wrote {args.json}")
 
     if failures:
-        print(f"FAIL: {failures} design(s) diverged between engines")
+        print(f"FAIL: {failures} design(s) diverged from the oracle")
         return 1
     if args.min_speedup is not None and best < args.min_speedup:
         print(f"FAIL: best speedup {best:.2f}x < required {args.min_speedup}x")
         return 1
-    print("engines agree" + ("" if args.check else f"; best speedup {best:.2f}x"))
+    print("replay matches the oracle"
+          + ("" if args.check else f"; best speedup {best:.2f}x"))
     return 0
 
 

@@ -1,8 +1,8 @@
-"""Benchmark: vectorized trace synthesis vs the reference fragment loop.
+"""Benchmark: columnar trace synthesis vs the reference fragment loop.
 
-Generates one workload's multi-core trace with both generator
-implementations, verifies bit-identity, and reports the wall-clock
-ratio; then measures the trace store's warm path — memory-mapping a
+Generates one workload's multi-core trace with :func:`generate_trace`
+and with the fragment loop kept as a test oracle (``tests/oracles.py``),
+verifies bit-identity, and reports the wall-clock ratio; then measures the trace store's warm path — memory-mapping a
 committed entry vs generating (and committing) it cold.
 
 Default mode stresses the generators where the reference loop hurts
@@ -43,6 +43,9 @@ from repro.trace.generator import generate_trace
 from repro.trace.store import TraceStore, trace_key
 from repro.workloads import WORKLOADS
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import generate_trace_reference  # noqa: E402
+
 #: default stress configuration: many tiny iterations make fragment
 #: dispatch (not array arithmetic) the reference loop's bottleneck
 DEFAULT_WORKLOAD = "heat"
@@ -76,15 +79,15 @@ def traces_identical(a, b) -> bool:
     )
 
 
-def time_generator(spec, mem, cores, accesses, seed, generator, repeat):
+def time_generator(spec, mem, cores, accesses, seed, generate, repeat):
     """Best-of-N wall clock plus the (deterministic) generated trace."""
     best = float("inf")
     trace = None
     for _ in range(repeat):
         start = time.perf_counter()
-        trace = generate_trace(
+        trace = generate(
             spec, mem, num_cores=cores,
-            max_accesses_per_core=accesses, seed=seed, generator=generator,
+            max_accesses_per_core=accesses, seed=seed,
         )
         best = min(best, time.perf_counter() - start)
     return best, trace
@@ -118,7 +121,7 @@ def bench_store(spec, mem, cores, accesses, seed, trace, repeat, store_dir):
 # CI differential matrix
 # ----------------------------------------------------------------------
 def check_workloads(scale: float, accesses: int) -> list[str]:
-    """Every workload x stream mode: vectorized == reference, bitwise."""
+    """Every workload x stream mode: fast path == oracle, bitwise."""
     failures = []
     for name, cls in sorted(WORKLOADS.items()):
         workload = cls(scale=scale)
@@ -128,8 +131,8 @@ def check_workloads(scale: float, accesses: int) -> list[str]:
                 num_cores=4, max_accesses_per_core=accesses, seed=0,
                 per_core_streams=per_core_streams,
             )
-            vec = generate_trace(spec, mem, generator="vectorized", **kwargs)
-            ref = generate_trace(spec, mem, generator="reference", **kwargs)
+            vec = generate_trace(spec, mem, **kwargs)
+            ref = generate_trace_reference(spec, mem, **kwargs)
             if not traces_identical(vec, ref):
                 failures.append(
                     f"{name} (per_core_streams={per_core_streams}) diverged"
@@ -224,11 +227,11 @@ def main(argv=None) -> int:
                    seed=args.seed)
 
     ref_s, ref = time_generator(
-        spec, mem, args.cores, args.accesses, args.seed, "reference",
-        args.repeat,
+        spec, mem, args.cores, args.accesses, args.seed,
+        generate_trace_reference, args.repeat,
     )
     vec_s, vec = time_generator(
-        spec, mem, args.cores, args.accesses, args.seed, "vectorized",
+        spec, mem, args.cores, args.accesses, args.seed, generate_trace,
         args.repeat,
     )
     identical = traces_identical(vec, ref)

@@ -26,14 +26,10 @@ suggestions.  All simulation commands accept ``--jobs N`` to fan the
 evaluation grid's job units out over ``N`` worker processes (``1`` =
 serial, bit-identical to parallel runs), ``--cache-dir PATH`` to
 memoize job results on disk so repeated runs skip completed points,
-``--cache-backend {sharded,memory[:N],readthrough:PATH}`` to pick the
-cache storage stack (execution-only; every backend is bit-identical),
-and ``--engine {vectorized,reference}`` to select the timing-replay
-implementation (the batched fast path and the reference loop produce
-bit-identical results).  ``--trace-store PATH|off`` controls the
-memory-mapped composed-trace store (default: ``<cache-dir>/traces``
-whenever ``--cache-dir`` is given); warm runs map stored traces
-instead of regenerating them.
+and ``--trace-store PATH|off`` to control the memory-mapped
+composed-trace store (default: ``<cache-dir>/traces`` whenever
+``--cache-dir`` is given); warm runs map stored traces instead of
+regenerating them.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ from .harness import (
     table3_output_error,
     table4_compression,
 )
-from .system.simulator import ENGINES
 from .workloads import WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,17 +105,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="PATH",
                         help="on-disk result cache; re-runs skip "
                              "already-computed sweep points")
-    parser.add_argument("--cache-backend", default=None, metavar="SPEC",
-                        help="cache storage stack: 'sharded' (default), "
-                             "'memory[:N]' (in-process LRU tier over the "
-                             "shards), or 'readthrough:PATH' (read-only "
-                             "secondary cache consulted on miss); every "
-                             "backend is bit-identical")
-    parser.add_argument("--engine", choices=ENGINES, default="vectorized",
-                        help="timing-replay engine: the batched fast "
-                             "path (default) or the reference "
-                             "access-at-a-time loop; results are "
-                             "bit-identical")
     parser.add_argument("--trace-store", default=None, metavar="PATH|off",
                         help="memory-mapped composed-trace store; "
                              "default derives <cache-dir>/traces when "
@@ -178,8 +162,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     evals = evaluate_all(
         names=names, config=config, scale=args.scale, seed=args.seed,
         designs=designs, max_accesses_per_core=args.accesses,
-        jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        jobs=args.jobs, cache_dir=args.cache_dir,
+        trace_store=args.trace_store,
     )
     _print_evaluations(evals)
     return 0
@@ -198,8 +182,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
     ev = evaluate_workload(
         args.name, config=config, scale=args.scale, seed=args.seed,
         designs=designs, max_accesses_per_core=args.accesses,
-        jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        jobs=args.jobs, cache_dir=args.cache_dir,
+        trace_store=args.trace_store,
     )
     print(f"{args.name}: footprint {ev.footprint_bytes / 1e6:.1f} MB, "
           f"AVR ratio {ev.avr_compression_ratio:.1f}:1, "
@@ -251,8 +235,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     ev = evaluate_scenario(
         scenario, config=config, designs=designs, seed=args.seed,
         max_accesses_per_core=args.accesses,
-        jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        jobs=args.jobs, cache_dir=args.cache_dir,
+        trace_store=args.trace_store,
     )
 
     print(f"scenario {ev.name}: {scenario.mix_string()} — "
@@ -321,8 +305,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     llc = run_llc_ablations(
         args.name, config=config, scale=args.scale,
         max_accesses_per_core=args.accesses, design=design,
-        jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        cache_backend=args.cache_backend,
+        jobs=args.jobs, cache_dir=args.cache_dir,
     )
     full = llc["full AVR"]
     rows = {
@@ -338,7 +321,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     print()
     comp = run_compressor_ablations(
         args.name, scale=min(args.scale, 0.5), cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend,
     )
     print(format_table(f"Compressor ablations on {args.name} data", comp,
                        "{:.2f}", col_order=["ratio", "mean_error_pct", "success_pct"]))
@@ -372,8 +354,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
           f"{len(spec.scenarios)} scenario(s), designs "
           f"{', '.join(spec.designs)}")
     result = run_experiment(
-        spec, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        spec, jobs=args.jobs, cache_dir=args.cache_dir,
+        trace_store=args.trace_store,
     )
 
     if result.evaluations:
@@ -454,8 +436,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return 2
 
     result = run_plan(
-        spec, jobs=args.jobs, cache_dir=args.cache_dir, engine=args.engine,
-        trace_store=args.trace_store, cache_backend=args.cache_backend,
+        spec, jobs=args.jobs, cache_dir=args.cache_dir,
+        trace_store=args.trace_store,
     )
     stats = result.stats
 
@@ -506,16 +488,16 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect and maintain an on-disk result cache directory."""
     from pathlib import Path
 
-    from .harness.cache import ShardedFileBackend
+    from .harness.cache import ResultCache
 
     root = Path(args.dir)
     if not root.is_dir():
         print(f"error: {root} is not a cache directory", file=sys.stderr)
         return 2
-    backend = ShardedFileBackend(root, read_only=args.action != "gc")
+    cache = ResultCache(root, read_only=args.action != "gc")
 
     if args.action == "stats":
-        usage = backend.disk_usage()
+        usage = cache.disk_usage()
         print(f"cache {root}:")
         print(f"  entries:   {usage.entries} ({usage.indexed} indexed)")
         print(f"  bytes:     {usage.total_bytes:,} "
@@ -527,14 +509,14 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "ls":
-        for key in backend.keys():
+        for key in cache.keys():
             if args.prefix and not key.startswith(args.prefix):
                 continue
             print(key)
         return 0
 
     if args.action == "verify":
-        report = backend.verify()
+        report = cache.verify()
         print(f"cache {root}: {report.entries} entr(ies), "
               f"{report.total_bytes:,} bytes, {report.tmp_files} tmp file(s)")
         for label, keys in (
@@ -557,7 +539,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print("  ok")
         return 0
 
-    report = backend.gc(
+    report = cache.gc(
         max_bytes=args.max_bytes, stale=args.stale,
         tmp_max_age_s=args.tmp_age, dry_run=args.dry_run,
     )
@@ -583,8 +565,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            cache_backend=args.cache_backend,
-            engine=args.engine,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -771,11 +751,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="override the spec's worker-process count")
     p_ex.add_argument("--cache-dir", default=None, metavar="PATH",
                       help="override the spec's result-cache directory")
-    p_ex.add_argument("--cache-backend", default=None, metavar="SPEC",
-                      help="override the spec's cache backend stack "
-                           "(sharded | memory[:N] | readthrough:PATH)")
-    p_ex.add_argument("--engine", choices=ENGINES, default=None,
-                      help="override the spec's timing-replay engine")
     p_ex.add_argument("--trace-store", default=None, metavar="PATH|off",
                       help="override the spec's trace-store directory "
                            "('off' disables the store)")
@@ -848,12 +823,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sv.add_argument("--cache-dir", required=True, metavar="PATH",
                       help="shared result-cache directory (the trace "
                            "store derives under it)")
-    p_sv.add_argument("--cache-backend", default=None, metavar="SPEC",
-                      help="cache storage stack "
-                           "(sharded | memory[:N] | readthrough:PATH)")
-    p_sv.add_argument("--engine", choices=ENGINES, default=None,
-                      help="override every submission's timing-replay "
-                           "engine (results are bit-identical)")
     p_sv.set_defaults(func=cmd_serve)
 
     p_su = sub.add_parser(
@@ -990,11 +959,6 @@ def main(argv: list[str] | None = None) -> int:
     p_pl.add_argument("--cache-dir", default=None, metavar="PATH",
                       help="on-disk result cache shared with "
                            "sweeps/experiments of the same points")
-    p_pl.add_argument("--cache-backend", default=None, metavar="SPEC",
-                      help="cache backend stack (sharded | memory[:N] | "
-                           "readthrough:PATH); 'memory' keeps a plan's "
-                           "repeated probes in RAM across rungs")
-    p_pl.add_argument("--engine", choices=ENGINES, default=None)
     p_pl.add_argument("--trace-store", default=None, metavar="PATH|off")
     p_pl.add_argument("--json", default=None, metavar="PATH|-",
                       help="write the full plan report as JSON "

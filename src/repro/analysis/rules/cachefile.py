@@ -1,18 +1,16 @@
-"""CCH001 — cache storage stays behind the backend protocol.
+"""CCH001 — cache storage stays behind :class:`ResultCache`.
 
-Every on-disk cache access in the package goes through the
-:class:`repro.harness.cache.CacheBackend` protocol.  That boundary is
-what makes the backend stack pluggable (sharded / memory-tier /
-read-through), keeps the per-shard ``index.jsonl`` consistent with the
-payload files, and lets ``repro cache gc``/``verify`` reason about the
-store as a whole.  A direct ``pickle.load`` on a ``*.pkl`` path — or a
+Every on-disk cache access in the package goes through
+:class:`repro.harness.cache.ResultCache`.  That boundary keeps the
+per-shard ``index.jsonl`` consistent with the payload files, and lets
+``repro cache gc``/``verify`` reason about the store as a whole.  A direct ``pickle.load`` on a ``*.pkl`` path — or a
 hand-built ``<shard>/<key>.pkl`` string — outside ``harness/cache.py``
 reads entries without index accounting and writes entries the index
 never learns about, so this rule flags, everywhere else in the
 package:
 
 * calls to ``pickle.load`` / ``loads`` / ``dump`` / ``dumps`` (the
-  cache's payload codec; module code pickles only via the backend or
+  cache's payload codec; module code pickles only via the cache or
   implicitly via multiprocessing),
 * ``".pkl"`` string literals (building cache payload paths by hand).
 
@@ -47,15 +45,15 @@ _PICKLE_CALLS = {
 
 @register_rule
 class CacheFileDiscipline(Rule):
-    """Flag direct cache-payload I/O outside the backend implementation."""
+    """Flag direct cache-payload I/O outside the cache implementation."""
 
     id = "CCH001"
     name = "cache-file-discipline"
     summary = (
-        "cache payloads are read and written only through CacheBackend "
+        "cache payloads are read and written only through ResultCache "
         "— no pickle.* calls or '.pkl' paths outside harness/cache.py"
     )
-    hint = "go through ResultCache / CacheBackend (repro.harness.cache)"
+    hint = "go through ResultCache (repro.harness.cache)"
 
     def check(
         self, module: SourceModule, project: Project
@@ -69,7 +67,7 @@ class CacheFileDiscipline(Rule):
                 if resolved in _PICKLE_CALLS:
                     message = (
                         f"direct {resolved}() call: cache payloads are "
-                        "(un)pickled only by the CacheBackend "
+                        "(un)pickled only by the ResultCache "
                         "implementation, which keeps the shard indexes "
                         "and traffic stats honest"
                     )

@@ -29,10 +29,10 @@ exactly the convention of :mod:`repro.cache.array_lru`.
 Two replay paths share that state:
 
 * the scalar :meth:`AVRLLC.read` / :meth:`AVRLLC.writeback` flows —
-  the semantic anchor, used by the ``engine="reference"`` loop and the
-  unit tests;
-* :meth:`AVRLLC.replay_batch` — the fast path of the vectorized
-  timing engine: one numpy pass decodes the whole filtered event
+  the semantic anchor, used by the access-at-a-time test oracle and
+  the unit tests;
+* :meth:`AVRLLC.replay_batch` — the path :meth:`TimingSystem.run`
+  takes: one numpy pass decodes the whole filtered event
   stream (line/block numbers, set indices, approx classification,
   static block sizes, DBUF bit masks), the stream is segmented into
   same-block runs (reusing the rounds machinery's group detection from

@@ -3,8 +3,8 @@
 An :class:`ExperimentSpec` composes everything the evaluation stack can
 vary — workloads and multi-programmed scenarios, registered designs,
 machine size, grid axes (scales / seeds / error thresholds), trace
-budget, replay engine, and execution settings (worker processes, cache
-directory) — into a single frozen value that loads from and dumps to
+budget, and execution settings (worker processes, cache directory) —
+into a single frozen value that loads from and dumps to
 TOML or JSON.  :func:`run_experiment` executes it through the sweep
 engine, so a spec-driven run decomposes into exactly the same job units
 (with exactly the same content-hash cache keys) as the equivalent
@@ -86,16 +86,10 @@ class ExperimentSpec:
     max_accesses_per_core: int = 50_000
     #: simulated cores; None derives it (scenario width, else 8)
     num_cores: int | None = None
-    #: timing-replay engine (``vectorized`` or ``reference``)
-    engine: str = "vectorized"
     #: default worker processes (overridable at :func:`run_experiment`)
     jobs: int = 1
     #: default on-disk result-cache directory (None = no cache)
     cache_dir: str | None = None
-    #: result-cache backend stack (``sharded`` | ``memory[:N]`` |
-    #: ``readthrough:PATH``); every backend is bit-identical, so this
-    #: is execution-only (see :func:`repro.harness.cache.resolve_backend`)
-    cache_backend: str | None = None
     #: memory-mapped composed-trace store directory; None derives
     #: ``<cache_dir>/traces`` when caching, ``"off"`` disables it (see
     #: :func:`repro.trace.store.resolve_trace_store`)
@@ -113,6 +107,18 @@ class ExperimentSpec:
         )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.max_accesses_per_core < 1:
+            raise ValueError(
+                "max_accesses_per_core must be >= 1, "
+                f"got {self.max_accesses_per_core}"
+            )
+        if self.num_cores is not None and self.num_cores < 1:
+            raise ValueError(f"num_cores must be >= 1, got {self.num_cores}")
+        for t2 in self.t2_thresholds:
+            try:
+                ErrorThresholds.from_t2(t2)
+            except ValueError as exc:
+                raise ValueError(f"bad T2 threshold {t2}: {exc}") from None
         if not self.designs:
             raise ValueError("an experiment needs at least one design")
         # Fail fast, with did-you-mean suggestions, on unknown names.
@@ -132,13 +138,10 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
     # identity
     # ------------------------------------------------------------------
-    #: fields that do not affect results: the display label, execution
-    #: settings, and the engine (both engines are bit-identical, as the
-    #: sweep-cache keys already assume); stored traces are bit-identical
-    #: to regenerated ones, so the trace store is execution-only too
-    _NON_IDENTITY_FIELDS = frozenset(
-        {"name", "jobs", "cache_dir", "cache_backend", "engine", "trace_store"}
-    )
+    #: fields that do not affect results: the display label and the
+    #: execution settings; stored traces are bit-identical to
+    #: regenerated ones, so the trace store is execution-only too
+    _NON_IDENTITY_FIELDS = frozenset({"name", "jobs", "cache_dir", "trace_store"})
 
     def content_hash(self) -> str:
         """Stable SHA-256 of the spec's *grid identity*.
@@ -146,9 +149,9 @@ class ExperimentSpec:
         Built by the same canonicalization the sweep cache keys use, so
         it is stable across processes and interpreter runs and blind to
         everything that cannot change results: field ordering in a spec
-        file, the ``name`` label, ``jobs``/``cache_dir`` execution
-        settings, and the (bit-identical) replay ``engine``.  Two specs
-        hash equal iff they enumerate the same job units.
+        file, the ``name`` label, and the ``jobs``/``cache_dir``/
+        ``trace_store`` execution settings.  Two specs hash equal iff
+        they enumerate the same job units.
 
         The digest is computed once per instance and memoized: the
         planner and sweep hot paths hash the same spec repeatedly (for
@@ -224,7 +227,6 @@ class ExperimentSpec:
             thresholds=thresholds,
             max_accesses_per_core=self.max_accesses_per_core,
             scenarios=tuple(get_scenario(s) for s in self.scenarios),
-            engine=self.engine,
         )
 
     # ------------------------------------------------------------------
@@ -347,9 +349,7 @@ def run_experiment(
     spec: ExperimentSpec | str | Path,
     jobs: int | None = None,
     cache_dir: str | Path | Any | None = None,
-    engine: str | None = None,
     trace_store: str | Path | bool | None = None,
-    cache_backend: str | None = None,
     executor: Any | None = None,
     on_unit_done: Any | None = None,
 ) -> ExperimentResult:
@@ -361,8 +361,8 @@ def run_experiment(
     decomposed into the same sweep job units, so results are
     bit-identical to the equivalent programmatic calls and cache
     entries are shared with them.  ``jobs`` / ``cache_dir`` /
-    ``engine`` / ``trace_store`` / ``cache_backend`` override the
-    spec's execution settings without touching its identity;
+    ``trace_store`` override the spec's execution settings without
+    touching its identity;
     ``cache_dir`` may also be a prebuilt
     :class:`~repro.harness.cache.ResultCache`.  ``executor`` /
     ``on_unit_done`` forward to :func:`~repro.harness.sweep.run_sweep`
@@ -373,17 +373,12 @@ def run_experiment(
 
     if isinstance(spec, (str, Path)):
         spec = ExperimentSpec.from_file(spec)
-    if engine is not None:
-        spec = replace(spec, engine=engine)
     resolved_cache = cache_dir if cache_dir is not None else spec.cache_dir
     sweep = run_sweep(
         spec.to_sweep_spec(),
         jobs=jobs if jobs is not None else spec.jobs,
         cache_dir=resolved_cache,
         trace_store=trace_store if trace_store is not None else spec.trace_store,
-        cache_backend=(
-            cache_backend if cache_backend is not None else spec.cache_backend
-        ),
         executor=executor,
         on_unit_done=on_unit_done,
     )

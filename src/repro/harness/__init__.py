@@ -19,16 +19,7 @@ from .ablations import (
     run_compressor_ablations,
     run_llc_ablations,
 )
-from .cache import (
-    CacheBackend,
-    CacheStats,
-    MemoryTierBackend,
-    ReadThroughBackend,
-    ResultCache,
-    ShardedFileBackend,
-    content_key,
-    resolve_backend,
-)
+from .cache import CacheStats, ResultCache, content_key
 from .experiments import (
     EVICTION_CATEGORIES,
     GEOMEAN,
@@ -83,15 +74,11 @@ from .sweep import (
 
 __all__ = [
     "ALL_DESIGNS",
-    "CacheBackend",
     "CacheStats",
     "COMPRESSOR_ABLATIONS",
     "InstanceContention",
     "LLC_ABLATIONS",
-    "MemoryTierBackend",
-    "ReadThroughBackend",
     "ResultCache",
-    "ShardedFileBackend",
     "SCENARIO_DESIGNS",
     "ScenarioDesignRun",
     "ScenarioEvaluation",
@@ -102,7 +89,6 @@ __all__ = [
     "SweepStats",
     "content_key",
     "regenerate_all",
-    "resolve_backend",
     "run_compressor_ablations",
     "run_functional_job",
     "run_llc_ablations",

@@ -77,9 +77,7 @@ def run_llc_ablations(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    engine: str = "vectorized",
     design: "DesignLike" = "AVR",
-    cache_backend: str | None = None,
     **workload_kwargs: object,
 ) -> dict[str, AblationPoint]:
     """Run one AVR-family design under each LLC ablation variant.
@@ -110,7 +108,7 @@ def run_llc_ablations(
         max_accesses_per_core=max_accesses_per_core,
         workload_kwargs=tuple(sorted(workload_kwargs.items())),
     )
-    cache = resolve_result_cache(cache_dir, cache_backend)
+    cache = resolve_result_cache(cache_dir)
     workload = point.make()
 
     with _make_pool(jobs) as pool:
@@ -146,7 +144,7 @@ def run_llc_ablations(
                     seed=point.seed,
                 )
             timing_jobs[key] = (
-                partial(run_timing_job, avr_options=options, engine=engine),
+                partial(run_timing_job, avr_options=options),
                 design,
                 config,
                 layout,
@@ -185,7 +183,6 @@ def run_compressor_ablations(
     variants: dict[str, dict] | None = None,
     seed: int = 0,
     cache_dir: str | Path | None = None,
-    cache_backend: str | None = None,
     **workload_kwargs: object,
 ) -> dict[str, dict[str, float]]:
     """Compression ratio / mean error per compressor variant, measured
@@ -201,7 +198,7 @@ def run_compressor_ablations(
         seed=seed,
         workload_kwargs=tuple(sorted(workload_kwargs.items())),
     )
-    cache = resolve_result_cache(cache_dir, cache_backend)
+    cache = resolve_result_cache(cache_dir)
     key = _functional_key(point, BASELINE)
     functional, _ = _run_jobs(
         _SerialExecutor(), cache, {key: (run_functional_job, point, BASELINE)}

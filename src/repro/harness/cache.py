@@ -1,4 +1,4 @@
-"""Content-addressed result cache with pluggable storage backends.
+"""Content-addressed, sharded on-disk result cache.
 
 Every sweep job (a functional round-trip or a timing replay) is a pure
 function of its spec: the :class:`~repro.harness.sweep.SweepPoint`, the
@@ -14,35 +14,23 @@ depend on pickle protocol details.  Results themselves are stored with
 ``pickle`` — numpy arrays round-trip exactly, which the sweep engine's
 bit-identical guarantee relies on.
 
-Storage is a :class:`CacheBackend` behind a stable protocol
-(``get``/``put``/``contains`` plus the batched ``get_many`` /
-``peek_many`` / ``put_many`` the warm paths use), with three shipped
-implementations:
-
-* :class:`ShardedFileBackend` — the on-disk store: 256-way sharded
-  pickle files plus a per-shard append-only ``index.jsonl`` so key
-  enumeration, ``contains`` and speculative bulk probes are index
-  scans instead of per-key ``open()`` attempts.  The index is a pure
-  accelerator: payloads commit first, corrupt or missing indexes are
-  rebuilt from the shard, and old (pre-index) cache directories stay
-  valid.
-* :class:`MemoryTierBackend` — a size-bounded in-process LRU wrapped
-  over any backend, so repeated reads inside one process (planner
-  rungs re-reading shared functional results, scenario subsets
-  re-reading baselines) skip the filesystem entirely.
-* :class:`ReadThroughBackend` — a read-only secondary cache consulted
-  on primary miss, with hits promoted into the primary: the first step
-  toward multi-host cache sharing (e.g. a preseeded NFS cache).
+Storage is one on-disk layout: 256-way sharded pickle files plus a
+per-shard append-only ``index.jsonl``, so key enumeration, ``contains``
+and speculative bulk probes are index scans instead of per-key
+``open()`` attempts.  The index is a pure accelerator: payloads commit
+first, corrupt or missing indexes are rebuilt from the shard, and old
+(pre-index) cache directories stay valid.  Besides single-key
+``get``/``put``/``contains``, :class:`ResultCache` serves the batched
+``get_many`` / ``peek_many`` / ``put_many`` the warm paths use.
 
 Maintenance — orphaned ``*.tmp`` sweeps, stale-``__version__`` purges
 and LRU-by-mtime eviction under a byte budget — lives in
-:meth:`CacheBackend.gc` / :meth:`CacheBackend.verify` and is exposed as
+:meth:`ResultCache.gc` / :meth:`ResultCache.verify` and is exposed as
 the ``repro cache`` CLI.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import hashlib
 import json
@@ -50,7 +38,6 @@ import os
 import pickle
 import tempfile
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -59,17 +46,12 @@ from typing import Any, Iterable, Mapping
 from .. import __version__
 
 __all__ = [
-    "CacheBackend",
     "CacheStats",
     "DiskUsage",
     "GCReport",
-    "MemoryTierBackend",
-    "ReadThroughBackend",
     "ResultCache",
-    "ShardedFileBackend",
     "VerifyReport",
     "content_key",
-    "resolve_backend",
     "resolve_result_cache",
 ]
 
@@ -117,13 +99,8 @@ def content_key(*parts: Any) -> str:
 class CacheStats:
     """Traffic counters for one cache instance.
 
-    A composed backend stack (memory tier over sharded files, or a
-    read-through pair) shares *one* stats object, so ``hits`` /
-    ``misses`` / ``stores`` describe the stack's externally visible
-    traffic regardless of which layer served it; the remaining fields
-    break that traffic down (``memory_hits`` of the ``hits`` never
-    touched disk, ``index_hits`` were answered from shard indexes,
-    ``promotions`` were copied up from a read-through secondary).
+    ``hits`` / ``misses`` / ``stores`` count the cache's externally
+    visible traffic; ``index_hits`` were answered from shard indexes.
     ``file_opens`` counts payload ``open()`` *attempts*, including
     failed probes of absent keys — the syscall traffic the shard
     indexes exist to eliminate.
@@ -136,14 +113,11 @@ class CacheStats:
     bytes_written: int = 0
     file_opens: int = 0
     index_hits: int = 0
-    memory_hits: int = 0
-    promotions: int = 0
-    evictions: int = 0
 
 
 @dataclass
 class GCReport:
-    """What one :meth:`CacheBackend.gc` pass removed and kept."""
+    """What one :meth:`ResultCache.gc` pass removed and kept."""
 
     tmp_removed: int = 0
     stale_removed: int = 0
@@ -211,94 +185,18 @@ _READ_ERRORS = (
 _MISS = object()
 
 
-class CacheBackend(abc.ABC):
-    """Storage protocol every result-cache implementation speaks.
-
-    Single-key ``get``/``peek``/``put``/``contains`` plus the batched
-    ``get_many``/``peek_many``/``put_many`` the warm paths drive.
-    ``peek*`` are stats-neutral on hits/misses (the planner's
-    speculative surrogate probes must not skew ``--expect-cached``
-    accounting); ``get*`` count.  Subclasses may override the batch
-    methods with bulk implementations; the defaults loop.
-    """
-
-    #: shared traffic counters (one object per composed backend stack)
-    stats: CacheStats
-
-    @abc.abstractmethod
-    def get(self, key: str, default: Any = None) -> Any:
-        """Return the cached value for ``key`` (counted), or ``default``."""
-
-    @abc.abstractmethod
-    def peek(self, key: str, default: Any = None) -> Any:
-        """Like :meth:`get` but without hit/miss accounting."""
-
-    @abc.abstractmethod
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` (atomic for on-disk backends)."""
-
-    @abc.abstractmethod
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` has a committed entry (stats-neutral)."""
-
-    @abc.abstractmethod
-    def keys(self) -> list[str]:
-        """Every committed key, sorted (an index scan, not N stats)."""
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of committed entries (``*.tmp`` orphans excluded)."""
-
-    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Resolve many keys in one pass; absent keys are omitted.
-
-        Counts one hit per returned key and one miss per omitted key.
-        """
-        results: dict[str, Any] = {}
-        for key in keys:
-            value = self.get(key, _MISS)
-            if value is not _MISS:
-                results[key] = value
-        return results
-
-    def peek_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Batched :meth:`peek`: stats-neutral bulk probe."""
-        results: dict[str, Any] = {}
-        for key in keys:
-            value = self.peek(key, _MISS)
-            if value is not _MISS:
-                results[key] = value
-        return results
-
-    def put_many(self, items: Mapping[str, Any]) -> None:
-        """Store many entries (each individually atomic)."""
-        for key, value in items.items():
-            self.put(key, value)
-
-    def gc(
-        self,
-        max_bytes: int | None = None,
-        stale: bool = False,
-        tmp_max_age_s: float = 3600.0,
-        dry_run: bool = False,
-    ) -> GCReport:
-        """Collect garbage; backends without storage return a no-op report."""
-        return GCReport(dry_run=dry_run)
-
-    def verify(self) -> VerifyReport:
-        """Check storage consistency; default reports nothing to check."""
-        return VerifyReport()
-
-
-class ShardedFileBackend(CacheBackend):
-    """Pickle-per-key store sharded 256 ways, with per-shard indexes.
+class ResultCache:
+    """Pickle-per-key store under ``cache_dir``, sharded 256 ways.
 
     The layout is ``<root>/<key[:2]>/<key>.pkl`` — unchanged since the
-    first cache, so existing cache directories remain valid.  New to
-    this backend is ``<root>/<shard>/index.jsonl``: one JSON line per
-    committed entry (key, payload bytes, recording package version),
-    appended atomically *after* the payload's ``os.replace``.  The
-    index is an accelerator, never an authority:
+    first cache, so existing cache directories remain valid.  Entries
+    are written atomically (temp file + rename), so concurrent sweeps
+    sharing a cache directory never observe torn entries; unreadable or
+    truncated entries are treated as misses.  Beside the payloads sits
+    ``<root>/<shard>/index.jsonl``: one JSON line per committed entry
+    (key, payload bytes, recording package version), appended
+    atomically *after* the payload's ``os.replace``.  The index is an
+    accelerator, never an authority:
 
     * a missing or corrupt index is rebuilt from the shard's ``*.pkl``
       files (version recorded as unknown);
@@ -308,19 +206,15 @@ class ShardedFileBackend(CacheBackend):
     * concurrent writers may append duplicate lines; readers keep the
       last occurrence.
 
-    ``read_only=True`` (the read-through secondary) never creates the
-    directory, never rewrites indexes and refuses ``put``/``gc``.
+    ``read_only=True`` (what ``repro cache stats/ls/verify`` open)
+    never creates the directory, never rewrites indexes and refuses
+    ``put``/``gc``.
     """
 
     INDEX_NAME = "index.jsonl"
 
-    def __init__(
-        self,
-        root: str | Path,
-        stats: CacheStats | None = None,
-        read_only: bool = False,
-    ) -> None:
-        self.root = Path(root)
+    def __init__(self, cache_dir: str | Path, read_only: bool = False) -> None:
+        self.root = Path(cache_dir)
         self.read_only = read_only
         if not read_only:
             try:
@@ -329,7 +223,8 @@ class ShardedFileBackend(CacheBackend):
                 raise NotADirectoryError(
                     f"cache dir {self.root} exists but is not a directory"
                 ) from exc
-        self.stats = stats if stats is not None else CacheStats()
+        #: traffic counters of this instance
+        self.stats = CacheStats()
         #: in-process view of shard indexes: shard -> {key: (bytes, version)}
         self._index: dict[str, dict[str, tuple[int, str | None]]] = {}
 
@@ -444,7 +339,14 @@ class ShardedFileBackend(CacheBackend):
         return value
 
     def peek(self, key: str, default: Any = None) -> Any:
-        """Like :meth:`get` but without hit/miss accounting."""
+        """Like :meth:`get`, but without touching the hit/miss stats.
+
+        The planner's surrogate model harvests already-cached sweep
+        points by probing many speculative keys; those probes are not
+        part of any run's cache-efficiency accounting, so they must not
+        skew ``stats`` (which tests and ``--expect-cached`` assertions
+        read).
+        """
         value = self._load(key)
         return default if value is _MISS else value
 
@@ -514,12 +416,21 @@ class ShardedFileBackend(CacheBackend):
         return results
 
     def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Batched :meth:`get` via per-shard index scans."""
+        """Batched :meth:`get` via per-shard index scans.
+
+        Absent keys are omitted from the result; counts one hit per
+        returned key and one miss per omitted key.
+        """
         return self._probe_many(keys, count=True)
 
     def peek_many(self, keys: Iterable[str]) -> dict[str, Any]:
         """Batched :meth:`peek` via per-shard index scans (stats-neutral)."""
         return self._probe_many(keys, count=False)
+
+    def put_many(self, items: Mapping[str, Any]) -> None:
+        """Store many entries (each individually atomic)."""
+        for key, value in items.items():
+            self.put(key, value)
 
     def keys(self) -> list[str]:
         """Every committed key across all shards, sorted."""
@@ -529,6 +440,7 @@ class ShardedFileBackend(CacheBackend):
         return sorted(found)
 
     def __len__(self) -> int:
+        """Number of committed entries (``*.tmp`` orphans excluded)."""
         return sum(1 for _ in self.root.glob("*/*.pkl"))
 
     # -- maintenance ---------------------------------------------------
@@ -638,7 +550,6 @@ class ShardedFileBackend(CacheBackend):
             report.bytes_removed += size
             if not dry_run:
                 path.unlink(missing_ok=True)
-                self.stats.evictions += 1
         for key, _, size, _, _ in entries:
             if key not in doomed:
                 report.entries_kept += 1
@@ -687,383 +598,18 @@ class ShardedFileBackend(CacheBackend):
         return report
 
 
-class MemoryTierBackend(CacheBackend):
-    """Size-bounded in-process LRU over any inner backend.
-
-    Reads that miss RAM fall through to ``inner`` and populate the
-    tier; writes go to both.  Values served from RAM are the *same*
-    objects handed out before — cached results are treated as
-    immutable by every consumer (the sweep's ``iteration_factor``
-    stamping is deterministic and idempotent), and the differential
-    backend tests pin that bit-identity.  Eviction is LRU by access
-    order, counted in ``stats.evictions``.
-    """
-
-    def __init__(self, inner: CacheBackend, max_entries: int = 4096) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.inner = inner
-        self.max_entries = max_entries
-        self.stats = inner.stats
-        self._lru: OrderedDict[str, Any] = OrderedDict()
-
-    def _remember(self, key: str, value: Any) -> None:
-        self._lru[key] = value
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.max_entries:
-            self._lru.popitem(last=False)
-            self.stats.evictions += 1
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """RAM first (counted as a hit), then the inner backend."""
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            return self._lru[key]
-        value = self.inner.get(key, _MISS)
-        if value is _MISS:
-            return default
-        self._remember(key, value)
-        return value
-
-    def peek(self, key: str, default: Any = None) -> Any:
-        """Stats-neutral read; still populates the tier on inner hits."""
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            return self._lru[key]
-        value = self.inner.peek(key, _MISS)
-        if value is _MISS:
-            return default
-        self._remember(key, value)
-        return value
-
-    def put(self, key: str, value: Any) -> None:
-        """Write through to the inner backend and refresh the tier."""
-        self.inner.put(key, value)
-        self._remember(key, value)
-
-    def contains(self, key: str) -> bool:
-        """RAM membership or the inner backend's answer."""
-        return key in self._lru or self.inner.contains(key)
-
-    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Serve what RAM has, batch the rest through the inner backend."""
-        results: dict[str, Any] = {}
-        missing: list[str] = []
-        for key in keys:
-            if key in self._lru:
-                self._lru.move_to_end(key)
-                self.stats.hits += 1
-                self.stats.memory_hits += 1
-                results[key] = self._lru[key]
-            else:
-                missing.append(key)
-        fetched = self.inner.get_many(missing)
-        for key, value in fetched.items():
-            self._remember(key, value)
-        results.update(fetched)
-        return results
-
-    def peek_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Stats-neutral batched read through the tier."""
-        results: dict[str, Any] = {}
-        missing: list[str] = []
-        for key in keys:
-            if key in self._lru:
-                self._lru.move_to_end(key)
-                results[key] = self._lru[key]
-            else:
-                missing.append(key)
-        fetched = self.inner.peek_many(missing)
-        for key, value in fetched.items():
-            self._remember(key, value)
-        results.update(fetched)
-        return results
-
-    def put_many(self, items: Mapping[str, Any]) -> None:
-        """Batched write-through."""
-        self.inner.put_many(items)
-        for key, value in items.items():
-            self._remember(key, value)
-
-    def keys(self) -> list[str]:
-        """The inner backend's committed keys (RAM holds no extras)."""
-        return self.inner.keys()
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def gc(
-        self,
-        max_bytes: int | None = None,
-        stale: bool = False,
-        tmp_max_age_s: float = 3600.0,
-        dry_run: bool = False,
-    ) -> GCReport:
-        """Delegate to the inner backend; RAM copies stay valid.
-
-        Evicted disk entries may survive in RAM until they age out of
-        the LRU — harmless, since the package version is part of every
-        key and RAM dies with the process.
-        """
-        return self.inner.gc(
-            max_bytes=max_bytes,
-            stale=stale,
-            tmp_max_age_s=tmp_max_age_s,
-            dry_run=dry_run,
-        )
-
-    def verify(self) -> VerifyReport:
-        """Delegate to the inner backend (RAM needs no verification)."""
-        return self.inner.verify()
-
-
-class ReadThroughBackend(CacheBackend):
-    """Primary cache backed by a read-only secondary on miss.
-
-    ``get`` consults the primary, then the secondary; secondary hits
-    are *promoted* — written into the primary — so one preseeded or
-    shared cache warms many private ones.  ``peek``/``peek_many`` stay
-    non-destructive (no promotion): speculative probes must not copy
-    data around.  Writes, GC and verification address the primary
-    only; the secondary is never mutated.
-    """
-
-    def __init__(self, primary: CacheBackend, secondary: CacheBackend) -> None:
-        self.primary = primary
-        self.secondary = secondary
-        self.stats = primary.stats
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Primary, then secondary with promotion (one hit either way)."""
-        value = self.primary.peek(key, _MISS)
-        if value is not _MISS:
-            self.stats.hits += 1
-            return value
-        value = self.secondary.peek(key, _MISS)
-        if value is not _MISS:
-            self.primary.put(key, value)
-            self.stats.hits += 1
-            self.stats.promotions += 1
-            return value
-        self.stats.misses += 1
-        return default
-
-    def peek(self, key: str, default: Any = None) -> Any:
-        """Stats-neutral, promotion-free read through both tiers."""
-        value = self.primary.peek(key, _MISS)
-        if value is _MISS:
-            value = self.secondary.peek(key, _MISS)
-        return default if value is _MISS else value
-
-    def put(self, key: str, value: Any) -> None:
-        """Write to the primary (the secondary is read-only)."""
-        self.primary.put(key, value)
-
-    def contains(self, key: str) -> bool:
-        """Present in either tier."""
-        return self.primary.contains(key) or self.secondary.contains(key)
-
-    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Batched read: primary hits, then promoted secondary hits."""
-        keys = list(keys)
-        results = self.primary.peek_many(keys)
-        missing = [key for key in keys if key not in results]
-        promoted = self.secondary.peek_many(missing)
-        if promoted:
-            self.primary.put_many(promoted)
-            self.stats.promotions += len(promoted)
-            results.update(promoted)
-        self.stats.hits += len(results)
-        self.stats.misses += len(keys) - len(results)
-        return results
-
-    def peek_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Stats-neutral, promotion-free batched read."""
-        keys = list(keys)
-        results = self.primary.peek_many(keys)
-        missing = [key for key in keys if key not in results]
-        results.update(self.secondary.peek_many(missing))
-        return results
-
-    def put_many(self, items: Mapping[str, Any]) -> None:
-        """Batched write to the primary."""
-        self.primary.put_many(items)
-
-    def keys(self) -> list[str]:
-        """Union of both tiers' committed keys."""
-        return sorted(set(self.primary.keys()) | set(self.secondary.keys()))
-
-    def __len__(self) -> int:
-        return len(self.primary)
-
-    def gc(
-        self,
-        max_bytes: int | None = None,
-        stale: bool = False,
-        tmp_max_age_s: float = 3600.0,
-        dry_run: bool = False,
-    ) -> GCReport:
-        """Collect the primary only (the secondary is read-only)."""
-        return self.primary.gc(
-            max_bytes=max_bytes,
-            stale=stale,
-            tmp_max_age_s=tmp_max_age_s,
-            dry_run=dry_run,
-        )
-
-    def verify(self) -> VerifyReport:
-        """Verify the primary only."""
-        return self.primary.verify()
-
-
-def resolve_backend(
-    spec: CacheBackend | str | None, cache_dir: str | Path
-) -> CacheBackend:
-    """Build a backend stack from a CLI-style spec string.
-
-    * ``None`` or ``"sharded"`` — the plain on-disk store;
-    * ``"memory"`` / ``"memory:N"`` — an in-process LRU of up to N
-      entries (default 4096) over the on-disk store;
-    * ``"readthrough:PATH"`` — the on-disk store under ``cache_dir``
-      with a read-only secondary at ``PATH`` consulted on miss.
-
-    Every layer of the stack shares one :class:`CacheStats`, so
-    traffic accounting is per-cache, not per-layer.
-    """
-    if isinstance(spec, CacheBackend):
-        return spec
-    stats = CacheStats()
-    if spec is None or spec == "sharded":
-        return ShardedFileBackend(cache_dir, stats=stats)
-    if spec == "memory" or spec.startswith("memory:"):
-        max_entries = 4096
-        if ":" in spec:
-            try:
-                max_entries = int(spec.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad memory tier size in {spec!r}") from None
-        return MemoryTierBackend(
-            ShardedFileBackend(cache_dir, stats=stats), max_entries=max_entries
-        )
-    if spec.startswith("readthrough:"):
-        secondary_dir = spec.split(":", 1)[1]
-        if not secondary_dir:
-            raise ValueError("readthrough backend needs a secondary path")
-        return ReadThroughBackend(
-            ShardedFileBackend(cache_dir, stats=stats),
-            ShardedFileBackend(secondary_dir, stats=stats, read_only=True),
-        )
-    raise ValueError(
-        f"unknown cache backend {spec!r} "
-        "(expected sharded | memory[:N] | readthrough:PATH)"
-    )
-
-
-class ResultCache:
-    """Pickle-backed key/value store under ``cache_dir``.
-
-    The stable front door every consumer holds: construction resolves
-    ``backend`` (a :class:`CacheBackend` instance or a spec string —
-    see :func:`resolve_backend`; default the sharded on-disk store)
-    and every operation delegates to it.  Entries are written
-    atomically (temp file + rename), so concurrent sweeps sharing a
-    cache directory never observe torn entries; unreadable or
-    truncated entries are treated as misses.
-    """
-
-    def __init__(
-        self,
-        cache_dir: str | Path,
-        backend: CacheBackend | str | None = None,
-    ) -> None:
-        self.root = Path(cache_dir)
-        self.backend = resolve_backend(backend, self.root)
-
-    @property
-    def stats(self) -> CacheStats:
-        """The backend stack's shared traffic counters."""
-        return self.backend.stats
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Return the cached value for ``key``, or ``default``."""
-        return self.backend.get(key, default)
-
-    def peek(self, key: str, default: Any = None) -> Any:
-        """Like :meth:`get`, but without touching the hit/miss stats.
-
-        The planner's surrogate model harvests already-cached sweep
-        points by probing many speculative keys; those probes are not
-        part of any run's cache-efficiency accounting, so they must not
-        skew ``stats`` (which tests and ``--expect-cached`` assertions
-        read).
-        """
-        return self.backend.peek(key, default)
-
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` (atomic replace)."""
-        self.backend.put(key, value)
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` has a committed entry."""
-        return self.backend.contains(key)
-
-    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Batched :meth:`get`; absent keys are omitted from the result."""
-        return self.backend.get_many(keys)
-
-    def peek_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Batched :meth:`peek` (stats-neutral bulk probe)."""
-        return self.backend.peek_many(keys)
-
-    def put_many(self, items: Mapping[str, Any]) -> None:
-        """Store many entries (each individually atomic)."""
-        self.backend.put_many(items)
-
-    def keys(self) -> list[str]:
-        """Every committed key, sorted."""
-        return self.backend.keys()
-
-    def gc(
-        self,
-        max_bytes: int | None = None,
-        stale: bool = False,
-        tmp_max_age_s: float = 3600.0,
-        dry_run: bool = False,
-    ) -> GCReport:
-        """Collect garbage — see :meth:`ShardedFileBackend.gc`."""
-        return self.backend.gc(
-            max_bytes=max_bytes,
-            stale=stale,
-            tmp_max_age_s=tmp_max_age_s,
-            dry_run=dry_run,
-        )
-
-    def verify(self) -> VerifyReport:
-        """Consistency-check the store — see :meth:`ShardedFileBackend.verify`."""
-        return self.backend.verify()
-
-    def __len__(self) -> int:
-        return len(self.backend)
-
-
 def resolve_result_cache(
     cache_dir: str | Path | ResultCache | None,
-    backend: CacheBackend | str | None = None,
 ) -> ResultCache | None:
     """Normalize a ``cache_dir`` argument into a :class:`ResultCache`.
 
     Callers (``run_sweep``, the planner) accept either a directory or
     an already-built cache; passing an instance through lets one
-    memory tier or read-through stack span many internal sweep calls.
-    ``None`` stays ``None`` (caching disabled).
+    cache's loaded shard indexes and counters span many internal sweep
+    calls.  ``None`` stays ``None`` (caching disabled).
     """
     if cache_dir is None:
         return None
     if isinstance(cache_dir, ResultCache):
         return cache_dir
-    return ResultCache(cache_dir, backend=backend)
+    return ResultCache(cache_dir)

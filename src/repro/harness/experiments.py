@@ -106,7 +106,6 @@ def regenerate_all(
     max_accesses_per_core: int = 50_000,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    cache_backend: str | None = None,
 ) -> dict[str, object]:
     """Regenerate every paper artifact in one call.
 
@@ -126,7 +125,6 @@ def regenerate_all(
         max_accesses_per_core=max_accesses_per_core,
         jobs=jobs,
         cache_dir=cache_dir,
-        cache_backend=cache_backend,
     )
     return {
         "evaluations": evals,

@@ -143,9 +143,7 @@ def evaluate_workload(
     thresholds: ErrorThresholds | None = None,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    engine: str = "vectorized",
     trace_store: TraceStore | str | Path | bool | None = None,
-    cache_backend: str | None = None,
     **workload_kwargs: Any,
 ) -> WorkloadEvaluation:
     """Run one workload through the functional and timing layers.
@@ -153,9 +151,7 @@ def evaluate_workload(
     A convenience wrapper around :func:`repro.harness.sweep.run_sweep`
     for a single-point grid.  ``jobs`` parallelizes across this
     workload's designs; ``cache_dir`` reuses previously computed job
-    results (see :mod:`repro.harness.cache`); ``engine`` selects the
-    timing-replay implementation (both produce identical results);
-    ``trace_store`` selects the memory-mapped trace store (default:
+    results (see :mod:`repro.harness.cache`); ``trace_store`` selects the memory-mapped trace store (default:
     ``<cache_dir>/traces`` when caching).
     """
     from .sweep import SweepSpec, run_sweep
@@ -169,11 +165,9 @@ def evaluate_workload(
         thresholds=(thresholds,),
         max_accesses_per_core=max_accesses_per_core,
         workload_kwargs=tuple(sorted(workload_kwargs.items())),
-        engine=engine,
     )
     return run_sweep(
-        spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store,
-        cache_backend=cache_backend,
+        spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store
     ).by_workload()[name]
 
 
@@ -186,18 +180,15 @@ def evaluate_all(
     max_accesses_per_core: int = 50_000,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    engine: str = "vectorized",
     trace_store: TraceStore | str | Path | bool | None = None,
-    cache_backend: str | None = None,
 ) -> dict[str, WorkloadEvaluation]:
     """Evaluate every workload (paper order).
 
     Built on the sweep engine: ``jobs`` fans the grid's functional and
     timing job units out over a process pool (``1`` keeps the fully
     serial, in-process path), ``cache_dir`` enables the on-disk result
-    cache so repeated evaluations skip completed points, ``engine``
-    selects the timing-replay implementation, and ``trace_store``
-    selects the memory-mapped trace store (default:
+    cache so repeated evaluations skip completed points, and
+    ``trace_store`` selects the memory-mapped trace store (default:
     ``<cache_dir>/traces`` when caching).
     """
     from ..workloads import WORKLOADS
@@ -210,9 +201,7 @@ def evaluate_all(
         scales=(scale,),
         seeds=(seed,),
         max_accesses_per_core=max_accesses_per_core,
-        engine=engine,
     )
     return run_sweep(
-        spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store,
-        cache_backend=cache_backend,
+        spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store
     ).by_workload()

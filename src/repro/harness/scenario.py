@@ -421,12 +421,11 @@ def scenario_timing_key(
 ) -> str:
     """Cache key of one subset replay: the scenario-qualified identity.
 
-    Deliberate exclusions, like single-workload timing keys: the
-    engine (both engines are bit-identical and share entries) and the
-    scenario's cosmetic ``name`` — the registry mix ``heat+lbm`` and
-    the equivalent mix string ``heat@4+lbm@4`` describe the same run
-    and must share entries, so the key covers only the content
-    (entries, placement, seed, budget, thresholds).
+    Deliberate exclusion: the scenario's cosmetic ``name`` — the
+    registry mix ``heat+lbm`` and the equivalent mix string
+    ``heat@4+lbm@4`` describe the same run and must share entries, so
+    the key covers only the content (entries, placement, seed, budget,
+    thresholds).
     """
     from dataclasses import replace
 
@@ -609,9 +608,7 @@ def evaluate_scenario(
     max_accesses_per_core: int = 50_000,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    engine: str = "vectorized",
     trace_store: TraceStore | str | Path | bool | None = None,
-    cache_backend: str | None = None,
 ) -> ScenarioEvaluation:
     """Run one multi-programmed mix end to end.
 
@@ -635,11 +632,9 @@ def evaluate_scenario(
         seeds=(seed,),
         thresholds=(thresholds,),
         max_accesses_per_core=max_accesses_per_core,
-        engine=engine,
     )
     return run_sweep(
-        spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store,
-        cache_backend=cache_backend,
+        spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store
     ).by_scenario()[scenario.name]
 
 

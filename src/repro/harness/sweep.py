@@ -34,7 +34,6 @@ import abc
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from types import TracebackType
 from typing import Any, Callable, Iterable, TYPE_CHECKING
@@ -154,10 +153,6 @@ class SweepSpec:
     #: (see :mod:`repro.harness.scenario`); each is crossed with seeds
     #: and thresholds like a workload is.
     scenarios: tuple[Scenario, ...] = ()
-    #: timing-replay engine (see :meth:`repro.system.TimingSystem.run`);
-    #: both engines produce bit-identical results, so they share cache
-    #: entries — the key deliberately excludes this field.
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "designs", resolve_designs(self.designs))
@@ -255,7 +250,6 @@ def run_timing_job(
     footprint_bytes: int,
     dedup_factor: float = 1.0,
     avr_options: dict | None = None,
-    engine: str = "vectorized",
 ) -> SimResult:
     """Job unit: one design's timing replay of one point's trace.
 
@@ -266,10 +260,7 @@ def run_timing_job(
     into the memory-mapped trace store, which the job resolves here —
     so worker processes map the shared payload file instead of
     unpickling megabytes of trace, and replay bit-identically either
-    way.  ``avr_options`` forwards LLC ablation flags; ``engine``
-    selects the replay implementation (``"vectorized"`` fast path or
-    the ``"reference"`` loop — bit-identical results either way, so
-    neither choice enters the cache key).
+    way.  ``avr_options`` forwards LLC ablation flags.
     """
     if isinstance(trace, TraceHandle):
         trace = trace.load()
@@ -277,7 +268,7 @@ def run_timing_job(
         design, config, layout, footprint_bytes, dedup_factor,
         avr_options=avr_options,
     )
-    return system.run(trace, engine=engine)
+    return system.run(trace)
 
 
 def _functional_key(point: SweepPoint, design: DesignLike) -> str:
@@ -586,7 +577,6 @@ def run_sweep(
     jobs: int = 1,
     cache_dir: str | Path | ResultCache | None = None,
     trace_store: TraceStore | str | Path | bool | None = None,
-    cache_backend: str | None = None,
     executor: JobExecutor | None = None,
     on_unit_done: UnitCallback | None = None,
 ) -> SweepResult:
@@ -601,11 +591,8 @@ def run_sweep(
 
     ``cache_dir`` may also be an already-built
     :class:`~repro.harness.cache.ResultCache` — the planner passes one
-    instance through every internal sweep so a memory tier spans the
-    whole plan.  ``cache_backend`` picks the storage stack for a plain
-    directory (``sharded`` | ``memory[:N]`` | ``readthrough:PATH`` —
-    see :func:`repro.harness.cache.resolve_backend`); every backend is
-    bit-identical, it only changes where warm reads are served from.
+    instance through every internal sweep so its loaded shard indexes
+    span the whole plan.
 
     ``trace_store`` selects the memory-mapped composed-trace store
     (see :func:`repro.trace.store.resolve_trace_store`): by default a
@@ -629,7 +616,7 @@ def run_sweep(
     (stores are atomic and happen only in the parent).
     """
     config = spec.resolved_config()
-    cache = resolve_result_cache(cache_dir, cache_backend)
+    cache = resolve_result_cache(cache_dir)
     store = resolve_trace_store(
         trace_store, cache.root if cache is not None else None
     )
@@ -750,11 +737,8 @@ def run_sweep(
         for key, (context, design, active, footprint, dedup) in descriptors.items():
             if key in timing:
                 continue
-            # Bind the keyword tail by name (partials pickle into
-            # workers) so a signature change fails loudly instead of
-            # silently misbinding positionals.
             timing_jobs[key] = (
-                partial(run_timing_job, engine=spec.engine),
+                run_timing_job,
                 design,
                 config,
                 context.layout_for(design),

@@ -32,7 +32,7 @@ Planning is deterministic given (spec, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -231,7 +231,6 @@ class _Planner:
         jobs: int,
         cache_dir: str | Path | None,
         trace_store: str | Path | bool | None,
-        cache_backend: str | None = None,
         executor: Any | None = None,
         on_unit_done: Any | None = None,
     ) -> None:
@@ -240,10 +239,9 @@ class _Planner:
         self.trace_store = trace_store
         self.executor = executor
         self.on_unit_done = on_unit_done
-        # One cache instance threads through every internal sweep, so a
-        # memory tier (or read-through stack) spans the whole plan —
-        # rungs re-reading shared functional results hit RAM.
-        self.cache = resolve_result_cache(cache_dir, cache_backend)
+        # One cache instance threads through every internal sweep, so
+        # shard indexes loaded by one rung serve every later rung.
+        self.cache = resolve_result_cache(cache_dir)
         self.config = SystemConfig.scaled(num_cores=spec.resolved_cores())
         self.constraints = spec.parsed_constraints()
         self.stats = PlanStats()
@@ -285,7 +283,6 @@ class _Planner:
                     seeds=(self.spec.trace_seed,),
                     thresholds=(thresholds,),
                     max_accesses_per_core=fidelity,
-                    engine=self.spec.engine,
                 ),
                 jobs=self.jobs,
                 cache_dir=self.cache,
@@ -556,17 +553,14 @@ def run_plan(
     spec: PlanSpec | str | Path,
     jobs: int | None = None,
     cache_dir: str | Path | None = None,
-    engine: str | None = None,
     trace_store: str | Path | bool | None = None,
-    cache_backend: str | None = None,
     executor: Any | None = None,
     on_unit_done: Any | None = None,
 ) -> PlanResult:
     """Execute a plan spec (or spec file) end to end.
 
-    ``jobs`` / ``cache_dir`` / ``engine`` / ``trace_store`` /
-    ``cache_backend`` override the spec's execution settings without
-    touching its identity, mirroring
+    ``jobs`` / ``cache_dir`` / ``trace_store`` override the spec's
+    execution settings without touching its identity, mirroring
     :func:`~repro.experiment.run_experiment`; ``executor`` /
     ``on_unit_done`` thread a caller-owned
     :class:`~repro.harness.sweep.JobExecutor` and per-unit progress
@@ -577,16 +571,11 @@ def run_plan(
     """
     if isinstance(spec, (str, Path)):
         spec = PlanSpec.from_file(spec)
-    if engine is not None:
-        spec = replace(spec, engine=engine)
     planner = _Planner(
         spec,
         jobs=jobs if jobs is not None else spec.jobs,
         cache_dir=cache_dir if cache_dir is not None else spec.cache_dir,
         trace_store=trace_store if trace_store is not None else spec.trace_store,
-        cache_backend=(
-            cache_backend if cache_backend is not None else spec.cache_backend
-        ),
         executor=executor,
         on_unit_done=on_unit_done,
     )

@@ -155,16 +155,10 @@ class PlanSpec:
     max_accesses_per_core: int = 50_000
     #: simulated cores; None = 8
     num_cores: int | None = None
-    #: timing-replay engine (bit-identical either way; execution-only)
-    engine: str = "vectorized"
     #: default worker processes (overridable at :func:`run_plan`)
     jobs: int = 1
     #: default on-disk result-cache directory (None = no cache)
     cache_dir: str | None = None
-    #: result-cache backend stack (``sharded`` | ``memory[:N]`` |
-    #: ``readthrough:PATH``; execution-only — every backend is
-    #: bit-identical)
-    cache_backend: str | None = None
     #: memory-mapped trace store directory (see ``ExperimentSpec``)
     trace_store: str | None = None
 
@@ -225,11 +219,9 @@ class PlanSpec:
     # identity
     # ------------------------------------------------------------------
     #: execution-only fields outside the plan's identity (mirrors
-    #: ``ExperimentSpec``: both engines are bit-identical, and the
-    #: label/worker/cache settings cannot change what is planned)
-    _NON_IDENTITY_FIELDS = frozenset(
-        {"name", "jobs", "cache_dir", "cache_backend", "engine", "trace_store"}
-    )
+    #: ``ExperimentSpec``: the label/worker/cache settings cannot change
+    #: what is planned)
+    _NON_IDENTITY_FIELDS = frozenset({"name", "jobs", "cache_dir", "trace_store"})
 
     def content_hash(self) -> str:
         """Stable SHA-256 of the plan's identity (memoized per spec)."""

@@ -40,8 +40,6 @@ class EvalDaemon:
         host: str | None = None,
         port: int | None = None,
         workers: int = 2,
-        cache_backend: str | None = None,
-        engine: str | None = None,
     ) -> None:
         from ..harness.cache import ResultCache
 
@@ -52,8 +50,7 @@ class EvalDaemon:
         self.socket_path = Path(socket_path) if socket_path else None
         self.host = host or "127.0.0.1"
         self.port = port
-        self.engine = engine
-        self.cache = LockedResultCache(ResultCache(cache_dir, cache_backend))
+        self.cache = LockedResultCache(ResultCache(cache_dir))
         self.scheduler = UnitScheduler(workers=workers)
         self.sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)

@@ -34,7 +34,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from ..harness.cache import GCReport, ResultCache, VerifyReport
+from ..harness.cache import DiskUsage, GCReport, ResultCache, VerifyReport
 from ..harness.sweep import JobExecutor
 
 __all__ = [
@@ -54,18 +54,18 @@ class LockedResultCache(ResultCache):
     """Thread-safe facade over a :class:`ResultCache` shared by sessions.
 
     The daemon hands one instance to every concurrent sweep thread;
-    an ``RLock`` serializes backend operations (index mutation, LRU
-    bookkeeping, stats counters) that are only ever exercised
-    single-threaded in one-shot runs.  ``root``/``backend`` mirror the
-    inner cache so ``isinstance`` checks, trace-store derivation and
-    ``stats`` all behave like the cache they wrap.
+    an ``RLock`` serializes cache operations (index mutation, stats
+    counters) that are only ever exercised single-threaded in one-shot
+    runs.  ``root``/``stats`` mirror the inner cache so ``isinstance``
+    checks, trace-store derivation and traffic accounting all behave
+    like the cache they wrap.
     """
 
     def __init__(self, inner: ResultCache) -> None:
         self._inner = inner
         self._lock = threading.RLock()
         self.root = inner.root
-        self.backend = inner.backend
+        self.stats = inner.stats
 
     def get(self, key: str, default: Any = None) -> Any:
         with self._lock:
@@ -106,6 +106,10 @@ class LockedResultCache(ResultCache):
     def verify(self) -> VerifyReport:
         with self._lock:
             return self._inner.verify()
+
+    def disk_usage(self) -> DiskUsage:
+        with self._lock:
+            return self._inner.disk_usage()
 
     def __len__(self) -> int:
         with self._lock:

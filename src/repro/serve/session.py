@@ -32,7 +32,7 @@ __all__ = ["Session"]
 #: spec keys describing *where/how* to execute rather than *what* —
 #: the daemon substitutes its own shared cache, trace store and
 #: executor, so client-side settings for these must not leak through
-_EXECUTION_ONLY_KEYS = ("jobs", "cache_dir", "cache_backend", "trace_store")
+_EXECUTION_ONLY_KEYS = ("jobs", "cache_dir", "trace_store")
 
 
 class _Job:
@@ -239,7 +239,6 @@ class Session:
             result = run_experiment(
                 job.spec,
                 cache_dir=self.daemon.cache,
-                engine=self.daemon.engine,
                 executor=job.handle,
                 on_unit_done=on_unit_done,
             )
@@ -250,7 +249,6 @@ class Session:
         result = run_plan(
             job.spec,
             cache_dir=self.daemon.cache,
-            engine=self.daemon.engine,
             executor=job.handle,
             on_unit_done=on_unit_done,
         )

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..cache.array_lru import BatchedPrivateFilter
-from ..cache.hierarchy import PrivateCaches
 from ..cache.llc_avr import AVRLLC
 from ..cache.llc_baseline import BaselineLLC
 from ..common.config import SystemConfig
@@ -33,10 +32,6 @@ from ..trace.generator import GeneratedTrace
 #: concurrently-streaming cores contend for it (turning would-be DBUF
 #: hits into compressed-block hits), as in the paper's 8-core CMP.
 INTERLEAVE_CHUNK = 12
-
-#: replay engines accepted by :meth:`TimingSystem.run`
-ENGINES = ("vectorized", "reference")
-
 
 @dataclass
 class SimResult:
@@ -87,7 +82,7 @@ class SimResult:
     def metric_diffs(self, other: "SimResult") -> list[str]:
         """Names of metrics that are not bit-identical to ``other``.
 
-        The vectorized/reference equivalence contract: every
+        The replay-vs-oracle equivalence contract: every
         replay-derived field must match *exactly* (``==`` on floats, no
         tolerance).  The field list is derived from the dataclass, so a
         future metric is automatically covered — growing ``SimResult``
@@ -121,7 +116,7 @@ class TimingSystem:
         self.llc = llc
         self.dram = dram
 
-    def run(self, trace: GeneratedTrace, engine: str = "vectorized") -> SimResult:
+    def run(self, trace: GeneratedTrace) -> SimResult:
         """Replay ``trace`` and return the run's aggregate metrics.
 
         Cores execute their streams in fixed-size interleaved chunks
@@ -131,83 +126,10 @@ class TimingSystem:
         latency-bound and bandwidth-bound estimates; callers normalize
         against a baseline run of the same trace.
 
-        ``engine`` selects the replay implementation:
-
-        * ``"vectorized"`` (default) — the batched fast path: all
-          cores' private L1/L2 stacks are replayed as array-LRU
-          matrices (:mod:`repro.cache.array_lru`) and the filtered,
-          chunk-interleaved LLC-bound event stream goes through the
-          LLC's own batched replay (``BaselineLLC.replay_batch`` or
-          the AVR fast scan, ``AVRLLC.replay_batch``) with DRAM
-          settled in bulk.
-        * ``"reference"`` — the original access-at-a-time loop, kept
-          as the semantic anchor for differential testing.
-
-        Both engines produce **bit-identical** :class:`SimResult`
-        metrics (enforced by ``tests/test_engine_equivalence.py`` and
-        ``benchmarks/bench_timing.py --check``).
-
-        A ``TimingSystem`` accumulates state in its LLC and DRAM
-        models, so each instance should run exactly one trace.
-        """
-        if engine == "vectorized":
-            return self._run_vectorized(trace)
-        if engine == "reference":
-            return self._run_reference(trace)
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-    # ------------------------------------------------------------------
-    # reference engine: one access at a time
-    # ------------------------------------------------------------------
-    def _run_reference(self, trace: GeneratedTrace) -> SimResult:
-        """The original interleaved per-access replay loop."""
-        config = self.config
-        num_cores = len(trace.cores)
-        cores = [IntervalCore(config.core) for _ in range(num_cores)]
-        privates = [PrivateCaches(config) for _ in range(num_cores)]
-
-        positions = [0] * num_cores
-        lengths = [len(t) for t in trace.cores]
-        llc = self.llc
-        active = True
-        while active:
-            active = False
-            for cid in range(num_cores):
-                pos = positions[cid]
-                end = min(pos + INTERLEAVE_CHUNK, lengths[cid])
-                if pos >= end:
-                    continue
-                active = True
-                core = cores[cid]
-                priv = privates[cid]
-                records = trace.cores[cid][pos:end]
-                for rec in records:
-                    addr = int(rec["addr"])
-                    write = bool(rec["write"])
-                    core.advance(int(rec["gap"]))
-                    latency, needs_llc, writebacks = priv.access(addr, write)
-                    if needs_llc:
-                        latency += llc.read(addr)
-                    for wb_addr, _dirty in writebacks:
-                        llc.writeback(wb_addr)
-                    core.memory_event(latency, l1_hit=not needs_llc and latency <= priv.l1.latency)
-                positions[cid] = end
-
-        return self._finalize(
-            trace,
-            cores,
-            l1_accesses=sum(p.l1.accesses for p in privates),
-            l2_accesses=sum(p.l2.accesses for p in privates),
-        )
-
-    # ------------------------------------------------------------------
-    # vectorized engine: batched private filter + LLC event replay
-    # ------------------------------------------------------------------
-    def _run_vectorized(self, trace: GeneratedTrace) -> SimResult:
-        """Batched replay: filter privately, then replay only LLC events.
-
-        Three stages, equivalent to :meth:`_run_reference` access by
-        access:
+        The replay is batched in three stages, each bit-identical to
+        the access-at-a-time loop kept as the test oracle in
+        ``tests/oracles.py`` (pinned by ``tests/test_engine_equivalence.py``
+        and ``benchmarks/bench_timing.py --check``):
 
         1. **Private filter** — every core's L1+L2 stack is replayed in
            one batched pass (:class:`BatchedPrivateFilter`); private
@@ -215,13 +137,18 @@ class TimingSystem:
            interleaving.
         2. **LLC event replay** — the surviving events (demand reads
            that missed L2, plus dirty L2 victim writebacks) are sorted
-           into exactly the reference loop's chunk-interleaved order
-           and replayed through the *same* LLC/DRAM model objects.
+           into exactly the per-access loop's chunk-interleaved order
+           and replayed through the LLC's own batched replay
+           (``BaselineLLC.replay_batch`` or the AVR fast scan,
+           ``AVRLLC.replay_batch``) with DRAM settled in bulk.
         3. **Cycle accounting** — per-core interval accounting is a
            sequential chain of float additions; with the LLC latencies
            from stage 2 scattered back per access, the chain folds
            vectorized (:meth:`IntervalCore.replay_batch`) to the
            bit-identical cycle count.
+
+        A ``TimingSystem`` accumulates state in its LLC and DRAM
+        models, so each instance should run exactly one trace.
         """
         config = self.config
         num_cores = len(trace.cores)
@@ -235,7 +162,7 @@ class TimingSystem:
             core_ids, addrs, writes
         )
 
-        # --- LLC-bound event stream, in the reference loop's order ----
+        # --- LLC-bound event stream, in the per-access loop's order --
         # Chunk pass k handles accesses [12k, 12k+12) of core 0, then of
         # core 1, ...; within one access: demand read, then the
         # insert-victim writeback, then the access-victim writeback.

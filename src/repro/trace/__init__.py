@@ -1,7 +1,7 @@
 """Synthetic memory-trace generation for the timing layer."""
 
 from .events import TRACE_DTYPE, concat_traces, make_trace, total_instructions
-from .generator import GENERATORS, GeneratedTrace, generate_trace
+from .generator import GeneratedTrace, generate_trace
 from .store import (
     TraceHandle,
     TraceStore,
@@ -11,7 +11,6 @@ from .store import (
 )
 
 __all__ = [
-    "GENERATORS",
     "GeneratedTrace",
     "TRACE_DTYPE",
     "TraceHandle",

@@ -7,23 +7,19 @@ address streams.  Multi-core runs use domain decomposition: each core
 sweeps its contiguous slice of every phase, as the paper's OpenMP-style
 benchmarks do.
 
-Two generator implementations produce bit-identical streams:
-
-* ``generator="vectorized"`` (the default) synthesizes each core's
-  full stream in one columnar pass: the per-iteration access pattern
-  is materialized once as a *template* (addresses, write flags,
-  rolling-window advance per element), the (iteration x template)
-  grid is expanded with a single broadcast add, and all gap jitter is
-  drawn in one RNG call per core.
-* ``generator="reference"`` is the historical per-(iteration, phase)
-  fragment loop, retained as the differential-testing anchor — the
-  vectorized path is pinned bit-identical to it by the trace
-  equivalence suite.
+Each core's full stream is synthesized in one columnar pass: the
+per-iteration access pattern is materialized once as a *template*
+(addresses, write flags, rolling-window advance per element), the
+(iteration x template) grid is expanded with a single broadcast add,
+and all gap jitter is drawn in one RNG call per core.  The historical
+per-(iteration, phase) fragment loop survives as the test oracle in
+``tests/oracles.py``, and the trace equivalence suite pins this path
+bit-identical to it.
 
 Bit-identity holds because ``numpy``'s bounded ``integers`` sampling
 consumes the underlying bit stream sequentially (the 32-bit buffer is
 part of the generator state), so one draw of N values equals N draws of
-one value — the vectorized path draws exactly the values the reference
+one value — the columnar pass draws exactly the values the fragment
 loop would, in the same order.
 
 Trace volume is bounded by ``max_accesses_per_core``: when the spec's
@@ -41,10 +37,7 @@ import numpy as np
 
 from ..approx.memory import ApproxMemory
 from ..workloads.base import Phase, TraceSpec
-from .events import TRACE_DTYPE, concat_traces, make_trace
-
-#: trace-generator implementations accepted by :func:`generate_trace`
-GENERATORS = ("vectorized", "reference")
+from .events import TRACE_DTYPE
 
 #: exclusive bound of the per-access gap jitter (cores drift out of
 #: lockstep by 0-2 extra instructions per access)
@@ -134,7 +127,7 @@ def budget_iterations(
 
     The cost of one iteration for one core is the *exact* per-core
     access count the generator emits (via the :class:`Phase` geometry
-    helpers — the same arithmetic both generator implementations use),
+    helpers — the same arithmetic the generator uses),
     so ``iterations * per-iteration cost`` always equals the generated
     stream length.  When the full iteration count would blow the
     budget, a prefix is simulated and the caller reports the
@@ -154,9 +147,6 @@ def budget_iterations(
     return max(1, min(spec.iterations, max_accesses_per_core // per_iter))
 
 
-# ----------------------------------------------------------------------
-# vectorized implementation
-# ----------------------------------------------------------------------
 def _core_template(
     spec: TraceSpec, mem: ApproxMemory, core: int, num_cores: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[Phase, int, int, int]]]:
@@ -168,8 +158,8 @@ def _core_template(
     rolling window size, 0 for fixed phases), and per-phase
     ``(phase, jitter_count, access_offset, access_count)`` bookkeeping
     for gap assembly.  Phases whose core slice emits nothing are
-    skipped entirely — exactly as the reference loop skips them before
-    drawing any jitter.
+    skipped entirely — exactly as the fragment-loop oracle skips them
+    before drawing any jitter.
     """
     addr_parts: list[np.ndarray] = []
     write_parts: list[np.ndarray] = []
@@ -210,7 +200,7 @@ def _core_template(
     )
 
 
-def _generate_core_vectorized(
+def _generate_core(
     spec: TraceSpec,
     mem: ApproxMemory,
     core: int,
@@ -222,7 +212,7 @@ def _generate_core_vectorized(
 
     The (iteration x template) grid is a broadcast add of the rolling
     steps; all jitter is one RNG draw, reshaped so column ``j`` of
-    iteration ``i`` is exactly the value the reference loop's
+    iteration ``i`` is exactly the value the fragment-loop oracle's
     per-fragment draw would produce at that position.
     """
     addrs0, writes0, steps, blocks = _core_template(spec, mem, core, num_cores)
@@ -256,60 +246,6 @@ def _generate_core_vectorized(
     return out
 
 
-# ----------------------------------------------------------------------
-# reference implementation (the differential-testing anchor)
-# ----------------------------------------------------------------------
-def _generate_core_reference(
-    spec: TraceSpec,
-    mem: ApproxMemory,
-    core: int,
-    num_cores: int,
-    iterations: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The historical per-(iteration, phase) fragment loop."""
-    fragments: list[np.ndarray] = []
-    for iteration in range(iterations):
-        for phase in spec.phases:
-            region = mem.region(phase.region)
-            addrs = _phase_addresses(
-                phase, region.base_addr, region.nbytes,
-                iteration, spec.iterations, core, num_cores,
-            )
-            if addrs.size == 0:
-                continue
-            gaps = np.full(addrs.size, phase.gap, dtype=np.uint32)
-            # Jitter gaps slightly so cores drift out of lockstep.
-            gaps += rng.integers(0, _JITTER_BOUND, addrs.size, dtype=np.uint32)
-            if phase.reads and phase.writes:
-                # Read-modify-write sweep: emit a read and a write
-                # per line (interleaved in program order).
-                n = addrs.size
-                both = np.empty(2 * n, dtype=TRACE_DTYPE)
-                both["addr"][0::2] = addrs
-                both["addr"][1::2] = addrs
-                both["write"][0::2] = False
-                both["write"][1::2] = True
-                both["gap"][0::2] = gaps
-                both["gap"][1::2] = 0
-                fragments.append(both)
-            else:
-                fragments.append(
-                    make_trace(
-                        addrs,
-                        np.full(addrs.size, phase.writes, dtype=np.bool_),
-                        gaps,
-                    )
-                )
-    return concat_traces(fragments)
-
-
-_GENERATOR_FNS = {
-    "vectorized": _generate_core_vectorized,
-    "reference": _generate_core_reference,
-}
-
-
 def generate_trace(
     spec: TraceSpec,
     mem: ApproxMemory,
@@ -317,7 +253,6 @@ def generate_trace(
     max_accesses_per_core: int = 300_000,
     seed: int = 0,
     per_core_streams: bool = False,
-    generator: str = "vectorized",
 ) -> GeneratedTrace:
     """Build per-core traces for a workload's main loop.
 
@@ -331,11 +266,6 @@ def generate_trace(
     would exceed the per-core access budget, a prefix of iterations is
     generated and recorded in the result's ``scale_factor``.
 
-    ``generator`` selects the implementation (see :data:`GENERATORS`):
-    the columnar ``"vectorized"`` fast path (default) or the
-    ``"reference"`` fragment loop — bit-identical results either way,
-    so the choice never enters content keys.
-
     By default all cores draw jitter from one sequential RNG stream
     (the historical behaviour — existing single-workload traces stay
     bit-identical).  With ``per_core_streams`` each core draws from its
@@ -346,12 +276,6 @@ def generate_trace(
     which is what keeps two instances of one workload from emitting
     identical streams.
     """
-    try:
-        generate_core = _GENERATOR_FNS[generator]
-    except KeyError:
-        raise ValueError(
-            f"unknown trace generator {generator!r}; expected one of {GENERATORS}"
-        ) from None
     iters_sim = budget_iterations(spec, mem, num_cores, max_accesses_per_core)
 
     if per_core_streams:
@@ -365,7 +289,7 @@ def generate_trace(
     for core in range(num_cores):
         rng = core_rngs[core] if per_core_streams else shared_rng
         cores.append(
-            generate_core(spec, mem, core, num_cores, iters_sim, rng)
+            _generate_core(spec, mem, core, num_cores, iters_sim, rng)
         )
     return GeneratedTrace(
         cores=cores,

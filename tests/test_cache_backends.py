@@ -1,13 +1,12 @@
-"""Tests for the pluggable cache backends, GC and batched warm paths.
+"""Tests for the sharded result-cache store, GC and batched warm paths.
 
 Three layers of coverage:
 
-* unit tests of each :class:`~repro.harness.cache.CacheBackend`
-  implementation (index maintenance, GC passes, LRU tiers, read-through
-  promotion, stats accounting);
-* differential tests pinning that every backend serves warm sweeps and
-  plans bit-identically to the cold run — including a legacy index-less
-  cache directory (the pre-backend flat layout);
+* unit tests of :class:`~repro.harness.cache.ResultCache` (index
+  maintenance, GC passes, read-only mode, stats accounting);
+* differential tests pinning that a warm cache serves sweeps and plans
+  bit-identically to the cold run — including a legacy index-less
+  cache directory (the pre-index flat layout);
 * a multiprocess stress test: concurrent put/get/gc on one cache
   directory must lose no entries and tear no reads.
 """
@@ -19,16 +18,7 @@ import os
 import pytest
 
 from repro.common.config import CacheConfig, SystemConfig
-from repro.harness.cache import (
-    CacheStats,
-    MemoryTierBackend,
-    ReadThroughBackend,
-    ResultCache,
-    ShardedFileBackend,
-    content_key,
-    resolve_backend,
-    resolve_result_cache,
-)
+from repro.harness.cache import ResultCache, content_key, resolve_result_cache
 from repro.harness.sweep import SweepSpec, run_sweep
 
 # The micro machine/sweep of test_sweep.py: full runs stay test-sized.
@@ -48,41 +38,43 @@ SPEC = SweepSpec(
 
 
 def key_of(tag) -> str:
-    return content_key("test-backend", tag)
+    return content_key("test-cache", tag)
 
 
-def fill(backend, count, tag="fill"):
+def fill(cache, count, tag="fill"):
     """Store ``count`` distinct entries; returns their keys in order."""
     keys = []
     for i in range(count):
         key = key_of((tag, i))
-        backend.put(key, {"tag": tag, "i": i, "blob": list(range(i))})
+        cache.put(key, {"tag": tag, "i": i, "blob": list(range(i))})
         keys.append(key)
     return keys
 
 
 # ----------------------------------------------------------------------
-# ShardedFileBackend: payloads, indexes, batch probes
+# ResultCache: payloads, indexes, batch probes
 # ----------------------------------------------------------------------
 class TestShardedFileBackend:
+    """The sharded on-disk layout behind :class:`ResultCache`."""
+
     def test_roundtrip_and_stats(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
+        cache = ResultCache(tmp_path)
         key = key_of("roundtrip")
-        assert backend.get(key, "absent") == "absent"
-        backend.put(key, {"x": 1})
-        assert backend.get(key) == {"x": 1}
-        assert backend.contains(key)
-        assert backend.stats.stores == 1
-        assert backend.stats.hits == 1
-        assert backend.stats.misses == 1
-        assert backend.stats.bytes_written > 0
-        assert backend.stats.bytes_read > 0
+        assert cache.get(key, "absent") == "absent"
+        cache.put(key, {"x": 1})
+        assert cache.get(key) == {"x": 1}
+        assert cache.contains(key)
+        assert cache.stats.stores == 1
+        assert cache.stats.hits == 1
+        assert cache.stats.misses == 1
+        assert cache.stats.bytes_written > 0
+        assert cache.stats.bytes_read > 0
 
     def test_put_writes_index_line(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
+        cache = ResultCache(tmp_path)
         key = key_of("indexed")
-        backend.put(key, "payload")
-        index_path = tmp_path / key[:2] / ShardedFileBackend.INDEX_NAME
+        cache.put(key, "payload")
+        index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
         record = json.loads(index_path.read_text().splitlines()[-1])
         assert record["k"] == key
         assert record["n"] > 0
@@ -91,10 +83,10 @@ class TestShardedFileBackend:
         assert record["v"] == __version__
 
     def test_get_many_skips_absent_without_opens(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        keys = fill(backend, 3)
+        cache = ResultCache(tmp_path)
+        keys = fill(cache, 3)
         absent = [key_of(("absent", i)) for i in range(40)]
-        probe = ShardedFileBackend(tmp_path)
+        probe = ResultCache(tmp_path)
         found = probe.get_many(keys + absent)
         assert sorted(found) == sorted(keys)
         # Only real payloads were opened; the index answered the rest.
@@ -104,64 +96,64 @@ class TestShardedFileBackend:
         assert probe.stats.index_hits == len(keys)
 
     def test_peek_many_is_stats_neutral(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        keys = fill(backend, 2)
-        probe = ShardedFileBackend(tmp_path)
+        cache = ResultCache(tmp_path)
+        keys = fill(cache, 2)
+        probe = ResultCache(tmp_path)
         found = probe.peek_many(keys + [key_of("nope")])
         assert sorted(found) == sorted(keys)
         assert probe.stats.hits == 0
         assert probe.stats.misses == 0
 
     def test_keys_and_len(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        keys = fill(backend, 4)
-        assert backend.keys() == sorted(keys)
-        assert len(backend) == 4
+        cache = ResultCache(tmp_path)
+        keys = fill(cache, 4)
+        assert cache.keys() == sorted(keys)
+        assert len(cache) == 4
 
     def test_missing_index_is_rebuilt(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        keys = fill(backend, 3)
-        for index in tmp_path.glob(f"*/{ShardedFileBackend.INDEX_NAME}"):
+        cache = ResultCache(tmp_path)
+        keys = fill(cache, 3)
+        for index in tmp_path.glob(f"*/{ResultCache.INDEX_NAME}"):
             index.unlink()
-        fresh = ShardedFileBackend(tmp_path)
+        fresh = ResultCache(tmp_path)
         assert sorted(fresh.get_many(keys)) == sorted(keys)
         assert fresh.keys() == sorted(keys)
         # The rebuild was persisted for the next process.
-        assert any(tmp_path.glob(f"*/{ShardedFileBackend.INDEX_NAME}"))
+        assert any(tmp_path.glob(f"*/{ResultCache.INDEX_NAME}"))
 
     def test_corrupt_index_is_rebuilt(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        [key] = fill(backend, 1)
-        index_path = tmp_path / key[:2] / ShardedFileBackend.INDEX_NAME
+        cache = ResultCache(tmp_path)
+        [key] = fill(cache, 1)
+        index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
         index_path.write_text("not json at all\n{{{\n")
-        fresh = ShardedFileBackend(tmp_path)
-        assert fresh.get_many([key]) == {key: backend.peek(key)}
+        fresh = ResultCache(tmp_path)
+        assert fresh.get_many([key]) == {key: cache.peek(key)}
 
     def test_lost_index_append_heals_on_reput(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        [key] = fill(backend, 1)
-        index_path = tmp_path / key[:2] / ShardedFileBackend.INDEX_NAME
+        cache = ResultCache(tmp_path)
+        [key] = fill(cache, 1)
+        index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
         index_path.write_text("")  # the append never made it
-        fresh = ShardedFileBackend(tmp_path)
+        fresh = ResultCache(tmp_path)
         # Batch probes trust the index for absence...
         assert fresh.get_many([key]) == {}
         # ...single-key reads and re-puts heal it.
         assert fresh.peek(key) is not None
-        fresh.put(key, backend.peek(key))
-        healed = ShardedFileBackend(tmp_path)
+        fresh.put(key, cache.peek(key))
+        healed = ResultCache(tmp_path)
         assert key in healed.get_many([key])
 
     def test_corrupt_payload_is_a_miss(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        [key] = fill(backend, 1)
+        cache = ResultCache(tmp_path)
+        [key] = fill(cache, 1)
         (tmp_path / key[:2] / f"{key}.pkl").write_bytes(b"torn")
-        fresh = ShardedFileBackend(tmp_path)
+        fresh = ResultCache(tmp_path)
         assert fresh.get(key, "absent") == "absent"
         assert fresh.get_many([key]) == {}
 
     def test_read_only_refuses_writes(self, tmp_path):
-        ShardedFileBackend(tmp_path).put(key_of("ro"), 1)
-        ro = ShardedFileBackend(tmp_path, read_only=True)
+        ResultCache(tmp_path).put(key_of("ro"), 1)
+        ro = ResultCache(tmp_path, read_only=True)
         assert ro.get(key_of("ro")) == 1
         with pytest.raises(RuntimeError):
             ro.put(key_of("other"), 2)
@@ -169,15 +161,15 @@ class TestShardedFileBackend:
             ro.gc()
 
     def test_read_only_missing_dir_is_empty(self, tmp_path):
-        ro = ShardedFileBackend(tmp_path / "nowhere", read_only=True)
+        ro = ResultCache(tmp_path / "nowhere", read_only=True)
         assert ro.get_many([key_of("x")]) == {}
         assert len(ro) == 0
         assert not (tmp_path / "nowhere").exists()
 
     def test_disk_usage(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        keys = fill(backend, 3)
-        usage = ShardedFileBackend(tmp_path).disk_usage()
+        cache = ResultCache(tmp_path)
+        keys = fill(cache, 3)
+        usage = ResultCache(tmp_path).disk_usage()
         assert usage.entries == 3
         assert usage.indexed == 3
         assert usage.total_bytes > 0
@@ -192,38 +184,38 @@ class TestShardedFileBackend:
 # ----------------------------------------------------------------------
 class TestGC:
     def test_len_and_verify_ignore_tmp_orphans(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        [key] = fill(backend, 1)
+        cache = ResultCache(tmp_path)
+        [key] = fill(cache, 1)
         (tmp_path / key[:2] / "orphan123.tmp").write_bytes(b"half a write")
-        assert len(backend) == 1
-        report = backend.verify()
+        assert len(cache) == 1
+        report = cache.verify()
         assert report.ok and report.entries == 1
         assert report.tmp_files == 1
 
     def test_gc_sweeps_old_tmp_keeps_young(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        [key] = fill(backend, 1)
+        cache = ResultCache(tmp_path)
+        [key] = fill(cache, 1)
         old = tmp_path / key[:2] / "old.tmp"
         young = tmp_path / key[:2] / "young.tmp"
         old.write_bytes(b"x")
         young.write_bytes(b"x")
         stat = old.stat()
         os.utime(old, (stat.st_atime - 7200, stat.st_mtime - 7200))
-        report = backend.gc(tmp_max_age_s=3600.0)
+        report = cache.gc(tmp_max_age_s=3600.0)
         assert report.tmp_removed == 1
         assert not old.exists() and young.exists()
-        assert backend.peek(key) is not None
+        assert cache.peek(key) is not None
 
     def test_gc_dry_run_touches_nothing(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        keys = fill(backend, 3)
-        report = backend.gc(max_bytes=0, dry_run=True)
+        cache = ResultCache(tmp_path)
+        keys = fill(cache, 3)
+        report = cache.gc(max_bytes=0, dry_run=True)
         assert report.dry_run and report.evicted == 3
-        assert ShardedFileBackend(tmp_path).keys() == sorted(keys)
+        assert ResultCache(tmp_path).keys() == sorted(keys)
 
     def test_gc_evicts_lru_by_mtime_to_budget(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        keys = fill(backend, 3)
+        cache = ResultCache(tmp_path)
+        keys = fill(cache, 3)
         sizes, ages = {}, [7200, 3600, 0]  # keys[0] oldest
         for key, age in zip(keys, ages):
             path = tmp_path / key[:2] / f"{key}.pkl"
@@ -231,18 +223,18 @@ class TestGC:
             stat = path.stat()
             os.utime(path, (stat.st_atime - age, stat.st_mtime - age))
         budget = sizes[keys[1]] + sizes[keys[2]]
-        report = backend.gc(max_bytes=budget)
+        report = cache.gc(max_bytes=budget)
         assert report.evicted == 1
         assert report.bytes_removed == sizes[keys[0]]
-        fresh = ShardedFileBackend(tmp_path)
+        fresh = ResultCache(tmp_path)
         assert fresh.keys() == sorted(keys[1:])
         assert fresh.get_many(keys[:1]) == {}
 
     def test_gc_purges_stale_versions_keeps_unknown(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        stale_key, unknown_key, current_key = fill(backend, 3)
+        cache = ResultCache(tmp_path)
+        stale_key, unknown_key, current_key = fill(cache, 3)
         for key, version in ((stale_key, "0.0.1"), (unknown_key, None)):
-            index_path = tmp_path / key[:2] / ShardedFileBackend.INDEX_NAME
+            index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
             lines = []
             for line in index_path.read_text().splitlines():
                 record = json.loads(line)
@@ -250,162 +242,55 @@ class TestGC:
                     record["v"] = version
                 lines.append(json.dumps(record))
             index_path.write_text("\n".join(lines) + "\n")
-        fresh = ShardedFileBackend(tmp_path)
+        fresh = ResultCache(tmp_path)
         report = fresh.gc(stale=True)
         assert report.stale_removed == 1
-        survivors = ShardedFileBackend(tmp_path).keys()
+        survivors = ResultCache(tmp_path).keys()
         assert sorted(survivors) == sorted([unknown_key, current_key])
 
     def test_gc_compacts_duplicate_index_lines(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        [key] = fill(backend, 1)
-        backend.put(key, "rewritten")  # appends a second line
-        index_path = tmp_path / key[:2] / ShardedFileBackend.INDEX_NAME
+        cache = ResultCache(tmp_path)
+        [key] = fill(cache, 1)
+        cache.put(key, "rewritten")  # appends a second line
+        index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
         assert len(index_path.read_text().splitlines()) == 2
-        backend.gc()
+        cache.gc()
         assert len(index_path.read_text().splitlines()) == 1
-        assert ShardedFileBackend(tmp_path).get(key) == "rewritten"
+        assert ResultCache(tmp_path).get(key) == "rewritten"
 
     def test_verify_reports_phantom_and_unindexed(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        phantom_key, kept_key = fill(backend, 2)
+        cache = ResultCache(tmp_path)
+        phantom_key, kept_key = fill(cache, 2)
         (tmp_path / phantom_key[:2] / f"{phantom_key}.pkl").unlink()
         unindexed_key = key_of("unindexed")
         # A payload the index never learned about (pre-index writer).
-        loner = ShardedFileBackend(tmp_path)
+        loner = ResultCache(tmp_path)
         loner.put(unindexed_key, 42)
         index_path = (
-            tmp_path / unindexed_key[:2] / ShardedFileBackend.INDEX_NAME
+            tmp_path / unindexed_key[:2] / ResultCache.INDEX_NAME
         )
         lines = [
             line for line in index_path.read_text().splitlines()
             if json.loads(line)["k"] != unindexed_key
         ]
         index_path.write_text("".join(f"{line}\n" for line in lines))
-        report = ShardedFileBackend(tmp_path).verify()
+        report = ResultCache(tmp_path).verify()
         assert report.ok
         assert report.phantom == [phantom_key]
         assert report.unindexed == [unindexed_key]
         assert kept_key not in report.phantom
 
 
-# ----------------------------------------------------------------------
-# MemoryTierBackend and ReadThroughBackend
-# ----------------------------------------------------------------------
-class TestMemoryTier:
-    def test_ram_hit_skips_disk(self, tmp_path):
-        tier = MemoryTierBackend(ShardedFileBackend(tmp_path))
-        [key] = fill(tier, 1)
-        # Remove the payload: only RAM can serve it now.
-        (tmp_path / key[:2] / f"{key}.pkl").unlink()
-        opens = tier.stats.file_opens
-        assert tier.get(key) is not None
-        assert tier.stats.file_opens == opens
-        assert tier.stats.memory_hits == 1
-
-    def test_lru_eviction_is_counted(self, tmp_path):
-        tier = MemoryTierBackend(ShardedFileBackend(tmp_path), max_entries=2)
-        keys = fill(tier, 3)
-        assert tier.stats.evictions == 1
-        # The evicted entry (oldest) still reads through from disk.
-        assert tier.get(keys[0]) is not None
-
-    def test_get_many_mixes_ram_and_disk(self, tmp_path):
-        disk = ShardedFileBackend(tmp_path)
-        keys = fill(disk, 4)
-        tier = MemoryTierBackend(ShardedFileBackend(tmp_path))
-        tier.get(keys[0])  # prime one entry
-        opens = tier.stats.file_opens
-        found = tier.get_many(keys)
-        assert sorted(found) == sorted(keys)
-        assert tier.stats.file_opens == opens + 3
-        assert tier.stats.memory_hits == 1
-
-    def test_rejects_bad_size(self, tmp_path):
-        with pytest.raises(ValueError):
-            MemoryTierBackend(ShardedFileBackend(tmp_path), max_entries=0)
-
-
-class TestReadThrough:
-    def make(self, tmp_path, entries=3):
-        secondary_dir = tmp_path / "warm"
-        keys = fill(ShardedFileBackend(secondary_dir), entries)
-        stats = CacheStats()
-        stack = ReadThroughBackend(
-            ShardedFileBackend(tmp_path / "primary", stats=stats),
-            ShardedFileBackend(secondary_dir, stats=stats, read_only=True),
-        )
-        return stack, keys
-
-    def test_get_promotes_into_primary(self, tmp_path):
-        stack, keys = self.make(tmp_path)
-        assert stack.get(keys[0]) is not None
-        assert stack.stats.promotions == 1
-        assert stack.primary.peek(keys[0]) is not None
-
-    def test_peek_does_not_promote(self, tmp_path):
-        stack, keys = self.make(tmp_path)
-        assert stack.peek(keys[0]) is not None
-        assert stack.peek_many(keys[1:]) != {}
-        assert stack.stats.promotions == 0
-        assert len(stack.primary) == 0
-
-    def test_get_many_promotes_and_counts(self, tmp_path):
-        stack, keys = self.make(tmp_path)
-        stack.put(key_of("local"), "mine")
-        found = stack.get_many(keys + [key_of("local"), key_of("absent")])
-        assert len(found) == len(keys) + 1
-        assert stack.stats.promotions == len(keys)
-        assert stack.stats.hits == len(keys) + 1
-        assert stack.stats.misses == 1
-        # Promoted entries are committed: a fresh primary-only view sees
-        # them without the secondary.
-        primary = ShardedFileBackend(tmp_path / "primary")
-        assert sorted(primary.get_many(keys)) == sorted(keys)
-
-    def test_writes_and_gc_address_primary_only(self, tmp_path):
-        stack, keys = self.make(tmp_path)
-        stack.get_many(keys)  # promote everything
-        stack.gc(max_bytes=0)
-        assert len(stack.primary) == 0
-        assert ShardedFileBackend(tmp_path / "warm").keys() == sorted(keys)
-
-
 class TestResolveBackend:
-    def test_specs(self, tmp_path):
-        assert isinstance(
-            resolve_backend(None, tmp_path), ShardedFileBackend
-        )
-        assert isinstance(
-            resolve_backend("sharded", tmp_path), ShardedFileBackend
-        )
-        tier = resolve_backend("memory:7", tmp_path)
-        assert isinstance(tier, MemoryTierBackend)
-        assert tier.max_entries == 7
-        assert resolve_backend("memory", tmp_path).max_entries == 4096
-        stack = resolve_backend(f"readthrough:{tmp_path / 'warm'}", tmp_path)
-        assert isinstance(stack, ReadThroughBackend)
-        assert stack.secondary.read_only
-
     def test_instance_passes_through(self, tmp_path):
-        backend = ShardedFileBackend(tmp_path)
-        assert resolve_backend(backend, tmp_path) is backend
         cache = ResultCache(tmp_path)
         assert resolve_result_cache(cache) is cache
         assert resolve_result_cache(None) is None
-
-    def test_bad_specs(self, tmp_path):
-        for spec in ("lru", "memory:many", "readthrough:"):
-            with pytest.raises(ValueError):
-                resolve_backend(spec, tmp_path)
-
-    def test_stack_shares_one_stats(self, tmp_path):
-        tier = resolve_backend("memory", tmp_path)
-        assert tier.stats is tier.inner.stats
+        assert isinstance(resolve_result_cache(tmp_path), ResultCache)
 
 
 # ----------------------------------------------------------------------
-# Differential: every backend serves warm runs bit-identically
+# Differential: a warm cache serves runs bit-identically
 # ----------------------------------------------------------------------
 def assert_identical(ev_a, ev_b):
     """Every reported metric must match exactly (not approximately)."""
@@ -431,47 +316,31 @@ def cold_cache(tmp_path_factory):
 
 
 class TestWarmBackendsBitIdentical:
-    @pytest.mark.parametrize("backend", ["sharded", "memory", "memory:2"])
-    def test_warm_sweep(self, cold_cache, backend):
+    def test_warm_sweep(self, cold_cache):
         cache_dir, oracle = cold_cache
-        warm = run_sweep(
-            SPEC, jobs=1, cache_dir=cache_dir, cache_backend=backend
-        )
+        warm = run_sweep(SPEC, jobs=1, cache_dir=cache_dir)
         assert warm.stats.executed == 0
         assert_identical(oracle, warm.by_workload()["heat"])
-
-    def test_warm_readthrough_fresh_primary(self, cold_cache, tmp_path):
-        cache_dir, oracle = cold_cache
-        warm = run_sweep(
-            SPEC, jobs=1, cache_dir=tmp_path,
-            cache_backend=f"readthrough:{cache_dir}",
-        )
-        assert warm.stats.executed == 0
-        assert_identical(oracle, warm.by_workload()["heat"])
-        # Promotion committed every served entry into the primary...
-        promoted = ShardedFileBackend(tmp_path)
-        assert len(promoted) > 0
-        # ...which now serves alone, with the secondary gone.
-        alone = run_sweep(SPEC, jobs=1, cache_dir=tmp_path)
-        assert alone.stats.executed == 0
-        assert_identical(oracle, alone.by_workload()["heat"])
 
     def test_warm_legacy_flat_store(self, cold_cache):
-        """A pre-backend cache dir (no indexes) still serves fully warm."""
+        """A pre-cache cache dir (no indexes) still serves fully warm."""
         cache_dir, oracle = cold_cache
-        for index in cache_dir.glob(f"*/{ShardedFileBackend.INDEX_NAME}"):
+        for index in cache_dir.glob(f"*/{ResultCache.INDEX_NAME}"):
             index.unlink()
         warm = run_sweep(SPEC, jobs=1, cache_dir=cache_dir)
         assert warm.stats.executed == 0
         assert_identical(oracle, warm.by_workload()["heat"])
 
-    def test_shared_memory_tier_across_sweeps(self, cold_cache):
+    def test_shared_cache_instance_across_sweeps(self, cold_cache):
+        """One instance threads through many sweeps (the planner's use)."""
         cache_dir, oracle = cold_cache
-        cache = ResultCache(cache_dir, backend="memory")
+        cache = ResultCache(cache_dir)
         first = run_sweep(SPEC, jobs=1, cache_dir=cache)
         second = run_sweep(SPEC, jobs=1, cache_dir=cache)
-        assert second.stats.executed == 0
-        assert cache.stats.memory_hits > 0  # the second pass ran from RAM
+        assert first.stats.executed == second.stats.executed == 0
+        assert cache.stats.hits == (
+            first.stats.cache_hits + second.stats.cache_hits
+        )
         assert_identical(oracle, first.by_workload()["heat"])
         assert_identical(oracle, second.by_workload()["heat"])
 
@@ -494,14 +363,13 @@ class TestWarmPlanBitIdentical:
         num_cores=2,
     )
 
-    @pytest.mark.parametrize("backend", ["sharded", "memory"])
-    def test_warm_plan(self, tmp_path, backend):
+    def test_warm_plan(self, tmp_path):
         from repro.planner import PlanSpec, run_plan
 
         spec = PlanSpec(**self.MICRO)
         cold = run_plan(spec, cache_dir=tmp_path)
         assert cold.stats.jobs_executed > 0
-        warm = run_plan(spec, cache_dir=tmp_path, cache_backend=backend)
+        warm = run_plan(spec, cache_dir=tmp_path)
         assert warm.stats.jobs_executed == 0
         assert [o.candidate.key() for o in warm.front] == [
             o.candidate.key() for o in cold.front
@@ -518,21 +386,21 @@ ENTRIES_PER_RANK = 24
 
 def _stress_worker(root, rank, barrier):
     """Write, read back, and GC against a shared cache directory."""
-    backend = ShardedFileBackend(root)
+    cache = ResultCache(root)
     barrier.wait()
     for i in range(ENTRIES_PER_RANK):
         key = key_of(("stress", rank, i))
         value = {"rank": rank, "i": i, "blob": list(range(32))}
-        backend.put(key, value)
-        got = backend.get(key)
+        cache.put(key, value)
+        got = cache.get(key)
         assert got == value, f"torn read of own entry {rank}/{i}"
         if i % 8 == 3:
-            backend.gc(tmp_max_age_s=3600.0)
+            cache.gc(tmp_max_age_s=3600.0)
     # Read a slice of every rank's range; concurrently-written entries
     # may legitimately be absent, but present ones must not be torn.
     for other in range(4):
         for i in range(0, ENTRIES_PER_RANK, 6):
-            value = backend.get(key_of(("stress", other, i)))
+            value = cache.get(key_of(("stress", other, i)))
             if value is not None:
                 assert value["rank"] == other and value["i"] == i
 
@@ -552,20 +420,20 @@ class TestMultiprocessStress:
             assert proc.exitcode == 0
 
         # No lost entries: every payload is present and readable.
-        backend = ShardedFileBackend(tmp_path)
+        cache = ResultCache(tmp_path)
         expected = {
             key_of(("stress", rank, i))
             for rank in range(4)
             for i in range(ENTRIES_PER_RANK)
         }
-        assert len(backend) == len(expected)
-        report = backend.verify()
+        assert len(cache) == len(expected)
+        report = cache.verify()
         assert report.ok, report.corrupt
         assert report.entries == len(expected)
         # Index/payload consistency: one compaction reconciles any
         # appends a concurrent gc's rewrite raced with.
-        backend.gc()
-        fresh = ShardedFileBackend(tmp_path)
+        cache.gc()
+        fresh = ResultCache(tmp_path)
         assert set(fresh.keys()) == expected
         served = fresh.get_many(sorted(expected))
         assert set(served) == expected

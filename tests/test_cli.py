@@ -98,20 +98,6 @@ def warm_cache(tmp_path):
     return tmp_path
 
 
-def test_cache_backend_flag_is_bit_identical(warm_cache, capsys):
-    capsys.readouterr()
-    outputs = []
-    for backend in ("sharded", "memory:64", f"readthrough:{warm_cache}"):
-        code = main([
-            "workload", "heat", "--scale", "0.1", "--cores", "2",
-            "--accesses", "2000", "--designs", "AVR",
-            "--cache-dir", str(warm_cache), "--cache-backend", backend,
-        ])
-        assert code == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 def test_cache_stats_and_ls(warm_cache, capsys):
     assert main(["cache", "stats", str(warm_cache)]) == 0
     out = capsys.readouterr().out
@@ -167,12 +153,16 @@ def test_cache_rejects_missing_dir(tmp_path, capsys):
     assert "not a cache directory" in capsys.readouterr().err
 
 
-def test_rejects_unknown_cache_backend(tmp_path):
-    with pytest.raises(ValueError, match="unknown cache backend"):
+@pytest.mark.parametrize("flag, value", [
+    ("--engine", "reference"),
+    ("--cache-backend", "memory"),
+])
+def test_removed_selector_flags_rejected(tmp_path, flag, value):
+    with pytest.raises(SystemExit):
         main([
             "workload", "heat", "--scale", "0.1", "--cores", "2",
             "--accesses", "2000", "--designs", "AVR",
-            "--cache-dir", str(tmp_path), "--cache-backend", "lru",
+            "--cache-dir", str(tmp_path), flag, value,
         ])
 
 

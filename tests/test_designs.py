@@ -401,9 +401,10 @@ class TestNewVariantsEndToEnd:
 
     def test_variants_through_scenario(self):
         from repro.harness.scenario import evaluate_scenario
+        from repro.scenario import get_scenario
 
         ev = evaluate_scenario(
-            "heat@1+lbm@1",
+            get_scenario("heat@1+lbm@1").scaled(SCALE),
             designs=("baseline", "avr-conservative"),
             max_accesses_per_core=2_000,
         )

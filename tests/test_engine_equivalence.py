@@ -1,17 +1,18 @@
-"""The timing engines' equivalence contract, end to end.
+"""The timing replay's equivalence contract, end to end.
 
-The vectorized engine must produce a :class:`SimResult` whose every
+:meth:`TimingSystem.run` must produce a :class:`SimResult` whose every
 metric — cycles, instructions, AMAT, MPKI, DRAM byte counts, energy,
 the full LLC/DRAM stat dictionaries — is **bit-identical** (``==`` on
-floats, no tolerance) to the reference loop's, for real workload traces
-under every design.  This is what lets the fast path replace the
-reference everywhere, and what lets both engines share sweep-cache
-entries.
+floats, no tolerance) to the access-at-a-time oracle's
+(:func:`oracles.run_reference`), for real workload traces under every
+design.  This is what lets the batched replay be the only production
+path.
 """
 
 import numpy as np
 import pytest
 
+from oracles import run_reference
 from repro.common.config import SystemConfig
 from repro.common.types import Design
 from repro.harness.runner import _build_layout
@@ -46,15 +47,13 @@ def workload_context(request):
 @pytest.mark.parametrize("design", list(Design))
 def test_engines_bit_identical(workload_context, design):
     layout, trace, footprint = workload_context
-    results = {}
-    for engine in ("reference", "vectorized"):
-        system = build_system(design, CONFIG, layout, footprint)
-        results[engine] = system.run(trace, engine=engine)
-    diffs = results["reference"].metric_diffs(results["vectorized"])
-    assert not diffs, f"engines diverge on {design}: {diffs}"
+    ref = run_reference(build_system(design, CONFIG, layout, footprint), trace)
+    vec = build_system(design, CONFIG, layout, footprint).run(trace)
+    diffs = ref.metric_diffs(vec)
+    assert not diffs, f"replay diverges from the oracle on {design}: {diffs}"
     # Spot-pin the strictest fields: exact float equality, not approx.
-    assert results["reference"].cycles == results["vectorized"].cycles
-    assert results["reference"].energy.joules == results["vectorized"].energy.joules
+    assert ref.cycles == vec.cycles
+    assert ref.energy.joules == vec.energy.joules
 
 
 def test_write_heavy_trace_bit_identical():
@@ -75,19 +74,9 @@ def test_write_heavy_trace_bit_identical():
     layout = AddressLayout()
     layout.add_region(0, 1 << 20, 2)
     for design in (Design.BASELINE, Design.AVR, Design.TRUNCATE):
-        ref = build_system(design, CONFIG, layout, 1 << 20).run(trace, engine="reference")
-        vec = build_system(design, CONFIG, layout, 1 << 20).run(trace, engine="vectorized")
+        ref = run_reference(build_system(design, CONFIG, layout, 1 << 20), trace)
+        vec = build_system(design, CONFIG, layout, 1 << 20).run(trace)
         assert ref.metrics_equal(vec), ref.metric_diffs(vec)
-
-
-def test_unknown_engine_rejected():
-    from repro.system.layout import AddressLayout
-    from repro.trace.generator import GeneratedTrace
-
-    system = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20)
-    empty = GeneratedTrace(cores=[], iterations_simulated=1, iterations_total=1)
-    with pytest.raises(ValueError, match="unknown engine"):
-        system.run(empty, engine="warp")
 
 
 def test_empty_trace_both_engines():
@@ -100,11 +89,11 @@ def test_empty_trace_both_engines():
         iterations_simulated=1,
         iterations_total=1,
     )
-    ref = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
-        empty, engine="reference"
+    ref = run_reference(
+        build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20), empty
     )
     vec = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
-        empty, engine="vectorized"
+        empty
     )
     assert ref.metrics_equal(vec)
     assert vec.cycles == 0.0 and vec.instructions == 0
@@ -115,11 +104,11 @@ def test_coreless_trace_both_engines():
     from repro.trace.generator import GeneratedTrace
 
     bare = GeneratedTrace(cores=[], iterations_simulated=1, iterations_total=1)
-    ref = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
-        bare, engine="reference"
+    ref = run_reference(
+        build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20), bare
     )
     vec = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
-        bare, engine="vectorized"
+        bare
     )
     assert ref.metrics_equal(vec)
 
@@ -162,14 +151,17 @@ def test_avr_ablations_bit_identical(heat_context, variant):
     """Every ablation flag must survive the fast replay unchanged."""
     layout, trace, footprint = heat_context
     options = AVR_VARIANTS[variant]
-    results = {}
-    for engine in ("reference", "vectorized"):
-        system = build_system(
+    ref = run_reference(
+        build_system(
             Design.AVR, CONFIG, layout, footprint, avr_options=dict(options)
-        )
-        results[engine] = system.run(trace, engine=engine)
-    diffs = results["reference"].metric_diffs(results["vectorized"])
-    assert not diffs, f"AVR[{variant}] engines diverge: {diffs}"
+        ),
+        trace,
+    )
+    vec = build_system(
+        Design.AVR, CONFIG, layout, footprint, avr_options=dict(options)
+    ).run(trace)
+    diffs = ref.metric_diffs(vec)
+    assert not diffs, f"AVR[{variant}] replay diverges from the oracle: {diffs}"
 
 
 def _mixed_trace(num_cores=4, n=3_000, seed=11):
@@ -205,12 +197,15 @@ def test_avr_multicore_mixed_regions_bit_identical(variant):
     layout, trace = _mixed_trace()
     config = SystemConfig.scaled(num_cores=4)
     options = AVR_VARIANTS[variant]
-    ref = build_system(
-        Design.AVR, config, layout, 1 << 19, avr_options=dict(options)
-    ).run(trace, engine="reference")
+    ref = run_reference(
+        build_system(
+            Design.AVR, config, layout, 1 << 19, avr_options=dict(options)
+        ),
+        trace,
+    )
     vec = build_system(
         Design.AVR, config, layout, 1 << 19, avr_options=dict(options)
-    ).run(trace, engine="vectorized")
+    ).run(trace)
     assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
 
@@ -220,8 +215,8 @@ def test_avr_replay_then_scalar_handoff():
     config = SystemConfig.scaled(num_cores=2)
     fast = build_system(Design.AVR, config, layout, 1 << 19)
     slow = build_system(Design.AVR, config, layout, 1 << 19)
-    fast.run(trace, engine="vectorized")
-    slow.run(trace, engine="reference")
+    fast.run(trace)
+    run_reference(slow, trace)
     assert fast.llc.check_invariants() == []
     # identical follow-up traffic must behave identically on both
     followups = [0, 64 * 5, 1024 * 7 + 128, (1 << 19) + 64 * 3]
@@ -255,7 +250,7 @@ def test_avr_replay_batch_requires_pristine_state():
 def test_avr_misaligned_region_bit_identical():
     """A region start inside a block makes blocks half approx, half
     exact; the fast replay must then give up per-block classification
-    and run batching, staying bit-identical to the reference."""
+    and run batching, staying bit-identical to the oracle."""
     from repro.system.layout import AddressLayout
     from repro.trace.events import make_trace
     from repro.trace.generator import GeneratedTrace
@@ -272,12 +267,8 @@ def test_avr_misaligned_region_bit_identical():
             make_trace(addrs, rng.random(n) < 0.5, rng.integers(0, 20, n))
         )
     trace = GeneratedTrace(cores=cores, iterations_simulated=1, iterations_total=1)
-    ref = build_system(Design.AVR, CONFIG, layout, 1 << 18).run(
-        trace, engine="reference"
-    )
-    vec = build_system(Design.AVR, CONFIG, layout, 1 << 18).run(
-        trace, engine="vectorized"
-    )
+    ref = run_reference(build_system(Design.AVR, CONFIG, layout, 1 << 18), trace)
+    vec = build_system(Design.AVR, CONFIG, layout, 1 << 18).run(trace)
     assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
 

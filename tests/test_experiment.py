@@ -38,6 +38,15 @@ class TestSpecConstruction:
             ExperimentSpec(designs=())
         with pytest.raises(ValueError, match="jobs"):
             ExperimentSpec(jobs=0)
+        for accesses in (0, -5):
+            with pytest.raises(ValueError, match="max_accesses_per_core"):
+                ExperimentSpec(max_accesses_per_core=accesses)
+        with pytest.raises(ValueError, match="num_cores"):
+            ExperimentSpec(num_cores=0)
+        # T2 must lie in (0, 1]: 0 approximates nothing, 2 is no bound
+        for t2 in (0.0, 2.0):
+            with pytest.raises(ValueError, match="T2 threshold"):
+                ExperimentSpec(t2_thresholds=(t2,))
 
     def test_scenario_widens_machine(self):
         spec = ExperimentSpec(workloads=(), scenarios=("heat@4+lbm@4",))
@@ -90,15 +99,33 @@ class TestSerialization:
         assert toml.content_hash() == json_.content_hash()
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown experiment spec keys"):
-            ExperimentSpec.from_mapping({"worloads": ["heat"]})
+        # ``engine`` and ``cache_backend`` were execution selectors that
+        # could not change a result; the unknown-key error is the
+        # migration path for old spec files and daemon submissions.
+        for key, value in (
+            ("worloads", ["heat"]),
+            ("engine", "vectorized"),
+            ("cache_backend", "memory"),
+        ):
+            with pytest.raises(ValueError, match="unknown experiment spec keys"):
+                ExperimentSpec.from_mapping({"workloads": ["heat"], key: value})
+
+    def test_content_hash_is_pinned(self):
+        """Identity digests are stable across releases, so spec hashes
+        recorded by earlier runs (reports, daemon logs) stay valid."""
+        assert ExperimentSpec(**SMALL).content_hash() == (
+            "bf0cc276f518e9da685bd1dd0f52493b7f2c65ee2bb21490af1ce7faa3532cb6"
+        )
+        assert ExperimentSpec().content_hash() == (
+            "8b37f880de22408abb73cfeb996bf78453d95f3b0eede41c71cff418234ea871"
+        )
 
     def test_content_hash_covers_grid_identity_only(self):
         base = ExperimentSpec(**SMALL)
         relabeled = ExperimentSpec(**{**SMALL, "name": "other"})
         parallel = ExperimentSpec(**{**SMALL, "jobs": 4,
                                      "cache_dir": "/tmp/x",
-                                     "engine": "reference"})
+                                     "trace_store": "off"})
         assert relabeled.content_hash() == base.content_hash()
         assert parallel.content_hash() == base.content_hash()
         different = ExperimentSpec(**{**SMALL, "seeds": (1,)})

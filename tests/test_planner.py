@@ -185,12 +185,16 @@ class TestPlanSpec:
         path.write_text(json.dumps({"workload": "heat", "bogus": 1}))
         with pytest.raises(ValueError, match="bogus"):
             PlanSpec.from_file(path)
+        # the removed execution selectors fail the same way
+        for key, value in (("engine", "vectorized"), ("cache_backend", "memory")):
+            with pytest.raises(ValueError, match="unknown plan spec keys"):
+                PlanSpec.from_mapping({"workload": "heat", key: value})
 
     def test_identity_excludes_execution_fields(self):
         spec = PlanSpec(**MICRO)
         relabeled = dataclasses.replace(
             spec, name="other", jobs=4, cache_dir="/tmp/c",
-            engine="reference", trace_store="/tmp/t",
+            trace_store="/tmp/t",
         )
         assert relabeled.content_hash() == spec.content_hash()
         assert dataclasses.replace(

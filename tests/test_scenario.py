@@ -2,8 +2,8 @@
 
 Covers the composed-layout offset/overlap invariants, instance seed
 spawning, instruction-count balancing, the trivial-scenario
-bit-identity guarantee, reference<->vectorized engine equivalence on
-heterogeneous mixes (including every shipped named mix under AVR with
+bit-identity guarantee, timing-replay equivalence to the
+access-at-a-time oracle on heterogeneous mixes (including every shipped named mix under AVR with
 per-core approx regions), and the sweep/cache integration of
 scenario-qualified identities.
 """
@@ -11,6 +11,7 @@ scenario-qualified identities.
 import numpy as np
 import pytest
 
+from oracles import run_reference
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.types import Design
 from repro.harness.runner import _build_layout
@@ -336,7 +337,7 @@ class TestTrivialScenario:
 
 
 # ----------------------------------------------------------------------
-# Engine equivalence on heterogeneous mixes (every shipped mix)
+# Replay-vs-oracle equivalence on heterogeneous mixes (every shipped mix)
 # ----------------------------------------------------------------------
 class TestEngineEquivalence:
     @pytest.mark.parametrize("mix", sorted(named_scenarios()))
@@ -348,12 +349,15 @@ class TestEngineEquivalence:
         )
         config = SystemConfig.scaled(context.num_cores)
         trace = context.trace()
-        ref = build_system(
-            Design.AVR, config, context.layout, context.footprint_bytes
-        ).run(trace, engine="reference")
+        ref = run_reference(
+            build_system(
+                Design.AVR, config, context.layout, context.footprint_bytes
+            ),
+            trace,
+        )
         vec = build_system(
             Design.AVR, config, context.layout, context.footprint_bytes
-        ).run(trace, engine="vectorized")
+        ).run(trace)
         assert ref.metrics_equal(vec), ref.metric_diffs(vec)
         assert ref.core_cycles == vec.core_cycles
 
@@ -361,12 +365,15 @@ class TestEngineEquivalence:
     def test_heterogeneous_mix_bit_identical(self, design):
         _, context = _context("kmeans*2+heat@2")
         trace = context.trace()
-        ref = build_system(
-            design, CONFIG, context.layout, context.footprint_bytes
-        ).run(trace, engine="reference")
+        ref = run_reference(
+            build_system(
+                design, CONFIG, context.layout, context.footprint_bytes
+            ),
+            trace,
+        )
         vec = build_system(
             design, CONFIG, context.layout, context.footprint_bytes
-        ).run(trace, engine="vectorized")
+        ).run(trace)
         assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
     def test_core_cycles_consistent_with_cycles(self):
@@ -485,12 +492,3 @@ class TestEvaluation:
         reseeded = replace(named, seed=1)
         assert key != scenario_timing_key(reseeded, Design.AVR, CONFIG, (0, 1))
         assert key != scenario_timing_key(named, Design.AVR, CONFIG, (0,))
-
-    def test_engine_choice_shares_scenario_cache_entries(self, tmp_path):
-        from dataclasses import replace
-
-        run_sweep(MIX_SPEC, jobs=1, cache_dir=tmp_path)
-        other = run_sweep(
-            replace(MIX_SPEC, engine="reference"), jobs=1, cache_dir=tmp_path
-        )
-        assert other.stats.executed == 0

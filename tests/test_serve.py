@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.experiment import ExperimentSpec, run_experiment
+from repro.harness.cache import ResultCache
 from repro.harness.report import experiment_result_to_mapping
 from repro.serve import (
     EvalDaemon,
@@ -29,6 +30,7 @@ from repro.serve import (
 )
 from repro.serve.client import ServeError
 from repro.serve.protocol import MAX_FRAME_BYTES
+from repro.serve.scheduler import LockedResultCache
 
 # ----------------------------------------------------------------------
 # protocol — framing
@@ -199,6 +201,16 @@ SPEC_B = {
     "scales": [0.1],
     "max_accesses_per_core": 2000,
 }
+
+
+def test_locked_cache_mirrors_inner(tmp_path):
+    """The daemon's locked facade shares the wrapped cache's counters."""
+    inner = ResultCache(tmp_path)
+    locked = LockedResultCache(inner)
+    locked.put_many({"ab" * 32: 1})
+    assert locked.stats is inner.stats and inner.stats.stores == 1
+    assert locked.get_many(["ab" * 32]) == {"ab" * 32: 1}
+    assert locked.disk_usage().entries == len(locked) == 1
 
 
 def _canonical(mapping):

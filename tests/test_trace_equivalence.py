@@ -1,10 +1,10 @@
-"""Differential suite pinning vectorized trace synthesis to the reference loop.
+"""Differential suite pinning columnar trace synthesis to the fragment loop.
 
 Every workload's generated stream must be *bit-identical* between
-``generator="vectorized"`` (the columnar fast path) and
-``generator="reference"`` (the historical per-(iteration, phase)
-fragment loop) — across core counts, both jitter-stream modes, and
-multiple seeds.  A heterogeneous scenario mix is pushed through full
+:func:`repro.trace.generate_trace` (the columnar fast path) and
+:func:`oracles.generate_trace_reference` (the historical
+per-(iteration, phase) fragment loop) — across core counts, both
+jitter-stream modes, and multiple seeds.  A heterogeneous scenario mix is pushed through full
 per-instance generation + composition the same way, so the equivalence
 holds end to end, not just per workload.
 """
@@ -12,6 +12,7 @@ holds end to end, not just per workload.
 import numpy as np
 import pytest
 
+from oracles import generate_trace_reference
 from repro.approx import ApproxMemory
 from repro.scenario import (
     assign_offsets,
@@ -19,7 +20,7 @@ from repro.scenario import (
     get_scenario,
     plan_instances,
 )
-from repro.trace import GENERATORS, generate_trace
+from repro.trace import generate_trace
 from repro.workloads import WORKLOADS, make_workload
 
 #: small-but-representative configuration: every workload still emits
@@ -46,9 +47,9 @@ def assert_traces_identical(a, b):
 
 
 def generate_both(spec, mem, **kwargs):
-    return tuple(
-        generate_trace(spec, mem, generator=generator, **kwargs)
-        for generator in ("vectorized", "reference")
+    return (
+        generate_trace(spec, mem, **kwargs),
+        generate_trace_reference(spec, mem, **kwargs),
     )
 
 
@@ -70,18 +71,6 @@ class TestWorkloadEquivalence:
         assert vec.total_accesses > 0
         assert_traces_identical(vec, ref)
 
-    def test_generators_registry_is_exhaustive(self):
-        assert set(GENERATORS) == {"vectorized", "reference"}
-
-    def test_unknown_generator_rejected(self):
-        workload = make_workload("heat", scale=SCALE)
-        with pytest.raises(ValueError, match="unknown trace generator"):
-            generate_trace(
-                workload.trace_spec(),
-                allocate_only(workload),
-                generator="fancy",
-            )
-
 
 class TestScenarioCompositionEquivalence:
     def test_heterogeneous_mix_bit_identical(self):
@@ -99,24 +88,23 @@ class TestScenarioCompositionEquivalence:
         mems = [allocate_only(w) for w in workloads]
         offsets = assign_offsets([mem.address_span for mem in mems])
 
-        composed = {}
-        for generator in GENERATORS:
+        def compose(generate):
             per_instance = [
-                generate_trace(
+                generate(
                     workload.trace_spec(),
                     mem,
                     num_cores=plan.entry.cores,
                     max_accesses_per_core=BUDGET,
                     seed=plan.seed,
-                    generator=generator,
                 )
                 for plan, workload, mem in zip(plans, workloads, mems)
             ]
-            composed[generator] = compose_traces(
+            return compose_traces(
                 per_instance, plans, offsets, scenario.total_cores
             )
 
-        vec, ref = composed["vectorized"], composed["reference"]
+        vec = compose(generate_trace)
+        ref = compose(generate_trace_reference)
         assert vec.total_accesses > 0
         assert len(vec.cores) == scenario.total_cores
         assert_traces_identical(vec, ref)

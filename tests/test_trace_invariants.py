@@ -15,6 +15,7 @@ Three properties every generated trace must satisfy:
 import numpy as np
 import pytest
 
+from oracles import generate_trace_reference
 from repro.approx import ApproxMemory
 from repro.trace import generate_trace
 from repro.trace.generator import budget_iterations
@@ -163,8 +164,8 @@ class TestBudgetAccounting:
         m.alloc("tiny", 128 // 4)  # 128 B; /4 cores -> 32 B < stride
         spec = TraceSpec(2, (Phase("tiny", gap=1),))
         assert spec.phases[0].lines_per_core(128, 2, 4) == 0
-        for generator in ("vectorized", "reference"):
-            gen = generate_trace(spec, m, num_cores=4, generator=generator)
+        for generate in (generate_trace, generate_trace_reference):
+            gen = generate(spec, m, num_cores=4)
             assert all(len(t) == 0 for t in gen.cores)
 
 
