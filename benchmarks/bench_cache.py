@@ -40,15 +40,15 @@ import tempfile
 import time
 
 from repro import __version__
-from repro.common.config import SystemConfig
-from repro.harness import evaluate_workload
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.harness.cache import ResultCache
 
 #: the micro sweep that seeds the cache (the test suite's smoke scale)
-SEED_SWEEP = dict(
-    name="heat",
-    scale=0.12,
+SEED_SWEEP = ExperimentSpec(
+    workloads=("heat",),
+    scales=(0.12,),
     max_accesses_per_core=2_000,
+    num_cores=2,
     designs=("AVR", "truncate"),
 )
 
@@ -87,14 +87,10 @@ def main(argv=None) -> int:
                         help="CI mode: enforce the warm-path win")
     args = parser.parse_args(argv)
 
-    config = SystemConfig.scaled(num_cores=2)
     with tempfile.TemporaryDirectory() as scratch:
         root = args.cache_dir or scratch
-        evaluate_workload(
-            SEED_SWEEP["name"], config=config, scale=SEED_SWEEP["scale"],
-            max_accesses_per_core=SEED_SWEEP["max_accesses_per_core"],
-            designs=SEED_SWEEP["designs"], jobs=args.jobs, cache_dir=root,
-            trace_store="off",
+        run_experiment(
+            SEED_SWEEP, jobs=args.jobs, cache_dir=root, trace_store="off"
         )
         real = ResultCache(root).keys()
         probes = probe_keys(real, args.absent)

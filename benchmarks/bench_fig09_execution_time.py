@@ -6,10 +6,10 @@ ZeroAVR tracks the baseline; Truncate sits between baseline and AVR on
 highly-compressible workloads.
 """
 
-from repro.common.types import COMPARED_DESIGNS
+from repro.designs import COMPARED
 from repro.harness import GEOMEAN, fig09_execution_time, format_table
 
-DESIGNS = [d.value for d in COMPARED_DESIGNS]
+DESIGNS = [d.name for d in COMPARED]
 
 
 def test_fig09(evaluations, benchmark):

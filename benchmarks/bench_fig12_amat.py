@@ -5,10 +5,10 @@ lower than the compared approaches" (§4.3 summary); Doppelgänger/
 Truncate see milder reductions; bscholes/wrf barely move.
 """
 
-from repro.common.types import COMPARED_DESIGNS
+from repro.designs import COMPARED
 from repro.harness import fig12_amat, format_table
 
-DESIGNS = [d.value for d in COMPARED_DESIGNS]
+DESIGNS = [d.name for d in COMPARED]
 
 
 def test_fig12(evaluations, benchmark):

@@ -6,10 +6,10 @@ Paper shape: AVR has by far the lowest MPKI on compressible workloads
 in the LLC and the DBUF turn would-be misses into on-chip hits.
 """
 
-from repro.common.types import COMPARED_DESIGNS
+from repro.designs import COMPARED
 from repro.harness import fig13_mpki, format_table
 
-DESIGNS = [d.value for d in COMPARED_DESIGNS]
+DESIGNS = [d.name for d in COMPARED]
 
 
 def test_fig13(evaluations, benchmark):

@@ -9,7 +9,6 @@ Not a paper artifact; quantifies the orthogonality claim.
 import numpy as np
 
 from repro.common.constants import VALUES_PER_BLOCK
-from repro.common.types import Design
 from repro.compression import AVRCompressor, stacked_ratio
 from repro.harness import SweepPoint, format_table, run_functional_job
 
@@ -22,7 +21,7 @@ def sampled_blocks(name: str) -> np.ndarray:
     # this samples exactly the data an evaluation sweep would cache.
     point = SweepPoint(name, scale=0.5)
     workload = point.make()
-    reference = run_functional_job(point, Design.BASELINE)
+    reference = run_functional_job(point, "baseline")
     arrays = [
         r.array.ravel() for r in reference.memory.regions.values() if r.approx
     ]

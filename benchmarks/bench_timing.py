@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     failures = 0
     best = 0.0
     breakdown = {}
-    width = max(9, max(len(d.value) for d in designs))
+    width = max(9, max(len(d.name) for d in designs))
     print(f"{'design':>{width}} {'reference':>10} {'vectorized':>11} "
           f"{'speedup':>8}  identical")
     for design in designs:
@@ -195,13 +195,13 @@ def main(argv=None) -> int:
         best = max(best, speedup)
         ok = not diffs
         failures += not ok
-        breakdown[design.value] = {
+        breakdown[design.name] = {
             "reference_s": round(ref_s, 4),
             "vectorized_s": round(vec_s, 4),
             "speedup": round(speedup, 2),
             "identical": ok,
         }
-        print(f"{design.value:>{width}} {ref_s:9.2f}s {vec_s:10.2f}s "
+        print(f"{design.name:>{width}} {ref_s:9.2f}s {vec_s:10.2f}s "
               f"{speedup:7.2f}x  {'yes' if ok else f'NO {diffs}'}", flush=True)
 
     if args.json:

@@ -18,20 +18,21 @@ import os
 
 import pytest
 
-from repro.common.config import SystemConfig
-from repro.harness import evaluate_all
+from repro.experiment import ExperimentSpec, run_experiment
 
 
 @pytest.fixture(scope="session")
 def evaluations():
     quick = os.environ.get("REPRO_BENCH_QUICK", "0") == "1"
-    return evaluate_all(
-        config=SystemConfig.scaled(num_cores=8),
-        scale=0.5 if quick else 1.0,
+    spec = ExperimentSpec(
+        scales=(0.5 if quick else 1.0,),
         max_accesses_per_core=20_000 if quick else 50_000,
+    )
+    return run_experiment(
+        spec,
         jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")),
         cache_dir=os.environ.get("REPRO_BENCH_CACHE") or None,
-    )
+    ).by_workload()
 
 
 @pytest.fixture(scope="session")

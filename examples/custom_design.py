@@ -2,7 +2,7 @@
 
 The design registry (:mod:`repro.designs`) makes a system design a
 *value*: register a :class:`DesignSpec` and it immediately works in
-``evaluate_workload`` / ``run_sweep`` sweeps, scenario contention runs,
+``run_experiment`` / ``run_sweep`` sweeps, scenario contention runs,
 LLC ablations and the CLI (``--designs my-design``), with its own
 sweep-cache identity.
 
@@ -18,8 +18,8 @@ Two levels are shown here:
 Run: ``python examples/custom_design.py``
 """
 
-from repro.designs import DesignSpec, list_designs, register_design
-from repro.harness import evaluate_workload
+from repro.designs import BASELINE, DesignSpec, list_designs, register_design
+from repro.experiment import ExperimentSpec, run_experiment
 
 # 1. A parameterized variant: register and it exists everywhere.
 register_design(DesignSpec(
@@ -42,18 +42,19 @@ register_design(DesignSpec(
 
 def main() -> None:
     print("registered designs:", ", ".join(list_designs()))
-    ev = evaluate_workload(
-        "heat",
-        scale=0.15,
+    spec = ExperimentSpec(
+        workloads=("heat",),
+        scales=(0.15,),
         max_accesses_per_core=4000,
         designs=("baseline", "AVR", "avr-nodbuf", "truncate-8"),
     )
+    ev = run_experiment(spec).by_workload()["heat"]
     print(f"\nheat (scale 0.15) — normalized to baseline:")
     print(f"{'design':>12} {'error %':>8} {'time':>6} {'traffic':>8} {'MPKI':>6}")
     for design, run in ev.runs.items():
-        if design == "baseline":
+        if design == BASELINE:
             continue
-        print(f"{design.value:>12} {run.output_error * 100:8.3f}"
+        print(f"{design.name:>12} {run.output_error * 100:8.3f}"
               f" {ev.normalized(design, 'time'):6.2f}"
               f" {ev.normalized(design, 'traffic'):8.2f}"
               f" {ev.normalized(design, 'mpki'):6.2f}")

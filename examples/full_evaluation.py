@@ -13,10 +13,9 @@ Run:  python examples/full_evaluation.py            (~5-10 min)
 import argparse
 import time
 
-from repro.common.config import SystemConfig
-from repro.common.types import COMPARED_DESIGNS
+from repro.designs import COMPARED
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.harness import (
-    evaluate_all,
     fig09_execution_time,
     fig10_energy,
     fig11_memory_traffic,
@@ -31,20 +30,15 @@ from repro.harness import (
     table4_compression,
 )
 
-DESIGN_ORDER = [d.value for d in COMPARED_DESIGNS]
+DESIGN_ORDER = [d.name for d in COMPARED]
 
 
 def main(quick: bool = False, jobs: int = 1, cache_dir: str | None = None) -> None:
     t0 = time.time()
     scale = 0.5 if quick else 1.0
     accesses = 20_000 if quick else 50_000
-    evals = evaluate_all(
-        config=SystemConfig.scaled(num_cores=8),
-        scale=scale,
-        max_accesses_per_core=accesses,
-        jobs=jobs,
-        cache_dir=cache_dir,
-    )
+    spec = ExperimentSpec(scales=(scale,), max_accesses_per_core=accesses)
+    evals = run_experiment(spec, jobs=jobs, cache_dir=cache_dir).by_workload()
     workloads = list(evals)
 
     print(format_table("Table 3: application output error (%)",

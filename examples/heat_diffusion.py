@@ -12,8 +12,9 @@ Run:  python examples/heat_diffusion.py            (full scale, ~1 min)
 import sys
 
 from repro.common.config import CacheConfig, SystemConfig
-from repro.common.types import COMPARED_DESIGNS, Design
-from repro.harness import evaluate_workload
+from repro.designs import AVR, COMPARED
+from repro.experiment import ExperimentSpec, run_experiment
+from repro.harness import SweepSpec, run_sweep
 
 
 def main(quick: bool = False) -> None:
@@ -24,12 +25,17 @@ def main(quick: bool = False) -> None:
             l2=CacheConfig(8 * 1024, 8, 8),
             llc=CacheConfig(64 * 1024, 16, 15),
         )
-        ev = evaluate_workload(
-            "heat", config=config, scale=0.25, iterations=15,
+        # A hand-built machine and a workload argument: beyond what an
+        # ExperimentSpec expresses, so this drives the sweep engine.
+        spec = SweepSpec(
+            workloads=("heat",), config=config, scales=(0.25,),
             max_accesses_per_core=20_000,
+            workload_kwargs=(("iterations", 15),),
         )
+        ev = run_sweep(spec).by_workload()["heat"]
     else:
-        ev = evaluate_workload("heat", config=SystemConfig.scaled(num_cores=8))
+        spec = ExperimentSpec(workloads=("heat",))
+        ev = run_experiment(spec).by_workload()["heat"]
 
     print("heat: 2D Jacobi heat propagation")
     print(f"  footprint: {ev.footprint_bytes / 1e6:.1f} MB, "
@@ -39,10 +45,10 @@ def main(quick: bool = False) -> None:
     header = f"  {'design':>9} {'error %':>8} {'time':>6} {'traffic':>8} {'AMAT':>6} {'MPKI':>6}"
     print(header)
     print("  " + "-" * (len(header) - 2))
-    for design in COMPARED_DESIGNS:
+    for design in COMPARED:
         run = ev.runs[design]
         print(
-            f"  {design.value:>9} {run.output_error * 100:8.3f}"
+            f"  {design.name:>9} {run.output_error * 100:8.3f}"
             f" {ev.normalized(design, 'time'):6.2f}"
             f" {ev.normalized(design, 'traffic'):8.2f}"
             f" {ev.normalized(design, 'amat'):6.2f}"
@@ -50,7 +56,7 @@ def main(quick: bool = False) -> None:
         )
     print("\n  (all columns except error are normalized to the baseline)")
 
-    stats = ev.runs[Design.AVR].timing.llc_stats
+    stats = ev.runs[AVR].timing.llc_stats
     total = sum(
         stats.get(k, 0)
         for k in ("req_miss", "req_hit_uncompressed", "req_hit_dbuf", "req_hit_compressed")

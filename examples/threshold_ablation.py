@@ -12,7 +12,7 @@ Run:  python examples/threshold_ablation.py
 import numpy as np
 
 from repro.common.constants import VALUES_PER_BLOCK
-from repro.common.types import CompressionMethod, Design, ErrorThresholds
+from repro.common.types import CompressionMethod, ErrorThresholds
 from repro.compression import AVRCompressor
 from repro.compression.downsample import (
     downsample_1d,
@@ -27,11 +27,11 @@ def knob_sweep() -> None:
     print("T2 knob sweep (output error vs compression ratio)")
     for name in ("orbit", "wrf"):
         workload = make_workload(name, scale=0.5)
-        reference = workload.run(Design.BASELINE)
+        reference = workload.run("baseline")
         print(f"\n  {name}:")
         print(f"    {'T2':>8} {'ratio':>7} {'output err %':>13}")
         for t2 in (0.04, 0.02, 0.01, 0.005, 0.002):
-            result = workload.run(Design.AVR, thresholds=ErrorThresholds.from_t2(t2))
+            result = workload.run("AVR", thresholds=ErrorThresholds.from_t2(t2))
             err = workload.output_error(result, reference)
             print(f"    {t2:8.3f} {result.memory.compression_ratio():6.1f}x"
                   f" {err * 100:12.3f}")

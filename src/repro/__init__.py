@@ -9,23 +9,25 @@ Public API highlights:
 * :mod:`repro.workloads` — the seven evaluation applications.
 * :func:`repro.system.build_system` — full timing-simulator instances
   for baseline / AVR / ZeroAVR / Truncate / Doppelgänger.
-* :mod:`repro.harness` — regenerates every table and figure of the
-  paper's evaluation.
+* :class:`repro.ExperimentSpec` / :func:`repro.run_experiment` — the
+  one way to run an evaluation (:mod:`repro.experiment`): a whole
+  evaluation as one TOML/JSON-serializable, cache-addressable value,
+  also behind ``repro experiment``.
+* :mod:`repro.harness` — turns evaluations into every table and figure
+  of the paper's evaluation.
 * :class:`repro.SweepSpec` / :func:`repro.run_sweep` — the parallel
-  sweep engine: enumerate the evaluation grid as independent job
-  units, fan them out over worker processes, and cache results on
-  disk (see :mod:`repro.harness.sweep`).
-* :class:`repro.Scenario` / :func:`repro.evaluate_scenario` — the
-  scenario subsystem: multi-programmed workload mixes with per-core
-  slowdown / weighted-speedup contention metrics (see
-  :mod:`repro.scenario` and :mod:`repro.harness.scenario`).
+  sweep engine under ``run_experiment``: enumerate the evaluation grid
+  as independent job units, fan them out over worker processes, and
+  cache results on disk (see :mod:`repro.harness.sweep`).  Call it
+  directly for grids an experiment spec cannot express (a hand-built
+  ``SystemConfig``, workload constructor arguments).
+* :class:`repro.Scenario` — the scenario subsystem: multi-programmed
+  workload mixes with per-core slowdown / weighted-speedup contention
+  metrics (see :mod:`repro.scenario` and :mod:`repro.harness.scenario`).
 * :class:`repro.DesignSpec` / :func:`repro.register_design` — the open
   design registry (:mod:`repro.designs`): design points are
-  registrable values; the five paper designs are shipped entries and
-  the legacy ``Design`` enum is a deprecated alias layer.
-* :class:`repro.ExperimentSpec` / :func:`repro.run_experiment` — the
-  declarative experiment facade (:mod:`repro.experiment`): a whole
-  evaluation as one TOML/JSON-serializable, cache-addressable value.
+  registrable values, named by registry name; the five paper designs
+  are shipped entries.
 * :mod:`repro.trace` — vectorized trace synthesis (bit-identical to
   the reference fragment loop) and the content-keyed, memory-mapped
   :class:`repro.trace.TraceStore` that warm sweeps map traces from.
@@ -39,7 +41,7 @@ Public API highlights:
   clients, with overlapping job units executed exactly once.
 """
 
-from .common import Design, ErrorThresholds, SystemConfig
+from .common import ErrorThresholds, SystemConfig
 from .compression import AVRCompressor
 
 # 1.7.0: repo-invariant static analysis pass (``repro check``) +
@@ -82,14 +84,12 @@ _SCENARIO_EXPORTS = {
     "parse_mix": ("repro.scenario", "parse_mix"),
     "ScenarioPoint": ("repro.harness.scenario", "ScenarioPoint"),
     "ScenarioEvaluation": ("repro.harness.scenario", "ScenarioEvaluation"),
-    "evaluate_scenario": ("repro.harness.scenario", "evaluate_scenario"),
 }
 
 _LAZY_EXPORTS = {**_DESIGN_EXPORTS, **_EXPERIMENT_EXPORTS, **_SCENARIO_EXPORTS}
 
 __all__ = [
     "AVRCompressor",
-    "Design",
     "ErrorThresholds",
     "SystemConfig",
     "__version__",

@@ -2,12 +2,11 @@
 
 Commands:
 
-* ``evaluate``   — regenerate the paper's tables and figures
-* ``workload``   — run one workload under one design and report
-* ``scenario``   — co-run a multi-programmed workload mix and report
+* ``experiment`` — run an evaluation: a declarative spec file
+  (TOML/JSON), flags, or both (each flag overrides that spec field);
+  prints the paper's tables and figures, and for scenario mixes the
   per-core slowdown, weighted speedup and shared-LLC pressure
-* ``experiment`` — run a declarative experiment spec (TOML/JSON)
-* ``designs``    — list the registered design points
+* ``list``       — list the registered designs, workloads and named mixes
 * ``ablate``     — run the LLC / compressor ablation studies
 * ``overheads``  — print the §4.2 hardware-overhead accounting
 * ``plan``       — search the design space for Pareto-optimal
@@ -21,15 +20,15 @@ Commands:
 * ``status``     — report a running daemon's queue and sessions
 
 ``--designs`` / ``--design`` options accept any registered design name
-(see ``python -m repro designs``); unknown names fail with close-match
-suggestions.  All simulation commands accept ``--jobs N`` to fan the
+(see ``python -m repro list``); unknown names fail with close-match
+suggestions.  The simulation commands accept ``--jobs N`` to fan the
 evaluation grid's job units out over ``N`` worker processes (``1`` =
-serial, bit-identical to parallel runs), ``--cache-dir PATH`` to
-memoize job results on disk so repeated runs skip completed points,
-and ``--trace-store PATH|off`` to control the memory-mapped
-composed-trace store (default: ``<cache-dir>/traces`` whenever
-``--cache-dir`` is given); warm runs map stored traces instead of
-regenerating them.
+serial, bit-identical to parallel runs) and ``--cache-dir PATH`` to
+memoize job results on disk so repeated runs skip completed points;
+``experiment`` and ``plan`` also take ``--trace-store PATH|off`` to
+control the memory-mapped composed-trace store (default:
+``<cache-dir>/traces`` whenever ``--cache-dir`` is given); warm runs
+map stored traces instead of regenerating them.
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from .common.config import SystemConfig
-from .designs import get_design, list_designs, resolve_designs
+from .designs import BASELINE, get_design, list_designs
 from .harness import (
-    evaluate_all,
-    evaluate_workload,
     fig09_execution_time,
     fig11_memory_traffic,
     fig12_amat,
@@ -58,10 +55,8 @@ from .harness import (
 from .workloads import WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Sequence
-
-    from .designs import DesignSpec
     from .harness.runner import WorkloadEvaluation
+    from .harness.scenario import ScenarioEvaluation
 
 
 def _positive_int(text: str) -> int:
@@ -71,44 +66,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_designs(
-    names: "Sequence[str] | None",
-    default: "tuple[DesignSpec, ...]",
-    ensure_baseline: bool = False,
-) -> "tuple[DesignSpec, ...]":
-    """Resolve CLI design names through the registry.
-
-    Unknown names surface :func:`repro.designs.get_design`'s
-    "did you mean ..." ``ValueError`` (listing every registered
-    design) instead of a raw enum ``KeyError``.  ``ensure_baseline``
-    prepends the baseline design when absent — the evaluation tables
-    normalize against it.
-    """
-    designs = resolve_designs(names) if names else default
-    if ensure_baseline and get_design("baseline") not in designs:
-        designs = (get_design("baseline"),) + designs
-    return designs
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (default 1.0)")
-    parser.add_argument("--cores", type=_positive_int, default=None,
-                        help="simulated cores (default 8; the scenario "
-                             "command derives it from the mix)")
-    parser.add_argument("--accesses", type=_positive_int, default=50_000,
-                        help="trace accesses per core (default 50000)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes for the sweep engine "
-                             "(default 1 = serial)")
-    parser.add_argument("--cache-dir", default=None, metavar="PATH",
-                        help="on-disk result cache; re-runs skip "
-                             "already-computed sweep points")
-    parser.add_argument("--trace-store", default=None, metavar="PATH|off",
-                        help="memory-mapped composed-trace store; "
-                             "default derives <cache-dir>/traces when "
-                             "--cache-dir is set, 'off' disables it")
+def _flag_overrides(
+    args: argparse.Namespace, fields: "tuple[tuple[str, str], ...]"
+) -> dict[str, object]:
+    """``{spec field: value}`` for each ``(flag, field)`` flag given."""
+    overrides: dict[str, object] = {}
+    for attr, key in fields:
+        value = getattr(args, attr)
+        if value is not None:
+            overrides[key] = tuple(value) if isinstance(value, list) else value
+    return overrides
 
 
 def _emit_json(dest: str, mapping: "dict[str, object]") -> None:
@@ -125,16 +92,21 @@ def _emit_json(dest: str, mapping: "dict[str, object]") -> None:
 
 
 def _print_evaluations(evals: "dict[str, WorkloadEvaluation]") -> None:
+    """Tables 3-4, then the normalized figures when a baseline ran."""
     from .harness.experiments import compared_designs
 
     order = list(evals)
-    designs = [d.value for d in compared_designs(evals)]
     print(format_table("Table 3: output error (%)",
                        table3_output_error(evals), "{:.2f}", col_order=order))
     print()
     print(format_table("Table 4: AVR compression",
                        table4_compression(evals), "{:.1f}", col_order=order))
     print()
+    if not all(BASELINE in ev.runs for ev in evals.values()):
+        print("(normalized figures omitted: no 'baseline' design to "
+              "normalize against)")
+        return
+    designs = [d.name for d in compared_designs(evals)]
     print(format_table("Figure 9: execution time (norm.)",
                        fig09_execution_time(evals), "{:.2f}", col_order=designs))
     print()
@@ -148,116 +120,28 @@ def _print_evaluations(evals: "dict[str, WorkloadEvaluation]") -> None:
                        fig13_mpki(evals), "{:.2f}", col_order=designs))
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    """Run the headline sweep: every design over every workload."""
-    from .harness import ALL_DESIGNS
-
-    config = SystemConfig.scaled(num_cores=args.cores or 8)
-    names = tuple(args.workloads) if args.workloads else None
-    try:
-        designs = _parse_designs(args.designs, ALL_DESIGNS, ensure_baseline=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    evals = evaluate_all(
-        names=names, config=config, scale=args.scale, seed=args.seed,
-        designs=designs, max_accesses_per_core=args.accesses,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        trace_store=args.trace_store,
-    )
-    _print_evaluations(evals)
-    return 0
-
-
-def cmd_workload(args: argparse.Namespace) -> int:
-    """Sweep one workload across designs and approximation levels."""
-    from .harness import ALL_DESIGNS
-
-    config = SystemConfig.scaled(num_cores=args.cores or 8)
-    try:
-        designs = _parse_designs(args.designs, ALL_DESIGNS, ensure_baseline=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    ev = evaluate_workload(
-        args.name, config=config, scale=args.scale, seed=args.seed,
-        designs=designs, max_accesses_per_core=args.accesses,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        trace_store=args.trace_store,
-    )
-    print(f"{args.name}: footprint {ev.footprint_bytes / 1e6:.1f} MB, "
-          f"AVR ratio {ev.avr_compression_ratio:.1f}:1, "
-          f"footprint vs baseline {ev.footprint_vs_baseline * 100:.0f}%")
-    width = max(16, max(len(d.value) for d in designs))
-    header = (f"{'design':>{width}} {'error %':>8} {'time':>6} "
-              f"{'traffic':>8} {'AMAT':>6} {'MPKI':>6}")
-    print(header)
-    for design in designs:
-        if design == "baseline" or design not in ev.runs:
-            continue
-        run = ev.runs[design]
-        print(f"{design.value:>{width}} {run.output_error * 100:8.3f}"
-              f" {ev.normalized(design, 'time'):6.2f}"
-              f" {ev.normalized(design, 'traffic'):8.2f}"
-              f" {ev.normalized(design, 'amat'):6.2f}"
-              f" {ev.normalized(design, 'mpki'):6.2f}")
-    return 0
-
-
-def cmd_scenario(args: argparse.Namespace) -> int:
-    """Evaluate a named multi-programmed scenario mix."""
-    from .harness.scenario import evaluate_scenario
-    from .scenario import get_scenario, named_scenarios
-
-    if args.mix == "list":
-        print("named mixes:")
-        for name, scenario in named_scenarios().items():
-            print(f"  {name:>18}  {scenario.mix_string()}  "
-                  f"({scenario.total_cores} cores, {scenario.placement})")
-        print("or compose one: WORKLOAD[*N][@CORES]+... "
-              "(e.g. kmeans*2@2+heat@4)")
-        return 0
-
-    from .harness.scenario import SCENARIO_DESIGNS
-
-    try:
-        scenario = get_scenario(args.mix).scaled(args.scale)
-        designs = _parse_designs(args.designs, SCENARIO_DESIGNS)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cores = args.cores or scenario.total_cores
-    if cores < scenario.total_cores:
-        print(f"error: mix {scenario.name!r} needs {scenario.total_cores} "
-              f"cores, --cores gave {cores}", file=sys.stderr)
-        return 2
-    config = SystemConfig.scaled(num_cores=cores)
-    ev = evaluate_scenario(
-        scenario, config=config, designs=designs, seed=args.seed,
-        max_accesses_per_core=args.accesses,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        trace_store=args.trace_store,
-    )
-
-    print(f"scenario {ev.name}: {scenario.mix_string()} — "
-          f"{scenario.num_instances} instances on {cores} cores, "
-          f"footprint {ev.footprint_bytes / 1e6:.1f} MB")
-    with_baseline = "baseline" in ev.runs
+def _print_scenario(sev: "ScenarioEvaluation") -> None:
+    """Contention report of one mix: summary, per instance, per core."""
+    scenario = sev.scenario
+    print(f"scenario {sev.name}: {scenario.mix_string()} — "
+          f"{scenario.num_instances} instances on {sev.num_cores} cores, "
+          f"footprint {sev.footprint_bytes / 1e6:.1f} MB")
+    with_baseline = BASELINE in sev.runs
     summary = {
-        design.value: {
+        design.name: {
             "wspeedup": run.weighted_speedup,
-            **({"mix time": ev.normalized_mix_time(design)}
+            **({"mix time": sev.normalized_mix_time(design)}
                if with_baseline else {}),
             "LLC infl": run.llc_miss_inflation,
         }
-        for design, run in ev.runs.items()
+        for design, run in sev.runs.items()
     }
     columns = ["wspeedup"] + (["mix time"] if with_baseline else []) + ["LLC infl"]
     print()
     print(format_table(
         f"Mix summary (weighted speedup, ideal {scenario.num_instances})",
         summary, "{:.3f}", col_order=columns))
-    for design, run in ev.runs.items():
+    for design, run in sev.runs.items():
         rows = {
             f"{inst.workload}#{inst.index}": {
                 "slowdown": inst.slowdown,
@@ -271,7 +155,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         }
         print()
         print(format_table(
-            f"{design.value}: per-instance contention",
+            f"{design.name}: per-instance contention",
             rows, "{:.2f}",
             col_order=["slowdown", "solo Mcyc", "corun Mcyc",
                        "solo miss", "pressure", "induced"]))
@@ -282,16 +166,11 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             )
             print(f"  {inst.workload}#{inst.index} per-core slowdown: "
                   f"{percore}")
-    if args.json:
-        from .harness import scenario_evaluation_to_mapping
-
-        _emit_json(args.json, scenario_evaluation_to_mapping(ev))
-    return 0
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     """Run the ablation sweep for one design's variants."""
-    config = SystemConfig.scaled(num_cores=args.cores or 8)
+    config = SystemConfig.scaled(num_cores=args.cores)
     try:
         design = get_design(args.design)
         if not design.consumes_avr_options:
@@ -304,7 +183,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         return 2
     llc = run_llc_ablations(
         args.name, config=config, scale=args.scale,
-        max_accesses_per_core=args.accesses, design=design,
+        max_accesses_per_core=args.accesses, seed=args.seed, design=design,
         jobs=args.jobs, cache_dir=args.cache_dir,
     )
     full = llc["full AVR"]
@@ -320,37 +199,62 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                        rows, "{:.2f}", col_order=["time", "traffic", "AMAT"]))
     print()
     comp = run_compressor_ablations(
-        args.name, scale=min(args.scale, 0.5), cache_dir=args.cache_dir,
+        args.name, scale=min(args.scale, 0.5), seed=args.seed,
+        cache_dir=args.cache_dir,
     )
     print(format_table(f"Compressor ablations on {args.name} data", comp,
                        "{:.2f}", col_order=["ratio", "mean_error_pct", "success_pct"]))
     return 0
 
 
-def cmd_designs(_args: argparse.Namespace) -> int:
-    """List the registered cache designs."""
-    from .designs import get_design
+def cmd_list(_args: argparse.Namespace) -> int:
+    """List the registered designs, the workloads and the named mixes."""
+    from .scenario import named_scenarios
 
     print("registered designs:")
     for name in list_designs():
-        spec = get_design(name)
-        print(f"  {name:>16}  {spec.doc}")
+        print(f"  {name:>18}  {get_design(name).doc}")
     print("add your own with repro.designs.register_design "
           "(see examples/custom_design.py)")
+    print()
+    print("workloads:")
+    for name, cls in WORKLOADS.items():
+        doc = (cls.__doc__ or "").strip().splitlines()
+        print(f"  {name:>18}  {doc[0] if doc else ''}")
+    print()
+    print("named mixes:")
+    for name, scenario in named_scenarios().items():
+        print(f"  {name:>18}  {scenario.mix_string()}  "
+              f"({scenario.total_cores} cores, {scenario.placement})")
+    print("or compose one: WORKLOAD[*N][@CORES]+... "
+          "(e.g. kmeans*2@2+heat@4)")
     return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """Run a declarative experiment from a spec file."""
+    """Run an evaluation from a spec file, flags, or both."""
+    import dataclasses
+
     from .experiment import ExperimentSpec, run_experiment
 
+    overrides = _flag_overrides(args, (
+        ("workloads", "workloads"), ("scenarios", "scenarios"),
+        ("designs", "designs"), ("cores", "num_cores"),
+        ("accesses", "max_accesses_per_core"),
+    ))
+    if args.scale is not None:
+        overrides["scales"] = (args.scale,)
+    if args.seed is not None:
+        overrides["seeds"] = (args.seed,)
     try:
-        spec = ExperimentSpec.from_file(args.spec)
+        base = ExperimentSpec.from_file(args.spec) if args.spec else ExperimentSpec()
+        spec = dataclasses.replace(base, **overrides)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    workloads = len(spec.workloads) or ("no" if spec.scenarios else "all")
     print(f"experiment {spec.name!r} ({spec.content_hash()[:12]}): "
-          f"{len(spec.workloads) or 'all'} workload(s), "
+          f"{workloads} workload(s), "
           f"{len(spec.scenarios)} scenario(s), designs "
           f"{', '.join(spec.designs)}")
     result = run_experiment(
@@ -370,23 +274,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             print()
             for point, ev in result.evaluations.items():
                 row = "  ".join(
-                    f"{d.value}:{ev.normalized(d, 'time'):.2f}"
+                    f"{d.name}:{ev.normalized(d, 'time'):.2f}"
                     for d in ev.runs
-                    if d != "baseline" and "baseline" in ev.runs
+                    if d != BASELINE and BASELINE in ev.runs
                 )
                 print(f"{point.workload} scale={point.scale} "
                       f"seed={point.seed}: time {row}")
     for sev in result.scenario_evaluations.values():
         print()
-        summary = {
-            design.value: {"wspeedup": run.weighted_speedup,
-                           "LLC infl": run.llc_miss_inflation}
-            for design, run in sev.runs.items()
-        }
-        print(format_table(
-            f"scenario {sev.name} (weighted speedup, ideal "
-            f"{sev.scenario.num_instances})",
-            summary, "{:.3f}", col_order=["wspeedup", "LLC infl"]))
+        _print_scenario(sev)
 
     stats = result.stats
     print()
@@ -412,8 +308,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     from .planner import PlanSpec, run_plan
 
-    overrides: dict[str, object] = {}
-    for attr, key in (
+    overrides = _flag_overrides(args, (
         ("workload", "workload"), ("designs", "designs"),
         ("scales", "thresholds_scales"), ("t2", "t2_thresholds"),
         ("widths", "approx_line_bytes"), ("toggles", "avr_toggles"),
@@ -422,10 +317,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ("initial", "initial_candidates"), ("plan_seed", "seed"),
         ("scale", "scale"), ("seed", "trace_seed"),
         ("accesses", "max_accesses_per_core"), ("cores", "num_cores"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[key] = tuple(value) if isinstance(value, list) else value
+    ))
     try:
         if args.spec:
             spec = dataclasses.replace(PlanSpec.from_file(args.spec), **overrides)
@@ -721,39 +613,52 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("evaluate", help="regenerate the paper's evaluation")
-    p_eval.add_argument("--workloads", nargs="*", choices=sorted(WORKLOADS),
-                        help="subset of workloads (default: all)")
-    p_eval.add_argument("--designs", nargs="+", metavar="DESIGN", default=None,
-                        help="design points to compare, by registry name "
-                             "(see 'designs'; default: the five paper designs)")
-    _add_common(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_wl = sub.add_parser("workload", help="evaluate one workload")
-    p_wl.add_argument("name", choices=sorted(WORKLOADS))
-    p_wl.add_argument("--designs", nargs="+", metavar="DESIGN", default=None,
-                      help="design points to compare, by registry name "
-                           "(see 'designs'; default: the five paper designs)")
-    _add_common(p_wl)
-    p_wl.set_defaults(func=cmd_workload)
-
     p_ex = sub.add_parser(
         "experiment",
-        help="run a declarative experiment spec (TOML/JSON)",
-        description="Load an ExperimentSpec file, run it through the "
-                    "sweep engine, and print the evaluation tables. "
-                    "Spec-driven runs share the on-disk result cache "
-                    "with programmatic sweeps of the same points.",
+        help="run an evaluation (spec file and/or flags)",
+        description="Run an evaluation through the sweep engine and "
+                    "print the paper's tables and figures, plus a "
+                    "contention report per scenario mix.  The grid "
+                    "comes from an ExperimentSpec file (TOML/JSON), "
+                    "from the flags, or both: each flag given overrides "
+                    "that field of the spec (or of the defaults: all "
+                    "seven workloads x the five paper designs on 8 "
+                    "cores).  Runs share the on-disk result cache with "
+                    "programmatic sweeps of the same points.",
     )
-    p_ex.add_argument("spec", help="path to a .toml or .json experiment spec")
+    p_ex.add_argument("spec", nargs="?", default=None,
+                      help="optional .toml/.json experiment spec; flags "
+                           "below override its fields")
+    p_ex.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS),
+                      default=None,
+                      help="workloads to evaluate (default: all seven, "
+                           "or none when only mixes are given)")
+    p_ex.add_argument("--scenarios", nargs="+", metavar="MIX", default=None,
+                      help="multi-programmed mixes to co-run: a named mix "
+                           "or a mix string like kmeans*2@2+heat@4 "
+                           "(see 'list')")
+    p_ex.add_argument("--designs", nargs="+", metavar="DESIGN", default=None,
+                      help="design points to compare, by registry name "
+                           "(see 'list'; default: the five paper designs)")
+    p_ex.add_argument("--scale", type=float, default=None,
+                      help="workload size multiplier (default 1.0)")
+    p_ex.add_argument("--seed", type=int, default=None,
+                      help="workload and trace seed (default 0)")
+    p_ex.add_argument("--cores", type=_positive_int, default=None,
+                      help="simulated cores (default 8, or as many as "
+                           "the widest mix needs)")
+    p_ex.add_argument("--accesses", type=_positive_int, default=None,
+                      help="trace accesses per core (default 50000)")
     p_ex.add_argument("--jobs", type=_positive_int, default=None,
-                      help="override the spec's worker-process count")
+                      help="worker processes for the sweep engine "
+                           "(default: the spec's, else 1 = serial)")
     p_ex.add_argument("--cache-dir", default=None, metavar="PATH",
-                      help="override the spec's result-cache directory")
+                      help="on-disk result cache; re-runs skip "
+                           "already-computed sweep points")
     p_ex.add_argument("--trace-store", default=None, metavar="PATH|off",
-                      help="override the spec's trace-store directory "
-                           "('off' disables the store)")
+                      help="memory-mapped composed-trace store; default "
+                           "derives <cache-dir>/traces when caching, "
+                           "'off' disables it")
     p_ex.add_argument("--expect-cached", action="store_true",
                       help="exit 1 unless every job was served from the "
                            "cache (CI warm-cache assertion)")
@@ -762,32 +667,30 @@ def main(argv: list[str] | None = None) -> int:
                            "file or stdout ('-')")
     p_ex.set_defaults(func=cmd_experiment)
 
-    p_ds = sub.add_parser("designs", help="list the registered design points")
-    p_ds.set_defaults(func=cmd_designs)
-
-    p_sc = sub.add_parser(
-        "scenario",
-        help="co-run a multi-programmed workload mix",
-        description="Evaluate a named mix (heat+lbm, kmeans4+bscholes4, "
-                    "all7), a mix string (kmeans*2@2+heat@4), or 'list' "
-                    "to enumerate the shipped mixes.",
+    p_ls = sub.add_parser(
+        "list", help="list the registered designs, workloads and named mixes"
     )
-    p_sc.add_argument("mix", help="named mix, mix string, or 'list'")
-    p_sc.add_argument("--designs", nargs="+", metavar="DESIGN", default=None,
-                      help="designs to compare, by registry name "
-                           "(default: baseline + AVR)")
-    p_sc.add_argument("--json", default=None, metavar="PATH|-",
-                      help="also emit the evaluation as JSON, to a "
-                           "file or stdout ('-')")
-    _add_common(p_sc)
-    p_sc.set_defaults(func=cmd_scenario)
+    p_ls.set_defaults(func=cmd_list)
 
     p_ab = sub.add_parser("ablate", help="run the ablation studies")
     p_ab.add_argument("name", nargs="?", default="heat", choices=sorted(WORKLOADS))
     p_ab.add_argument("--design", default="AVR", metavar="DESIGN",
                       help="AVR-family design to ablate, by registry name "
                            "(default: %(default)s)")
-    _add_common(p_ab)
+    p_ab.add_argument("--scale", type=float, default=1.0,
+                      help="workload size multiplier (default 1.0)")
+    p_ab.add_argument("--cores", type=_positive_int, default=8,
+                      help="simulated cores (default 8)")
+    p_ab.add_argument("--accesses", type=_positive_int, default=50_000,
+                      help="trace accesses per core (default 50000)")
+    p_ab.add_argument("--seed", type=int, default=0,
+                      help="workload and trace seed (default 0)")
+    p_ab.add_argument("--jobs", type=_positive_int, default=1,
+                      help="worker processes for the sweep engine "
+                           "(default 1 = serial)")
+    p_ab.add_argument("--cache-dir", default=None, metavar="PATH",
+                      help="on-disk result cache; re-runs skip "
+                           "already-computed sweep points")
     p_ab.set_defaults(func=cmd_ablate)
 
     p_ov = sub.add_parser("overheads", help="print §4.2 hardware overheads")

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..common.constants import BLOCK_CACHELINES
-from ..common.types import DataType, Design, ErrorThresholds
+from ..common.types import DataType, ErrorThresholds
 from .approximators import (
     Approximator,
     AVRApproximator,
@@ -44,10 +44,10 @@ def approximator_for(
     """The approximation strategy a design applies to marked data.
 
     ``design`` is anything :func:`repro.designs.get_design` resolves
-    (spec, registry name, or legacy :class:`Design` enum member); the
-    spec's ``approximator`` field selects the strategy, and its
-    capacity/compression parameters configure it (a truncate-family
-    design's functional value width follows its stored line width).
+    (a spec or a registry name); the spec's ``approximator`` field
+    selects the strategy, and its capacity/compression parameters
+    configure it (a truncate-family design's functional value width
+    follows its stored line width).
     """
     from ..designs import get_design
 

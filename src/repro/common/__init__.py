@@ -5,10 +5,8 @@ from .config import CacheConfig, CoreConfig, DRAMConfig, SystemConfig
 from .stats import StatCounter
 from .types import (
     AccessType,
-    COMPARED_DESIGNS,
     CompressionMethod,
     DataType,
-    Design,
     ErrorThresholds,
     EvictionOutcome,
     LLCRequestOutcome,
@@ -16,13 +14,11 @@ from .types import (
 
 __all__ = [
     "AccessType",
-    "COMPARED_DESIGNS",
     "CacheConfig",
     "CompressionMethod",
     "CoreConfig",
     "DRAMConfig",
     "DataType",
-    "Design",
     "ErrorThresholds",
     "EvictionOutcome",
     "LLCRequestOutcome",

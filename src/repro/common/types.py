@@ -50,31 +50,6 @@ class EvictionOutcome(enum.IntEnum):
     UNCOMPRESSED_WRITEBACK = 3
 
 
-class Design(enum.Enum):
-    """The five paper design points — **deprecated alias layer**.
-
-    Design points are open registry entries now (see
-    :mod:`repro.designs`); these enum members remain importable for
-    pre-registry code and are accepted anywhere a design is expected
-    (every API resolves them through
-    :func:`repro.designs.get_design`).  New code should use registry
-    names or :class:`~repro.designs.DesignSpec` values — new design
-    points exist only in the registry and have no enum member.
-    """
-
-    BASELINE = "baseline"
-    DGANGER = "dganger"
-    TRUNCATE = "truncate"
-    ZERO_AVR = "ZeroAVR"
-    AVR = "AVR"
-
-
-#: Design points shown in the figures, in paper order (baseline is the
-#: normalization reference and not plotted itself except for energy).
-#: Deprecated alias of :data:`repro.designs.COMPARED`.
-COMPARED_DESIGNS = (Design.DGANGER, Design.TRUNCATE, Design.ZERO_AVR, Design.AVR)
-
-
 @dataclass(frozen=True)
 class ErrorThresholds:
     """Approximation error knobs exposed by AVR.

@@ -1,13 +1,13 @@
 """Open design registry: design points as first-class, registrable values.
 
-Historically the evaluated system designs were a closed ``Design`` enum
-dispatched through an if/elif chain in ``system/factory.py``.  This
-module replaces that with an *open registry*: a design point is a
-:class:`DesignSpec` — a frozen, hashable, picklable value describing
-how the functional layer approximates data and how the timing layer's
-LLC is wired — and the five paper designs are simply the first five
-registry entries.  A new design point is one :func:`register_design`
-call; nothing in ``system/factory.py`` or ``common/types.py`` changes.
+A design point is a :class:`DesignSpec` — a frozen, hashable, picklable
+value describing how the functional layer approximates data and how
+the timing layer's LLC is wired — and the five paper designs are
+simply the first five registry entries.  A design is named either by
+its spec or by its registry name; every design-accepting API resolves
+names through :func:`get_design`.  A new design point is one
+:func:`register_design` call; nothing in ``system/factory.py`` or
+``common/types.py`` changes.
 
 Three layers of extensibility, cheapest first:
 
@@ -26,10 +26,6 @@ Three layers of extensibility, cheapest first:
    excluded from a spec's identity (equality, hashing and sweep-cache
    keys cover the declarative fields only, so two specs that differ
    only in builder must differ in name).
-
-The old :class:`~repro.common.types.Design` enum remains importable as
-a deprecated alias layer: every API that accepts a design resolves
-enum members (and plain registry names) through :func:`get_design`.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from difflib import get_close_matches
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
-from .common.types import Design, ErrorThresholds
+from .common.types import ErrorThresholds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .cache.llc_avr import AVRLLC
@@ -112,9 +108,9 @@ class DesignSpec:
     Identity (equality, hashing, and sweep-cache canonicalization)
     covers every field except ``builder``; a spec therefore keys result
     dictionaries and on-disk cache entries stably across processes and
-    interpreter runs.  For interoperability with pre-registry code a
-    spec also compares equal to the legacy :class:`Design` enum member
-    (and to the plain string) carrying its name.
+    interpreter runs.  A spec equals only another spec, never its name
+    string: resolve names through :func:`get_design` (or look results
+    up in a :class:`DesignMap`, which does).
     """
 
     #: registry name; also the display label in tables and the CLI
@@ -219,21 +215,10 @@ class DesignSpec:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DesignSpec):
             return self._identity() == other._identity()
-        if isinstance(other, (Design, str)):
-            name = other.value if isinstance(other, Design) else other
-            return self.name.lower() == name.lower()
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._identity())
-
-    # ------------------------------------------------------------------
-    # enum-compatible surface
-    # ------------------------------------------------------------------
-    @property
-    def value(self) -> str:
-        """The display label, mirroring ``Design.<member>.value``."""
-        return self.name
 
     # ------------------------------------------------------------------
     # derived roles
@@ -375,7 +360,7 @@ class DesignSpec:
 
 
 #: anything the design-accepting APIs resolve through :func:`get_design`
-DesignLike = DesignSpec | Design | str
+DesignLike = DesignSpec | str
 
 
 # ----------------------------------------------------------------------
@@ -417,16 +402,13 @@ def list_designs() -> tuple[str, ...]:
 def get_design(design: DesignLike) -> DesignSpec:
     """Resolve a design reference to its :class:`DesignSpec`.
 
-    Accepts a spec (returned as-is, registered or not), a legacy
-    :class:`Design` enum member, or a registry name (case-insensitive).
-    Unknown names raise a ``ValueError`` with close-match suggestions —
-    the error surface the CLI and :class:`~repro.experiment.ExperimentSpec`
-    share.
+    Accepts a spec (returned as-is, registered or not) or a registry
+    name (case-insensitive).  Unknown names raise a ``ValueError`` with
+    close-match suggestions — the error surface the CLI and
+    :class:`~repro.experiment.ExperimentSpec` share.
     """
     if isinstance(design, DesignSpec):
         return design
-    if isinstance(design, Design):
-        return _REGISTRY[design.value.lower()]
     if isinstance(design, str):
         spec = _REGISTRY.get(design.lower())
         if spec is not None:
@@ -516,17 +498,16 @@ def layout_source_design(design: DesignLike) -> DesignSpec:
 class DesignMap(dict):
     """Result mapping keyed by :class:`DesignSpec`.
 
-    The deprecated-alias seam for pre-registry callers: lookups accept
-    legacy :class:`Design` enum members and registry names, normalizing
-    them through :func:`get_design` — ``runs[Design.AVR]``,
-    ``runs["AVR"]`` and ``runs[AVR]`` address the same entry.
+    Lookups also accept registry names, resolved through
+    :func:`get_design` — ``runs["AVR"]`` and ``runs[AVR]`` address the
+    same entry.
     """
 
     @staticmethod
     def _key(key: object) -> object:
         try:
             return get_design(key)
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError):
             return key
 
     def __getitem__(self, key: object) -> Any:
@@ -607,5 +588,5 @@ TRUNCATE_16 = register_design(DesignSpec(
 PAPER_DESIGNS = (BASELINE, DGANGER, TRUNCATE, ZERO_AVR, AVR)
 
 #: design points shown in the figures, paper order (baseline is the
-#: normalization reference); the spec twin of ``types.COMPARED_DESIGNS``
+#: normalization reference)
 COMPARED = (DGANGER, TRUNCATE, ZERO_AVR, AVR)

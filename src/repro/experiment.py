@@ -1,18 +1,19 @@
 """Declarative experiments: one serializable value describes a whole run.
 
-An :class:`ExperimentSpec` composes everything the evaluation stack can
-vary — workloads and multi-programmed scenarios, registered designs,
-machine size, grid axes (scales / seeds / error thresholds), trace
-budget, and execution settings (worker processes, cache directory) —
-into a single frozen value that loads from and dumps to
-TOML or JSON.  :func:`run_experiment` executes it through the sweep
-engine, so a spec-driven run decomposes into exactly the same job units
-(with exactly the same content-hash cache keys) as the equivalent
-programmatic :func:`~repro.harness.sweep.run_sweep` /
-:func:`~repro.harness.evaluate_all` /
-:func:`~repro.harness.scenario.evaluate_scenario` call — those remain
-as thin shims over the same engine, and a warm cache serves either
-path.
+This is the one way to run an evaluation.  An :class:`ExperimentSpec`
+composes everything the evaluation stack can vary — workloads and
+multi-programmed scenarios, registered designs, machine size, grid
+axes (scales / seeds / error thresholds), trace budget, and execution
+settings (worker processes, cache directory) — into a single frozen
+value that loads from and dumps to TOML or JSON.
+:func:`run_experiment` executes it through the sweep engine, so a
+spec-driven run decomposes into exactly the same job units (with
+exactly the same content-hash cache keys) as the equivalent
+:func:`~repro.harness.sweep.run_sweep` call, and a warm cache serves
+either path.  ``repro experiment`` builds the spec from a file, from
+flags, or both.  Grids a spec cannot express (a hand-built
+``SystemConfig``, workload constructor arguments) call ``run_sweep``
+directly.
 
 ::
 
@@ -35,7 +36,7 @@ from typing import Any, TYPE_CHECKING
 
 from .common.config import SystemConfig
 from .common.types import ErrorThresholds
-from .designs import resolve_designs
+from .designs import PAPER_DESIGNS, resolve_designs
 from .harness.cache import content_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -73,8 +74,9 @@ class ExperimentSpec:
     workloads: tuple[str, ...] = ()
     #: scenario registry names or mix strings (``heat@4+lbm@4``)
     scenarios: tuple[str, ...] = ()
-    #: registered design names (see :func:`repro.designs.list_designs`)
-    designs: tuple[str, ...] = ("baseline", "dganger", "truncate", "ZeroAVR", "AVR")
+    #: registered design names (see :func:`repro.designs.list_designs`);
+    #: default: the five paper designs
+    designs: tuple[str, ...] = tuple(d.name for d in PAPER_DESIGNS)
     #: workload size multipliers
     scales: tuple[float, ...] = (1.0,)
     #: trace-jitter seeds
@@ -126,8 +128,14 @@ class ExperimentSpec:
         from .scenario import get_scenario
         from .workloads import WORKLOADS
 
-        for scenario in self.scenarios:
-            get_scenario(scenario)
+        for name in self.scenarios:
+            # Reject a machine narrower than a mix here, not mid-run.
+            scenario = get_scenario(name)
+            if self.num_cores is not None and self.num_cores < scenario.total_cores:
+                raise ValueError(
+                    f"mix {scenario.name!r} needs {scenario.total_cores} "
+                    f"cores, num_cores gave {self.num_cores}"
+                )
         for workload in self.workloads:
             if workload not in WORKLOADS:
                 raise ValueError(
@@ -355,12 +363,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute an experiment spec (or spec file) end to end.
 
-    The declarative superset of :func:`~repro.harness.evaluate_all`,
-    :func:`~repro.harness.sweep.run_sweep` and
-    :func:`~repro.harness.scenario.evaluate_scenario`: the spec is
-    decomposed into the same sweep job units, so results are
-    bit-identical to the equivalent programmatic calls and cache
-    entries are shared with them.  ``jobs`` / ``cache_dir`` /
+    The spec is decomposed into the sweep engine's job units
+    (:meth:`ExperimentSpec.to_sweep_spec`), so results are
+    bit-identical to the equivalent
+    :func:`~repro.harness.sweep.run_sweep` call and cache entries are
+    shared with it.  ``jobs`` / ``cache_dir`` /
     ``trace_store`` override the spec's execution settings without
     touching its identity;
     ``cache_dir`` may also be a prebuilt

@@ -1,16 +1,15 @@
 """Experiment harness: regenerates every table and figure.
 
-The heavy lifting happens in the sweep engine
-(:mod:`repro.harness.sweep`): a :class:`SweepSpec` enumerates the
-evaluation grid as independent job units, :func:`run_sweep` executes
-them serially or over a process pool, and
-:class:`~repro.harness.cache.ResultCache` memoizes job results on disk.
-:func:`evaluate_all` / :func:`evaluate_workload` /
-:func:`regenerate_all` are convenience entry points layered on top —
-as is the declarative facade :func:`repro.experiment.run_experiment`,
+An evaluation runs through :func:`repro.experiment.run_experiment`,
 which decomposes an :class:`~repro.experiment.ExperimentSpec` into the
-same job units (and therefore the same cache entries).  Designs are
-resolved through the open registry (:mod:`repro.designs`) everywhere.
+sweep engine's job units (:mod:`repro.harness.sweep`): a
+:class:`SweepSpec` enumerates the evaluation grid as independent job
+units, :func:`run_sweep` executes them serially or over a process
+pool, and :class:`~repro.harness.cache.ResultCache` memoizes job
+results on disk.  The table and figure functions here turn the
+resulting :class:`WorkloadEvaluation` objects into the paper's
+artifacts.  Designs are resolved through the open registry
+(:mod:`repro.designs`) everywhere.
 """
 
 from .ablations import (
@@ -24,7 +23,6 @@ from .experiments import (
     EVICTION_CATEGORIES,
     GEOMEAN,
     REQUEST_CATEGORIES,
-    regenerate_all,
     fig09_execution_time,
     fig10_energy,
     fig11_memory_traffic,
@@ -46,20 +44,12 @@ from .report import (
     sweep_stats_to_mapping,
     transpose,
 )
-from .runner import (
-    ALL_DESIGNS,
-    DesignRun,
-    WorkloadEvaluation,
-    evaluate_all,
-    evaluate_workload,
-)
+from .runner import DesignRun, WorkloadEvaluation
 from .scenario import (
-    SCENARIO_DESIGNS,
     InstanceContention,
     ScenarioDesignRun,
     ScenarioEvaluation,
     ScenarioPoint,
-    evaluate_scenario,
     scenario_timing_context,
 )
 from .sweep import (
@@ -73,13 +63,11 @@ from .sweep import (
 )
 
 __all__ = [
-    "ALL_DESIGNS",
     "CacheStats",
     "COMPRESSOR_ABLATIONS",
     "InstanceContention",
     "LLC_ABLATIONS",
     "ResultCache",
-    "SCENARIO_DESIGNS",
     "ScenarioDesignRun",
     "ScenarioEvaluation",
     "ScenarioPoint",
@@ -88,7 +76,6 @@ __all__ = [
     "SweepSpec",
     "SweepStats",
     "content_key",
-    "regenerate_all",
     "run_compressor_ablations",
     "run_functional_job",
     "run_llc_ablations",
@@ -99,9 +86,6 @@ __all__ = [
     "GEOMEAN",
     "REQUEST_CATEGORIES",
     "WorkloadEvaluation",
-    "evaluate_all",
-    "evaluate_scenario",
-    "evaluate_workload",
     "scenario_timing_context",
     "fig09_execution_time",
     "fig10_energy",

@@ -31,13 +31,13 @@ from .runner import _build_layout
 from .sweep import (
     SweepPoint,
     _execute_jobs,
-    _functional_key,
     _make_pool,
     _run_jobs,
     _SerialExecutor,
-    _timing_key,
+    functional_job_key,
     run_functional_job,
     run_timing_job,
+    timing_job_key,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,14 +82,14 @@ def run_llc_ablations(
 ) -> dict[str, AblationPoint]:
     """Run one AVR-family design under each LLC ablation variant.
 
-    ``design`` is any registered AVR-family design (spec, name, or
-    legacy enum member) — a design that cannot consume ``avr_options``
-    is rejected up front.  Built on the sweep engine's job units: the
+    ``design`` is any registered AVR-family design (spec or name) — a
+    design that cannot consume ``avr_options`` is rejected up front.  Built on the sweep engine's job units: the
     functional runs (baseline reference + the design's layout source)
     and each variant's timing replay are independent jobs, fanned out
     over ``jobs`` workers and memoized in ``cache_dir``.  The
     functional jobs share cache entries with
-    :func:`repro.harness.evaluate_all` sweeps of the same point, and
+    :func:`~repro.experiment.run_experiment` and
+    :func:`~repro.harness.sweep.run_sweep` runs of the same point, and
     the "full AVR" variant shares its timing entry with them too.
     """
     config = config or SystemConfig.scaled(num_cores=8)
@@ -113,18 +113,18 @@ def run_llc_ablations(
 
     with _make_pool(jobs) as pool:
         functional_jobs = {
-            _functional_key(point, d): (run_functional_job, point, d)
+            functional_job_key(point, d): (run_functional_job, point, d)
             for d in (BASELINE, layout_design)
         }
         functional, _ = _run_jobs(pool, cache, functional_jobs)
-        reference = functional[_functional_key(point, BASELINE)]
-        layout_run = functional[_functional_key(point, layout_design)]
+        reference = functional[functional_job_key(point, BASELINE)]
+        layout_run = functional[functional_job_key(point, layout_design)]
 
         layout = _build_layout(workload, layout_run)
         timing: dict[str, object] = {}
         timing_jobs: dict[str, tuple] = {}
         variant_keys = {
-            _timing_key(point, design, config, options): options
+            timing_job_key(point, design, config, options): options
             for options in variants.values()
         }
         # One batched pass over every variant's key; only misses pay
@@ -157,7 +157,7 @@ def run_llc_ablations(
 
     results: dict[str, AblationPoint] = {}
     for label, options in variants.items():
-        res = timing[_timing_key(point, design, config, options)]
+        res = timing[timing_job_key(point, design, config, options)]
         results[label] = AblationPoint(
             cycles=res.cycles,
             total_bytes=res.total_bytes,
@@ -199,7 +199,7 @@ def run_compressor_ablations(
         workload_kwargs=tuple(sorted(workload_kwargs.items())),
     )
     cache = resolve_result_cache(cache_dir)
-    key = _functional_key(point, BASELINE)
+    key = functional_job_key(point, BASELINE)
     functional, _ = _run_jobs(
         _SerialExecutor(), cache, {key: (run_functional_job, point, BASELINE)}
     )

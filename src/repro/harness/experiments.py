@@ -8,8 +8,6 @@ columns are appended where the paper plots them.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from ..common.config import SystemConfig
@@ -84,61 +82,15 @@ def _normalized_metric(
     out: dict[str, dict[str, float]] = {}
     for name, ev in evals.items():
         out[name] = {
-            d.value: ev.normalized(d, metric)
+            d.name: ev.normalized(d, metric)
             for d in compared
             if d in ev.runs
         }
-    designs = [d.value for d in compared]
+    designs = [d.name for d in compared]
     out[GEOMEAN] = {
         d: _geomean([out[w][d] for w in evals if d in out[w]]) for d in designs
     }
     return out
-
-
-# ----------------------------------------------------------------------
-# One-call regeneration (sweep-powered)
-# ----------------------------------------------------------------------
-def regenerate_all(
-    names: tuple[str, ...] | None = None,
-    config: SystemConfig | None = None,
-    scale: float = 1.0,
-    seed: int = 0,
-    max_accesses_per_core: int = 50_000,
-    jobs: int = 1,
-    cache_dir: str | Path | None = None,
-) -> dict[str, object]:
-    """Regenerate every paper artifact in one call.
-
-    Runs the full workloads x designs grid through the sweep engine
-    (``jobs`` workers, optional on-disk ``cache_dir``) and returns a
-    mapping from artifact name (``"table3"`` ... ``"fig15"``,
-    ``"overheads"``) to the corresponding rows/series, plus the raw
-    ``"evaluations"`` for custom post-processing.
-    """
-    from .runner import evaluate_all
-
-    evals = evaluate_all(
-        names=names,
-        config=config,
-        scale=scale,
-        seed=seed,
-        max_accesses_per_core=max_accesses_per_core,
-        jobs=jobs,
-        cache_dir=cache_dir,
-    )
-    return {
-        "evaluations": evals,
-        "table3": table3_output_error(evals),
-        "table4": table4_compression(evals),
-        "fig09": fig09_execution_time(evals),
-        "fig10": fig10_energy(evals),
-        "fig11": fig11_memory_traffic(evals),
-        "fig12": fig12_amat(evals),
-        "fig13": fig13_mpki(evals),
-        "fig14": fig14_llc_requests(evals),
-        "fig15": fig15_llc_evictions(evals),
-        "overheads": hardware_overheads(),  # §4.2 uses the paper config
-    }
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +109,7 @@ def table3_output_error(
     for design in compared_designs(evals):
         if not design.runs_functional:
             continue
-        rows[design.value] = {
+        rows[design.name] = {
             name: ev.runs[design].output_error * 100.0
             for name, ev in evals.items()
             if design in ev.runs
@@ -193,7 +145,7 @@ def fig10_energy(evals: dict[str, WorkloadEvaluation]) -> dict[str, dict[str, di
     for name, ev in evals.items():
         base_total = ev.baseline().timing.energy.total
         per_design: dict[str, dict[str, float]] = {
-            BASELINE.value: {
+            BASELINE.name: {
                 c: j / base_total for c, j in ev.baseline().timing.energy.joules.items()
             }
         }
@@ -202,7 +154,7 @@ def fig10_energy(evals: dict[str, WorkloadEvaluation]) -> dict[str, dict[str, di
                 continue
             run = ev.runs[design]
             factor = run.timing.iteration_factor / base_total
-            per_design[design.value] = {
+            per_design[design.name] = {
                 c: j * factor for c, j in run.timing.energy.joules.items()
             }
         out[name] = per_design
@@ -224,7 +176,7 @@ def fig11_memory_traffic(evals: dict[str, WorkloadEvaluation]) -> dict[str, dict
             total = run.adjusted_bytes / base_bytes if base_bytes else 0.0
             tagged = run.approx_bytes + run.exact_bytes
             approx_share = run.approx_bytes / tagged if tagged else 0.0
-            per_design[design.value] = {
+            per_design[design.name] = {
                 "Approx": total * approx_share,
                 "Non-approx": total * (1.0 - approx_share),
             }

@@ -6,7 +6,7 @@ reproduction compares against.
 
 This module also hosts the JSON-able serializers (``*_to_mapping``)
 that turn evaluation objects into plain dicts of str/int/float/list —
-what ``repro experiment --json`` / ``repro scenario --json`` print and
+what ``repro experiment --json`` prints and
 what the ``repro serve`` daemon streams in its ``result`` events.  The
 mappings are deterministic: identical evaluation objects serialize to
 identical JSON, so a daemon result can be compared bit-for-bit against
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 from typing import TYPE_CHECKING, Any, Mapping
+
+from ..designs import BASELINE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..system.simulator import SimResult
@@ -146,14 +148,14 @@ def evaluation_to_mapping(ev: "WorkloadEvaluation") -> dict[str, Any]:
             for design, run in ev.runs.items()
         },
     }
-    if "baseline" in ev.runs:
+    if BASELINE in ev.runs:
         out["normalized"] = {
             design.name: {
                 metric: ev.normalized(design, metric)
                 for metric in _NORMALIZED_METRICS
             }
             for design in ev.runs
-            if design != "baseline"
+            if design != BASELINE
         }
     return out
 
@@ -203,11 +205,11 @@ def scenario_evaluation_to_mapping(sev: "ScenarioEvaluation") -> dict[str, Any]:
             for design, run in sev.runs.items()
         },
     }
-    if "baseline" in sev.runs:
+    if BASELINE in sev.runs:
         out["normalized_mix_time"] = {
             design.name: sev.normalized_mix_time(design)
             for design in sev.runs
-            if design != "baseline"
+            if design != BASELINE
         }
     return out
 

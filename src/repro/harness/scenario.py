@@ -30,7 +30,6 @@ DRAM-saturation effect the paper is about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, TYPE_CHECKING
 
 from .. import __version__
@@ -66,24 +65,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .sweep import SweepPoint
 
 __all__ = [
-    "SCENARIO_DESIGNS",
     "InstanceContention",
     "ScenarioContext",
     "ScenarioDesignRun",
     "ScenarioEvaluation",
     "ScenarioPoint",
     "build_scenario_context",
-    "evaluate_scenario",
     "scenario_functional_designs",
     "scenario_subsets",
     "scenario_timing_context",
     "scenario_trace_key",
 ]
-
-#: designs a scenario evaluation compares by default (baseline anchors
-#: the mix-level normalization; AVR is the paper's proposal)
-SCENARIO_DESIGNS = (BASELINE, AVR)
-
 
 @dataclass(frozen=True)
 class ScenarioPoint:
@@ -313,17 +305,18 @@ def build_scenario_context(
     point: ScenarioPoint,
     config: SystemConfig,
     functional_for: Callable[[SweepPoint, DesignSpec], WorkloadResult],
-    designs: Iterable[DesignLike] = SCENARIO_DESIGNS,
+    designs: Iterable[DesignLike],
     store: TraceStore | None = None,
 ) -> ScenarioContext:
     """Compose per-instance functional results into one machine view.
 
     ``functional_for(sweep_point, design)`` supplies the (possibly
     cached) :class:`WorkloadResult` of one instance configuration —
-    the seam that lets :func:`repro.harness.sweep.run_sweep` and the
-    standalone :func:`evaluate_scenario` share this builder.  With a
-    ``store``, the context serves its composed trace from (and commits
-    it to) the memory-mapped trace store.
+    the seam that lets :func:`repro.harness.sweep.run_sweep` and
+    :func:`scenario_timing_context` share this builder.  ``designs``
+    are the designs the context is built for (their layout sources and
+    dedup factors).  With a ``store``, the context serves its composed
+    trace from (and commits it to) the memory-mapped trace store.
     """
     designs = resolve_designs(designs)
     scenario = point.scenario
@@ -597,47 +590,8 @@ def assemble_scenario_evaluation(
 
 
 # ----------------------------------------------------------------------
-# Standalone entry points
+# Benchmark entry point
 # ----------------------------------------------------------------------
-def evaluate_scenario(
-    scenario: Scenario | str,
-    config: SystemConfig | None = None,
-    designs: tuple[DesignSpec, ...] = SCENARIO_DESIGNS,
-    seed: int = 0,
-    thresholds: ErrorThresholds | None = None,
-    max_accesses_per_core: int = 50_000,
-    jobs: int = 1,
-    cache_dir: str | Path | None = None,
-    trace_store: TraceStore | str | Path | bool | None = None,
-) -> ScenarioEvaluation:
-    """Run one multi-programmed mix end to end.
-
-    A convenience wrapper around :func:`repro.harness.sweep.run_sweep`
-    for a singleton scenario grid: ``scenario`` may be a
-    :class:`Scenario`, a registry name (``heat+lbm``) or a mix string
-    (``kmeans*2+heat@2``).  The machine defaults to exactly the mix's
-    core count; a wider ``config`` leaves the extra cores idle.
-    ``trace_store`` follows :func:`repro.trace.store.resolve_trace_store`
-    semantics (default: ``<cache_dir>/traces`` when caching).
-    """
-    from .sweep import SweepSpec, run_sweep
-
-    scenario = get_scenario(scenario)
-    config = config or SystemConfig.scaled(num_cores=scenario.total_cores)
-    spec = SweepSpec(
-        workloads=(),
-        scenarios=(scenario,),
-        designs=designs,
-        config=config,
-        seeds=(seed,),
-        thresholds=(thresholds,),
-        max_accesses_per_core=max_accesses_per_core,
-    )
-    return run_sweep(
-        spec, jobs=jobs, cache_dir=cache_dir, trace_store=trace_store
-    ).by_scenario()[scenario.name]
-
-
 def scenario_timing_context(
     scenario: Scenario | str,
     config: SystemConfig | None = None,

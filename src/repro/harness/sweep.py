@@ -12,7 +12,7 @@ and to cache on disk):
 
 * :func:`run_functional_job` — one workload's functional round-trip
   under one design (output error, compression ratios, iteration
-  counts).  The ``Design.BASELINE`` reference run is its own job so
+  counts).  The ``baseline`` reference run is its own job so
   that every design of a point shares one reference result, exactly as
   the serial path shares ``functional[...]``.
 * :func:`run_timing_job` — one design's trace replay through the
@@ -44,6 +44,7 @@ from ..common.types import ErrorThresholds
 from ..designs import (
     AVR,
     BASELINE,
+    PAPER_DESIGNS,
     DesignSpec,
     get_design,
     layout_source_design,
@@ -61,7 +62,7 @@ from .cache import ResultCache, content_key, resolve_result_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..designs import DesignLike
-from .runner import ALL_DESIGNS, DesignRun, WorkloadEvaluation
+from .runner import DesignRun, WorkloadEvaluation
 from .scenario import (
     ScenarioEvaluation,
     ScenarioPoint,
@@ -139,10 +140,9 @@ class SweepSpec:
 
     workloads: tuple[str, ...] = ()
     #: design points evaluated at every grid point; entries may be
-    #: given as :class:`~repro.designs.DesignSpec`, registry names or
-    #: legacy ``Design`` enum members — normalized to specs on
-    #: construction.
-    designs: tuple[DesignSpec, ...] = ALL_DESIGNS
+    #: given as :class:`~repro.designs.DesignSpec` or registry names —
+    #: normalized to specs on construction.
+    designs: tuple[DesignSpec, ...] = PAPER_DESIGNS
     config: SystemConfig | None = None
     scales: tuple[float, ...] = (1.0,)
     seeds: tuple[int, ...] = (0,)
@@ -271,12 +271,14 @@ def run_timing_job(
     return system.run(trace)
 
 
-def _functional_key(point: SweepPoint, design: DesignLike) -> str:
+def functional_job_key(point: SweepPoint, design: DesignLike) -> str:
     """Cache key of a functional job.
 
     Normalized so equivalent jobs share an entry: the trace budget
     (``max_accesses_per_core``) does not affect functional results, and
-    thresholds do not affect exact (reference) runs.
+    thresholds do not affect exact (reference) runs.  The ablations and
+    the planner's surrogate probes build their keys here too, so they
+    can never drift from the keys ``run_sweep`` reads and writes.
     """
     design = get_design(design)
     normalized = replace(
@@ -287,7 +289,7 @@ def _functional_key(point: SweepPoint, design: DesignLike) -> str:
     return content_key("functional", __version__, normalized, design)
 
 
-def _timing_key(
+def timing_job_key(
     point: SweepPoint,
     design: DesignLike,
     config: SystemConfig,
@@ -298,27 +300,6 @@ def _timing_key(
         "timing", __version__, point, get_design(design), config,
         avr_options or {},
     )
-
-
-def functional_job_key(point: SweepPoint, design: DesignLike) -> str:
-    """Public name of :func:`_functional_key`.
-
-    The planner's surrogate model probes the result cache for
-    already-computed sweep points without running a sweep; going
-    through this helper guarantees its speculative keys can never
-    drift from the keys ``run_sweep`` itself reads and writes.
-    """
-    return _functional_key(point, design)
-
-
-def timing_job_key(
-    point: SweepPoint,
-    design: DesignLike,
-    config: SystemConfig,
-    avr_options: dict | None = None,
-) -> str:
-    """Public name of :func:`_timing_key` (see :func:`functional_job_key`)."""
-    return _timing_key(point, design, config, avr_options)
 
 
 # ----------------------------------------------------------------------
@@ -477,8 +458,7 @@ class SweepResult:
         """Collapse to ``{workload name: evaluation}``.
 
         Only valid for a singleton grid (one scale, seed and threshold
-        setting), where workload names identify points uniquely —
-        exactly the shape :func:`repro.harness.evaluate_all` runs.
+        setting), where workload names identify points uniquely.
         """
         names = [p.workload for p in self.evaluations]
         if len(set(names)) != len(names):
@@ -639,13 +619,13 @@ def run_sweep(
         functional_jobs: dict[str, tuple] = {}
         for point in points:
             for design in needed_functional:
-                key = _functional_key(point, design)
+                key = functional_job_key(point, design)
                 functional_jobs.setdefault(key, (run_functional_job, point, design))
         for spoint in scenario_points:
             for plan in spoint.plans():
                 ipoint = spoint.instance_point(plan)
                 for design in scenario_functional_designs(spec.designs):
-                    key = _functional_key(ipoint, design)
+                    key = functional_job_key(ipoint, design)
                     functional_jobs.setdefault(
                         key, (run_functional_job, ipoint, design)
                     )
@@ -657,7 +637,7 @@ def run_sweep(
         def functional_for(
             point: SweepPoint, design: DesignLike
         ) -> WorkloadResult:
-            return functional[_functional_key(point, design)]
+            return functional[functional_job_key(point, design)]
 
         # --- stage 2: per-point composed layout + trace, then timing --
         # Every point — classic single-workload or multi-programmed mix
@@ -677,7 +657,7 @@ def run_sweep(
         dedups: dict[tuple[SweepPoint, DesignSpec], float] = {}
         for point in points:
             workload = point.make()
-            reference = functional[_functional_key(point, BASELINE)]
+            reference = functional[functional_job_key(point, BASELINE)]
             solo = ScenarioPoint(
                 scenario=Scenario.solo(
                     point.workload,
@@ -694,12 +674,12 @@ def run_sweep(
             )
             contexts.append((point, workload, reference, context.layout))
             for design in spec.designs:
-                func = functional.get(_functional_key(point, design), reference)
+                func = functional.get(functional_job_key(point, design), reference)
                 dedup = (
                     func.memory.dedup_factor() if design.measures_dedup else 1.0
                 )
                 dedups[(point, design)] = dedup
-                key = _timing_key(point, design, config)
+                key = timing_job_key(point, design, config)
                 descriptors[key] = (
                     context,
                     design,
@@ -781,8 +761,8 @@ def run_sweep(
             avr_compression_ratio=layout.mean_compression_ratio(),
         )
         for design in spec.designs:
-            func = functional.get(_functional_key(point, design), reference)
-            sim = timing[_timing_key(point, design, config)]
+            func = functional.get(functional_job_key(point, design), reference)
+            sim = timing[timing_job_key(point, design, config)]
             sim.iteration_factor = func.iterations / max(reference.iterations, 1)
             error = (
                 0.0

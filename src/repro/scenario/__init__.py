@@ -6,8 +6,11 @@
   and traces into one machine-wide view (disjoint base offsets,
   instruction-count balancing, instance seed spawning).
 
-Evaluation entry points (:func:`repro.harness.evaluate_scenario`, the
-``python -m repro scenario`` command) live in the harness layer.
+Mixes are evaluated like workloads: name them in an
+:class:`~repro.experiment.ExperimentSpec`'s ``scenarios`` (``repro
+experiment --scenarios heat+lbm``) or a
+:class:`~repro.harness.sweep.SweepSpec`'s; the contention experiment
+itself lives in :mod:`repro.harness.scenario`.
 """
 
 from .compose import (

@@ -1,10 +1,8 @@
 """Construction of evaluated design points, via the design registry.
 
-Historically this module hardwired the five paper designs behind a
-closed if/elif chain over the ``Design`` enum.  Dispatch now lives in
-the spec itself (:meth:`repro.designs.DesignSpec.build_llc`): a new
-design point is one ``register_design`` call and this file never
-changes again.
+Dispatch lives in the spec itself
+(:meth:`repro.designs.DesignSpec.build_llc`): a new design point is
+one ``register_design`` call and this file never changes.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ def build_system(
     """Wire up DRAM + the design's LLC into a runnable timing system.
 
     ``design`` is anything :func:`repro.designs.get_design` resolves: a
-    :class:`~repro.designs.DesignSpec`, a registry name, or a legacy
-    :class:`~repro.common.types.Design` enum member.  ``layout``
+    :class:`~repro.designs.DesignSpec` or a registry name.  ``layout``
     carries the approximable ranges and measured block sizes;
     ``footprint_bytes`` the total workload footprint (to estimate the
     fraction of LLC-resident data that is approximate for the capacity

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..approx.memory import ApproxMemory, approximator_for
-from ..common.types import Design, ErrorThresholds
+from ..common.types import ErrorThresholds
 from ..compression.errors import mean_relative_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -176,7 +176,7 @@ class Workload(abc.ABC):
 
     def run(
         self,
-        design: "DesignLike" = Design.BASELINE,
+        design: "DesignLike" = "baseline",
         thresholds: ErrorThresholds | None = None,
         check_mode: str = "hybrid",
         dganger_threshold: float | None = None,
@@ -184,7 +184,7 @@ class Workload(abc.ABC):
         """Full functional run under one design point.
 
         ``design`` is anything :func:`repro.designs.get_design`
-        resolves (spec, registry name, or legacy enum member).
+        resolves (a spec or a registry name).
         ``thresholds``/``dganger_threshold`` default to the workload's
         per-application knob settings; the design's
         ``thresholds_scale`` then scales the resolved thresholds (see

@@ -15,7 +15,7 @@ from repro.approx import (
 )
 from repro.approx.region import Region
 from repro.common.constants import BLOCK_BYTES, PAGE_BYTES
-from repro.common.types import DataType, Design, ErrorThresholds
+from repro.common.types import DataType, ErrorThresholds
 
 
 class TestRegion:
@@ -173,11 +173,11 @@ class TestApproximatorFactory:
     @pytest.mark.parametrize(
         "design,cls",
         [
-            (Design.BASELINE, ExactApproximator),
-            (Design.ZERO_AVR, ExactApproximator),
-            (Design.AVR, AVRApproximator),
-            (Design.TRUNCATE, TruncateApproximator),
-            (Design.DGANGER, DoppelgangerApproximator),
+            ("baseline", ExactApproximator),
+            ("ZeroAVR", ExactApproximator),
+            ("AVR", AVRApproximator),
+            ("truncate", TruncateApproximator),
+            ("dganger", DoppelgangerApproximator),
         ],
     )
     def test_mapping(self, design, cls):

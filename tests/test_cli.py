@@ -14,36 +14,101 @@ def test_overheads_command(capsys):
 
 def test_workload_command_small(capsys):
     code = main([
-        "workload", "heat",
+        "experiment", "--workloads", "heat",
         "--scale", "0.15", "--cores", "2", "--accesses", "5000",
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "AVR ratio" in out
+    assert "Table 4: AVR compression" in out
     for design in ("dganger", "truncate", "ZeroAVR", "AVR"):
         assert design in out
 
 
 def test_evaluate_subset(capsys):
     code = main([
-        "evaluate", "--workloads", "heat",
-        "--scale", "0.15", "--cores", "2", "--accesses", "5000",
+        "experiment", "--workloads", "heat", "lbm", "--designs", "baseline",
+        "AVR", "--scale", "0.1", "--cores", "2", "--accesses", "2000",
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "Table 3" in out and "Figure 13" in out
+    assert "2 workload(s)" in out
+
+
+def test_evaluate_without_baseline_design(capsys):
+    """Tables 3-4 print; the normalized figures need a baseline."""
+    code = main([
+        "experiment", "--workloads", "bscholes", "--designs", "AVR",
+        "--scale", "0.05", "--cores", "2", "--accesses", "500",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "Table 3" in out and "Table 4" in out
+    assert "Figure 9" not in out
+    assert "no 'baseline' design" in out
+
+
+def test_flags_match_spec_file(tmp_path, capsys):
+    """Flags build the same experiment a spec file describes."""
+    import json
+
+    from repro.experiment import ExperimentSpec, run_experiment
+    from repro.harness import experiment_result_to_mapping
+
+    spec = ExperimentSpec(
+        workloads=("heat",), scenarios=("heat@1+lbm@1",),
+        designs=("baseline", "AVR"), scales=(0.1,), seeds=(3,),
+        max_accesses_per_core=1500, num_cores=2,
+    )
+    code = main([
+        "experiment", "--workloads", "heat", "--scenarios", "heat@1+lbm@1",
+        "--designs", "baseline", "AVR", "--scale", "0.1", "--seed", "3",
+        "--accesses", "1500", "--cores", "2", "--json", "-",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    flags = json.loads(out[out.index("{\n"):])
+    expected = experiment_result_to_mapping(
+        run_experiment(spec.to_file(tmp_path / "spec.toml"))
+    )
+    assert flags["spec_hash"] == expected["spec_hash"]
+    for key in ("evaluations", "scenario_evaluations"):
+        assert flags[key] == expected[key]
+
+
+def test_flags_keep_the_sweep_cache_keys(tmp_path, capsys):
+    """A cache filled by run_sweep on the same grid serves the flags."""
+    from repro.common.config import SystemConfig
+    from repro.harness.sweep import SweepSpec, run_sweep
+    from repro.scenario import get_scenario
+
+    cache = str(tmp_path / "cache")
+    run_sweep(SweepSpec(
+        workloads=("heat",), scenarios=(get_scenario("heat@1+lbm@1"),),
+        designs=("baseline", "AVR"), config=SystemConfig.scaled(num_cores=2),
+        scales=(0.1,), max_accesses_per_core=1500,
+    ), cache_dir=cache)
+    code = main([
+        "experiment", "--workloads", "heat", "--scenarios", "heat@1+lbm@1",
+        "--designs", "baseline", "AVR", "--scale", "0.1", "--cores", "2",
+        "--accesses", "1500", "--cache-dir", cache, "--expect-cached",
+    ])
+    assert code == 0
+    assert "0 job(s) executed" in capsys.readouterr().out
 
 
 def test_scenario_list(capsys):
-    assert main(["scenario", "list"]) == 0
+    assert main(["list"]) == 0
     out = capsys.readouterr().out
     for name in ("heat+lbm", "kmeans4+bscholes4", "all7"):
+        assert name in out
+    for name in ("baseline", "avr-conservative", "heat", "bscholes"):
         assert name in out
 
 
 def test_scenario_command_small(capsys):
     code = main([
-        "scenario", "heat@1+lbm@1",
+        "experiment", "--scenarios", "heat@1+lbm@1",
         "--scale", "0.15", "--accesses", "3000",
     ])
     assert code == 0
@@ -56,7 +121,7 @@ def test_scenario_command_small(capsys):
 
 def test_scenario_without_baseline_design(capsys):
     code = main([
-        "scenario", "heat@1+lbm@1",
+        "experiment", "--scenarios", "heat@1+lbm@1",
         "--scale", "0.15", "--accesses", "3000", "--designs", "AVR",
     ])
     assert code == 0
@@ -66,21 +131,22 @@ def test_scenario_without_baseline_design(capsys):
 
 
 def test_scenario_rejects_unknown_mix(capsys):
-    assert main(["scenario", "definitely_not_a_workload"]) == 2
+    assert main(["experiment", "--scenarios", "definitely_not_a_workload"]) == 2
     assert "unknown workload" in capsys.readouterr().err
 
 
 def test_scenario_rejects_too_few_cores(capsys):
-    assert main(["scenario", "heat@2+lbm@2", "--cores", "2"]) == 2
+    assert main(["experiment", "--scenarios", "heat@2+lbm@2", "--cores", "2"]) == 2
     assert "needs 4 cores" in capsys.readouterr().err
 
 
 def test_rejects_nonpositive_cores_and_accesses():
     for argv in (
-        ["workload", "heat", "--cores", "0"],
-        ["workload", "heat", "--accesses", "0"],
-        ["evaluate", "--cores", "-3"],
-        ["scenario", "heat+lbm", "--accesses", "-1"],
+        ["experiment", "--workloads", "heat", "--cores", "0"],
+        ["experiment", "--workloads", "heat", "--accesses", "0"],
+        ["experiment", "--cores", "-3"],
+        ["experiment", "--scenarios", "heat+lbm", "--accesses", "-1"],
+        ["ablate", "heat", "--cores", "0"],
     ):
         with pytest.raises(SystemExit):
             main(argv)
@@ -90,7 +156,7 @@ def test_rejects_nonpositive_cores_and_accesses():
 def warm_cache(tmp_path):
     """A cache dir seeded by one micro workload run."""
     code = main([
-        "workload", "heat", "--scale", "0.1", "--cores", "2",
+        "experiment", "--workloads", "heat", "--scale", "0.1", "--cores", "2",
         "--accesses", "2000", "--designs", "AVR",
         "--cache-dir", str(tmp_path),
     ])
@@ -160,10 +226,21 @@ def test_cache_rejects_missing_dir(tmp_path, capsys):
 def test_removed_selector_flags_rejected(tmp_path, flag, value):
     with pytest.raises(SystemExit):
         main([
-            "workload", "heat", "--scale", "0.1", "--cores", "2",
-            "--accesses", "2000", "--designs", "AVR",
+            "experiment", "--workloads", "heat", "--scale", "0.1",
+            "--cores", "2", "--accesses", "2000", "--designs", "AVR",
             "--cache-dir", str(tmp_path), flag, value,
         ])
+
+
+def test_ablate_seed_changes_results(capsys):
+    outputs = []
+    for seed in ("0", "7"):
+        assert main([
+            "ablate", "bscholes", "--scale", "0.05", "--cores", "2",
+            "--accesses", "500", "--seed", seed,
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
 
 
 def test_requires_command():
@@ -173,4 +250,4 @@ def test_requires_command():
 
 def test_rejects_unknown_workload():
     with pytest.raises(SystemExit):
-        main(["workload", "nope"])
+        main(["experiment", "--workloads", "nope"])

@@ -13,7 +13,7 @@ from repro.common.constants import (
     SUMMARY_VALUES,
     VALUES_PER_BLOCK,
 )
-from repro.common.types import Design, ErrorThresholds
+from repro.common.types import ErrorThresholds
 
 
 class TestConstants:
@@ -102,9 +102,3 @@ class TestStatCounter:
         assert "a" not in s and s["b"] == 2
         s.reset()
         assert s.as_dict() == {}
-
-
-def test_design_enum_values():
-    assert Design.AVR.value == "AVR"
-    assert Design.DGANGER.value == "dganger"
-    assert Design.ZERO_AVR.value == "ZeroAVR"

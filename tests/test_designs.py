@@ -1,10 +1,10 @@
 """Tests for the open design registry (repro.designs).
 
 Covers the registry contract (register / lookup / duplicate rejection /
-suggestions), DesignSpec identity (hashability, enum/name equality,
+suggestions), DesignSpec identity (hashability, spec-only equality,
 pickling, cache canonicalization), option validation, and the
 acceptance-critical differential: the five shipped registry designs
-must produce SimResults bit-identical to the pre-registry enum-dispatch
+must produce SimResults bit-identical to the pre-registry if/elif
 factory wiring, and new registered variants must run end-to-end with
 zero edits to ``system/factory.py`` or ``common/types.py``.
 """
@@ -18,7 +18,6 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.common.constants import BLOCK_CACHELINES
-from repro.common.types import Design
 from repro.designs import (
     AVR,
     BASELINE,
@@ -64,13 +63,6 @@ class TestRegistry:
         assert get_design("avr") is AVR
         assert get_design("AVR") is AVR
         assert get_design("zeroavr") is ZERO_AVR
-
-    def test_enum_members_resolve(self):
-        assert get_design(Design.BASELINE) is BASELINE
-        assert get_design(Design.DGANGER) is DGANGER
-        assert get_design(Design.TRUNCATE) is TRUNCATE
-        assert get_design(Design.ZERO_AVR) is ZERO_AVR
-        assert get_design(Design.AVR) is AVR
 
     def test_spec_passthrough_without_registration(self):
         anon = DesignSpec(name="anon-variant")
@@ -119,7 +111,7 @@ class TestRegistry:
             unregister_design("repl-test")
 
     def test_resolve_designs_mixed_forms(self):
-        specs = resolve_designs(("baseline", Design.AVR, TRUNCATE))
+        specs = resolve_designs(("baseline", "avr", TRUNCATE))
         assert specs == (BASELINE, AVR, TRUNCATE)
 
 
@@ -132,12 +124,12 @@ class TestDesignSpecIdentity:
         assert d[get_design("avr")] == 1
         assert len({AVR, get_design("AVR"), BASELINE}) == 2
 
-    def test_equality_with_enum_and_name(self):
-        assert AVR == Design.AVR
-        assert Design.AVR == AVR
-        assert AVR == "AVR"
-        assert AVR == "avr"
-        assert not (AVR == Design.BASELINE)
+    def test_equality_is_spec_only(self):
+        # A spec never equals its name: equality and hashing agree, so
+        # tuple and set membership agree too.
+        assert AVR != "AVR" and AVR != "avr"
+        assert "AVR" not in (AVR,) and "AVR" not in {AVR}
+        assert AVR == get_design("AVR")
         assert AVR != TRUNCATE
 
     def test_equal_specs_hash_equal(self):
@@ -201,13 +193,13 @@ class TestDesignSpecIdentity:
         with pytest.raises(ValueError, match="approx_line_bytes"):
             DesignSpec(name="bad", approximator="truncate")
 
-    def test_designmap_accepts_enum_and_names(self):
+    def test_designmap_accepts_names(self):
         m = DesignMap()
         m[AVR] = "a"
-        m[Design.BASELINE] = "b"
-        assert m["AVR"] == "a" and m[Design.AVR] == "a"
+        m["baseline"] = "b"
+        assert m["AVR"] == "a" and m[AVR] == "a"
         assert m[BASELINE] == "b" and m["baseline"] == "b"
-        assert "avr" in m and Design.TRUNCATE not in m
+        assert "avr" in m and "truncate" not in m
         assert m.get("nope") is None
         assert len(m) == 2
 
@@ -302,11 +294,11 @@ def seed_context():
 
 
 def _legacy_build_system(design, config, layout, footprint_bytes, dedup_factor):
-    """The pre-registry enum-dispatch wiring, reproduced verbatim.
+    """The pre-registry factory wiring, reproduced verbatim.
 
     This is the if/elif chain ``system/factory.py`` shipped before the
-    registry (PR 4 state), inlined here as the differential anchor for
-    the five paper designs.
+    registry, inlined here as the differential anchor for the five
+    paper designs (dispatching on the design's name).
     """
     from repro.cache.llc_avr import AVRLLC
     from repro.cache.llc_baseline import BaselineLLC
@@ -317,9 +309,9 @@ def _legacy_build_system(design, config, layout, footprint_bytes, dedup_factor):
     approx_frac = (
         min(1.0, layout.approx_bytes / footprint_bytes) if footprint_bytes else 0.0
     )
-    if design == Design.BASELINE:
+    if design.name == "baseline":
         llc = BaselineLLC(config.llc, dram)
-    elif design == Design.TRUNCATE:
+    elif design.name == "truncate":
         capacity = 1.0 / (1.0 - approx_frac / 2.0)
         llc = BaselineLLC(
             config.llc, dram,
@@ -328,7 +320,7 @@ def _legacy_build_system(design, config, layout, footprint_bytes, dedup_factor):
             approx_line_bytes=32,
             is_approx_batch=layout.is_approx_batch,
         )
-    elif design == Design.DGANGER:
+    elif design.name == "dganger":
         effective = min(max(dedup_factor, 1.0), float(config.dganger_tag_factor))
         capacity = 1.0 / (1.0 - approx_frac * (1.0 - 1.0 / effective))
         llc = BaselineLLC(
@@ -337,7 +329,7 @@ def _legacy_build_system(design, config, layout, footprint_bytes, dedup_factor):
             capacity_multiplier=capacity,
             is_approx_batch=layout.is_approx_batch,
         )
-    elif design == Design.ZERO_AVR:
+    elif design.name == "ZeroAVR":
         llc = AVRLLC(
             config.llc, dram,
             block_size_of=lambda addr: BLOCK_CACHELINES,
@@ -355,14 +347,14 @@ def _legacy_build_system(design, config, layout, footprint_bytes, dedup_factor):
             is_approx_batch=layout.is_approx_batch,
             block_size_of_batch=layout.block_size_of_batch,
         )
-    return TimingSystem(get_design(design), config, llc, dram)
+    return TimingSystem(design, config, llc, dram)
 
 
-@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+@pytest.mark.parametrize("design", PAPER_DESIGNS, ids=lambda d: d.name)
 def test_registry_bit_identical_to_legacy_factory(design, seed_context):
-    """Acceptance: the five paper designs, registry vs enum path."""
+    """Acceptance: the five paper designs, registry vs legacy wiring."""
     ctx = seed_context
-    dedup = ctx["dedup"] if design is Design.DGANGER else 1.0
+    dedup = ctx["dedup"] if design is DGANGER else 1.0
     legacy = _legacy_build_system(
         design, ctx["config"], ctx["layout"], ctx["footprint"], dedup
     ).run(ctx["trace"])
@@ -377,14 +369,15 @@ def test_registry_bit_identical_to_legacy_factory(design, seed_context):
 # ----------------------------------------------------------------------
 class TestNewVariantsEndToEnd:
     def test_variants_through_sweep(self):
-        from repro.harness import evaluate_workload
+        from repro.experiment import ExperimentSpec, run_experiment
 
-        ev = evaluate_workload(
-            "heat", scale=SCALE, max_accesses_per_core=ACCESSES,
-            config=SystemConfig.scaled(num_cores=2),
+        spec = ExperimentSpec(
+            workloads=("heat",), scales=(SCALE,),
+            max_accesses_per_core=ACCESSES, num_cores=2,
             designs=("baseline", "AVR", "avr-conservative", "truncate-16"),
         )
-        assert {d.value for d in ev.runs} == {
+        ev = run_experiment(spec).by_workload()["heat"]
+        assert {d.name for d in ev.runs} == {
             "baseline", "AVR", "avr-conservative", "truncate-16",
         }
         avr = ev.runs["AVR"]
@@ -400,14 +393,14 @@ class TestNewVariantsEndToEnd:
         assert ev.normalized("truncate-16", "traffic") < 1.0
 
     def test_variants_through_scenario(self):
-        from repro.harness.scenario import evaluate_scenario
-        from repro.scenario import get_scenario
+        from repro.experiment import ExperimentSpec, run_experiment
 
-        ev = evaluate_scenario(
-            get_scenario("heat@1+lbm@1").scaled(SCALE),
+        spec = ExperimentSpec(
+            scenarios=("heat@1+lbm@1",), scales=(SCALE,),
             designs=("baseline", "avr-conservative"),
             max_accesses_per_core=2_000,
         )
+        ev = run_experiment(spec).by_scenario()["heat@1+lbm@1"]
         run = ev.runs["avr-conservative"]
         assert run.weighted_speedup > 0
         assert len(run.instances) == 2
@@ -434,9 +427,9 @@ class TestNewVariantsEndToEnd:
         from repro.__main__ import main
 
         code = main([
-            "workload", "heat", "--scale", str(SCALE),
+            "experiment", "--workloads", "heat", "--scale", str(SCALE),
             "--cores", "2", "--accesses", str(ACCESSES),
-            "--designs", "AVR", "avr-conservative", "truncate-16",
+            "--designs", "baseline", "AVR", "avr-conservative", "truncate-16",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -445,7 +438,7 @@ class TestNewVariantsEndToEnd:
     def test_cli_unknown_design_did_you_mean(self, capsys):
         from repro.__main__ import main
 
-        code = main(["workload", "heat", "--designs", "avrr"])
+        code = main(["experiment", "--workloads", "heat", "--designs", "avrr"])
         assert code == 2
         err = capsys.readouterr().err
         assert "did you mean" in err
@@ -454,7 +447,7 @@ class TestNewVariantsEndToEnd:
 
     def test_core_files_closed_for_modification(self):
         """New variants exist purely in the registry: neither the
-        factory nor the legacy enum knows their names."""
+        factory nor the shared types module knows their names."""
         import inspect
 
         import repro.common.types as types_mod
@@ -465,11 +458,9 @@ class TestNewVariantsEndToEnd:
         for name in ("avr-conservative", "truncate-16"):
             assert name not in factory_src
             assert name not in types_src
-        assert [d.value for d in Design] == [
-            "baseline", "dganger", "truncate", "ZeroAVR", "AVR",
-        ]
 
     def test_compared_tuple_matches_enum_order(self):
-        assert tuple(d.value for d in COMPARED) == (
+        """The compared designs keep the paper's figure order."""
+        assert tuple(d.name for d in COMPARED) == (
             "dganger", "truncate", "ZeroAVR", "AVR",
         )

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import run_reference
 from repro.common.config import SystemConfig
-from repro.common.types import Design
+from repro.designs import AVR, BASELINE, PAPER_DESIGNS, TRUNCATE
 from repro.harness.runner import _build_layout
 from repro.harness.sweep import SweepPoint, run_functional_job
 from repro.system.factory import build_system
@@ -31,8 +31,8 @@ def workload_context(request):
         workload=request.param, scale=0.15, max_accesses_per_core=ACCESSES
     )
     workload = point.make()
-    reference = run_functional_job(point, Design.BASELINE)
-    avr = run_functional_job(point, Design.AVR)
+    reference = run_functional_job(point, BASELINE)
+    avr = run_functional_job(point, AVR)
     layout = _build_layout(workload, avr)
     trace = generate_trace(
         workload.trace_spec(),
@@ -44,13 +44,13 @@ def workload_context(request):
     return layout, trace, reference.memory.footprint_bytes
 
 
-@pytest.mark.parametrize("design", list(Design))
+@pytest.mark.parametrize("design", PAPER_DESIGNS, ids=lambda d: d.name)
 def test_engines_bit_identical(workload_context, design):
     layout, trace, footprint = workload_context
     ref = run_reference(build_system(design, CONFIG, layout, footprint), trace)
     vec = build_system(design, CONFIG, layout, footprint).run(trace)
     diffs = ref.metric_diffs(vec)
-    assert not diffs, f"replay diverges from the oracle on {design}: {diffs}"
+    assert not diffs, f"replay diverges from the oracle on {design.name}: {diffs}"
     # Spot-pin the strictest fields: exact float equality, not approx.
     assert ref.cycles == vec.cycles
     assert ref.energy.joules == vec.energy.joules
@@ -73,7 +73,7 @@ def test_write_heavy_trace_bit_identical():
     trace = GeneratedTrace(cores=cores, iterations_simulated=1, iterations_total=1)
     layout = AddressLayout()
     layout.add_region(0, 1 << 20, 2)
-    for design in (Design.BASELINE, Design.AVR, Design.TRUNCATE):
+    for design in (BASELINE, AVR, TRUNCATE):
         ref = run_reference(build_system(design, CONFIG, layout, 1 << 20), trace)
         vec = build_system(design, CONFIG, layout, 1 << 20).run(trace)
         assert ref.metrics_equal(vec), ref.metric_diffs(vec)
@@ -90,9 +90,9 @@ def test_empty_trace_both_engines():
         iterations_total=1,
     )
     ref = run_reference(
-        build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20), empty
+        build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20), empty
     )
-    vec = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
+    vec = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
         empty
     )
     assert ref.metrics_equal(vec)
@@ -105,9 +105,9 @@ def test_coreless_trace_both_engines():
 
     bare = GeneratedTrace(cores=[], iterations_simulated=1, iterations_total=1)
     ref = run_reference(
-        build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20), bare
+        build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20), bare
     )
-    vec = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
+    vec = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
         bare
     )
     assert ref.metrics_equal(vec)
@@ -133,8 +133,8 @@ def heat_context():
     """One small heat workload context shared by the ablation matrix."""
     point = SweepPoint(workload="heat", scale=0.15, max_accesses_per_core=2_500)
     workload = point.make()
-    reference = run_functional_job(point, Design.BASELINE)
-    avr = run_functional_job(point, Design.AVR)
+    reference = run_functional_job(point, BASELINE)
+    avr = run_functional_job(point, AVR)
     layout = _build_layout(workload, avr)
     trace = generate_trace(
         workload.trace_spec(),
@@ -153,12 +153,12 @@ def test_avr_ablations_bit_identical(heat_context, variant):
     options = AVR_VARIANTS[variant]
     ref = run_reference(
         build_system(
-            Design.AVR, CONFIG, layout, footprint, avr_options=dict(options)
+            AVR, CONFIG, layout, footprint, avr_options=dict(options)
         ),
         trace,
     )
     vec = build_system(
-        Design.AVR, CONFIG, layout, footprint, avr_options=dict(options)
+        AVR, CONFIG, layout, footprint, avr_options=dict(options)
     ).run(trace)
     diffs = ref.metric_diffs(vec)
     assert not diffs, f"AVR[{variant}] replay diverges from the oracle: {diffs}"
@@ -199,12 +199,12 @@ def test_avr_multicore_mixed_regions_bit_identical(variant):
     options = AVR_VARIANTS[variant]
     ref = run_reference(
         build_system(
-            Design.AVR, config, layout, 1 << 19, avr_options=dict(options)
+            AVR, config, layout, 1 << 19, avr_options=dict(options)
         ),
         trace,
     )
     vec = build_system(
-        Design.AVR, config, layout, 1 << 19, avr_options=dict(options)
+        AVR, config, layout, 1 << 19, avr_options=dict(options)
     ).run(trace)
     assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
@@ -213,8 +213,8 @@ def test_avr_replay_then_scalar_handoff():
     """Scalar calls after a batch see exactly the event-by-event state."""
     layout, trace = _mixed_trace(num_cores=2, n=1_200)
     config = SystemConfig.scaled(num_cores=2)
-    fast = build_system(Design.AVR, config, layout, 1 << 19)
-    slow = build_system(Design.AVR, config, layout, 1 << 19)
+    fast = build_system(AVR, config, layout, 1 << 19)
+    slow = build_system(AVR, config, layout, 1 << 19)
     fast.run(trace)
     run_reference(slow, trace)
     assert fast.llc.check_invariants() == []
@@ -267,8 +267,8 @@ def test_avr_misaligned_region_bit_identical():
             make_trace(addrs, rng.random(n) < 0.5, rng.integers(0, 20, n))
         )
     trace = GeneratedTrace(cores=cores, iterations_simulated=1, iterations_total=1)
-    ref = run_reference(build_system(Design.AVR, CONFIG, layout, 1 << 18), trace)
-    vec = build_system(Design.AVR, CONFIG, layout, 1 << 18).run(trace)
+    ref = run_reference(build_system(AVR, CONFIG, layout, 1 << 18), trace)
+    vec = build_system(AVR, CONFIG, layout, 1 << 18).run(trace)
     assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
 

@@ -43,6 +43,9 @@ class TestSpecConstruction:
                 ExperimentSpec(max_accesses_per_core=accesses)
         with pytest.raises(ValueError, match="num_cores"):
             ExperimentSpec(num_cores=0)
+        # a machine narrower than a mix fails at construction, not mid-run
+        with pytest.raises(ValueError, match="needs 4 cores"):
+            ExperimentSpec(scenarios=("heat@2+lbm@2",), num_cores=2)
         # T2 must lie in (0, 1]: 0 approximates nothing, 2 is no bound
         for t2 in (0.0, 2.0):
             with pytest.raises(ValueError, match="T2 threshold"):

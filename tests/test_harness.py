@@ -3,10 +3,10 @@
 import pytest
 
 from repro.common.config import CacheConfig, SystemConfig
-from repro.common.types import Design
+from repro.designs import AVR, BASELINE, PAPER_DESIGNS, ZERO_AVR
 from repro.harness import (
     GEOMEAN,
-    evaluate_workload,
+    SweepSpec,
     fig09_execution_time,
     fig10_energy,
     fig11_memory_traffic,
@@ -18,6 +18,7 @@ from repro.harness import (
     format_table,
     hardware_overheads,
     table3_output_error,
+    run_sweep,
     table4_compression,
     transpose,
 )
@@ -33,13 +34,14 @@ CONFIG = SystemConfig(
 
 @pytest.fixture(scope="module")
 def heat_eval():
-    return evaluate_workload(
-        "heat",
+    spec = SweepSpec(
+        workloads=("heat",),
         config=CONFIG,
-        scale=0.15,
-        iterations=12,
+        scales=(0.15,),
         max_accesses_per_core=15_000,
+        workload_kwargs=(("iterations", 12),),
     )
+    return run_sweep(spec).by_workload()["heat"]
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +51,16 @@ def evals(heat_eval):
 
 class TestEvaluateWorkload:
     def test_all_designs_present(self, heat_eval):
-        # Runs are keyed by DesignSpec; legacy enum members still
-        # address the same entries through the DesignMap alias layer.
-        assert {d.value for d in heat_eval.runs} == {
+        # Runs are keyed by DesignSpec; registry names address the
+        # same entries through the DesignMap.
+        assert {d.name for d in heat_eval.runs} == {
             "baseline", "dganger", "truncate", "ZeroAVR", "AVR",
         }
-        assert all(d in heat_eval.runs for d in Design)
+        assert all(d.name in heat_eval.runs for d in PAPER_DESIGNS)
 
     def test_baseline_error_zero(self, heat_eval):
-        assert heat_eval.runs[Design.BASELINE].output_error == 0.0
-        assert heat_eval.runs[Design.ZERO_AVR].output_error == 0.0
+        assert heat_eval.runs[BASELINE].output_error == 0.0
+        assert heat_eval.runs[ZERO_AVR].output_error == 0.0
 
     def test_avr_compresses(self, heat_eval):
         assert heat_eval.avr_compression_ratio > 1.5
@@ -70,17 +72,17 @@ class TestEvaluateWorkload:
         # win (the paper notes the same inflation for lattice); the miss
         # reduction is the robust signal.  Paper-regime traffic claims
         # are exercised in test_integration.
-        assert heat_eval.normalized(Design.AVR, "traffic") < 1.4
-        assert heat_eval.normalized(Design.AVR, "mpki") < 0.5
+        assert heat_eval.normalized(AVR, "traffic") < 1.4
+        assert heat_eval.normalized(AVR, "mpki") < 0.5
 
     def test_zero_avr_near_baseline(self, heat_eval):
-        assert heat_eval.normalized(Design.ZERO_AVR, "time") == pytest.approx(
+        assert heat_eval.normalized(ZERO_AVR, "time") == pytest.approx(
             1.0, abs=0.1
         )
 
     def test_unknown_metric(self, heat_eval):
         with pytest.raises(ValueError):
-            heat_eval.normalized(Design.AVR, "bogus")
+            heat_eval.normalized(AVR, "bogus")
 
 
 class TestExperiments:
@@ -111,7 +113,7 @@ class TestExperiments:
         parts = f11["heat"]["AVR"]
         total = parts["Approx"] + parts["Non-approx"]
         assert total == pytest.approx(
-            heat_eval.normalized(Design.AVR, "traffic"), rel=1e-6
+            heat_eval.normalized(AVR, "traffic"), rel=1e-6
         )
 
     def test_fig12_fig13_normalized(self, evals):

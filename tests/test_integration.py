@@ -3,8 +3,8 @@
 import pytest
 
 from repro.common.config import CacheConfig, SystemConfig
-from repro.common.types import Design
-from repro.harness import evaluate_workload
+from repro.designs import AVR, DGANGER, TRUNCATE, ZERO_AVR
+from repro.harness import SweepSpec, run_sweep
 
 #: The paper's regime: raw footprint >> LLC >= compressed footprint
 #: (heat: 65 MB raw, 8 MB LLC, ~6 MB compressed).  Here: ~1.2 MB raw
@@ -20,53 +20,54 @@ STREAM_CONFIG = SystemConfig(
 @pytest.fixture(scope="module")
 def heat_full():
     """heat at moderate scale, raw footprint >> LLC (streaming regime)."""
-    return evaluate_workload(
-        "heat",
+    spec = SweepSpec(
+        workloads=("heat",),
         config=STREAM_CONFIG,
-        scale=0.5,
-        iterations=25,
+        scales=(0.5,),
         max_accesses_per_core=40_000,
+        workload_kwargs=(("iterations", 25),),
     )
+    return run_sweep(spec).by_workload()["heat"]
 
 
 class TestHeadlineClaims:
     """§1: AVR reduces traffic, time and energy at small output error."""
 
     def test_avr_reduces_memory_traffic(self, heat_full):
-        assert heat_full.normalized(Design.AVR, "traffic") < 0.75
+        assert heat_full.normalized(AVR, "traffic") < 0.75
 
     def test_avr_reduces_execution_time(self, heat_full):
-        assert heat_full.normalized(Design.AVR, "time") < 0.95
+        assert heat_full.normalized(AVR, "time") < 0.95
 
     def test_avr_reduces_energy(self, heat_full):
-        assert heat_full.normalized(Design.AVR, "energy") < 1.0
+        assert heat_full.normalized(AVR, "energy") < 1.0
 
     def test_avr_error_below_two_percent(self, heat_full):
-        assert heat_full.runs[Design.AVR].output_error < 0.02
+        assert heat_full.runs[AVR].output_error < 0.02
 
     def test_avr_beats_truncate_on_compressible_data(self, heat_full):
         """heat compresses ~10:1, so AVR must beat Truncate's flat 2:1
         on traffic (the paper's central comparison)."""
-        avr = heat_full.normalized(Design.AVR, "traffic")
-        trunc = heat_full.normalized(Design.TRUNCATE, "traffic")
+        avr = heat_full.normalized(AVR, "traffic")
+        trunc = heat_full.normalized(TRUNCATE, "traffic")
         assert avr < trunc
 
     def test_avr_amat_lowest(self, heat_full):
         amat = {
             d: heat_full.normalized(d, "amat")
-            for d in (Design.AVR, Design.TRUNCATE, Design.DGANGER)
+            for d in (AVR, TRUNCATE, DGANGER)
         }
-        assert amat[Design.AVR] == min(amat.values())
+        assert amat[AVR] == min(amat.values())
 
     def test_zero_avr_overhead_small(self, heat_full):
         """§4.3: AVR without approximation adds no notable overhead."""
-        assert heat_full.normalized(Design.ZERO_AVR, "time") < 1.05
-        assert heat_full.normalized(Design.ZERO_AVR, "traffic") < 1.05
+        assert heat_full.normalized(ZERO_AVR, "time") < 1.05
+        assert heat_full.normalized(ZERO_AVR, "traffic") < 1.05
 
     def test_llc_requests_hit_on_chip(self, heat_full):
         """§4.3: 40-80% of approximate LLC requests hit DBUF or
         compressed blocks for streaming workloads."""
-        stats = heat_full.runs[Design.AVR].timing.llc_stats
+        stats = heat_full.runs[AVR].timing.llc_stats
         hits = (
             stats.get("req_hit_dbuf", 0)
             + stats.get("req_hit_compressed", 0)
@@ -78,7 +79,7 @@ class TestHeadlineClaims:
     def test_lazy_or_recompress_dominate_evictions(self, heat_full):
         """§4.3: streaming benchmarks avoid fetch+recompress for 45-80%
         of evictions via laziness / on-chip recompression."""
-        stats = heat_full.runs[Design.AVR].timing.llc_stats
+        stats = heat_full.runs[AVR].timing.llc_stats
         cheap = stats.get("evict_recompress", 0) + stats.get(
             "evict_lazy_writeback", 0
         )
@@ -94,24 +95,25 @@ class TestDesignOrderings:
 
     def test_traffic_ordering(self, heat_full):
         t = {d: heat_full.normalized(d, "traffic") for d in (
-            Design.AVR, Design.TRUNCATE, Design.DGANGER)}
-        assert t[Design.AVR] < t[Design.TRUNCATE] < t[Design.DGANGER]
+            AVR, TRUNCATE, DGANGER)}
+        assert t[AVR] < t[TRUNCATE] < t[DGANGER]
 
     def test_mpki_ordering(self, heat_full):
         m = {d: heat_full.normalized(d, "mpki") for d in (
-            Design.AVR, Design.TRUNCATE)}
-        assert m[Design.AVR] < m[Design.TRUNCATE] <= 1.01
+            AVR, TRUNCATE)}
+        assert m[AVR] < m[TRUNCATE] <= 1.01
 
 
 class TestComputeBoundWorkload:
     def test_bscholes_insensitive(self):
         """§4.3: compute-bound bscholes sees minimal impact from any design."""
-        ev = evaluate_workload(
-            "bscholes",
+        spec = SweepSpec(
+            workloads=("bscholes",),
             config=STREAM_CONFIG,
-            scale=0.1,
-            passes=2,
+            scales=(0.1,),
             max_accesses_per_core=20_000,
+            workload_kwargs=(("passes", 2),),
         )
-        for design in (Design.AVR, Design.TRUNCATE, Design.DGANGER):
+        ev = run_sweep(spec).by_workload()["bscholes"]
+        for design in (AVR, TRUNCATE, DGANGER):
             assert ev.normalized(design, "time") == pytest.approx(1.0, abs=0.1)

@@ -13,12 +13,11 @@ import pytest
 
 from oracles import run_reference
 from repro.common.config import CacheConfig, SystemConfig
-from repro.common.types import Design
+from repro.designs import AVR, BASELINE
 from repro.harness.runner import _build_layout
 from repro.harness.scenario import (
     ScenarioPoint,
     build_scenario_context,
-    evaluate_scenario,
     scenario_subsets,
 )
 from repro.harness.sweep import SweepPoint, SweepSpec, run_functional_job, run_sweep
@@ -62,13 +61,22 @@ FUNCTIONAL = _functional_memo()
 
 
 def _context(mix: str, config=CONFIG, accesses=ACCESSES, seed=0,
-             designs=(Design.BASELINE, Design.AVR)):
+             designs=(BASELINE, AVR)):
     point = ScenarioPoint(
         scenario=get_scenario(mix).scaled(0.15),
         seed=seed,
         max_accesses_per_core=accesses,
     )
     return point, build_scenario_context(point, config, FUNCTIONAL, designs)
+
+
+def _evaluate(scenario: Scenario, designs):
+    """One scenario point on ``CONFIG``, through the sweep engine."""
+    spec = SweepSpec(
+        scenarios=(scenario,), designs=designs, config=CONFIG,
+        max_accesses_per_core=ACCESSES,
+    )
+    return run_sweep(spec).by_scenario()[scenario.name]
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +268,7 @@ class TestComposition:
             plans, context.offsets, context.workloads
         ):
             ipoint = point.instance_point(plan)
-            local = _build_layout(workload, FUNCTIONAL(ipoint, Design.AVR))
+            local = _build_layout(workload, FUNCTIONAL(ipoint, AVR))
             for r in local.ranges:
                 for addr in (r.start, (r.start + r.end) // 2 & ~1023, r.end - 1024):
                     assert context.layout.block_size_of(addr + offset) == \
@@ -272,7 +280,7 @@ class TestComposition:
         point, context = _context("heat+lbm", config=SystemConfig.scaled(8))
         assert context.footprint_bytes == sum(context.instance_footprints)
         per_instance = sum(
-            _build_layout(w, FUNCTIONAL(point.instance_point(p), Design.AVR)).approx_bytes
+            _build_layout(w, FUNCTIONAL(point.instance_point(p), AVR)).approx_bytes
             for p, w in zip(context.plans, context.workloads)
         )
         assert context.layout.approx_bytes == per_instance
@@ -297,8 +305,8 @@ class TestTrivialScenario:
         point = SweepPoint(workload="heat", scale=0.15,
                            max_accesses_per_core=ACCESSES)
         workload = point.make()
-        reference = FUNCTIONAL(point, Design.BASELINE)
-        legacy_layout = _build_layout(workload, FUNCTIONAL(point, Design.AVR))
+        reference = FUNCTIONAL(point, BASELINE)
+        legacy_layout = _build_layout(workload, FUNCTIONAL(point, AVR))
         legacy_trace = generate_trace(
             workload.trace_spec(), reference.memory,
             num_cores=CONFIG.num_cores,
@@ -309,7 +317,7 @@ class TestTrivialScenario:
             max_accesses_per_core=ACCESSES,
         )
         context = build_scenario_context(
-            solo, CONFIG, FUNCTIONAL, designs=(Design.BASELINE, Design.AVR)
+            solo, CONFIG, FUNCTIONAL, designs=(BASELINE, AVR)
         )
         assert len(context.layout.ranges) == len(legacy_layout.ranges)
         for a, b in zip(context.layout.ranges, legacy_layout.ranges):
@@ -322,13 +330,11 @@ class TestTrivialScenario:
             assert np.array_equal(a, b)
 
     def test_single_instance_contention_is_trivial(self):
-        ev = evaluate_scenario(
+        ev = _evaluate(
             Scenario.solo("heat", cores=CONFIG.num_cores, scale=0.15),
-            config=CONFIG,
-            designs=(Design.BASELINE,),
-            max_accesses_per_core=ACCESSES,
+            designs=(BASELINE,),
         )
-        run = ev.runs[Design.BASELINE]
+        run = ev.runs[BASELINE]
         assert run.weighted_speedup == pytest.approx(1.0)
         inst = run.instances[0]
         assert inst.slowdown == pytest.approx(1.0)
@@ -351,17 +357,17 @@ class TestEngineEquivalence:
         trace = context.trace()
         ref = run_reference(
             build_system(
-                Design.AVR, config, context.layout, context.footprint_bytes
+                AVR, config, context.layout, context.footprint_bytes
             ),
             trace,
         )
         vec = build_system(
-            Design.AVR, config, context.layout, context.footprint_bytes
+            AVR, config, context.layout, context.footprint_bytes
         ).run(trace)
         assert ref.metrics_equal(vec), ref.metric_diffs(vec)
         assert ref.core_cycles == vec.core_cycles
 
-    @pytest.mark.parametrize("design", [Design.BASELINE, Design.TRUNCATE])
+    @pytest.mark.parametrize("design", ["baseline", "truncate"])
     def test_heterogeneous_mix_bit_identical(self, design):
         _, context = _context("kmeans*2+heat@2")
         trace = context.trace()
@@ -379,7 +385,7 @@ class TestEngineEquivalence:
     def test_core_cycles_consistent_with_cycles(self):
         _, context = _context("kmeans*2+heat@2")
         sim = build_system(
-            Design.BASELINE, CONFIG, context.layout, context.footprint_bytes
+            BASELINE, CONFIG, context.layout, context.footprint_bytes
         ).run(context.trace())
         assert len(sim.core_cycles) == CONFIG.num_cores
         assert sim.cycles >= max(sim.core_cycles)
@@ -390,7 +396,7 @@ class TestEngineEquivalence:
 # ----------------------------------------------------------------------
 MIX_SPEC = SweepSpec(
     scenarios=(parse_mix("kmeans*2+heat@2"),),
-    designs=(Design.BASELINE, Design.AVR),
+    designs=(BASELINE, AVR),
     config=CONFIG,
     scales=(0.15,),
     max_accesses_per_core=ACCESSES,
@@ -399,10 +405,8 @@ MIX_SPEC = SweepSpec(
 
 class TestEvaluation:
     def test_contention_metrics_shape(self):
-        ev = evaluate_scenario(
-            parse_mix("kmeans*2+heat@2").scaled(0.15), config=CONFIG,
-            designs=(Design.BASELINE, Design.AVR),
-            max_accesses_per_core=ACCESSES,
+        ev = _evaluate(
+            parse_mix("kmeans*2+heat@2").scaled(0.15), designs=(BASELINE, AVR)
         )
         for run in ev.runs.values():
             assert len(run.instances) == 3
@@ -416,16 +420,16 @@ class TestEvaluation:
                 # but it must stay in the right ballpark.
                 assert inst.pressure_llc_misses >= 0.5 * inst.solo_llc_misses
                 assert inst.induced_llc_misses >= -0.5 * inst.solo_llc_misses
-        assert ev.normalized_mix_time(Design.BASELINE) == 1.0
+        assert ev.normalized_mix_time(BASELINE) == 1.0
         # AVR relieves the shared LLC/DRAM: the mix must not get slower
-        assert ev.normalized_mix_time(Design.AVR) <= 1.0
+        assert ev.normalized_mix_time(AVR) <= 1.0
 
     def test_pure_scenario_spec_runs_no_workload_points(self):
         result = run_sweep(MIX_SPEC, jobs=1)
         assert len(result.evaluations) == 0
         assert len(result.scenario_evaluations) == 1
         ev = result.by_scenario()["kmeans*2+heat@2"]
-        assert ev.runs[Design.AVR].corun.cycles > 0
+        assert ev.runs[AVR].corun.cycles > 0
 
     def test_scenario_sweep_serial_parallel_identical(self):
         serial = run_sweep(MIX_SPEC, jobs=1).by_scenario()["kmeans*2+heat@2"]
@@ -453,7 +457,7 @@ class TestEvaluation:
 
         solo_spec = SweepSpec(
             workloads=("heat",),
-            designs=(Design.BASELINE, Design.AVR),
+            designs=(BASELINE, AVR),
             config=CONFIG,
             scales=(0.15,),
             max_accesses_per_core=ACCESSES,
@@ -470,13 +474,10 @@ class TestEvaluation:
     def test_without_baseline_design(self):
         import math
 
-        ev = evaluate_scenario(
-            parse_mix("heat@1+lbm@1").scaled(0.15), config=CONFIG,
-            designs=(Design.AVR,), max_accesses_per_core=ACCESSES,
-        )
-        assert [d.value for d in ev.runs] == ["AVR"]
-        assert ev.runs[Design.AVR].weighted_speedup > 0
-        assert math.isnan(ev.normalized_mix_time(Design.AVR))
+        ev = _evaluate(parse_mix("heat@1+lbm@1").scaled(0.15), designs=(AVR,))
+        assert [d.name for d in ev.runs] == ["AVR"]
+        assert ev.runs[AVR].weighted_speedup > 0
+        assert math.isnan(ev.normalized_mix_time(AVR))
 
     def test_timing_key_ignores_cosmetic_name(self):
         from dataclasses import replace
@@ -486,9 +487,9 @@ class TestEvaluation:
         named = ScenarioPoint(get_scenario("heat+lbm"))
         spelled = ScenarioPoint(get_scenario("heat@4+lbm@4"))
         assert named.scenario.name != spelled.scenario.name
-        key = scenario_timing_key(named, Design.AVR, CONFIG, (0, 1))
-        assert key == scenario_timing_key(spelled, Design.AVR, CONFIG, (0, 1))
+        key = scenario_timing_key(named, AVR, CONFIG, (0, 1))
+        assert key == scenario_timing_key(spelled, AVR, CONFIG, (0, 1))
         # ...but real content differences still change the key
         reseeded = replace(named, seed=1)
-        assert key != scenario_timing_key(reseeded, Design.AVR, CONFIG, (0, 1))
-        assert key != scenario_timing_key(named, Design.AVR, CONFIG, (0,))
+        assert key != scenario_timing_key(reseeded, AVR, CONFIG, (0, 1))
+        assert key != scenario_timing_key(named, AVR, CONFIG, (0,))

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, SystemConfig
-from repro.common.types import Design, ErrorThresholds
-from repro.harness import evaluate_all, evaluate_workload
+from repro.common.types import ErrorThresholds
+from repro.designs import AVR, BASELINE
 from repro.harness.cache import ResultCache, _canonical, content_key
 from repro.harness.sweep import SweepPoint, SweepSpec, run_sweep
 
@@ -60,29 +60,6 @@ class TestSerialParallelEquality:
         assert_identical(
             serial_result.by_workload()["heat"], parallel.by_workload()["heat"]
         )
-
-    def test_sweep_matches_evaluate_all(self, serial_result):
-        evals = evaluate_all(
-            names=("heat",),
-            config=CONFIG,
-            scale=0.15,
-            max_accesses_per_core=8_000,
-        )
-        # evaluate_all has no workload_kwargs channel; rebuild the spec
-        # it actually ran and compare against a fresh direct sweep.
-        spec = replace(SPEC, workload_kwargs=())
-        direct = run_sweep(spec, jobs=2)
-        assert_identical(evals["heat"], direct.by_workload()["heat"])
-
-    def test_evaluate_workload_matches_sweep(self, serial_result):
-        ev = evaluate_workload(
-            "heat",
-            config=CONFIG,
-            scale=0.15,
-            max_accesses_per_core=8_000,
-            iterations=10,
-        )
-        assert_identical(ev, serial_result.by_workload()["heat"])
 
 
 class TestSpec:
@@ -165,8 +142,8 @@ class TestCache:
         ev_cold = cold.by_workload()["heat"]
         ev_changed = changed.by_workload()["heat"]
         assert (
-            ev_changed.runs[Design.BASELINE].timing.cycles
-            != ev_cold.runs[Design.BASELINE].timing.cycles
+            ev_changed.runs[BASELINE].timing.cycles
+            != ev_cold.runs[BASELINE].timing.cycles
         )
 
     def test_threshold_sweep_shares_baseline(self, tmp_path):
@@ -195,7 +172,7 @@ class TestCache:
         assert content_key(CONFIG) != content_key(
             replace(CONFIG, llc=CacheConfig(64 * 1024, 16, 15))
         )
-        assert content_key(Design.AVR) != content_key(Design.BASELINE)
+        assert content_key(AVR) != content_key(BASELINE)
 
     def test_content_key_rejects_unknown_types(self):
         with pytest.raises(TypeError):

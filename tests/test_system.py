@@ -7,7 +7,7 @@ from repro.cache.llc_avr import AVRLLC
 from repro.cache.llc_baseline import BaselineLLC
 from repro.common.config import SystemConfig
 from repro.common.constants import BLOCK_BYTES, BLOCK_CACHELINES
-from repro.common.types import Design
+from repro.designs import AVR, BASELINE, DGANGER, TRUNCATE, ZERO_AVR
 from repro.system import AddressLayout, build_system
 from repro.trace.events import make_trace
 from repro.trace.generator import GeneratedTrace
@@ -56,42 +56,42 @@ def _tiny_trace(num_cores=2, lines=512, gap=50):
 
 class TestFactory:
     def test_baseline_llc_type(self):
-        sys_ = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20)
+        sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
         assert isinstance(sys_.llc, BaselineLLC)
 
     def test_avr_llc_type(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 8 * BLOCK_BYTES, 2)
-        sys_ = build_system(Design.AVR, CONFIG, layout, 1 << 20)
+        sys_ = build_system(AVR, CONFIG, layout, 1 << 20)
         assert isinstance(sys_.llc, AVRLLC)
         assert sys_.llc.is_approx(0x10000)
 
     def test_zero_avr_marks_nothing(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 8 * BLOCK_BYTES, 2)
-        sys_ = build_system(Design.ZERO_AVR, CONFIG, layout, 1 << 20)
+        sys_ = build_system(ZERO_AVR, CONFIG, layout, 1 << 20)
         assert isinstance(sys_.llc, AVRLLC)
         assert not sys_.llc.is_approx(0x10000)
 
     def test_truncate_capacity_and_linewidth(self):
         layout = AddressLayout()
         layout.add_region(0, 1 << 19, 8)  # half the footprint approx
-        sys_ = build_system(Design.TRUNCATE, CONFIG, layout, 1 << 20)
+        sys_ = build_system(TRUNCATE, CONFIG, layout, 1 << 20)
         assert sys_.llc.approx_line_bytes == 32
         assert sys_.llc.cache.ways > CONFIG.llc.ways
 
     def test_dganger_capacity_capped_by_tag_reach(self):
         layout = AddressLayout()
         layout.add_region(0, 1 << 20, 16)
-        sys_hi = build_system(Design.DGANGER, CONFIG, layout, 1 << 20, dedup_factor=100.0)
-        sys_lo = build_system(Design.DGANGER, CONFIG, layout, 1 << 20, dedup_factor=1.0)
+        sys_hi = build_system(DGANGER, CONFIG, layout, 1 << 20, dedup_factor=100.0)
+        sys_lo = build_system(DGANGER, CONFIG, layout, 1 << 20, dedup_factor=1.0)
         assert sys_hi.llc.cache.ways <= CONFIG.llc.ways * CONFIG.dganger_tag_factor
         assert sys_lo.llc.cache.ways == CONFIG.llc.ways
 
 
 class TestSimulator:
     def test_baseline_run_produces_metrics(self):
-        sys_ = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20)
+        sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
         res = sys_.run(_tiny_trace())
         assert res.cycles > 0
         assert res.instructions > 0
@@ -103,28 +103,28 @@ class TestSimulator:
     def test_avr_reduces_traffic_on_compressible_data(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 20, 2)
-        base = build_system(Design.BASELINE, CONFIG, layout, 1 << 20).run(_tiny_trace())
-        avr = build_system(Design.AVR, CONFIG, layout, 1 << 20).run(_tiny_trace())
+        base = build_system(BASELINE, CONFIG, layout, 1 << 20).run(_tiny_trace())
+        avr = build_system(AVR, CONFIG, layout, 1 << 20).run(_tiny_trace())
         assert avr.total_bytes < base.total_bytes
         assert avr.llc_mpki < base.llc_mpki
 
     def test_zero_avr_close_to_baseline(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 20, 2)
-        base = build_system(Design.BASELINE, CONFIG, layout, 1 << 20).run(_tiny_trace())
-        zero = build_system(Design.ZERO_AVR, CONFIG, layout, 1 << 20).run(_tiny_trace())
+        base = build_system(BASELINE, CONFIG, layout, 1 << 20).run(_tiny_trace())
+        zero = build_system(ZERO_AVR, CONFIG, layout, 1 << 20).run(_tiny_trace())
         assert zero.total_bytes == pytest.approx(base.total_bytes, rel=0.05)
         assert zero.cycles == pytest.approx(base.cycles, rel=0.05)
 
     def test_iteration_factor_scales_adjusted(self):
-        sys_ = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20)
+        sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
         res = sys_.run(_tiny_trace())
         res.iteration_factor = 2.0
         assert res.adjusted_cycles == pytest.approx(2 * res.cycles)
         assert res.adjusted_bytes == pytest.approx(2 * res.total_bytes)
 
     def test_instructions_match_trace(self):
-        sys_ = build_system(Design.BASELINE, CONFIG, AddressLayout(), 1 << 20)
+        sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
         trace = _tiny_trace(num_cores=1, lines=100, gap=10)
         res = sys_.run(trace)
         assert res.instructions == 100 * 11
@@ -133,8 +133,8 @@ class TestSimulator:
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 20, 2)
         t = _tiny_trace(lines=256, gap=2000)  # huge compute gaps
-        base = build_system(Design.BASELINE, CONFIG, layout, 1 << 20).run(t)
-        avr = build_system(Design.AVR, CONFIG, layout, 1 << 20).run(t)
+        base = build_system(BASELINE, CONFIG, layout, 1 << 20).run(t)
+        avr = build_system(AVR, CONFIG, layout, 1 << 20).run(t)
         assert avr.cycles == pytest.approx(base.cycles, rel=0.05)
 
 

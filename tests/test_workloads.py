@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.approx import ApproxMemory
-from repro.common.types import Design
+from repro.designs import AVR, BASELINE
 from repro.workloads import WORKLOADS, make_workload
 from repro.workloads.data import (
     car_silhouette,
@@ -49,14 +49,14 @@ class TestRegistry:
 class TestEveryWorkload:
     def test_baseline_runs_and_output_finite(self, name):
         w = small(name)
-        res = w.run(Design.BASELINE)
+        res = w.run(BASELINE)
         assert res.output.size > 0
         assert np.isfinite(res.output).all()
         assert res.iterations >= 1
 
     def test_self_error_zero(self, name):
         w = small(name)
-        res = w.run(Design.BASELINE)
+        res = w.run(BASELINE)
         assert w.output_error(res, res) == 0.0
 
     def test_trace_spec_references_allocated_regions(self, name):
@@ -84,23 +84,23 @@ class TestEveryWorkload:
             assert rname in mem.regions
 
     def test_deterministic_given_seed(self, name):
-        a = small(name).run(Design.BASELINE)
-        b = small(name).run(Design.BASELINE)
+        a = small(name).run(BASELINE)
+        b = small(name).run(BASELINE)
         assert np.array_equal(a.output, b.output)
 
 
 @pytest.mark.parametrize("name", ["heat", "kmeans", "bscholes", "wrf"])
 def test_avr_error_small_but_nonzero(name):
     w = small(name)
-    ref = w.run(Design.BASELINE)
-    avr = w.run(Design.AVR)
+    ref = w.run(BASELINE)
+    avr = w.run(AVR)
     err = w.output_error(avr, ref)
     assert 0.0 <= err < 0.25
 
 
 def test_heat_cools_toward_boundaries():
     w = small("heat")
-    res = w.run(Design.BASELINE)
+    res = w.run(BASELINE)
     grid = res.output
     # interior stays between ambient and hot boundary
     assert grid.min() >= w.T_AMBIENT - 1e-3
@@ -109,7 +109,7 @@ def test_heat_cools_toward_boundaries():
 
 def test_orbit_conserves_energy_roughly():
     w = make_workload("orbit", scale=0.13)
-    res = w.run(Design.BASELINE)
+    res = w.run(BASELINE)
     energy = res.memory.region("energy_log").array
     total = energy.sum(axis=0)
     drift = abs(total[-1] - total[0]) / abs(total[0])
@@ -121,7 +121,7 @@ def test_orbit_conserves_energy_roughly():
 
 def test_kmeans_centroids_sorted_and_in_range():
     w = small("kmeans")
-    res = w.run(Design.BASELINE)
+    res = w.run(BASELINE)
     c = res.output
     assert (np.diff(c) >= 0).all()
     points = res.memory.region("points").array
@@ -130,7 +130,7 @@ def test_kmeans_centroids_sorted_and_in_range():
 
 def test_bscholes_prices_positive_and_bounded():
     w = small("bscholes")
-    res = w.run(Design.BASELINE)
+    res = w.run(BASELINE)
     n = res.output.size // 2
     call, put = res.output[:n], res.output[n:]
     spot = res.memory.region("spot").array
@@ -140,14 +140,14 @@ def test_bscholes_prices_positive_and_bounded():
 
 def test_lattice_obstacle_blocks_flow():
     w = small("lattice")
-    res = w.run(Design.BASELINE)
+    res = w.run(BASELINE)
     speed = res.output[0]
     assert speed[w.mask].mean() < speed[~w.mask].mean()
 
 
 def test_lbm_inflow_dominates_speed():
     w = small("lbm")
-    res = w.run(Design.BASELINE)
+    res = w.run(BASELINE)
     assert res.output.mean() > 0.0
     assert res.output.max() < 0.5  # lattice units stay subsonic
 
