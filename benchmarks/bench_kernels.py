@@ -8,8 +8,8 @@ pieces whose performance bounds the whole reproduction.
 import numpy as np
 import pytest
 
-from repro.cache.base import SetAssocCache
-from repro.common.config import CacheConfig, DRAMConfig
+from repro.cache.array_lru import BatchedLRUMatrix
+from repro.common.config import DRAMConfig
 from repro.common.constants import VALUES_PER_BLOCK
 from repro.common.types import ErrorThresholds
 from repro.compression import AVRCompressor, truncate_roundtrip
@@ -66,22 +66,17 @@ def test_dedup_throughput(benchmark, blocks):
 
 
 def test_cache_access_rate(benchmark):
-    cache = SetAssocCache(CacheConfig(256 * 1024, 16, 15))
-    addrs = (np.random.default_rng(0).integers(0, 1 << 20, 20_000) * 64).tolist()
-
-    def run():
-        for a in addrs:
-            cache.access(a, False)
-
-    benchmark(run)
+    """The array-LRU replay of a 256 KB, 16-way cache level."""
+    cache = BatchedLRUMatrix(256 * 1024 // (16 * 64), 16)
+    lines = np.random.default_rng(0).integers(0, 1 << 20, 20_000)
+    sets = lines % cache.num_sets
+    writes = np.zeros(lines.size, dtype=bool)
+    benchmark(cache.replay, sets, lines, writes)
 
 
 def test_dram_access_rate(benchmark):
+    """The DRAM row-buffer replay of a single-line transfer stream."""
     dram = DRAM(DRAMConfig())
-    addrs = (np.random.default_rng(0).integers(0, 1 << 20, 20_000) * 64).tolist()
-
-    def run():
-        for a in addrs:
-            dram.access(a)
-
-    benchmark(run)
+    addrs = np.random.default_rng(0).integers(0, 1 << 20, 20_000) * 64
+    writes = np.zeros(addrs.size, dtype=bool)
+    benchmark(dram.access_batch, addrs, writes)

@@ -35,9 +35,9 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tests", default="tests", metavar="DIR|none",
-        help="test tree the engine-parity rule searches for "
-             "differential coverage (default: ./tests; 'none' skips "
-             "the test-presence check)",
+        help="test tree the engine-parity rule searches for the "
+             "oracle and differential coverage (default: ./tests; "
+             "'none' skips those checks)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",

@@ -69,20 +69,25 @@ def _display_path(path: Path) -> str:
         return str(path)
 
 
-def _load_tests(tests: str | Path | None) -> tuple[str | None, tuple[str, ...]]:
-    """Concatenate the differential test modules PAR001 searches."""
+def _load_tests(
+    tests: str | Path | None,
+) -> tuple[str | None, tuple[str, ...], str | None]:
+    """The text PAR001 searches: the differential test modules (and
+    their file names) and the oracle module, ``oracles.py``."""
     if tests is None:
-        return None, ()
+        return None, (), None
     root = Path(tests)
     if not root.is_dir():
-        return None, ()
+        return None, (), None
     files = sorted(root.glob("test_*equivalence*.py"))
     if not files:
         # Fall back to the whole test tree: parity can be pinned in a
         # subsystem suite (e.g. test_array_lru.py's differential tests).
         files = sorted(root.glob("test_*.py"))
     text = "\n".join(f.read_text() for f in files)
-    return text, tuple(f.name for f in files)
+    oracle = root / "oracles.py"
+    oracle_text = oracle.read_text() if oracle.is_file() else ""
+    return text, tuple(f.name for f in files), oracle_text
 
 
 def load_project(
@@ -109,7 +114,7 @@ def load_project(
             continue
         project.modules.append(module)
         index_module(project, module)
-    project.test_text, project.test_files = _load_tests(tests)
+    project.test_text, project.test_files, project.oracle_text = _load_tests(tests)
     return project, parse_errors
 
 

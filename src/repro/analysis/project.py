@@ -7,7 +7,7 @@ from (so a rule can recognize ``np.random.default_rng`` however numpy
 was imported).  A :class:`Project` is the whole scanned tree plus the
 cross-module indexes some rules need: every dataclass and enum
 definition (cache-key completeness) and the concatenated text of the
-test suite (engine parity).
+test suite and its oracle module (engine parity).
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ class Project:
     test_text: str | None = None
     #: file names of the test modules folded into ``test_text``
     test_files: tuple[str, ...] = ()
+    #: text of the test oracle module(s) (None: no tests located)
+    oracle_text: str | None = None
 
 
 def _parse_suppressions(lines: tuple[str, ...]) -> dict[int, frozenset[str] | None]:

@@ -1,20 +1,16 @@
-"""Cache hierarchy: private stacks, baseline LLC, AVR decoupled LLC."""
+"""Cache hierarchy: batched private stacks, baseline LLC, AVR decoupled LLC.
 
-from .base import SetAssocCache
-from .cmt import CMT, CMTEntry
-from .dbuf import DBUF, PFE_THRESHOLD
-from .hierarchy import PrivateCaches
-from .llc_avr import AVRLLC, PFE_DEFAULT
+The per-event models they are pinned against live in the test oracle.
+"""
+
+from .cmt import CMTEntry
+from .llc_avr import AVRLLC, PFE_DEFAULT, PFE_THRESHOLD
 from .llc_baseline import BaselineLLC
 
 __all__ = [
     "AVRLLC",
     "BaselineLLC",
-    "CMT",
     "CMTEntry",
-    "DBUF",
     "PFE_DEFAULT",
     "PFE_THRESHOLD",
-    "PrivateCaches",
-    "SetAssocCache",
 ]

@@ -20,19 +20,19 @@ reproduction simulates, sets are touched round-robin, so rounds are
 wide and the Python-level loop shrinks by roughly the number of sets —
 the key to the vectorized engine's speedup.
 
-Per-op semantics are bit-compatible with
-:class:`repro.cache.base.SetAssocCache`: an *access* op mirrors
-``SetAssocCache.access`` (hit refreshes recency and ORs the dirty flag,
-miss allocates and counts), an *insert* op mirrors
-``SetAssocCache.insert`` (victim fill from an inner level; refreshes
-recency when present, never counts hits/misses).  The equivalence is
-pinned by differential tests in ``tests/test_array_lru.py``.
+Per-op semantics are those of a true-LRU set-associative cache: an
+*access* op hits (refreshing recency and ORing the write flag into the
+dirty bit) or misses (allocating, evicting the LRU line when the set is
+full) and counts toward ``hits``/``misses``; an *insert* op is a victim
+fill from an inner level (refreshes recency when present, never counts
+hits/misses).  ``tests/test_array_lru.py`` pins both op by op against
+the test oracle's dict-based ``SetAssocCache``.
 
 :class:`BatchedPrivateFilter` stacks two matrices into the private
 L1+L2 hierarchy of *all* cores at once (core ``c``'s set ``s`` maps to
-matrix row ``c * num_sets + s``), reproducing
-:meth:`repro.cache.hierarchy.PrivateCaches.access` — including the
-corrected clean-victim install — for an entire trace in one call.
+matrix row ``c * num_sets + s``), reproducing the oracle's per-access
+``PrivateCaches`` — including the clean-victim install — for an entire
+trace in one call.
 """
 
 from __future__ import annotations
@@ -165,18 +165,6 @@ class BatchedLRUMatrix:
         self.misses += total_accesses - found_accesses
         return present, victim_line, victim_dirty
 
-    # ------------------------------------------------------------------
-    def lru_state(self) -> list[list[tuple[int, bool]]]:
-        """Per-set ``[(line, dirty)]`` in LRU→MRU order (tests only)."""
-        out: list[list[tuple[int, bool]]] = []
-        for s in range(self.num_sets):
-            occupied = np.flatnonzero(self.tags[s] != EMPTY)
-            by_age = occupied[np.argsort(self.ages[s][occupied], kind="stable")]
-            out.append(
-                [(int(self.tags[s][w]), bool(self.dirty[s][w])) for w in by_age]
-            )
-        return out
-
 
 @dataclass
 class FilteredTrace:
@@ -185,8 +173,8 @@ class FilteredTrace:
     Arrays are parallel to the concatenated access stream (all cores,
     core-major order).  ``wb_insert_*`` is the dirty L2 victim displaced
     by the L1-victim install, ``wb_access_*`` the one displaced by the
-    demand fill — in :class:`~repro.cache.hierarchy.PrivateCaches`
-    terms, the two possible entries of ``l2_writebacks``, in order.
+    demand fill — the two possible L2 writebacks of one access, in
+    order.
     """
 
     l1_hit: np.ndarray          # (n,) bool
@@ -202,8 +190,12 @@ class FilteredTrace:
 class BatchedPrivateFilter:
     """All cores' private L1+L2 stacks, replayed as two matrix caches.
 
-    Equivalent to one :class:`~repro.cache.hierarchy.PrivateCaches` per
-    core: per-core state is disjoint, so core ``c``'s sets occupy rows
+    Each core's stack works as follows.  An access goes to L1; on an
+    L1 miss, the L1 victim — clean or dirty — is installed in L2 with
+    its dirty flag (an exclusive-style victim fill), then the demand
+    access goes to L2.  A dirty L2 victim of either step is handed to
+    the LLC as a writeback; a clean one is dropped.  Per-core state is
+    disjoint, so core ``c``'s sets occupy rows
     ``[c * num_sets, (c + 1) * num_sets)`` of a single matrix and every
     core is filtered in the same batched pass.
     """

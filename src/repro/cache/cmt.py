@@ -8,22 +8,21 @@ failed/skipped compression-attempt counters that implement the paper's
 The CMT lives in main memory and is cached on-chip in a TLB-like
 structure updated in pair with the TLB; a CMT-cache miss costs a few
 bytes of metadata bandwidth (the paper: "adds a few bytes of bandwidth
-overhead at every TLB miss").
+overhead at every TLB miss").  The AVR LLC's replay walks the table
+and its on-chip cache inline, as two dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.constants import (
-    BLOCK_BYTES,
-    BLOCK_CACHELINES,
-    BLOCKS_PER_PAGE,
-    CMT_ENTRY_BITS,
-    MAX_FAILED_COUNT,
-    MAX_SKIP_COUNT,
-    PAGE_BYTES,
-)
+from ..common.constants import BLOCK_CACHELINES, BLOCKS_PER_PAGE, CMT_ENTRY_BITS
+
+#: pages of CMT entries cached on chip (tracks the TLB)
+CACHE_PAGES = 1024
+
+#: metadata bytes fetched on a CMT-cache miss (one page's worth)
+MISS_TRAFFIC_BYTES = (CMT_ENTRY_BITS * BLOCKS_PER_PAGE + 7) // 8
 
 
 @dataclass(slots=True)
@@ -41,95 +40,3 @@ class CMTEntry:
     bias: int = 0
     failed: int = 0
     skipped: int = 0
-
-    @property
-    def compressed(self) -> bool:
-        return self.size_cachelines < BLOCK_CACHELINES
-
-    @property
-    def lazy_capacity(self) -> int:
-        """Free cachelines in the block's 1 KB slot for lazy evictions."""
-        if not self.compressed:
-            return 0
-        return BLOCK_CACHELINES - self.size_cachelines
-
-    def lazy_possible(self) -> bool:
-        return self.compressed and self.lazy_count < self.lazy_capacity
-
-    def should_skip_recompression(self) -> bool:
-        """The badly-compressed-block policy: after ``failed`` consecutive
-        failures, skip up to ``min(failed, MAX_SKIP)`` recompression
-        attempts before trying again."""
-        return self.skipped < min(self.failed, MAX_SKIP_COUNT)
-
-    def record_skip(self) -> None:
-        self.skipped = min(self.skipped + 1, MAX_SKIP_COUNT)
-
-    def record_failure(self) -> None:
-        self.failed = min(self.failed + 1, MAX_FAILED_COUNT)
-        self.skipped = 0
-
-    def record_success(self, size_cachelines: int) -> None:
-        self.size_cachelines = size_cachelines
-        self.failed = 0
-        self.skipped = 0
-
-
-class CMT:
-    """The metadata table plus its on-chip cache."""
-
-    #: pages of CMT entries cached on chip (tracks the TLB)
-    CACHE_PAGES = 1024
-
-    def __init__(self) -> None:
-        self._entries: dict[int, CMTEntry] = {}
-        self._cache: dict[int, None] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    @staticmethod
-    def block_addr(addr: int) -> int:
-        return addr & ~(BLOCK_BYTES - 1)
-
-    def lookup(self, addr: int, default_size: int | None = None) -> tuple[CMTEntry, bool]:
-        """Entry for the block containing ``addr``; returns (entry, cached).
-
-        ``default_size`` seeds the entry's compressed size on first
-        touch (the timing layer's static per-block size).
-        """
-        return self.lookup_block(self.block_addr(addr), default_size)
-
-    def lookup_block(
-        self, block_addr: int, default_size: int | None = None
-    ) -> tuple[CMTEntry, bool]:
-        """:meth:`lookup` for a caller that already has the block base.
-
-        The fast-replay engine decodes block numbers once per trace and
-        calls this directly, skipping the per-event address masking.
-        """
-        entry = self._entries.get(block_addr)
-        if entry is None:
-            entry = CMTEntry()
-            if default_size is not None:
-                entry.size_cachelines = default_size
-            self._entries[block_addr] = entry
-
-        page = block_addr // PAGE_BYTES
-        cache = self._cache
-        if page in cache:
-            del cache[page]
-            cache[page] = None
-            self.cache_hits += 1
-            cached = True
-        else:
-            if len(cache) >= self.CACHE_PAGES:
-                del cache[next(iter(cache))]
-            cache[page] = None
-            self.cache_misses += 1
-            cached = False
-        return entry, cached
-
-    @staticmethod
-    def miss_traffic_bytes() -> int:
-        """Metadata bytes fetched on a CMT-cache miss (one page's worth)."""
-        return (CMT_ENTRY_BITS * BLOCKS_PER_PAGE + 7) // 8

@@ -14,42 +14,38 @@ Compressed block sizes come from a static per-block size map measured
 by the functional layer, so the timing simulation reflects the real
 data's compressibility without re-running the compressor per event.
 
-Data-array representation
--------------------------
+Replay
+------
 
-Entry keys are packed int64s: a UCL is its line number (``>= 0``), a
-CMS of ``(block, off)`` is ``-(block * BLOCK_CACHELINES + off) - 2``
-(strictly below the :data:`EMPTY` sentinel ``-1``, so the three key
-classes never collide).  State lives in fixed ``(num_sets, ways)``
-tag/dirty/age planes stored as flat row-major arrays (Python lists,
-for O(50 ns) scalar access in the replay loops) plus a key→slot index;
-the LRU victim of a set is its occupied way with the smallest age,
-exactly the convention of :mod:`repro.cache.array_lru`.
+:meth:`AVRLLC.replay_batch` is the one implementation of those flows
+and the path :meth:`~repro.system.simulator.TimingSystem.run` takes.
+One numpy pass decodes the whole filtered event stream (line/block
+numbers, set indices, approx classification, static block sizes, DBUF
+bit masks); the stream is segmented into same-block runs (reusing the
+rounds machinery's group detection from :mod:`repro.cache.array_lru`);
+runs of LLC-resident touches resolve batched; state-changing events
+(misses, insertions, block evictions, lazy writebacks) drop to a tuned
+per-event flow; and every DRAM call is queued and settled afterwards in
+one :meth:`repro.memory.dram.DRAM.replay_transfers` pass.
 
-Two replay paths share that state:
+The data array is a set of fixed ``(num_sets, ways)`` tag/dirty/age
+planes stored as flat row-major Python lists (O(50 ns) scalar access
+in the scan); the LRU victim of a set is its occupied way with the
+smallest age, exactly the convention of :mod:`repro.cache.array_lru`.
+Approximate regions are block-aligned (``AddressLayout.add_region``
+enforces it), so every block is approximate or exact as a whole and
+the replay classifies per block.
 
-* the scalar :meth:`AVRLLC.read` / :meth:`AVRLLC.writeback` flows —
-  the semantic anchor, used by the access-at-a-time test oracle and
-  the unit tests;
-* :meth:`AVRLLC.replay_batch` — the path :meth:`TimingSystem.run`
-  takes: one numpy pass decodes the whole filtered event
-  stream (line/block numbers, set indices, approx classification,
-  static block sizes, DBUF bit masks), the stream is segmented into
-  same-block runs (reusing the rounds machinery's group detection from
-  :mod:`repro.cache.array_lru`), runs of LLC-resident touches resolve
-  batched, state-changing events (misses, insertions, block evictions,
-  lazy writebacks) drop to a tuned per-event flow, and every DRAM call
-  is queued and settled afterwards in one
-  :meth:`repro.memory.dram.DRAM.replay_transfers` pass.
-
-Both paths produce bit-identical results; the engine-equivalence tests
-pin them against each other under every ablation flag.
+The per-event model the replay is pinned against — ``read`` /
+``writeback`` over packed-key state — is the test oracle's
+``AVRLLCReference`` (``tests/oracles.py``); the engine-equivalence
+suite diffs the two under every ablation flag.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -66,8 +62,19 @@ from ..common.constants import (
 from ..common.stats import StatCounter
 from ..memory.dram import DRAM
 from .array_lru import EMPTY, first_of_groups
-from .cmt import CMT, CMTEntry
-from .dbuf import DBUF, FULL_BLOCK_MASK, PFE_THRESHOLD
+from .cmt import CACHE_PAGES, MISS_TRAFFIC_BYTES, CMTEntry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from ..system.layout import AddressLayout
+
+
+#: the PFE's threshold strategy: when a new block replaces the one in
+#: the DBUF, the outgoing block's not-yet-inserted lines are prefetched
+#: into the LLC if at least this many of them were requested (half)
+PFE_THRESHOLD = BLOCK_CACHELINES // 2
+
+#: all line offsets of a block, as a DBUF bit mask
+FULL_BLOCK_MASK = (1 << BLOCK_CACHELINES) - 1
 
 
 class _PFEDefault(Enum):
@@ -81,12 +88,53 @@ class _PFEDefault(Enum):
 
 
 #: pass as ``pfe_threshold`` to keep the paper's half-block PFE policy.
-#: ``None`` *disables* the PFE outright (at both the AVRLLC and DBUF
-#: layers), and an int overrides the threshold — so every PFE policy is
-#: reachable through the ablation harness.
+#: ``None`` *disables* the PFE outright, and an int overrides the
+#: threshold — so every PFE policy is reachable through the ablation
+#: harness.
 PFE_DEFAULT = _PFEDefault.DEFAULT
 
-#: bias of the packed CMS keys: key ``-2`` is ``(block 0, off 0)``.
+
+#: the options that switch one of the paper's §3 optimizations on or off
+AVR_FLAGS = (
+    "enable_dbuf",
+    "enable_lazy_eviction",
+    "enable_skip_counters",
+    "enable_cms_lru_refresh",
+)
+
+#: every :class:`AVRLLC` keyword option -> (accepted values, test); the
+#: one table design validation (:class:`repro.designs.DesignSpec`) and
+#: the planner's on/off toggles read
+AVR_OPTIONS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    **{flag: ("a bool", lambda v: isinstance(v, bool)) for flag in AVR_FLAGS},
+    "pfe_threshold": (
+        "an int >= 0, None or PFE_DEFAULT",
+        lambda v: v is None
+        or v is PFE_DEFAULT
+        or isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+    ),
+}
+
+
+def check_avr_options(options: Mapping[str, object]) -> None:
+    """Raise ``ValueError`` unless every option is in :data:`AVR_OPTIONS`
+    and carries a value that option accepts."""
+    valid = ", ".join(AVR_OPTIONS)
+    for name, value in options.items():
+        if name not in AVR_OPTIONS:
+            raise ValueError(
+                f"unknown AVR LLC option {name!r}; valid options: {valid}"
+            )
+        accepted, test = AVR_OPTIONS[name]
+        if not test(value):
+            raise ValueError(
+                f"AVR LLC option {name!r} takes {accepted}, got {value!r} "
+                f"(valid options: {valid})"
+            )
+
+
+#: bias of the CMS keys: key ``-2`` is ``(block 0, off 0)``, strictly
+#: below the :data:`EMPTY` sentinel ``-1``
 _CMS_BIAS = 2
 
 #: minimum same-block run length worth resolving batched; shorter runs
@@ -108,449 +156,54 @@ if (CACHELINE_BYTES, BLOCK_CACHELINES, BLOCK_BYTES, PAGE_BYTES) != (
     )
 
 
-def cms_key(block_no: int, off: int) -> int:
-    """Packed data-array key of the ``off``-th CMS of ``block_no``."""
-    return -(block_no * BLOCK_CACHELINES + off) - _CMS_BIAS
-
-
-def decode_cms_key(key: int) -> tuple[int, int]:
-    """Inverse of :func:`cms_key`: ``(block_no, off)``."""
-    packed = -key - _CMS_BIAS
-    return packed // BLOCK_CACHELINES, packed % BLOCK_CACHELINES
-
-
 class AVRLLC:
     """Shared AVR LLC + DBUF + CMT + compressor latency accounting."""
+
+    #: the AVR module's compressor: the energy model charges its power
+    has_compressor: ClassVar[bool] = True
 
     def __init__(
         self,
         config: CacheConfig,
         dram: DRAM,
-        block_size_of: Callable[[int], int],
-        is_approx: Callable[[int], bool],
+        layout: AddressLayout,
         enable_dbuf: bool = True,
         enable_lazy_eviction: bool = True,
         enable_skip_counters: bool = True,
         enable_cms_lru_refresh: bool = True,
         pfe_threshold: int | None | _PFEDefault = PFE_DEFAULT,
-        is_approx_batch: Callable[[np.ndarray], np.ndarray] | None = None,
-        block_size_of_batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
-        """The four ``enable_*`` flags ablate the paper's §3
-        optimizations one by one.  ``pfe_threshold`` overrides the PFE
-        policy: :data:`PFE_DEFAULT` keeps the paper's half-block
+        """``layout`` supplies the approximable ranges and the static
+        per-block compressed sizes (an empty
+        :class:`~repro.system.layout.AddressLayout` marks nothing
+        approximable).  The four ``enable_*`` flags ablate the paper's
+        §3 optimizations one by one.  ``pfe_threshold`` overrides the
+        PFE policy: :data:`PFE_DEFAULT` keeps the paper's half-block
         threshold, ``None`` disables prefetching, an int replaces the
-        threshold.  ``is_approx_batch`` / ``block_size_of_batch``, when
-        given, must be the vectorized equivalents of ``is_approx`` /
-        ``block_size_of`` (e.g. the :class:`~repro.system.layout.
-        AddressLayout` batch methods); :meth:`replay_batch` then
-        decodes whole event streams without per-event Python calls."""
+        threshold."""
+        self.config = config
         self.num_sets = config.num_sets
         self.ways = config.ways
         self.latency = config.latency_cycles
         self.dram = dram
-        self.block_size_of = block_size_of
-        self.is_approx = is_approx
-        self.is_approx_batch = is_approx_batch
-        self.block_size_of_batch = block_size_of_batch
+        self.layout = layout
         self.enable_dbuf = enable_dbuf
         self.enable_lazy_eviction = enable_lazy_eviction
         self.enable_skip_counters = enable_skip_counters
         self.enable_cms_lru_refresh = enable_cms_lru_refresh
-        # flat row-major (num_sets, ways) planes + key -> slot index
-        n_slots = self.num_sets * self.ways
-        self.tags: list[int] = [EMPTY] * n_slots
-        self.dirty: list[bool] = [False] * n_slots
-        self.ages: list[int] = [EMPTY] * n_slots
-        self._slot_of: dict[int, int] = {}
-        self._clock = 0
-        self.dbuf = DBUF(
+        self.pfe_threshold = (
             PFE_THRESHOLD if pfe_threshold is PFE_DEFAULT else pfe_threshold
         )
-        self.cmt = CMT()
         self.stats = StatCounter()
-
-    # ------------------------------------------------------------------
-    # address helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _line_no(addr: int) -> int:
-        return addr // CACHELINE_BYTES
-
-    @staticmethod
-    def _block_no(addr: int) -> int:
-        return addr // BLOCK_BYTES
-
-    def _ucl_set(self, line_no: int) -> int:
-        return line_no % self.num_sets
-
-    def _cms_set(self, block_no: int, off: int) -> int:
-        return (block_no + off) % self.num_sets
-
-    # ------------------------------------------------------------------
-    # data-array plumbing
-    # ------------------------------------------------------------------
-    def _touch(self, key: int, dirty: bool = False) -> bool:
-        """Refresh LRU of an existing entry; returns True if present."""
-        slot = self._slot_of.get(key)
-        if slot is None:
-            return False
-        self.ages[slot] = self._clock
-        self._clock += 1
-        if dirty:
-            self.dirty[slot] = True
-        return True
-
-    def _insert(self, set_idx: int, key: int, dirty: bool) -> None:
-        """Insert an entry, running the eviction flow on the victim."""
-        slot = self._slot_of.get(key)
-        if slot is not None:
-            self.ages[slot] = self._clock
-            self._clock += 1
-            if dirty:
-                self.dirty[slot] = True
-            return
-        self._allocate(set_idx, key, dirty)
-
-    def _allocate(self, set_idx: int, key: int, dirty: bool) -> None:
-        """Fill ``key`` into ``set_idx``, evicting the LRU way if full.
-
-        Empty ways carry age :data:`EMPTY`, which sorts below every
-        real clock value, so the min-age way is an empty one whenever
-        the set is not full — fill-then-evict without a separate
-        occupancy count.  Victim flows never insert (only clear or
-        refresh entries), so the freed way stays free for ``key``.
-        """
-        ways = self.ways
-        base = set_idx * ways
-        ages = self.ages
-        row = ages[base:base + ways]
-        slot = base + row.index(min(row))
-        victim = self.tags[slot]
-        if victim != EMPTY:
-            victim_dirty = self.dirty[slot]
-            del self._slot_of[victim]
-            self.tags[slot] = EMPTY
-            self.dirty[slot] = False
-            ages[slot] = EMPTY
-            self._handle_victim(victim, victim_dirty)
-        self.tags[slot] = key
-        self.dirty[slot] = dirty
-        ages[slot] = self._clock
-        self._clock += 1
-        self._slot_of[key] = slot
-
-    def _block_cms_present(self, block_no: int) -> int:
-        """Number of CMS entries of this block present (0 if none).
-
-        CMS0 presence implies the block's compressed image is resident
-        (the paper allocates/evicts a block's CMSs as a unit).
-        """
-        if cms_key(block_no, 0) in self._slot_of:
-            size, _ = self._block_static_size(block_no)
-            return size
-        return 0
-
-    def _block_static_size(self, block_no: int) -> tuple[int, int]:
-        block_addr = block_no * BLOCK_BYTES
-        size = self.block_size_of(block_addr)
-        return size, block_addr
-
-    def _touch_block_cms(self, block_no: int) -> None:
-        """Refresh the block's CMS recency when one of its UCLs is
-        accessed (paper §3.4: "the CMS LRU bits are updated when any
-        UCL of the block is accessed")."""
-        if not self.enable_cms_lru_refresh:
-            return
-        if cms_key(block_no, 0) not in self._slot_of:
-            return
-        size, _ = self._block_static_size(block_no)
-        for off in range(size):
-            self._touch(cms_key(block_no, off))
-
-    def _dram(self, addr: int, lines: int, write: bool, approx: bool) -> int:
-        """DRAM access tagged with the approx/exact traffic split."""
-        self.stats.add("bytes_approx" if approx else "bytes_exact", lines * 64)
-        return self.dram.access(addr, lines, write=write)
-
-    # ------------------------------------------------------------------
-    # victim (eviction) flows — paper Figure 8
-    # ------------------------------------------------------------------
-    def _handle_victim(self, key: int, dirty: bool) -> None:
-        if key < EMPTY:  # CMS victim: evict the whole block
-            block_no, _off = decode_cms_key(key)
-            self._evict_compressed_block(block_no, dirty)
-            return
-        if not dirty:
-            return
-        addr = key * CACHELINE_BYTES
-        if not self.is_approx(addr):
-            self._dram(addr, 1, write=True, approx=False)
-            self.stats.add("exact_writebacks")
-            return
-        self._evict_dirty_approx_ucl(addr)
-
-    def _evict_compressed_block(self, block_no: int, first_dirty: bool) -> None:
-        """Evicting any CMS evicts all CMSs of the block (paper §3.4).
-
-        The sweep is bounded by the block's static size: CMS groups are
-        allocated and evicted as a unit with exactly ``size`` members,
-        so no entry can exist at an offset ``>= size`` (pinned by
-        :meth:`check_invariants` and its test).
-        """
-        size, block_addr = self._block_static_size(block_no)
-        dirty = first_dirty
-        slot_of = self._slot_of
-        for off in range(size):
-            slot = slot_of.pop(cms_key(block_no, off), None)
-            if slot is not None:
-                if self.dirty[slot]:
-                    dirty = True
-                self.tags[slot] = EMPTY
-                self.dirty[slot] = False
-                self.ages[slot] = EMPTY
-        if dirty:
-            # Decompress, overlay dirty UCLs, recompress, write to memory.
-            self.stats.add("decompressions")
-            self.stats.add("compressions")
-            self._dram(block_addr, size, write=True, approx=True)
-            entry, cached = self.cmt.lookup_block(block_addr, size)
-            if not cached:
-                self.dram.transfer_partial(self.cmt.miss_traffic_bytes(), write=False)
-            entry.record_success(size)
-            entry.lazy_count = 0
-        self.stats.add("cms_block_evictions")
-
-    def _evict_dirty_approx_ucl(self, addr: int) -> None:
-        block_no = self._block_no(addr)
-        size, block_addr = self._block_static_size(block_no)
-
-        if self._block_cms_present(block_no):
-            # Recompress in place: block read from LLC, updated, stored back.
-            self.stats.add("evict_recompress")
-            self.stats.add("decompressions")
-            self.stats.add("compressions")
-            for off in range(size):
-                self._touch(cms_key(block_no, off), dirty=True)
-            return
-
-        entry, cached = self.cmt.lookup_block(block_addr, size)
-        if not cached:
-            self.dram.transfer_partial(self.cmt.miss_traffic_bytes(), write=False)
-
-        if entry.compressed:
-            if self.enable_lazy_eviction and entry.lazy_possible():
-                self.stats.add("evict_lazy_writeback")
-                entry.lazy_count += 1
-                self._dram(addr, 1, write=True, approx=True)
-                return
-            # Space exhausted: fetch block + lazy lines, merge, recompress.
-            self.stats.add("evict_fetch_recompress")
-            self.stats.add("decompressions")
-            self.stats.add("compressions")
-            self._dram(block_addr, entry.size_cachelines + entry.lazy_count, False, True)
-            self._dram(block_addr, size, write=True, approx=True)
-            entry.record_success(size)
-            entry.lazy_count = 0
-            return
-
-        # Block is uncompressed in memory: consult the skip counters.
-        skip = self.enable_skip_counters and entry.should_skip_recompression()
-        if size < BLOCK_CACHELINES and not skip:
-            # Attempt compression (succeeds: the data is compressible).
-            self.stats.add("evict_fetch_recompress")
-            self.stats.add("compressions")
-            self._dram(block_addr, BLOCK_CACHELINES, False, True)
-            self._dram(block_addr, size, write=True, approx=True)
-            entry.record_success(size)
-            return
-        # Attempt fails or is skipped: plain uncompressed writeback.
-        self.stats.add("evict_uncompressed_writeback")
-        if size >= BLOCK_CACHELINES:
-            if skip:
-                entry.record_skip()
-            else:
-                self.stats.add("compressions")  # the failed attempt
-                entry.record_failure()
-        self._dram(addr, 1, write=True, approx=True)
-
-    # ------------------------------------------------------------------
-    # request flow — paper Figure 7
-    # ------------------------------------------------------------------
-    def read(self, addr: int, count_breakdown: bool = True) -> int:
-        """Handle an LLC read request; returns its latency in cycles."""
-        approx = self.is_approx(addr)
-        line_no = self._line_no(addr)
-
-        if approx and self.enable_dbuf and self.dbuf.serve(addr):
-            if count_breakdown:
-                self.stats.add("req_hit_dbuf")
-            self.stats.add("llc_hits")
-            # A block access: refresh the block's CMS recency too.
-            self._touch_block_cms(self._block_no(addr))
-            # The served line is also written into the LLC.
-            self._insert(self._ucl_set(line_no), line_no, dirty=False)
-            return self.latency
-
-        if self._touch(line_no):
-            if approx:
-                if count_breakdown:
-                    self.stats.add("req_hit_uncompressed")
-                self._touch_block_cms(self._block_no(addr))
-            self.stats.add("llc_hits")
-            return self.latency
-
-        if approx:
-            block_no = self._block_no(addr)
-            cms_size = self._block_cms_present(block_no)
-            if cms_size:
-                # Compressed hit: read the CMSs, decompress, fill DBUF.
-                if count_breakdown:
-                    self.stats.add("req_hit_compressed")
-                self.stats.add("llc_hits")
-                self.stats.add("decompressions")
-                for off in range(cms_size):
-                    self._touch(cms_key(block_no, off))
-                self._load_dbuf(block_no, addr)
-                self._insert(self._ucl_set(line_no), line_no, dirty=False)
-                return self.latency + cms_size + DECOMPRESS_LATENCY_CYCLES
-
-            # Full miss on approximate data.
-            if count_breakdown:
-                self.stats.add("req_miss")
-            self.stats.add("llc_misses")
-            return self._miss_approx(addr, block_no, line_no)
-
-        # Exact data miss: conventional line fetch.
-        self.stats.add("llc_misses")
-        latency = self._dram(addr, 1, write=False, approx=False)
-        self._insert(self._ucl_set(line_no), line_no, dirty=False)
-        return self.latency + latency
-
-    def _miss_approx(self, addr: int, block_no: int, line_no: int) -> int:
-        size, block_addr = self._block_static_size(block_no)
-        entry, cached = self.cmt.lookup_block(block_addr, size)
-        if not cached:
-            self.dram.transfer_partial(self.cmt.miss_traffic_bytes(), write=False)
-
-        if not entry.compressed:
-            # Uncompressed block: fetch just the requested line.
-            latency = self._dram(addr, 1, write=False, approx=True)
-            self._insert(self._ucl_set(line_no), line_no, dirty=False)
-            return self.latency + latency
-
-        # Fetch compressed block (+ any lazily evicted lines) from memory.
-        lines = entry.size_cachelines + entry.lazy_count
-        latency = self._dram(block_addr, lines, write=False, approx=True)
-        self.stats.add("decompressions")
-        dirty = False
-        if entry.lazy_count:
-            # Merged lazy lines: block recompressed on chip, marked dirty.
-            self.stats.add("compressions")
-            entry.lazy_count = 0
-            entry.record_success(size)
-            dirty = True
-        for off in range(entry.size_cachelines):
-            self._insert(
-                self._cms_set(block_no, off), cms_key(block_no, off), dirty
-            )
-        self._load_dbuf(block_no, addr)
-        self._insert(self._ucl_set(line_no), line_no, dirty=False)
-        return self.latency + latency + DECOMPRESS_LATENCY_CYCLES
-
-    def _load_dbuf(self, block_no: int, addr: int) -> None:
-        line_off = (addr % BLOCK_BYTES) // CACHELINE_BYTES
-        old_block = self.dbuf.block_addr
-        prefetch = self.dbuf.load(block_no * BLOCK_BYTES, line_off)
-        if prefetch and old_block is not None:
-            self.stats.add("pfe_prefetches", len(prefetch))
-            for off in prefetch:
-                line = self._line_no(old_block + off * CACHELINE_BYTES)
-                self._insert(self._ucl_set(line), line, dirty=False)
-
-    def writeback(self, addr: int) -> int:
-        """Accept a dirty line falling out of a core's L2."""
-        line_no = self._line_no(addr)
-        self.dbuf.note_requested(addr)
-        if self.is_approx(addr):
-            self._touch_block_cms(self._block_no(addr))
-        self._insert(self._ucl_set(line_no), line_no, dirty=True)
-        return self.latency
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> list[str]:
-        """Structural invariants of the packed data array; [] if clean.
-
-        * the key→slot index and the tag plane agree both ways;
-        * no CMS entry exists at an offset at or beyond its block's
-          static size (what licenses the size-bounded eviction sweep);
-        * a resident CMS implies its block's CMS0 is resident (groups
-          allocate and evict as a unit).
-        """
-        problems: list[str] = []
-        for key, slot in self._slot_of.items():
-            if self.tags[slot] != key:
-                problems.append(f"index maps {key} to slot {slot} holding "
-                                f"{self.tags[slot]}")
-        occupied = sum(tag != EMPTY for tag in self.tags)
-        if occupied != len(self._slot_of):
-            problems.append(
-                f"{occupied} occupied slots vs {len(self._slot_of)} index entries"
-            )
-        for key in self._slot_of:
-            if key < EMPTY:
-                block_no, off = decode_cms_key(key)
-                size, _ = self._block_static_size(block_no)
-                if off >= size:
-                    problems.append(
-                        f"CMS (block {block_no}, off {off}) resident beyond "
-                        f"static size {size}"
-                    )
-                if cms_key(block_no, 0) not in self._slot_of:
-                    problems.append(
-                        f"CMS (block {block_no}, off {off}) resident "
-                        "without CMS0"
-                    )
-        return problems
-
-    # ------------------------------------------------------------------
-    # batched fast replay (the vectorized timing engine's AVR path)
-    # ------------------------------------------------------------------
-    def _decode_stream(
-        self, addrs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One numpy pass over the event stream's stateless attributes."""
-        line_no = addrs // CACHELINE_BYTES
-        block_no = addrs // BLOCK_BYTES
-        if self.is_approx_batch is not None:
-            approx = self.is_approx_batch(addrs)
-        else:
-            fn = self.is_approx
-            approx = np.fromiter(
-                (fn(a) for a in addrs.tolist()), dtype=bool, count=addrs.size
-            )
-        block_addrs = block_no * BLOCK_BYTES
-        if self.block_size_of_batch is not None:
-            sizes = self.block_size_of_batch(block_addrs)
-        else:
-            fn = self.block_size_of
-            sizes = np.fromiter(
-                (fn(a) for a in block_addrs.tolist()),
-                dtype=np.int64,
-                count=addrs.size,
-            )
-        return line_no, block_no, approx, sizes
+        self._replayed = False
 
     def replay_batch(self, addrs: np.ndarray, is_read: np.ndarray) -> np.ndarray:
         """Replay a whole LLC event stream; returns per-event latencies.
 
         ``addrs``/``is_read`` describe the filtered, chunk-interleaved
-        event stream: demand reads (:meth:`read`) where ``is_read``,
-        dirty L2 victim writebacks (:meth:`writeback`) elsewhere.
-        Equivalent to calling those methods one event at a time, with
-        the per-event Python work restructured for batch speed:
+        event stream: demand reads (the Fig. 7 request flow) where
+        ``is_read``, dirty L2 victim writebacks elsewhere.  The
+        per-event work is restructured for batch speed:
 
         1. **Decode** — every stateless per-event attribute (line and
            block numbers, set indices, approx classification, static
@@ -579,25 +232,25 @@ class AVRLLC:
            and the resulting latencies scatter back into the per-event
            latency vector.
 
-        The batch must be the *first* traffic this LLC sees (the
-        timing engine runs exactly one trace per system); starting from
-        a non-empty cache raises rather than silently replaying against
-        the wrong state.  Scalar calls may follow a batch: all state —
-        data array, DBUF, CMT, DRAM open rows — is left exactly where
-        the event-by-event flow would have left it (the scan's dense
-        tags are translated back to the packed-key convention on exit).
+        The batch is the whole traffic this LLC ever sees (the timing
+        engine runs exactly one trace per system); a second call
+        raises rather than replaying against the wrong state.
         """
-        if self._slot_of or self.dbuf.block_addr is not None:
+        if self._replayed:
             raise ValueError(
-                "replay_batch requires an empty LLC: it replays the whole "
+                "replay_batch runs once per LLC: it replays the whole "
                 "event stream against fresh state (one batch per cache)"
             )
+        self._replayed = True
         m = int(addrs.size)
         if m == 0:
             return np.zeros(0, dtype=np.int64)
 
         # ---- stage 1: stateless decode ------------------------------
-        line_no, block_no, approx, sizes = self._decode_stream(addrs)
+        line_no = addrs // CACHELINE_BYTES
+        block_no = addrs // BLOCK_BYTES
+        approx = self.layout.is_approx_batch(addrs)
+        sizes = self.layout.block_size_of_batch(block_no * BLOCK_BYTES)
         ucl_set = line_no % self.num_sets
         loff = line_no % BLOCK_CACHELINES
         bit = np.int64(1) << loff
@@ -620,22 +273,12 @@ class AVRLLC:
         dense_line = k0d + loff
         real_blocks = uniq_blocks.tolist()
         size_by_bid = sizes[first_idx].tolist()
-        # approx must be uniform within each block for per-block
-        # classification (regions are block-aligned); verify, and fall
-        # back to per-address classification if a layout violates it
-        uniform = bool(np.all(approx == approx[first_idx][bid]))
-        approx_by_bid = approx[first_idx].tolist() if uniform else None
+        approx_by_bid = approx[first_idx].tolist()
 
         # ---- stage 2: same-block run segmentation -------------------
-        if uniform:
-            starts = np.flatnonzero(first_of_groups(block_no))
-            run_len = np.diff(np.append(starts, m))
-            run_end = np.repeat(starts + run_len, run_len)
-        else:
-            # a mixed-approx block would make the run resolver classify
-            # all of a run's reads by its first event; without
-            # uniformity every event takes the per-event flow
-            run_end = np.zeros(m, dtype=np.int64)
+        starts = np.flatnonzero(first_of_groups(block_no))
+        run_len = np.diff(np.append(starts, m))
+        run_end = np.repeat(starts + run_len, run_len)
 
         lat = np.where(is_read, np.int64(self.latency), np.int64(0)).tolist()
 
@@ -675,7 +318,7 @@ class AVRLLC:
         L_run_end: list[int],
         real_blocks: list[int],
         size_by_bid: list[int],
-        approx_by_bid: list[bool] | None,
+        approx_by_bid: list[bool],
         lat: list[int],
     ) -> tuple[list[int], list[int]]:
         """The event scan: cache-state machine over the decoded stream.
@@ -685,51 +328,42 @@ class AVRLLC:
         probes are flat-table indexing on dense keys (``ucl_slot`` /
         ``cms_slot``), all loop state lives in locals, statistics
         accumulate in plain ints (folded into :attr:`stats` once at the
-        end), the CMT page-cache walk is inlined (same semantics as
-        :meth:`~repro.cache.cmt.CMT.lookup_block`, against the same
-        dicts) and every DRAM call is appended to the transfer log the
+        end), the CMT and its on-chip page cache are two dicts walked
+        inline, and every DRAM call is appended to the transfer log the
         caller settles afterwards.  A log entry is one packed int —
         ``addr << 7 | lines << 2 | write << 1 | demand`` — so queueing
         a transfer is a single append and the caller unpacks the whole
         log vectorized (``lines == 0`` marks a CMT metadata partial
         whose byte count rides in the address field; ``demand`` marks
         the transfers whose latency scatters back to a read event).
-        While the scan runs, the tag plane holds *dense* keys (UCL:
-        ``dline``, CMS: ``-(k0d + off) - _CMS_BIAS``); on exit they are
-        translated back to the packed real-address keys the scalar
-        flows use.  The semantics mirror :meth:`read`/:meth:`writeback`
-        exactly — the engine-equivalence suite diffs the two paths
-        event stream by event stream.
+        The tag plane holds *dense* keys: a UCL is its ``dline``, a CMS
+        ``-(k0d + off) - _CMS_BIAS``.  All state starts empty and is
+        dropped on return: only the stats and the DRAM model outlive
+        the scan.
         """
-        # --- bound state -------------------------------------------------
+        # --- state -------------------------------------------------------
         S = self.num_sets
         W = self.ways
-        tags = self.tags
-        dirty = self.dirty
-        ages = self.ages
-        clock = self._clock
+        n_slots = S * W
+        tags = [EMPTY] * n_slots
+        dirty = [False] * n_slots
+        ages = [EMPTY] * n_slots
+        clock = 0
         n_dense = len(real_blocks) * BLOCK_CACHELINES
         ucl_slot = [-1] * n_dense  # dense line -> slot
         cms_slot = [-1] * n_dense  # k0d + off  -> slot
-        cmt = self.cmt
-        cmt_entries = cmt._entries
-        cmt_cache = cmt._cache
-        cmt_capacity = cmt.CACHE_PAGES
-        cmt_hits = 0
-        cmt_misses = 0
-        partial_word = cmt.miss_traffic_bytes() << 7
+        cmt_entries: dict[int, CMTEntry] = {}  # block address -> entry
+        cmt_cache: dict[int, None] = {}  # cached CMT pages, LRU order
+        cmt_capacity = CACHE_PAGES
+        partial_word = MISS_TRAFFIC_BYTES << 7
         enable_dbuf = self.enable_dbuf
         enable_lazy = self.enable_lazy_eviction
         enable_skip = self.enable_skip_counters
-        pfe_thr = self.dbuf.pfe_threshold
-        is_approx_fn = self.is_approx
+        pfe_thr = self.pfe_threshold
 
-        dbuf = self.dbuf
-        dbuf_k0d = -1  # precondition: the DBUF starts empty
+        dbuf_k0d = -1  # the DBUF starts empty
         dbuf_req = 0
         dbuf_in = 0
-        dbuf_hits = 0
-        dbuf_loads = 0
 
         # --- local stat counters ----------------------------------------
         st_hits = st_misses = st_dbuf = st_unc = st_cms_hit = st_miss_apx = 0
@@ -757,9 +391,10 @@ class AVRLLC:
             emit: Callable[[int], None] = emit,
             partial_word: int = partial_word,
         ) -> CMTEntry:
-            # inlined CMT.lookup_block over the shared CMT dicts (the
-            # scan calls this on every approximate miss and eviction)
-            nonlocal cmt_hits, cmt_misses
+            # the block's CMT entry (seeded with its static size on
+            # first touch) plus the on-chip CMT cache walk: an LRU of
+            # pages whose miss costs one metadata partial.  The scan
+            # calls this on every approximate miss and eviction.
             block_addr = block << 10
             entry = cmt_entries.get(block_addr)
             if entry is None:
@@ -769,12 +404,10 @@ class AVRLLC:
             if page in cmt_cache:
                 del cmt_cache[page]
                 cmt_cache[page] = None
-                cmt_hits += 1
                 return entry
             if len(cmt_cache) >= cmt_capacity:
                 del cmt_cache[next(iter(cmt_cache))]
             cmt_cache[page] = None
-            cmt_misses += 1
             emit(partial_word)
             return entry
 
@@ -917,8 +550,8 @@ class AVRLLC:
             real_blocks: list[int] = real_blocks,
             emit: Callable[[int], None] = emit,
         ) -> None:
-            # _handle_victim for the fast path: clean UCL victims vanish
-            # for free, everything else runs its Figure 8 flow.  Only
+            # the Figure 8 victim dispatch: clean UCL victims vanish
+            # for free, everything else runs its eviction flow.  Only
             # reached on an actual eviction, so it is off the per-event
             # fast path.
             nonlocal st_exact_wb, bytes_exact
@@ -929,14 +562,7 @@ class AVRLLC:
                 return
             ucl_slot[victim] = -1
             if dirty[slot]:
-                victim_approx = (
-                    approx_by_bid[victim >> 4]
-                    if approx_by_bid is not None
-                    else is_approx_fn(
-                        (real_blocks[victim >> 4] << 10) + ((victim & 15) << 6)
-                    )
-                )
-                if victim_approx:
+                if approx_by_bid[victim >> 4]:
                     evict_dirty_approx_ucl(victim)
                 else:
                     bytes_exact += 64
@@ -955,7 +581,9 @@ class AVRLLC:
             ucl_slot: list[int] = ucl_slot,
             dispatch_victim: Callable[[int, int], None] = dispatch_victim,
         ) -> None:
-            # _insert's allocation path for a UCL.  The victim's slot is
+            # insert a UCL into its set, evicting the LRU way (an empty
+            # way carries age EMPTY, below every clock value, so the
+            # set fills before it evicts).  The victim's slot is
             # only cleared implicitly (overwritten below): the victim
             # flows reach entries exclusively through the slot tables,
             # where the victim is already gone.
@@ -1008,7 +636,7 @@ class AVRLLC:
             pfe_thr: int | None = pfe_thr,
             alloc_ucl: Callable[[int, int, bool], None] = alloc_ucl,
         ) -> None:
-            nonlocal dbuf_k0d, dbuf_req, dbuf_in, dbuf_loads, st_pfe, clock
+            nonlocal dbuf_k0d, dbuf_req, dbuf_in, st_pfe, clock
             if (
                 pfe_thr is not None
                 and dbuf_k0d >= 0
@@ -1032,7 +660,6 @@ class AVRLLC:
             dbuf_k0d = k0
             dbuf_req = load_bit
             dbuf_in = load_bit
-            dbuf_loads += 1
 
         # --- the scan ----------------------------------------------------
         i = 0
@@ -1107,7 +734,6 @@ class AVRLLC:
                     if n_reads:
                         st_hits += n_reads
                         if dbuf_here:
-                            dbuf_hits += n_reads
                             st_dbuf += n_reads
                         elif apx:
                             st_unc += n_reads
@@ -1129,7 +755,6 @@ class AVRLLC:
                         hit_bit = L_bit[i]
                         dbuf_req |= hit_bit
                         dbuf_in |= hit_bit
-                        dbuf_hits += 1
                         st_dbuf += 1
                         st_hits += 1
                         if L_refresh[i]:
@@ -1302,37 +927,9 @@ class AVRLLC:
                 alloc_ucl(L_set[i], dline, True)
             i += 1
 
-        # --- write state + stats back ------------------------------------
-        # the tag plane held dense keys during the scan: translate the
-        # occupied slots back to the scalar flows' packed real keys and
-        # rebuild the key -> slot index
-        slot_of = self._slot_of
-        for slot, tag in enumerate(tags):
-            if tag == EMPTY:
-                continue
-            if tag >= 0:
-                real_key = real_blocks[tag >> 4] << 4 | (tag & 15)
-            else:
-                idx = -tag - _CMS_BIAS
-                real_key = (
-                    -(real_blocks[idx >> 4] << 4 | (idx & 15)) - _CMS_BIAS
-                )
-            tags[slot] = real_key
-            slot_of[real_key] = slot
-
-        self._clock = clock
-        dbuf.block_addr = (
-            real_blocks[dbuf_k0d >> 4] * BLOCK_BYTES if dbuf_k0d >= 0 else None
-        )
-        dbuf.requested_mask = dbuf_req
-        dbuf.in_llc_mask = dbuf_in
-        dbuf.hits += dbuf_hits
-        dbuf.loads += dbuf_loads
-        cmt.cache_hits += cmt_hits
-        cmt.cache_misses += cmt_misses
-
+        # --- stats -------------------------------------------------------
         # fold only the counters the event flows actually hit: absent
-        # keys stay absent, exactly as in the scalar path
+        # keys stay absent
         add = self.stats.add
         for name, count in (
             ("llc_hits", st_hits),
@@ -1357,7 +954,6 @@ class AVRLLC:
                 add(name, count)
         return log, read_events
 
-    # ------------------------------------------------------------------
     @property
     def mpki_misses(self) -> int:
         return int(self.stats["llc_misses"])

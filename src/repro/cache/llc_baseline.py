@@ -9,11 +9,15 @@ designs reuse it with modifiers:
 * **Doppelgänger** shares data entries between similar lines; its
   effective capacity gain is the measured dedup factor, capped by its
   4x tag-array reach.
+
+:meth:`BaselineLLC.replay_batch` replays a whole event stream at once;
+the per-event model it is pinned against is the test oracle's
+``BaselineReference`` (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -21,116 +25,73 @@ from ..common.config import CacheConfig
 from ..common.stats import StatCounter
 from ..memory.dram import DRAM
 from .array_lru import BatchedLRUMatrix
-from .base import SetAssocCache
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from ..system.layout import AddressLayout
 
 
 class BaselineLLC:
     """Shared last-level cache over DRAM."""
 
+    #: no compressor: the energy model charges no compressor power
+    has_compressor: ClassVar[bool] = False
+
     def __init__(
         self,
         config: CacheConfig,
         dram: DRAM,
-        is_approx: Callable[[int], bool] | None = None,
+        layout: AddressLayout,
         capacity_multiplier: float = 1.0,
         approx_line_bytes: int = 64,
-        is_approx_batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
-        """``is_approx_batch``, when given, must be the vectorized
-        equivalent of ``is_approx`` (e.g.
-        :meth:`~repro.system.layout.AddressLayout.is_approx_batch`);
-        :meth:`replay_batch` then classifies whole transfer streams
-        without one Python call per address."""
-        self.cache = SetAssocCache(config, capacity_multiplier)
+        """``layout`` splits memory traffic into approximate and exact
+        (empty: all exact); ``capacity_multiplier`` scales the ways;
+        approximate lines move ``approx_line_bytes`` on the link."""
+        self.config = config
+        self.layout = layout
+        self.capacity_multiplier = capacity_multiplier
+        self.num_sets = config.num_sets
+        self.ways = max(1, round(config.ways * capacity_multiplier))
+        self.line_shift = config.line_bytes.bit_length() - 1
         self.latency = config.latency_cycles
         self.dram = dram
-        #: no approx classifier ⇒ the batched path can skip per-address
-        #: classification entirely (every transfer is exact traffic)
-        self._always_exact = is_approx is None
-        self.is_approx = is_approx or (lambda addr: False)
-        self.is_approx_batch = is_approx_batch
         self.approx_line_bytes = approx_line_bytes
         self.stats = StatCounter()
+        self._replayed = False
 
-    def _dram_lines_bytes(self, addr: int) -> int:
-        """Bytes a line transfer costs on the memory link."""
-        if self.approx_line_bytes != 64 and self.is_approx(addr):
-            return self.approx_line_bytes
-        return 64
-
-    def _transfer(self, addr: int, write: bool) -> int:
-        nbytes = self._dram_lines_bytes(addr)
-        self.stats.add(
-            "bytes_approx" if self.is_approx(addr) else "bytes_exact", nbytes
-        )
-        if nbytes == 64:
-            return self.dram.access(addr, 1, write=write)
-        latency = self.dram.access(addr, 1, write=write)
-        # Credit back the saved half-line of traffic and occupancy.
-        self.dram.stats.add("bytes_written" if write else "bytes_read", nbytes - 64)
-        channel = (addr // 64) % self.dram.config.channels
-        self.dram.channel_busy[channel] -= self.dram.config.burst_cycles // 2
-        return latency
-
-    def _handle_victim(self, victim: tuple[int, bool] | None) -> None:
-        if victim is not None and victim[1]:
-            self._transfer(victim[0], write=True)
-            self.stats.add("writebacks")
-
-    def read(self, addr: int) -> int:
-        hit, victim = self.cache.access(addr, write=False)
-        if hit:
-            self.stats.add("llc_hits")
-            return self.latency
-        self.stats.add("llc_misses")
-        self._handle_victim(victim)
-        return self.latency + self._transfer(addr, write=False)
-
-    def writeback(self, addr: int) -> int:
-        victim = self.cache.insert(addr, dirty=True)
-        self._handle_victim(victim)
-        return self.latency
-
-    # ------------------------------------------------------------------
-    # batched replay (the vectorized timing engine's fast path)
-    # ------------------------------------------------------------------
     def replay_batch(self, addrs: np.ndarray, is_read: np.ndarray) -> np.ndarray:
         """Replay a whole LLC event stream; returns per-event latencies.
 
         ``addrs``/``is_read`` describe the filtered, chunk-interleaved
-        event stream: demand reads (:meth:`read`) where ``is_read``,
-        dirty L2 victim writebacks (:meth:`writeback`) elsewhere.
-        Equivalent to calling those methods one event at a time — the
-        data array is replayed through a
-        :class:`~repro.cache.array_lru.BatchedLRUMatrix`, the resulting
-        miss/victim transfer stream through
-        :meth:`~repro.memory.dram.DRAM.access_batch` — but with all
-        per-event Python work vectorized.  Latencies are reported for
-        read events (writeback slots hold 0; the caller discards them,
-        as the reference loop discards :meth:`writeback`'s return).
+        event stream: demand reads where ``is_read``, dirty L2 victim
+        writebacks elsewhere.  A read looks the line up (allocating on
+        a miss, evicting the set's LRU line), a writeback installs the
+        line dirty; a dirty victim goes to memory before the demand
+        fetch of the event that evicted it.  The data array is replayed
+        through a :class:`~repro.cache.array_lru.BatchedLRUMatrix`, the
+        resulting miss/victim transfer stream through
+        :meth:`~repro.memory.dram.DRAM.access_batch`.  Latencies are
+        reported for read events (writeback slots hold 0; the caller
+        discards them).
 
-        The batch must be the *first* traffic this LLC sees (the
-        timing engine runs exactly one trace per system); starting from
-        a non-empty cache raises rather than silently replaying against
-        the wrong state.  The final contents are written back to the
-        sequential cache, so per-event calls may follow a batch.
+        The batch is the whole traffic this LLC ever sees (the timing
+        engine runs exactly one trace per system); a second call
+        raises rather than replaying against the wrong state.
         """
-        cache = self.cache
-        if any(cache._sets):
+        if self._replayed:
             raise ValueError(
-                "replay_batch requires an empty LLC: it replays the whole "
+                "replay_batch runs once per LLC: it replays the whole "
                 "event stream against fresh state (one batch per cache)"
             )
+        self._replayed = True
         n = int(addrs.size)
-        matrix = BatchedLRUMatrix(cache.num_sets, cache.ways)
-        lines = addrs >> cache.line_shift
+        matrix = BatchedLRUMatrix(self.num_sets, self.ways)
+        lines = addrs >> self.line_shift
         present, victim_line, victim_dirty = matrix.replay(
-            lines % cache.num_sets, lines, ~is_read, is_access=is_read
+            lines % self.num_sets, lines, ~is_read, is_access=is_read
         )
         hits = int(present[is_read].sum())
         misses = int(is_read.sum()) - hits
-        cache.hits += hits
-        cache.misses += misses
         if hits:
             self.stats.add("llc_hits", hits)
         if misses:
@@ -141,10 +102,10 @@ class BaselineLLC:
 
         # Memory-link transfer stream, in event order: each event first
         # writes back its dirty victim, then (read misses) fetches the
-        # demand line — the `_handle_victim` → `_transfer` sequence.
+        # demand line.
         demand = is_read & ~present
         t_addr = np.empty((n, 2), dtype=np.int64)
-        t_addr[:, 0] = victim_line << cache.line_shift
+        t_addr[:, 0] = victim_line << self.line_shift
         t_addr[:, 1] = addrs
         t_write = np.zeros((n, 2), dtype=bool)
         t_write[:, 0] = True
@@ -158,15 +119,7 @@ class BaselineLLC:
         m = int(dram_addr.size)
 
         # Approx/exact traffic split, plus Truncate's half-width lines.
-        if self._always_exact:
-            approx = np.zeros(m, dtype=bool)
-        elif self.is_approx_batch is not None:
-            approx = self.is_approx_batch(dram_addr)
-        else:
-            fn = self.is_approx
-            approx = np.fromiter(
-                (fn(a) for a in dram_addr.tolist()), dtype=bool, count=m
-            )
+        approx = self.layout.is_approx_batch(dram_addr)
         half = approx & (self.approx_line_bytes != 64)
         nbytes = np.where(half, self.approx_line_bytes, 64)
         n_approx = int(approx.sum())
@@ -192,13 +145,6 @@ class BaselineLLC:
             ) * (self.dram.config.burst_cycles // 2)
             for c in range(self.dram.config.channels):
                 self.dram.channel_busy[c] -= int(credit[c])
-
-        # Mirror the final contents into the dict cache (LRU order is
-        # dict order), so sequential read()/writeback() calls after a
-        # batch observe the correct state.
-        for cset, entries in zip(cache._sets, matrix.lru_state()):
-            for entry_line, entry_dirty in entries:
-                cset[entry_line] = entry_dirty
 
         latencies = np.zeros(n, dtype=np.int64)
         latencies[is_read] = self.latency

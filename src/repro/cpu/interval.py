@@ -24,22 +24,6 @@ class IntervalCore:
         self.mem_accesses = 0
         self.mem_latency_total = 0.0
 
-    def advance(self, gap_instructions: int) -> None:
-        """Execute non-memory instructions at the base dispatch rate."""
-        self.instructions += int(gap_instructions) + 1  # + the memory op
-        self.cycles += (int(gap_instructions) + 1) / self.config.base_ipc
-
-    def memory_event(self, latency_cycles: float, l1_hit: bool) -> None:
-        """Account one memory access' latency.
-
-        L1 hits are hidden by the pipeline; deeper accesses expose
-        ``latency / MLP`` cycles of stall.
-        """
-        self.mem_accesses += 1
-        self.mem_latency_total += latency_cycles
-        if not l1_hit:
-            self.cycles += latency_cycles / self.config.mlp
-
     def replay_batch(
         self,
         gaps: np.ndarray,
@@ -48,14 +32,17 @@ class IntervalCore:
     ) -> None:
         """Account a whole access stream in one vectorized step.
 
-        Bit-identical to calling ``advance(g); memory_event(lat, hit)``
-        per access: the cycle counter is a *sequential* chain of float
-        additions, so the batch builds the same chain — dispatch add,
-        then stall add, per access — and folds it with
-        ``np.add.accumulate`` (a strict left-to-right accumulation,
-        unlike ``np.sum``'s pairwise reduction).  L1 hits contribute a
-        stall of exactly ``0.0``, which is additively inert for the
-        non-negative cycle counter.
+        Per access, the core first dispatches the ``gap`` preceding
+        instructions plus the memory op at the base rate (adding
+        ``(gap + 1) / base_ipc`` cycles), then stalls for the exposed
+        ``latency / mlp`` cycles unless the access hit in L1.  The
+        cycle counter is a *sequential* chain of float additions, so
+        the batch builds exactly that chain — dispatch add, then stall
+        add, per access — and folds it with ``np.add.accumulate`` (a
+        strict left-to-right accumulation, unlike ``np.sum``'s pairwise
+        reduction), bit-identical to the per-access loop.  L1 hits
+        contribute a stall of exactly ``0.0``, which is additively inert
+        for the non-negative cycle counter.
         """
         n = int(gaps.size)
         if n == 0:

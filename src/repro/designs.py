@@ -202,6 +202,7 @@ class DesignSpec:
                 f"design {self.name!r} bakes in avr_options but its "
                 f"{self.llc!r} LLC family cannot consume them"
             )
+        self._check_avr_options(dict(options))
         object.__setattr__(self, "avr_options", tuple(sorted(options)))
 
     # ------------------------------------------------------------------
@@ -248,7 +249,9 @@ class DesignSpec:
 
         ``build_system`` used to silently drop ``avr_options`` for
         non-AVR designs; an ablation sweep over the wrong design then
-        measured nothing.  Now it is a loud error.
+        measured nothing.  Now it is a loud error, as is an option the
+        built-in AVR LLC does not know or a value it does not accept
+        (see :data:`repro.cache.llc_avr.AVR_OPTIONS`).
         """
         if avr_options and not self.consumes_avr_options:
             raise ValueError(
@@ -256,6 +259,15 @@ class DesignSpec:
                 f"consume avr_options {sorted(avr_options)}; only AVR-family "
                 "designs (or designs with a custom builder) accept them"
             )
+        self._check_avr_options(avr_options or {})
+
+    def _check_avr_options(self, options: dict[str, Any]) -> None:
+        # the built-in AVR family feeds options to AVRLLC's keywords; a
+        # custom builder decides for itself what its options mean
+        if options and self.llc == "avr" and self.builder is None:
+            from .cache.llc_avr import check_avr_options
+
+            check_avr_options(options)
 
     # ------------------------------------------------------------------
     # functional layer
@@ -316,47 +328,27 @@ class DesignSpec:
 
     def _build_baseline_llc(self, ctx: LLCBuildContext) -> BaselineLLC:
         from .cache.llc_baseline import BaselineLLC
+        from .system.layout import AddressLayout
 
         if self.capacity_model == "none" and self.approx_line_bytes is None:
-            return BaselineLLC(ctx.config.llc, ctx.dram)
+            # a plain cache: all traffic counts as exact
+            return BaselineLLC(ctx.config.llc, ctx.dram, AddressLayout())
         return BaselineLLC(
             ctx.config.llc,
             ctx.dram,
-            is_approx=ctx.layout.is_approx,
+            ctx.layout,
             capacity_multiplier=self._capacity_multiplier(ctx),
             approx_line_bytes=self.approx_line_bytes
             or ctx.config.llc.line_bytes,
-            is_approx_batch=ctx.layout.is_approx_batch,
         )
 
     def _build_avr_llc(self, ctx: LLCBuildContext) -> AVRLLC:
-        import numpy as np
-
         from .cache.llc_avr import AVRLLC
-        from .common.constants import BLOCK_CACHELINES
+        from .system.layout import AddressLayout
 
-        if self.approximate_nothing:
-            # AVR machinery present, nothing marked approximable.
-            return AVRLLC(
-                ctx.config.llc,
-                ctx.dram,
-                block_size_of=lambda addr: BLOCK_CACHELINES,
-                is_approx=lambda addr: False,
-                is_approx_batch=lambda addrs: np.zeros(addrs.shape, dtype=bool),
-                block_size_of_batch=lambda addrs: np.full(
-                    addrs.shape, BLOCK_CACHELINES, dtype=np.int64
-                ),
-                **ctx.options,
-            )
-        return AVRLLC(
-            ctx.config.llc,
-            ctx.dram,
-            block_size_of=ctx.layout.block_size_of,
-            is_approx=ctx.layout.is_approx,
-            is_approx_batch=ctx.layout.is_approx_batch,
-            block_size_of_batch=ctx.layout.block_size_of_batch,
-            **ctx.options,
-        )
+        # ZeroAVR: AVR machinery present, nothing marked approximable
+        layout = AddressLayout() if self.approximate_nothing else ctx.layout
+        return AVRLLC(ctx.config.llc, ctx.dram, layout, **ctx.options)
 
 
 #: anything the design-accepting APIs resolve through :func:`get_design`

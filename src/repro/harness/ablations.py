@@ -24,7 +24,7 @@ from ..common.constants import VALUES_PER_BLOCK
 from ..common.types import CompressionMethod
 from ..compression.compressor import AVRCompressor
 from ..compression.errors import relative_error
-from ..designs import AVR, BASELINE, get_design, layout_source_design
+from ..designs import BASELINE, get_design, layout_source_design
 from ..trace.generator import generate_trace
 from .cache import resolve_result_cache
 from .runner import _build_layout
@@ -100,6 +100,8 @@ def run_llc_ablations(
             f"design {design.name!r} cannot consume LLC ablation options; "
             "pick an AVR-family design"
         )
+    for options in variants.values():
+        design.validate_options(options)
     layout_design = layout_source_design(design)
     point = SweepPoint(
         workload=workload_name,

@@ -6,6 +6,11 @@ accounts every byte of traffic.  Queueing is abstracted into the
 row-hit/miss latencies; sustained-bandwidth limits surface through the
 channel busy-time counters, which the interval core model uses as the
 bandwidth-bound execution time.
+
+The LLC replays hand over their whole transfer stream at once; each
+batch leaves stats, open rows and channel busy time exactly where the
+same transfers made one at a time would (the test oracle's
+``DRAMReference``).
 """
 
 from __future__ import annotations
@@ -29,46 +34,6 @@ class DRAM:
         self.stats = StatCounter()
         #: per-channel busy cycles (burst occupancy)
         self.channel_busy = [0] * config.channels
-
-    def _map(self, line_addr: int) -> tuple[int, int, int]:
-        """line address -> (channel, bank, row)."""
-        channel = line_addr % self.config.channels
-        within = line_addr // self.config.channels
-        row = within // self._row_lines
-        bank = row % self.config.banks_per_channel
-        return channel, bank, row
-
-    def access(self, addr: int, lines: int = 1, write: bool = False) -> int:
-        """Transfer ``lines`` consecutive cachelines starting at ``addr``.
-
-        Returns the latency in core cycles of the critical (first)
-        line; subsequent lines of a block stream behind it pipelined at
-        burst rate.  Busy time and traffic are fully accounted.
-        """
-        if lines < 1:
-            raise ValueError("lines must be >= 1")
-        cfg = self.config
-        first_line = addr >> self._line_shift
-        latency = 0
-        for i in range(lines):
-            channel, bank, row = self._map(first_line + i)
-            key = (channel, bank)
-            if self._open_rows.get(key) == row:
-                line_latency = cfg.row_hit_cycles
-                self.stats.add("row_hits")
-            else:
-                line_latency = cfg.row_miss_cycles
-                self._open_rows[key] = row
-                self.stats.add("row_misses")
-            if i == 0:
-                latency = line_latency
-            self.channel_busy[channel] += cfg.burst_cycles
-        nbytes = lines * self.line_bytes
-        self.stats.add("bytes_written" if write else "bytes_read", nbytes)
-        self.stats.add("accesses")
-        if not write:
-            latency += cfg.burst_cycles  # critical-line transfer time
-        return latency + (lines - 1) * cfg.burst_cycles // 2
 
     def _row_hit_batch(self, line_addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row-buffer outcome of a sequence of line transfers, in order.
@@ -110,13 +75,12 @@ class DRAM:
         return hit, channel
 
     def access_batch(self, addrs: np.ndarray, writes: np.ndarray) -> np.ndarray:
-        """Vectorized equivalent of one single-line :meth:`access` per element.
+        """Replay a sequence of single-line transfers, in order.
 
-        Replays a whole sequence of single-line transfers (the batched
-        LLC replay's miss/writeback stream) and returns the per-transfer
-        latencies.  Row-buffer outcomes come from :meth:`_row_hit_batch`;
-        stats and channel busy time are bulk-accumulated to the same
-        totals as the sequential loop.
+        Returns the per-transfer latencies: the row hit or miss
+        latency, plus one burst for a read's critical-line transfer.
+        Row-buffer outcomes come from :meth:`_row_hit_batch`; stats and
+        channel busy time are bulk-accumulated.
         """
         m = int(addrs.size)
         if m == 0:
@@ -146,24 +110,23 @@ class DRAM:
     def replay_transfers(
         self, addrs: np.ndarray, lines: np.ndarray, writes: np.ndarray
     ) -> np.ndarray:
-        """Vectorized replay of a mixed :meth:`access`/:meth:`transfer_partial` log.
+        """Replay a mixed log of block transfers and partial transfers.
 
-        One element per deferred call, in original call order:
+        One element per deferred transfer, in original order:
 
-        * ``lines[i] >= 1`` — an ``access(addrs[i], lines[i], writes[i])``
-          (multi-line block fetches included);
-        * ``lines[i] == 0`` — a ``transfer_partial(addrs[i], writes[i])``
-          where ``addrs[i]`` carries the byte count (CMT metadata traffic).
+        * ``lines[i] >= 1`` — ``lines[i]`` consecutive cachelines from
+          ``addrs[i]``; the latency is the first line's, plus a burst
+          for a read, plus half a burst per line streaming behind it;
+        * ``lines[i] == 0`` — a sub-line transfer (CMT metadata) whose
+          byte count rides in ``addrs[i]``: it occupies channel
+          ``accesses % channels`` pro rata and has latency 0.
 
-        The AVR fast-replay engine queues every DRAM call its event scan
-        would have made and settles them here in one pass: multi-line
-        accesses expand to a per-line stream for :meth:`_row_hit_batch`,
-        partials fold in positionally (their channel choice depends on
-        the number of preceding accesses, which is a cumulative sum).
-        Returns per-element latencies — :meth:`access`'s return value
-        for access slots, 0 for partial slots (``transfer_partial``
-        returns nothing).  Stats, open rows and channel busy end up
-        bit-identical to the sequential call sequence.
+        The AVR fast-replay engine queues every DRAM transfer its event
+        scan makes and settles them here in one pass: multi-line
+        transfers expand to a per-line stream for
+        :meth:`_row_hit_batch`, partials fold in positionally (their
+        channel choice depends on the number of preceding transfers,
+        which is a cumulative sum).
         """
         t = int(lines.size)
         latency = np.zeros(t, dtype=np.int64)
@@ -228,14 +191,6 @@ class DRAM:
         if acc_idx.size:
             self.stats.add("accesses", int(acc_idx.size))
         return latency
-
-    def transfer_partial(self, nbytes: int, write: bool) -> None:
-        """Account sub-line traffic (e.g. CMT metadata updates)."""
-        self.stats.add("bytes_written" if write else "bytes_read", nbytes)
-        channel = self.stats.get("accesses", 0) % self.config.channels
-        self.channel_busy[int(channel)] += max(
-            1, self.config.burst_cycles * nbytes // self.line_bytes
-        )
 
     @property
     def total_bytes(self) -> int:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+from ..cache.llc_avr import AVR_FLAGS
 from ..designs import resolve_designs
 from ..harness.cache import content_key
 from ..workloads import WORKLOADS
@@ -38,12 +39,7 @@ METRICS = ("traffic", "time", "amat", "mpki", "energy", "error", "compression")
 MAXIMIZE = frozenset({"compression"})
 
 #: AVRLLC boolean options ``avr_toggles`` may switch off
-AVR_TOGGLEABLE = (
-    "enable_dbuf",
-    "enable_lazy_eviction",
-    "enable_skip_counters",
-    "enable_cms_lru_refresh",
-)
+AVR_TOGGLEABLE = AVR_FLAGS
 
 
 @dataclass(frozen=True)

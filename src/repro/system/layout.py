@@ -2,7 +2,9 @@
 
 Maps physical addresses to (a) whether they belong to an
 architecturally-approximable region and (b) the static compressed size
-of their 1 KB block, as measured by the functional layer.
+of their 1 KB block, as measured by the functional layer.  Regions
+start on a block boundary and span whole blocks, so a block is
+approximate or exact as a whole (the AVR replay classifies per block).
 """
 
 from __future__ import annotations
@@ -12,6 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.constants import BLOCK_BYTES, BLOCK_CACHELINES
+
+
+def _check_block_aligned(addr: int) -> None:
+    if addr % BLOCK_BYTES:
+        raise ValueError(
+            f"approximable regions must start on a {BLOCK_BYTES} B block "
+            f"boundary, got {addr:#x}"
+        )
 
 
 @dataclass
@@ -30,6 +40,9 @@ class AddressLayout:
     def add_region(
         self, start: int, nbytes: int, sizes: np.ndarray | int
     ) -> None:
+        """Mark ``[start, start + nbytes)``, rounded up to whole blocks,
+        approximable; ``start`` must be block-aligned."""
+        _check_block_aligned(start)
         end = start + (-(-nbytes // BLOCK_BYTES)) * BLOCK_BYTES
         if isinstance(sizes, np.ndarray):
             expected = (end - start) // BLOCK_BYTES
@@ -49,8 +62,10 @@ class AddressLayout:
         changes where a region sits in the composed address space, not
         what its blocks compress to.  The scenario composer uses this
         to place each workload instance's regions at a disjoint base
-        offset (:mod:`repro.scenario.compose`).
+        offset (:mod:`repro.scenario.compose`); ``offset`` must be
+        block-aligned.
         """
+        _check_block_aligned(offset)
         out = AddressLayout()
         out.ranges = [
             _Range(r.start + offset, r.end + offset, r.sizes)
@@ -58,43 +73,24 @@ class AddressLayout:
         ]
         return out
 
-    def is_approx(self, addr: int) -> bool:
-        for r in self.ranges:
-            if r.start <= addr < r.end:
-                return True
-        return False
-
     def is_approx_batch(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_approx` over an address array.
-
-        Lets the batched timing engine classify a whole transfer stream
-        without one Python call per address.
-        """
+        """Whether each address lies in an approximable range."""
         out = np.zeros(addrs.shape, dtype=bool)
         for r in self.ranges:
             out |= (addrs >= r.start) & (addrs < r.end)
         return out
 
-    def block_size_of(self, block_addr: int) -> int:
-        """Compressed size (cachelines) of the block at ``block_addr``."""
-        for r in self.ranges:
-            if r.start <= block_addr < r.end:
-                if isinstance(r.sizes, np.ndarray):
-                    return int(r.sizes[(block_addr - r.start) // BLOCK_BYTES])
-                return int(r.sizes)
-        return BLOCK_CACHELINES
-
     def block_size_of_batch(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`block_size_of` over an address array.
+        """Compressed size (cachelines) of each address's block.
 
-        Addresses outside every range report ``BLOCK_CACHELINES``
-        (stored uncompressed), like the scalar lookup.  The AVR
-        fast-replay engine uses this to decode the static size of every
-        event's block in one pass instead of one Python call per event.
+        The first range holding the address gives its block's size;
+        addresses outside every range report ``BLOCK_CACHELINES``
+        (stored uncompressed).  The AVR fast-replay engine uses this to
+        decode the static size of every event's block in one pass.
         """
         out = np.full(addrs.shape, BLOCK_CACHELINES, dtype=np.int64)
-        # first matching range wins, like the scalar walk (nothing
-        # forbids overlapping regions)
+        # first matching range wins (nothing forbids overlapping
+        # regions)
         unassigned = np.ones(addrs.shape, dtype=bool)
         for r in self.ranges:
             in_r = unassigned & (addrs >= r.start) & (addrs < r.end)

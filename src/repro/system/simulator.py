@@ -13,7 +13,7 @@ as speedup for bandwidth-bound workloads, the paper's central effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -126,10 +126,13 @@ class TimingSystem:
         latency-bound and bandwidth-bound estimates; callers normalize
         against a baseline run of the same trace.
 
-        The replay is batched in three stages, each bit-identical to
-        the access-at-a-time loop kept as the test oracle in
-        ``tests/oracles.py`` (pinned by ``tests/test_engine_equivalence.py``
-        and ``benchmarks/bench_timing.py --check``):
+        This batched replay is the package's only timing model.  The
+        replay runs in three stages, each bit-identical to the
+        access-at-a-time loop over per-event twins of every component
+        (private caches, LLC, DRAM, core) that the test oracle keeps in
+        ``tests/oracles.py`` (pinned by
+        ``tests/test_engine_equivalence.py`` and
+        ``benchmarks/bench_timing.py --check``):
 
         1. **Private filter** — every core's L1+L2 stack is replayed in
            one batched pass (:class:`BatchedPrivateFilter`); private
@@ -148,7 +151,8 @@ class TimingSystem:
            bit-identical cycle count.
 
         A ``TimingSystem`` accumulates state in its LLC and DRAM
-        models, so each instance should run exactly one trace.
+        models, so each instance runs exactly one trace: the LLC's
+        replay raises on a second call.
         """
         config = self.config
         num_cores = len(trace.cores)
@@ -195,8 +199,7 @@ class TimingSystem:
         # stream: BaselineLLC (baseline / Truncate / Doppelgänger)
         # replays its data array as one BatchedLRUMatrix pass, AVRLLC
         # runs its array-backed fast scan (decode pass, same-block run
-        # batching, deferred DRAM settlement) — both bit-identical to
-        # their per-event read()/writeback() flows.
+        # batching, deferred DRAM settlement).
         read_lats = self.llc.replay_batch(flat_addr, flat_is_read)[flat_is_read]
 
         # --- scatter LLC latencies back, fold per-core accounting -----
@@ -291,5 +294,7 @@ class TimingSystem:
             "dram_lines": dram_lines,
             "compressor_ops": compressor_ops,
         }
-        has_compressor = isinstance(self.llc, AVRLLC)
+        # a class attribute of the LLC, so any LLC a custom builder
+        # returns answers for itself (one without it has no compressor)
+        has_compressor = bool(getattr(self.llc, "has_compressor", False))
         return EnergyModel().compute(counts, seconds, num_cores, has_compressor)

@@ -3,72 +3,73 @@
 import numpy as np
 import pytest
 
+from oracles import replay_llc
 from repro.cache.llc_avr import AVRLLC
-from repro.common.config import CacheConfig, DRAMConfig, SystemConfig
+from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import BLOCK_BYTES, CACHELINE_BYTES, VALUES_PER_BLOCK
 from repro.common.types import CompressionMethod, ErrorThresholds
 from repro.compression import AVRCompressor
 from repro.harness import run_compressor_ablations, run_llc_ablations
 from repro.harness.ablations import LLC_ABLATIONS
-from repro.memory import DRAM
+from repro.system.layout import AddressLayout
 
 APPROX_BASE = 0x10000
 
 
-def make_llc(**kwargs):
-    dram = DRAM(DRAMConfig())
-    llc = AVRLLC(
-        CacheConfig(64 * 8 * 64, 8, 15),
-        dram,
-        block_size_of=lambda addr: 2,
-        is_approx=lambda addr: APPROX_BASE <= addr < APPROX_BASE + 64 * BLOCK_BYTES,
-        **kwargs,
-    )
-    return llc, dram
+def replay(events, block_size=2, **options):
+    """Replay ``events`` through a fresh AVRLLC and its oracle twin."""
+    layout = AddressLayout()
+    layout.add_region(APPROX_BASE, 64 * BLOCK_BYTES, block_size)
+    config = CacheConfig(64 * 8 * 64, 8, 15)
+    return replay_llc(AVRLLC, events, config, layout, **options)
+
+
+def flood_ucl_set_of_approx_base():
+    """Exact reads that evict APPROX_BASE's UCL (64 sets x 8 ways)."""
+    return [
+        ("r", (0x4000000 // 64 // 64 + i) * 64 * 64) for i in range(8 + 2)
+    ]
 
 
 class TestLLCFlags:
     def test_no_dbuf_falls_through_to_compressed(self):
-        llc, _ = make_llc(enable_dbuf=False)
-        llc.read(APPROX_BASE)
-        llc.read(APPROX_BASE + CACHELINE_BYTES)
-        assert llc.stats.get("req_hit_dbuf", 0) == 0
-        assert llc.stats["req_hit_compressed"] >= 1
+        out = replay(
+            [("r", APPROX_BASE), ("r", APPROX_BASE + CACHELINE_BYTES)],
+            enable_dbuf=False,
+        )
+        assert out.stats.get("req_hit_dbuf", 0) == 0
+        assert out.stats["req_hit_compressed"] >= 1
 
     def test_no_lazy_eviction_forces_fetch_recompress(self):
-        llc, dram = make_llc(enable_lazy_eviction=False)
-        llc.writeback(APPROX_BASE)
-        for i in range(llc.ways + 2):  # flood the UCL's set
-            line = (0x4000000 // 64 // llc.num_sets + i) * llc.num_sets
-            llc.read(line * 64)
-        assert llc.stats.get("evict_lazy_writeback", 0) == 0
-        assert llc.stats["evict_fetch_recompress"] >= 1
+        out = replay(
+            [("w", APPROX_BASE)] + flood_ucl_set_of_approx_base(),
+            enable_lazy_eviction=False,
+        )
+        assert out.stats.get("evict_lazy_writeback", 0) == 0
+        assert out.stats["evict_fetch_recompress"] >= 1
 
     def test_no_skip_counters_always_retries(self):
-        llc, _ = make_llc(enable_skip_counters=False)
-        llc.block_size_of = lambda addr: 16  # uncompressible
-        for _ in range(4):
-            llc.writeback(APPROX_BASE)
-            for i in range(llc.ways + 2):
-                line = (0x4000000 // 64 // llc.num_sets + i) * llc.num_sets
-                llc.read(line * 64)
-        entry, _ = llc.cmt.lookup(APPROX_BASE)
+        out = replay(
+            4 * ([("w", APPROX_BASE)] + flood_ucl_set_of_approx_base()),
+            block_size=16,  # uncompressible
+            enable_skip_counters=False,
+        )
+        entry, _ = out.reference.cmt.lookup(APPROX_BASE)
         assert entry.skipped == 0
         # every eviction attempted compression (and failed)
-        assert llc.stats["compressions"] == 4
+        assert out.stats["compressions"] == 4
 
     def test_pfe_threshold_zero_prefetches_everything(self):
-        llc, _ = make_llc(pfe_threshold=0)
-        llc.read(APPROX_BASE)
-        llc.read(APPROX_BASE + BLOCK_BYTES)  # replace DBUF
-        assert llc.stats["pfe_prefetches"] == 15
+        out = replay(
+            [("r", APPROX_BASE), ("r", APPROX_BASE + BLOCK_BYTES)],  # replace DBUF
+            pfe_threshold=0,
+        )
+        assert out.stats["pfe_prefetches"] == 15
 
     def test_pfe_threshold_over_block_never_fires(self):
-        llc, _ = make_llc(pfe_threshold=17)
-        for i in range(16):
-            llc.read(APPROX_BASE + i * CACHELINE_BYTES)
-        llc.read(APPROX_BASE + BLOCK_BYTES)
-        assert llc.stats.get("pfe_prefetches", 0) == 0
+        events = [("r", APPROX_BASE + i * CACHELINE_BYTES) for i in range(16)]
+        out = replay(events + [("r", APPROX_BASE + BLOCK_BYTES)], pfe_threshold=17)
+        assert out.stats.get("pfe_prefetches", 0) == 0
 
 
 class TestCompressorOptions:
@@ -127,6 +128,18 @@ class TestAblationHarness:
         )
         assert set(results) == {"full AVR", "no DBUF"}
         assert results["no DBUF"].amat_cycles >= results["full AVR"].amat_cycles
+
+    def test_every_shipped_variant_runs(self):
+        results = run_llc_ablations(
+            "heat", config=SystemConfig.scaled(num_cores=2), scale=0.15,
+            max_accesses_per_core=1_500,
+        )
+        assert set(results) == set(LLC_ABLATIONS)
+        assert all(p.cycles > 0 for p in results.values())
+
+    def test_bad_variant_rejected_before_any_run(self):
+        with pytest.raises(ValueError, match="valid options: enable_dbuf"):
+            run_llc_ablations("heat", variants={"typo": {"enabel_dbuf": False}})
 
     def test_compressor_ablation_metrics(self):
         results = run_compressor_ablations("orbit", scale=0.13)

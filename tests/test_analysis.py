@@ -298,43 +298,25 @@ class TestPicklableHooks:
 # PAR001 — engine parity
 # ----------------------------------------------------------------------
 class TestEngineParity:
+    @staticmethod
+    def _tests_dir(tmp_path, oracle, equivalence):
+        tests_dir = tmp_path / "tests"
+        tests_dir.mkdir()
+        (tests_dir / "oracles.py").write_text(oracle)
+        (tests_dir / "test_engine_equivalence.py").write_text(equivalence)
+        return tests_dir
+
     def test_batch_without_reference_path_flagged(self, tmp_path):
+        """Named in a differential test but absent from the oracle: a
+        per-event method on the class itself does not count."""
+        tests_dir = self._tests_dir(
+            tmp_path,
+            "class OtherReference: ...\n",
+            "def test_fast(): assert 'FastOnly'\n",
+        )
         result = check_snippet(
             tmp_path,
             "class FastOnly:\n"
-            "    def replay_batch(self, addrs):\n"
-            "        return addrs\n",
-            select=["PAR001"],
-        )
-        assert "PAR001" in rule_ids(result)
-
-    def test_batch_with_reference_and_test_mention_passes(self, tmp_path):
-        tests_dir = tmp_path / "tests"
-        tests_dir.mkdir()
-        (tests_dir / "test_engine_equivalence.py").write_text(
-            "def test_paired():\n    assert 'Paired'\n"
-        )
-        result = check_snippet(
-            tmp_path,
-            "class Paired:\n"
-            "    def read(self, addr):\n"
-            "        return 1\n"
-            "    def replay_batch(self, addrs):\n"
-            "        return addrs\n",
-            select=["PAR001"],
-            tests=tests_dir,
-        )
-        assert result.ok
-
-    def test_missing_test_mention_flagged(self, tmp_path):
-        tests_dir = tmp_path / "tests"
-        tests_dir.mkdir()
-        (tests_dir / "test_engine_equivalence.py").write_text(
-            "def test_other(): ...\n"
-        )
-        result = check_snippet(
-            tmp_path,
-            "class Orphan:\n"
             "    def read(self, addr):\n"
             "        return 1\n"
             "    def replay_batch(self, addrs):\n"
@@ -343,6 +325,40 @@ class TestEngineParity:
             tests=tests_dir,
         )
         assert rule_ids(result) == ["PAR001"]
+        assert "oracle" in result.findings[0].message
+
+    def test_batch_with_reference_and_test_mention_passes(self, tmp_path):
+        tests_dir = self._tests_dir(
+            tmp_path,
+            "class PairedReference: ...\n",
+            "def test_paired():\n    assert 'Paired'\n",
+        )
+        result = check_snippet(
+            tmp_path,
+            "class Paired:\n"
+            "    def replay_batch(self, addrs):\n"
+            "        return addrs\n",
+            select=["PAR001"],
+            tests=tests_dir,
+        )
+        assert result.ok
+
+    def test_missing_test_mention_flagged(self, tmp_path):
+        tests_dir = self._tests_dir(
+            tmp_path,
+            "class OrphanReference: ...\n",
+            "def test_other(): ...\n",
+        )
+        result = check_snippet(
+            tmp_path,
+            "class Orphan:\n"
+            "    def replay_batch(self, addrs):\n"
+            "        return addrs\n",
+            select=["PAR001"],
+            tests=tests_dir,
+        )
+        assert rule_ids(result) == ["PAR001"]
+        assert "differential test" in result.findings[0].message
 
 
 # ----------------------------------------------------------------------

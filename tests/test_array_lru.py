@@ -11,9 +11,8 @@ models and compare everything.
 import numpy as np
 import pytest
 
+from oracles import PrivateCaches, SetAssocCache, matrix_lru_state
 from repro.cache.array_lru import EMPTY, BatchedLRUMatrix, BatchedPrivateFilter
-from repro.cache.base import SetAssocCache
-from repro.cache.hierarchy import PrivateCaches
 from repro.common.config import CacheConfig, SystemConfig
 
 
@@ -71,7 +70,7 @@ def test_matrix_matches_dict_cache(num_sets, ways, num_lines):
     # Final contents in LRU→MRU order must agree set by set.
     assert [
         [(line, dirty) for line, dirty in s] for s in ref.lru_state()
-    ] == mat.lru_state()
+    ] == matrix_lru_state(mat)
 
 
 def test_empty_batch_is_a_noop():

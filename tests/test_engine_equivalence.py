@@ -6,13 +6,15 @@ the full LLC/DRAM stat dictionaries — is **bit-identical** (``==`` on
 floats, no tolerance) to the access-at-a-time oracle's
 (:func:`oracles.run_reference`), for real workload traces under every
 design.  This is what lets the batched replay be the only production
-path.
+path.  Component by component, the suite pins ``AVRLLC``,
+``BaselineLLC`` and ``IntervalCore`` ``replay_batch`` against their
+per-event oracle twins.
 """
 
 import numpy as np
 import pytest
 
-from oracles import run_reference
+from oracles import IntervalCoreReference, replay_llc, run_reference
 from repro.common.config import SystemConfig
 from repro.designs import AVR, BASELINE, PAPER_DESIGNS, TRUNCATE
 from repro.harness.runner import _build_layout
@@ -114,7 +116,7 @@ def test_coreless_trace_both_engines():
 
 
 # ----------------------------------------------------------------------
-# AVR fast-replay differentials: ablation flags, mixed traces, handoff
+# AVR fast-replay differentials: ablation flags, mixed traces
 # ----------------------------------------------------------------------
 AVR_VARIANTS = {
     "full": {},
@@ -209,114 +211,70 @@ def test_avr_multicore_mixed_regions_bit_identical(variant):
     assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
 
-def test_avr_replay_then_scalar_handoff():
-    """Scalar calls after a batch see exactly the event-by-event state."""
-    layout, trace = _mixed_trace(num_cores=2, n=1_200)
+@pytest.mark.parametrize(
+    "design", [BASELINE, TRUNCATE, AVR], ids=lambda d: d.name
+)
+def test_one_replay_per_llc(design):
+    """An LLC replays one event stream, its whole traffic: a second
+    replay_batch, or a second run of its system, raises."""
+    layout, trace = _mixed_trace(num_cores=2, n=600)
     config = SystemConfig.scaled(num_cores=2)
-    fast = build_system(AVR, config, layout, 1 << 19)
-    slow = build_system(AVR, config, layout, 1 << 19)
-    fast.run(trace)
-    run_reference(slow, trace)
-    assert fast.llc.check_invariants() == []
-    # identical follow-up traffic must behave identically on both
-    followups = [0, 64 * 5, 1024 * 7 + 128, (1 << 19) + 64 * 3]
-    for addr in followups:
-        assert fast.llc.read(addr) == slow.llc.read(addr)
-        fast.llc.writeback(addr)
-        slow.llc.writeback(addr)
-    assert fast.llc.stats.as_dict() == slow.llc.stats.as_dict()
-    assert fast.llc._slot_of == slow.llc._slot_of
-    assert fast.llc.check_invariants() == []
+    llc = build_system(design, config, layout, 1 << 19).llc
+    addrs = np.array([0, 64, 1 << 19], dtype=np.int64)
+    is_read = np.array([True, False, True])
+    llc.replay_batch(addrs, is_read)
+    with pytest.raises(ValueError, match="once per LLC"):
+        llc.replay_batch(addrs, is_read)
+
+    system = build_system(design, config, layout, 1 << 19)
+    system.run(trace)
+    with pytest.raises(ValueError, match="once per LLC"):
+        system.run(trace)
 
 
-def test_avr_replay_batch_requires_pristine_state():
-    from repro.cache.llc_avr import AVRLLC
-    from repro.common.config import CacheConfig, DRAMConfig
-    from repro.memory import DRAM
-
-    llc = AVRLLC(
-        CacheConfig(64 * 8 * 64, 8, 15),
-        DRAM(DRAMConfig()),
-        block_size_of=lambda addr: 2,
-        is_approx=lambda addr: False,
-    )
-    llc.read(0)
-    with pytest.raises(ValueError, match="empty LLC"):
-        llc.replay_batch(
-            np.array([0], dtype=np.int64), np.array([True])
-        )
-
-
-def test_avr_misaligned_region_bit_identical():
-    """A region start inside a block makes blocks half approx, half
-    exact; the fast replay must then give up per-block classification
-    and run batching, staying bit-identical to the oracle."""
+def test_misaligned_region_rejected():
+    """Regions start on a block boundary, so every block is approximate
+    or exact as a whole — the AVR replay classifies per block."""
     from repro.system.layout import AddressLayout
-    from repro.trace.events import make_trace
-    from repro.trace.generator import GeneratedTrace
 
-    rng = np.random.default_rng(23)
     layout = AddressLayout()
-    layout.add_region(8 * 1024 + 512, 64 * 1024, 3)  # mid-block start
-    n = 3_000
-    cores = []
-    for c in range(2):
-        # hammer the boundary blocks so same-block runs form
-        addrs = (8 * 1024 + rng.integers(0, 64, n) * 64).astype(np.int64)
-        cores.append(
-            make_trace(addrs, rng.random(n) < 0.5, rng.integers(0, 20, n))
-        )
-    trace = GeneratedTrace(cores=cores, iterations_simulated=1, iterations_total=1)
-    ref = run_reference(build_system(AVR, CONFIG, layout, 1 << 18), trace)
-    vec = build_system(AVR, CONFIG, layout, 1 << 18).run(trace)
-    assert ref.metrics_equal(vec), ref.metric_diffs(vec)
+    with pytest.raises(ValueError, match="block"):
+        layout.add_region(8 * 1024 + 512, 64 * 1024, 3)  # mid-block start
+    with pytest.raises(ValueError, match="block"):
+        AddressLayout().shifted(512)
+    assert layout.ranges == []
 
 
 @pytest.mark.parametrize("flavor", ["plain", "truncate"])
 def test_baseline_llc_replay_batch_bit_identical(flavor):
-    """BaselineLLC.replay_batch vs the per-event read()/writeback() loop.
+    """BaselineLLC.replay_batch vs the per-event read()/writeback() twin.
 
-    Covers both the always-exact fast path and the Truncate-style
+    Covers both the all-exact plain cache and the Truncate-style
     half-width approx traffic split.
     """
     from repro.cache.llc_baseline import BaselineLLC
-    from repro.common.config import CacheConfig, DRAMConfig
-    from repro.memory import DRAM
+    from repro.common.config import CacheConfig
+    from repro.system.layout import AddressLayout
 
     rng = np.random.default_rng(7)
     n = 2_000
-    addrs = (rng.integers(0, 1 << 11, size=n) * 64).astype(np.int64)
-    is_read = rng.random(n) < 0.7
-    boundary = 64 * (1 << 10)
-
-    def build():
-        config = CacheConfig(64 * 8 * 16, 8, 15)  # 16 sets: force evictions
-        if flavor == "plain":
-            return BaselineLLC(config, DRAM(DRAMConfig()))
-        return BaselineLLC(
-            config,
-            DRAM(DRAMConfig()),
-            is_approx=lambda addr: addr < boundary,
-            approx_line_bytes=32,
-            is_approx_batch=lambda a: a < boundary,
-        )
-
-    fast, slow = build(), build()
-    batch_latency = fast.replay_batch(addrs, is_read)
-    ref_latency = np.zeros(n, dtype=batch_latency.dtype)
-    for i in range(n):
-        if is_read[i]:
-            ref_latency[i] = slow.read(int(addrs[i]))
-        else:
-            slow.writeback(int(addrs[i]))
-    assert np.array_equal(batch_latency[is_read], ref_latency[is_read])
-    assert fast.stats.as_dict() == slow.stats.as_dict()
-    assert fast.dram.stats.as_dict() == slow.dram.stats.as_dict()
-    assert fast.cache._sets == slow.cache._sets
+    addrs = (rng.integers(0, 1 << 11, size=n) * 64).tolist()
+    is_read = (rng.random(n) < 0.7).tolist()
+    events = [("r" if rd else "w", a) for a, rd in zip(addrs, is_read)]
+    config = CacheConfig(64 * 8 * 16, 8, 15)  # 16 sets: force evictions
+    layout = AddressLayout()
+    options = {}
+    if flavor == "truncate":
+        layout.add_region(0, 64 * (1 << 10), 16)
+        options["approx_line_bytes"] = 32
+    outcome = replay_llc(BaselineLLC, events, config, layout, **options)
+    assert outcome.stats["llc_misses"] > 0 and outcome.stats["writebacks"] > 0
+    if flavor == "truncate":
+        assert outcome.stats["bytes_approx"] > 0
 
 
 def test_interval_core_replay_batch_bit_identical():
-    """IntervalCore.replay_batch vs the advance()/memory_event() loop.
+    """IntervalCore.replay_batch vs the advance()/memory_event() twin.
 
     The cycle counter is a sequential float chain, so equality here is
     exact (``==`` on float64), not approximate.
@@ -332,7 +290,8 @@ def test_interval_core_replay_batch_bit_identical():
     )
     l1_hit = rng.random(n) < 0.6
 
-    fast, slow = IntervalCore(CoreConfig()), IntervalCore(CoreConfig())
+    fast = IntervalCore(CoreConfig())
+    slow = IntervalCoreReference(CoreConfig())
     fast.replay_batch(gaps, latencies, l1_hit)
     for gap, latency, hit in zip(gaps, latencies, l1_hit):
         slow.advance(int(gap))

@@ -6,7 +6,7 @@ the LLC.  These tests pin the corrected policy: all L1 victims land in
 L2 with their dirty flag preserved.
 """
 
-from repro.cache.hierarchy import PrivateCaches
+from oracles import PrivateCaches
 from repro.common.config import SystemConfig
 
 CONFIG = SystemConfig.scaled(num_cores=2)

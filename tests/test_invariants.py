@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import block_size_of, is_approx
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import VALUES_PER_BLOCK
 from repro.common.types import ErrorThresholds
@@ -131,7 +132,7 @@ class TestCompressorInvariants:
 
 
 class TestLayoutBatchLookups:
-    """The vectorized layout lookups must match their scalar originals."""
+    """The vectorized layout lookups must match the oracle's scalar ones."""
 
     def test_block_size_of_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -141,7 +142,7 @@ class TestLayoutBatchLookups:
         layout.add_region(0x80000, 8 * 1024, 4)
         addrs = rng.integers(0, 0x100000, 500).astype(np.int64)
         batch = layout.block_size_of_batch(addrs)
-        scalar = [layout.block_size_of(int(a)) for a in addrs]
+        scalar = [block_size_of(layout, int(a)) for a in addrs]
         assert batch.tolist() == scalar
 
     def test_is_approx_batch_matches_scalar(self):
@@ -150,7 +151,7 @@ class TestLayoutBatchLookups:
         layout.add_region(0x4000, 16 * 1024, 2)
         addrs = rng.integers(0, 0x10000, 400).astype(np.int64)
         batch = layout.is_approx_batch(addrs)
-        scalar = [layout.is_approx(int(a)) for a in addrs]
+        scalar = [is_approx(layout, int(a)) for a in addrs]
         assert batch.tolist() == scalar
 
     def test_block_size_of_batch_overlapping_first_wins(self):
@@ -159,5 +160,5 @@ class TestLayoutBatchLookups:
         layout.add_region(0x1000, 8 * 1024, 7)  # overlaps the first
         addrs = np.arange(0, 0x4000, 512, dtype=np.int64)
         batch = layout.block_size_of_batch(addrs)
-        scalar = [layout.block_size_of(int(a)) for a in addrs]
+        scalar = [block_size_of(layout, int(a)) for a in addrs]
         assert batch.tolist() == scalar

@@ -11,7 +11,7 @@ scenario-qualified identities.
 import numpy as np
 import pytest
 
-from oracles import run_reference
+from oracles import block_size_of, is_approx, run_reference
 from repro.common.config import CacheConfig, SystemConfig
 from repro.designs import AVR, BASELINE
 from repro.harness.runner import _build_layout
@@ -271,10 +271,10 @@ class TestComposition:
             local = _build_layout(workload, FUNCTIONAL(ipoint, AVR))
             for r in local.ranges:
                 for addr in (r.start, (r.start + r.end) // 2 & ~1023, r.end - 1024):
-                    assert context.layout.block_size_of(addr + offset) == \
-                        local.block_size_of(addr)
-                    assert context.layout.is_approx(addr + offset) == \
-                        local.is_approx(addr)
+                    assert block_size_of(context.layout, addr + offset) == \
+                        block_size_of(local, addr)
+                    assert is_approx(context.layout, addr + offset) == \
+                        is_approx(local, addr)
 
     def test_composed_footprint_and_approx_bytes_additive(self):
         point, context = _context("heat+lbm", config=SystemConfig.scaled(8))

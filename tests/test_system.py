@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import block_size_of, is_approx
 from repro.cache.llc_avr import AVRLLC
 from repro.cache.llc_baseline import BaselineLLC
 from repro.common.config import SystemConfig
@@ -18,30 +19,30 @@ CONFIG = SystemConfig.scaled(num_cores=2)
 class TestAddressLayout:
     def test_empty_layout(self):
         layout = AddressLayout()
-        assert not layout.is_approx(0)
-        assert layout.block_size_of(0) == BLOCK_CACHELINES
+        assert not is_approx(layout, 0)
+        assert block_size_of(layout, 0) == BLOCK_CACHELINES
         assert layout.mean_compression_ratio() == 1.0
 
     def test_constant_sizes(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 4 * BLOCK_BYTES, 2)
-        assert layout.is_approx(0x10000)
-        assert layout.is_approx(0x10000 + 4 * BLOCK_BYTES - 1)
-        assert not layout.is_approx(0x10000 + 4 * BLOCK_BYTES)
-        assert layout.block_size_of(0x10000 + BLOCK_BYTES) == 2
+        assert is_approx(layout, 0x10000)
+        assert is_approx(layout, 0x10000 + 4 * BLOCK_BYTES - 1)
+        assert not is_approx(layout, 0x10000 + 4 * BLOCK_BYTES)
+        assert block_size_of(layout, 0x10000 + BLOCK_BYTES) == 2
         assert layout.mean_compression_ratio() == pytest.approx(8.0)
 
     def test_array_sizes(self):
         layout = AddressLayout()
         sizes = np.array([1, 2, 4, 16], dtype=np.int32)
         layout.add_region(0, 4 * BLOCK_BYTES, sizes)
-        assert layout.block_size_of(2 * BLOCK_BYTES) == 4
+        assert block_size_of(layout, 2 * BLOCK_BYTES) == 4
         assert layout.approx_bytes == 4 * BLOCK_BYTES
 
     def test_short_size_array_padded(self):
         layout = AddressLayout()
         layout.add_region(0, 4 * BLOCK_BYTES, np.array([2, 2], dtype=np.int32))
-        assert layout.block_size_of(3 * BLOCK_BYTES) == 2
+        assert block_size_of(layout, 3 * BLOCK_BYTES) == 2
 
 
 def _tiny_trace(num_cores=2, lines=512, gap=50):
@@ -64,29 +65,29 @@ class TestFactory:
         layout.add_region(0x10000, 8 * BLOCK_BYTES, 2)
         sys_ = build_system(AVR, CONFIG, layout, 1 << 20)
         assert isinstance(sys_.llc, AVRLLC)
-        assert sys_.llc.is_approx(0x10000)
+        assert is_approx(sys_.llc.layout, 0x10000)
 
     def test_zero_avr_marks_nothing(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 8 * BLOCK_BYTES, 2)
         sys_ = build_system(ZERO_AVR, CONFIG, layout, 1 << 20)
         assert isinstance(sys_.llc, AVRLLC)
-        assert not sys_.llc.is_approx(0x10000)
+        assert not is_approx(sys_.llc.layout, 0x10000)
 
     def test_truncate_capacity_and_linewidth(self):
         layout = AddressLayout()
         layout.add_region(0, 1 << 19, 8)  # half the footprint approx
         sys_ = build_system(TRUNCATE, CONFIG, layout, 1 << 20)
         assert sys_.llc.approx_line_bytes == 32
-        assert sys_.llc.cache.ways > CONFIG.llc.ways
+        assert sys_.llc.ways > CONFIG.llc.ways
 
     def test_dganger_capacity_capped_by_tag_reach(self):
         layout = AddressLayout()
         layout.add_region(0, 1 << 20, 16)
         sys_hi = build_system(DGANGER, CONFIG, layout, 1 << 20, dedup_factor=100.0)
         sys_lo = build_system(DGANGER, CONFIG, layout, 1 << 20, dedup_factor=1.0)
-        assert sys_hi.llc.cache.ways <= CONFIG.llc.ways * CONFIG.dganger_tag_factor
-        assert sys_lo.llc.cache.ways == CONFIG.llc.ways
+        assert sys_hi.llc.ways <= CONFIG.llc.ways * CONFIG.dganger_tag_factor
+        assert sys_lo.llc.ways == CONFIG.llc.ways
 
 
 class TestSimulator:
@@ -144,5 +145,5 @@ def test_is_approx_batch_matches_scalar():
     layout.add_region(0x80000, 2 * BLOCK_BYTES, 4)
     addrs = np.arange(0, 0x90000, 512, dtype=np.int64)
     batch = layout.is_approx_batch(addrs)
-    scalar = np.array([layout.is_approx(int(a)) for a in addrs])
+    scalar = np.array([is_approx(layout, int(a)) for a in addrs])
     assert np.array_equal(batch, scalar)
