@@ -1,4 +1,4 @@
-"""Ablations of the AVR design choices (DESIGN.md §4 inventory).
+"""Ablations of the AVR design choices (paper §3).
 
 Not a paper artifact — this quantifies how much each §3 optimization
 contributes: the DBUF, PFE policy, lazy evictions, the

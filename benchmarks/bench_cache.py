@@ -3,11 +3,10 @@
 Seeds a result cache with a real (micro) workload sweep, then probes
 it the two ways the harness historically could:
 
-* **naive** — one ``peek`` per key, the pre-index warm path: every
-  probe costs a payload ``open`` attempt, *including the misses* (a
-  sweep's warm path probes far more keys than it stores — absent keys
-  dominate on partially-warm caches and planner surrogate harvests).
-* **batched** — one ``peek_many`` over the same keys: per-shard
+* **naive** — one ``get`` per key, the pre-index warm path: every
+  probe costs a payload ``open`` attempt, *including the misses*
+  (absent keys dominate the probes of a partially-warm cache).
+* **batched** — one ``get_many`` over the same keys: per-shard
   ``index.jsonl`` scans answer every absent key for free, and only
   actual hits open payload files.
 
@@ -103,20 +102,20 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             hits = {
                 key: value for key in probes
-                if (value := naive.peek(key, _MISS)) is not _MISS
+                if (value := naive.get(key, _MISS)) is not _MISS
             }
             naive_s = min(naive_s, time.perf_counter() - start)
             naive_opens = naive.stats.file_opens
 
             batched = ResultCache(root)
             start = time.perf_counter()
-            bulk = batched.peek_many(probes)
+            bulk = batched.get_many(probes)
             batched_s = min(batched_s, time.perf_counter() - start)
             batched_opens = batched.stats.file_opens
             # Values hold numpy arrays (no dict ==); the differential
             # tests pin payload identity, the bench pins coverage.
             assert set(bulk) == set(hits), \
-                "peek_many diverged from per-key peeks"
+                "get_many diverged from per-key gets"
 
     opens_ratio = naive_opens / max(1, batched_opens)
     speedup = naive_s / batched_s if batched_s else float("inf")

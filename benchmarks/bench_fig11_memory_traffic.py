@@ -25,7 +25,8 @@ def test_fig11(evaluations, benchmark):
         assert 0.4 < t["truncate"] < 0.75, name
     # AVR clearly beats Truncate's flat 2:1 on heat/lattice; on lbm our
     # scaled LLC cannot retain the compressed set between sweeps the way
-    # the paper's 8 MB LLC does, so they end up comparable (EXPERIMENTS.md)
+    # the paper's 8 MB LLC does, so they end up comparable: AVR may sit
+    # up to 0.1 above Truncate there
     for name in ("heat", "lattice"):
         t = totals(data, name)
         assert t["AVR"] < t["truncate"], name

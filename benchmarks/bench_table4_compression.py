@@ -5,8 +5,8 @@ Paper values for reference:
   ratio     10.5x  9.6x     15.6x  16.0x  2.3x    4.7x      3.4x
   footprint 12.6%  20.0%    7.9%   54.1%  58.5%   78.6%     89.6%
 
-Our lattice/lbm ratios are scale-limited (their flow features span a
-handful of cells at simulable grid sizes; see DESIGN.md).
+Our lattice/lbm ratios are scale-limited: their flow features span a
+handful of cells at simulable grid sizes.
 """
 
 from repro.harness import format_table, table4_compression

@@ -47,10 +47,9 @@ from .compression import AVRCompressor
 # 1.7.0: repo-invariant static analysis pass (``repro check``) +
 # strict typing gate.  No simulation semantics changed; the bump marks
 # the typed (py.typed) API surface.
-# 1.8.0: repro.planner — multi-fidelity design-space search (PlanSpec,
-# successive halving over trace fidelity, Pareto-front selection,
-# ``repro plan``).  Simulation results are unchanged; the bump keys
-# planner cache entries apart from pre-planner runs.
+# 1.8.0: a multi-fidelity design-space planner, since deleted (the
+# paper runs no design-space search).  Simulation results were
+# unchanged; the bump kept its cache entries apart from earlier runs.
 # 1.10.0: repro.serve — the evaluation daemon (session multiplexing,
 # cross-client unit dedup, shared cache).  Simulation results are
 # unchanged; the bump marks the service protocol's first version.

@@ -9,8 +9,6 @@ Commands:
 * ``list``       — list the registered designs, workloads and named mixes
 * ``ablate``     — run the LLC / compressor ablation studies
 * ``overheads``  — print the §4.2 hardware-overhead accounting
-* ``plan``       — search the design space for Pareto-optimal
-  configurations under an objective, constraints and eval budget
 * ``cache``      — inspect and maintain an on-disk result cache
   (``stats`` / ``gc`` / ``verify`` / ``ls``)
 * ``check``      — run the repo-invariant static analysis pass
@@ -25,7 +23,7 @@ suggestions.  The simulation commands accept ``--jobs N`` to fan the
 evaluation grid's job units out over ``N`` worker processes (``1`` =
 serial, bit-identical to parallel runs) and ``--cache-dir PATH`` to
 memoize job results on disk so repeated runs skip completed points;
-``experiment`` and ``plan`` also take ``--trace-store PATH|off`` to
+``experiment`` also takes ``--trace-store PATH|off`` to
 control the memory-mapped composed-trace store (default:
 ``<cache-dir>/traces`` whenever ``--cache-dir`` is given); warm runs
 map stored traces instead of regenerating them.
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .common.config import SystemConfig
 from .designs import BASELINE, get_design, list_designs
@@ -302,80 +300,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    """Search the design space with the multi-fidelity planner."""
-    import dataclasses
-
-    from .planner import PlanSpec, run_plan
-
-    overrides = _flag_overrides(args, (
-        ("workload", "workload"), ("designs", "designs"),
-        ("scales", "thresholds_scales"), ("t2", "t2_thresholds"),
-        ("widths", "approx_line_bytes"), ("toggles", "avr_toggles"),
-        ("objective", "objective"), ("constraint", "constraints"),
-        ("budget", "budget"), ("eta", "eta"),
-        ("initial", "initial_candidates"), ("plan_seed", "seed"),
-        ("scale", "scale"), ("seed", "trace_seed"),
-        ("accesses", "max_accesses_per_core"), ("cores", "num_cores"),
-    ))
-    try:
-        if args.spec:
-            spec = dataclasses.replace(PlanSpec.from_file(args.spec), **overrides)
-        else:
-            spec = PlanSpec(**overrides)  # type: ignore[arg-type]
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    result = run_plan(
-        spec, jobs=args.jobs, cache_dir=args.cache_dir,
-        trace_store=args.trace_store,
-    )
-    stats = result.stats
-
-    budget = spec.budget or "unbounded"
-    print(f"plan {spec.name!r} ({spec.content_hash()[:12]}): "
-          f"{stats.candidates} candidate(s) on {spec.workload}, "
-          f"objective {spec.objective}"
-          + (f", s.t. {', '.join(spec.constraints)}" if spec.constraints else "")
-          + f", budget {budget}")
-    ladder = " -> ".join(
-        f"{len(r.outcomes)}@{r.fidelity}" for r in result.rungs
-    )
-    print(f"rungs (count@accesses/core): {ladder}")
-    print()
-    if not result.front:
-        print("no feasible candidate satisfies the constraints")
-    else:
-        width = max(16, max(len(o.candidate.label()) for o in result.front))
-        print(f"Pareto front ({len(result.front)} of {stats.candidates}, "
-              f"best {spec.objective} first):")
-        print(f"{'candidate':>{width}} {'traffic':>8} {'time':>6} "
-              f"{'error %':>8} {'compr':>6}")
-        for outcome in result.recommended:
-            m = outcome.metrics
-            print(f"{outcome.candidate.label():>{width}}"
-                  f" {m['traffic']:8.3f} {m['time']:6.2f}"
-                  f" {m['error'] * 100:8.3f} {m['compression']:6.1f}")
-    print()
-    print(f"evals: {stats.full_fidelity_evals} full-fidelity + "
-          f"{stats.low_fidelity_evals} low-fidelity "
-          f"(exhaustive grid: {stats.exhaustive_full_evals}; "
-          f"{stats.savings:.1f}x fewer full evals); "
-          f"{stats.jobs_executed} job(s) executed, "
-          f"{stats.cache_hits} cache hit(s)"
-          + (f"; surrogate fitted from {stats.surrogate_points} cached "
-             f"point(s)" if stats.surrogate_points else ""))
-
-    if args.json:
-        _emit_json(args.json, result.to_mapping())
-    if args.expect_cached and stats.jobs_executed:
-        print(f"error: expected a fully cache-served plan but "
-              f"{stats.jobs_executed} job(s) executed", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect and maintain an on-disk result cache directory."""
     from pathlib import Path
@@ -475,20 +399,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a spec file to a running daemon and stream its events."""
     from .experiment import ExperimentSpec, load_spec_mapping
-    from .planner import PlanSpec
     from .serve.client import ServeClient, ServeError
 
     try:
         mapping = load_spec_mapping(args.spec)
-        kind = args.kind
-        if kind is None:
-            # sniff: an experiment spec first, a plan spec second
-            try:
-                ExperimentSpec.from_mapping(dict(mapping))
-                kind = "experiment"
-            except (ValueError, TypeError):
-                PlanSpec.from_mapping(dict(mapping))
-                kind = "plan"
+        # reject a bad spec here, before connecting to the daemon
+        ExperimentSpec.from_mapping(mapping)
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -497,14 +413,14 @@ def cmd_submit(args: argparse.Namespace) -> int:
         with ServeClient(
             socket_path=args.socket, host=args.host, port=args.port
         ) as client:
-            job = client.submit(mapping, kind=kind, priority=args.priority)
-            print(f"submitted {job}: {kind} "
+            job = client.submit(mapping, priority=args.priority)
+            print(f"submitted {job}: experiment "
                   f"{mapping.get('name', args.spec)!r} "
                   f"(priority {args.priority})")
             if args.detach:
                 return 0
-            stats: "dict[str, object] | None" = None
-            result: "dict[str, object] | None" = None
+            stats: "dict[str, Any] | None" = None
+            result: "dict[str, Any] | None" = None
             launched = joined = 0
             for event in client.events(job):
                 name = event.get("event")
@@ -517,17 +433,15 @@ def cmd_submit(args: argparse.Namespace) -> int:
                         verb = "ran" if event.get("launched") else "joined"
                         print(f"  unit {event.get('unit')} {verb}")
                 elif name == "stats":
-                    stats = event.get("stats")  # type: ignore[assignment]
+                    stats = event.get("stats")
                 elif name == "error":
                     print(f"error: {event.get('error')}", file=sys.stderr)
                     return 1
                 else:
-                    result = event.get("result")  # type: ignore[assignment]
+                    result = event.get("result")
             executed = 0
             if stats is not None:
-                executed = int(
-                    stats.get("executed", stats.get("jobs_executed", 0))  # type: ignore[union-attr]
-                )
+                executed = int(stats.get("executed", 0))
                 print(f"sweep: {executed} job(s) executed "
                       f"({launched} launched, {joined} joined in flight), "
                       f"{stats.get('cache_hits', 0)} cache hit(s), "
@@ -584,7 +498,7 @@ def cmd_status(args: argparse.Namespace) -> int:
         for job in session.get("jobs", []):
             flag = " (cancelling)" if job.get("cancelled") else ""
             print(f"  session {session.get('session')}: job {job.get('job')} "
-                  f"{job.get('kind')} {job.get('name')!r} "
+                  f"{job.get('name')!r} "
                   f"priority {job.get('priority')} — "
                   f"{job.get('units_done')} unit(s) done "
                   f"({job.get('units_launched')} launched){flag}")
@@ -708,8 +622,8 @@ def main(argv: list[str] | None = None) -> int:
         "serve",
         help="run the resident evaluation daemon",
         description="Listen on a Unix socket (--socket) or TCP port "
-                    "(--port; 0 picks a free one) for ExperimentSpec/"
-                    "PlanSpec submissions from 'repro submit'.  All "
+                    "(--port; 0 picks a free one) for ExperimentSpec "
+                    "submissions from 'repro submit'.  All "
                     "sessions share one process pool, one result "
                     "cache, and one trace store; job units already in "
                     "flight for another client are joined, not "
@@ -731,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
     p_su = sub.add_parser(
         "submit",
         help="submit a spec to a running daemon",
-        description="Send an ExperimentSpec or PlanSpec file to a "
+        description="Send an ExperimentSpec file to a "
                     "'repro serve' daemon and stream its progress "
                     "events.  The daemon substitutes its shared cache "
                     "and executor for the spec's execution settings; "
@@ -739,8 +653,6 @@ def main(argv: list[str] | None = None) -> int:
                     "'repro experiment' of the same spec.",
     )
     p_su.add_argument("spec", help="path to a .toml or .json spec file")
-    p_su.add_argument("--kind", choices=("experiment", "plan"), default=None,
-                      help="spec flavor (default: sniff from the fields)")
     _add_connect(p_su)
     p_su.add_argument("--priority", type=int, default=0,
                       help="scheduling priority (higher runs first; "
@@ -804,72 +716,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ca.add_argument("--prefix", default=None, metavar="HEX",
                       help="ls: only keys starting with this prefix")
     p_ca.set_defaults(func=cmd_cache)
-
-    p_pl = sub.add_parser(
-        "plan",
-        help="search the design space (multi-fidelity Pareto planner)",
-        description="Search the DesignSpec parameter space for "
-                    "configurations optimizing an objective under "
-                    "constraints — e.g. minimize DRAM traffic subject "
-                    "to an output-error budget — via successive "
-                    "halving over trace fidelity plus Pareto-front "
-                    "selection.  Every probe is an ordinary sweep job "
-                    "unit sharing the --cache-dir result cache, and "
-                    "planning is deterministic given the spec and "
-                    "--plan-seed.",
-    )
-    p_pl.add_argument("spec", nargs="?", default=None,
-                      help="optional .toml/.json PlanSpec file; flags "
-                           "below override its fields")
-    p_pl.add_argument("--workload", choices=sorted(WORKLOADS), default=None)
-    p_pl.add_argument("--designs", nargs="+", metavar="DESIGN", default=None,
-                      help="base designs spanning the space, by registry "
-                           "name (default: AVR)")
-    p_pl.add_argument("--scales", nargs="+", type=float, default=None,
-                      metavar="S", help="thresholds_scale variants")
-    p_pl.add_argument("--t2", nargs="+", type=float, default=None,
-                      metavar="T2", help="T2 error-threshold overrides "
-                                         "(T1 = 2*T2)")
-    p_pl.add_argument("--widths", nargs="+", type=_positive_int, default=None,
-                      metavar="BYTES",
-                      help="approx-line-byte widths for truncate designs")
-    p_pl.add_argument("--toggles", nargs="+", default=None, metavar="OPT",
-                      help="AVR options to toggle off one at a time")
-    p_pl.add_argument("--objective", default=None,
-                      help="metric to optimize (default traffic)")
-    p_pl.add_argument("--constraint", action="append", default=None,
-                      metavar="METRIC<=VALUE",
-                      help="feasibility bound, repeatable "
-                           "(e.g. 'error<=0.05')")
-    p_pl.add_argument("--budget", type=int, default=None,
-                      help="max full-fidelity evaluations "
-                           "(0 = unbounded/exhaustive)")
-    p_pl.add_argument("--eta", type=int, default=None,
-                      help="halving factor between rungs (default 2)")
-    p_pl.add_argument("--initial", type=int, default=None, metavar="N",
-                      help="cap on rung-0 candidates (surrogate-seeded)")
-    p_pl.add_argument("--plan-seed", type=int, default=None, dest="plan_seed",
-                      help="planner RNG seed (default 0)")
-    p_pl.add_argument("--scale", type=float, default=None,
-                      help="workload size multiplier")
-    p_pl.add_argument("--seed", type=int, default=None,
-                      help="trace-jitter seed of every evaluation")
-    p_pl.add_argument("--accesses", type=_positive_int, default=None,
-                      help="full-fidelity trace accesses per core")
-    p_pl.add_argument("--cores", type=_positive_int, default=None)
-    p_pl.add_argument("--jobs", type=_positive_int, default=None,
-                      help="worker processes for the sweep engine")
-    p_pl.add_argument("--cache-dir", default=None, metavar="PATH",
-                      help="on-disk result cache shared with "
-                           "sweeps/experiments of the same points")
-    p_pl.add_argument("--trace-store", default=None, metavar="PATH|off")
-    p_pl.add_argument("--json", default=None, metavar="PATH|-",
-                      help="write the full plan report as JSON "
-                           "('-' for stdout)")
-    p_pl.add_argument("--expect-cached", action="store_true",
-                      help="exit 1 unless every job was served from the "
-                           "cache (CI warm-cache assertion)")
-    p_pl.set_defaults(func=cmd_plan)
 
     p_ck = sub.add_parser(
         "check",

@@ -14,12 +14,11 @@ from . import (
     dtype,
     parity,
     picklable,
-    planner,
     rng,
     serve,
 )
 
 __all__ = [
     "cachefile", "cachekey", "docstrings", "dtype", "parity", "picklable",
-    "planner", "rng", "serve",
+    "rng", "serve",
 ]

@@ -16,10 +16,11 @@ This rule extends that discipline to the async layer.  Inside
   daemon-side timing (uptime, latency) must come from the event
   loop's monotonic ``loop.time()``;
 * **unthreaded RNG state anywhere in a serve module** — module-level
-  generators or literal-constant seeds (the PLN001 contract): any
-  randomness a service path needs must be threaded from the
-  submission's spec seed, never minted by the daemon, or two clients
-  submitting the same spec would receive different results.
+  generators (shared across every session) or literal-constant seeds
+  (which ignore the spec's seed): any randomness a service path needs
+  must be threaded from the submission's spec seed, never minted by
+  the daemon, or two clients submitting the same spec would receive
+  different results.
 
 A deliberate exception takes an inline ``# repro: ignore[SRV001]``.
 """
@@ -32,7 +33,6 @@ from typing import Iterator
 from ..findings import Finding
 from ..project import Project, SourceModule, dotted_name
 from ..registry import Rule, register_rule
-from .planner import _RNG_CONSTRUCTORS, _function_scoped_nodes, _seed_arguments
 from .rng import _WALL_CLOCK
 
 __all__ = ["ServeAsyncDiscipline"]
@@ -47,6 +47,36 @@ _BLOCKING_CALLS = {
     "socket.gethostbyname",
     "socket.socketpair",
 }
+
+#: RNG entry points whose construction this rule audits
+_RNG_CONSTRUCTORS = {
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "numpy.random.SeedSequence",
+    "numpy.random.PCG64",
+    "numpy.random.PCG64DXSM",
+    "numpy.random.Philox",
+    "numpy.random.SFC64",
+    "numpy.random.MT19937",
+}
+
+
+def _function_scoped_nodes(tree: ast.Module) -> set[int]:
+    """Ids of every AST node enclosed in a function body."""
+    scoped: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for child in ast.walk(node):
+                scoped.add(id(child))
+    return scoped
+
+
+def _seed_arguments(node: ast.Call) -> Iterator[ast.expr]:
+    """The expressions a RNG constructor call derives its state from."""
+    yield from node.args
+    for keyword in node.keywords:
+        if keyword.arg in (None, "seed", "entropy"):
+            yield keyword.value
 
 
 def _coroutine_nodes(tree: ast.Module) -> set[int]:

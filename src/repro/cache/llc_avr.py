@@ -103,8 +103,7 @@ AVR_FLAGS = (
 )
 
 #: every :class:`AVRLLC` keyword option -> (accepted values, test); the
-#: one table design validation (:class:`repro.designs.DesignSpec`) and
-#: the planner's on/off toggles read
+#: one table design validation (:class:`repro.designs.DesignSpec`) reads
 AVR_OPTIONS: dict[str, tuple[str, Callable[[object], bool]]] = {
     **{flag: ("a bool", lambda v: isinstance(v, bool)) for flag in AVR_FLAGS},
     "pfe_threshold": (

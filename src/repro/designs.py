@@ -57,7 +57,6 @@ __all__ = [
     "TRUNCATE",
     "TRUNCATE_16",
     "ZERO_AVR",
-    "derive_design",
     "get_design",
     "layout_source_design",
     "list_designs",
@@ -424,57 +423,6 @@ def get_design(design: DesignLike) -> DesignSpec:
 def resolve_designs(designs: Iterable[DesignLike]) -> tuple[DesignSpec, ...]:
     """Resolve a sequence of design references to specs."""
     return tuple(get_design(d) for d in designs)
-
-
-def derive_design(
-    base: DesignLike,
-    *,
-    thresholds_scale: float | None = None,
-    approx_line_bytes: int | None = None,
-    avr_options: tuple[tuple[str, Any], ...] | None = None,
-    name: str | None = None,
-) -> DesignSpec:
-    """A parameterized variant of ``base``, deterministically named.
-
-    The planner's way of turning one registry design into a family of
-    candidate design points: each override that actually changes the
-    spec contributes a stable name suffix (``AVR~s0.5``,
-    ``truncate~w16``, ``AVR~no-enable_dbuf``), so the same overrides
-    always produce the same spec — and therefore the same sweep-cache
-    keys — across processes and runs.  Passing no effective overrides
-    returns ``base`` itself.
-    """
-    from dataclasses import replace as _replace
-
-    spec = get_design(base)
-    changes: dict[str, Any] = {}
-    suffixes: list[str] = []
-    if (
-        thresholds_scale is not None
-        and thresholds_scale != spec.thresholds_scale
-    ):
-        changes["thresholds_scale"] = thresholds_scale
-        suffixes.append(f"s{thresholds_scale:g}")
-    if (
-        approx_line_bytes is not None
-        and approx_line_bytes != spec.approx_line_bytes
-    ):
-        changes["approx_line_bytes"] = approx_line_bytes
-        suffixes.append(f"w{approx_line_bytes}")
-    if avr_options:
-        merged = dict(spec.avr_options)
-        merged.update(avr_options)
-        merged_tuple = tuple(sorted(merged.items()))
-        if merged_tuple != spec.avr_options:
-            changes["avr_options"] = merged_tuple
-            for key, value in sorted(avr_options):
-                suffixes.append(
-                    f"no-{key}" if value is False else f"{key}={value!r}"
-                )
-    if not changes:
-        return spec
-    derived_name = name or f"{spec.name}~{'~'.join(suffixes)}"
-    return _replace(spec, name=derived_name, **changes)
 
 
 def layout_source_design(design: DesignLike) -> DesignSpec:

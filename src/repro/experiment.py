@@ -30,7 +30,7 @@ experiment — file round-trips are bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, TYPE_CHECKING
 
@@ -162,9 +162,9 @@ class ExperimentSpec:
         they enumerate the same job units.
 
         The digest is computed once per instance and memoized: the
-        planner and sweep hot paths hash the same spec repeatedly (for
-        cache probes, dedup, and logging), and the spec is frozen, so
-        re-serializing the full canonical form each call is pure waste.
+        spec is frozen, so re-serializing the full canonical form for
+        every caller (the CLI header, the JSON report, the daemon's
+        session events) is pure waste.
         The memo rides along through ``pickle`` (it lives in the
         instance ``__dict__``), so worker processes inherit it too.
         """
@@ -179,25 +179,6 @@ class ExperimentSpec:
         digest = content_key("experiment", identity)
         object.__setattr__(self, "_content_hash", digest)
         return digest
-
-    def pruned(
-        self,
-        designs: tuple[str, ...],
-        t2_thresholds: tuple[float, ...] | None = None,
-    ) -> "ExperimentSpec":
-        """This experiment with its design/threshold axes narrowed.
-
-        The sweep pre-pruning seam the planner uses: a plan's Pareto
-        recommendations replace the exhaustive ``designs`` (and
-        optionally ``t2_thresholds``) axes, so the pruned experiment
-        evaluates only the configurations worth full-fidelity runs.
-        Everything else — workloads, scenarios, scales, seeds,
-        execution settings — carries over unchanged.
-        """
-        changes: dict[str, Any] = {"designs": tuple(designs)}
-        if t2_thresholds is not None:
-            changes["t2_thresholds"] = tuple(t2_thresholds)
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # execution view
@@ -282,10 +263,9 @@ class ExperimentSpec:
 def load_spec_mapping(path: str | Path) -> dict[str, Any]:
     """Parse a ``.toml`` or ``.json`` spec file into a plain mapping.
 
-    The shared loading seam of every declarative spec in the package
-    (:class:`ExperimentSpec`, the planner's
-    :class:`~repro.planner.PlanSpec`): format is chosen by extension,
-    and the returned mapping feeds the spec's ``from_mapping``.
+    Format is chosen by extension, and the returned mapping feeds
+    :meth:`ExperimentSpec.from_mapping`.  ``repro submit`` sends the
+    mapping itself, so the daemon builds the spec on its side.
     """
     path = Path(path)
     text = path.read_text()

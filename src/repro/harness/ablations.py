@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies of the AVR design choices (paper §3).
 
 Two families:
 

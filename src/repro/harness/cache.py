@@ -16,12 +16,12 @@ bit-identical guarantee relies on.
 
 Storage is one on-disk layout: 256-way sharded pickle files plus a
 per-shard append-only ``index.jsonl``, so key enumeration, ``contains``
-and speculative bulk probes are index scans instead of per-key
-``open()`` attempts.  The index is a pure accelerator: payloads commit
-first, corrupt or missing indexes are rebuilt from the shard, and old
+and bulk probes are index scans instead of per-key ``open()``
+attempts.  The index is a pure accelerator: payloads commit first,
+corrupt or missing indexes are rebuilt from the shard, and old
 (pre-index) cache directories stay valid.  Besides single-key
 ``get``/``put``/``contains``, :class:`ResultCache` serves the batched
-``get_many`` / ``peek_many`` / ``put_many`` the warm paths use.
+``get_many`` / ``put_many`` the warm paths use.
 
 Maintenance — orphaned ``*.tmp`` sweeps, stale-``__version__`` purges
 and LRU-by-mtime eviction under a byte budget — lives in
@@ -338,18 +338,6 @@ class ResultCache:
         self.stats.hits += 1
         return value
 
-    def peek(self, key: str, default: Any = None) -> Any:
-        """Like :meth:`get`, but without touching the hit/miss stats.
-
-        The planner's surrogate model harvests already-cached sweep
-        points by probing many speculative keys; those probes are not
-        part of any run's cache-efficiency accounting, so they must not
-        skew ``stats`` (which tests and ``--expect-cached`` assertions
-        read).
-        """
-        value = self._load(key)
-        return default if value is _MISS else value
-
     def contains(self, key: str) -> bool:
         """Index-first presence check, falling back to the filesystem.
 
@@ -383,15 +371,15 @@ class ResultCache:
         self.stats.stores += 1
         self.stats.bytes_written += len(data)
 
-    def _probe_many(
-        self, keys: Iterable[str], count: bool
-    ) -> dict[str, Any]:
-        """Index-gated bulk read shared by ``get_many``/``peek_many``.
+    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
+        """Batched :meth:`get` via per-shard index scans.
 
         One index load per touched shard decides which keys exist; only
-        those payloads are opened.  Speculative probes of absent keys
-        therefore cost zero ``open()`` attempts — the warm-path win
-        ``bench_cache.py`` measures.
+        those payloads are opened.  Probes of absent keys therefore
+        cost zero ``open()`` attempts — the warm-path win
+        ``bench_cache.py`` measures.  Absent keys are omitted from the
+        result; counts one hit per returned key and one miss per
+        omitted key.
         """
         by_shard: dict[str, list[str]] = {}
         for key in keys:
@@ -401,31 +389,16 @@ class ResultCache:
             index = self._shard_index(shard)
             for key in shard_keys:
                 if key not in index:
-                    if count:
-                        self.stats.misses += 1
+                    self.stats.misses += 1
                     continue
                 self.stats.index_hits += 1
                 value = self._load(key)
                 if value is _MISS:
-                    if count:
-                        self.stats.misses += 1
+                    self.stats.misses += 1
                     continue
-                if count:
-                    self.stats.hits += 1
+                self.stats.hits += 1
                 results[key] = value
         return results
-
-    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Batched :meth:`get` via per-shard index scans.
-
-        Absent keys are omitted from the result; counts one hit per
-        returned key and one miss per omitted key.
-        """
-        return self._probe_many(keys, count=True)
-
-    def peek_many(self, keys: Iterable[str]) -> dict[str, Any]:
-        """Batched :meth:`peek` via per-shard index scans (stats-neutral)."""
-        return self._probe_many(keys, count=False)
 
     def put_many(self, items: Mapping[str, Any]) -> None:
         """Store many entries (each individually atomic)."""
@@ -603,10 +576,11 @@ def resolve_result_cache(
 ) -> ResultCache | None:
     """Normalize a ``cache_dir`` argument into a :class:`ResultCache`.
 
-    Callers (``run_sweep``, the planner) accept either a directory or
-    an already-built cache; passing an instance through lets one
-    cache's loaded shard indexes and counters span many internal sweep
-    calls.  ``None`` stays ``None`` (caching disabled).
+    Callers (``run_sweep``, the ablation runners) accept either a
+    directory or an already-built cache; passing an instance through
+    lets one cache's loaded shard indexes and counters span many sweep
+    calls, as the daemon's shared cache does.  ``None`` stays ``None``
+    (caching disabled).
     """
     if cache_dir is None:
         return None

@@ -276,9 +276,9 @@ def functional_job_key(point: SweepPoint, design: DesignLike) -> str:
 
     Normalized so equivalent jobs share an entry: the trace budget
     (``max_accesses_per_core``) does not affect functional results, and
-    thresholds do not affect exact (reference) runs.  The ablations and
-    the planner's surrogate probes build their keys here too, so they
-    can never drift from the keys ``run_sweep`` reads and writes.
+    thresholds do not affect exact (reference) runs.  The ablations
+    build their keys here too, so they can never drift from the keys
+    ``run_sweep`` reads and writes.
     """
     design = get_design(design)
     normalized = replace(
@@ -570,9 +570,9 @@ def run_sweep(
     re-executes nothing (``result.stats.executed == 0``).
 
     ``cache_dir`` may also be an already-built
-    :class:`~repro.harness.cache.ResultCache` — the planner passes one
-    instance through every internal sweep so its loaded shard indexes
-    span the whole plan.
+    :class:`~repro.harness.cache.ResultCache` — the ``repro serve``
+    daemon passes its one shared, locked instance to every session's
+    sweep, so loaded shard indexes and counters span them all.
 
     ``trace_store`` selects the memory-mapped composed-trace store
     (see :func:`repro.trace.store.resolve_trace_store`): by default a

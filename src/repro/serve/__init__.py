@@ -1,9 +1,9 @@
 """`repro.serve` — the long-running evaluation service.
 
 A resident asyncio daemon (``repro serve``) accepts
-:class:`~repro.experiment.ExperimentSpec` and
-:class:`~repro.planner.PlanSpec` submissions from many concurrent
-clients over a length-prefixed JSON protocol (TCP or Unix socket).
+:class:`~repro.experiment.ExperimentSpec` submissions from many
+concurrent clients over a length-prefixed JSON protocol (TCP or Unix
+socket).
 Per-connection :class:`~repro.serve.session.Session` objects are
 multiplexed onto one shared process pool and one shared result cache;
 the central :class:`~repro.serve.scheduler.UnitScheduler` dedups

@@ -136,16 +136,10 @@ class ServeClient:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        spec_mapping: dict[str, Any],
-        kind: str = "experiment",
-        priority: int = 0,
-    ) -> str:
-        """Submit a spec mapping; return the daemon-assigned job id."""
+    def submit(self, spec_mapping: dict[str, Any], priority: int = 0) -> str:
+        """Submit an experiment spec mapping; return the job id."""
         self._send({
             "op": "submit",
-            "kind": kind,
             "spec": spec_mapping,
             "priority": priority,
         })
@@ -184,7 +178,6 @@ class ServeClient:
             else:
                 return {
                     "job": job,
-                    "kind": event.get("kind"),
                     "result": event.get("result"),
                     "stats": stats,
                     "units_done": units_done,

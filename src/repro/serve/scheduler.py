@@ -71,10 +71,6 @@ class LockedResultCache(ResultCache):
         with self._lock:
             return self._inner.get(key, default)
 
-    def peek(self, key: str, default: Any = None) -> Any:
-        with self._lock:
-            return self._inner.peek(key, default)
-
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             self._inner.put(key, value)
@@ -86,10 +82,6 @@ class LockedResultCache(ResultCache):
     def get_many(self, keys: Any) -> dict[str, Any]:
         with self._lock:
             return self._inner.get_many(keys)
-
-    def peek_many(self, keys: Any) -> dict[str, Any]:
-        with self._lock:
-            return self._inner.peek_many(keys)
 
     def put_many(self, items: Any) -> None:
         with self._lock:

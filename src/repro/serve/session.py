@@ -18,7 +18,6 @@ serving every other session.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import itertools
 import threading
 from concurrent.futures import CancelledError
@@ -38,9 +37,8 @@ _EXECUTION_ONLY_KEYS = ("jobs", "cache_dir", "trace_store")
 class _Job:
     """One accepted submission: spec, handle, and cancellation flag."""
 
-    def __init__(self, job_id: str, kind: str, spec: Any, handle: JobHandle):
+    def __init__(self, job_id: str, spec: Any, handle: JobHandle):
         self.id = job_id
-        self.kind = kind
         self.spec = spec
         self.handle = handle
         #: checked by the sweep thread's ``on_unit_done``; set from the
@@ -145,10 +143,8 @@ class Session:
 
     def _handle_submit(self, message: dict[str, Any]) -> None:
         from ..experiment import ExperimentSpec
-        from ..planner import PlanSpec
 
         mapping = message.get("spec")
-        kind = message.get("kind", "experiment")
         try:
             priority = int(message.get("priority", 0))
             if not isinstance(mapping, dict):
@@ -157,26 +153,17 @@ class Session:
                 k: v for k, v in mapping.items()
                 if k not in _EXECUTION_ONLY_KEYS
             }
-            if kind == "experiment":
-                spec: Any = ExperimentSpec.from_mapping(mapping)
-            elif kind == "plan":
-                spec = PlanSpec.from_mapping(mapping)
-            else:
-                raise ValueError(
-                    f"unknown spec kind {kind!r} "
-                    "(expected 'experiment' or 'plan')"
-                )
+            spec = ExperimentSpec.from_mapping(mapping)
         except (ValueError, TypeError) as exc:
             self._post({"event": "error", "error": str(exc)})
             return
         job_id = f"{self.id}-{next(self._job_seq)}"
         handle = self.daemon.scheduler.handle(priority=priority, label=job_id)
-        job = _Job(job_id, kind, spec, handle)
+        job = _Job(job_id, spec, handle)
         self.jobs[job_id] = job
         self._post({
             "event": "accepted",
             "job": job_id,
-            "kind": kind,
             "name": spec.name,
             "spec_hash": spec.content_hash(),
             "priority": priority,
@@ -209,7 +196,6 @@ class Session:
             self._post({
                 "event": "result",
                 "job": job.id,
-                "kind": job.kind,
                 "result": result_mapping,
             })
         finally:
@@ -223,7 +209,6 @@ class Session:
             experiment_result_to_mapping,
             sweep_stats_to_mapping,
         )
-        from ..planner import run_plan
 
         def on_unit_done(key: str, launched: bool) -> None:
             if job.cancel_flag.is_set():
@@ -235,24 +220,16 @@ class Session:
                 "launched": launched,
             })
 
-        if job.kind == "experiment":
-            result = run_experiment(
-                job.spec,
-                cache_dir=self.daemon.cache,
-                executor=job.handle,
-                on_unit_done=on_unit_done,
-            )
-            return (
-                experiment_result_to_mapping(result),
-                sweep_stats_to_mapping(result.stats),
-            )
-        result = run_plan(
+        result = run_experiment(
             job.spec,
             cache_dir=self.daemon.cache,
             executor=job.handle,
             on_unit_done=on_unit_done,
         )
-        return result.to_mapping(), dataclasses.asdict(result.stats)
+        return (
+            experiment_result_to_mapping(result),
+            sweep_stats_to_mapping(result.stats),
+        )
 
     # ------------------------------------------------------------------
     # introspection
@@ -263,7 +240,6 @@ class Session:
             "jobs": [
                 {
                     "job": job.id,
-                    "kind": job.kind,
                     "name": job.spec.name,
                     "priority": job.handle.priority,
                     "units_done": job.units_done,

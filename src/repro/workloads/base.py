@@ -138,7 +138,8 @@ class Workload(abc.ABC):
     #: functionally measured (None = mean of the measured regions).
     #: The LBM codes pin this to the paper's reported ratio: their
     #: distribution-array compressibility depends on flow-feature scale
-    #: that only the paper's full-size grids reach (see DESIGN.md).
+    #: that only the paper's full-size grids reach, so a ratio measured
+    #: at simulable grid sizes would understate it.
     timing_proxy_ratio: float | None = None
 
     def __init__(self, scale: float = 1.0, seed: int = 0) -> None:

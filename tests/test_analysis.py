@@ -42,7 +42,7 @@ class TestRegistry:
     def test_catalogue_covers_the_shipped_rules(self):
         ids = {cls.id for cls in all_rules()}
         assert {"RNG001", "DTY001", "KEY001", "KEY002", "PKL001",
-                "PAR001", "DOC001", "PLN001", "CCH001", "SRV001"} <= ids
+                "PAR001", "DOC001", "CCH001", "SRV001"} <= ids
 
     def test_get_rule_by_id_and_name(self):
         assert get_rule("RNG001").id == "RNG001"
@@ -400,75 +400,6 @@ class TestPublicDocstrings:
 
 
 # ----------------------------------------------------------------------
-# PLN001 — planner seed discipline
-# ----------------------------------------------------------------------
-class TestPlannerSeedDiscipline:
-    def test_module_level_rng_state_flagged(self, tmp_path):
-        result = check_snippet(
-            tmp_path,
-            '"""Doc."""\nimport numpy as np\n'
-            "RNG = np.random.default_rng(seed=None)\n",
-            select=["PLN001"],
-            subdir="repro/planner",
-        )
-        assert rule_ids(result) == ["PLN001"]
-        assert "module-level" in result.findings[0].message
-
-    def test_literal_seed_inside_function_flagged(self, tmp_path):
-        result = check_snippet(
-            tmp_path,
-            '"""Doc."""\nimport numpy as np\n\n'
-            "def pick():\n"
-            '    """Doc."""\n'
-            "    return np.random.default_rng(0)\n",
-            select=["PLN001"],
-            subdir="repro/planner",
-        )
-        assert rule_ids(result) == ["PLN001"]
-        assert "PlanSpec.seed" in result.findings[0].message
-
-    def test_literal_seed_sequence_flagged(self, tmp_path):
-        result = check_snippet(
-            tmp_path,
-            '"""Doc."""\nimport numpy as np\n\n'
-            "def pick():\n"
-            '    """Doc."""\n'
-            "    return np.random.SeedSequence(entropy=7)\n",
-            select=["PLN001"],
-            subdir="repro/planner",
-        )
-        assert rule_ids(result) == ["PLN001"]
-
-    def test_threaded_seed_passes(self, tmp_path):
-        result = check_snippet(
-            tmp_path,
-            '"""Doc."""\nimport numpy as np\n\n'
-            "def pick(spec):\n"
-            '    """Doc."""\n'
-            "    return np.random.default_rng(spec.seed)\n",
-            select=["PLN001"],
-            subdir="repro/planner",
-        )
-        assert result.ok
-
-    def test_rule_scoped_to_planner_modules(self, tmp_path):
-        # the same literal seed outside planner/ is RNG001-clean and
-        # outside PLN001's jurisdiction
-        result = check_snippet(
-            tmp_path,
-            '"""Doc."""\nimport numpy as np\n'
-            "RNG = np.random.default_rng(0)\n",
-            select=["PLN001"],
-            subdir="repro/harness",
-        )
-        assert result.ok
-
-    def test_planner_package_is_clean(self):
-        result = run_check([str(SRC / "planner")], select=["PLN001"])
-        assert result.ok
-
-
-# ----------------------------------------------------------------------
 # SRV001 — serve async discipline
 # ----------------------------------------------------------------------
 class TestServeAsyncDiscipline:
@@ -563,6 +494,20 @@ class TestServeAsyncDiscipline:
         assert rule_ids(result) == ["SRV001"]
         assert "spec" in result.findings[0].message
 
+    def test_literal_seed_sequence_flagged(self, tmp_path):
+        # the seed arrives as a keyword, not a positional argument
+        result = check_snippet(
+            tmp_path,
+            '"""Doc."""\nimport numpy as np\n\n'
+            "def jitter():\n"
+            '    """Doc."""\n'
+            "    return np.random.SeedSequence(entropy=7)\n",
+            select=["SRV001"],
+            subdir="repro/serve",
+        )
+        assert rule_ids(result) == ["SRV001"]
+        assert "SeedSequence(7)" in result.findings[0].message
+
     def test_threaded_seed_passes(self, tmp_path):
         result = check_snippet(
             tmp_path,
@@ -618,7 +563,7 @@ class TestCacheFileDiscipline:
             '    \"\"\"Doc.\"\"\"\n'
             "    return root / key[:2] / f\"{key}\" / \"entry.pkl\"\n",
             select=["CCH001"],
-            subdir="repro/planner",
+            subdir="repro/serve",
         )
         assert rule_ids(result) == ["CCH001"]
         assert "gc/verify" in result.findings[0].message

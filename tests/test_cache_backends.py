@@ -4,7 +4,7 @@ Three layers of coverage:
 
 * unit tests of :class:`~repro.harness.cache.ResultCache` (index
   maintenance, GC passes, read-only mode, stats accounting);
-* differential tests pinning that a warm cache serves sweeps and plans
+* differential tests pinning that a warm cache serves sweeps
   bit-identically to the cold run — including a legacy index-less
   cache directory (the pre-index flat layout);
 * a multiprocess stress test: concurrent put/get/gc on one cache
@@ -95,15 +95,6 @@ class TestShardedFileBackend:
         assert probe.stats.misses == len(absent)
         assert probe.stats.index_hits == len(keys)
 
-    def test_peek_many_is_stats_neutral(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = fill(cache, 2)
-        probe = ResultCache(tmp_path)
-        found = probe.peek_many(keys + [key_of("nope")])
-        assert sorted(found) == sorted(keys)
-        assert probe.stats.hits == 0
-        assert probe.stats.misses == 0
-
     def test_keys_and_len(self, tmp_path):
         cache = ResultCache(tmp_path)
         keys = fill(cache, 4)
@@ -127,7 +118,7 @@ class TestShardedFileBackend:
         index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
         index_path.write_text("not json at all\n{{{\n")
         fresh = ResultCache(tmp_path)
-        assert fresh.get_many([key]) == {key: cache.peek(key)}
+        assert fresh.get_many([key]) == {key: cache.get(key)}
 
     def test_lost_index_append_heals_on_reput(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -138,8 +129,8 @@ class TestShardedFileBackend:
         # Batch probes trust the index for absence...
         assert fresh.get_many([key]) == {}
         # ...single-key reads and re-puts heal it.
-        assert fresh.peek(key) is not None
-        fresh.put(key, cache.peek(key))
+        assert fresh.get(key) is not None
+        fresh.put(key, cache.get(key))
         healed = ResultCache(tmp_path)
         assert key in healed.get_many([key])
 
@@ -204,7 +195,7 @@ class TestGC:
         report = cache.gc(tmp_max_age_s=3600.0)
         assert report.tmp_removed == 1
         assert not old.exists() and young.exists()
-        assert cache.peek(key) is not None
+        assert cache.get(key) is not None
 
     def test_gc_dry_run_touches_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -332,7 +323,7 @@ class TestWarmBackendsBitIdentical:
         assert_identical(oracle, warm.by_workload()["heat"])
 
     def test_shared_cache_instance_across_sweeps(self, cold_cache):
-        """One instance threads through many sweeps (the planner's use)."""
+        """One instance threads through many sweeps (the daemon's use)."""
         cache_dir, oracle = cold_cache
         cache = ResultCache(cache_dir)
         first = run_sweep(SPEC, jobs=1, cache_dir=cache)
@@ -349,33 +340,6 @@ class TestWarmBackendsBitIdentical:
         assert cold.stats.cache_stores == cold.stats.executed > 0
         warm = run_sweep(SPEC, jobs=2, cache_dir=tmp_path)
         assert warm.stats.cache_stores == 0
-
-
-class TestWarmPlanBitIdentical:
-    MICRO = dict(
-        workload="heat",
-        designs=("AVR", "truncate"),
-        thresholds_scales=(0.5, 1.0),
-        t2_thresholds=(0.01,),
-        objective="traffic",
-        scale=0.12,
-        max_accesses_per_core=2_000,
-        num_cores=2,
-    )
-
-    def test_warm_plan(self, tmp_path):
-        from repro.planner import PlanSpec, run_plan
-
-        spec = PlanSpec(**self.MICRO)
-        cold = run_plan(spec, cache_dir=tmp_path)
-        assert cold.stats.jobs_executed > 0
-        warm = run_plan(spec, cache_dir=tmp_path)
-        assert warm.stats.jobs_executed == 0
-        assert [o.candidate.key() for o in warm.front] == [
-            o.candidate.key() for o in cold.front
-        ]
-        for a, b in zip(cold.front, warm.front):
-            assert a.metrics == b.metrics
 
 
 # ----------------------------------------------------------------------

@@ -243,6 +243,31 @@ def test_ablate_seed_changes_results(capsys):
     assert outputs[0] != outputs[1]
 
 
+@pytest.mark.parametrize("line, bad_key", [
+    ('workloadz = ["heat"]', "workloadz"),
+    ('workload = "heat"', "workload"),  # the field is `workloads`
+])
+def test_submit_rejects_mistyped_spec_before_connecting(
+    tmp_path, monkeypatch, capsys, line, bad_key
+):
+    """A misspelt experiment field fails locally and names the key."""
+    from repro.serve.client import ServeClient
+
+    def connect(self):
+        raise AssertionError("submit connected for an invalid spec")
+
+    monkeypatch.setattr(ServeClient, "connect", connect)
+    spec = tmp_path / "typo.toml"
+    spec.write_text(f'name = "typo"\n{line}\n')
+    code = main([
+        "submit", str(spec), "--socket", str(tmp_path / "missing.sock"),
+    ])
+    assert code == 2
+    assert f"unknown experiment spec keys ['{bad_key}']" in (
+        capsys.readouterr().err
+    )
+
+
 def test_requires_command():
     with pytest.raises(SystemExit):
         main([])

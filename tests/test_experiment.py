@@ -142,8 +142,8 @@ class TestSerialization:
         # the canonicalization pass runs once; later calls hit the memo
         assert spec.__dict__["_content_hash"] == first
         assert spec.content_hash() is first
-        # the memo rides along through pickling (worker processes,
-        # planner job fan-out) instead of being recomputed per process
+        # the memo rides along through pickling instead of being
+        # recomputed in every process that receives the spec
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.__dict__.get("_content_hash") == first
         assert clone.content_hash() == first
