@@ -288,7 +288,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
           f"{stats.cache_hits} cache hit(s), {stats.cache_misses} miss(es), "
           f"{stats.cache_stores} stored, "
           f"{stats.traces_mapped} trace(s) mapped, "
-          f"{stats.traces_generated} generated")
+          f"{stats.traces_generated} generated, "
+          f"{stats.frontends_mapped} front end(s) mapped, "
+          f"{stats.frontends_computed} computed")
     if args.json:
         from .harness import experiment_result_to_mapping
 
@@ -305,6 +307,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .harness.cache import ResultCache
+    from .trace.store import trace_store_usage
 
     root = Path(args.dir)
     if not root.is_dir():
@@ -322,6 +325,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"  tmp files: {usage.tmp_files}")
         for version, count in sorted(usage.versions.items()):
             print(f"  version {version}: {count} entr(ies)")
+        traces = trace_store_usage(root / "traces")
+        print(f"  traces:    {traces.traces} trace(s), "
+              f"{traces.front_ends} front end(s), "
+              f"{traces.total_bytes:,} bytes ({root / 'traces'})")
         return 0
 
     if args.action == "ls":
@@ -690,7 +697,9 @@ def main(argv: list[str] | None = None) -> int:
         "cache",
         help="inspect and maintain an on-disk result cache",
         description="Operate on a --cache-dir directory: 'stats' "
-                    "summarizes usage from the shard indexes, 'gc' "
+                    "summarizes usage from the shard indexes, plus the "
+                    "trace and front-end entries of its traces/ store "
+                    "(which 'gc', 'verify' and 'ls' leave alone), 'gc' "
                     "sweeps orphaned temp files / purges stale-version "
                     "entries / evicts to a byte budget, 'verify' "
                     "unpickles every payload and cross-checks the "

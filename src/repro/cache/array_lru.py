@@ -183,8 +183,6 @@ class FilteredTrace:
     wb_insert_valid: np.ndarray  # (n,) bool
     wb_access_addr: np.ndarray  # (n,) int64
     wb_access_valid: np.ndarray  # (n,) bool
-    l1_accesses: int
-    l2_accesses: int
 
 
 class BatchedPrivateFilter:
@@ -277,6 +275,4 @@ class BatchedPrivateFilter:
             wb_insert_valid=wb_insert_valid,
             wb_access_addr=wb_access_addr,
             wb_access_valid=wb_access_valid,
-            l1_accesses=n,
-            l2_accesses=k,
         )

@@ -25,6 +25,7 @@ from ..common.types import CompressionMethod
 from ..compression.compressor import AVRCompressor
 from ..compression.errors import relative_error
 from ..designs import BASELINE, get_design, layout_source_design
+from ..system.frontend import compute_front_end
 from ..trace.generator import generate_trace
 from .cache import resolve_result_cache
 from .runner import _build_layout
@@ -86,7 +87,8 @@ def run_llc_ablations(
     design that cannot consume ``avr_options`` is rejected up front.  Built on the sweep engine's job units: the
     functional runs (baseline reference + the design's layout source)
     and each variant's timing replay are independent jobs, fanned out
-    over ``jobs`` workers and memoized in ``cache_dir``.  The
+    over ``jobs`` workers and memoized in ``cache_dir``; the variants
+    share one trace and one timing front end.  The
     functional jobs share cache entries with
     :func:`~repro.experiment.run_experiment` and
     :func:`~repro.harness.sweep.run_sweep` runs of the same point, and
@@ -130,14 +132,15 @@ def run_llc_ablations(
             for options in variants.values()
         }
         # One batched pass over every variant's key; only misses pay
-        # for trace generation and a replay job.
+        # for trace generation and a replay job.  The variants differ in
+        # the LLC alone, so they all replay one front end.
         if cache is not None:
             timing.update(cache.get_many(list(variant_keys)))
-        trace = None
+        shared = None
         for key, options in variant_keys.items():
             if key in timing:
                 continue
-            if trace is None:
+            if shared is None:
                 trace = generate_trace(
                     workload.trace_spec(),
                     reference.memory,
@@ -145,12 +148,14 @@ def run_llc_ablations(
                     max_accesses_per_core=max_accesses_per_core,
                     seed=point.seed,
                 )
+                shared = (trace, compute_front_end(trace, config))
             timing_jobs[key] = (
                 partial(run_timing_job, avr_options=options),
                 design,
                 config,
                 layout,
-                trace,
+                *shared,
+                None,
                 reference.memory.footprint_bytes,
                 1.0,
             )

@@ -18,9 +18,10 @@ what sharing the LLC and DRAM costs each co-runner:
   split into the instance's own solo misses and the misses it induces
   on everyone else.
 
-All replays are sweep-engine job units (:func:`run_timing_job` on
-subset traces of one composed trace), cached under scenario-qualified
-content keys, and exact under both timing engines.  Completion times
+All replays are sweep-engine job units (:func:`run_timing_job` on one
+composed trace and its shared timing front end, restricted to each
+subset's cores), cached under scenario-qualified content keys, and
+bit-identical to the per-event oracle.  Completion times
 fold the bandwidth bound in proportionally: when a run is
 bandwidth-bound, every core's latency-bound count is stretched by
 ``cycles / max(core_cycles)`` so per-core comparisons still see the
@@ -29,6 +30,7 @@ DRAM-saturation effect the paper is about.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TYPE_CHECKING
 
@@ -52,10 +54,11 @@ from ..scenario import (
     get_scenario,
     plan_instances,
 )
+from ..system.frontend import TimingFrontEnd, compute_front_end
 from ..system.layout import AddressLayout
 from ..system.simulator import SimResult
 from ..trace.generator import GeneratedTrace, budget_iterations, generate_trace
-from ..trace.store import TraceHandle, TraceStore
+from ..trace.store import FrontEndHandle, TraceHandle, TraceStore, front_end_key
 from ..workloads.base import Workload, WorkloadResult
 from .cache import content_key
 from .runner import _build_layout
@@ -165,13 +168,13 @@ class ScenarioContext:
     """Composed machine view of one scenario point.
 
     Built in the parent process from (cached) functional results; the
-    composed trace is generated lazily so a fully warm timing cache
-    never pays for trace generation, mirroring the single-workload
-    sweep path.
+    composed trace and its timing front end are built lazily, so a
+    fully warm timing cache never pays for trace generation or the
+    private-cache filter, mirroring the single-workload sweep path.
     """
 
     point: ScenarioPoint
-    num_cores: int
+    config: SystemConfig
     plans: list[InstancePlan]
     workloads: list[Workload]
     references: list[WorkloadResult]
@@ -189,6 +192,13 @@ class ScenarioContext:
     store: TraceStore | None = field(default=None, repr=False)
     store_key: str | None = None
     _trace: GeneratedTrace | None = field(default=None, repr=False)
+    _front_end: TimingFrontEnd | FrontEndHandle | None = field(
+        default=None, repr=False
+    )
+
+    @property
+    def num_cores(self) -> int:
+        return self.config.num_cores
 
     @property
     def layout(self) -> AddressLayout:
@@ -251,33 +261,46 @@ class ScenarioContext:
             return TraceHandle(root=str(self.store.root), key=self.store_key)
         return trace
 
-    def subset_payload(
-        self, active: tuple[int, ...]
-    ) -> GeneratedTrace | TraceHandle:
-        """Trace argument for a subset replay (full mix -> handle)."""
+    def front_end_payload(
+        self, claim: Callable[[str], AbstractContextManager[None]]
+    ) -> TimingFrontEnd | FrontEndHandle:
+        """What a timing job should carry as its front-end argument.
+
+        The composed trace's :class:`~repro.system.frontend.TimingFrontEnd`
+        is computed once per point, the first time a timing job needs
+        it, and every design and instance subset replays from it.  With
+        a store, a warm run maps the committed entry and a cold run
+        commits it under :func:`~repro.trace.store.front_end_key`; jobs
+        then carry a :class:`~repro.trace.store.FrontEndHandle`.
+        Without a store they carry the arrays, like
+        :meth:`trace_payload`.  ``claim`` is the executor's
+        :meth:`~repro.harness.sweep.JobExecutor.claim`: a daemon
+        session that needs a front end another session is computing
+        waits for it and maps it.
+        """
+        if self._front_end is None:
+            if self.store is None or self.store_key is None:
+                self._front_end = compute_front_end(self.trace(), self.config)
+            else:
+                key = front_end_key(self.store_key, self.config)
+                with claim(key):
+                    if self.store.get_front_end(key) is None:
+                        self.store.put_front_end(
+                            key, compute_front_end(self.trace(), self.config)
+                        )
+                self._front_end = FrontEndHandle(
+                    root=str(self.store.root), key=key
+                )
+        return self._front_end
+
+    def active_cores(self, active: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Cores a replay of instance subset ``active`` keeps populated.
+
+        ``None`` for the full mix: the replay needs no restriction.
+        """
         if len(active) == len(self.plans):
-            return self.trace_payload()
-        return self.subset_trace(active)
-
-    def subset_trace(self, active: tuple[int, ...]) -> GeneratedTrace:
-        """The composed trace with only ``active`` instances populated."""
-        full = self.trace()
-        if len(active) == len(self.plans):
-            return full
-        import numpy as np
-
-        from ..trace.events import TRACE_DTYPE
-
-        keep = {c for i in active for c in self.plans[i].cores}
-        cores = [
-            stream if cid in keep else np.empty(0, dtype=TRACE_DTYPE)
-            for cid, stream in enumerate(full.cores)
-        ]
-        return GeneratedTrace(
-            cores=cores,
-            iterations_simulated=full.iterations_simulated,
-            iterations_total=full.iterations_total,
-        )
+            return None
+        return tuple(sorted(c for i in active for c in self.plans[i].cores))
 
 
 def scenario_trace_key(point: ScenarioPoint, num_cores: int) -> str:
@@ -387,7 +410,7 @@ def build_scenario_context(
 
     return ScenarioContext(
         point=point,
-        num_cores=config.num_cores,
+        config=config,
         plans=plans,
         workloads=workloads,
         references=references,

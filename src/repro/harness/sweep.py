@@ -17,7 +17,9 @@ and to cache on disk):
   the serial path shares ``functional[...]``.
 * :func:`run_timing_job` — one design's trace replay through the
   timing system, given the layout and trace derived from the
-  functional results.
+  functional results and the trace's timing front end (the private
+  filter and LLC event order, computed once per trace in the parent
+  and shared by every design and scenario subset).
 
 ``run_sweep(spec, jobs=1)`` executes the same job units in-process in
 deterministic order, so the serial and parallel paths are one code
@@ -33,6 +35,7 @@ from __future__ import annotations
 import abc
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import TracebackType
@@ -52,10 +55,17 @@ from ..designs import (
 )
 from ..scenario import Scenario
 from ..system.factory import build_system
+from ..system.frontend import TimingFrontEnd
 from ..system.layout import AddressLayout
 from ..system.simulator import SimResult
 from ..trace.generator import GeneratedTrace
-from ..trace.store import TraceHandle, TraceStore, resolve_trace_store
+from ..trace.store import (
+    FrontEndHandle,
+    TraceHandle,
+    TraceStore,
+    TraceStoreStats,
+    resolve_trace_store,
+)
 from ..workloads import WORKLOADS, make_workload
 from ..workloads.base import Workload, WorkloadResult
 from .cache import ResultCache, content_key, resolve_result_cache
@@ -247,28 +257,39 @@ def run_timing_job(
     config: SystemConfig,
     layout: AddressLayout,
     trace: GeneratedTrace | TraceHandle,
+    front_end: TimingFrontEnd | FrontEndHandle,
+    cores: tuple[int, ...] | None,
     footprint_bytes: int,
     dedup_factor: float = 1.0,
     avr_options: dict | None = None,
 ) -> SimResult:
     """Job unit: one design's timing replay of one point's trace.
 
-    ``layout`` and ``trace`` are derived deterministically from the
-    point's functional results, so this too is a pure function of its
-    arguments.  ``trace`` may arrive as a
-    :class:`~repro.trace.store.TraceHandle`: a content-keyed reference
-    into the memory-mapped trace store, which the job resolves here —
-    so worker processes map the shared payload file instead of
-    unpickling megabytes of trace, and replay bit-identically either
-    way.  ``avr_options`` forwards LLC ablation flags.
+    ``layout``, ``trace`` and its ``front_end`` (see
+    :mod:`repro.system.frontend`) are derived deterministically from
+    the point's functional results, so this too is a pure function of
+    its arguments.  ``trace`` and ``front_end`` may arrive as
+    :class:`~repro.trace.store.TraceHandle` /
+    :class:`~repro.trace.store.FrontEndHandle`: content-keyed
+    references into the memory-mapped trace store, which the job
+    resolves here — so worker processes map the shared payload files
+    instead of unpickling megabytes of arrays, and replay
+    bit-identically either way.  ``cores`` restricts the replay to a
+    scenario subset's cores (``None``: every core); the others keep
+    their slots with empty streams.  ``avr_options`` forwards LLC
+    ablation flags.
     """
     if isinstance(trace, TraceHandle):
         trace = trace.load()
+    if isinstance(front_end, FrontEndHandle):
+        front_end = front_end.load()
+    if cores is not None:
+        trace, front_end = trace.restrict(cores), front_end.restrict(cores)
     system = build_system(
         design, config, layout, footprint_bytes, dedup_factor,
         avr_options=avr_options,
     )
-    return system.run(trace)
+    return system.run(trace, front_end)
 
 
 def functional_job_key(point: SweepPoint, design: DesignLike) -> str:
@@ -327,8 +348,10 @@ class JobExecutor(abc.ABC):
     dedups overlapping submissions from concurrent clients this way;
     the in-process executors below always launch).  Only the launching
     submission stores the unit's result into the cache, so joined
-    units are never double-written.  ``shutdown`` releases whatever
-    the executor owns; ``cancel_futures=True`` is the
+    units are never double-written.  ``claim`` serializes parent-side
+    work that is not a unit (a point's timing front end) across sweeps
+    sharing one scheduler.  ``shutdown`` releases whatever the executor
+    owns; ``cancel_futures=True`` is the
     KeyboardInterrupt path — queued units are dropped instead of
     drained.
     """
@@ -338,6 +361,16 @@ class JobExecutor(abc.ABC):
         self, key: str, fn: Callable, /, *args: Any
     ) -> tuple[Any, bool]:
         """Run ``fn(*args)`` for unit ``key``; return (future, launched)."""
+
+    def claim(self, key: str) -> AbstractContextManager[None]:
+        """Hold ``key`` while this sweep does parent-side work for it.
+
+        Sweeps that share a scheduler (the ``repro serve`` daemon's
+        sessions) run claimed work for one key one at a time, so the
+        second finds what the first committed instead of repeating it.
+        The in-process executors serve one sweep and claim nothing.
+        """
+        return nullcontext()
 
     def shutdown(self, cancel_futures: bool = False) -> None:
         """Release executor resources (no-op for stateless executors)."""
@@ -409,6 +442,11 @@ class SweepStats:
     #: (and committed) this run — a warm store maps everything
     traces_mapped: int = 0
     traces_generated: int = 0
+    #: timing front ends (private filter + LLC event order, one per
+    #: trace) mapped from the trace store vs computed and committed this
+    #: run; like the trace counters, both stay 0 without a store
+    frontends_mapped: int = 0
+    frontends_computed: int = 0
     #: cache-missed units this run *joined* instead of launching — an
     #: injected executor (the ``repro serve`` scheduler) found them
     #: already in flight for another client; always 0 for the
@@ -578,9 +616,10 @@ def run_sweep(
     (see :func:`repro.trace.store.resolve_trace_store`): by default a
     ``traces/`` directory under ``cache_dir``, so warm runs that still
     need a trace — new designs, a cleared result cache — map the
-    stored stream instead of regenerating it; ``False``/``"off"``
-    disables it.  Stored or not, traces are bit-identical, so the
-    result-cache keys are unaffected.
+    stored stream and its timing front end instead of regenerating and
+    re-filtering them; ``False``/``"off"`` disables it.  Stored or not,
+    traces and front ends are bit-identical, so the result-cache keys
+    are unaffected.
 
     ``executor`` injects a caller-owned :class:`JobExecutor` in place
     of the per-run pool (``jobs`` is then ignored and the executor is
@@ -602,8 +641,7 @@ def run_sweep(
     )
     # Snapshot so a caller-supplied store's (or shared cache's) prior
     # traffic is not attributed to this run.
-    store_hits0 = store.stats.hits if store is not None else 0
-    store_stores0 = store.stats.stores if store is not None else 0
+    store0 = replace(store.stats) if store is not None else TraceStoreStats()
     cache_stores0 = cache.stats.stores if cache is not None else 0
     points = spec.points()
     scenario_points = spec.scenario_points()
@@ -646,10 +684,12 @@ def run_sweep(
         # layout and trace are bit-identical to the historical path.
         # Keys for *all* timing replays are enumerated first and
         # resolved in one batched cache pass; only then are misses
-        # turned into pool jobs.  The trace is only composed for points
-        # with at least one timing cache miss: a warm re-run
-        # reassembles everything without regenerating a single address
-        # stream and without a single per-key cache probe.
+        # turned into pool jobs.  The trace and its timing front end are
+        # only built for points with at least one timing cache miss: a
+        # warm re-run reassembles everything without regenerating a
+        # single address stream, without filtering one, and without a
+        # single per-key cache probe.  One front end serves every
+        # design and scenario subset of its point.
         contexts: list[tuple[SweepPoint, Workload, WorkloadResult, AddressLayout]] = []
         timing: dict[str, SimResult] = {}
         #: key -> how to build the job if the batched lookup misses
@@ -722,11 +762,9 @@ def run_sweep(
                 design,
                 config,
                 context.layout_for(design),
-                (
-                    context.trace_payload()
-                    if active is None
-                    else context.subset_payload(active)
-                ),
+                context.trace_payload(),
+                context.front_end_payload(pool.claim),
+                None if active is None else context.active_cores(active),
                 footprint,
                 dedup,
             )
@@ -745,8 +783,12 @@ def run_sweep(
     if executor is None:
         pool.shutdown()
     if store is not None:
-        stats.traces_mapped = store.stats.hits - store_hits0
-        stats.traces_generated = store.stats.stores - store_stores0
+        stats.traces_mapped = store.stats.hits - store0.hits
+        stats.traces_generated = store.stats.stores - store0.stores
+        stats.frontends_mapped = store.stats.front_end_hits - store0.front_end_hits
+        stats.frontends_computed = (
+            store.stats.front_end_stores - store0.front_end_stores
+        )
     if cache is not None:
         stats.cache_stores = cache.stats.stores - cache_stores0
 
@@ -762,8 +804,12 @@ def run_sweep(
         )
         for design in spec.designs:
             func = functional.get(functional_job_key(point, design), reference)
-            sim = timing[timing_job_key(point, design, config)]
-            sim.iteration_factor = func.iterations / max(reference.iterations, 1)
+            # A copy: the collected result may be shared (the serve
+            # scheduler hands one unit's result to every joined session).
+            sim = replace(
+                timing[timing_job_key(point, design, config)],
+                iteration_factor=func.iterations / max(reference.iterations, 1),
+            )
             error = (
                 0.0
                 if design.is_reference

@@ -31,8 +31,9 @@ import heapq
 import itertools
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from ..harness.cache import DiskUsage, GCReport, ResultCache, VerifyReport
 from ..harness.sweep import JobExecutor
@@ -183,6 +184,10 @@ class JobHandle(JobExecutor):
         """Drop unit references once the owning sweep has finished."""
         self._scheduler._release(self)
 
+    def claim(self, key: str) -> AbstractContextManager[None]:
+        """Hold ``key`` across every handle of the scheduler."""
+        return self._scheduler.claim(key)
+
     def shutdown(self, cancel_futures: bool = False) -> None:
         """No-op: the scheduler owns the pool, not the handle."""
 
@@ -204,6 +209,9 @@ class UnitScheduler:
         self._seq = itertools.count()
         self._closed = False
         self.stats = ServeStats()
+        #: key -> (lock, sessions holding or waiting on it) for the
+        #: parent-side work of :meth:`claim`
+        self._claims: dict[str, tuple[threading.Lock, int]] = {}
 
     # ------------------------------------------------------------------
     # handle-facing API (worker threads)
@@ -211,6 +219,29 @@ class UnitScheduler:
     def handle(self, priority: int = 0, label: str = "") -> JobHandle:
         """A fresh per-submission executor bound to this scheduler."""
         return JobHandle(self, priority=priority, label=label)
+
+    @contextmanager
+    def claim(self, key: str) -> Iterator[None]:
+        """Run sessions' parent-side work for ``key`` one at a time.
+
+        Two sessions that miss the same point both need its timing front
+        end; under the claim the second waits for the first to commit it
+        and then maps it, rather than filtering the trace again while
+        the first session's timing units run ahead of it.
+        """
+        with self._lock:
+            lock, users = self._claims.get(key, (threading.Lock(), 0))
+            self._claims[key] = (lock, users + 1)
+        try:
+            with lock:
+                yield
+        finally:
+            with self._lock:
+                lock, users = self._claims[key]
+                if users == 1:
+                    del self._claims[key]
+                else:
+                    self._claims[key] = (lock, users - 1)
 
     def _submit(
         self, handle: JobHandle, key: str, fn: Callable[..., Any], args: tuple

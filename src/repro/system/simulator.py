@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..cache.array_lru import BatchedPrivateFilter
 from ..cache.llc_avr import AVRLLC
 from ..cache.llc_baseline import BaselineLLC
 from ..common.config import SystemConfig
@@ -26,12 +25,8 @@ from ..designs import DesignSpec, get_design
 from ..energy.model import EnergyBreakdown, EnergyModel
 from ..memory.dram import DRAM
 from ..trace.generator import GeneratedTrace
+from .frontend import TimingFrontEnd, compute_front_end
 
-#: accesses each core executes before yielding to the next.  Fine
-#: granularity matters: the AVR module's single DBUF is shared, so
-#: concurrently-streaming cores contend for it (turning would-be DBUF
-#: hits into compressed-block hits), as in the paper's 8-core CMP.
-INTERLEAVE_CHUNK = 12
 
 @dataclass
 class SimResult:
@@ -116,15 +111,18 @@ class TimingSystem:
         self.llc = llc
         self.dram = dram
 
-    def run(self, trace: GeneratedTrace) -> SimResult:
+    def run(
+        self, trace: GeneratedTrace, front_end: TimingFrontEnd | None = None
+    ) -> SimResult:
         """Replay ``trace`` and return the run's aggregate metrics.
 
         Cores execute their streams in fixed-size interleaved chunks
-        (see :data:`INTERLEAVE_CHUNK`) so shared-resource contention —
-        the LLC, the AVR module's single DBUF, DRAM banks — is modeled
-        across cores.  The returned cycle count is the slower of the
-        latency-bound and bandwidth-bound estimates; callers normalize
-        against a baseline run of the same trace.
+        (see :data:`~repro.system.frontend.INTERLEAVE_CHUNK`) so
+        shared-resource contention — the LLC, the AVR module's single
+        DBUF, DRAM banks — is modeled across cores.  The returned cycle
+        count is the slower of the latency-bound and bandwidth-bound
+        estimates; callers normalize against a baseline run of the same
+        trace.
 
         This batched replay is the package's only timing model.  The
         replay runs in three stages, each bit-identical to the
@@ -134,16 +132,19 @@ class TimingSystem:
         ``tests/test_engine_equivalence.py`` and
         ``benchmarks/bench_timing.py --check``):
 
-        1. **Private filter** — every core's L1+L2 stack is replayed in
-           one batched pass (:class:`BatchedPrivateFilter`); private
-           state never depends on the shared levels, so this needs no
-           interleaving.
-        2. **LLC event replay** — the surviving events (demand reads
-           that missed L2, plus dirty L2 victim writebacks) are sorted
-           into exactly the per-access loop's chunk-interleaved order
-           and replayed through the LLC's own batched replay
-           (``BaselineLLC.replay_batch`` or the AVR fast scan,
-           ``AVRLLC.replay_batch``) with DRAM settled in bulk.
+        1. **Front end** — every core's L1+L2 stack is replayed in one
+           batched pass
+           (:class:`~repro.cache.array_lru.BatchedPrivateFilter`), and the
+           surviving events (demand reads that missed L2, plus dirty L2
+           victim writebacks) are sorted into exactly the per-access
+           loop's chunk-interleaved order.  None of this depends on the
+           design, so the sweep computes it once per trace
+           (:func:`~repro.system.frontend.compute_front_end`) and passes
+           it in as ``front_end``; without one, ``run`` computes it.
+        2. **LLC event replay** — the event stream goes through the
+           LLC's own batched replay (``BaselineLLC.replay_batch`` or the
+           AVR fast scan, ``AVRLLC.replay_batch``) with DRAM settled in
+           bulk.
         3. **Cycle accounting** — per-core interval accounting is a
            sequential chain of float additions; with the LLC latencies
            from stage 2 scattered back per access, the chain folds
@@ -158,65 +159,36 @@ class TimingSystem:
         num_cores = len(trace.cores)
         if num_cores == 0:
             return self._finalize(trace, [], l1_accesses=0, l2_accesses=0)
-        cores = [IntervalCore(config.core) for _ in range(num_cores)]
-        core_ids, addrs, writes, gaps, offsets = trace.concatenated()
-        n = int(addrs.size)
-
-        filt = BatchedPrivateFilter(config, num_cores).filter(
-            core_ids, addrs, writes
-        )
-
-        # --- LLC-bound event stream, in the per-access loop's order --
-        # Chunk pass k handles accesses [12k, 12k+12) of core 0, then of
-        # core 1, ...; within one access: demand read, then the
-        # insert-victim writeback, then the access-victim writeback.
-        per_core_idx = np.arange(n, dtype=np.int64) - offsets[core_ids]
-        chunk_key = (per_core_idx // INTERLEAVE_CHUNK) * num_cores + core_ids
-
-        ev_valid = np.empty((n, 3), dtype=bool)
-        ev_valid[:, 0] = filt.needs_llc
-        ev_valid[:, 1] = filt.wb_insert_valid
-        ev_valid[:, 2] = filt.wb_access_valid
-        ev_addr = np.empty((n, 3), dtype=np.int64)
-        ev_addr[:, 0] = addrs
-        ev_addr[:, 1] = filt.wb_insert_addr
-        ev_addr[:, 2] = filt.wb_access_addr
-        ev_is_read = np.zeros((n, 3), dtype=bool)
-        ev_is_read[:, 0] = True
-
-        mask = ev_valid.ravel()
-        flat_addr = ev_addr.ravel()[mask]
-        flat_is_read = ev_is_read.ravel()[mask]
-        flat_access = np.repeat(np.arange(n, dtype=np.int64), 3)[mask]
-        # Stable sort: equal keys (same chunk pass, same core) keep the
-        # flattened row-major order, i.e. per-core access/slot order.
-        order = np.argsort(np.repeat(chunk_key, 3)[mask], kind="stable")
-        flat_addr = flat_addr[order]
-        flat_is_read = flat_is_read[order]
-        flat_access = flat_access[order]
+        if front_end is None:
+            front_end = compute_front_end(trace, config)
+        offsets = front_end.offsets
+        if not np.array_equal(np.diff(offsets), [len(c) for c in trace.cores]):
+            raise ValueError("front end was computed for a different trace")
 
         # Every LLC flavour owns a batched replay of the filtered event
         # stream: BaselineLLC (baseline / Truncate / Doppelgänger)
         # replays its data array as one BatchedLRUMatrix pass, AVRLLC
         # runs its array-backed fast scan (decode pass, same-block run
         # batching, deferred DRAM settlement).
-        read_lats = self.llc.replay_batch(flat_addr, flat_is_read)[flat_is_read]
+        is_read = front_end.event_is_read
+        read_lats = self.llc.replay_batch(front_end.event_addr, is_read)[is_read]
 
         # --- scatter LLC latencies back, fold per-core accounting -----
-        llc_lat = np.zeros(n, dtype=np.int64)
-        llc_lat[flat_access[flat_is_read]] = read_lats
+        llc_lat = np.zeros(front_end.l1_accesses, dtype=np.int64)
+        llc_lat[front_end.event_access[is_read]] = read_lats
         l1_lat, l2_lat = config.l1.latency_cycles, config.l2.latency_cycles
-        latency = np.where(filt.l1_hit, l1_lat, l1_lat + l2_lat) + llc_lat
-        l1_hit_flag = ~filt.needs_llc & (latency <= l1_lat)
-        for c in range(num_cores):
+        latency = np.where(front_end.l1_hit, l1_lat, l1_lat + l2_lat) + llc_lat
+        l1_hit_flag = ~front_end.needs_llc & (latency <= l1_lat)
+        cores = [IntervalCore(config.core) for _ in range(num_cores)]
+        for c, stream in enumerate(trace.cores):
             sl = slice(int(offsets[c]), int(offsets[c + 1]))
-            cores[c].replay_batch(gaps[sl], latency[sl], l1_hit_flag[sl])
+            cores[c].replay_batch(stream["gap"], latency[sl], l1_hit_flag[sl])
 
         return self._finalize(
             trace,
             cores,
-            l1_accesses=filt.l1_accesses,
-            l2_accesses=filt.l2_accesses,
+            l1_accesses=front_end.l1_accesses,
+            l2_accesses=front_end.l2_accesses,
         )
 
     # ------------------------------------------------------------------

@@ -3,23 +3,31 @@
 from .events import TRACE_DTYPE, concat_traces, make_trace, total_instructions
 from .generator import GeneratedTrace, generate_trace
 from .store import (
+    FrontEndHandle,
     TraceHandle,
     TraceStore,
     TraceStoreStats,
+    TraceStoreUsage,
+    front_end_key,
     resolve_trace_store,
     trace_key,
+    trace_store_usage,
 )
 
 __all__ = [
+    "FrontEndHandle",
     "GeneratedTrace",
     "TRACE_DTYPE",
     "TraceHandle",
     "TraceStore",
     "TraceStoreStats",
+    "TraceStoreUsage",
     "concat_traces",
+    "front_end_key",
     "generate_trace",
     "make_trace",
     "resolve_trace_store",
     "total_instructions",
     "trace_key",
+    "trace_store_usage",
 ]

@@ -32,6 +32,7 @@ every iteration sweeps the same working set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -88,6 +89,24 @@ class GeneratedTrace:
             writes[sl] = t["write"]
             gaps[sl] = t["gap"]
         return core_ids, addrs, writes, gaps, offsets
+
+    def restrict(self, cores: Iterable[int]) -> GeneratedTrace:
+        """This trace with only ``cores`` populated.
+
+        Every other core keeps its slot with an empty stream, so core
+        ids, the machine width and the iteration bookkeeping are those
+        of the full trace: a scenario's solo and leave-one-out replays
+        run the full mix this way.
+        """
+        keep = set(cores)
+        return GeneratedTrace(
+            cores=[
+                stream if c in keep else stream[:0]
+                for c, stream in enumerate(self.cores)
+            ],
+            iterations_simulated=self.iterations_simulated,
+            iterations_total=self.iterations_total,
+        )
 
 
 def _phase_addresses(

@@ -14,12 +14,20 @@ On disk an entry is a pair of files, sharded by digest prefix:
 * ``<root>/<key[:2]>/<key>.json`` — the index record: per-core slice
   offsets, iteration bookkeeping and the expected payload length.
 
+Beside each trace the store keeps its timing front end under
+:func:`front_end_key` (see :mod:`repro.system.frontend`): the private
+filter's per-access outcome and the ordered LLC event stream, which every
+design replaying the trace shares.  A front-end entry is the same kind of
+pair, ``<key>.frontend.npy`` and ``<key>.frontend.json``: the payload is
+one flat byte array holding every column at an 8-byte-aligned offset, and
+the record lists each column's dtype, length and offset.
+
 Both files are written via temp-file + ``os.replace``, payload first,
 index record last — the record is the commit marker.  A reader that
 finds a record whose payload is missing, truncated or mis-shaped
 treats the entry as absent (it will be regenerated and atomically
 rewritten), so crashed writers and concurrent sweeps sharing a store
-directory never surface torn traces.  Concurrent writers of one key
+directory never surface torn entries.  Concurrent writers of one key
 race benignly: content addressing means they replace identical bytes.
 """
 
@@ -30,20 +38,31 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from .events import TRACE_DTYPE
 from .generator import GeneratedTrace
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from ..common.config import SystemConfig
+    from ..system.frontend import TimingFrontEnd
+
 __all__ = [
+    "FrontEndHandle",
     "TraceHandle",
     "TraceStore",
     "TraceStoreStats",
+    "TraceStoreUsage",
+    "front_end_key",
     "resolve_trace_store",
     "trace_key",
+    "trace_store_usage",
 ]
+
+#: file-name suffix that sets front-end entries apart from trace entries
+_FRONT_END = ".frontend"
 
 
 def trace_key(
@@ -80,6 +99,24 @@ def trace_key(
     )
 
 
+def front_end_key(trace: str, config: SystemConfig) -> str:
+    """Content key of the timing front end of the trace stored as ``trace``.
+
+    The front end depends on the trace and the private caches alone, so
+    the key folds the trace's key, the L1 and L2 configs, the core count
+    and the package version.  The LLC, DRAM and core parameters, the
+    design and its AVR options stay out: every design replaying the
+    trace shares one entry.
+    """
+    from .. import __version__
+    from ..harness.cache import content_key
+
+    return content_key(
+        "front-end", __version__, trace, config.l1, config.l2,
+        config.num_cores,
+    )
+
+
 @dataclass
 class TraceStoreStats:
     """Hit/miss/store counters for one store instance."""
@@ -87,6 +124,9 @@ class TraceStoreStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
+    front_end_hits: int = 0
+    front_end_misses: int = 0
+    front_end_stores: int = 0
 
 
 class TraceStore:
@@ -102,11 +142,11 @@ class TraceStore:
             ) from exc
         self.stats = TraceStoreStats()
 
-    def _data_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npy"
+    def _data_path(self, key: str, kind: str = "") -> Path:
+        return self.root / key[:2] / f"{key}{kind}.npy"
 
-    def _meta_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _meta_path(self, key: str, kind: str = "") -> Path:
+        return self.root / key[:2] / f"{key}{kind}.json"
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` has a committed (indexed) entry."""
@@ -196,8 +236,58 @@ class TraceStore:
         self.put(key, trace)
         return trace
 
+    def get_front_end(self, key: str) -> TimingFrontEnd | None:
+        """The stored front end for ``key``, memory-mapped, or ``None``.
+
+        Every column is a read-only view into one ``np.memmap`` of the
+        payload file.  An entry whose payload is missing, truncated or
+        does not match its record counts as a miss, like a torn trace.
+        """
+        from ..system.frontend import TimingFrontEnd
+
+        try:
+            meta = json.loads(self._meta_path(key, _FRONT_END).read_text())
+            data = np.load(self._data_path(key, _FRONT_END), mmap_mode="r")
+            if data.dtype != np.uint8 or data.shape != (int(meta["nbytes"]),):
+                raise ValueError("front-end payload does not match its record")
+            columns: dict[str, np.ndarray] = {}
+            for name, dtype, size, start in meta["columns"]:
+                dt = np.dtype(dtype)
+                columns[name] = data[start:start + size * dt.itemsize].view(dt)
+            front_end = TimingFrontEnd(**columns)
+        except (OSError, ValueError, KeyError, IndexError, TypeError):
+            self.stats.front_end_misses += 1
+            return None
+        self.stats.front_end_hits += 1
+        return front_end
+
+    def put_front_end(self, key: str, front_end: TimingFrontEnd) -> None:
+        """Store ``front_end`` under ``key`` (atomic: payload, then record)."""
+        columns: list[list[Any]] = []
+        parts: list[np.ndarray] = []
+        start = 0
+        for name, array in front_end.columns().items():
+            raw = np.ascontiguousarray(array).view(np.uint8)
+            pad = -raw.size % 8
+            columns.append([name, array.dtype.str, int(array.size), start])
+            parts += [raw, np.zeros(pad, dtype=np.uint8)]
+            start += raw.size + pad
+        payload = np.concatenate(parts)
+        data_path = self._data_path(key, _FRONT_END)
+        data_path.parent.mkdir(parents=True, exist_ok=True)
+        self._atomic_write(
+            data_path, lambda fh: np.save(fh, payload, allow_pickle=False)
+        )
+        meta = {"columns": columns, "nbytes": start}
+        self._atomic_write(
+            self._meta_path(key, _FRONT_END),
+            lambda fh: fh.write(json.dumps(meta).encode()),
+        )
+        self.stats.front_end_stores += 1
+
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """Committed traces (front-end entries are not counted)."""
+        return trace_store_usage(self.root).traces
 
 
 @dataclass(frozen=True)
@@ -220,6 +310,56 @@ class TraceHandle:
                 f"{self.root} between submission and execution"
             )
         return trace
+
+
+@dataclass(frozen=True)
+class FrontEndHandle:
+    """Picklable reference to a committed front-end entry.
+
+    The front-end twin of :class:`TraceHandle`: every timing job of a
+    trace carries one, and the worker maps the shared payload file.
+    """
+
+    root: str
+    key: str
+
+    def load(self) -> TimingFrontEnd:
+        front_end = TraceStore(self.root).get_front_end(self.key)
+        if front_end is None:
+            raise FileNotFoundError(
+                f"front-end entry {self.key[:12]}... disappeared from "
+                f"{self.root} between submission and execution"
+            )
+        return front_end
+
+
+@dataclass
+class TraceStoreUsage:
+    """What a trace store directory holds."""
+
+    traces: int = 0
+    front_ends: int = 0
+    #: every file in the store: payloads, records and temp files
+    total_bytes: int = 0
+
+
+def trace_store_usage(root: str | Path) -> TraceStoreUsage:
+    """Count the committed entries and bytes of the store under ``root``.
+
+    Read-only: unlike :class:`TraceStore` it creates nothing, and a
+    missing directory is an empty store.
+    """
+    usage = TraceStoreUsage()
+    for path in Path(root).glob("*/*"):
+        try:
+            usage.total_bytes += path.stat().st_size
+        except OSError:  # removed since the glob: a concurrent writer's tmp
+            continue
+        if path.name.endswith(f"{_FRONT_END}.json"):
+            usage.front_ends += 1
+        elif path.suffix == ".json":
+            usage.traces += 1
+    return usage
 
 
 def resolve_trace_store(

@@ -78,8 +78,9 @@ from repro.common.constants import (
 from repro.common.stats import StatCounter
 from repro.cpu.interval import IntervalCore
 from repro.memory.dram import DRAM
+from repro.system.frontend import INTERLEAVE_CHUNK
 from repro.system.layout import AddressLayout
-from repro.system.simulator import INTERLEAVE_CHUNK, SimResult, TimingSystem
+from repro.system.simulator import SimResult, TimingSystem
 from repro.trace.events import TRACE_DTYPE, concat_traces, make_trace
 from repro.trace.generator import (
     _JITTER_BOUND,

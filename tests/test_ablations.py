@@ -137,6 +137,26 @@ class TestAblationHarness:
         assert set(results) == set(LLC_ABLATIONS)
         assert all(p.cycles > 0 for p in results.values())
 
+    def test_variants_share_one_front_end(self, monkeypatch):
+        from repro.cache.array_lru import BatchedPrivateFilter
+
+        calls = []
+        original = BatchedPrivateFilter.filter
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedPrivateFilter, "filter", counting)
+        variants = ("full AVR", "no DBUF", "PFE always")
+        results = run_llc_ablations(
+            "heat", config=SystemConfig.scaled(num_cores=2), scale=0.15,
+            max_accesses_per_core=1_500,
+            variants={k: LLC_ABLATIONS[k] for k in variants},
+        )
+        assert set(results) == set(variants)
+        assert len(calls) == 1
+
     def test_bad_variant_rejected_before_any_run(self):
         with pytest.raises(ValueError, match="valid options: enable_dbuf"):
             run_llc_ablations("heat", variants={"typo": {"enabel_dbuf": False}})

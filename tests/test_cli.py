@@ -179,6 +179,37 @@ def test_cache_stats_and_ls(warm_cache, capsys):
     assert filtered == [k for k in keys if k.startswith(prefix)]
 
 
+def test_cache_stats_reports_the_trace_store(warm_cache, capsys):
+    assert main(["cache", "stats", str(warm_cache)]) == 0
+    line = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if line.strip().startswith("traces:")
+    )
+    assert "1 trace(s), 1 front end(s)" in line
+    on_disk = sum(
+        f.stat().st_size for f in (warm_cache / "traces").rglob("*") if f.is_file()
+    )
+    assert f"{on_disk:,} bytes" in line
+
+
+def test_cache_stats_without_a_trace_store(tmp_path, capsys):
+    assert main(["cache", "stats", str(tmp_path)]) == 0
+    assert "0 trace(s), 0 front end(s), 0 bytes" in capsys.readouterr().out
+    assert not (tmp_path / "traces").exists()
+
+
+def test_added_design_maps_the_stored_front_end(warm_cache, capsys):
+    code = main([
+        "experiment", "--workloads", "heat", "--scale", "0.1", "--cores", "2",
+        "--accesses", "2000", "--designs", "AVR", "truncate",
+        "--cache-dir", str(warm_cache),
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "1 trace(s) mapped, 0 generated" in out
+    assert "1 front end(s) mapped, 0 computed" in out
+
+
 def test_cache_verify_ok_and_corrupt(warm_cache, capsys):
     assert main(["cache", "verify", str(warm_cache)]) == 0
     assert "ok" in capsys.readouterr().out

@@ -4,9 +4,12 @@ Covers the composed-layout offset/overlap invariants, instance seed
 spawning, instruction-count balancing, the trivial-scenario
 bit-identity guarantee, timing-replay equivalence to the
 access-at-a-time oracle on heterogeneous mixes (including every shipped named mix under AVR with
-per-core approx regions), and the sweep/cache integration of
-scenario-qualified identities.
+per-core approx regions, and every solo and leave-one-out subset
+replayed from the full mix's shared timing front end), and the
+sweep/cache integration of scenario-qualified identities.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +23,13 @@ from repro.harness.scenario import (
     build_scenario_context,
     scenario_subsets,
 )
-from repro.harness.sweep import SweepPoint, SweepSpec, run_functional_job, run_sweep
+from repro.harness.sweep import (
+    SweepPoint,
+    SweepSpec,
+    run_functional_job,
+    run_sweep,
+    run_timing_job,
+)
 from repro.scenario import (
     OFFSET_ALIGN,
     Scenario,
@@ -33,8 +42,9 @@ from repro.scenario import (
     parse_mix,
 )
 from repro.system.factory import build_system
-from repro.trace.events import total_instructions
-from repro.trace.generator import generate_trace
+from repro.system.frontend import compute_front_end
+from repro.trace.events import TRACE_DTYPE, total_instructions
+from repro.trace.generator import GeneratedTrace, generate_trace
 
 CONFIG = SystemConfig(
     num_cores=4,
@@ -389,6 +399,82 @@ class TestEngineEquivalence:
         ).run(context.trace())
         assert len(sim.core_cycles) == CONFIG.num_cores
         assert sim.cycles >= max(sim.core_cycles)
+
+
+# ----------------------------------------------------------------------
+# Subset replays from the full mix's shared front end
+# ----------------------------------------------------------------------
+SIX_CORES = replace(CONFIG, num_cores=6)
+
+
+def _emptied(trace, cores):
+    """``trace`` with every core outside ``cores`` given an empty stream."""
+    return GeneratedTrace(
+        cores=[
+            stream if c in cores else np.empty(0, dtype=TRACE_DTYPE)
+            for c, stream in enumerate(trace.cores)
+        ],
+        iterations_simulated=trace.iterations_simulated,
+        iterations_total=trace.iterations_total,
+    )
+
+
+class TestSharedFrontEnd:
+    @pytest.fixture(scope="class")
+    def mix(self):
+        _, context = _context(
+            "heat@2+lbm@2+orbit@2", config=SIX_CORES, accesses=1_500
+        )
+        trace = context.trace()
+        return context, trace, compute_front_end(trace, SIX_CORES)
+
+    def test_restricted_front_end_is_the_subset_front_end(self, mix):
+        context, trace, front_end = mix
+        subsets = scenario_subsets(len(context.plans))
+        assert len(subsets) == 7
+        for active in subsets:
+            cores = context.active_cores(active)
+            if cores is None:
+                continue
+            direct = compute_front_end(_emptied(trace, set(cores)), SIX_CORES)
+            restricted = front_end.restrict(cores)
+            for name, column in direct.columns().items():
+                assert np.array_equal(restricted.columns()[name], column), (
+                    active, name,
+                )
+
+    @pytest.mark.parametrize("design", [BASELINE, AVR])
+    def test_subset_replays_match_the_oracle(self, mix, design):
+        context, trace, front_end = mix
+        layout = context.layout_for(design)
+        for active in scenario_subsets(len(context.plans)):
+            cores = {c for i in active for c in context.plans[i].cores}
+            ref = run_reference(
+                build_system(design, SIX_CORES, layout, context.footprint_bytes),
+                _emptied(trace, cores),
+            )
+            replay = run_timing_job(
+                design, SIX_CORES, layout, trace, front_end,
+                context.active_cores(active), context.footprint_bytes,
+            )
+            assert not ref.metric_diffs(replay), (active, ref.metric_diffs(replay))
+            assert ref.core_cycles == replay.core_cycles
+
+    def test_mix_sweep_filters_once(self, monkeypatch):
+        from repro.cache.array_lru import BatchedPrivateFilter
+
+        calls = []
+        original = BatchedPrivateFilter.filter
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedPrivateFilter, "filter", counting)
+        result = run_sweep(MIX_SPEC)
+        # 2 designs x 7 subsets (full mix, 3 solo, 3 leave-one-out)
+        assert result.stats.timing_executed == 14
+        assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,85 @@ class TestUnitScheduler:
         f_low.result(timeout=30)
         assert done_first or f_low.done()
 
+    def test_claims_run_one_key_at_a_time(self, scheduler):
+        events = []
+        inside, release = threading.Event(), threading.Event()
+
+        def first():
+            with scheduler.handle().claim("k"):
+                events.append("first in")
+                inside.set()
+                release.wait(timeout=30)
+                events.append("first out")
+
+        def second():
+            with scheduler.handle().claim("k"):
+                events.append("second in")
+
+        t1 = threading.Thread(target=first)
+        t1.start()
+        assert inside.wait(timeout=30)
+        with scheduler.handle().claim("other"):  # another key never waits
+            events.append("other")
+        t2 = threading.Thread(target=second)
+        t2.start()
+        t2.join(timeout=0.2)
+        assert t2.is_alive()  # blocked behind the first claim on "k"
+        release.set()
+        t1.join(timeout=30)
+        t2.join(timeout=30)
+        assert not t1.is_alive() and not t2.is_alive()
+        assert events == ["first in", "other", "first out", "second in"]
+        assert scheduler._claims == {}
+
+    def test_concurrent_sweeps_filter_a_trace_once(self, tmp_path, monkeypatch):
+        """Two sessions missing the same point share one front end: the
+        second maps what the first committed instead of re-filtering."""
+        from repro.cache.array_lru import BatchedPrivateFilter
+        from repro.common.config import SystemConfig
+        from repro.harness.sweep import SweepSpec, run_sweep
+
+        calls = []
+        original = BatchedPrivateFilter.filter
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedPrivateFilter, "filter", counting)
+        spec = SweepSpec(
+            workloads=("heat",), designs=("baseline", "AVR"),
+            config=SystemConfig.scaled(num_cores=2), scales=(0.1,),
+            max_accesses_per_core=2_000,
+        )
+        cache = LockedResultCache(ResultCache(tmp_path))
+        sched = UnitScheduler(workers=2)
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def drive(tag):
+            handle = sched.handle(label=tag)
+            barrier.wait(timeout=30)
+            try:
+                results[tag] = run_sweep(spec, cache_dir=cache, executor=handle)
+            finally:
+                handle.release()
+
+        threads = [threading.Thread(target=drive, args=(t,)) for t in "ab"]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sched.shutdown()
+        assert set(results) == {"a", "b"}
+        assert len(calls) == 1
+        assert sum(r.stats.frontends_computed for r in results.values()) == 1
+        a, b = (results[t].by_workload()["heat"] for t in "ab")
+        for design in a.runs:
+            assert a.runs[design].timing.metrics_equal(b.runs[design].timing)
+
     def test_shutdown_refuses_new_work(self, scheduler):
         scheduler.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):

@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cache.array_lru import BatchedPrivateFilter
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.types import ErrorThresholds
-from repro.designs import AVR, BASELINE
+from repro.designs import AVR, BASELINE, TRUNCATE
 from repro.harness.cache import ResultCache, _canonical, content_key
-from repro.harness.sweep import SweepPoint, SweepSpec, run_sweep
+from repro.harness.report import sweep_stats_to_mapping
+from repro.harness.sweep import (
+    JobExecutor,
+    SweepPoint,
+    SweepSpec,
+    functional_job_key,
+    run_sweep,
+    timing_job_key,
+)
+from repro.system.simulator import SimResult
 
 # Small machine + small workload so full sweeps stay test-sized.
 CONFIG = SystemConfig(
@@ -177,6 +187,115 @@ class TestCache:
     def test_content_key_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             content_key(object())
+
+
+@pytest.fixture()
+def filter_calls(monkeypatch):
+    """Count BatchedPrivateFilter.filter calls (one per computed front end)."""
+    calls = []
+    original = BatchedPrivateFilter.filter
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedPrivateFilter, "filter", counting)
+    return calls
+
+
+class TestSharedFrontEnd:
+    """The private filter runs once per trace, not once per design."""
+
+    def test_one_filter_pass_serves_every_design(self, tmp_path, filter_calls):
+        result = run_sweep(
+            replace(SPEC, designs=(BASELINE, AVR, TRUNCATE)), cache_dir=tmp_path
+        )
+        assert result.stats.timing_executed == 3
+        assert len(filter_calls) == 1
+        assert result.stats.frontends_computed == 1
+        assert result.stats.frontends_mapped == 0
+        mapping = sweep_stats_to_mapping(result.stats)
+        assert (mapping["frontends_mapped"], mapping["frontends_computed"]) == (0, 1)
+
+    def test_added_design_on_warm_store_filters_nothing(
+        self, tmp_path, filter_calls
+    ):
+        run_sweep(replace(SPEC, designs=(BASELINE, AVR)), cache_dir=tmp_path)
+        filter_calls.clear()
+        grown = run_sweep(
+            replace(SPEC, designs=(BASELINE, AVR, TRUNCATE)), cache_dir=tmp_path
+        )
+        assert grown.stats.timing_executed == 1
+        assert filter_calls == []
+        assert grown.stats.frontends_mapped == 1
+        assert grown.stats.frontends_computed == 0
+
+    def test_fully_warm_cache_computes_no_front_end(self, tmp_path, filter_calls):
+        run_sweep(SPEC, cache_dir=tmp_path)
+        filter_calls.clear()
+        warm = run_sweep(SPEC, cache_dir=tmp_path)
+        assert warm.stats.executed == 0
+        assert filter_calls == []
+        assert warm.stats.frontends_mapped == 0
+        assert warm.stats.frontends_computed == 0
+
+    def test_without_a_store_jobs_share_the_in_memory_front_end(
+        self, filter_calls
+    ):
+        result = run_sweep(replace(SPEC, designs=(BASELINE, AVR, TRUNCATE)))
+        assert len(filter_calls) == 1
+        assert result.stats.frontends_computed == 0  # counts committed ones
+
+
+class _Done:
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+class _SharingExecutor(JobExecutor):
+    """Hands every submitter of a key the same result object, like the
+    serve scheduler's shared future for a unit joined in flight."""
+
+    def __init__(self):
+        self.results = {}
+
+    def submit_unit(self, key, fn, /, *args):
+        launched = key not in self.results
+        if launched:
+            self.results[key] = fn(*args)
+        return _Done(self.results[key]), launched
+
+
+def test_reassembly_leaves_shared_timing_results_untouched():
+    # kmeans converges after a design-dependent number of iterations, so
+    # AVR's iteration factor is not 1.
+    spec = SweepSpec(
+        workloads=("kmeans",), designs=(BASELINE, AVR), config=CONFIG,
+        scales=(0.1,), max_accesses_per_core=2_000,
+    )
+    executor = _SharingExecutor()
+    first = run_sweep(spec, executor=executor)
+    second = run_sweep(spec, executor=executor)
+    assert second.stats.executed == 0  # every unit joined the first run's
+
+    point = spec.points()[0]
+    reference = executor.results[functional_job_key(point, BASELINE)]
+    factors = {}
+    for design in spec.designs:
+        shared = executor.results[timing_job_key(point, design, CONFIG)]
+        assert isinstance(shared, SimResult)
+        assert shared.iteration_factor == 1.0
+        func = executor.results.get(functional_job_key(point, design), reference)
+        factors[design] = func.iterations / reference.iterations
+        for result in (first, second):
+            timing = result[point].runs[design].timing
+            assert timing is not shared
+            assert timing.iteration_factor == factors[design]
+            assert timing.metrics_equal(shared)
+    assert factors[AVR] != 1.0
 
 
 class TestCanonicalProperties:

@@ -9,7 +9,7 @@ from repro.cache.llc_baseline import BaselineLLC
 from repro.common.config import SystemConfig
 from repro.common.constants import BLOCK_BYTES, BLOCK_CACHELINES
 from repro.designs import AVR, BASELINE, DGANGER, TRUNCATE, ZERO_AVR
-from repro.system import AddressLayout, build_system
+from repro.system import AddressLayout, build_system, compute_front_end
 from repro.trace.events import make_trace
 from repro.trace.generator import GeneratedTrace
 
@@ -138,6 +138,24 @@ class TestSimulator:
         avr = build_system(AVR, CONFIG, layout, 1 << 20).run(t)
         assert avr.cycles == pytest.approx(base.cycles, rel=0.05)
 
+    def test_front_end_of_another_trace_is_rejected(self):
+        sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
+        other = compute_front_end(_tiny_trace(lines=256), CONFIG)
+        with pytest.raises(ValueError, match="different trace"):
+            sys_.run(_tiny_trace(), other)
+
+    def test_front_end_serves_every_design(self):
+        layout = AddressLayout()
+        layout.add_region(0x10000, 1 << 20, 2)
+        trace = _tiny_trace()
+        front_end = compute_front_end(trace, CONFIG)
+        for design in (BASELINE, TRUNCATE, DGANGER, ZERO_AVR, AVR):
+            own = build_system(design, CONFIG, layout, 1 << 20).run(trace)
+            shared = build_system(design, CONFIG, layout, 1 << 20).run(
+                trace, front_end
+            )
+            assert own.metrics_equal(shared), design
+
 
 def test_is_approx_batch_matches_scalar():
     layout = AddressLayout()
@@ -147,3 +165,4 @@ def test_is_approx_batch_matches_scalar():
     batch = layout.is_approx_batch(addrs)
     scalar = np.array([is_approx(layout, int(a)) for a in addrs])
     assert np.array_equal(batch, scalar)
+

@@ -4,26 +4,39 @@ Covers the durability contract (atomic payload-then-record commits,
 torn entries read as misses), content-key invalidation on version
 bumps, concurrent writers racing benignly on one key, and the sweep
 engine's warm path: a cleared result cache with an intact trace store
-memory-maps the composed trace instead of regenerating it.
+memory-maps the composed trace and its timing front end instead of
+regenerating and re-filtering them.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro
 from repro.approx import ApproxMemory
+from repro.common.config import CacheConfig, DRAMConfig, SystemConfig
+from repro.system.frontend import compute_front_end
 from repro.trace import (
+    FrontEndHandle,
     TraceHandle,
     TraceStore,
+    front_end_key,
     generate_trace,
     resolve_trace_store,
     trace_key,
+    trace_store_usage,
 )
 from repro.workloads.base import Phase, TraceSpec
 
 SPEC = TraceSpec(4, (Phase("data", gap=9),))
+CONFIG = SystemConfig(
+    num_cores=2,
+    l1=CacheConfig(2 * 1024, 4, 1),
+    l2=CacheConfig(8 * 1024, 8, 8),
+    llc=CacheConfig(32 * 1024, 16, 15),
+)
 
 
 def make_mem() -> ApproxMemory:
@@ -48,6 +61,13 @@ def assert_traces_identical(a, b):
     for x, y in zip(a.cores, b.cores):
         assert x.dtype == y.dtype
         assert np.array_equal(x, y)
+
+
+def assert_front_ends_identical(a, b):
+    for name, column in a.columns().items():
+        other = b.columns()[name]
+        assert column.dtype == other.dtype, name
+        assert np.array_equal(column, other), name
 
 
 def _concurrent_writer(root: str, _worker: int) -> int:
@@ -210,10 +230,95 @@ class TestResolve:
         assert resolve_trace_store(store, None) is store
 
 
+class TestFrontEndEntries:
+    @pytest.fixture()
+    def entry(self, tmp_path):
+        key, trace = make_trace_and_key()
+        store = TraceStore(tmp_path)
+        store.put(key, trace)
+        front_end = compute_front_end(trace, CONFIG)
+        fkey = front_end_key(key, CONFIG)
+        store.put_front_end(fkey, front_end)
+        return store, fkey, front_end
+
+    def test_memmap_round_trip_bit_identical(self, entry):
+        store, key, front_end = entry
+        mapped = store.get_front_end(key)
+        assert_front_ends_identical(mapped, front_end)
+        assert not mapped.event_addr.flags.writeable
+        assert store.stats.front_end_hits == 1
+        assert store.stats.front_end_stores == 1
+
+    def test_len_counts_traces_only(self, entry):
+        store, _, _ = entry
+        assert len(store) == 1
+        usage = trace_store_usage(store.root)
+        assert (usage.traces, usage.front_ends) == (1, 1)
+        on_disk = sum(f.stat().st_size for f in store.root.rglob("*") if f.is_file())
+        assert usage.total_bytes == on_disk
+
+    def test_usage_of_a_missing_directory_is_empty(self, tmp_path):
+        usage = trace_store_usage(tmp_path / "nope")
+        assert (usage.traces, usage.front_ends, usage.total_bytes) == (0, 0, 0)
+        assert not (tmp_path / "nope").exists()
+
+    def test_handle_load(self, entry):
+        store, key, front_end = entry
+        handle = FrontEndHandle(root=str(store.root), key=key)
+        assert_front_ends_identical(handle.load(), front_end)
+        with pytest.raises(FileNotFoundError):
+            FrontEndHandle(root=str(store.root), key="0" * 64).load()
+
+    def test_front_end_and_trace_entries_do_not_collide(self, entry):
+        store, key, _ = entry
+        assert store.get(key) is None  # a front-end key names no trace
+
+    def test_key_covers_private_caches_and_core_count(self):
+        base = front_end_key("t" * 64, CONFIG)
+        assert base == front_end_key("t" * 64, CONFIG)
+        for changed in (
+            replace(CONFIG, l1=CacheConfig(4 * 1024, 4, 1)),
+            replace(CONFIG, l2=CacheConfig(8 * 1024, 4, 8)),
+            replace(CONFIG, num_cores=4),
+        ):
+            assert front_end_key("t" * 64, changed) != base
+        assert front_end_key("u" * 64, CONFIG) != base
+
+    def test_key_ignores_the_shared_levels(self):
+        base = front_end_key("t" * 64, CONFIG)
+        for changed in (
+            replace(CONFIG, llc=CacheConfig(64 * 1024, 16, 15)),
+            replace(CONFIG, dram=DRAMConfig(channels=4)),
+        ):
+            assert front_end_key("t" * 64, changed) == base
+
+    def test_version_bump_invalidates_keys(self, monkeypatch):
+        before = front_end_key("t" * 64, CONFIG)
+        monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+        assert front_end_key("t" * 64, CONFIG) != before
+
+
+def _truncate(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def _reshape(path):
+    np.save(path, np.zeros(16, dtype=np.uint8), allow_pickle=False)
+
+
+#: ways a front-end entry can be torn: its payload gone, cut short, or
+#: replaced by one its record does not describe
+TEARS = {
+    "record without payload": lambda path: path.unlink(),
+    "truncated payload": _truncate,
+    "mis-shaped payload": _reshape,
+}
+
+
 class TestSweepIntegration:
     @pytest.fixture(scope="class")
     def sweep_spec(self):
-        from repro.common.config import SystemConfig
         from repro.designs import AVR, BASELINE
         from repro.harness.sweep import SweepSpec
 
@@ -232,6 +337,8 @@ class TestSweepIntegration:
         cold = run_sweep(sweep_spec, cache_dir=tmp_path)
         assert cold.stats.traces_generated == 1
         assert cold.stats.traces_mapped == 0
+        assert cold.stats.frontends_computed == 1
+        assert cold.stats.frontends_mapped == 0
         assert (tmp_path / "traces").is_dir()
 
         # Clear the result cache; keep the trace store.
@@ -241,17 +348,20 @@ class TestSweepIntegration:
         warm = run_sweep(sweep_spec, cache_dir=tmp_path)
         assert warm.stats.traces_generated == 0
         assert warm.stats.traces_mapped >= 1
+        assert warm.stats.frontends_computed == 0
+        assert warm.stats.frontends_mapped == 1
         assert warm.stats.executed > 0  # jobs re-ran, trace did not
         cold_run = cold.by_workload()["heat"].runs[AVR]
         warm_run = warm.by_workload()["heat"].runs[AVR]
-        assert warm_run.timing.cycles == cold_run.timing.cycles
-        assert warm_run.timing.total_bytes == cold_run.timing.total_bytes
+        assert warm_run.timing.metrics_equal(cold_run.timing)
 
         # Fully warm: every job cache-served, the trace never touched.
         cached = run_sweep(sweep_spec, cache_dir=tmp_path)
         assert cached.stats.executed == 0
         assert cached.stats.traces_generated == 0
         assert cached.stats.traces_mapped == 0
+        assert cached.stats.frontends_computed == 0
+        assert cached.stats.frontends_mapped == 0
 
     def test_store_off_skips_the_trace_dir(self, sweep_spec, tmp_path):
         from repro.harness.sweep import run_sweep
@@ -260,3 +370,43 @@ class TestSweepIntegration:
         assert result.stats.traces_generated == 0
         assert result.stats.traces_mapped == 0
         assert not (tmp_path / "traces").exists()
+
+    def test_every_design_shares_one_front_end_entry(self, sweep_spec, tmp_path):
+        from repro.designs import AVR_CONSERVATIVE, TRUNCATE
+        from repro.harness.sweep import run_sweep
+
+        spec = replace(
+            sweep_spec, designs=(*sweep_spec.designs, TRUNCATE, AVR_CONSERVATIVE)
+        )
+        run_sweep(spec, cache_dir=tmp_path)
+        usage = trace_store_usage(tmp_path / "traces")
+        assert (usage.traces, usage.front_ends) == (1, 1)
+        assert len(TraceStore(tmp_path / "traces")) == 1
+
+    @pytest.mark.parametrize("tear", sorted(TEARS))
+    def test_torn_front_end_is_recomputed_and_rewritten(
+        self, sweep_spec, tmp_path, tear
+    ):
+        from repro.harness.sweep import run_sweep
+
+        run_sweep(sweep_spec, cache_dir=tmp_path)
+        store = TraceStore(tmp_path / "traces")
+        (record,) = store.root.glob("*/*.frontend.json")
+        key = record.name.split(".")[0]
+        # Copied out: tearing rewrites the mapped file in place.
+        intact = {
+            name: np.array(column)
+            for name, column in store.get_front_end(key).columns().items()
+        }
+        TEARS[tear](store._data_path(key, ".frontend"))
+        assert store.get_front_end(key) is None
+        assert store.stats.front_end_misses == 1
+
+        for entry in tmp_path.glob("*/*.pkl"):
+            entry.unlink()
+        rerun = run_sweep(sweep_spec, cache_dir=tmp_path)
+        assert rerun.stats.frontends_computed == 1
+        assert rerun.stats.frontends_mapped == 0
+        rewritten = store.get_front_end(key).columns()
+        for name, column in intact.items():
+            assert np.array_equal(rewritten[name], column), name
