@@ -53,7 +53,18 @@ from .compression import AVRCompressor
 # 1.10.0: repro.serve — the evaluation daemon (session multiplexing,
 # cross-client unit dedup, shared cache).  Simulation results are
 # unchanged; the bump marks the service protocol's first version.
-__version__ = "1.10.0"
+# 1.11.0: the result cache's shard index and its API are gone; stores
+# live under ``<cache-dir>/m<MODEL_VERSION>/``.  The package version no
+# longer reaches any cache key.
+__version__ = "1.11.0"
+
+#: The version of the simulated model, folded into every result-cache,
+#: trace and front-end key and naming the ``m<MODEL_VERSION>/`` store
+#: directory.  Bump it when a change moves a simulated output, changes
+#: what a key's inputs mean, or changes the shape of a stored payload
+#: (a pickled result dataclass, or the trace or front-end record).  A
+#: release that does none of these leaves it, so caches stay warm.
+MODEL_VERSION = "1.10.0"
 
 #: sweep-engine names re-exported lazily so ``import repro`` stays
 #: lightweight (the harness pulls in every simulator module).
@@ -90,6 +101,7 @@ _LAZY_EXPORTS = {**_DESIGN_EXPORTS, **_EXPERIMENT_EXPORTS, **_SCENARIO_EXPORTS}
 __all__ = [
     "AVRCompressor",
     "ErrorThresholds",
+    "MODEL_VERSION",
     "SystemConfig",
     "__version__",
     *_SWEEP_EXPORTS,

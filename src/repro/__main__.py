@@ -25,8 +25,8 @@ serial, bit-identical to parallel runs) and ``--cache-dir PATH`` to
 memoize job results on disk so repeated runs skip completed points;
 ``experiment`` also takes ``--trace-store PATH|off`` to
 control the memory-mapped composed-trace store (default:
-``<cache-dir>/traces`` whenever ``--cache-dir`` is given); warm runs
-map stored traces instead of regenerating them.
+``<cache-dir>/m<MODEL_VERSION>/traces`` whenever ``--cache-dir`` is
+given); warm runs map stored traces instead of regenerating them.
 """
 
 from __future__ import annotations
@@ -302,6 +302,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_head(lines: list[str], limit: int = 10) -> None:
+    """Print the first ``limit`` of ``lines``, indented, and how many more."""
+    for line in lines[:limit]:
+        print(f"    {line}")
+    if len(lines) > limit:
+        print(f"    ... and {len(lines) - limit} more")
+
+
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect and maintain an on-disk result cache directory."""
     from pathlib import Path
@@ -318,17 +326,20 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "stats":
         usage = cache.disk_usage()
         print(f"cache {root}:")
-        print(f"  entries:   {usage.entries} ({usage.indexed} indexed)")
+        print(f"  entries:   {usage.entries}")
         print(f"  bytes:     {usage.total_bytes:,} "
               f"({usage.total_bytes / 1e6:.1f} MB)")
         print(f"  shards:    {usage.shards}")
         print(f"  tmp files: {usage.tmp_files}")
-        for version, count in sorted(usage.versions.items()):
-            print(f"  version {version}: {count} entr(ies)")
-        traces = trace_store_usage(root / "traces")
+        traces = trace_store_usage(cache.root / "traces")
         print(f"  traces:    {traces.traces} trace(s), "
               f"{traces.front_ends} front end(s), "
-              f"{traces.total_bytes:,} bytes ({root / 'traces'})")
+              f"{traces.total_bytes:,} bytes ({cache.root / 'traces'})")
+        print(f"  stale:     {len(usage.stale)} dir(s), "
+              f"{sum(usage.stale.values()):,} bytes "
+              f"(removed by 'repro cache gc --stale')")
+        _print_head([f"{name}/ {size:,} bytes"
+                     for name, size in sorted(usage.stale.items())])
         return 0
 
     if args.action == "ls":
@@ -342,18 +353,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
         report = cache.verify()
         print(f"cache {root}: {report.entries} entr(ies), "
               f"{report.total_bytes:,} bytes, {report.tmp_files} tmp file(s)")
-        for label, keys in (
-            ("corrupt", report.corrupt),
-            ("phantom (indexed, payload gone)", report.phantom),
-            ("unindexed (self-heals on next put/gc)", report.unindexed),
-        ):
-            if keys:
-                print(f"  {label}: {len(keys)}")
-                for key in keys[:10]:
-                    print(f"    {key}")
-                if len(keys) > 10:
-                    print(f"    ... and {len(keys) - 10} more")
         if not report.ok:
+            print(f"  corrupt: {len(report.corrupt)}")
+            _print_head(report.corrupt)
             print("error: corrupt payload(s) found; 'repro cache gc' "
                   "leaves them (version-keyed entries re-execute "
                   "bit-identically) — remove the listed files to "
@@ -368,7 +370,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     )
     verb = "would remove" if report.dry_run else "removed"
     print(f"cache {root}: {verb} {report.tmp_removed} tmp file(s), "
-          f"{report.stale_removed} stale entr(ies), "
+          f"{report.stale_removed} stale dir(s), "
           f"{report.evicted} evicted ({report.bytes_removed:,} bytes); "
           f"kept {report.entries_kept} entr(ies), "
           f"{report.bytes_kept:,} bytes")
@@ -578,8 +580,8 @@ def main(argv: list[str] | None = None) -> int:
                            "already-computed sweep points")
     p_ex.add_argument("--trace-store", default=None, metavar="PATH|off",
                       help="memory-mapped composed-trace store; default "
-                           "derives <cache-dir>/traces when caching, "
-                           "'off' disables it")
+                           "derives <cache-dir>/m<MODEL_VERSION>/traces "
+                           "when caching, 'off' disables it")
     p_ex.add_argument("--expect-cached", action="store_true",
                       help="exit 1 unless every job was served from the "
                            "cache (CI warm-cache assertion)")
@@ -696,15 +698,15 @@ def main(argv: list[str] | None = None) -> int:
     p_ca = sub.add_parser(
         "cache",
         help="inspect and maintain an on-disk result cache",
-        description="Operate on a --cache-dir directory: 'stats' "
-                    "summarizes usage from the shard indexes, plus the "
-                    "trace and front-end entries of its traces/ store "
-                    "(which 'gc', 'verify' and 'ls' leave alone), 'gc' "
-                    "sweeps orphaned temp files / purges stale-version "
-                    "entries / evicts to a byte budget, 'verify' "
-                    "unpickles every payload and cross-checks the "
-                    "indexes (exit 1 on corruption), and 'ls' prints "
-                    "the committed keys.",
+        description="Operate on a --cache-dir directory, whose stores "
+                    "live in its m<MODEL_VERSION>/ model directory: "
+                    "'stats' summarizes the result entries, the trace "
+                    "and front-end entries of its traces/ store and the "
+                    "stale directories beside it, 'gc' sweeps orphaned "
+                    "temp files / removes stale directories / evicts "
+                    "result entries to a byte budget, 'verify' "
+                    "unpickles every result payload (exit 1 on "
+                    "corruption), and 'ls' prints the committed keys.",
     )
     p_ca.add_argument("action", choices=("stats", "gc", "verify", "ls"))
     p_ca.add_argument("dir", help="cache directory (the runs' --cache-dir)")
@@ -712,13 +714,14 @@ def main(argv: list[str] | None = None) -> int:
                       help="gc: evict oldest entries (LRU by mtime) "
                            "until the survivors fit N bytes")
     p_ca.add_argument("--stale", action="store_true",
-                      help="gc: purge entries recorded under a "
-                           "different package version (unreadable "
-                           "anyway — version is part of every key)")
+                      help="gc: remove stale directories — other "
+                           "m*/ model directories and the older flat "
+                           "layout (no current key reads them)")
     p_ca.add_argument("--tmp-age", type=float, default=3600.0,
                       metavar="SECONDS",
-                      help="gc: remove orphaned *.tmp files older than "
-                           "this (default 3600; guards live writers)")
+                      help="gc: remove orphaned *.tmp files, trace "
+                           "store included, older than this (default "
+                           "3600; guards live writers)")
     p_ca.add_argument("--dry-run", action="store_true",
                       help="gc: report what would go without removing "
                            "anything")

@@ -1,12 +1,14 @@
 """CCH001 — cache storage stays behind :class:`ResultCache`.
 
 Every on-disk cache access in the package goes through
-:class:`repro.harness.cache.ResultCache`.  That boundary keeps the
-per-shard ``index.jsonl`` consistent with the payload files, and lets
-``repro cache gc``/``verify`` reason about the store as a whole.  A direct ``pickle.load`` on a ``*.pkl`` path — or a
-hand-built ``<shard>/<key>.pkl`` string — outside ``harness/cache.py``
-reads entries without index accounting and writes entries the index
-never learns about, so this rule flags, everywhere else in the
+:class:`repro.harness.cache.ResultCache`.  That boundary keeps entries
+inside the ``m<MODEL_VERSION>/`` model directory, written atomically
+and counted in :class:`~repro.harness.cache.CacheStats`, and lets
+``repro cache gc``/``verify`` reason about the store as a whole.  A
+direct ``pickle.load`` on a ``*.pkl`` path — or a hand-built
+``<shard>/<key>.pkl`` string — outside ``harness/cache.py`` reads
+entries the traffic counters never see and can write them outside the
+model directory or torn, so this rule flags, everywhere else in the
 package:
 
 * calls to ``pickle.load`` / ``loads`` / ``dump`` / ``dumps`` (the
@@ -31,7 +33,7 @@ from ..registry import Rule, register_rule
 
 __all__ = ["CacheFileDiscipline"]
 
-#: the one module allowed to touch payload files and indexes directly
+#: the one module allowed to touch payload files directly
 _IMPLEMENTATION = "harness/cache.py"
 
 #: the payload codec's entry points
@@ -68,7 +70,7 @@ class CacheFileDiscipline(Rule):
                     message = (
                         f"direct {resolved}() call: cache payloads are "
                         "(un)pickled only by the ResultCache "
-                        "implementation, which keeps the shard indexes "
+                        "implementation, which keeps writes atomic "
                         "and traffic stats honest"
                     )
             elif (
@@ -78,8 +80,8 @@ class CacheFileDiscipline(Rule):
             ):
                 message = (
                     f"hand-built cache payload path {node.value!r}: "
-                    "entries addressed behind the index's back break "
-                    "gc/verify bookkeeping"
+                    "entries addressed outside ResultCache escape the "
+                    "model directory that gc/verify maintain"
                 )
             if message is not None:
                 yield Finding(

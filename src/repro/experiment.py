@@ -93,8 +93,8 @@ class ExperimentSpec:
     #: default on-disk result-cache directory (None = no cache)
     cache_dir: str | None = None
     #: memory-mapped composed-trace store directory; None derives
-    #: ``<cache_dir>/traces`` when caching, ``"off"`` disables it (see
-    #: :func:`repro.trace.store.resolve_trace_store`)
+    #: ``<cache_dir>/m<MODEL_VERSION>/traces`` when caching, ``"off"``
+    #: disables it (see :func:`repro.trace.store.resolve_trace_store`)
     trace_store: str | None = None
 
     def __post_init__(self) -> None:

@@ -34,7 +34,7 @@ from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TYPE_CHECKING
 
-from .. import __version__
+from .. import MODEL_VERSION
 from ..common.config import SystemConfig
 from ..common.types import ErrorThresholds
 from ..designs import (
@@ -308,7 +308,7 @@ def scenario_trace_key(point: ScenarioPoint, num_cores: int) -> str:
 
     Covers everything trace composition consumes: the mix's entries,
     placement, seed and access budget (via the point's canonical form),
-    the machine width, and the package version.  Excluded, like the
+    the machine width, and the model version.  Excluded, like the
     timing keys: the scenario's cosmetic ``name``, and the error
     ``thresholds`` — traces are generated from reference (exact)
     memory layouts, so every threshold setting of one mix maps the
@@ -321,7 +321,7 @@ def scenario_trace_key(point: ScenarioPoint, num_cores: int) -> str:
         scenario=replace(point.scenario, name=""),
         thresholds=None,
     )
-    return content_key("scenario-trace", __version__, identity, num_cores)
+    return content_key("scenario-trace", MODEL_VERSION, identity, num_cores)
 
 
 def build_scenario_context(
@@ -447,7 +447,7 @@ def scenario_timing_key(
 
     identity = replace(point, scenario=replace(point.scenario, name=""))
     return content_key(
-        "scenario-timing", __version__, identity, design, config, active
+        "scenario-timing", MODEL_VERSION, identity, design, config, active
     )
 
 

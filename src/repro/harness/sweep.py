@@ -25,9 +25,9 @@ and to cache on disk):
 deterministic order, so the serial and parallel paths are one code
 path and their results are bit-identical.  With a ``cache_dir``, job
 results are memoized by a content hash of (spec point, design,
-``SystemConfig``, package version) — see :mod:`repro.harness.cache` —
-so re-runs and overlapping ablation sweeps skip already-computed
-points entirely.
+``SystemConfig``, :data:`repro.MODEL_VERSION`) — see
+:mod:`repro.harness.cache` — so re-runs and overlapping ablation
+sweeps skip already-computed points entirely.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from pathlib import Path
 from types import TracebackType
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
-from .. import __version__
+from .. import MODEL_VERSION
 from ..common.config import SystemConfig
 from ..common.types import ErrorThresholds
 from ..designs import (
@@ -307,7 +307,7 @@ def functional_job_key(point: SweepPoint, design: DesignLike) -> str:
         max_accesses_per_core=0,
         thresholds=None if design.is_reference else point.thresholds,
     )
-    return content_key("functional", __version__, normalized, design)
+    return content_key("functional", MODEL_VERSION, normalized, design)
 
 
 def timing_job_key(
@@ -318,7 +318,7 @@ def timing_job_key(
 ) -> str:
     """Cache key of a timing job (config-dependent, unlike functional)."""
     return content_key(
-        "timing", __version__, point, get_design(design), config,
+        "timing", MODEL_VERSION, point, get_design(design), config,
         avr_options or {},
     )
 
@@ -560,10 +560,11 @@ def _run_jobs(
 ) -> tuple[dict[str, Any], int]:
     """Execute ``{key: (fn, *args)}``, consulting the cache first.
 
-    All pending keys are resolved in **one** batched cache pass (one
-    index scan per touched shard) before any miss is submitted to the
-    pool.  Returns the results by key and the number of jobs actually
-    launched (i.e. neither served from the cache nor joined in flight).
+    All pending keys are resolved in **one** batched cache pass
+    (:meth:`~repro.harness.cache.ResultCache.get_many`) before any miss
+    is submitted to the pool.  Returns the results by key and the
+    number of jobs actually launched (i.e. neither served from the
+    cache nor joined in flight).
     """
     results: dict[str, Any] = {}
     pending = dict(jobs)
@@ -610,11 +611,11 @@ def run_sweep(
     ``cache_dir`` may also be an already-built
     :class:`~repro.harness.cache.ResultCache` — the ``repro serve``
     daemon passes its one shared, locked instance to every session's
-    sweep, so loaded shard indexes and counters span them all.
+    sweep, so its counters span them all.
 
     ``trace_store`` selects the memory-mapped composed-trace store
-    (see :func:`repro.trace.store.resolve_trace_store`): by default a
-    ``traces/`` directory under ``cache_dir``, so warm runs that still
+    (see :func:`repro.trace.store.resolve_trace_store`): by default
+    ``<cache_dir>/m<MODEL_VERSION>/traces``, so warm runs that still
     need a trace — new designs, a cleared result cache — map the
     stored stream and its timing front end instead of regenerating and
     re-filtering them; ``False``/``"off"`` disables it.  Stored or not,

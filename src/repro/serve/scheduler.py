@@ -55,11 +55,12 @@ class LockedResultCache(ResultCache):
     """Thread-safe facade over a :class:`ResultCache` shared by sessions.
 
     The daemon hands one instance to every concurrent sweep thread;
-    an ``RLock`` serializes cache operations (index mutation, stats
-    counters) that are only ever exercised single-threaded in one-shot
-    runs.  ``root``/``stats`` mirror the inner cache so ``isinstance``
-    checks, trace-store derivation and traffic accounting all behave
-    like the cache they wrap.
+    an ``RLock`` serializes cache operations so the shared
+    :class:`~repro.harness.cache.CacheStats` counters, which one-shot
+    runs update from a single thread, stay exact.  ``root``/``stats``
+    mirror the inner cache so ``isinstance`` checks, trace-store
+    derivation and traffic accounting all behave like the cache they
+    wrap.
     """
 
     def __init__(self, inner: ResultCache) -> None:
@@ -75,10 +76,6 @@ class LockedResultCache(ResultCache):
     def put(self, key: str, value: Any) -> None:
         with self._lock:
             self._inner.put(key, value)
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return self._inner.contains(key)
 
     def get_many(self, keys: Any) -> dict[str, Any]:
         with self._lock:

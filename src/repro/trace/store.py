@@ -78,11 +78,11 @@ def trace_key(
     Folds everything the generated stream depends on — the
     :class:`~repro.workloads.base.TraceSpec`, the concrete region
     layout the spec references (name, base address, size), core count,
-    access budget, seed, stream mode — plus the package version, so a
-    ``__version__`` bump invalidates every stored trace along with the
-    store-unaware result caches.
+    access budget, seed, stream mode — plus :data:`repro.MODEL_VERSION`,
+    so a model-version bump invalidates every stored trace along with
+    the result cache.
     """
-    from .. import __version__
+    from .. import MODEL_VERSION
     from ..harness.cache import content_key
 
     regions = []
@@ -94,7 +94,7 @@ def trace_key(
         region = mem.region(phase.region)
         regions.append((region.name, region.base_addr, region.nbytes))
     return content_key(
-        "trace", __version__, spec, tuple(regions), num_cores,
+        "trace", MODEL_VERSION, spec, tuple(regions), num_cores,
         max_accesses_per_core, seed, per_core_streams,
     )
 
@@ -104,15 +104,15 @@ def front_end_key(trace: str, config: SystemConfig) -> str:
 
     The front end depends on the trace and the private caches alone, so
     the key folds the trace's key, the L1 and L2 configs, the core count
-    and the package version.  The LLC, DRAM and core parameters, the
+    and the model version.  The LLC, DRAM and core parameters, the
     design and its AVR options stay out: every design replaying the
     trace shares one entry.
     """
-    from .. import __version__
+    from .. import MODEL_VERSION
     from ..harness.cache import content_key
 
     return content_key(
-        "front-end", __version__, trace, config.l1, config.l2,
+        "front-end", MODEL_VERSION, trace, config.l1, config.l2,
         config.num_cores,
     )
 
@@ -368,9 +368,10 @@ def resolve_trace_store(
     """Resolve a user-facing trace-store setting to a store (or None).
 
     ``None`` means "default": a ``traces/`` directory under
-    ``cache_dir`` when one is set, else no store.  ``False`` or the
-    string ``"off"`` disables the store explicitly; a path selects a
-    directory; a :class:`TraceStore` passes through.
+    ``cache_dir`` when one is set, else no store (``run_sweep`` passes
+    the result cache's model directory, ``<cache-dir>/m<MODEL_VERSION>``).
+    ``False`` or the string ``"off"`` disables the store explicitly; a
+    path selects a directory; a :class:`TraceStore` passes through.
     """
     if trace_store is False or trace_store == "off":
         return None

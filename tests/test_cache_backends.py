@@ -2,21 +2,20 @@
 
 Three layers of coverage:
 
-* unit tests of :class:`~repro.harness.cache.ResultCache` (index
-  maintenance, GC passes, read-only mode, stats accounting);
+* unit tests of :class:`~repro.harness.cache.ResultCache` (the model
+  directory layout, GC passes, read-only mode, stats accounting);
 * differential tests pinning that a warm cache serves sweeps
-  bit-identically to the cold run — including a legacy index-less
-  cache directory (the pre-index flat layout);
+  bit-identically to the cold run;
 * a multiprocess stress test: concurrent put/get/gc on one cache
   directory must lose no entries and tear no reads.
 """
 
-import json
 import multiprocessing
 import os
 
 import pytest
 
+from repro import MODEL_VERSION
 from repro.common.config import CacheConfig, SystemConfig
 from repro.harness.cache import ResultCache, content_key, resolve_result_cache
 from repro.harness.sweep import SweepSpec, run_sweep
@@ -52,7 +51,7 @@ def fill(cache, count, tag="fill"):
 
 
 # ----------------------------------------------------------------------
-# ResultCache: payloads, indexes, batch probes
+# ResultCache: payloads, layout, batch probes
 # ----------------------------------------------------------------------
 class TestShardedFileBackend:
     """The sharded on-disk layout behind :class:`ResultCache`."""
@@ -63,37 +62,42 @@ class TestShardedFileBackend:
         assert cache.get(key, "absent") == "absent"
         cache.put(key, {"x": 1})
         assert cache.get(key) == {"x": 1}
-        assert cache.contains(key)
         assert cache.stats.stores == 1
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.bytes_written > 0
         assert cache.stats.bytes_read > 0
 
-    def test_put_writes_index_line(self, tmp_path):
+    def test_entries_live_in_the_model_directory(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = key_of("indexed")
+        key = key_of("placed")
         cache.put(key, "payload")
-        index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
-        record = json.loads(index_path.read_text().splitlines()[-1])
-        assert record["k"] == key
-        assert record["n"] > 0
-        from repro import __version__
-
-        assert record["v"] == __version__
+        assert cache.root == tmp_path / f"m{MODEL_VERSION}"
+        assert (cache.root / key[:2] / f"{key}.pkl").is_file()
+        assert [p.name for p in tmp_path.iterdir()] == [cache.root.name]
 
     def test_get_many_skips_absent_without_opens(self, tmp_path):
+        """Absent keys are left out of the result and read no bytes."""
         cache = ResultCache(tmp_path)
         keys = fill(cache, 3)
         absent = [key_of(("absent", i)) for i in range(40)]
         probe = ResultCache(tmp_path)
         found = probe.get_many(keys + absent)
         assert sorted(found) == sorted(keys)
-        # Only real payloads were opened; the index answered the rest.
-        assert probe.stats.file_opens == len(keys)
         assert probe.stats.hits == len(keys)
         assert probe.stats.misses == len(absent)
-        assert probe.stats.index_hits == len(keys)
+        assert probe.stats.bytes_read == sum(
+            cache._path(key).stat().st_size for key in keys
+        )
+
+    def test_long_lived_instance_sees_another_writers_entries(self, tmp_path):
+        """A cache that probed a key finds it once another instance
+        commits it (the daemon's cache beside one-shot runs)."""
+        daemon, one_shot = ResultCache(tmp_path), ResultCache(tmp_path)
+        key = key_of("shared")
+        assert daemon.get_many([key]) == {}
+        one_shot.put(key, "stored elsewhere")
+        assert daemon.get_many([key]) == {key: "stored elsewhere"}
 
     def test_keys_and_len(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -101,43 +105,10 @@ class TestShardedFileBackend:
         assert cache.keys() == sorted(keys)
         assert len(cache) == 4
 
-    def test_missing_index_is_rebuilt(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = fill(cache, 3)
-        for index in tmp_path.glob(f"*/{ResultCache.INDEX_NAME}"):
-            index.unlink()
-        fresh = ResultCache(tmp_path)
-        assert sorted(fresh.get_many(keys)) == sorted(keys)
-        assert fresh.keys() == sorted(keys)
-        # The rebuild was persisted for the next process.
-        assert any(tmp_path.glob(f"*/{ResultCache.INDEX_NAME}"))
-
-    def test_corrupt_index_is_rebuilt(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        [key] = fill(cache, 1)
-        index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
-        index_path.write_text("not json at all\n{{{\n")
-        fresh = ResultCache(tmp_path)
-        assert fresh.get_many([key]) == {key: cache.get(key)}
-
-    def test_lost_index_append_heals_on_reput(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        [key] = fill(cache, 1)
-        index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
-        index_path.write_text("")  # the append never made it
-        fresh = ResultCache(tmp_path)
-        # Batch probes trust the index for absence...
-        assert fresh.get_many([key]) == {}
-        # ...single-key reads and re-puts heal it.
-        assert fresh.get(key) is not None
-        fresh.put(key, cache.get(key))
-        healed = ResultCache(tmp_path)
-        assert key in healed.get_many([key])
-
     def test_corrupt_payload_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         [key] = fill(cache, 1)
-        (tmp_path / key[:2] / f"{key}.pkl").write_bytes(b"torn")
+        cache._path(key).write_bytes(b"torn")
         fresh = ResultCache(tmp_path)
         assert fresh.get(key, "absent") == "absent"
         assert fresh.get_many([key]) == {}
@@ -162,22 +133,20 @@ class TestShardedFileBackend:
         keys = fill(cache, 3)
         usage = ResultCache(tmp_path).disk_usage()
         assert usage.entries == 3
-        assert usage.indexed == 3
         assert usage.total_bytes > 0
         assert usage.shards == len({k[:2] for k in keys})
-        from repro import __version__
-
-        assert usage.versions == {__version__: 3}
+        assert usage.tmp_files == 0
+        assert usage.stale == {}
 
 
 # ----------------------------------------------------------------------
-# GC: tmp sweep, stale purge, byte-budget eviction
+# GC: tmp sweep, stale directories, byte-budget eviction
 # ----------------------------------------------------------------------
 class TestGC:
     def test_len_and_verify_ignore_tmp_orphans(self, tmp_path):
         cache = ResultCache(tmp_path)
         [key] = fill(cache, 1)
-        (tmp_path / key[:2] / "orphan123.tmp").write_bytes(b"half a write")
+        (cache.root / key[:2] / "orphan123.tmp").write_bytes(b"half a write")
         assert len(cache) == 1
         report = cache.verify()
         assert report.ok and report.entries == 1
@@ -186,8 +155,8 @@ class TestGC:
     def test_gc_sweeps_old_tmp_keeps_young(self, tmp_path):
         cache = ResultCache(tmp_path)
         [key] = fill(cache, 1)
-        old = tmp_path / key[:2] / "old.tmp"
-        young = tmp_path / key[:2] / "young.tmp"
+        old = cache.root / key[:2] / "old.tmp"
+        young = cache.root / key[:2] / "young.tmp"
         old.write_bytes(b"x")
         young.write_bytes(b"x")
         stat = old.stat()
@@ -209,7 +178,7 @@ class TestGC:
         keys = fill(cache, 3)
         sizes, ages = {}, [7200, 3600, 0]  # keys[0] oldest
         for key, age in zip(keys, ages):
-            path = tmp_path / key[:2] / f"{key}.pkl"
+            path = cache._path(key)
             sizes[key] = path.stat().st_size
             stat = path.stat()
             os.utime(path, (stat.st_atime - age, stat.st_mtime - age))
@@ -222,54 +191,32 @@ class TestGC:
         assert fresh.get_many(keys[:1]) == {}
 
     def test_gc_purges_stale_versions_keeps_unknown(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        stale_key, unknown_key, current_key = fill(cache, 3)
-        for key, version in ((stale_key, "0.0.1"), (unknown_key, None)):
-            index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
-            lines = []
-            for line in index_path.read_text().splitlines():
-                record = json.loads(line)
-                if record["k"] == key:
-                    record["v"] = version
-                lines.append(json.dumps(record))
-            index_path.write_text("\n".join(lines) + "\n")
-        fresh = ResultCache(tmp_path)
-        report = fresh.gc(stale=True)
-        assert report.stale_removed == 1
-        survivors = ResultCache(tmp_path).keys()
-        assert sorted(survivors) == sorted([unknown_key, current_key])
-
-    def test_gc_compacts_duplicate_index_lines(self, tmp_path):
+        """``stale=True`` removes other model directories and the flat
+        layout, and leaves the current model and unknown directories."""
         cache = ResultCache(tmp_path)
         [key] = fill(cache, 1)
-        cache.put(key, "rewritten")  # appends a second line
-        index_path = tmp_path / key[:2] / ResultCache.INDEX_NAME
-        assert len(index_path.read_text().splitlines()) == 2
-        cache.gc()
-        assert len(index_path.read_text().splitlines()) == 1
-        assert ResultCache(tmp_path).get(key) == "rewritten"
+        stale = {
+            "m0.0.1": tmp_path / "m0.0.1" / "ab" / "x.pkl",
+            "ab": tmp_path / "ab" / "x.pkl",
+            "traces": tmp_path / "traces" / "cd" / "t.npy",
+        }
+        unknown = tmp_path / "notes" / "keep.txt"
+        for path in (*stale.values(), unknown):
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b"12345")
+        assert cache.disk_usage().stale == {name: 5 for name in stale}
 
-    def test_verify_reports_phantom_and_unindexed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        phantom_key, kept_key = fill(cache, 2)
-        (tmp_path / phantom_key[:2] / f"{phantom_key}.pkl").unlink()
-        unindexed_key = key_of("unindexed")
-        # A payload the index never learned about (pre-index writer).
-        loner = ResultCache(tmp_path)
-        loner.put(unindexed_key, 42)
-        index_path = (
-            tmp_path / unindexed_key[:2] / ResultCache.INDEX_NAME
+        preview = cache.gc(stale=True, dry_run=True)
+        assert (preview.stale_removed, preview.bytes_removed) == (3, 15)
+        assert all(path.exists() for path in stale.values())
+
+        report = cache.gc(stale=True)
+        assert (report.stale_removed, report.bytes_removed) == (3, 15)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [cache.root.name, "notes"]
         )
-        lines = [
-            line for line in index_path.read_text().splitlines()
-            if json.loads(line)["k"] != unindexed_key
-        ]
-        index_path.write_text("".join(f"{line}\n" for line in lines))
-        report = ResultCache(tmp_path).verify()
-        assert report.ok
-        assert report.phantom == [phantom_key]
-        assert report.unindexed == [unindexed_key]
-        assert kept_key not in report.phantom
+        assert unknown.exists() and cache.get(key) is not None
+        assert cache.disk_usage().stale == {}
 
 
 class TestResolveBackend:
@@ -309,15 +256,6 @@ def cold_cache(tmp_path_factory):
 class TestWarmBackendsBitIdentical:
     def test_warm_sweep(self, cold_cache):
         cache_dir, oracle = cold_cache
-        warm = run_sweep(SPEC, jobs=1, cache_dir=cache_dir)
-        assert warm.stats.executed == 0
-        assert_identical(oracle, warm.by_workload()["heat"])
-
-    def test_warm_legacy_flat_store(self, cold_cache):
-        """A pre-cache cache dir (no indexes) still serves fully warm."""
-        cache_dir, oracle = cold_cache
-        for index in cache_dir.glob(f"*/{ResultCache.INDEX_NAME}"):
-            index.unlink()
         warm = run_sweep(SPEC, jobs=1, cache_dir=cache_dir)
         assert warm.stats.executed == 0
         assert_identical(oracle, warm.by_workload()["heat"])
@@ -394,12 +332,5 @@ class TestMultiprocessStress:
         report = cache.verify()
         assert report.ok, report.corrupt
         assert report.entries == len(expected)
-        # Index/payload consistency: one compaction reconciles any
-        # appends a concurrent gc's rewrite raced with.
-        cache.gc()
-        fresh = ResultCache(tmp_path)
-        assert set(fresh.keys()) == expected
-        served = fresh.get_many(sorted(expected))
-        assert set(served) == expected
-        final = fresh.verify()
-        assert final.ok and not final.phantom and not final.unindexed
+        assert set(cache.keys()) == expected
+        assert set(cache.get_many(sorted(expected))) == expected

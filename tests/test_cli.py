@@ -1,8 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+
 import pytest
 
+from repro import MODEL_VERSION
 from repro.__main__ import main
+from repro.harness.cache import ResultCache
 
 
 def test_overheads_command(capsys):
@@ -167,7 +171,7 @@ def warm_cache(tmp_path):
 def test_cache_stats_and_ls(warm_cache, capsys):
     assert main(["cache", "stats", str(warm_cache)]) == 0
     out = capsys.readouterr().out
-    assert "entries:" in out and "indexed" in out
+    assert "entries:" in out and "stale:     0 dir(s)" in out
 
     assert main(["cache", "ls", str(warm_cache)]) == 0
     keys = capsys.readouterr().out.split()
@@ -187,7 +191,9 @@ def test_cache_stats_reports_the_trace_store(warm_cache, capsys):
     )
     assert "1 trace(s), 1 front end(s)" in line
     on_disk = sum(
-        f.stat().st_size for f in (warm_cache / "traces").rglob("*") if f.is_file()
+        f.stat().st_size
+        for f in (warm_cache / f"m{MODEL_VERSION}" / "traces").rglob("*")
+        if f.is_file()
     )
     assert f"{on_disk:,} bytes" in line
 
@@ -214,7 +220,7 @@ def test_cache_verify_ok_and_corrupt(warm_cache, capsys):
     assert main(["cache", "verify", str(warm_cache)]) == 0
     assert "ok" in capsys.readouterr().out
 
-    victim = next(warm_cache.glob("*/*.pkl"))
+    victim = next(warm_cache.glob("m*/*/*.pkl"))
     victim.write_bytes(b"torn write")
     assert main(["cache", "verify", str(warm_cache)]) == 1
     captured = capsys.readouterr()
@@ -226,23 +232,68 @@ def test_cache_gc_dry_run_then_evict(warm_cache, capsys):
         "cache", "gc", str(warm_cache), "--max-bytes", "0", "--dry-run",
     ]) == 0
     assert "would remove" in capsys.readouterr().out
-    assert any(warm_cache.glob("*/*.pkl"))
+    assert any(warm_cache.glob("m*/*/*.pkl"))
 
     assert main(["cache", "gc", str(warm_cache), "--max-bytes", "0"]) == 0
     assert "removed" in capsys.readouterr().out
-    assert not any(warm_cache.glob("*/*.pkl"))
+    assert not any(warm_cache.glob("m*/*/*.pkl"))
 
 
 def test_cache_gc_sweeps_orphaned_tmp(warm_cache, capsys):
-    # A shard dir specifically — the cache root also holds traces/.
+    # A shard dir specifically — the model directory also holds traces/.
     shard = next(
-        d for d in warm_cache.iterdir() if d.is_dir() and len(d.name) == 2
+        d for d in (warm_cache / f"m{MODEL_VERSION}").iterdir()
+        if d.is_dir() and len(d.name) == 2
     )
     orphan = shard / "leftover.tmp"
     orphan.write_bytes(b"half a write")
     assert main(["cache", "gc", str(warm_cache), "--tmp-age", "0"]) == 0
     assert "1 tmp file(s)" in capsys.readouterr().out
     assert not orphan.exists()
+
+
+def test_cache_gc_sweeps_the_trace_stores_orphaned_tmp(warm_cache, capsys):
+    """What a crashed trace-store write leaves is counted and swept."""
+    store = ResultCache(warm_cache, read_only=True).root / "traces"
+    orphan = next(d for d in store.iterdir() if d.is_dir()) / "crashed.tmp"
+    orphan.write_bytes(b"half a trace")
+    stat = orphan.stat()
+    os.utime(orphan, (stat.st_atime - 7200, stat.st_mtime - 7200))
+    assert main(["cache", "stats", str(warm_cache)]) == 0
+    assert "tmp files: 1" in capsys.readouterr().out
+    assert main(["cache", "gc", str(warm_cache)]) == 0
+    assert "removed 1 tmp file(s)" in capsys.readouterr().out
+    assert not orphan.exists()
+
+
+def test_legacy_flat_layout_is_stale(warm_cache, capsys):
+    """A cache laid out before model directories (shards and traces/ at
+    the top) is listed by ``stats`` and removed by ``gc --stale``."""
+    model = warm_cache / f"m{MODEL_VERSION}"
+    flat = sorted(child.name for child in model.iterdir())
+    for name in flat:
+        (model / name).rename(warm_cache / name)
+    model.rmdir()
+    assert "traces" in flat and len(flat) > 1
+
+    assert main(["cache", "stats", str(warm_cache)]) == 0
+    out = capsys.readouterr().out
+    assert "entries:   0" in out
+    assert f"stale:     {len(flat)} dir(s)" in out
+    assert "    traces/ " in out
+
+    gc = ["cache", "gc", str(warm_cache), "--stale"]
+    assert main([*gc, "--dry-run"]) == 0
+    assert f"would remove 0 tmp file(s), {len(flat)} stale dir(s)" in (
+        capsys.readouterr().out
+    )
+    assert all((warm_cache / name).exists() for name in flat)
+
+    assert main(gc) == 0
+    assert f"removed 0 tmp file(s), {len(flat)} stale dir(s)" in (
+        capsys.readouterr().out
+    )
+    assert [p.name for p in warm_cache.iterdir()] == [model.name]
 
 
 def test_cache_rejects_missing_dir(tmp_path, capsys):

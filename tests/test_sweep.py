@@ -7,12 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
+import repro.harness.cache
+import repro.harness.scenario
+import repro.harness.sweep
 from repro.cache.array_lru import BatchedPrivateFilter
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.types import ErrorThresholds
 from repro.designs import AVR, BASELINE, TRUNCATE
 from repro.harness.cache import ResultCache, _canonical, content_key
 from repro.harness.report import sweep_stats_to_mapping
+from repro.harness.scenario import (
+    ScenarioPoint,
+    scenario_timing_key,
+    scenario_trace_key,
+)
 from repro.harness.sweep import (
     JobExecutor,
     SweepPoint,
@@ -21,6 +30,7 @@ from repro.harness.sweep import (
     run_sweep,
     timing_job_key,
 )
+from repro.scenario import get_scenario
 from repro.system.simulator import SimResult
 
 # Small machine + small workload so full sweeps stay test-sized.
@@ -187,6 +197,68 @@ class TestCache:
     def test_content_key_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             content_key(object())
+
+
+def set_model_version(monkeypatch, version):
+    """Patch ``MODEL_VERSION`` wherever the keys and the cache read it."""
+    for module in (
+        repro, repro.harness.cache, repro.harness.scenario, repro.harness.sweep,
+    ):
+        monkeypatch.setattr(module, "MODEL_VERSION", version)
+
+
+PINNED_POINT = SweepPoint(
+    workload="heat", scale=0.12, seed=0, max_accesses_per_core=1500
+)
+MIX_POINT = ScenarioPoint(get_scenario("heat+lbm"))
+
+#: every sweep and scenario key builder, over fixed arguments
+KEY_BUILDERS = {
+    "functional": lambda: functional_job_key(PINNED_POINT, "baseline"),
+    "timing": lambda: timing_job_key(PINNED_POINT, "AVR", CONFIG),
+    "scenario-trace": lambda: scenario_trace_key(MIX_POINT, 8),
+    "scenario-timing": lambda: scenario_timing_key(
+        MIX_POINT, AVR, SystemConfig.scaled(num_cores=8), (0, 1)
+    ),
+}
+
+
+class TestModelVersion:
+    def test_keys_are_pinned(self):
+        """The keys of an unchanged model stay byte-identical."""
+        assert functional_job_key(PINNED_POINT, "baseline") == (
+            "7159e7a428a0ed4e894001e5c5acd4d1808c8b223baf1ffd145237a4fefd484a"
+        )
+        assert timing_job_key(
+            PINNED_POINT, "AVR", SystemConfig.scaled(num_cores=2)
+        ) == "68916b557f86c08e13bfe1e58ac8c5288992a0082f68933847396a69b3f3556b"
+
+    @pytest.mark.parametrize("kind", sorted(KEY_BUILDERS))
+    def test_keys_follow_the_model_version_only(self, kind, monkeypatch):
+        build = KEY_BUILDERS[kind]
+        before = build()
+        monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+        assert build() == before
+        set_model_version(monkeypatch, "0.0.0")
+        assert build() != before
+
+    def test_a_bump_fills_a_new_model_directory(self, tmp_path, monkeypatch):
+        cold = run_sweep(SPEC, jobs=1, cache_dir=tmp_path)
+        old_dir = tmp_path / f"m{repro.MODEL_VERSION}"
+        monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+        assert run_sweep(SPEC, jobs=1, cache_dir=tmp_path).stats.executed == 0
+
+        set_model_version(monkeypatch, "0.0.0")
+        bumped = run_sweep(SPEC, jobs=1, cache_dir=tmp_path)
+        assert bumped.stats.executed == cold.stats.executed
+        assert bumped.stats.traces_generated == cold.stats.traces_generated
+        cache = ResultCache(tmp_path)
+        assert cache.root == tmp_path / "m0.0.0"
+        assert len(cache) == cold.stats.executed
+
+        assert cache.gc(stale=True).stale_removed == 1
+        assert not old_dir.exists() and cache.root.is_dir()
+        assert run_sweep(SPEC, jobs=1, cache_dir=tmp_path).stats.executed == 0
 
 
 @pytest.fixture()

@@ -1,7 +1,7 @@
 """Tests for the content-keyed, memory-mapped trace store.
 
 Covers the durability contract (atomic payload-then-record commits,
-torn entries read as misses), content-key invalidation on version
+torn entries read as misses), content-key invalidation on model-version
 bumps, concurrent writers racing benignly on one key, and the sweep
 engine's warm path: a cleared result cache with an intact trace store
 memory-maps the composed trace and its timing front end instead of
@@ -205,10 +205,12 @@ class TestKeys:
         )
 
     def test_version_bump_invalidates_keys(self, monkeypatch):
+        """A model-version bump changes the key; a release does not."""
         before = trace_key(SPEC, make_mem(), 2, 5_000, 0)
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
-        after = trace_key(SPEC, make_mem(), 2, 5_000, 0)
-        assert before != after
+        assert trace_key(SPEC, make_mem(), 2, 5_000, 0) == before
+        monkeypatch.setattr(repro, "MODEL_VERSION", "0.0.0-test")
+        assert trace_key(SPEC, make_mem(), 2, 5_000, 0) != before
 
 
 class TestResolve:
@@ -293,8 +295,11 @@ class TestFrontEndEntries:
             assert front_end_key("t" * 64, changed) == base
 
     def test_version_bump_invalidates_keys(self, monkeypatch):
+        """A model-version bump changes the key; a release does not."""
         before = front_end_key("t" * 64, CONFIG)
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+        assert front_end_key("t" * 64, CONFIG) == before
+        monkeypatch.setattr(repro, "MODEL_VERSION", "0.0.0-test")
         assert front_end_key("t" * 64, CONFIG) != before
 
 
@@ -314,6 +319,11 @@ TEARS = {
     "truncated payload": _truncate,
     "mis-shaped payload": _reshape,
 }
+
+
+def default_store(cache_dir):
+    """Where ``run_sweep`` keeps the trace store of ``cache_dir``."""
+    return cache_dir / f"m{repro.MODEL_VERSION}" / "traces"
 
 
 class TestSweepIntegration:
@@ -339,10 +349,10 @@ class TestSweepIntegration:
         assert cold.stats.traces_mapped == 0
         assert cold.stats.frontends_computed == 1
         assert cold.stats.frontends_mapped == 0
-        assert (tmp_path / "traces").is_dir()
+        assert default_store(tmp_path).is_dir()
 
         # Clear the result cache; keep the trace store.
-        for entry in tmp_path.glob("*/*.pkl"):
+        for entry in tmp_path.glob("m*/*/*.pkl"):
             entry.unlink()
 
         warm = run_sweep(sweep_spec, cache_dir=tmp_path)
@@ -369,7 +379,7 @@ class TestSweepIntegration:
         result = run_sweep(sweep_spec, cache_dir=tmp_path, trace_store="off")
         assert result.stats.traces_generated == 0
         assert result.stats.traces_mapped == 0
-        assert not (tmp_path / "traces").exists()
+        assert not default_store(tmp_path).exists()
 
     def test_every_design_shares_one_front_end_entry(self, sweep_spec, tmp_path):
         from repro.designs import AVR_CONSERVATIVE, TRUNCATE
@@ -379,9 +389,9 @@ class TestSweepIntegration:
             sweep_spec, designs=(*sweep_spec.designs, TRUNCATE, AVR_CONSERVATIVE)
         )
         run_sweep(spec, cache_dir=tmp_path)
-        usage = trace_store_usage(tmp_path / "traces")
+        usage = trace_store_usage(default_store(tmp_path))
         assert (usage.traces, usage.front_ends) == (1, 1)
-        assert len(TraceStore(tmp_path / "traces")) == 1
+        assert len(TraceStore(default_store(tmp_path))) == 1
 
     @pytest.mark.parametrize("tear", sorted(TEARS))
     def test_torn_front_end_is_recomputed_and_rewritten(
@@ -390,7 +400,7 @@ class TestSweepIntegration:
         from repro.harness.sweep import run_sweep
 
         run_sweep(sweep_spec, cache_dir=tmp_path)
-        store = TraceStore(tmp_path / "traces")
+        store = TraceStore(default_store(tmp_path))
         (record,) = store.root.glob("*/*.frontend.json")
         key = record.name.split(".")[0]
         # Copied out: tearing rewrites the mapped file in place.
@@ -402,7 +412,7 @@ class TestSweepIntegration:
         assert store.get_front_end(key) is None
         assert store.stats.front_end_misses == 1
 
-        for entry in tmp_path.glob("*/*.pkl"):
+        for entry in tmp_path.glob("m*/*/*.pkl"):
             entry.unlink()
         rerun = run_sweep(sweep_spec, cache_dir=tmp_path)
         assert rerun.stats.frontends_computed == 1
