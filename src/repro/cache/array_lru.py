@@ -53,10 +53,7 @@ def first_of_groups(values: np.ndarray) -> np.ndarray:
     """Bool mask marking the first element of each run of equal values.
 
     The core of the rounds machinery: applied to a sorted set-index
-    array it delimits the per-set op groups that become replay rounds;
-    applied to a consecutive block-number stream it delimits the
-    same-block runs the AVR fast replay resolves batched
-    (:meth:`repro.cache.llc_avr.AVRLLC.replay_batch`).
+    array it delimits the per-set op groups that become replay rounds.
     """
     n = int(values.size)
     first = np.empty(n, dtype=bool)

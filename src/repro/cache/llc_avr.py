@@ -19,19 +19,20 @@ Replay
 
 :meth:`AVRLLC.replay_batch` is the one implementation of those flows
 and the path :meth:`~repro.system.simulator.TimingSystem.run` takes.
-One numpy pass decodes the whole filtered event stream (line/block
-numbers, set indices, approx classification, static block sizes, DBUF
-bit masks); the stream is segmented into same-block runs (reusing the
-rounds machinery's group detection from :mod:`repro.cache.array_lru`);
-runs of LLC-resident touches resolve batched; state-changing events
-(misses, insertions, block evictions, lazy writebacks) drop to a tuned
-per-event flow; and every DRAM call is queued and settled afterwards in
-one :meth:`repro.memory.dram.DRAM.replay_transfers` pass.
+One numpy pass decodes the whole filtered event stream (dense line ids,
+per-block approx class and static size).  Every stretch of events whose
+lines are all LLC-resident (a *resident window*) only moves LRU ages,
+dirty bits, DBUF masks and hit counters, so it resolves in one numpy
+pass; state-changing events (misses, insertions, block evictions, lazy
+writebacks) run a tuned per-event flow; and every DRAM call is queued
+and settled afterwards in one
+:meth:`repro.memory.dram.DRAM.replay_transfers` pass.
 
 The data array is a set of fixed ``(num_sets, ways)`` tag/dirty/age
-planes stored as flat row-major Python lists (O(50 ns) scalar access
-in the scan); the LRU victim of a set is its occupied way with the
-smallest age, exactly the convention of :mod:`repro.cache.array_lru`.
+planes stored flat and row-major: ``array``/``bytearray`` buffers that
+the per-event flow indexes like lists and the window pass updates
+through numpy views.  The LRU victim of a set is its occupied way with
+the smallest age, exactly the convention of :mod:`repro.cache.array_lru`.
 Approximate regions are block-aligned (``AddressLayout.add_region``
 enforces it), so every block is approximate or exact as a whole and
 the replay classifies per block.
@@ -44,6 +45,7 @@ suite diffs the two under every ablation flag.
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
 
@@ -61,7 +63,7 @@ from ..common.constants import (
 )
 from ..common.stats import StatCounter
 from ..memory.dram import DRAM
-from .array_lru import EMPTY, first_of_groups
+from .array_lru import EMPTY
 from .cmt import CACHE_PAGES, MISS_TRAFFIC_BYTES, CMTEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -136,10 +138,18 @@ def check_avr_options(options: Mapping[str, object]) -> None:
 #: below the :data:`EMPTY` sentinel ``-1``
 _CMS_BIAS = 2
 
-#: minimum same-block run length worth resolving batched; shorter runs
-#: go through the per-event flow (the batch bookkeeping would cost more
-#: than it saves).
-_RUN_MIN = 3
+# resident windows (see AVRLLC._scan) -------------------------------
+#: shortest resident stretch worth a numpy pass: a pass's fixed cost is
+#: about that of 150 per-event hits, so shorter stretches run per-event
+_WINDOW_MIN = 256
+#: events the first residency probe checks, and the first back-off
+#: after a failed probe (the search doubles its step from here)
+_PROBE = 256
+#: longest back-off after failed probes: a miss-heavy stream pays about
+#: one probe per this many events
+_PROBE_CAP = 1024
+#: longest stretch one pass resolves: bounds the pass's temporaries
+_WINDOW_MAX = 1 << 16
 
 # the fast scan encodes line/block/page arithmetic as shifts of the
 # paper's fixed geometry (64 B lines, 16-line blocks, 4 KB pages); guard
@@ -204,32 +214,25 @@ class AVRLLC:
         ``is_read``, dirty L2 victim writebacks elsewhere.  The
         per-event work is restructured for batch speed:
 
-        1. **Decode** — every stateless per-event attribute (line and
-           block numbers, set indices, approx classification, static
-           block size, DBUF bit, CMS key base) is computed in one numpy
-           pass.  Blocks are remapped to dense ids, so the scan probes
-           flat slot tables (one list index per lookup) instead of a
+        1. **Decode** — one numpy pass gives every event its dense line
+           id (blocks remapped to dense ids, ``bid * 16 + line
+           offset``) and its block's approx and CMS-refresh class; the
+           layout is consulted once per distinct block.  So the scan
+           probes flat slot tables (one index per lookup) instead of a
            key dict, and the eviction flows read per-block static
            size/approx off plain lists; every key the scan can ever
            touch — event lines, CMS groups, PFE prefetches, victims —
            belongs to a stream block, which is what makes the dense
            universe closed.
-        2. **Run segmentation** — the stream is split into maximal
-           same-block runs (:func:`~repro.cache.array_lru.
-           first_of_groups`).  A run whose lines are all LLC-resident
-           only moves LRU ages, dirty bits and DBUF masks — no
-           insertion, eviction or DRAM traffic — so it resolves as a
-           batch: per-line age refreshes, one merged CMS-group refresh,
-           one OR-merged DBUF mask update, one stats update.  The first
-           non-resident line drops the rest of the run to the per-event
-           flow (misses, insertions, block evictions and lazy
-           writebacks always take it).
+        2. **Scan** — :meth:`_scan` resolves every stretch of
+           LLC-resident events in one numpy pass and runs the rest
+           per-event.
         3. **Deferred DRAM** — the scan queues every DRAM call
            (including CMT metadata partials) instead of walking the
            row-buffer model per line; the whole transfer log settles in
            one :meth:`~repro.memory.dram.DRAM.replay_transfers` pass,
            and the resulting latencies scatter back into the per-event
-           latency vector.
+           latency vector beside the scan's decompression cycles.
 
         The batch is the whole traffic this LLC ever sees (the timing
         engine runs exactly one trace per system); a second call
@@ -246,47 +249,20 @@ class AVRLLC:
             return np.zeros(0, dtype=np.int64)
 
         # ---- stage 1: stateless decode ------------------------------
-        line_no = addrs // CACHELINE_BYTES
-        block_no = addrs // BLOCK_BYTES
-        approx = self.layout.is_approx_batch(addrs)
-        sizes = self.layout.block_size_of_batch(block_no * BLOCK_BYTES)
-        ucl_set = line_no % self.num_sets
-        loff = line_no % BLOCK_CACHELINES
-        bit = np.int64(1) << loff
+        uniq_blocks, bid = np.unique(addrs // BLOCK_BYTES, return_inverse=True)
+        block_addrs = uniq_blocks * BLOCK_BYTES
+        approx = self.layout.is_approx_batch(block_addrs)
+        sizes = self.layout.block_size_of_batch(block_addrs)
         # an uncompressible block (static size = full block) can never
         # own CMS entries, so its events skip every CMS probe/refresh
-        has_cms = approx & (sizes < BLOCK_CACHELINES)
-        refreshes = (
-            has_cms
-            if self.enable_cms_lru_refresh
-            else np.zeros(m, dtype=bool)
-        )
+        refreshes = approx & (sizes < BLOCK_CACHELINES)
+        refreshes &= self.enable_cms_lru_refresh
+        dline = bid * BLOCK_CACHELINES + (addrs // CACHELINE_BYTES) % BLOCK_CACHELINES
 
-        # dense block ids: the scan's keys are `bid * 16 + offset` for
-        # both UCLs (offset = line within block) and CMS entries
-        # (offset = sub-block index), held in two flat slot tables
-        uniq_blocks, first_idx, bid = np.unique(
-            block_no, return_index=True, return_inverse=True
-        )
-        k0d = bid.astype(np.int64) * BLOCK_CACHELINES
-        dense_line = k0d + loff
-        real_blocks = uniq_blocks.tolist()
-        size_by_bid = sizes[first_idx].tolist()
-        approx_by_bid = approx[first_idx].tolist()
-
-        # ---- stage 2: same-block run segmentation -------------------
-        starts = np.flatnonzero(first_of_groups(block_no))
-        run_len = np.diff(np.append(starts, m))
-        run_end = np.repeat(starts + run_len, run_len)
-
-        lat = np.where(is_read, np.int64(self.latency), np.int64(0)).tolist()
-
-        log, read_events = self._scan(
-            is_read.tolist(), line_no.tolist(), dense_line.tolist(),
-            ucl_set.tolist(), approx.tolist(), sizes.tolist(),
-            bit.tolist(), k0d.tolist(), has_cms.tolist(),
-            refreshes.tolist(), run_end.tolist(),
-            real_blocks, size_by_bid, approx_by_bid, lat,
+        # ---- stage 2: the event scan --------------------------------
+        log, read_events, extra_events, extra_cycles = self._scan(
+            is_read, dline, approx[bid], refreshes[bid],
+            uniq_blocks.tolist(), sizes.tolist(), approx.tolist(),
         )
 
         # ---- stage 3: settle the deferred DRAM transfer log ---------
@@ -297,60 +273,76 @@ class AVRLLC:
         dram_lat = self.dram.replay_transfers(
             packed >> 7, t_lines, (packed & 2).astype(bool)
         )
-        lat_arr = np.array(lat, dtype=np.int64)
+        lat = np.where(is_read, np.int64(self.latency), np.int64(0))
+        lat[np.array(extra_events, dtype=np.int64)] += np.array(
+            extra_cycles, dtype=np.int64
+        )
         demand = (packed & 1).astype(bool)
-        lat_arr[np.array(read_events, dtype=np.int64)] += dram_lat[demand]
-        return lat_arr
+        lat[np.array(read_events, dtype=np.int64)] += dram_lat[demand]
+        return lat
 
     def _scan(
         self,
-        L_rd: list[bool],
-        L_line: list[int],
-        L_dline: list[int],
-        L_set: list[int],
-        L_apx: list[bool],
-        L_size: list[int],
-        L_bit: list[int],
-        L_k0d: list[int],
-        L_hascms: list[bool],
-        L_refresh: list[bool],
-        L_run_end: list[int],
+        ev_read: np.ndarray,
+        ev_dline: np.ndarray,
+        ev_apx: np.ndarray,
+        ev_refresh: np.ndarray,
         real_blocks: list[int],
         size_by_bid: list[int],
         approx_by_bid: list[bool],
-        lat: list[int],
-    ) -> tuple[list[int], list[int]]:
+    ) -> tuple[list[int], list[int], list[int], list[int]]:
         """The event scan: cache-state machine over the decoded stream.
 
-        Everything here is per-event Python, so the flows are written
-        for the interpreter: state planes are flat lists, presence
-        probes are flat-table indexing on dense keys (``ucl_slot`` /
-        ``cms_slot``), all loop state lives in locals, statistics
-        accumulate in plain ints (folded into :attr:`stats` once at the
-        end), the CMT and its on-chip page cache are two dicts walked
-        inline, and every DRAM call is appended to the transfer log the
-        caller settles afterwards.  A log entry is one packed int —
-        ``addr << 7 | lines << 2 | write << 1 | demand`` — so queueing
-        a transfer is a single append and the caller unpacks the whole
-        log vectorized (``lines == 0`` marks a CMT metadata partial
-        whose byte count rides in the address field; ``demand`` marks
-        the transfers whose latency scatters back to a read event).
+        **Resident windows.**  From a probe point, a galloping search
+        over a numpy view of the UCL slot table finds the first event
+        whose line is not LLC-resident.  Every event before it is a
+        pure touch: the slot tables, the DBUF's block, the CMT, the PFE
+        and the DRAM log stay put, and only LRU ages, dirty bits, the
+        DBUF's masks and hit counters move.  So a stretch of at least
+        :data:`_WINDOW_MIN` events resolves in one numpy pass
+        (``resolve_window``), in the per-event clock order.  A probe
+        that finds a shorter stretch backs off exponentially, up to
+        :data:`_PROBE_CAP` events.
+
+        **Per-event flow.**  Everything else runs per-event over
+        stretches converted to lists only as they run, written for the
+        interpreter: presence probes are flat-table indexing on dense
+        keys (``ucl_slot`` / ``cms_slot``), all loop state lives in
+        locals, statistics accumulate in plain ints (folded into
+        :attr:`stats` once at the end), the CMT and its on-chip page
+        cache are two dicts walked inline, and every DRAM call is
+        appended to the transfer log the caller settles afterwards.  A
+        log entry is one packed int — ``addr << 7 | lines << 2 | write
+        << 1 | demand`` — so queueing a transfer is a single append and
+        the caller unpacks the whole log vectorized (``lines == 0``
+        marks a CMT metadata partial whose byte count rides in the
+        address field; ``demand`` marks the transfers whose latency
+        scatters back to a read event).  Decompression cycles are
+        collected as ``(event, cycles)`` and scattered by the caller.
+
         The tag plane holds *dense* keys: a UCL is its ``dline``, a CMS
-        ``-(k0d + off) - _CMS_BIAS``.  All state starts empty and is
-        dropped on return: only the stats and the DRAM model outlive
-        the scan.
+        ``-(k0d + off) - _CMS_BIAS``.  The age, dirty and slot tables
+        are flat ``array``/``bytearray`` buffers, so the per-event flow
+        indexes them at list speed while the window pass reads and
+        writes the same memory through numpy views.  All state starts
+        empty and is dropped on return: only the stats and the DRAM
+        model outlive the scan.
         """
         # --- state -------------------------------------------------------
         S = self.num_sets
         W = self.ways
         n_slots = S * W
         tags = [EMPTY] * n_slots
-        dirty = [False] * n_slots
-        ages = [EMPTY] * n_slots
+        dirty = bytearray(n_slots)
+        ages = array("q", [EMPTY]) * n_slots
         clock = 0
         n_dense = len(real_blocks) * BLOCK_CACHELINES
-        ucl_slot = [-1] * n_dense  # dense line -> slot
-        cms_slot = [-1] * n_dense  # k0d + off  -> slot
+        ucl_slot = array("q", [-1]) * n_dense  # dense line -> slot
+        cms_slot = array("q", [-1]) * n_dense  # k0d + off  -> slot
+        dirty_np = np.frombuffer(dirty, dtype=np.bool_)
+        ages_np = np.frombuffer(ages, dtype=np.int64)
+        ucl_np = np.frombuffer(ucl_slot, dtype=np.int64)
+        cms_np = np.frombuffer(cms_slot, dtype=np.int64)
         cmt_entries: dict[int, CMTEntry] = {}  # block address -> entry
         cmt_cache: dict[int, None] = {}  # cached CMT pages, LRU order
         cmt_capacity = CACHE_PAGES
@@ -375,6 +367,8 @@ class AVRLLC:
         emit = log.append
         read_events: list[int] = []  # event index per demand transfer
         note_demand = read_events.append
+        extra_events: list[int] = []  # events with decompression cycles
+        extra_cycles: list[int] = []
 
         # NOTE: the closures below bind their read-only state as default
         # arguments — default values are plain locals inside the call,
@@ -412,11 +406,11 @@ class AVRLLC:
 
         def evict_compressed_block(
             k0: int,
-            first_dirty: bool,
+            first_dirty: int,
             tags: list[int] = tags,
-            dirty: list[bool] = dirty,
-            ages: list[int] = ages,
-            cms_slot: list[int] = cms_slot,
+            dirty: bytearray = dirty,
+            ages: array[int] = ages,
+            cms_slot: array[int] = cms_slot,
             size_by_bid: list[int] = size_by_bid,
             real_blocks: list[int] = real_blocks,
             emit: Callable[[int], None] = emit,
@@ -448,9 +442,9 @@ class AVRLLC:
 
         def evict_dirty_approx_ucl(
             dline: int,
-            dirty: list[bool] = dirty,
-            ages: list[int] = ages,
-            cms_slot: list[int] = cms_slot,
+            dirty: bytearray = dirty,
+            ages: array[int] = ages,
+            cms_slot: array[int] = cms_slot,
             size_by_bid: list[int] = size_by_bid,
             real_blocks: list[int] = real_blocks,
             emit: Callable[[int], None] = emit,
@@ -543,9 +537,9 @@ class AVRLLC:
         def dispatch_victim(
             victim: int,
             slot: int,
-            dirty: list[bool] = dirty,
-            ucl_slot: list[int] = ucl_slot,
-            cms_slot: list[int] = cms_slot,
+            dirty: bytearray = dirty,
+            ucl_slot: array[int] = ucl_slot,
+            cms_slot: array[int] = cms_slot,
             real_blocks: list[int] = real_blocks,
             emit: Callable[[int], None] = emit,
         ) -> None:
@@ -570,24 +564,26 @@ class AVRLLC:
                     st_exact_wb += 1
 
         def alloc_ucl(
-            set_idx: int,
             dline: int,
             key_dirty: bool,
             tags: list[int] = tags,
-            dirty: list[bool] = dirty,
-            ages: list[int] = ages,
+            dirty: bytearray = dirty,
+            ages: array[int] = ages,
             W: int = W,
-            ucl_slot: list[int] = ucl_slot,
+            S: int = S,
+            ucl_slot: array[int] = ucl_slot,
+            real_blocks: list[int] = real_blocks,
             dispatch_victim: Callable[[int, int], None] = dispatch_victim,
         ) -> None:
-            # insert a UCL into its set, evicting the LRU way (an empty
-            # way carries age EMPTY, below every clock value, so the
-            # set fills before it evicts).  The victim's slot is
-            # only cleared implicitly (overwritten below): the victim
-            # flows reach entries exclusively through the slot tables,
-            # where the victim is already gone.
+            # insert a UCL into its set (its real line modulo the set
+            # count), evicting the LRU way (an empty way carries age
+            # EMPTY, below every clock value, so the set fills before
+            # it evicts).  The victim's slot is only cleared implicitly
+            # (overwritten below): the victim flows reach entries
+            # exclusively through the slot tables, where the victim is
+            # already gone.
             nonlocal clock
-            base = set_idx * W
+            base = ((real_blocks[dline >> 4] << 4 | (dline & 15)) % S) * W
             row = ages[base:base + W]
             slot = base + row.index(min(row))
             victim = tags[slot]
@@ -604,10 +600,10 @@ class AVRLLC:
             idx: int,
             key_dirty: bool,
             tags: list[int] = tags,
-            dirty: list[bool] = dirty,
-            ages: list[int] = ages,
+            dirty: bytearray = dirty,
+            ages: array[int] = ages,
             W: int = W,
-            cms_slot: list[int] = cms_slot,
+            cms_slot: array[int] = cms_slot,
             dispatch_victim: Callable[[int, int], None] = dispatch_victim,
         ) -> None:
             # as alloc_ucl, but the incoming entry is the CMS at dense
@@ -628,12 +624,10 @@ class AVRLLC:
         def load_dbuf(
             k0: int,
             load_bit: int,
-            ages: list[int] = ages,
-            ucl_slot: list[int] = ucl_slot,
-            real_blocks: list[int] = real_blocks,
-            S: int = S,
+            ages: array[int] = ages,
+            ucl_slot: array[int] = ucl_slot,
             pfe_thr: int | None = pfe_thr,
-            alloc_ucl: Callable[[int, int, bool], None] = alloc_ucl,
+            alloc_ucl: Callable[[int, bool], None] = alloc_ucl,
         ) -> None:
             nonlocal dbuf_k0d, dbuf_req, dbuf_in, st_pfe, clock
             if (
@@ -644,7 +638,6 @@ class AVRLLC:
                 missing = ~dbuf_in & FULL_BLOCK_MASK
                 if missing:
                     st_pfe += missing.bit_count()
-                    old_line = real_blocks[dbuf_k0d >> 4] << 4
                     while missing:
                         low = missing & -missing
                         off = low.bit_length() - 1
@@ -655,276 +648,280 @@ class AVRLLC:
                             ages[slot] = clock
                             clock += 1
                         else:
-                            alloc_ucl((old_line + off) % S, dline, False)
+                            alloc_ucl(dline, False)
             dbuf_k0d = k0
             dbuf_req = load_bit
             dbuf_in = load_bit
 
-        # --- the scan ----------------------------------------------------
-        i = 0
-        m = len(L_rd)
-        #: events before this index skip the batched-run attempt — set
-        #: when a run's first line is absent, so a streak of first-touch
-        #: insertions pays the failed probe once, not once per event
-        skip_until = 0
-        while i < m:
-            # -- batched resolution of a same-block resident run --------
-            if i >= skip_until and L_run_end[i] - i >= _RUN_MIN:
-                end = L_run_end[i]
-                apx = L_apx[i]
-                # kind of every read in the run (the DBUF cannot load
-                # inside a touch-only run, so this is run-constant)
-                dbuf_same = dbuf_k0d == L_k0d[i]
-                dbuf_here = apx and enable_dbuf and dbuf_same
-                j = i
-                slots = []
-                add_slot = slots.append
-                run_rd_bits = 0
-                run_wb_bits = 0
-                n_reads = 0
-                while j < end:
-                    slot = ucl_slot[L_dline[j]]
-                    if slot < 0:
-                        break  # state-changing event: per-event flow
-                    add_slot(slot)
-                    if L_rd[j]:
-                        n_reads += 1
-                        if dbuf_here:
-                            run_rd_bits |= L_bit[j]
-                    elif dbuf_same:
-                        run_wb_bits |= L_bit[j]
-                    j += 1
-                if j > i:
-                    # commit: all touches but the last, then the CMS
-                    # group refresh anchored by the last event's flow
-                    # order (read-via-DBUF and writeback refresh before
-                    # their UCL touch, a plain UCL hit after)
-                    last = j - 1
-                    for k in range(i, last):
-                        slot = slots[k - i]
-                        ages[slot] = clock
-                        clock += 1
-                        if not L_rd[k]:
-                            dirty[slot] = True
-                    k0 = L_k0d[i]
-                    refresh = L_refresh[i] and cms_slot[k0] >= 0
-                    last_is_plain_hit = L_rd[last] and not dbuf_here
-                    if refresh and not last_is_plain_hit:
-                        for idx in range(k0, k0 + L_size[i]):
-                            slot = cms_slot[idx]
-                            if slot >= 0:
-                                ages[slot] = clock
-                                clock += 1
-                    slot = slots[last - i]
-                    ages[slot] = clock
-                    clock += 1
-                    if not L_rd[last]:
-                        dirty[slot] = True
-                    if refresh and last_is_plain_hit:
-                        for idx in range(k0, k0 + L_size[i]):
-                            slot = cms_slot[idx]
-                            if slot >= 0:
-                                ages[slot] = clock
-                                clock += 1
-                    # merged DBUF masks, stats
-                    if run_rd_bits or run_wb_bits:
-                        dbuf_req |= run_rd_bits | run_wb_bits
-                        dbuf_in |= run_rd_bits | run_wb_bits
-                    if n_reads:
-                        st_hits += n_reads
-                        if dbuf_here:
-                            st_dbuf += n_reads
-                        elif apx:
-                            st_unc += n_reads
-                    i = j
-                    if i >= m:
-                        break
-                    if i >= end:
-                        continue
-                    # fall through: event i needs the per-event flow
-                else:
-                    skip_until = end
+        # --- resident windows --------------------------------------------
+        m = int(ev_dline.size)
+        offsets = np.arange(BLOCK_CACHELINES, dtype=np.int64)
 
-            rd = L_rd[i]
-            dline = L_dline[i]
-            if rd:
-                if L_apx[i]:
-                    k0 = L_k0d[i]
-                    if enable_dbuf and dbuf_k0d == k0:
-                        hit_bit = L_bit[i]
-                        dbuf_req |= hit_bit
-                        dbuf_in |= hit_bit
-                        st_dbuf += 1
-                        st_hits += 1
-                        if L_refresh[i]:
-                            slot = cms_slot[k0]
+        def window_end(a: int) -> int:
+            # galloping search from `a`: the first event whose line is
+            # absent, or the end of the longest window one pass takes
+            limit = min(m, a + _WINDOW_MAX)
+            step = _PROBE
+            while a < limit:
+                b = min(a + step, limit)
+                absent = np.flatnonzero(ucl_np[ev_dline[a:b]] < 0)
+                if absent.size:
+                    return a + int(absent[0])
+                a = b
+                step *= 2
+            return limit
+
+        def resolve_window(a: int, b: int) -> tuple[int, int, int]:
+            # events [a, b) all find their line resident: replay their
+            # touches in one pass.  Per event the clock ticks once per
+            # touch: a DBUF read (DBUF enabled) or a writeback refreshes
+            # its block's resident CMS group before the UCL, any other
+            # approximate read after it, an exact read touches the UCL
+            # only.  A slot's final age is its last touch.  Returns the
+            # reads, DBUF hits and uncompressed hits.
+            nonlocal clock, dbuf_req, dbuf_in
+            dl = ev_dline[a:b]
+            rd = ev_read[a:b]
+            wb = ~rd
+            k0 = dl & -BLOCK_CACHELINES
+            in_dbuf = k0 == dbuf_k0d
+            apx_rd = rd & ev_apx[a:b]
+            dbuf_rd = apx_rd & in_dbuf & enable_dbuf
+            before = dbuf_rd | wb
+            # each refreshing block's resident CMS group, in order: none
+            # unless its first sub-block is resident (and none sits
+            # beyond the block's static size)
+            refresh = ev_refresh[a:b]
+            blocks, inv = np.unique(k0[refresh], return_inverse=True)
+            cms = cms_np[blocks[:, None] + offsets]
+            member = (cms >= 0) & (cms[:, :1] >= 0)
+            group = np.zeros(b - a, dtype=np.int64)
+            group[refresh] = member.sum(axis=1)[inv]
+            touches = group + 1
+            start = np.cumsum(touches) - touches + clock
+            np.maximum.at(ages_np, ucl_np[dl], start + np.where(before, group, 0))
+            # a group's ages come from its block's last refresh, which
+            # starts one touch later when it follows the UCL
+            last = np.full(blocks.size, EMPTY, dtype=np.int64)
+            np.maximum.at(last, inv, start[refresh] + ~before[refresh])
+            rank = np.cumsum(member, axis=1) - 1
+            ages_np[cms[member]] = (last[:, None] + rank)[member]
+            clock += int(touches.sum())
+            dirty_np[ucl_np[dl[wb]]] = True
+            bits = dl[dbuf_rd | (wb & in_dbuf)] & 15
+            if bits.size:
+                mask = int(np.bitwise_or.reduce(np.left_shift(1, bits)))
+                dbuf_req |= mask
+                dbuf_in |= mask
+            n_dbuf = int(np.count_nonzero(dbuf_rd))
+            return (
+                int(np.count_nonzero(rd)),
+                n_dbuf,
+                int(np.count_nonzero(apx_rd)) - n_dbuf,
+            )
+
+        # --- the scan ----------------------------------------------------
+        pos = 0
+        next_probe = 0
+        backoff = _PROBE
+        while pos < m:
+            if pos >= next_probe:
+                end = window_end(pos)
+                if end - pos >= _WINDOW_MIN:
+                    hits, dbuf_hits, unc_hits = resolve_window(pos, end)
+                    st_hits += hits
+                    st_dbuf += dbuf_hits
+                    st_unc += unc_hits
+                    # the event that ended the window runs per-event,
+                    # then the next probe
+                    pos = end
+                    next_probe = end + 1
+                    backoff = _PROBE
+                    continue
+                # too short: per-event until the next probe, backing off
+                next_probe = pos + backoff
+                backoff = min(2 * backoff, _PROBE_CAP)
+            stop = min(next_probe, m)
+            for i, rd, dline, apx, refresh in zip(
+                range(pos, stop),
+                ev_read[pos:stop].tolist(),
+                ev_dline[pos:stop].tolist(),
+                ev_apx[pos:stop].tolist(),
+                ev_refresh[pos:stop].tolist(),
+            ):
+                if rd:
+                    if apx:
+                        k0 = dline & -16
+                        if enable_dbuf and dbuf_k0d == k0:
+                            hit_bit = 1 << (dline & 15)
+                            dbuf_req |= hit_bit
+                            dbuf_in |= hit_bit
+                            st_dbuf += 1
+                            st_hits += 1
+                            if refresh:
+                                slot = cms_slot[k0]
+                                if slot >= 0:
+                                    ages[slot] = clock
+                                    clock += 1
+                                    for idx in range(k0 + 1, k0 + size_by_bid[dline >> 4]):
+                                        slot = cms_slot[idx]
+                                        if slot >= 0:
+                                            ages[slot] = clock
+                                            clock += 1
+                            slot = ucl_slot[dline]
                             if slot >= 0:
                                 ages[slot] = clock
                                 clock += 1
-                                for idx in range(k0 + 1, k0 + L_size[i]):
-                                    slot = cms_slot[idx]
-                                    if slot >= 0:
-                                        ages[slot] = clock
-                                        clock += 1
+                            else:
+                                alloc_ucl(dline, False)
+                            continue
                         slot = ucl_slot[dline]
                         if slot >= 0:
                             ages[slot] = clock
                             clock += 1
-                        else:
-                            alloc_ucl(L_set[i], dline, False)
-                        i += 1
-                        continue
-                    slot = ucl_slot[dline]
-                    if slot >= 0:
-                        ages[slot] = clock
-                        clock += 1
-                        st_unc += 1
-                        st_hits += 1
-                        if L_refresh[i]:
+                            st_unc += 1
+                            st_hits += 1
+                            if refresh:
+                                slot = cms_slot[k0]
+                                if slot >= 0:
+                                    ages[slot] = clock
+                                    clock += 1
+                                    for idx in range(k0 + 1, k0 + size_by_bid[dline >> 4]):
+                                        slot = cms_slot[idx]
+                                        if slot >= 0:
+                                            ages[slot] = clock
+                                            clock += 1
+                            continue
+                        size = size_by_bid[dline >> 4]
+                        if size < BLOCK_CACHELINES:
                             slot = cms_slot[k0]
                             if slot >= 0:
+                                # compressed hit: touch CMSs, decompress
+                                st_cms_hit += 1
+                                st_hits += 1
+                                st_decomp += 1
                                 ages[slot] = clock
                                 clock += 1
-                                for idx in range(k0 + 1, k0 + L_size[i]):
+                                for idx in range(k0 + 1, k0 + size):
                                     slot = cms_slot[idx]
                                     if slot >= 0:
                                         ages[slot] = clock
                                         clock += 1
-                        i += 1
-                        continue
-                    size = L_size[i]
-                    if L_hascms[i]:
-                        slot = cms_slot[k0]
-                        if slot >= 0:
-                            # compressed hit: touch CMSs, decompress
-                            st_cms_hit += 1
-                            st_hits += 1
+                                load_dbuf(k0, 1 << (dline & 15))
+                                slot = ucl_slot[dline]
+                                if slot >= 0:
+                                    ages[slot] = clock
+                                    clock += 1
+                                else:
+                                    alloc_ucl(dline, False)
+                                extra_events.append(i)
+                                extra_cycles.append(size + DECOMPRESS_LATENCY_CYCLES)
+                                continue
+                            # full miss on compressible approximate data
+                            st_miss_apx += 1
+                            st_misses += 1
+                            block = real_blocks[dline >> 4]
+                            entry = cmt_consult(block, size)
+                            entry_size = entry.size_cachelines
+                            if entry_size >= BLOCK_CACHELINES:
+                                # stored uncompressed: fetch just the line
+                                bytes_approx += 64
+                                emit((block << 4 | (dline & 15)) << 13 | 5)
+                                note_demand(i)
+                                slot = ucl_slot[dline]
+                                if slot >= 0:
+                                    ages[slot] = clock
+                                    clock += 1
+                                else:
+                                    alloc_ucl(dline, False)
+                                continue
+                            fetch = entry_size + entry.lazy_count
+                            bytes_approx += fetch << 6
+                            emit(block << 17 | fetch << 2 | 1)
+                            note_demand(i)
                             st_decomp += 1
-                            ages[slot] = clock
-                            clock += 1
-                            for idx in range(k0 + 1, k0 + size):
+                            group_dirty = False
+                            if entry.lazy_count:
+                                st_comp += 1
+                                entry.lazy_count = 0
+                                entry.size_cachelines = size
+                                entry.failed = 0
+                                entry.skipped = 0
+                                entry_size = size
+                                group_dirty = True
+                            for off in range(entry_size):
+                                idx = k0 + off
                                 slot = cms_slot[idx]
                                 if slot >= 0:
                                     ages[slot] = clock
                                     clock += 1
-                            load_dbuf(k0, L_bit[i])
+                                    if group_dirty:
+                                        dirty[slot] = True
+                                else:
+                                    alloc_cms((block + off) % S, idx, group_dirty)
+                            load_dbuf(k0, 1 << (dline & 15))
                             slot = ucl_slot[dline]
                             if slot >= 0:
                                 ages[slot] = clock
                                 clock += 1
                             else:
-                                alloc_ucl(L_set[i], dline, False)
-                            lat[i] += size + DECOMPRESS_LATENCY_CYCLES
-                            i += 1
+                                alloc_ucl(dline, False)
+                            extra_events.append(i)
+                            extra_cycles.append(DECOMPRESS_LATENCY_CYCLES)
                             continue
-                        # full miss on compressible approximate data
+                        # miss on an uncompressible approximate block: its
+                        # CMT entry can never be compressed — line fetch
                         st_miss_apx += 1
                         st_misses += 1
-                        block = real_blocks[k0 >> 4]
-                        entry = cmt_consult(block, size)
-                        entry_size = entry.size_cachelines
-                        if entry_size >= BLOCK_CACHELINES:
-                            # stored uncompressed: fetch just the line
-                            bytes_approx += 64
-                            emit(L_line[i] << 13 | 5)
-                            note_demand(i)
-                            slot = ucl_slot[dline]
-                            if slot >= 0:
-                                ages[slot] = clock
-                                clock += 1
-                            else:
-                                alloc_ucl(L_set[i], dline, False)
-                            i += 1
-                            continue
-                        fetch = entry_size + entry.lazy_count
-                        bytes_approx += fetch << 6
-                        emit(block << 17 | fetch << 2 | 1)
+                        block = real_blocks[dline >> 4]
+                        cmt_consult(block, size)
+                        bytes_approx += 64
+                        emit((block << 4 | (dline & 15)) << 13 | 5)
                         note_demand(i)
-                        st_decomp += 1
-                        group_dirty = False
-                        if entry.lazy_count:
-                            st_comp += 1
-                            entry.lazy_count = 0
-                            entry.size_cachelines = size
-                            entry.failed = 0
-                            entry.skipped = 0
-                            entry_size = size
-                            group_dirty = True
-                        for off in range(entry_size):
-                            idx = k0 + off
-                            slot = cms_slot[idx]
-                            if slot >= 0:
-                                ages[slot] = clock
-                                clock += 1
-                                if group_dirty:
-                                    dirty[slot] = True
-                            else:
-                                alloc_cms((block + off) % S, idx, group_dirty)
-                        load_dbuf(k0, L_bit[i])
                         slot = ucl_slot[dline]
                         if slot >= 0:
                             ages[slot] = clock
                             clock += 1
                         else:
-                            alloc_ucl(L_set[i], dline, False)
-                        lat[i] += DECOMPRESS_LATENCY_CYCLES
-                        i += 1
+                            alloc_ucl(dline, False)
                         continue
-                    # miss on an uncompressible approximate block: its
-                    # CMT entry can never be compressed — line fetch
-                    st_miss_apx += 1
-                    st_misses += 1
-                    cmt_consult(real_blocks[k0 >> 4], size)
-                    bytes_approx += 64
-                    emit(L_line[i] << 13 | 5)
-                    note_demand(i)
+                    # exact read
                     slot = ucl_slot[dline]
                     if slot >= 0:
                         ages[slot] = clock
                         clock += 1
-                    else:
-                        alloc_ucl(L_set[i], dline, False)
-                    i += 1
+                        st_hits += 1
+                        continue
+                    st_misses += 1
+                    bytes_exact += 64
+                    emit((real_blocks[dline >> 4] << 4 | (dline & 15)) << 13 | 5)
+                    note_demand(i)
+                    alloc_ucl(dline, False)
                     continue
-                # exact read
+                # writeback
+                k0 = dline & -16
+                if dbuf_k0d == k0:
+                    wb_bit = 1 << (dline & 15)
+                    dbuf_req |= wb_bit
+                    dbuf_in |= wb_bit
+                if refresh:
+                    slot = cms_slot[k0]
+                    if slot >= 0:
+                        ages[slot] = clock
+                        clock += 1
+                        for idx in range(k0 + 1, k0 + size_by_bid[dline >> 4]):
+                            slot = cms_slot[idx]
+                            if slot >= 0:
+                                ages[slot] = clock
+                                clock += 1
                 slot = ucl_slot[dline]
                 if slot >= 0:
                     ages[slot] = clock
                     clock += 1
-                    st_hits += 1
-                    i += 1
-                    continue
-                st_misses += 1
-                bytes_exact += 64
-                emit(L_line[i] << 13 | 5)
-                note_demand(i)
-                alloc_ucl(L_set[i], dline, False)
-                i += 1
-                continue
-            # writeback
-            if dbuf_k0d == L_k0d[i]:
-                wb_bit = L_bit[i]
-                dbuf_req |= wb_bit
-                dbuf_in |= wb_bit
-            if L_refresh[i]:
-                k0 = L_k0d[i]
-                slot = cms_slot[k0]
-                if slot >= 0:
-                    ages[slot] = clock
-                    clock += 1
-                    for idx in range(k0 + 1, k0 + L_size[i]):
-                        slot = cms_slot[idx]
-                        if slot >= 0:
-                            ages[slot] = clock
-                            clock += 1
-            slot = ucl_slot[dline]
-            if slot >= 0:
-                ages[slot] = clock
-                clock += 1
-                dirty[slot] = True
-            else:
-                alloc_ucl(L_set[i], dline, True)
-            i += 1
+                    dirty[slot] = True
+                else:
+                    alloc_ucl(dline, True)
+            pos = stop
 
         # --- stats -------------------------------------------------------
         # fold only the counters the event flows actually hit: absent
@@ -951,7 +948,7 @@ class AVRLLC:
         ):
             if count:
                 add(name, count)
-        return log, read_events
+        return log, read_events, extra_events, extra_cycles
 
     @property
     def mpki_misses(self) -> int:

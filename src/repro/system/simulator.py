@@ -168,8 +168,8 @@ class TimingSystem:
         # Every LLC flavour owns a batched replay of the filtered event
         # stream: BaselineLLC (baseline / Truncate / Doppelgänger)
         # replays its data array as one BatchedLRUMatrix pass, AVRLLC
-        # runs its array-backed fast scan (decode pass, same-block run
-        # batching, deferred DRAM settlement).
+        # runs its array-backed fast scan (decode pass, resident
+        # windows, deferred DRAM settlement).
         is_read = front_end.event_is_read
         read_lats = self.llc.replay_batch(front_end.event_addr, is_read)[is_read]
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from oracles import IntervalCoreReference, replay_llc, run_reference
-from repro.common.config import SystemConfig
+from repro.common.config import CacheConfig, SystemConfig
+from repro.common.constants import BLOCK_BYTES, CACHELINE_BYTES
 from repro.designs import AVR, BASELINE, PAPER_DESIGNS, TRUNCATE
 from repro.harness.runner import _build_layout
 from repro.harness.sweep import SweepPoint, run_functional_job
@@ -209,6 +210,180 @@ def test_avr_multicore_mixed_regions_bit_identical(variant):
         AVR, config, layout, 1 << 19, avr_options=dict(options)
     ).run(trace)
     assert ref.metrics_equal(vec), ref.metric_diffs(vec)
+
+
+# ----------------------------------------------------------------------
+# AVR resident windows: crafted streams under every window setting
+# ----------------------------------------------------------------------
+#: static sizes of the crafted streams' approximable blocks 0-7: the
+#: compressible ones own CMS groups, the size-16 ones cannot
+WINDOW_BLOCK_SIZES = np.array([2, 3, 16, 1, 4, 16, 2, 5], dtype=np.int64)
+#: the crafted streams' exact blocks
+WINDOW_EXACT_BLOCKS = (70, 71)
+#: 16 sets x 16 ways: line ``off`` of every block and sub-block ``k`` of
+#: block ``b``'s CMS group share set ``off == b + k``, so a block's UCLs
+#: and CMS entries compete for the same ways.  Warm-up and windows evict
+#: nothing; the pressure phase evicts everything, in LRU order.
+WINDOW_CONFIG = CacheConfig(16 * 16 * 64, 16, 15)
+
+#: module constants per setting: every resident stretch takes the window
+#: path (also split into 3-event passes), none does, or the defaults
+WINDOW_SETTINGS = {
+    "every": {"_WINDOW_MIN": 1, "_PROBE": 1, "_PROBE_CAP": 1},
+    "every-split": {
+        "_WINDOW_MIN": 1, "_PROBE": 1, "_PROBE_CAP": 1, "_WINDOW_MAX": 3,
+    },
+    "none": {"_WINDOW_MIN": 1 << 62},  # longer than any stream
+    "default": {},
+}
+
+
+def _line(block, off):
+    return block * BLOCK_BYTES + off * CACHELINE_BYTES
+
+
+def _warm_up():
+    """Lines 0-3 of every block resident (line 2 dirty); the DBUF ends
+    on compressible block 1, whose lines 1-3 share sets with its CMS
+    group.  Line 3 of block 3 is written back first, so it takes a
+    lower way of set 3 than the block's CMS entry: an age tie between
+    the two would evict the line first."""
+    events = [("w", _line(3, 3))]
+    for block in (0, 2, 3, 4, 5, 6, 7, 1, *WINDOW_EXACT_BLOCKS):
+        events += [("r", _line(block, off)) for off in range(4)]
+        events.append(("w", _line(block, 2)))
+    return events
+
+
+#: a resident stretch longer than the default probe back-off cap plus
+#: the window floor, so the default setting takes the window path too
+STRETCH = 1_500
+
+
+def _resident(seed, n=STRETCH,
+              blocks=(0, 1, 2, 3, 4, 5, 6, 7, *WINDOW_EXACT_BLOCKS),
+              lines=4, writebacks=0.3):
+    """``n`` reads and writebacks of resident lines ``0 .. lines-1``."""
+    rng = np.random.default_rng(seed)
+    return [
+        ("w" if rng.random() < writebacks else "r",
+         _line(blocks[rng.integers(len(blocks))], int(rng.integers(lines))))
+        for _ in range(n)
+    ]
+
+
+def _pressure():
+    """Exact misses flooding one set at a time, the sets holding a
+    block's UCL beside its CMS group first: evicts the whole cache in
+    LRU order, so the windows' ages and dirty bits decide the victim
+    order and the eviction flows (recompress vs lazy writeback)."""
+    return [
+        ("r", _line(200 + rnd, set_idx))
+        for set_idx in (3, 2, 1, 0, *range(4, 16)) for rnd in range(24)
+    ]
+
+
+def _cms_order(last):
+    """Block 3's last touch inside a window is ``last`` on line 3,
+    which shares set 3 with the block's resident CMS entry (and was
+    dirtied first, see :func:`_warm_up`).  The CMS refresh comes before
+    the UCL touch for a DBUF read or a writeback and after it for a
+    plain hit; flooding set 3 then evicts the older of the two first,
+    and the dirty line's eviction flow (recompress in place or lazy
+    writeback) shows which one that was."""
+    events = _warm_up() + _resident(9, 300, blocks=(0, 1, 3, 4, 6, 7))
+    if last == "dbuf-read":
+        events.append(("r", _line(3, 9)))  # compressed hit: DBUF on block 3
+    events += _resident(10, blocks=(0, 1, 4, 6, 7))
+    events.append(("w" if last == "writeback" else "r", _line(3, 3)))
+    return events + [("r", _line(200 + rnd, 3)) for rnd in range(24)]
+
+
+WINDOW_STREAMS = {
+    # a warm-up, then one resident stretch to the end of the stream
+    "resident-to-end": lambda: _warm_up() + _resident(1),
+    # a window ending on a DBUF read (block 1) whose UCL is absent
+    "ends-dbuf-absent": lambda: (
+        _warm_up() + _resident(2) + [("r", _line(1, 9))]
+        + _resident(3) + _pressure()
+    ),
+    # a window ending on a writeback to an absent line
+    "ends-writeback-absent": lambda: (
+        _warm_up() + _resident(4) + [("w", _line(5, 11))]
+        + _resident(5) + _pressure()
+    ),
+    # blocks with resident CMS groups: the refresh order in one event
+    **{f"cms-order-{last}": (lambda last=last: _cms_order(last))
+       for last in ("read", "dbuf-read", "writeback")},
+    # lines 4-12 of block 6 made resident while the DBUF holds block 1,
+    # a compressed hit loads block 6 with one line requested, a window
+    # reads and writes back its resident lines, then a compressed hit on
+    # block 0 replaces the DBUF: the PFE reads the window's masks
+    "dbuf-writebacks": lambda: (
+        _warm_up() + [("w", _line(6, off)) for off in range(4, 13)]
+        + [("r", _line(6, 13))]
+        + _resident(7, blocks=(6,), lines=13, writebacks=0.5)
+        + [("r", _line(0, 9))] + _pressure()
+    ),
+}
+
+
+def _replay_windows(monkeypatch, events, setting, variant, config, sizes):
+    """``replay_llc`` of ``events`` under one window setting."""
+    from repro.cache import llc_avr
+    from repro.system.layout import AddressLayout
+
+    for name, value in WINDOW_SETTINGS[setting].items():
+        monkeypatch.setattr(llc_avr, name, value)
+    layout = AddressLayout()
+    layout.add_region(0, sizes.size * BLOCK_BYTES, sizes)
+    return replay_llc(llc_avr.AVRLLC, events, config, layout, **AVR_VARIANTS[variant])
+
+
+@pytest.mark.parametrize("setting", sorted(WINDOW_SETTINGS))
+@pytest.mark.parametrize("stream", sorted(WINDOW_STREAMS))
+@pytest.mark.parametrize("variant", sorted(AVR_VARIANTS))
+def test_avr_resident_windows_match_oracle(monkeypatch, variant, stream, setting):
+    """Resident windows replay bit-identically to the per-event oracle,
+    whichever stretches take the window path."""
+    events = WINDOW_STREAMS[stream]()
+    outcome = _replay_windows(
+        monkeypatch, events, setting, variant, WINDOW_CONFIG, WINDOW_BLOCK_SIZES
+    )
+    # the stretches are resident: every read of a warmed line hits
+    warmed = {addr for _, addr in _warm_up()}
+    stretch_reads = sum(
+        kind == "r" and addr in warmed for kind, addr in events[len(_warm_up()):]
+    )
+    assert outcome.stats["llc_hits"] >= stretch_reads > 0
+
+
+@pytest.mark.parametrize("setting", sorted(WINDOW_SETTINGS))
+@pytest.mark.parametrize("variant", sorted(AVR_VARIANTS))
+def test_avr_window_skips_partial_cms_group(monkeypatch, variant, setting):
+    """A CMS group whose first sub-block is absent is not refreshed.
+
+    In 4 sets x 2 ways, block 0 (10 sub-blocks) wraps its CMS group
+    around the sets: allocating sub-block 8 evicts sub-block 0 and with
+    it the group, leaving sub-blocks 8 and 9 resident.  A window of hits
+    on line 0 (set 0, beside sub-block 8) must leave the partial group's
+    ages alone, which decides the victim of the miss that follows.
+    """
+    exact = [_line(70, off) for off in (1, 2, 3)]
+    events = [("r", _line(0, 0)), *(("r", addr) for addr in exact)]
+    rng = np.random.default_rng(8)
+    events += [
+        ("w" if rng.random() < 0.3 else "r",
+         (_line(0, 0), *exact)[rng.integers(4)])
+        for _ in range(STRETCH)
+    ]
+    # one miss in set 0 evicts the older of sub-block 8 and line 0
+    events += [("r", _line(80, 0)), ("r", _line(0, 0))]
+    outcome = _replay_windows(
+        monkeypatch, events, setting, variant,
+        CacheConfig(4 * 2 * 64, 2, 15), np.array([10], dtype=np.int64),
+    )
+    assert outcome.stats["cms_block_evictions"] >= 1
 
 
 @pytest.mark.parametrize(

@@ -252,3 +252,37 @@ class TestInvariants:
         slot = next(iter(ref._slot_of.values()))
         ref.tags[slot] = 0xDEAD  # corrupt the tag plane
         assert ref.check_invariants()
+
+
+class TestReplayMemory:
+    def test_resident_stream_peak_per_event(self):
+        """A hit-heavy replay stays within 220 bytes of traced peak per
+        event: the decode stays in numpy and only the stretches that run
+        per-event become Python lists (whole-stream lists took about 260
+        bytes per event here, 350 on avr-stream's heat stream)."""
+        import tracemalloc
+
+        import numpy as np
+
+        rng = np.random.default_rng(2)
+        n = 120_000
+        # 256 exact lines (4 per set) and 4 compressible approximable
+        # blocks (one line per set, CMS groups in sets 0-4): all resident
+        # in 64 sets x 8 ways after their first touch
+        lines = np.concatenate([
+            np.arange(256, dtype=np.int64),
+            APPROX_BASE // CACHELINE_BYTES + np.arange(64, dtype=np.int64),
+        ])
+        addrs = lines[rng.integers(0, lines.size, n)] * CACHELINE_BYTES
+        is_read = rng.random(n) < 0.7
+        layout = AddressLayout()
+        layout.add_region(APPROX_BASE, APPROX_END - APPROX_BASE, 2)
+        llc = AVRLLC(CacheConfig(64 * 8 * 64, 8, 15), DRAM(DRAMConfig()), layout)
+        tracemalloc.start()
+        try:
+            llc.replay_batch(addrs, is_read)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert llc.stats["llc_hits"] > 0.99 * is_read.sum()
+        assert peak / n <= 220, f"{peak / n:.0f} B/event"
