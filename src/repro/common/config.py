@@ -24,6 +24,17 @@ class CacheConfig:
     line_bytes: int = 64
 
     def __post_init__(self) -> None:
+        # Every consumer finds a line by shifting the address right by
+        # ``line_bytes.bit_length() - 1``, which is exact only for a
+        # power of two.
+        if self.line_bytes < 1 or self.line_bytes & (self.line_bytes - 1):
+            raise ValueError(
+                f"line_bytes must be a power of two, got {self.line_bytes}"
+            )
+        if self.ways < 1:
+            raise ValueError(f"ways must be at least 1, got {self.ways}")
+        if self.size_bytes < 1:
+            raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
         if self.size_bytes % (self.ways * self.line_bytes):
             raise ValueError(
                 f"cache size {self.size_bytes} not divisible by "

@@ -37,6 +37,23 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(1000, 3, 64)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        # divisible, but a 48 B line would be simulated as a 32 B one
+        ({"size_bytes": 48 * 4 * 16, "ways": 4, "line_bytes": 48}, "line_bytes"),
+        ({"size_bytes": 64 * 4, "ways": 4, "line_bytes": 0}, "line_bytes"),
+        ({"size_bytes": 64 * 4, "ways": 0}, "ways"),
+        ({"size_bytes": 64 * 4, "ways": -4}, "ways"),
+        ({"size_bytes": 0, "ways": 4}, "size_bytes"),
+        ({"size_bytes": -64 * 4, "ways": 4}, "size_bytes"),
+    ])
+    def test_unmodellable_geometry_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            CacheConfig(latency_cycles=1, **kwargs)
+
+    def test_power_of_two_line_accepted(self):
+        c = CacheConfig(32 * 4 * 8, 4, 1, line_bytes=32)
+        assert c.num_sets == 8
+
 
 class TestSystemConfig:
     def test_paper_matches_table1(self):
