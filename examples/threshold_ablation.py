@@ -4,7 +4,7 @@ Sweeps the paper's tunable T2 knob over the *wrf* temperature field
 (the least compressible benchmark) and over *orbit* history data (the
 most compressible), showing the quality/compression trade-off curve.
 Also ablates the method-selection choice by forcing a single
-downsampling variant.
+downsampling variant, through single-variant compressors.
 
 Run:  python examples/threshold_ablation.py
 """
@@ -14,12 +14,6 @@ import numpy as np
 from repro.common.constants import VALUES_PER_BLOCK
 from repro.common.types import CompressionMethod, ErrorThresholds
 from repro.compression import AVRCompressor
-from repro.compression.downsample import (
-    downsample_1d,
-    downsample_2d,
-    reconstruct_1d,
-    reconstruct_2d,
-)
 from repro.workloads import make_workload
 
 
@@ -37,34 +31,40 @@ def knob_sweep() -> None:
                   f" {err * 100:12.3f}")
 
 
-def method_ablation() -> None:
-    """Why AVR tries both placements: 1D wins on series, 2D on tiles."""
-    rng = np.random.default_rng(3)
+def method_ablation() -> dict[str, dict[str, tuple[float, float]]]:
+    """Why AVR tries both placements: 1D wins on series, 2D on tiles.
+
+    Each placement runs alone in a single-variant compressor
+    (``methods=(m,)``); the full compressor picks per block.  Returns
+    ``{data: {variant: (mean cachelines per block, success %)}}``.
+    """
     t = np.linspace(0, 8, VALUES_PER_BLOCK)
     series = (np.sin(t) + 2.5).astype(np.float32)[None, :].repeat(32, 0)
 
     yy, xx = np.mgrid[0:16, 0:16] / 16.0
-    tile = (np.sin(3 * yy) * np.cos(2 * xx) + 2.5).astype(np.float32)
+    tile = (np.sin(2 * yy) * np.cos(1.5 * xx) + 2.5).astype(np.float32)
     tiles = tile.reshape(1, VALUES_PER_BLOCK).repeat(32, 0)
 
-    comp = AVRCompressor(ErrorThresholds.from_t2(0.005))
-    print("\nMethod ablation (outliers per block, fewer is better):")
-    print(f"    {'data':>12} {'1D':>6} {'2D':>6} {'selected':>10}")
+    thresholds = ErrorThresholds.from_t2(0.005)
+    variants = {
+        "1D": AVRCompressor(thresholds, methods=(CompressionMethod.DOWNSAMPLE_1D,)),
+        "2D": AVRCompressor(thresholds, methods=(CompressionMethod.DOWNSAMPLE_2D,)),
+        "both": AVRCompressor(thresholds),
+    }
+    print("\nMethod ablation (cachelines per block, fewer is better; success %):")
+    print(f"    {'data':>12} {'1D':>12} {'2D':>12} {'both':>12} {'selected':>9}")
+    table: dict[str, dict[str, tuple[float, float]]] = {}
     for label, blocks in (("time series", series), ("2D field", tiles)):
-        fixed = comp._to_fixed(blocks, comp._choose_biases(blocks))
-        counts = {}
-        for mname, down, recon in (
-            ("1D", downsample_1d, reconstruct_1d),
-            ("2D", downsample_2d, reconstruct_2d),
-        ):
-            recon_f = comp._from_fixed(recon(down(fixed)), comp._choose_biases(blocks))
-            from repro.compression.outliers import detect_outliers
-
-            mask = detect_outliers(blocks, recon_f, comp.thresholds, comp.check_mode)
-            counts[mname] = mask.sum(axis=1).mean()
-        res = comp.compress_blocks(blocks)
+        row = {}
+        for name, comp in variants.items():
+            res = comp.compress_blocks(blocks)
+            row[name] = (float(res.size_cachelines.mean()), float(res.success.mean()) * 100)
+        res = variants["both"].compress_blocks(blocks)
         chosen = CompressionMethod(int(res.method[0])).name.replace("DOWNSAMPLE_", "")
-        print(f"    {label:>12} {counts['1D']:6.1f} {counts['2D']:6.1f} {chosen:>10}")
+        cells = " ".join(f"{size:5.1f} ({ok:3.0f}%)" for size, ok in row.values())
+        print(f"    {label:>12} {cells} {chosen:>9}")
+        table[label] = row
+    return table
 
 
 if __name__ == "__main__":

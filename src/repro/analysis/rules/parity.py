@@ -1,18 +1,19 @@
-"""PAR001 — engine parity for batched replay paths.
+"""PAR001 — engine parity for batched fast paths.
 
 Every vectorized fast path in this repository is licensed by a
 reference implementation and a differential test pinning the two
-bit-identical (the timing engine, the AVR replay and the trace
-generator all ship that way).  The package keeps only the batched
-paths; their per-event references live in the test oracle
+bit-identical (the timing engine, the AVR replay, the trace generator
+and the compressor all ship that way).  The package keeps only the
+batched paths; their references live in the test oracle
 (``tests/oracles.py``).  The convention is easy to erode: a new
-``replay_batch`` without a reference, or without a differential test,
-compiles and runs — it just stops being *verifiable*.
+``replay_batch`` or ``compress_blocks`` without a reference, or without
+a differential test, compiles and runs — it just stops being
+*verifiable*.
 
-This rule checks every class that defines a ``replay_batch`` method:
+This rule checks every class that defines one of :data:`FAST_PATHS`:
 
 * the class name must appear in the test oracle module
-  (``tests/oracles.py``), where its per-event reference lives,
+  (``tests/oracles.py``), where its reference lives,
 * the class name must appear in at least one differential test module
   (a ``tests/test_*equivalence*.py`` file), so the parity is actually
   exercised.
@@ -30,7 +31,11 @@ from ..findings import Finding
 from ..project import Project, SourceModule
 from ..registry import Rule, register_rule
 
-__all__ = ["EngineParity"]
+__all__ = ["FAST_PATHS", "EngineParity"]
+
+#: methods whose classes need an oracle twin and a differential test:
+#: the batched timing replays and the stacked compressor pass
+FAST_PATHS = ("replay_batch", "compress_blocks")
 
 
 @register_rule
@@ -40,11 +45,12 @@ class EngineParity(Rule):
     id = "PAR001"
     name = "engine-parity"
     summary = (
-        "every class defining replay_batch must be named in the test "
-        "oracle module and in a differential (equivalence) test module"
+        "every class defining replay_batch or compress_blocks must be "
+        "named in the test oracle module and in a differential "
+        "(equivalence) test module"
     )
     hint = (
-        "give the class a per-event reference in tests/oracles.py and "
+        "give the class a reference in tests/oracles.py and "
         "pin bit-identity in tests/test_*equivalence*.py"
     )
 
@@ -56,11 +62,16 @@ class EngineParity(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            if not any(
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name == "replay_batch"
-                for stmt in node.body
-            ):
+            method = next(
+                (
+                    stmt.name
+                    for stmt in node.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and stmt.name in FAST_PATHS
+                ),
+                None,
+            )
+            if method is None:
                 continue
             if node.name not in project.oracle_text:
                 yield Finding(
@@ -69,9 +80,8 @@ class EngineParity(Rule):
                     line=node.lineno,
                     col=node.col_offset,
                     message=(
-                        f"class {node.name} defines replay_batch but the "
-                        "test oracle module names no per-event reference "
-                        "for it"
+                        f"class {node.name} defines {method} but the "
+                        "test oracle module names no reference for it"
                     ),
                     hint=self.hint,
                 )
@@ -83,7 +93,7 @@ class EngineParity(Rule):
                     line=node.lineno,
                     col=node.col_offset,
                     message=(
-                        f"class {node.name} defines replay_batch but "
+                        f"class {node.name} defines {method} but "
                         "appears in no differential test module "
                         f"(searched: {tests})"
                     ),

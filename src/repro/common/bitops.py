@@ -119,29 +119,6 @@ def truncate_mantissa(
     return from_bits(np.where(exp == EXP_MAX, bits, rounded))
 
 
-def mantissa_error_within(
-    original: np.ndarray, approx: np.ndarray, n_msbit: int
-) -> np.ndarray:
-    """The paper's per-value outlier test, vectorized.
-
-    A value is approximated within relative error ``1 / 2**n_msbit``
-    when (i) sign and exponent fields match exactly and (ii) the
-    mantissa difference does not reach the ``n_msbit``-th most
-    significant mantissa bit.  Returns a boolean array, True where the
-    approximation is acceptable.
-    """
-    if not 1 <= n_msbit <= 23:
-        raise ValueError(f"n_msbit must be in [1, 23], got {n_msbit}")
-    ob, ab = as_bits(original), as_bits(approx)
-    same_sign_exp = (ob >> np.uint32(EXP_SHIFT)) == (ab >> np.uint32(EXP_SHIFT))
-    om = (ob & MANTISSA_MASK).astype(np.int32)
-    am = (ab & MANTISSA_MASK).astype(np.int32)
-    diff = np.abs(om - am)
-    # Error below 1/2^N <=> difference confined below bit (23 - N).
-    limit = np.int32(1) << np.int32(23 - n_msbit)
-    return same_sign_exp & (diff < limit)
-
-
 def n_msbit_for_threshold(t1: float) -> int:
     """Map a relative-error threshold T1 to the paper's N (error < 1/2^N)."""
     if not 0.0 < t1 <= 1.0:

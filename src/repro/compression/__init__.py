@@ -17,9 +17,7 @@ from .lossless import (
     stacked_ratio,
 )
 from .outliers import (
-    block_average_error,
     compressed_size_cachelines,
-    detect_outliers,
     max_outliers_for_size,
     pack_bitmap,
     unpack_bitmap,
@@ -36,9 +34,7 @@ __all__ = [
     "encode_line",
     "stacked_ratio",
     "TRUNCATE_RATIO",
-    "block_average_error",
     "compressed_size_cachelines",
-    "detect_outliers",
     "downsample_1d",
     "downsample_2d",
     "max_outliers_for_size",

@@ -1,11 +1,69 @@
 """The AVR compressor/decompressor pipeline (paper §3.3, Figure 4).
 
 The batch API (:meth:`AVRCompressor.compress_blocks`) processes an
-``(nblocks, 256)`` array in one vectorized pass: exponent biasing,
-float-to-fixed conversion, both downsampling variants (1D and 2D) in
-parallel, reconstruction, outlier detection and the T1/T2 error checks.
-It is the hot path of the functional simulation layer and never loops
-over individual values.
+``(nblocks, 256)`` array in one stacked pass.  The hardware tries the
+1D and 2D placements of every block in parallel and keeps the better
+one; the model does the same with the variants on a leading axis:
+
+1. **Batch invariants, once.**  From the float32 magnitudes' bit
+   patterns: the per-block exponent bias, the rows holding NaN or Inf,
+   and (hybrid mode) the block scale, the largest finite magnitude
+   floored at 1e-30.
+2. **Fixed point.**  ``rint(x * 2^(bias + frac_bits))``, saturated to
+   int32 (NaN becomes 0).  The product is exact, so this equals biasing
+   first and converting second.
+3. **All summaries in one product, all reconstructions as products**
+   (:func:`~repro.compression.downsample.summarize`,
+   :func:`~repro.compression.downsample.reconstruct_stack`): integer-
+   exact float64 GEMMs, giving a ``(k, nblocks, 256)`` stack for the
+   ``k`` requested variants.
+4. **Back to float32** with one ``r * 2^-(bias + frac_bits)`` (exact in
+   float64) and one float32 rounding.
+5. **One outlier check, one error check and one choice over the stack.**
+   The chosen variant has the smaller compressed size, ties broken on
+   the smaller average error, earlier variants winning exact ties; one
+   gather per output array picks it.
+
+The check modes (``"hardware"``, ``"relative"``, ``"hybrid"``):
+
+* ``"hardware"`` — the paper's single-cycle float comparison: signs and
+  exponents must match and the mantissa difference must stay below the
+  N-th most significant mantissa bit (error < 1/2^N, N from T1).  With
+  ``(r_bits ^ x_bits) < 2^23`` (sign and exponent match), the int32
+  difference of the bit patterns *is* the mantissa difference.  The
+  block average error is the mean mantissa difference over 2^23.
+* ``"relative"`` — the exact relative error ``|r - x| / max(|x|,
+  1e-30)`` against T1.
+* ``"hybrid"`` (default) — a value passes the float check *or* lies
+  within T1 of the block scale.  The second disjunct models the
+  fixed-point datapath: AVR compares per-block-biased fixed-point
+  numbers ("for fixed point numbers a subtraction and a subsequent
+  comparison would be required"), an *absolute* comparison at the
+  block's magnitude.  Without it, any block holding near-zero values
+  would be all-outliers even when the reconstruction is essentially
+  exact.  Two facts reduce the mode to one comparison and one division:
+
+  - The float check implies the scale check.  With ``N = clip(ceil(
+    -log2 T1), 1, 23)``, a pass means ``|r - x| < 2^-N |x|`` for a
+    normal ``x`` (the mantissas differ by less than ``2^(23-N)`` units
+    of its binade) and ``|r - x| < 2^-N 2^-126`` for a denormal or zero
+    ``x``; ``2^-N <= T1``, except where ``N = 23`` clips and a pass
+    means ``r == x``; and ``scale >= max(|x|, 1e-30)``.  The difference
+    of two float32 values with one exponent is exact in float64, so a
+    value is an outlier exactly when ``not |r - x| <= T1 * scale``.
+  - Each value's error is ``min(|r - x| / max(|x|, 1e-30), |r - x| /
+    scale)``, and that is ``|r - x| / scale`` for every finite ``x``:
+    ``scale >= max(|x|, 1e-30)`` and rounded division is monotone in
+    the divisor.  A NaN or Inf original is always an outlier (its
+    block has bias 0, so its reconstruction is finite and fails both
+    disjuncts), so the value its error takes never reaches a mean.
+
+The masked mean of a block is a contiguous per-row ``sum`` over an
+array whose outliers were overwritten with 0 — never a product with the
+mask (NaN x 0 is NaN) nor a matmul (it would reorder the sum).
+
+The FIXED32 path skips biasing and conversion and always applies the
+relative check to the integer values.
 
 The scalar API (:meth:`compress_block` / :meth:`decompress_block`)
 wraps it for single blocks and returns/accepts the byte-accurate
@@ -24,14 +82,14 @@ from ..common.types import CompressionMethod, DataType, ErrorThresholds
 from ..fixedpoint.bias import BIAS_FIELD_MAX, BIAS_FIELD_MIN, TARGET_MAX_EXPONENT
 from ..fixedpoint.convert import DEFAULT_FORMAT, FixedPointFormat
 from .block import CompressedBlock
-from .downsample import downsample_1d, downsample_2d, reconstruct_1d, reconstruct_2d
-from .errors import relative_error
-from .outliers import (
-    CHECK_MODES,
-    block_average_error,
-    compressed_size_cachelines,
-    detect_outliers,
-)
+from .downsample import METHODS, reconstruct_stack, summarize
+from .outliers import compressed_size_cachelines
+
+CHECK_MODES = ("hardware", "relative", "hybrid")
+
+_ABS_MASK = np.uint32(0x7FFFFFFF)
+_EXP_ONE = np.uint32(1 << bitops.EXP_SHIFT)
+_INF_BITS = np.uint32(0x7F800000)
 
 
 @dataclass
@@ -79,11 +137,6 @@ DEFAULT_METHODS = (
     CompressionMethod.DOWNSAMPLE_2D,
 )
 
-_METHOD_KERNELS = {
-    CompressionMethod.DOWNSAMPLE_1D: (downsample_1d, reconstruct_1d),
-    CompressionMethod.DOWNSAMPLE_2D: (downsample_2d, reconstruct_2d),
-}
-
 
 class AVRCompressor:
     """Vectorized model of the AVR compressor/decompressor module.
@@ -104,56 +157,17 @@ class AVRCompressor:
         self.thresholds = thresholds or ErrorThresholds()
         self.fmt = fmt
         if check_mode not in CHECK_MODES:
-            # Validate eagerly: the float path would only raise deep
-            # inside the first compress_blocks call, and the FIXED32
-            # path never consults the mode at all — a typo would be
-            # silently ignored there.
+            # Validate eagerly: a typo would otherwise surface only in
+            # the first compress_blocks call, and the FIXED32 path never
+            # consults the mode at all.
             raise ValueError(
                 f"unknown check mode {check_mode!r}; expected one of {CHECK_MODES}"
             )
         self.check_mode = check_mode
-        if not methods or any(m not in _METHOD_KERNELS for m in methods):
+        if not methods or any(m not in METHODS for m in methods):
             raise ValueError(f"methods must be non-empty downsampling variants, got {methods}")
         self.methods = tuple(methods)
         self.enable_bias = enable_bias
-
-    # ------------------------------------------------------------------
-    # biasing (vectorized over blocks)
-    # ------------------------------------------------------------------
-    def _choose_biases(self, blocks: np.ndarray) -> np.ndarray:
-        """Per-block exponent bias, 0 where biasing is skipped."""
-        exps = bitops.exponent_bits(blocks)  # (B, 256) int16
-        special = (exps == bitops.EXP_MAX).any(axis=1)
-        nonzero = exps > 0
-        has_nonzero = nonzero.any(axis=1)
-        maxe = np.where(nonzero, exps, np.int16(-1)).max(axis=1).astype(np.int32)
-        mine = np.where(nonzero, exps, np.int16(999)).min(axis=1).astype(np.int32)
-        bias = TARGET_MAX_EXPONENT - maxe
-        valid = (
-            has_nonzero
-            & ~special
-            & (mine + bias >= 1)
-            & (maxe + bias <= 254)
-            & (bias >= BIAS_FIELD_MIN)
-            & (bias <= BIAS_FIELD_MAX)
-        )
-        return np.where(valid, bias, 0).astype(np.int16)
-
-    def _to_fixed(self, blocks: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """Bias and convert float32 blocks to fixed point (saturating)."""
-        biased = np.ldexp(blocks.astype(np.float64), bias[:, None])
-        scaled = np.rint(biased * self.fmt.scale)
-        clipped = np.clip(
-            np.nan_to_num(scaled, nan=0.0, posinf=self.fmt.max_int, neginf=self.fmt.min_int),
-            self.fmt.min_int,
-            self.fmt.max_int,
-        )
-        return clipped.astype(np.int32)
-
-    def _from_fixed(self, fixed: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """Convert fixed point back to float32 and remove the bias."""
-        values = fixed.astype(np.float64) / self.fmt.scale
-        return np.ldexp(values, -bias[:, None]).astype(np.float32)
 
     # ------------------------------------------------------------------
     # batch compression
@@ -167,95 +181,148 @@ class AVRCompressor:
             raise ValueError(
                 f"expected (nblocks, {VALUES_PER_BLOCK}), got {blocks.shape}"
             )
+        nblocks = blocks.shape[0]
+        methods = self.methods
         if dtype == DataType.FLOAT32:
-            return self._compress_float(blocks.astype(np.float32, copy=False))
-        return self._compress_fixed(blocks.astype(np.int32, copy=False))
-
-    def _compress_float(self, blocks: np.ndarray) -> BatchCompressionResult:
-        if self.enable_bias:
-            bias = self._choose_biases(blocks)
+            x = np.ascontiguousarray(blocks, dtype=np.float32)
+            magnitude = x.view(np.uint32) & _ABS_MASK
+            top = magnitude.max(axis=1)
+            special = top >= _INF_BITS
+            bias = self._bias(magnitude, top, special)
+            fixed = self._to_fixed(x, bias, special)
+            summaries = summarize(fixed, methods)
+            del fixed
+            stack = reconstruct_stack(summaries, methods)
+            recon = np.empty(stack.shape, dtype=np.float32)
+            np.multiply(stack, self._unscale(bias)[:, None], out=recon, casting="same_kind")
+            del stack
+            mask, avg = self._check_float(x, recon, magnitude, top, special)
         else:
-            bias = np.zeros(blocks.shape[0], dtype=np.int16)
-        fixed = self._to_fixed(blocks, bias)
+            x = np.ascontiguousarray(blocks, dtype=np.int32)
+            bias = np.zeros(nblocks, dtype=np.int16)
+            summaries = summarize(x.astype(np.float64), methods)
+            recon = reconstruct_stack(summaries, methods)
+            magnitude = np.abs(x.astype(np.float64))
+            mask, avg = self._check_relative(x, recon, magnitude)
+        counts = mask.sum(axis=-1)
+        sizes = compressed_size_cachelines(counts)
 
-        candidates = []
-        for method in self.methods:
-            down, recon = _METHOD_KERNELS[method]
-            summary = down(fixed)
-            recon_f = self._from_fixed(recon(summary), bias)
-            mask = detect_outliers(blocks, recon_f, self.thresholds, self.check_mode)
-            counts = mask.sum(axis=1).astype(np.int32)
-            sizes = compressed_size_cachelines(counts)
-            avg = block_average_error(blocks, recon_f, mask, self.check_mode)
-            candidates.append((method, summary, recon_f, mask, counts, sizes, avg))
-
-        return self._select_and_finalize(blocks, bias, candidates)
-
-    def _compress_fixed(self, blocks: np.ndarray) -> BatchCompressionResult:
-        """Fixed-point path: no biasing or format conversion, relative check."""
-        bias = np.zeros(blocks.shape[0], dtype=np.int16)
-        as_float = blocks.astype(np.float64)
-
-        candidates = []
-        for method in self.methods:
-            down, recon = _METHOD_KERNELS[method]
-            summary = down(blocks)
-            recon_i = recon(summary)
-            err = relative_error(as_float, recon_i.astype(np.float64))
-            mask = err > self.thresholds.t1
-            counts = mask.sum(axis=1).astype(np.int32)
-            sizes = compressed_size_cachelines(counts)
-            keep = ~mask
-            kcount = np.maximum(keep.sum(axis=1), 1)
-            avg = np.where(keep, err, 0.0).sum(axis=1) / kcount
-            candidates.append((method, summary, recon_i, mask, counts, sizes, avg))
-
-        return self._select_and_finalize(blocks, bias, candidates)
-
-    def _select_and_finalize(
-        self, blocks: np.ndarray, bias: np.ndarray, candidates: list
-    ) -> BatchCompressionResult:
-        """Pick the best variant per block and apply the T2/size checks.
-
-        Preference: smaller compressed size, ties broken on average
-        error (all variants are computed in parallel in hardware).
-        """
-        m1, s1, r1, o1, c1, z1, e1 = candidates[0]
-        method = np.full(blocks.shape[0], np.uint8(m1))
-        summaries, recon, mask = s1, r1, o1
-        counts, sizes, avg = c1, z1.astype(np.int32), e1
-        for m2, s2, r2, o2, c2, z2, e2 in candidates[1:]:
-            use2 = (z2 < sizes) | ((z2 == sizes) & (e2 < avg))
-            method = np.where(use2, np.uint8(m2), method)
-            summaries = np.where(use2[:, None], s2, summaries)
-            recon = np.where(use2[:, None], r2, recon)
-            mask = np.where(use2[:, None], o2, mask)
-            counts = np.where(use2, c2, counts)
-            sizes = np.where(use2, z2, sizes).astype(np.int32)
-            avg = np.where(use2, e2, avg)
-
-        success = (sizes <= MAX_COMPRESSED_CACHELINES) & (avg <= self.thresholds.t2)
-        sizes = np.where(success, sizes, BLOCK_CACHELINES).astype(np.int32)
-        method = np.where(success, method, np.uint8(CompressionMethod.UNCOMPRESSED))
-        bias = np.where(success, bias, 0).astype(np.int16)
-
+        # Choice: smaller size, ties on smaller error; earlier wins ties.
+        choice = np.zeros(nblocks, dtype=np.intp)
+        best_size, best_err = sizes[0], avg[0]
+        for i in range(1, len(methods)):
+            better = (sizes[i] < best_size) | ((sizes[i] == best_size) & (avg[i] < best_err))
+            choice[better] = i
+            best_size = np.where(better, sizes[i], best_size)
+            best_err = np.where(better, avg[i], best_err)
+        rows = np.arange(nblocks)
+        chosen_mask = mask[choice, rows]
+        del mask
+        success = (best_size <= MAX_COMPRESSED_CACHELINES) & (best_err <= self.thresholds.t2)
         # Round-trip view: approximated values with outliers restored,
         # originals where compression failed.
-        reconstructed = np.where(mask | ~success[:, None], blocks, recon)
-        counts = np.where(success, counts, 0).astype(np.int32)
-        mask = mask & success[:, None]
-
+        reconstructed = recon[choice, rows].astype(x.dtype, copy=False)
+        np.copyto(reconstructed, x, where=chosen_mask | ~success[:, None])
+        method = np.asarray(methods, dtype=np.uint8)[choice]
         return BatchCompressionResult(
             success=success,
-            method=method.astype(np.uint8),
-            bias=bias,
-            size_cachelines=sizes,
-            outlier_count=counts,
-            avg_error=avg,
+            method=np.where(success, method, np.uint8(CompressionMethod.UNCOMPRESSED)),
+            bias=np.where(success, bias, 0).astype(np.int16),
+            size_cachelines=np.where(success, best_size, BLOCK_CACHELINES).astype(np.int32),
+            outlier_count=np.where(success, counts[choice, rows], 0).astype(np.int32),
+            avg_error=best_err,
             reconstructed=reconstructed,
-            summaries=summaries.astype(np.int32),
-            outlier_mask=mask,
+            summaries=summaries[rows, choice].astype(np.int32),
+            outlier_mask=chosen_mask & success[:, None],
         )
+
+    def _bias(
+        self, magnitude: np.ndarray, top: np.ndarray, special: np.ndarray
+    ) -> np.ndarray:
+        """Per-block exponent bias, 0 where biasing is skipped.
+
+        ``magnitude`` holds the ``|x|`` bit patterns, ``top`` each row's
+        largest and ``special`` the rows holding NaN or Inf.  The largest
+        exponent is that of the largest magnitude.  The smallest
+        *nonzero* exponent comes from ``magnitude - 2^23``: zeros and
+        denormals wrap past every normal value.
+        """
+        if not self.enable_bias:
+            return np.zeros(magnitude.shape[0], dtype=np.int16)
+        maxe = (top >> bitops.EXP_SHIFT).astype(np.int32)
+        mine = ((magnitude - _EXP_ONE).min(axis=1) + _EXP_ONE) >> bitops.EXP_SHIFT
+        mine = mine.astype(np.int32)
+        bias = TARGET_MAX_EXPONENT - maxe
+        valid = (
+            (maxe > 0)
+            & ~special
+            & (mine + bias >= 1)
+            & (maxe + bias <= 254)
+            & (bias >= BIAS_FIELD_MIN)
+            & (bias <= BIAS_FIELD_MAX)
+        )
+        return np.where(valid, bias, 0).astype(np.int16)
+
+    def _to_fixed(self, x: np.ndarray, bias: np.ndarray, special: np.ndarray) -> np.ndarray:
+        """Biased, saturated fixed point of ``x`` as float64 integers."""
+        scale = np.ldexp(1.0, bias.astype(np.int32) + self.fmt.frac_bits)
+        fixed = x * scale[:, None]
+        np.rint(fixed, out=fixed)
+        np.maximum(fixed, self.fmt.min_int, out=fixed)
+        np.minimum(fixed, self.fmt.max_int, out=fixed)
+        if special.any():
+            fixed[special] = np.nan_to_num(fixed[special], nan=0.0)
+        return fixed
+
+    def _unscale(self, bias: np.ndarray) -> np.ndarray:
+        """``2^-(bias + frac_bits)`` per block: fixed point back to float."""
+        return np.ldexp(1.0, -(bias.astype(np.int32) + self.fmt.frac_bits))
+
+    def _check_float(
+        self,
+        x: np.ndarray,
+        recon: np.ndarray,
+        magnitude: np.ndarray,
+        top: np.ndarray,
+        special: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Outlier mask ``(k, B, 256)`` and average error ``(k, B)``."""
+        if self.check_mode == "relative":
+            return self._check_relative(x, recon, magnitude.view(np.float32))
+        if self.check_mode == "hardware":
+            rbits = recon.view(np.int32)
+            xbits = x.view(np.int32)
+            diff = np.bitwise_xor(rbits, xbits)
+            ok = diff.view(np.uint32) < _EXP_ONE
+            np.subtract(rbits, xbits, out=diff)
+            np.abs(diff, out=diff)
+            ok &= diff < 1 << (23 - bitops.n_msbit_for_threshold(self.thresholds.t1))
+            mask = np.logical_not(ok, out=ok)
+            diff[mask] = 0
+            kept = VALUES_PER_BLOCK - mask.sum(axis=-1)
+            return mask, diff.sum(axis=-1) / float(1 << 23) / np.maximum(kept, 1)
+        largest = top
+        if special.any():
+            largest = top.copy()
+            rows = magnitude[special]
+            largest[special] = np.where(rows < _INF_BITS, rows, 0).max(axis=1)
+        scale = np.maximum(largest.view(np.float32), 1e-30, dtype=np.float64)[:, None]
+        err = np.subtract(recon, x, dtype=np.float64)
+        np.abs(err, out=err)
+        mask = ~(err <= self.thresholds.t1 * scale)
+        err /= scale
+        return mask, _masked_mean(err, mask)
+
+    def _check_relative(
+        self, x: np.ndarray, recon: np.ndarray, magnitude: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Relative-error outlier mask and average error of a stack."""
+        err = np.subtract(recon, x, dtype=np.float64)
+        np.abs(err, out=err)
+        with np.errstate(invalid="ignore"):
+            err /= np.maximum(magnitude, 1e-30, dtype=np.float64)
+        mask = err > self.thresholds.t1
+        return mask, _masked_mean(err, mask)
 
     # ------------------------------------------------------------------
     # batch decompression
@@ -275,18 +342,17 @@ class AVRCompressor:
         summaries = np.asarray(summaries, dtype=np.int32)
         methods = np.asarray(methods)
         biases = np.asarray(biases, dtype=np.int16)
-        recon = np.empty((summaries.shape[0], VALUES_PER_BLOCK), dtype=np.int32)
-        is1d = methods == CompressionMethod.DOWNSAMPLE_1D
-        is2d = methods == CompressionMethod.DOWNSAMPLE_2D
-        if not bool(np.all(is1d | is2d)):
+        if not bool(np.isin(methods, METHODS).all()):
             raise ValueError("decompress_blocks requires all blocks compressed")
-        if np.any(is1d):
-            recon[is1d] = reconstruct_1d(summaries[is1d])
-        if np.any(is2d):
-            recon[is2d] = reconstruct_2d(summaries[is2d])
+        recon = np.empty((summaries.shape[0], VALUES_PER_BLOCK))
+        for method in METHODS:
+            rows = methods == method
+            if rows.any():
+                picked = summaries[rows].astype(np.float64)[:, None, :]
+                recon[rows] = reconstruct_stack(picked, (method,))[0]
         if dtype == DataType.FIXED32:
-            return recon
-        return self._from_fixed(recon, biases)
+            return recon.astype(np.int32)
+        return (recon * self._unscale(biases)[:, None]).astype(np.float32)
 
     # ------------------------------------------------------------------
     # scalar convenience API
@@ -334,3 +400,14 @@ class AVRCompressor:
             else:
                 recon[block.outlier_mask] = block.outlier_bits.view(np.int32)
         return recon
+
+
+def _masked_mean(err: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of ``err`` over the non-outliers of each row (0 if none).
+
+    Outliers are overwritten with 0 in place and each row is summed
+    contiguously, so every row sums exactly as a lone ``(256,)`` row.
+    """
+    np.copyto(err, 0.0, where=mask)
+    kept = VALUES_PER_BLOCK - mask.sum(axis=-1)
+    return err.sum(axis=-1) / np.maximum(kept, 1)

@@ -1,38 +1,17 @@
-"""Outlier detection, bitmap handling and compressed-size computation.
+"""Outlier bitmaps and compressed-size computation.
 
-After downsampling + reconstruction, each value is checked against the
-per-value threshold T1.  Failing values become *outliers*: stored
-verbatim in the compressed block behind a 256-bit location bitmap
-(half a cacheline).  The per-block average error of the non-outlier
-values is then checked against T2.
-
-Three check modes are provided:
-
-* ``"hardware"`` — the paper's single-cycle float comparison: signs and
-  exponents must match exactly and the mantissa difference must stay
-  below the N-th most significant mantissa bit (error < 1/2^N), with
-  N derived from T1.  The block average error is the mean of the
-  mantissa differences of non-outliers, normalized to a relative error.
-* ``"relative"`` — an exact relative-error comparison (reference
-  implementation of the same criterion).
-* ``"hybrid"`` (default) — passes a value if it passes the float check
-  *or* its absolute error is within T1 of the block's value scale.
-  The second disjunct models the fixed-point datapath: AVR compares
-  original and reconstructed values as per-block-biased fixed-point
-  numbers ("for fixed point numbers a subtraction and a subsequent
-  comparison would be required"), and a fixed-point subtraction is an
-  *absolute* comparison at the block's magnitude.  Without it, any
-  block containing near-zero values (secondary velocity components,
-  signed fields crossing zero) would be all-outliers even when the
-  reconstruction is essentially exact — contradicting the paper's
-  16:1 ratios on exactly such data.
+After downsampling and reconstruction, each value is checked against the
+per-value threshold T1 (the check modes live with the compressor, in
+:mod:`repro.compression.compressor`).  Failing values become
+*outliers*: stored verbatim in the compressed block behind a 256-bit
+location bitmap (half a cacheline).  This module sizes such a block
+and packs its bitmap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..common import bitops
 from ..common.constants import (
     BITMAP_BYTES,
     CACHELINE_BYTES,
@@ -40,80 +19,6 @@ from ..common.constants import (
     VALUE_BYTES,
     VALUES_PER_BLOCK,
 )
-from ..common.types import ErrorThresholds
-from .errors import relative_error
-
-CHECK_MODES = ("hardware", "relative", "hybrid")
-
-
-def _block_scale(original: np.ndarray) -> np.ndarray:
-    """Per-block value scale: the largest finite magnitude, as a column.
-
-    This is the range the fixed-point conversion is biased to, so it is
-    the natural unit of a fixed-point subtract-and-compare.
-    """
-    mags = np.abs(np.asarray(original, dtype=np.float64))
-    mags = np.where(np.isfinite(mags), mags, 0.0)
-    return np.maximum(mags.max(axis=1, keepdims=True), 1e-30)
-
-
-def detect_outliers(
-    original: np.ndarray,
-    reconstructed: np.ndarray,
-    thresholds: ErrorThresholds,
-    mode: str = "hybrid",
-) -> np.ndarray:
-    """Boolean mask (nblocks, 256): True where a value is an outlier."""
-    if mode not in CHECK_MODES:
-        raise ValueError(f"unknown check mode {mode!r}; expected one of {CHECK_MODES}")
-    if mode in ("hardware", "hybrid"):
-        n = bitops.n_msbit_for_threshold(thresholds.t1)
-        ok = bitops.mantissa_error_within(
-            np.asarray(original, np.float32), np.asarray(reconstructed, np.float32), n
-        )
-        if mode == "hybrid":
-            abs_err = np.abs(
-                np.asarray(reconstructed, np.float64) - np.asarray(original, np.float64)
-            )
-            ok = ok | (abs_err <= thresholds.t1 * _block_scale(original))
-        return ~ok
-    return relative_error(original, reconstructed) > thresholds.t1
-
-
-def block_average_error(
-    original: np.ndarray,
-    reconstructed: np.ndarray,
-    outliers: np.ndarray,
-    mode: str = "hybrid",
-) -> np.ndarray:
-    """Average relative error per block over *non-outlier* values.
-
-    Returns an (nblocks,) float array.  Blocks where every value is an
-    outlier score 0 (no approximated values remain; the size check will
-    reject them anyway).  In hybrid mode each value's error is the
-    smaller of its relative error and its block-scaled absolute error,
-    mirroring the fixed-point comparison path.
-    """
-    if mode not in CHECK_MODES:
-        raise ValueError(f"unknown check mode {mode!r}; expected one of {CHECK_MODES}")
-    if mode == "hardware":
-        # Non-outliers have identical sign and exponent, so the error is
-        # the mantissa difference scaled by the implicit-leading-one
-        # significand (~2^23), matching the paper's adder tree.
-        om = bitops.mantissa_bits(np.asarray(original, np.float32)).astype(np.int64)
-        am = bitops.mantissa_bits(np.asarray(reconstructed, np.float32)).astype(np.int64)
-        err = np.abs(om - am) / float(1 << 23)
-    else:
-        err = relative_error(original, reconstructed)
-        if mode == "hybrid":
-            abs_err = np.abs(
-                np.asarray(reconstructed, np.float64) - np.asarray(original, np.float64)
-            )
-            err = np.minimum(err, abs_err / _block_scale(original))
-    keep = ~outliers
-    counts = keep.sum(axis=1)
-    sums = np.where(keep, err, 0.0).sum(axis=1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
 
 
 def compressed_size_cachelines(outlier_counts: np.ndarray) -> np.ndarray:

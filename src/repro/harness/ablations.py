@@ -23,7 +23,7 @@ from ..common.config import SystemConfig
 from ..common.constants import VALUES_PER_BLOCK
 from ..common.types import CompressionMethod
 from ..compression.compressor import AVRCompressor
-from ..compression.errors import relative_error
+from ..compression.errors import mean_relative_error
 from ..designs import BASELINE, get_design, layout_source_design
 from ..system.frontend import compute_front_end
 from ..trace.generator import generate_trace
@@ -195,6 +195,11 @@ def run_compressor_ablations(
     """Compression ratio / mean error per compressor variant, measured
     on the workload's real (baseline-run) approximable data.
 
+    The error is the paper's output-quality metric,
+    :func:`~repro.compression.errors.mean_relative_error`, whose
+    denominators are floored at a fraction of the data's mean magnitude,
+    so exact zeros in the data do not dominate the mean.
+
     The baseline run is the sweep engine's functional job unit, so with
     ``cache_dir`` it is shared with any other sweep of the same point.
     """
@@ -227,10 +232,9 @@ def run_compressor_ablations(
     for label, kwargs in variants.items():
         comp = AVRCompressor(thresholds, **kwargs)
         result = comp.compress_blocks(blocks)
-        err = relative_error(blocks, result.reconstructed)
         out[label] = {
             "ratio": result.compression_ratio,
-            "mean_error_pct": float(err.mean()) * 100.0,
+            "mean_error_pct": mean_relative_error(blocks, result.reconstructed) * 100.0,
             "success_pct": float(result.success.mean()) * 100.0,
         }
     return out

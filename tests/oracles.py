@@ -1,11 +1,13 @@
 """Test oracles: the reference implementations the fast paths replaced.
 
 The package keeps one production path per layer: the batched timing
-replay (:meth:`repro.system.TimingSystem.run`) and the columnar trace
-synthesis (:func:`repro.trace.generate_trace`).  The slow, obviously
-correct implementations those paths were derived from live here, where
-the differential suites (``test_engine_equivalence.py``,
-``test_array_lru.py``, ``test_trace_equivalence.py``,
+replay (:meth:`repro.system.TimingSystem.run`), the columnar trace
+synthesis (:func:`repro.trace.generate_trace`) and the stacked
+compressor pass (:meth:`repro.compression.AVRCompressor.compress_blocks`).
+The slow, obviously correct implementations those paths were derived
+from live here, where the differential suites
+(``test_engine_equivalence.py``, ``test_array_lru.py``,
+``test_trace_equivalence.py``, ``test_compressor_equivalence.py``,
 ``test_scenario.py``, the per-component unit tests) and the ``--check``
 modes of ``benchmarks/bench_timing.py`` and
 ``benchmarks/bench_trace_synthesis.py`` diff the fast paths against
@@ -42,6 +44,20 @@ On top of the twins:
 * :func:`generate_trace_reference` — the per-(iteration, phase)
   fragment loop, the oracle of :func:`repro.trace.generate_trace`.
 
+The functional layer's compressor:
+
+* :func:`compress_blocks_reference` — one pass per placement variant
+  (downsample, gather-based reconstruction, :func:`detect_outliers`,
+  :func:`block_average_error`) and a pairwise variant choice, the
+  oracle of :meth:`repro.compression.AVRCompressor.compress_blocks`
+  (``test_compressor_equivalence.py``);
+* :func:`downsample_1d_reference` … :func:`reconstruct_2d_reference` —
+  the index-table kernels, the oracles of the GEMM-based
+  :mod:`repro.compression.downsample`;
+* :func:`choose_biases_reference`, :func:`to_fixed_reference` and
+  :func:`from_fixed_reference` — the biasing and the float/fixed
+  conversions.
+
 The benchmarks import this module by putting ``tests/`` on
 ``sys.path``.
 """
@@ -63,20 +79,38 @@ from repro.cache.llc_avr import (
     PFE_THRESHOLD,
 )
 from repro.cache.llc_baseline import BaselineLLC
+from repro.common import bitops
 from repro.common.config import CacheConfig, DRAMConfig, SystemConfig
 from repro.common.constants import (
     BLOCK_BYTES,
     BLOCK_CACHELINES,
+    BLOCK_SIDE_2D,
     BLOCKS_PER_PAGE,
     CACHELINE_BYTES,
     CMT_ENTRY_BITS,
     DECOMPRESS_LATENCY_CYCLES,
+    MAX_COMPRESSED_CACHELINES,
     MAX_FAILED_COUNT,
     MAX_SKIP_COUNT,
     PAGE_BYTES,
+    SUBBLOCK_VALUES,
+    SUMMARY_VALUES,
+    TILE_SIDE_2D,
+    TILES_PER_SIDE_2D,
+    VALUES_PER_BLOCK,
 )
 from repro.common.stats import StatCounter
+from repro.common.types import CompressionMethod, DataType, ErrorThresholds
+from repro.compression.compressor import (
+    CHECK_MODES,
+    AVRCompressor,
+    BatchCompressionResult,
+)
+from repro.compression.errors import relative_error
+from repro.compression.outliers import compressed_size_cachelines
 from repro.cpu.interval import IntervalCore
+from repro.fixedpoint.bias import BIAS_FIELD_MAX, BIAS_FIELD_MIN, TARGET_MAX_EXPONENT
+from repro.fixedpoint.convert import DEFAULT_FORMAT, FixedPointFormat
 from repro.memory.dram import DRAM
 from repro.system.frontend import INTERLEAVE_CHUNK
 from repro.system.layout import AddressLayout
@@ -101,15 +135,27 @@ __all__ = [
     "PrivateCaches",
     "ReplayOutcome",
     "SetAssocCache",
+    "block_average_error",
+    "block_scale",
     "block_size_of",
+    "choose_biases_reference",
     "cms_key",
+    "compress_blocks_reference",
     "decode_cms_key",
+    "detect_outliers",
+    "downsample_1d_reference",
+    "downsample_2d_reference",
+    "from_fixed_reference",
     "generate_trace_reference",
     "is_approx",
+    "mantissa_error_within",
     "matrix_lru_state",
+    "reconstruct_1d_reference",
+    "reconstruct_2d_reference",
     "reference_system",
     "replay_llc",
     "run_reference",
+    "to_fixed_reference",
 ]
 
 
@@ -1266,3 +1312,346 @@ def generate_trace_reference(
         iterations_simulated=iters_sim,
         iterations_total=spec.iterations,
     )
+
+
+# ======================================================================
+# the compressor
+# ======================================================================
+def _build_1d_tables_reference() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left/right summary indices and right-weights for 1D reconstruction.
+
+    Segment ``i`` covers positions ``[16i, 16i+15]`` with center at
+    ``16i + 7.5``.  In half-units (x2), centers sit at ``32i + 15`` and
+    positions at ``2p``; neighbor centers are 32 half-units apart, so
+    the right-weight numerator ``d`` is in ``[-15, 47]`` and the
+    division is a shift by 5 (negative / >32 weights extrapolate past
+    the outermost centers).
+    """
+    pos = 2 * np.arange(VALUES_PER_BLOCK)
+    centers = 32 * np.arange(SUMMARY_VALUES) + 15
+    left = np.clip((pos - 15) // 32, 0, SUMMARY_VALUES - 2)
+    right = left + 1
+    d = pos - centers[left]
+    return left.astype(np.intp), right.astype(np.intp), d.astype(np.int64)
+
+
+def _build_2d_tables_reference() -> tuple[np.ndarray, ...]:
+    """Index/weight tables for bilinear 2D reconstruction.
+
+    Tile ``(i, j)`` covers rows ``[4i, 4i+3]`` with center row
+    ``4i + 1.5`` (8i + 3 in half-units); positions are ``2r``.  Centers
+    are 8 half-units apart so per-axis weights are in ``[-3, 11]`` and
+    the combined bilinear division is a shift by 6.
+    """
+    coord = 2 * np.arange(BLOCK_SIDE_2D)
+    centers = 8 * np.arange(TILES_PER_SIDE_2D) + 3
+    low = np.clip((coord - 3) // 8, 0, TILES_PER_SIDE_2D - 2)
+    high = low + 1
+    d = coord - centers[low]
+
+    rows = np.repeat(np.arange(BLOCK_SIDE_2D), BLOCK_SIDE_2D)
+    cols = np.tile(np.arange(BLOCK_SIDE_2D), BLOCK_SIDE_2D)
+    r_lo, r_hi, r_d = low[rows], high[rows], d[rows]
+    c_lo, c_hi, c_d = low[cols], high[cols], d[cols]
+    idx00 = r_lo * TILES_PER_SIDE_2D + c_lo
+    idx01 = r_lo * TILES_PER_SIDE_2D + c_hi
+    idx10 = r_hi * TILES_PER_SIDE_2D + c_lo
+    idx11 = r_hi * TILES_PER_SIDE_2D + c_hi
+    return (
+        idx00.astype(np.intp),
+        idx01.astype(np.intp),
+        idx10.astype(np.intp),
+        idx11.astype(np.intp),
+        r_d.astype(np.int64),
+        c_d.astype(np.int64),
+    )
+
+
+_L1D, _R1D, _D1D = _build_1d_tables_reference()
+_I00, _I01, _I10, _I11, _RD, _CD = _build_2d_tables_reference()
+
+
+def downsample_1d_reference(blocks: np.ndarray) -> np.ndarray:
+    """Average each run of 16 consecutive values -> (nblocks, 16) int32."""
+    blocks = np.asarray(blocks).astype(np.int64, copy=False)
+    sums = blocks.reshape(-1, SUMMARY_VALUES, SUBBLOCK_VALUES).sum(axis=2)
+    return ((sums + SUBBLOCK_VALUES // 2) >> 4).astype(np.int32)
+
+
+def downsample_2d_reference(blocks: np.ndarray) -> np.ndarray:
+    """Average each 4x4 tile of the 16x16 view -> (nblocks, 16) int32."""
+    blocks = np.asarray(blocks).astype(np.int64, copy=False)
+    grid = blocks.reshape(
+        -1, TILES_PER_SIDE_2D, TILE_SIDE_2D, TILES_PER_SIDE_2D, TILE_SIDE_2D
+    )
+    sums = grid.sum(axis=(2, 4))
+    return (
+        ((sums + SUBBLOCK_VALUES // 2) >> 4).reshape(-1, SUMMARY_VALUES).astype(np.int32)
+    )
+
+
+def reconstruct_1d_reference(summaries: np.ndarray) -> np.ndarray:
+    """Linear interpolation by gathering both neighbours of every value."""
+    s = np.asarray(summaries, dtype=np.int64)
+    left, right = s[:, _L1D], s[:, _R1D]
+    out = (left * (32 - _D1D) + right * _D1D + 16) >> 5
+    return np.clip(out, -(2**31), 2**31 - 1).astype(np.int32)
+
+
+def reconstruct_2d_reference(summaries: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation by gathering 4 summary values per value."""
+    s = np.asarray(summaries, dtype=np.int64)
+    v00, v01 = s[:, _I00], s[:, _I01]
+    v10, v11 = s[:, _I10], s[:, _I11]
+    top = v00 * (8 - _CD) + v01 * _CD
+    bot = v10 * (8 - _CD) + v11 * _CD
+    out = (top * (8 - _RD) + bot * _RD + 32) >> 6
+    return np.clip(out, -(2**31), 2**31 - 1).astype(np.int32)
+
+
+_METHOD_KERNELS_REFERENCE = {
+    CompressionMethod.DOWNSAMPLE_1D: (downsample_1d_reference, reconstruct_1d_reference),
+    CompressionMethod.DOWNSAMPLE_2D: (downsample_2d_reference, reconstruct_2d_reference),
+}
+
+
+def block_scale(original: np.ndarray) -> np.ndarray:
+    """Per-block value scale: the largest finite magnitude, as a column."""
+    mags = np.abs(np.asarray(original, dtype=np.float64))
+    mags = np.where(np.isfinite(mags), mags, 0.0)
+    return np.maximum(mags.max(axis=1, keepdims=True), 1e-30)
+
+
+def mantissa_error_within(
+    original: np.ndarray, approx: np.ndarray, n_msbit: int
+) -> np.ndarray:
+    """The paper's per-value outlier test, vectorized (the hardware check
+    of :func:`detect_outliers`).
+
+    A value is approximated within relative error ``1 / 2**n_msbit``
+    when (i) sign and exponent fields match exactly and (ii) the
+    mantissa difference does not reach the ``n_msbit``-th most
+    significant mantissa bit.  Returns a boolean array, True where the
+    approximation is acceptable.
+    """
+    if not 1 <= n_msbit <= 23:
+        raise ValueError(f"n_msbit must be in [1, 23], got {n_msbit}")
+    ob, ab = bitops.as_bits(original), bitops.as_bits(approx)
+    shift = np.uint32(bitops.EXP_SHIFT)
+    same_sign_exp = (ob >> shift) == (ab >> shift)
+    om = (ob & bitops.MANTISSA_MASK).astype(np.int32)
+    am = (ab & bitops.MANTISSA_MASK).astype(np.int32)
+    diff = np.abs(om - am)
+    # Error below 1/2^N <=> difference confined below bit (23 - N).
+    limit = np.int32(1) << np.int32(23 - n_msbit)
+    return same_sign_exp & (diff < limit)
+
+
+def detect_outliers(
+    original: np.ndarray,
+    reconstructed: np.ndarray,
+    thresholds: ErrorThresholds,
+    mode: str = "hybrid",
+) -> np.ndarray:
+    """Boolean mask (nblocks, 256): True where a value is an outlier.
+
+    ``"hardware"`` is the paper's sign/exponent/mantissa comparison,
+    ``"relative"`` the exact relative error against T1, and
+    ``"hybrid"`` passes a value that passes the float check *or* lies
+    within T1 of the block's value scale.
+    """
+    if mode not in CHECK_MODES:
+        raise ValueError(f"unknown check mode {mode!r}; expected one of {CHECK_MODES}")
+    if mode in ("hardware", "hybrid"):
+        n = bitops.n_msbit_for_threshold(thresholds.t1)
+        ok = mantissa_error_within(
+            np.asarray(original, np.float32), np.asarray(reconstructed, np.float32), n
+        )
+        if mode == "hybrid":
+            abs_err = np.abs(
+                np.asarray(reconstructed, np.float64) - np.asarray(original, np.float64)
+            )
+            ok = ok | (abs_err <= thresholds.t1 * block_scale(original))
+        return ~ok
+    return relative_error(original, reconstructed) > thresholds.t1
+
+
+def block_average_error(
+    original: np.ndarray,
+    reconstructed: np.ndarray,
+    outliers: np.ndarray,
+    mode: str = "hybrid",
+) -> np.ndarray:
+    """Average relative error per block over *non-outlier* values.
+
+    Blocks where every value is an outlier score 0.  In hybrid mode
+    each value's error is the smaller of its relative error and its
+    block-scaled absolute error.
+    """
+    if mode not in CHECK_MODES:
+        raise ValueError(f"unknown check mode {mode!r}; expected one of {CHECK_MODES}")
+    if mode == "hardware":
+        om = bitops.mantissa_bits(np.asarray(original, np.float32)).astype(np.int64)
+        am = bitops.mantissa_bits(np.asarray(reconstructed, np.float32)).astype(np.int64)
+        err = np.abs(om - am) / float(1 << 23)
+    else:
+        err = relative_error(original, reconstructed)
+        if mode == "hybrid":
+            abs_err = np.abs(
+                np.asarray(reconstructed, np.float64) - np.asarray(original, np.float64)
+            )
+            err = np.minimum(err, abs_err / block_scale(original))
+    keep = ~outliers
+    counts = keep.sum(axis=1)
+    sums = np.where(keep, err, 0.0).sum(axis=1)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+
+
+def choose_biases_reference(blocks: np.ndarray) -> np.ndarray:
+    """Per-block exponent bias, 0 where biasing is skipped."""
+    exps = bitops.exponent_bits(blocks)
+    special = (exps == bitops.EXP_MAX).any(axis=1)
+    nonzero = exps > 0
+    has_nonzero = nonzero.any(axis=1)
+    maxe = np.where(nonzero, exps, np.int16(-1)).max(axis=1).astype(np.int32)
+    mine = np.where(nonzero, exps, np.int16(999)).min(axis=1).astype(np.int32)
+    bias = TARGET_MAX_EXPONENT - maxe
+    valid = (
+        has_nonzero
+        & ~special
+        & (mine + bias >= 1)
+        & (maxe + bias <= 254)
+        & (bias >= BIAS_FIELD_MIN)
+        & (bias <= BIAS_FIELD_MAX)
+    )
+    return np.where(valid, bias, 0).astype(np.int16)
+
+
+def to_fixed_reference(
+    blocks: np.ndarray, bias: np.ndarray, fmt: FixedPointFormat = DEFAULT_FORMAT
+) -> np.ndarray:
+    """Bias and convert float32 blocks to fixed point (saturating)."""
+    biased = np.ldexp(blocks.astype(np.float64), bias[:, None])
+    scaled = np.rint(biased * fmt.scale)
+    clipped = np.clip(
+        np.nan_to_num(scaled, nan=0.0, posinf=fmt.max_int, neginf=fmt.min_int),
+        fmt.min_int,
+        fmt.max_int,
+    )
+    return clipped.astype(np.int32)
+
+
+def from_fixed_reference(
+    fixed: np.ndarray, bias: np.ndarray, fmt: FixedPointFormat = DEFAULT_FORMAT
+) -> np.ndarray:
+    """Convert fixed point back to float32 and remove the bias."""
+    values = fixed.astype(np.float64) / fmt.scale
+    return np.ldexp(values, -bias[:, None]).astype(np.float32)
+
+
+def _compress_float_reference(
+    comp: AVRCompressor, blocks: np.ndarray
+) -> BatchCompressionResult:
+    if comp.enable_bias:
+        bias = choose_biases_reference(blocks)
+    else:
+        bias = np.zeros(blocks.shape[0], dtype=np.int16)
+    fixed = to_fixed_reference(blocks, bias, comp.fmt)
+
+    candidates = []
+    for method in comp.methods:
+        down, recon = _METHOD_KERNELS_REFERENCE[method]
+        summary = down(fixed)
+        recon_f = from_fixed_reference(recon(summary), bias, comp.fmt)
+        mask = detect_outliers(blocks, recon_f, comp.thresholds, comp.check_mode)
+        counts = mask.sum(axis=1).astype(np.int32)
+        sizes = compressed_size_cachelines(counts)
+        avg = block_average_error(blocks, recon_f, mask, comp.check_mode)
+        candidates.append((method, summary, recon_f, mask, counts, sizes, avg))
+
+    return _select_and_finalize_reference(comp, blocks, bias, candidates)
+
+
+def _compress_fixed_reference(
+    comp: AVRCompressor, blocks: np.ndarray
+) -> BatchCompressionResult:
+    """Fixed-point path: no biasing or format conversion, relative check."""
+    bias = np.zeros(blocks.shape[0], dtype=np.int16)
+    as_float = blocks.astype(np.float64)
+
+    candidates = []
+    for method in comp.methods:
+        down, recon = _METHOD_KERNELS_REFERENCE[method]
+        summary = down(blocks)
+        recon_i = recon(summary)
+        err = relative_error(as_float, recon_i.astype(np.float64))
+        mask = err > comp.thresholds.t1
+        counts = mask.sum(axis=1).astype(np.int32)
+        sizes = compressed_size_cachelines(counts)
+        keep = ~mask
+        kcount = np.maximum(keep.sum(axis=1), 1)
+        avg = np.where(keep, err, 0.0).sum(axis=1) / kcount
+        candidates.append((method, summary, recon_i, mask, counts, sizes, avg))
+
+    return _select_and_finalize_reference(comp, blocks, bias, candidates)
+
+
+def _select_and_finalize_reference(
+    comp: AVRCompressor, blocks: np.ndarray, bias: np.ndarray, candidates: list[Any]
+) -> BatchCompressionResult:
+    """Pick the best variant per block and apply the T2/size checks.
+
+    Preference: smaller compressed size, ties broken on average error.
+    """
+    m1, s1, r1, o1, c1, z1, e1 = candidates[0]
+    method = np.full(blocks.shape[0], np.uint8(m1))
+    summaries, recon, mask = s1, r1, o1
+    counts, sizes, avg = c1, z1.astype(np.int32), e1
+    for m2, s2, r2, o2, c2, z2, e2 in candidates[1:]:
+        use2 = (z2 < sizes) | ((z2 == sizes) & (e2 < avg))
+        method = np.where(use2, np.uint8(m2), method)
+        summaries = np.where(use2[:, None], s2, summaries)
+        recon = np.where(use2[:, None], r2, recon)
+        mask = np.where(use2[:, None], o2, mask)
+        counts = np.where(use2, c2, counts)
+        sizes = np.where(use2, z2, sizes).astype(np.int32)
+        avg = np.where(use2, e2, avg)
+
+    success = (sizes <= MAX_COMPRESSED_CACHELINES) & (avg <= comp.thresholds.t2)
+    sizes = np.where(success, sizes, BLOCK_CACHELINES).astype(np.int32)
+    method = np.where(success, method, np.uint8(CompressionMethod.UNCOMPRESSED))
+    bias = np.where(success, bias, 0).astype(np.int16)
+
+    reconstructed = np.where(mask | ~success[:, None], blocks, recon)
+    counts = np.where(success, counts, 0).astype(np.int32)
+    mask = mask & success[:, None]
+
+    return BatchCompressionResult(
+        success=success,
+        method=method.astype(np.uint8),
+        bias=bias,
+        size_cachelines=sizes,
+        outlier_count=counts,
+        avg_error=avg,
+        reconstructed=reconstructed,
+        summaries=summaries.astype(np.int32),
+        outlier_mask=mask,
+    )
+
+
+def compress_blocks_reference(
+    comp: AVRCompressor, blocks: np.ndarray, dtype: DataType = DataType.FLOAT32
+) -> BatchCompressionResult:
+    """:meth:`AVRCompressor.compress_blocks` as one pass per variant.
+
+    Every variant runs its own downsample, gather-based reconstruction,
+    outlier check and block average error, each rebuilding the batch's
+    float64 original and block scale; the variants are then chosen
+    pairwise in ``comp.methods`` order.
+    """
+    blocks = np.asarray(blocks)
+    if blocks.ndim != 2 or blocks.shape[1] != VALUES_PER_BLOCK:
+        raise ValueError(f"expected (nblocks, {VALUES_PER_BLOCK}), got {blocks.shape}")
+    if dtype == DataType.FLOAT32:
+        return _compress_float_reference(comp, blocks.astype(np.float32, copy=False))
+    return _compress_fixed_reference(comp, blocks.astype(np.int32, copy=False))

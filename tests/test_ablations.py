@@ -168,6 +168,15 @@ class TestAblationHarness:
             assert v["ratio"] >= 1.0
             assert 0.0 <= v["success_pct"] <= 100.0
 
+    def test_compressor_ablation_error_on_data_with_zeros(self):
+        """lbm's fields hold exact zeros.  The error is the paper's mean
+        relative error, not a per-value ratio floored at 1e-30 (which
+        read 3.6e24 % on this data)."""
+        results = run_compressor_ablations("lbm", scale=0.13)
+        for label, v in results.items():
+            assert 0.0 <= v["mean_error_pct"] < 100.0, label
+        assert results["full pipeline"]["mean_error_pct"] == pytest.approx(9.2, abs=0.1)
+
 
 class TestPerRegionThresholds:
     def test_region_knob_overrides_global(self):

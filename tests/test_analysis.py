@@ -361,6 +361,42 @@ class TestEngineParity:
         assert "differential test" in result.findings[0].message
 
 
+    def test_compressor_without_reference_flagged(self, tmp_path):
+        """A compress_blocks class counts as a fast path too."""
+        tests_dir = self._tests_dir(
+            tmp_path,
+            "def compress_blocks_reference(comp, blocks): ...\n",
+            "def test_codec(): assert 'StackedCodec'\n",
+        )
+        result = check_snippet(
+            tmp_path,
+            "class StackedCodec:\n"
+            "    def compress_blocks(self, blocks):\n"
+            "        return blocks\n",
+            select=["PAR001"],
+            tests=tests_dir,
+        )
+        assert rule_ids(result) == ["PAR001"]
+        assert "compress_blocks" in result.findings[0].message
+        assert "oracle" in result.findings[0].message
+
+    def test_compressor_with_reference_and_test_mention_passes(self, tmp_path):
+        tests_dir = self._tests_dir(
+            tmp_path,
+            "def compress_blocks_reference(comp: 'StackedCodec', blocks): ...\n",
+            "def test_codec(): assert 'StackedCodec'\n",
+        )
+        result = check_snippet(
+            tmp_path,
+            "class StackedCodec:\n"
+            "    def compress_blocks(self, blocks):\n"
+            "        return blocks\n",
+            select=["PAR001"],
+            tests=tests_dir,
+        )
+        assert result.ok
+
+
 # ----------------------------------------------------------------------
 # DOC001 — public docstrings
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the AVR compressor/decompressor pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -228,3 +230,24 @@ class TestCompressionRatioEdgeCases:
         res = compressor.compress_blocks(smooth_blocks)
         res.size_cachelines = np.zeros_like(res.size_cachelines)
         assert res.compression_ratio == float("inf")
+
+
+@pytest.mark.parametrize("nblocks", [81, 1228])
+def test_compress_blocks_transient_memory_per_block(nblocks):
+    """Guard the stacked pass's peak: it frees the integer stage before
+    the error pass, so a smooth batch peaks at no more than 18,000 bytes
+    per block (the stacked pass reads 8,000-9,100; the per-variant
+    passes it replaced read 20,000-21,200)."""
+    rng = np.random.default_rng(0)
+    x = np.linspace(0.0, 1.0, VALUES_PER_BLOCK, dtype=np.float32)
+    blocks = x[None, :] * rng.uniform(0.5, 2.0, (nblocks, 1)).astype(np.float32) + 1.0
+    comp = AVRCompressor(ErrorThresholds.from_t2(0.01))
+    comp.compress_blocks(blocks)  # build the stacked tables outside the trace
+    tracemalloc.start()
+    try:
+        res = comp.compress_blocks(blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.success.all()
+    assert peak / nblocks <= 18_000, f"{peak / nblocks:.0f} B/block"

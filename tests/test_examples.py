@@ -1,5 +1,6 @@
 """Every example script must run cleanly (deliverable b)."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,23 @@ def test_custom_design():
     out = run_example("custom_design.py")
     assert "truncate-8" in out and "avr-nodbuf" in out
     assert "DBUF hits" in out
+
+
+def test_threshold_ablation_method_table(capsys):
+    """The method ablation runs on public compressor results only: each
+    placement wins on its own data and the full compressor follows it.
+    (The whole script also sweeps T2 over two workloads, ~8 s.)"""
+    spec = importlib.util.spec_from_file_location(
+        "threshold_ablation", EXAMPLES / "threshold_ablation.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    table = module.method_ablation()
+    assert "selected" in capsys.readouterr().out
+    series, field = table["time series"], table["2D field"]
+    assert series["1D"][1] == 100.0 and series["2D"][1] == 0.0
+    assert field["2D"][1] == 100.0 and field["1D"][1] == 0.0
+    assert series["both"] == series["1D"] and field["both"] == field["2D"]
 
 
 def test_examples_exist_and_are_documented():

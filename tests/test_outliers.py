@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import block_average_error, detect_outliers
 from repro.common.constants import (
     BITMAP_BYTES,
     CACHELINE_BYTES,
@@ -14,9 +15,7 @@ from repro.common.constants import (
 )
 from repro.common.types import ErrorThresholds
 from repro.compression.outliers import (
-    block_average_error,
     compressed_size_cachelines,
-    detect_outliers,
     max_outliers_for_size,
     pack_bitmap,
     unpack_bitmap,
