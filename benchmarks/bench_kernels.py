@@ -1,8 +1,9 @@
 """Microbenchmarks of the hot computational kernels.
 
 These are genuine throughput measurements (pytest-benchmark) of the
-vectorized compressor pipeline and the simulator primitives — the
-pieces whose performance bounds the whole reproduction.
+vectorized compressor pipeline, the workloads' step loops and the
+simulator primitives — the pieces whose performance bounds the whole
+reproduction.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.compression import AVRCompressor, truncate_roundtrip
 from repro.compression.downsample import downsample_2d, reconstruct_2d
 from repro.doppelganger import dedup_roundtrip
 from repro.memory import DRAM
+from repro.workloads import make_workload
 
 NBLOCKS = 4096  # 4 MB of data per round
 
@@ -43,6 +45,16 @@ def test_compress_blocks_throughput(benchmark, nblocks):
     kb = data.nbytes / 1e3
     print(f"\n  compressed {kb:.0f} KB/round, ratio {result.compression_ratio:.1f}x")
     assert result.success.all()
+
+
+@pytest.mark.parametrize("name", ["orbit", "lattice", "lbm"])
+def test_workload_run(benchmark, name):
+    """One baseline-design functional run of a step-loop kernel at
+    grid-cold's size (scale 0.15): the workload's own compute, with
+    syncs that approximate nothing."""
+    workload = make_workload(name, scale=0.15)
+    result = benchmark(workload.run, "baseline")
+    assert result.iterations == workload.steps
 
 
 def test_decompress_blocks_throughput(benchmark, blocks):

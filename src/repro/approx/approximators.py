@@ -43,6 +43,23 @@ class SyncStats:
         return self.blocks * BLOCK_CACHELINES / self.stored_cachelines
 
 
+def padded_blocks(values: np.ndarray) -> np.ndarray:
+    """``values`` flattened into ``(nblocks, 256)`` compression blocks.
+
+    The tail block is padded by replicating the final value: the paper's
+    page-aligned allocator compresses whole blocks, and edge replication
+    avoids manufacturing artificial outliers.
+    """
+    flat = values.ravel()
+    n = flat.size
+    nblocks = -(-n // VALUES_PER_BLOCK)
+    padded = np.empty(nblocks * VALUES_PER_BLOCK, dtype=flat.dtype)
+    padded[:n] = flat
+    if n < padded.size:
+        padded[n:] = flat[-1] if n else 0
+    return padded.reshape(nblocks, VALUES_PER_BLOCK)
+
+
 class Approximator(abc.ABC):
     """Round-trips a region's values through an approximate memory path."""
 
@@ -93,18 +110,10 @@ class AVRApproximator(Approximator):
 
     def apply(self, region: Region) -> SyncStats:
         flat = region.array.ravel()
-        n = flat.size
-        nblocks = -(-n // VALUES_PER_BLOCK)
-        # Pad the tail block by replicating the final value: the paper's
-        # page-aligned allocator compresses whole blocks, and edge
-        # replication avoids manufacturing artificial outliers.
-        padded = np.empty(nblocks * VALUES_PER_BLOCK, dtype=flat.dtype)
-        padded[:n] = flat
-        if n < padded.size:
-            padded[n:] = flat[-1] if n else 0
-        blocks = padded.reshape(nblocks, VALUES_PER_BLOCK)
+        blocks = padded_blocks(flat)
+        nblocks = blocks.shape[0]
         result = self._compressor_for(region).compress_blocks(blocks, region.dtype)
-        flat[:] = result.reconstructed.reshape(-1)[:n]
+        flat[:] = result.reconstructed.reshape(-1)[: flat.size]
         region.block_sizes = result.size_cachelines.copy()
         return SyncStats(
             blocks=nblocks,

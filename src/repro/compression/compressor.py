@@ -266,7 +266,10 @@ class AVRCompressor:
     def _to_fixed(self, x: np.ndarray, bias: np.ndarray, special: np.ndarray) -> np.ndarray:
         """Biased, saturated fixed point of ``x`` as float64 integers."""
         scale = np.ldexp(1.0, bias.astype(np.int32) + self.fmt.frac_bits)
-        fixed = x * scale[:, None]
+        # A signalling NaN flags "invalid" on its way through; special
+        # rows are zeroed below.
+        with np.errstate(invalid="ignore"):
+            fixed = x * scale[:, None]
         np.rint(fixed, out=fixed)
         np.maximum(fixed, self.fmt.min_int, out=fixed)
         np.minimum(fixed, self.fmt.max_int, out=fixed)
@@ -307,7 +310,8 @@ class AVRCompressor:
             rows = magnitude[special]
             largest[special] = np.where(rows < _INF_BITS, rows, 0).max(axis=1)
         scale = np.maximum(largest.view(np.float32), 1e-30, dtype=np.float64)[:, None]
-        err = np.subtract(recon, x, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # signalling NaNs, inf - inf
+            err = np.subtract(recon, x, dtype=np.float64)
         np.abs(err, out=err)
         mask = ~(err <= self.thresholds.t1 * scale)
         err /= scale
@@ -317,9 +321,9 @@ class AVRCompressor:
         self, x: np.ndarray, recon: np.ndarray, magnitude: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Relative-error outlier mask and average error of a stack."""
-        err = np.subtract(recon, x, dtype=np.float64)
-        np.abs(err, out=err)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # signalling NaNs, inf - inf, inf / inf
+            err = np.subtract(recon, x, dtype=np.float64)
+            np.abs(err, out=err)
             err /= np.maximum(magnitude, 1e-30, dtype=np.float64)
         mask = err > self.thresholds.t1
         return mask, _masked_mean(err, mask)

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..approx.approximators import padded_blocks
 from ..common.config import SystemConfig
-from ..common.constants import VALUES_PER_BLOCK
 from ..common.types import CompressionMethod
 from ..compression.compressor import AVRCompressor
 from ..compression.errors import mean_relative_error
@@ -218,23 +218,23 @@ def run_compressor_ablations(
     reference = functional[key]
     workload = point.make()
 
-    arrays = [
-        region.array.ravel()
-        for region in reference.memory.regions.values()
-        if region.approx
-    ]
-    flat = np.concatenate(arrays).astype(np.float32)
-    nblocks = flat.size // VALUES_PER_BLOCK
-    blocks = flat[: nblocks * VALUES_PER_BLOCK].reshape(nblocks, VALUES_PER_BLOCK)
+    # Each approximable region becomes its own blocks, padded as a sync
+    # pads them; the error is taken over the regions' values only.
+    regions = [r.array for r in reference.memory.regions.values() if r.approx]
+    padded = [padded_blocks(a) for a in regions]
+    blocks = np.concatenate(padded).astype(np.float32)
+    values = np.concatenate([np.arange(p.size) < a.size for a, p in zip(regions, padded)])
+    original = blocks.ravel()[values]
 
     thresholds = workload.default_thresholds
     out: dict[str, dict[str, float]] = {}
     for label, kwargs in variants.items():
         comp = AVRCompressor(thresholds, **kwargs)
         result = comp.compress_blocks(blocks)
+        recon = result.reconstructed.ravel()[values]
         out[label] = {
             "ratio": result.compression_ratio,
-            "mean_error_pct": mean_relative_error(blocks, result.reconstructed) * 100.0,
+            "mean_error_pct": mean_relative_error(original, recon) * 100.0,
             "success_pct": float(result.success.mean()) * 100.0,
         }
     return out

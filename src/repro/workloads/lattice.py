@@ -35,6 +35,31 @@ def equilibrium(rho: np.ndarray, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
     ).astype(np.float32)
 
 
+def stream_index(shifts: np.ndarray, opposite: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Source of every value of a lattice step's data movement.
+
+    ``f`` has shape ``(q,) + mask.shape``, and so has the result, which
+    holds flat indices into ``f``.  The step's movement is half-way
+    bounce-back on ``mask`` (``f[:, mask] = f[opposite][:, mask]``), then
+    streaming (``f[i] = np.roll(f[i], shifts[i])`` over every grid
+    axis), then the zero-gradient outflow (the last column along the
+    final axis copies the one before it).  All three only move values,
+    so ``np.take(f, index)`` does them in one gather.
+    """
+    cells = np.arange(mask.size, dtype=np.intp).reshape(mask.shape)
+    blocked = mask.ravel()
+    axes = tuple(range(mask.ndim))
+    index = np.empty((len(opposite),) + mask.shape, dtype=np.intp)
+    for i, shift in enumerate(shifts):
+        # np.roll(plane, shift)[c] == plane[c - shift], so rolling the
+        # cell numbers gives each destination's source cell.
+        source = np.roll(cells, tuple(int(s) for s in shift), axis=axes)
+        plane = np.where(blocked[source], opposite[i], i)
+        index[i] = plane * mask.size + source
+    index[..., -1] = index[..., -2]
+    return index
+
+
 class LatticeWorkload(Workload):
     """2D Lattice-Boltzmann (D2Q9) air flow over a car silhouette."""
 
@@ -74,33 +99,87 @@ class LatticeWorkload(Workload):
     def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
         f = mem.region("f").array
         macro = mem.region("macro").array
-        mask = self.mask
+        ny, nx = self.ny, self.nx
+        # Where numpy would cast an operand to float64 inside a mixed
+        # int64/float32/float64 operation, the operand is widened
+        # beforehand (exactly) so that every loop runs on float64 alone.
+        ex = _EX.astype(np.float64)[:, None, None]
+        ey = _EY.astype(np.float64)[:, None, None]
+        w = _W[:, None, None]
+
+        # Per run: the gather map of bounce-back, streaming and outflow,
+        # and the inflow column's (constant) equilibrium.
+        index = stream_index(np.stack([_EY, _EX], axis=1), _OPPOSITE, self.mask)
+        inflow = equilibrium(
+            np.ones(ny, dtype=np.float32)[:, None],
+            np.full((ny, 1), self.U_INFLOW, dtype=np.float32),
+            np.zeros((ny, 1), dtype=np.float32),
+        )[:, :, 0]
+        # Scratch for one step; each step writes every buffer before
+        # reading it.
+        rho = np.empty((ny, nx), dtype=np.float32)
+        inv_rho = np.empty((ny, nx), dtype=np.float32)
+        wide = np.empty((9, ny, nx), dtype=np.float64)
+        wide_rho = np.empty((ny, nx), dtype=np.float64)
+        wide_inv_rho = np.empty((ny, nx), dtype=np.float64)
+        ux = np.empty((ny, nx), dtype=np.float64)
+        uy = np.empty((ny, nx), dtype=np.float64)
+        usq = np.empty((ny, nx), dtype=np.float64)
+        uy2 = np.empty((ny, nx), dtype=np.float64)
+        a = np.empty((9, ny, nx), dtype=np.float64)
+        b = np.empty((9, ny, nx), dtype=np.float64)
+        post = np.empty((9, ny, nx), dtype=np.float32)
+
+        # Every value-producing operation below is the one equilibrium()
+        # and the collision apply, on the same operands and dtypes, in
+        # the same order (IEEE + and * commute exactly); only the
+        # destinations are preallocated.
         for _ in range(self.steps):
-            rho = f.sum(axis=0)
-            inv_rho = 1.0 / np.maximum(rho, 1e-6)
-            ux = (f * _EX[:, None, None]).sum(axis=0) * inv_rho
-            uy = (f * _EY[:, None, None]).sum(axis=0) * inv_rho
+            np.sum(f, axis=0, out=rho)
+            np.maximum(rho, 1e-6, out=inv_rho)
+            np.divide(1.0, inv_rho, out=inv_rho)
+            np.copyto(wide_inv_rho, inv_rho)
+            np.copyto(wide, f)
+            np.multiply(wide, ex, out=a)
+            np.sum(a, axis=0, out=ux)
+            ux *= wide_inv_rho
+            np.multiply(wide, ey, out=a)
+            np.sum(a, axis=0, out=uy)
+            uy *= wide_inv_rho
 
             # Inflow: fixed velocity at the left column (equilibrium refill).
             ux[:, 0] = self.U_INFLOW
             uy[:, 0] = 0.0
             rho[:, 0] = 1.0
 
-            feq = equilibrium(rho, ux, uy)
-            f += self.OMEGA * (feq - f)
+            # feq = equilibrium(rho, ux, uy)
+            np.multiply(ex, ux, out=a)
+            np.multiply(ey, uy, out=b)
+            a += b  # eu
+            np.square(ux, out=usq)
+            np.square(uy, out=uy2)
+            usq += uy2
+            np.multiply(a, 3.0, out=b)
+            b += 1.0
+            np.square(a, out=a)
+            a *= 4.5
+            b += a
+            usq *= 1.5
+            b -= usq
+            np.copyto(wide_rho, rho)
+            np.multiply(w, wide_rho, out=a)
+            a *= b
+            np.copyto(post, a, casting="same_kind")
 
-            # Half-way bounce-back on the obstacle.
-            f[:, mask] = f[_OPPOSITE][:, mask]
+            # f += OMEGA * (feq - f), into post
+            post -= f
+            post *= self.OMEGA
+            post += f
 
-            # Streaming (periodic wrap vertically; open horizontally).
-            for i in range(1, 9):
-                f[i] = np.roll(f[i], (int(_EY[i]), int(_EX[i])), axis=(0, 1))
-            f[:, :, 0] = equilibrium(
-                np.ones(self.ny, dtype=np.float32)[:, None],
-                np.full((self.ny, 1), self.U_INFLOW, dtype=np.float32),
-                np.zeros((self.ny, 1), dtype=np.float32),
-            )[:, :, 0]
-            f[:, :, -1] = f[:, :, -2]  # zero-gradient outflow
+            # Half-way bounce-back on the obstacle, streaming (periodic
+            # wrap vertically; open horizontally), zero-gradient outflow.
+            np.take(post, index, out=f, mode="clip")
+            f[:, :, 0] = inflow
 
             macro[0], macro[1], macro[2] = rho, ux, uy
             mem.sync(["f", "macro"])

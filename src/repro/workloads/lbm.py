@@ -17,6 +17,7 @@ from ..approx.memory import ApproxMemory
 from ..common.types import ErrorThresholds
 from .base import Phase, TraceSpec, Workload
 from .data import sphere_mask
+from .lattice import stream_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..designs import DesignSpec
@@ -111,31 +112,69 @@ class LbmWorkload(Workload):
     def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
         f = mem.region("f").array
         velocity = mem.region("velocity").array
-        mask = self.mask
+        shape = (self.nz, self.ny, self.nx)
+        e_t = _E.T.astype(np.float32)
+        w = _W[:, None, None, None]
+
+        # Per run: the gather map of bounce-back, streaming and outflow
+        # (shifts in (z, y, x) order), and the inflow plane's (constant)
+        # equilibrium at the prescribed velocity.
+        index = stream_index(_E[:, ::-1], _OPPOSITE, self.mask)
+        rho_in = np.ones((self.nz, self.ny, 1), dtype=np.float32)
+        u_in = np.zeros((3, self.nz, self.ny, 1), dtype=np.float32)
+        u_in[0] = self.U_INFLOW
+        inflow = equilibrium_3d(rho_in, u_in)
+        # Scratch for one step; each step writes every buffer before
+        # reading it.
+        rho = np.empty(shape, dtype=np.float32)
+        inv_rho = np.empty(shape, dtype=np.float32)
+        usq = np.empty(shape, dtype=np.float32)
+        u2 = np.empty((3,) + shape, dtype=np.float32)
+        poly = np.empty((19,) + shape, dtype=np.float64)
+        post = np.empty((19,) + shape, dtype=np.float32)
+
+        # Every value-producing operation below is the one
+        # equilibrium_3d() and the collision apply, on the same operands
+        # and dtypes, in the same order (IEEE + and * commute exactly);
+        # both tensordots stay, since BLAS owns their summation order.
         for _ in range(self.steps):
-            rho = f.sum(axis=0)
-            inv_rho = 1.0 / np.maximum(rho, 1e-6)
-            u = np.tensordot(_E.T.astype(np.float32), f, axes=([1], [0])) * inv_rho[None]
+            np.sum(f, axis=0, out=rho)
+            np.maximum(rho, 1e-6, out=inv_rho)
+            np.divide(1.0, inv_rho, out=inv_rho)
+            u = np.tensordot(e_t, f, axes=([1], [0]))
+            u *= inv_rho
 
             # Inflow plane (x = 0) and density normalization.
             u[:, :, :, 0] = 0.0
             u[0, :, :, 0] = self.U_INFLOW
             rho[:, :, 0] = 1.0
 
-            feq = equilibrium_3d(rho, u)
-            f += self.OMEGA * (feq - f)
-            f[:, mask] = f[_OPPOSITE][:, mask]
+            # feq = equilibrium_3d(rho, u); usq and 1.5 * usq are float32
+            eu = np.tensordot(_E, u, axes=([1], [0]))
+            np.square(u, out=u2)
+            np.sum(u2, axis=0, out=usq)
+            np.multiply(eu, 3.0, out=poly)
+            poly += 1.0
+            np.square(eu, out=eu)
+            eu *= 4.5
+            poly += eu
+            usq *= 1.5
+            poly -= usq
+            np.multiply(w, rho, out=eu)
+            eu *= poly
+            np.copyto(post, eu, casting="same_kind")
 
-            for i in range(1, 19):
-                shift = (int(_E[i, 2]), int(_E[i, 1]), int(_E[i, 0]))  # (z, y, x)
-                f[i] = np.roll(f[i], shift, axis=(0, 1, 2))
-            f[:, :, :, -1] = f[:, :, :, -2]  # outflow
-            # Refill the inflow plane with equilibrium at the prescribed
-            # velocity (prevents wrapped-around outflow recirculating).
-            rho_in = np.ones((self.nz, self.ny, 1), dtype=np.float32)
-            u_in = np.zeros((3, self.nz, self.ny, 1), dtype=np.float32)
-            u_in[0] = self.U_INFLOW
-            f[:, :, :, :1] = equilibrium_3d(rho_in, u_in)
+            # f += OMEGA * (feq - f), into post
+            post -= f
+            post *= self.OMEGA
+            post += f
+
+            # Half-way bounce-back on the sphere, streaming and outflow in
+            # one gather; then refill the inflow plane with equilibrium at
+            # the prescribed velocity (prevents wrapped-around outflow
+            # recirculating).
+            np.take(post, index, out=f, mode="clip")
+            f[:, :, :, :1] = inflow
 
             velocity[...] = u
             mem.sync(["f", "velocity"])

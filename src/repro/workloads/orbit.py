@@ -14,6 +14,9 @@ deduplication produces runaway (>100 %) error in the paper.
 
 from __future__ import annotations
 
+import math
+from array import array
+
 import numpy as np
 
 from ..approx.memory import ApproxMemory
@@ -64,33 +67,77 @@ class OrbitWorkload(Workload):
         r1 = np.array([0.5, 0.0, 0.02])
         r2 = np.array([-0.5, 0.0, -0.02])
         v_circ = np.sqrt(G * (M1 + M2) / np.linalg.norm(r1 - r2)) / 2.0
-        v1 = np.array([0.0, 0.9 * v_circ, 0.0])
-        v2 = np.array([0.0, -0.9 * v_circ, 0.0])
+        x1, y1, z1 = r1.tolist()
+        x2, y2, z2 = r2.tolist()
+        vx1, vy1, vz1 = 0.0, float(0.9 * v_circ), 0.0
+        vx2, vy2, vz2 = 0.0, float(-0.9 * v_circ), 0.0
 
-        def accel(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            d = r2 - r1
-            dist3 = np.linalg.norm(d) ** 3
-            return G * M2 * d / dist3, -G * M1 * d / dist3
+        # The leapfrog runs on Python floats, one IEEE operation per
+        # component as numpy did per element.  The separation's norm
+        # stays on numpy's BLAS dot (as np.linalg.norm), whose fused
+        # multiply-adds plain float arithmetic would not reproduce.
+        dt = self.dt
+        half = 0.5 * dt
+        gm2 = G * M2
+        ngm1 = -G * M1
+        d = np.empty(3, dtype=np.float64)
+        dot = d.dot
 
-        a1, a2 = accel(r1, r2)
-        for step in range(self.steps):
-            v1 += 0.5 * self.dt * a1
-            v2 += 0.5 * self.dt * a2
-            r1 += self.dt * v1
-            r2 += self.dt * v2
-            a1, a2 = accel(r1, r2)
-            v1 += 0.5 * self.dt * a1
-            v2 += 0.5 * self.dt * a2
+        dx, dy, dz = x2 - x1, y2 - y1, z2 - z1
+        d[0] = dx
+        d[1] = dy
+        d[2] = dz
+        dist3 = math.sqrt(dot(d)) ** 3
+        ax1, ay1, az1 = gm2 * dx / dist3, gm2 * dy / dist3, gm2 * dz / dist3
+        ax2, ay2, az2 = ngm1 * dx / dist3, ngm1 * dy / dist3, ngm1 * dz / dist3
 
-            pos_h[:3, step] = r1
-            pos_h[3:, step] = r2
-            vel_h[:3, step] = v1
-            vel_h[3:, step] = v2
-            kinetic = 0.5 * (M1 * (v1**2).sum() + M2 * (v2**2).sum())
-            potential = -G * M1 * M2 / np.linalg.norm(r1 - r2)
-            energy[:, step] = (kinetic, potential)
+        for start in range(0, self.steps, self.CHUNK):
+            stop = min(start + self.CHUNK, self.steps)
+            # Raw doubles, 12 per step: a list of tuples would hold every
+            # value as a Python object until the chunk is written.
+            rows = array("d")
+            extend = rows.extend
+            for _ in range(start, stop):
+                vx1 += half * ax1
+                vy1 += half * ay1
+                vz1 += half * az1
+                vx2 += half * ax2
+                vy2 += half * ay2
+                vz2 += half * az2
+                x1 += dt * vx1
+                y1 += dt * vy1
+                z1 += dt * vz1
+                x2 += dt * vx2
+                y2 += dt * vy2
+                z2 += dt * vz2
+                dx, dy, dz = x2 - x1, y2 - y1, z2 - z1
+                d[0] = dx
+                d[1] = dy
+                d[2] = dz
+                dist3 = math.sqrt(dot(d)) ** 3
+                ax1, ay1, az1 = gm2 * dx / dist3, gm2 * dy / dist3, gm2 * dz / dist3
+                ax2, ay2, az2 = ngm1 * dx / dist3, ngm1 * dy / dist3, ngm1 * dz / dist3
+                vx1 += half * ax1
+                vy1 += half * ay1
+                vz1 += half * az1
+                vx2 += half * ax2
+                vy2 += half * ay2
+                vz2 += half * az2
+                extend((x1, y1, z1, x2, y2, z2, vx1, vy1, vz1, vx2, vy2, vz2))
 
-            if (step + 1) % self.CHUNK == 0:
+            # One write per log for the chunk: the float32 casts round
+            # each value as the per-step writes did.
+            chunk = np.frombuffer(rows, dtype=np.float64).reshape(stop - start, 12)
+            pos_h[:, start:stop] = chunk[:, :6].T
+            vel_h[:, start:stop] = chunk[:, 6:].T
+            v1, v2 = chunk[:, 6:9], chunk[:, 9:]
+            kinetic = 0.5 * (M1 * (v1 * v1).sum(axis=1) + M2 * (v2 * v2).sum(axis=1))
+            # vecdot runs the same BLAS dot per row as the norm of one step.
+            diff = chunk[:, :3] - chunk[:, 3:6]
+            potential = -G * M1 * M2 / np.sqrt(np.vecdot(diff, diff))
+            energy[:, start:stop] = (kinetic, potential)
+
+            if stop % self.CHUNK == 0:
                 # The filled chunk streams out to main memory.
                 mem.sync(["pos_history", "vel_history"])
 

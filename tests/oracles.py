@@ -58,6 +58,20 @@ The functional layer's compressor:
   :func:`from_fixed_reference` — the biasing and the float/fixed
   conversions.
 
+The functional layer's workload kernels, each the per-step numpy loop
+its workload's ``execute`` replaced, called as ``f(workload, mem)``
+(``test_workload_equivalence.py``):
+
+* :func:`orbit_execute_reference` — the leapfrog on 3-element arrays,
+  one history and energy column written per step, the oracle of
+  :meth:`repro.workloads.orbit.OrbitWorkload.execute`;
+* :func:`lattice_execute_reference` — D2Q9 with a fresh array per
+  operation, bounce-back through ``f[_OPPOSITE]``, 8 ``np.roll`` calls
+  and the inflow equilibrium rebuilt every step, the oracle of
+  :meth:`repro.workloads.lattice.LatticeWorkload.execute`;
+* :func:`lbm_execute_reference` — the same D3Q19 loop with 18 rolls,
+  the oracle of :meth:`repro.workloads.lbm.LbmWorkload.execute`.
+
 The benchmarks import this module by putting ``tests/`` on
 ``sys.path``.
 """
@@ -122,6 +136,9 @@ from repro.trace.generator import (
     _phase_addresses,
     budget_iterations,
 )
+from repro.workloads import lattice as lattice_kernel
+from repro.workloads import lbm as lbm_kernel
+from repro.workloads import orbit as orbit_kernel
 from repro.workloads.base import TraceSpec
 
 __all__ = [
@@ -148,8 +165,11 @@ __all__ = [
     "from_fixed_reference",
     "generate_trace_reference",
     "is_approx",
+    "lattice_execute_reference",
+    "lbm_execute_reference",
     "mantissa_error_within",
     "matrix_lru_state",
+    "orbit_execute_reference",
     "reconstruct_1d_reference",
     "reconstruct_2d_reference",
     "reference_system",
@@ -1655,3 +1675,130 @@ def compress_blocks_reference(
     if dtype == DataType.FLOAT32:
         return _compress_float_reference(comp, blocks.astype(np.float32, copy=False))
     return _compress_fixed_reference(comp, blocks.astype(np.int32, copy=False))
+
+
+# ======================================================================
+# workload kernels: the per-step numpy loops
+# ======================================================================
+def orbit_execute_reference(
+    workload: orbit_kernel.OrbitWorkload, mem: ApproxMemory
+) -> tuple[np.ndarray, int]:
+    """:meth:`OrbitWorkload.execute` as a per-step loop on numpy arrays."""
+    G, M1, M2 = orbit_kernel.G, orbit_kernel.M1, orbit_kernel.M2
+    pos_h = mem.region("pos_history").array
+    vel_h = mem.region("vel_history").array
+    energy = mem.region("energy_log").array
+
+    r1 = np.array([0.5, 0.0, 0.02])
+    r2 = np.array([-0.5, 0.0, -0.02])
+    v_circ = np.sqrt(G * (M1 + M2) / np.linalg.norm(r1 - r2)) / 2.0
+    v1 = np.array([0.0, 0.9 * v_circ, 0.0])
+    v2 = np.array([0.0, -0.9 * v_circ, 0.0])
+
+    def accel(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = r2 - r1
+        dist3 = np.linalg.norm(d) ** 3
+        return G * M2 * d / dist3, -G * M1 * d / dist3
+
+    a1, a2 = accel(r1, r2)
+    for step in range(workload.steps):
+        v1 += 0.5 * workload.dt * a1
+        v2 += 0.5 * workload.dt * a2
+        r1 += workload.dt * v1
+        r2 += workload.dt * v2
+        a1, a2 = accel(r1, r2)
+        v1 += 0.5 * workload.dt * a1
+        v2 += 0.5 * workload.dt * a2
+
+        pos_h[:3, step] = r1
+        pos_h[3:, step] = r2
+        vel_h[:3, step] = v1
+        vel_h[3:, step] = v2
+        kinetic = 0.5 * (M1 * (v1**2).sum() + M2 * (v2**2).sum())
+        potential = -G * M1 * M2 / np.linalg.norm(r1 - r2)
+        energy[:, step] = (kinetic, potential)
+
+        if (step + 1) % workload.CHUNK == 0:
+            mem.sync(["pos_history", "vel_history"])
+
+    output = np.concatenate([pos_h.ravel(), vel_h.ravel()])
+    return output, workload.steps
+
+
+def lattice_execute_reference(
+    workload: lattice_kernel.LatticeWorkload, mem: ApproxMemory
+) -> tuple[np.ndarray, int]:
+    """:meth:`LatticeWorkload.execute` with a fresh array per operation."""
+    ex, ey, opposite = lattice_kernel._EX, lattice_kernel._EY, lattice_kernel._OPPOSITE
+    equilibrium = lattice_kernel.equilibrium
+    f = mem.region("f").array
+    macro = mem.region("macro").array
+    mask = workload.mask
+    for _ in range(workload.steps):
+        rho = f.sum(axis=0)
+        inv_rho = 1.0 / np.maximum(rho, 1e-6)
+        ux = (f * ex[:, None, None]).sum(axis=0) * inv_rho
+        uy = (f * ey[:, None, None]).sum(axis=0) * inv_rho
+
+        ux[:, 0] = workload.U_INFLOW
+        uy[:, 0] = 0.0
+        rho[:, 0] = 1.0
+
+        feq = equilibrium(rho, ux, uy)
+        f += workload.OMEGA * (feq - f)
+
+        f[:, mask] = f[opposite][:, mask]
+
+        for i in range(1, 9):
+            f[i] = np.roll(f[i], (int(ey[i]), int(ex[i])), axis=(0, 1))
+        f[:, :, 0] = equilibrium(
+            np.ones(workload.ny, dtype=np.float32)[:, None],
+            np.full((workload.ny, 1), workload.U_INFLOW, dtype=np.float32),
+            np.zeros((workload.ny, 1), dtype=np.float32),
+        )[:, :, 0]
+        f[:, :, -1] = f[:, :, -2]
+
+        macro[0], macro[1], macro[2] = rho, ux, uy
+        mem.sync(["f", "macro"])
+
+    speed = np.sqrt(macro[1] ** 2 + macro[2] ** 2)
+    pressure = macro[0] / 3.0
+    return np.stack([speed, pressure]), workload.steps
+
+
+def lbm_execute_reference(
+    workload: lbm_kernel.LbmWorkload, mem: ApproxMemory
+) -> tuple[np.ndarray, int]:
+    """:meth:`LbmWorkload.execute` with a fresh array per operation."""
+    e, opposite = lbm_kernel._E, lbm_kernel._OPPOSITE
+    equilibrium_3d = lbm_kernel.equilibrium_3d
+    f = mem.region("f").array
+    velocity = mem.region("velocity").array
+    mask = workload.mask
+    for _ in range(workload.steps):
+        rho = f.sum(axis=0)
+        inv_rho = 1.0 / np.maximum(rho, 1e-6)
+        u = np.tensordot(e.T.astype(np.float32), f, axes=([1], [0])) * inv_rho[None]
+
+        u[:, :, :, 0] = 0.0
+        u[0, :, :, 0] = workload.U_INFLOW
+        rho[:, :, 0] = 1.0
+
+        feq = equilibrium_3d(rho, u)
+        f += workload.OMEGA * (feq - f)
+        f[:, mask] = f[opposite][:, mask]
+
+        for i in range(1, 19):
+            shift = (int(e[i, 2]), int(e[i, 1]), int(e[i, 0]))
+            f[i] = np.roll(f[i], shift, axis=(0, 1, 2))
+        f[:, :, :, -1] = f[:, :, :, -2]
+        rho_in = np.ones((workload.nz, workload.ny, 1), dtype=np.float32)
+        u_in = np.zeros((3, workload.nz, workload.ny, 1), dtype=np.float32)
+        u_in[0] = workload.U_INFLOW
+        f[:, :, :, :1] = equilibrium_3d(rho_in, u_in)
+
+        velocity[...] = u
+        mem.sync(["f", "velocity"])
+
+    speed = np.sqrt((velocity.astype(np.float64) ** 2).sum(axis=0))
+    return speed.astype(np.float32), workload.steps

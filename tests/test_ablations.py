@@ -177,6 +177,41 @@ class TestAblationHarness:
             assert 0.0 <= v["mean_error_pct"] < 100.0, label
         assert results["full pipeline"]["mean_error_pct"] == pytest.approx(9.2, abs=0.1)
 
+    def test_compressor_ablation_blocks_regions_as_a_sync_does(self, monkeypatch):
+        """lbm at scale 0.2 holds 9,600 velocity values: 38 blocks, the
+        last padded with the final value, as ``AVRApproximator.apply``
+        builds them (the ablation once compressed 37 and left 128 values
+        out), so its ratio is the functional path's."""
+        from repro.approx import AVRApproximator
+        from repro.common.types import DataType
+        from repro.designs import BASELINE
+        from repro.workloads import make_workload
+
+        seen = []
+        compress = AVRCompressor.compress_blocks
+
+        def recording(self, blocks, dtype=DataType.FLOAT32):
+            seen.append(np.array(blocks, copy=True))
+            return compress(self, blocks, dtype)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AVRCompressor, "compress_blocks", recording)
+            results = run_compressor_ablations(
+                "lbm", scale=0.2, variants={"full pipeline": {}}
+            )
+
+        workload = make_workload("lbm", scale=0.2)
+        mem = workload.run(BASELINE).memory
+        velocity = mem.region("velocity").array.ravel()
+        assert velocity.size == 9600
+        tail = np.full(38 * VALUES_PER_BLOCK - velocity.size, velocity[-1])
+        expected = np.concatenate([velocity, tail]).reshape(38, VALUES_PER_BLOCK)
+        assert [b.shape for b in seen] == [(38, VALUES_PER_BLOCK)]
+        assert np.array_equal(seen[0].view(np.uint32), expected.view(np.uint32))
+
+        stats = AVRApproximator(workload.default_thresholds).apply(mem.region("velocity"))
+        assert results["full pipeline"]["ratio"] == stats.compression_ratio
+
 
 class TestPerRegionThresholds:
     def test_region_knob_overrides_global(self):

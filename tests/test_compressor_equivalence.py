@@ -16,6 +16,7 @@ and every call the seven workloads make under AVR at a small scale.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ def test_crafted_blocks_match_oracle(name, mode):
     for methods, enable_bias, th in itertools.product(METHOD_SETS, (True, False), THRESHOLDS):
         check(CRAFTED[name], thresholds=th, check_mode=mode, methods=methods,
               enable_bias=enable_bias)
+
+
+@pytest.mark.parametrize("name", ["nan", "+inf", "-inf", "all-nan", "random-bits",
+                                  "batch-of-all"])
+@pytest.mark.parametrize("mode", MODES)
+def test_special_values_compress_without_warnings(name, mode):
+    """NaN, ±Inf and random bit patterns (signalling NaNs among them)
+    raise no numpy RuntimeWarning, as a workload's sync would print it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for methods, enable_bias, th in itertools.product(
+            METHOD_SETS, (True, False), THRESHOLDS
+        ):
+            comp = AVRCompressor(th, check_mode=mode, methods=methods,
+                                 enable_bias=enable_bias)
+            comp.compress_blocks(CRAFTED[name])
 
 
 @pytest.mark.parametrize("name", ["zeros", "random-bits", "batch-of-all", "empty"])
