@@ -7,7 +7,6 @@ import numpy as np
 
 from repro import AVRCompressor, ErrorThresholds
 from repro.common.constants import VALUES_PER_BLOCK
-from repro.compression import CompressedBlock
 
 
 def main() -> None:
@@ -33,21 +32,19 @@ def main() -> None:
             f"  {err.mean() * 100:8.3f}%  {result.outlier_count.mean():12.1f}"
         )
 
-    # --- single-block API: byte-accurate memory image --------------------
-    comp = AVRCompressor(ErrorThresholds.from_t2(0.01))
-    block, recon = comp.compress_block(blocks[0])
-    assert block is not None
-    image = block.pack()
-    print(f"\n  one 1024 B block -> {len(image)} B image "
-          f"({block.size_cachelines} cachelines, {block.outlier_count} outliers,"
-          f" method={block.method.name}, bias={block.bias})")
-
-    rebuilt = CompressedBlock.unpack(
-        image, block.method, block.bias, block.size_cachelines
-    )
-    out = comp.decompress_block(rebuilt)
-    assert np.array_equal(out, recon)
-    print("  pack -> unpack -> decompress reproduces the approximation exactly")
+    # --- the decompressor: summaries + CMT fields -> values -------------
+    comp = AVRCompressor(ErrorThresholds.from_t2(0.001))
+    res = comp.compress_blocks(blocks)
+    ok = res.success
+    out = comp.decompress_blocks(res.summaries[ok], res.method[ok], res.bias[ok])
+    # outliers are stored verbatim and overlaid after reconstruction
+    mask = res.outlier_mask[ok]
+    out[mask] = blocks[ok][mask]
+    assert np.array_equal(out, res.reconstructed[ok])
+    print(f"\n  {int(ok.sum())} compressed blocks, "
+          f"{int(res.size_cachelines[ok].sum())} cachelines stored, "
+          f"{int(res.outlier_count[ok].sum())} outliers")
+    print("  decompress_blocks + outlier overlay reproduces the approximation exactly")
 
 
 if __name__ == "__main__":

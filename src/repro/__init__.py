@@ -56,7 +56,11 @@ from .compression import AVRCompressor
 # 1.11.0: the result cache's shard index and its API are gone; stores
 # live under ``<cache-dir>/m<MODEL_VERSION>/``.  The package version no
 # longer reaches any cache key.
-__version__ = "1.11.0"
+# 1.12.0: public names removed: the byte-level block image and its
+# bitmap packing, the block-image backing store, the BDI stack, the
+# scalar fixed-point and float-field helpers and the trace builders.
+# Simulation results and keys are unchanged.
+__version__ = "1.12.0"
 
 #: The version of the simulated model, folded into every result-cache,
 #: trace and front-end key and naming the ``m<MODEL_VERSION>/`` store

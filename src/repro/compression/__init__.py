@@ -1,6 +1,5 @@
-"""AVR compression: downsampling, outliers, block format, pipelines."""
+"""AVR compression: downsampling, outlier sizing, the compressor pipeline."""
 
-from .block import CompressedBlock
 from .compressor import AVRCompressor, BatchCompressionResult
 from .downsample import (
     downsample_1d,
@@ -9,41 +8,20 @@ from .downsample import (
     reconstruct_2d,
 )
 from .errors import mean_relative_error, relative_error
-from .lossless import (
-    EncodedLine,
-    compression_ratio as bdi_compression_ratio,
-    decode_line,
-    encode_line,
-    stacked_ratio,
-)
-from .outliers import (
-    compressed_size_cachelines,
-    max_outliers_for_size,
-    pack_bitmap,
-    unpack_bitmap,
-)
+from .outliers import compressed_size_cachelines
 from .truncate import TRUNCATE_RATIO, truncate_roundtrip, truncate_values
 
 __all__ = [
     "AVRCompressor",
     "BatchCompressionResult",
-    "CompressedBlock",
-    "EncodedLine",
-    "bdi_compression_ratio",
-    "decode_line",
-    "encode_line",
-    "stacked_ratio",
     "TRUNCATE_RATIO",
     "compressed_size_cachelines",
     "downsample_1d",
     "downsample_2d",
-    "max_outliers_for_size",
     "mean_relative_error",
-    "pack_bitmap",
     "reconstruct_1d",
     "reconstruct_2d",
     "relative_error",
     "truncate_roundtrip",
     "truncate_values",
-    "unpack_bitmap",
 ]

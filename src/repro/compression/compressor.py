@@ -64,10 +64,6 @@ mask (NaN x 0 is NaN) nor a matmul (it would reorder the sum).
 
 The FIXED32 path skips biasing and conversion and always applies the
 relative check to the integer values.
-
-The scalar API (:meth:`compress_block` / :meth:`decompress_block`)
-wraps it for single blocks and returns/accepts the byte-accurate
-:class:`~repro.compression.block.CompressedBlock`.
 """
 
 from __future__ import annotations
@@ -81,7 +77,6 @@ from ..common.constants import BLOCK_CACHELINES, MAX_COMPRESSED_CACHELINES, VALU
 from ..common.types import CompressionMethod, DataType, ErrorThresholds
 from ..fixedpoint.bias import BIAS_FIELD_MAX, BIAS_FIELD_MIN, TARGET_MAX_EXPONENT
 from ..fixedpoint.convert import DEFAULT_FORMAT, FixedPointFormat
-from .block import CompressedBlock
 from .downsample import METHODS, reconstruct_stack, summarize
 from .outliers import compressed_size_cachelines
 
@@ -357,53 +352,6 @@ class AVRCompressor:
         if dtype == DataType.FIXED32:
             return recon.astype(np.int32)
         return (recon * self._unscale(biases)[:, None]).astype(np.float32)
-
-    # ------------------------------------------------------------------
-    # scalar convenience API
-    # ------------------------------------------------------------------
-    def compress_block(
-        self, values: np.ndarray, dtype: DataType = DataType.FLOAT32
-    ) -> tuple[CompressedBlock | None, np.ndarray]:
-        """Compress one 256-value block.
-
-        Returns ``(block, reconstructed)``; ``block`` is None when the
-        compression attempt failed (stored uncompressed).
-        """
-        values = np.asarray(values).reshape(1, VALUES_PER_BLOCK)
-        res = self.compress_blocks(values, dtype)
-        recon = res.reconstructed[0]
-        if not bool(res.success[0]):
-            return None, recon
-        mask = res.outlier_mask[0]
-        if dtype == DataType.FLOAT32:
-            raw = values[0].astype(np.float32).view(np.uint32)
-        else:
-            raw = values[0].astype(np.int32).view(np.uint32)
-        block = CompressedBlock(
-            method=CompressionMethod(int(res.method[0])),
-            bias=int(res.bias[0]),
-            summary=res.summaries[0],
-            outlier_mask=mask,
-            outlier_bits=raw[mask],
-        )
-        return block, recon
-
-    def decompress_block(
-        self, block: CompressedBlock, dtype: DataType = DataType.FLOAT32
-    ) -> np.ndarray:
-        """Reconstruct one block, overlaying its stored outliers."""
-        recon = self.decompress_blocks(
-            block.summary[None, :],
-            np.array([block.method]),
-            np.array([block.bias]),
-            dtype,
-        )[0]
-        if block.outlier_count:
-            if dtype == DataType.FLOAT32:
-                recon[block.outlier_mask] = block.outlier_bits.view(np.float32)
-            else:
-                recon[block.outlier_mask] = block.outlier_bits.view(np.int32)
-        return recon
 
 
 def _masked_mean(err: np.ndarray, mask: np.ndarray) -> np.ndarray:

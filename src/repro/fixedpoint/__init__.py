@@ -1,14 +1,8 @@
 """Fixed-point arithmetic substrate for the AVR compressor core."""
 
-from .bias import apply_bias, choose_bias, remove_bias
-from .convert import DEFAULT_FORMAT, FixedPointFormat, fixed_to_float, float_to_fixed
+from .convert import DEFAULT_FORMAT, FixedPointFormat
 
 __all__ = [
     "DEFAULT_FORMAT",
     "FixedPointFormat",
-    "apply_bias",
-    "choose_bias",
-    "fixed_to_float",
-    "float_to_fixed",
-    "remove_bias",
 ]

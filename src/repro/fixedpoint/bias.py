@@ -10,15 +10,13 @@ removed after decompression.
 Biasing is skipped (bias = 0) when the block contains special values
 (NaN/Inf) or when no single offset keeps every value's exponent inside
 (0, 255) while bringing the largest magnitude into range — the cases
-the paper lists as (a) and (b).
+the paper lists as (a) and (b).  The compressor chooses and applies the
+bias for a whole batch at once
+(:meth:`~repro.compression.AVRCompressor.compress_blocks`); this module
+holds the constants it reads.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from ..common import bitops
-from .convert import DEFAULT_FORMAT, FixedPointFormat
 
 #: Target biased exponent of the largest-magnitude value.  127 + 5 puts
 #: the block maximum in [32, 64): comfortably inside Q8.24's (-128, 128)
@@ -28,49 +26,3 @@ TARGET_MAX_EXPONENT = 127 + 5
 #: 8-bit signed field in the CMT limits the representable bias.
 BIAS_FIELD_MIN = -128
 BIAS_FIELD_MAX = 127
-
-
-def choose_bias(
-    values: np.ndarray, fmt: FixedPointFormat = DEFAULT_FORMAT
-) -> int:
-    """Select the exponent bias for one block of float32 values.
-
-    Returns the signed bias to *add* to every exponent before the
-    float-to-fixed conversion (0 when biasing is skipped).
-    """
-    values = np.asarray(values, dtype=np.float32)
-    if bool(np.any(bitops.is_special(values))):
-        return 0  # rule (a): bias would create/destroy NaN/Inf semantics
-    exps = bitops.exponent_bits(values)
-    nonzero = exps > 0  # exponent field 0 = zero/denormal, never biased
-    if not bool(np.any(nonzero)):
-        return 0  # all-zero block: nothing to bias
-    max_exp = int(exps[nonzero].max())
-    min_exp = int(exps[nonzero].min())
-    bias = TARGET_MAX_EXPONENT - max_exp
-    if bias == 0:
-        return 0
-    # rule (b): the offset must keep every value's exponent in (0, 255)
-    if min_exp + bias < 1 or max_exp + bias > 254:
-        return 0
-    if not BIAS_FIELD_MIN <= bias <= BIAS_FIELD_MAX:
-        return 0
-    return bias
-
-
-def apply_bias(values: np.ndarray, bias: int) -> np.ndarray:
-    """Add ``bias`` to the exponent of every value (multiply by 2**bias)."""
-    return bitops.add_exponent(values, bias)
-
-
-def remove_bias(values: np.ndarray, bias: int) -> np.ndarray:
-    """Undo :func:`apply_bias` after decompression.
-
-    Reconstructed values (averages, interpolants) may have smaller
-    exponents than any original value, so exact exponent-field
-    subtraction could underflow; the hardware flushes such results to
-    zero.  ``ldexp`` reproduces that behaviour.
-    """
-    if bias == 0:
-        return np.array(values, dtype=np.float32, copy=True)
-    return np.ldexp(np.asarray(values, dtype=np.float32), -bias).astype(np.float32)

@@ -1,19 +1,17 @@
-"""Float <-> fixed-point conversion (after Saldanha et al. [35]).
+"""The fixed-point format of the compressor core (after Saldanha et al. [35]).
 
 The AVR compressor core operates on fixed-point values to keep the
 averaging/interpolation datapath a pure integer pipeline.  Floating
 point blocks are exponent-biased (see :mod:`repro.fixedpoint.bias`),
-converted to a signed Q-format here, downsampled, and converted back.
-
-The conversion is a single-cycle hardware operation; here it is one
-vectorized numpy expression per array.
+converted to the signed Q-format described here, downsampled, and
+converted back.  The conversion is a single-cycle hardware operation;
+:meth:`~repro.compression.AVRCompressor.compress_blocks` performs it
+for a whole batch in one vectorized expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,42 +40,7 @@ class FixedPointFormat:
     def min_int(self) -> int:
         return -(2**31)
 
-    @property
-    def max_value(self) -> float:
-        """Largest representable real value."""
-        return self.max_int / self.scale
-
-    @property
-    def min_value(self) -> float:
-        return self.min_int / self.scale
-
-    @property
-    def resolution(self) -> float:
-        return 1.0 / self.scale
-
 
 #: Default Q8.24 format: range (-128, 128), resolution ~6e-8.
 DEFAULT_FORMAT = FixedPointFormat(frac_bits=24)
 
-
-def float_to_fixed(
-    values: np.ndarray, fmt: FixedPointFormat = DEFAULT_FORMAT
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convert float values to fixed point, saturating out-of-range ones.
-
-    Returns ``(fixed, saturated)`` where ``fixed`` is int32 and
-    ``saturated`` marks values that were clamped (these will show up as
-    outliers downstream, mirroring hardware behaviour).
-    """
-    scaled = np.asarray(values, dtype=np.float64) * fmt.scale
-    rounded = np.rint(scaled)
-    saturated = (rounded > fmt.max_int) | (rounded < fmt.min_int) | ~np.isfinite(rounded)
-    clipped = np.clip(np.nan_to_num(rounded, nan=0.0), fmt.min_int, fmt.max_int)
-    return clipped.astype(np.int32), saturated
-
-
-def fixed_to_float(
-    fixed: np.ndarray, fmt: FixedPointFormat = DEFAULT_FORMAT
-) -> np.ndarray:
-    """Convert fixed-point int32 values back to float32."""
-    return (np.asarray(fixed, dtype=np.float64) / fmt.scale).astype(np.float32)

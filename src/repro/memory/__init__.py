@@ -1,6 +1,5 @@
-"""Main-memory substrate: DDR4 timing model + block-image backing store."""
+"""Main-memory substrate: the DDR4 timing model."""
 
-from .backing import BackingStore
 from .dram import DRAM
 
-__all__ = ["BackingStore", "DRAM"]
+__all__ = ["DRAM"]

@@ -197,6 +197,12 @@ class UnitScheduler:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self._pool = ProcessPoolExecutor(max_workers=workers)
+        # Start the workers before the daemon accepts a connection.  The
+        # pool forks them at its first submission, and a forked worker
+        # keeps a copy of every socket open at that moment: a client that
+        # connected earlier and then closes never reaches EOF, so its
+        # session never ends.
+        self._pool.submit(int).result()
         self._slots = workers
         #: re-entrant: ``add_done_callback`` may run ``_finish`` in the
         #: submitting thread when a pool future is already resolved

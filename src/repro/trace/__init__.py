@@ -1,6 +1,6 @@
 """Synthetic memory-trace generation for the timing layer."""
 
-from .events import TRACE_DTYPE, concat_traces, make_trace, total_instructions
+from .events import TRACE_DTYPE, total_instructions
 from .generator import GeneratedTrace, generate_trace
 from .store import (
     FrontEndHandle,
@@ -22,10 +22,8 @@ __all__ = [
     "TraceStore",
     "TraceStoreStats",
     "TraceStoreUsage",
-    "concat_traces",
     "front_end_key",
     "generate_trace",
-    "make_trace",
     "resolve_trace_store",
     "total_instructions",
     "trace_key",

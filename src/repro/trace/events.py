@@ -17,27 +17,6 @@ TRACE_DTYPE = np.dtype(
 )
 
 
-def make_trace(
-    addrs: np.ndarray, writes: np.ndarray, gaps: np.ndarray
-) -> np.ndarray:
-    """Assemble a trace array from parallel field arrays."""
-    n = len(addrs)
-    if len(writes) != n or len(gaps) != n:
-        raise ValueError("field arrays must have equal length")
-    out = np.empty(n, dtype=TRACE_DTYPE)
-    out["addr"] = addrs
-    out["write"] = writes
-    out["gap"] = gaps
-    return out
-
-
-def concat_traces(traces: list[np.ndarray]) -> np.ndarray:
-    """Concatenate trace fragments in program order."""
-    if not traces:
-        return np.empty(0, dtype=TRACE_DTYPE)
-    return np.concatenate(traces)
-
-
 def total_instructions(trace: np.ndarray) -> int:
     """Instructions represented by a trace: gaps + one per access."""
     return int(trace["gap"].sum()) + len(trace)

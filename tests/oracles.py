@@ -42,7 +42,9 @@ On top of the twins:
   and through its twin, asserting they agree (the LLC unit tests'
   driver);
 * :func:`generate_trace_reference` — the per-(iteration, phase)
-  fragment loop, the oracle of :func:`repro.trace.generate_trace`.
+  fragment loop, the oracle of :func:`repro.trace.generate_trace`,
+  built on :func:`make_trace` and :func:`concat_traces` (which the
+  timing tests also use to hand-build traces).
 
 The functional layer's compressor:
 
@@ -56,7 +58,22 @@ The functional layer's compressor:
   :mod:`repro.compression.downsample`;
 * :func:`choose_biases_reference`, :func:`to_fixed_reference` and
   :func:`from_fixed_reference` — the biasing and the float/fixed
-  conversions.
+  conversions;
+* :func:`exponent_bits` and :func:`mantissa_bits` — the float32 fields
+  the reference checks read.
+
+The compressed block's byte image (Fig. 2a), which no run builds: the
+timing model charges only its size
+(:func:`repro.compression.compressed_size_cachelines`).
+
+* :class:`CompressedBlock` — pack/unpack of the summary cacheline, the
+  outlier bitmap and the packed outliers, with the method and bias as
+  CMT metadata; ``test_compressor_equivalence.py`` checks that every
+  compressed block's image has the charged size and decompresses,
+  through :meth:`repro.compression.AVRCompressor.decompress_blocks`, to
+  the functional layer's reconstruction;
+* :func:`pack_bitmap`, :func:`unpack_bitmap` and
+  :func:`max_outliers_for_size` — the bitmap and the size budget.
 
 The functional layer's workload kernels, each the per-step numpy loop
 its workload's ``execute`` replaced, called as ``f(workload, mem)``
@@ -78,7 +95,7 @@ The benchmarks import this module by putting ``tests/`` on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -96,6 +113,7 @@ from repro.cache.llc_baseline import BaselineLLC
 from repro.common import bitops
 from repro.common.config import CacheConfig, DRAMConfig, SystemConfig
 from repro.common.constants import (
+    BITMAP_BYTES,
     BLOCK_BYTES,
     BLOCK_CACHELINES,
     BLOCK_SIDE_2D,
@@ -111,6 +129,7 @@ from repro.common.constants import (
     SUMMARY_VALUES,
     TILE_SIDE_2D,
     TILES_PER_SIDE_2D,
+    VALUE_BYTES,
     VALUES_PER_BLOCK,
 )
 from repro.common.stats import StatCounter
@@ -129,7 +148,7 @@ from repro.memory.dram import DRAM
 from repro.system.frontend import INTERLEAVE_CHUNK
 from repro.system.layout import AddressLayout
 from repro.system.simulator import SimResult, TimingSystem
-from repro.trace.events import TRACE_DTYPE, concat_traces, make_trace
+from repro.trace.events import TRACE_DTYPE
 from repro.trace.generator import (
     _JITTER_BOUND,
     GeneratedTrace,
@@ -146,6 +165,7 @@ __all__ = [
     "BaselineLLCReference",
     "CMT",
     "CMTEntryReference",
+    "CompressedBlock",
     "DBUF",
     "DRAMReference",
     "IntervalCoreReference",
@@ -158,24 +178,31 @@ __all__ = [
     "choose_biases_reference",
     "cms_key",
     "compress_blocks_reference",
+    "concat_traces",
     "decode_cms_key",
     "detect_outliers",
     "downsample_1d_reference",
     "downsample_2d_reference",
+    "exponent_bits",
     "from_fixed_reference",
     "generate_trace_reference",
     "is_approx",
     "lattice_execute_reference",
     "lbm_execute_reference",
+    "make_trace",
+    "mantissa_bits",
     "mantissa_error_within",
     "matrix_lru_state",
+    "max_outliers_for_size",
     "orbit_execute_reference",
+    "pack_bitmap",
     "reconstruct_1d_reference",
     "reconstruct_2d_reference",
     "reference_system",
     "replay_llc",
     "run_reference",
     "to_fixed_reference",
+    "unpack_bitmap",
 ]
 
 
@@ -1257,6 +1284,27 @@ def replay_llc(
 # ======================================================================
 # trace synthesis
 # ======================================================================
+def make_trace(
+    addrs: np.ndarray, writes: np.ndarray, gaps: np.ndarray
+) -> np.ndarray:
+    """Assemble a trace array from parallel field arrays."""
+    n = len(addrs)
+    if len(writes) != n or len(gaps) != n:
+        raise ValueError("field arrays must have equal length")
+    out = np.empty(n, dtype=TRACE_DTYPE)
+    out["addr"] = addrs
+    out["write"] = writes
+    out["gap"] = gaps
+    return out
+
+
+def concat_traces(traces: list[np.ndarray]) -> np.ndarray:
+    """Concatenate trace fragments in program order."""
+    if not traces:
+        return np.empty(0, dtype=TRACE_DTYPE)
+    return np.concatenate(traces)
+
+
 def _generate_core_reference(
     spec: TraceSpec,
     mem: ApproxMemory,
@@ -1435,6 +1483,17 @@ _METHOD_KERNELS_REFERENCE = {
 }
 
 
+def exponent_bits(values: np.ndarray) -> np.ndarray:
+    """Raw (biased) 8-bit exponent field of each float32 value."""
+    fields = bitops.as_bits(values) >> np.uint32(bitops.EXP_SHIFT)
+    return (fields & bitops.EXP_MASK).astype(np.int16)
+
+
+def mantissa_bits(values: np.ndarray) -> np.ndarray:
+    """23-bit mantissa field of each float32 value as uint32."""
+    return bitops.as_bits(values) & bitops.MANTISSA_MASK
+
+
 def block_scale(original: np.ndarray) -> np.ndarray:
     """Per-block value scale: the largest finite magnitude, as a column."""
     mags = np.abs(np.asarray(original, dtype=np.float64))
@@ -1511,8 +1570,8 @@ def block_average_error(
     if mode not in CHECK_MODES:
         raise ValueError(f"unknown check mode {mode!r}; expected one of {CHECK_MODES}")
     if mode == "hardware":
-        om = bitops.mantissa_bits(np.asarray(original, np.float32)).astype(np.int64)
-        am = bitops.mantissa_bits(np.asarray(reconstructed, np.float32)).astype(np.int64)
+        om = mantissa_bits(np.asarray(original, np.float32)).astype(np.int64)
+        am = mantissa_bits(np.asarray(reconstructed, np.float32)).astype(np.int64)
         err = np.abs(om - am) / float(1 << 23)
     else:
         err = relative_error(original, reconstructed)
@@ -1529,7 +1588,7 @@ def block_average_error(
 
 def choose_biases_reference(blocks: np.ndarray) -> np.ndarray:
     """Per-block exponent bias, 0 where biasing is skipped."""
-    exps = bitops.exponent_bits(blocks)
+    exps = exponent_bits(blocks)
     special = (exps == bitops.EXP_MAX).any(axis=1)
     nonzero = exps > 0
     has_nonzero = nonzero.any(axis=1)
@@ -1675,6 +1734,142 @@ def compress_blocks_reference(
     if dtype == DataType.FLOAT32:
         return _compress_float_reference(comp, blocks.astype(np.float32, copy=False))
     return _compress_fixed_reference(comp, blocks.astype(np.int32, copy=False))
+
+
+# ======================================================================
+# the compressed block's byte image (Fig. 2a)
+# ======================================================================
+def pack_bitmap(outliers: np.ndarray) -> np.ndarray:
+    """Pack a (nblocks, 256) boolean mask into (nblocks, 32) bytes."""
+    outliers = np.asarray(outliers, dtype=bool)
+    if outliers.ndim != 2 or outliers.shape[1] != VALUES_PER_BLOCK:
+        raise ValueError(f"expected (nblocks, {VALUES_PER_BLOCK}), got {outliers.shape}")
+    packed = np.packbits(outliers, axis=1)
+    assert packed.shape[1] == BITMAP_BYTES
+    return packed
+
+
+def unpack_bitmap(packed: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`pack_bitmap`."""
+    packed = np.asarray(packed, dtype=np.uint8)
+    if packed.ndim != 2 or packed.shape[1] != BITMAP_BYTES:
+        raise ValueError(f"expected (nblocks, {BITMAP_BYTES}), got {packed.shape}")
+    return np.unpackbits(packed, axis=1).astype(bool)
+
+
+def max_outliers_for_size(size_cachelines: int = MAX_COMPRESSED_CACHELINES) -> int:
+    """Largest outlier count that still fits in ``size_cachelines``."""
+    budget = size_cachelines * CACHELINE_BYTES - CACHELINE_BYTES - BITMAP_BYTES
+    return max(0, budget // VALUE_BYTES)
+
+
+@dataclass
+class CompressedBlock:
+    """One compressed 1 KB block and its byte image in main memory.
+
+    The block occupies 1-8 cachelines of its 16-cacheline slot:
+
+    * cacheline 0 — the 16-value summary (int32 fixed point,
+      exponent-biased);
+    * cacheline 1, first half — the 256-bit outlier bitmap (only
+      present when there are outliers);
+    * the packed 32-bit outlier values follow, in block order;
+    * the remaining cachelines of the slot stay free for lazily evicted
+      uncompressed cachelines.
+
+    ``method`` and ``bias`` live in the block's CMT entry, not in the
+    image, so :meth:`unpack` takes them as arguments, as the hardware
+    consults the CMT before decompressing.
+    """
+
+    method: CompressionMethod
+    bias: int
+    summary: np.ndarray  # (16,) int32
+    outlier_mask: np.ndarray = field(
+        default_factory=lambda: np.zeros(VALUES_PER_BLOCK, dtype=bool)
+    )
+    outlier_bits: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.uint32)
+    )  # raw 32-bit images of outlier values, in block order
+
+    def __post_init__(self) -> None:
+        self.summary = np.asarray(self.summary, dtype=np.int32)
+        if self.summary.shape != (SUMMARY_VALUES,):
+            raise ValueError(f"summary must have shape ({SUMMARY_VALUES},)")
+        self.outlier_mask = np.asarray(self.outlier_mask, dtype=bool)
+        if self.outlier_mask.shape != (VALUES_PER_BLOCK,):
+            raise ValueError(f"outlier_mask must have shape ({VALUES_PER_BLOCK},)")
+        self.outlier_bits = np.asarray(self.outlier_bits, dtype=np.uint32)
+        if int(self.outlier_mask.sum()) != self.outlier_bits.size:
+            raise ValueError(
+                f"bitmap marks {int(self.outlier_mask.sum())} outliers but "
+                f"{self.outlier_bits.size} values supplied"
+            )
+        if self.method == CompressionMethod.UNCOMPRESSED:
+            raise ValueError("a CompressedBlock cannot have method UNCOMPRESSED")
+
+    @property
+    def outlier_count(self) -> int:
+        return int(self.outlier_bits.size)
+
+    @property
+    def size_cachelines(self) -> int:
+        """Cachelines the image occupies in its memory slot (1-8).
+
+        Counted from the layout itself, not with the package's
+        :func:`~repro.compression.compressed_size_cachelines`, so the
+        two can be compared.
+        """
+        if not self.outlier_count:
+            return 1
+        payload = CACHELINE_BYTES + BITMAP_BYTES + VALUE_BYTES * self.outlier_count
+        return -(-payload // CACHELINE_BYTES)
+
+    @property
+    def free_cachelines(self) -> int:
+        """Cachelines left in the 1 KB slot for lazy evictions."""
+        return BLOCK_CACHELINES - self.size_cachelines
+
+    def pack(self) -> bytes:
+        """Serialize to the byte image stored in main memory."""
+        buf = np.zeros(self.size_cachelines * CACHELINE_BYTES, dtype=np.uint8)
+        buf[:CACHELINE_BYTES] = self.summary.view(np.uint8)
+        if self.outlier_count:
+            bitmap = pack_bitmap(self.outlier_mask[None, :])[0]
+            buf[CACHELINE_BYTES : CACHELINE_BYTES + BITMAP_BYTES] = bitmap
+            start = CACHELINE_BYTES + BITMAP_BYTES
+            raw = self.outlier_bits.view(np.uint8)
+            buf[start : start + raw.size] = raw
+        return buf.tobytes()
+
+    @classmethod
+    def unpack(
+        cls,
+        data: bytes,
+        method: CompressionMethod,
+        bias: int,
+        size_cachelines: int,
+    ) -> CompressedBlock:
+        """Rebuild a block from its byte image plus its CMT metadata."""
+        if size_cachelines < 1:
+            raise ValueError("compressed block needs at least one cacheline")
+        if len(data) < size_cachelines * CACHELINE_BYTES:
+            raise ValueError(
+                f"image too short: {len(data)} bytes for {size_cachelines} CLs"
+            )
+        buf = np.frombuffer(data, dtype=np.uint8, count=size_cachelines * CACHELINE_BYTES)
+        summary = buf[:CACHELINE_BYTES].view(np.int32).copy()
+        if size_cachelines == 1:
+            return cls(method=method, bias=bias, summary=summary)
+        bitmap = buf[CACHELINE_BYTES : CACHELINE_BYTES + BITMAP_BYTES]
+        mask = unpack_bitmap(bitmap[None, :])[0]
+        count = int(mask.sum())
+        start = CACHELINE_BYTES + BITMAP_BYTES
+        bits = buf[start : start + count * VALUE_BYTES].view(np.uint32).copy()
+        return cls(
+            method=method, bias=bias, summary=summary,
+            outlier_mask=mask, outlier_bits=bits,
+        )
 
 
 # ======================================================================

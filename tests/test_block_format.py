@@ -1,13 +1,13 @@
-"""Tests for the compressed-block byte format."""
+"""Tests for the compressed-block byte format (the oracle's Fig. 2a image)."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import CompressedBlock
 from repro.common.constants import CACHELINE_BYTES, SUMMARY_VALUES, VALUES_PER_BLOCK
 from repro.common.types import CompressionMethod
-from repro.compression.block import CompressedBlock
 
 
 def make_block(n_outliers=0, method=CompressionMethod.DOWNSAMPLE_1D, bias=3):

@@ -1,6 +1,7 @@
 """Tests for the AVR compressor/decompressor pipeline."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,22 @@ from hypothesis import strategies as st
 from repro.common.constants import BLOCK_CACHELINES, MAX_COMPRESSED_CACHELINES, VALUES_PER_BLOCK
 from repro.common.types import CompressionMethod, DataType, ErrorThresholds
 from repro.compression import AVRCompressor
-from repro.compression.block import CompressedBlock
+from repro.compression.compressor import CHECK_MODES
+from repro.fixedpoint.bias import BIAS_FIELD_MAX
+
+D1, D2 = CompressionMethod.DOWNSAMPLE_1D, CompressionMethod.DOWNSAMPLE_2D
+FIELDS = (
+    "success", "method", "bias", "size_cachelines", "outlier_count",
+    "avg_error", "reconstructed", "summaries", "outlier_mask",
+)
+
+
+def bits(array: np.ndarray) -> np.ndarray:
+    """Floats as their bit patterns, so NaN payloads and signed zeros compare."""
+    if array.dtype.kind == "f":
+        return array.view(np.dtype(f"u{array.itemsize}"))
+    return array
+
 
 
 @pytest.fixture
@@ -141,29 +157,7 @@ class TestFixedPointPath:
         assert not res.success.any()
 
 
-class TestScalarAPI:
-    def test_compress_block_roundtrip(self, compressor, smooth_blocks):
-        block, recon = compressor.compress_block(smooth_blocks[0])
-        assert block is not None
-        out = compressor.decompress_block(block)
-        assert np.array_equal(out, recon)
-
-    def test_failed_block_returns_none(self, compressor, noisy_blocks):
-        block, recon = compressor.compress_block(noisy_blocks[0])
-        assert block is None
-        assert np.array_equal(recon, noisy_blocks[0])
-
-    def test_pack_unpack_decompress_identical(self, compressor, smooth_blocks):
-        data = smooth_blocks[3].copy()
-        data[100] = 99.0  # force an outlier
-        block, recon = compressor.compress_block(data)
-        assert block is not None and block.outlier_count >= 1
-        rebuilt = CompressedBlock.unpack(
-            block.pack(), block.method, block.bias, block.size_cachelines
-        )
-        out = compressor.decompress_block(rebuilt)
-        assert np.array_equal(out, recon)
-
+class TestDecompressBlocks:
     def test_decompress_blocks_requires_compressed(self, compressor):
         with pytest.raises(ValueError):
             compressor.decompress_blocks(
@@ -171,6 +165,162 @@ class TestScalarAPI:
                 np.array([CompressionMethod.UNCOMPRESSED]),
                 np.zeros(1, dtype=np.int16),
             )
+
+    def test_failed_block_carries_no_metadata(self, compressor, rng):
+        """A block stored as it is has no bias, outliers or mask, even where
+        its compression attempt chose a bias (-28 at 1e10)."""
+        noise = (rng.normal(0.0, 1.0, (1, VALUES_PER_BLOCK)) * 1e10).astype(np.float32)
+        res = compressor.compress_blocks(noise)
+        assert not res.success[0]
+        assert res.bias[0] == 0 and res.outlier_count[0] == 0
+        assert not res.outlier_mask.any()
+
+    def test_unbias_flushes_underflow(self, compressor):
+        """One fixed-point unit at the largest bias is 2^-151, below
+        float32's smallest denormal: it reads back as +0, quietly."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = compressor.decompress_blocks(
+                np.ones((2, 16), dtype=np.int32), np.array([D1, D2]),
+                np.full(2, BIAS_FIELD_MAX, dtype=np.int16),
+            )
+        assert out.dtype == np.float32
+        assert not bits(out).any()
+
+    def test_zero_bias_identity(self, compressor):
+        """At bias 0 only the Q8.24 scale is removed: 2^24 reads back 1.0."""
+        summaries = np.full((2, 16), 1 << 24, dtype=np.int32)
+        out = compressor.decompress_blocks(summaries, np.array([D1, D2]), np.zeros(2))
+        assert out.dtype == np.float32
+        assert (out == 1.0).all()
+
+    def test_fixed32_reads_back_unscaled(self, compressor):
+        """FIXED32 summaries are the values themselves: no bias, no scale."""
+        summaries = np.full((2, 16), 100_000, dtype=np.int32)
+        out = compressor.decompress_blocks(
+            summaries, np.array([D1, D2]), np.zeros(2), DataType.FIXED32
+        )
+        assert out.dtype == np.int32
+        assert (out == 100_000).all()
+
+
+#: bit patterns of the NaN and Inf values a block may hold
+SPECIALS = {
+    "nan": 0x7FC00000,
+    "negative-nan-payload": 0xFFC01234,
+    "signalling-nan": 0x7F800001,
+    "+inf": 0x7F800000,
+    "-inf": 0xFF800000,
+}
+
+
+@pytest.mark.parametrize("mode", CHECK_MODES)
+@pytest.mark.parametrize("special", sorted(SPECIALS))
+def test_special_value_never_approximated(special, mode):
+    """A NaN or Inf reads back bit for bit and leaves its neighbours finite.
+
+    The hardware and hybrid checks make it an outlier of a block with bias
+    0.  The relative check's error on it is NaN, which fails the block's
+    average, so the block is stored as it is.
+    """
+    block = np.linspace(1.0, 1.5, VALUES_PER_BLOCK, dtype=np.float32)[None, :]
+    block.view(np.uint32)[0, 9] = SPECIALS[special]
+    res = AVRCompressor(ErrorThresholds(t1=0.02, t2=0.01), check_mode=mode).compress_blocks(block)
+    assert bits(res.reconstructed)[0, 9] == SPECIALS[special]
+    assert np.isfinite(np.delete(res.reconstructed[0], 9)).all()
+    if mode == "relative":
+        assert not res.success[0]
+    else:
+        assert res.success[0] and res.outlier_mask[0, 9] and res.bias[0] == 0
+
+
+def scaling_batch() -> np.ndarray:
+    """Values of magnitude 0.25 to 9: smooth, spiked and sloped blocks that
+    compress, and two that do not."""
+    x = np.linspace(0.0, 1.0, VALUES_PER_BLOCK)
+    smooth = 1.0 + 0.5 * np.sin(3 * x) + 0.3 * x
+    spiked = smooth.copy()
+    spiked[[7, 100, 201]] = [9.0, -3.0, 0.3]
+    rng = np.random.default_rng(5)
+    noise = rng.uniform(0.25, 4.0, VALUES_PER_BLOCK) * rng.choice([-1.0, 1.0], VALUES_PER_BLOCK)
+    return np.array([smooth, spiked, x - 2.0, noise, 1.5 + np.sin(20 * x)], dtype=np.float32)
+
+
+@pytest.mark.parametrize("mode", CHECK_MODES)
+@pytest.mark.parametrize("k", [-60, -17, -1, 1, 9, 40])
+def test_power_of_two_scaling_shifts_only_the_bias(k, mode):
+    """Exponent biasing makes compression blind to a power-of-two scale.
+
+    Scaling a block by 2^k moves its bias by -k, so the fixed-point
+    integers, summaries, outliers, sizes and errors are unchanged and the
+    reconstruction is scaled by exactly 2^k.
+    """
+    blocks = scaling_batch()
+    factor = np.float32(2.0**k)
+    comp = AVRCompressor(ErrorThresholds.from_t2(0.01), check_mode=mode)
+    base = comp.compress_blocks(blocks)
+    scaled = comp.compress_blocks(blocks * factor)
+    assert base.success.tolist() == [True, True, True, False, False]
+    for name in set(FIELDS) - {"bias", "reconstructed"}:
+        assert np.array_equal(bits(getattr(scaled, name)), bits(getattr(base, name))), name
+    assert np.array_equal(scaled.bias[:3], base.bias[:3] - k)
+    assert np.array_equal(bits(scaled.reconstructed), bits(base.reconstructed * factor))
+
+
+@pytest.mark.parametrize("other", ["hardware", "relative"])
+@pytest.mark.parametrize("method", [D1, D2], ids=["1D", "2D"])
+def test_hybrid_flags_a_subset(method, other):
+    """Where the float check passes, so does the scale check: on finite
+    values the hybrid mode flags no value the other modes pass."""
+    x = np.linspace(0.0, 1.0, VALUES_PER_BLOCK)
+    wavy = 2.0 + np.sin(5 * x)
+    bumped = wavy * np.where(np.random.default_rng(3).random(VALUES_PER_BLOCK) < 0.1, 1.3, 1.0)
+    flat = 1.0 + 1e-6 * np.random.default_rng(4).normal(0.0, 1.0, VALUES_PER_BLOCK)
+    blocks = np.array([wavy, bumped, x - 0.5, np.sin(9 * x), flat, np.where(x < 0.5, 0.0, 1.0) + x],
+                      dtype=np.float32)
+    th = ErrorThresholds.from_t2(0.05)
+    hybrid = AVRCompressor(th, check_mode="hybrid", methods=(method,)).compress_blocks(blocks)
+    res = AVRCompressor(th, check_mode=other, methods=(method,)).compress_blocks(blocks)
+    both = hybrid.success & res.success
+    assert (hybrid.outlier_count[both] < res.outlier_count[both]).any()
+    assert not (hybrid.outlier_mask[both] & ~res.outlier_mask[both]).any()
+
+
+def mixed_rows(dtype: DataType) -> np.ndarray:
+    """Rows that compress, fail, carry outliers, specials or zeros."""
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, 1.0, VALUES_PER_BLOCK)
+    if dtype == DataType.FIXED32:
+        ramp = 100_000 + np.arange(VALUES_PER_BLOCK) * 10
+        spiked = ramp.copy()
+        spiked[[3, 77]] = [10**9, -5]
+        noise = rng.integers(-(10**8), 10**8, VALUES_PER_BLOCK)
+        return np.array([ramp, spiked, noise, np.zeros(VALUES_PER_BLOCK), -ramp], dtype=np.int32)
+    smooth = 2.0 + np.sin(5 * x)
+    spiked = smooth.copy()
+    spiked[[3, 77, 250]] = [40.0, -1.0, 1e-3]
+    special = smooth.copy()
+    special[[10, 11]] = [np.nan, np.inf]
+    rows = [smooth, spiked, special, np.zeros(VALUES_PER_BLOCK), rng.normal(0, 1, VALUES_PER_BLOCK),
+            smooth * 1e-25, smooth * 1e25, x - 0.5]
+    return np.array(rows, dtype=np.float32)
+
+
+@pytest.mark.parametrize("dtype", [DataType.FLOAT32, DataType.FIXED32])
+@pytest.mark.parametrize("mode", CHECK_MODES)
+def test_rows_compress_independently(mode, dtype):
+    """The stacked pass shares its products across a batch, but each
+    row's result is what that row gets alone."""
+    blocks = mixed_rows(dtype)
+    comp = AVRCompressor(ErrorThresholds(t1=0.02, t2=0.01), check_mode=mode)
+    whole = comp.compress_blocks(blocks, dtype)
+    assert whole.success.any() and not whole.success.all()
+    for i in range(blocks.shape[0]):
+        alone = comp.compress_blocks(blocks[i : i + 1], dtype)
+        for name in FIELDS:
+            got = getattr(whole, name)[i : i + 1]
+            want = getattr(alone, name)
+            assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want)), (i, name)
 
 
 class TestThresholdKnob:

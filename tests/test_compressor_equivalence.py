@@ -24,13 +24,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    CompressedBlock,
     compress_blocks_reference,
     downsample_1d_reference,
     downsample_2d_reference,
     reconstruct_1d_reference,
     reconstruct_2d_reference,
 )
-from repro.common.constants import VALUES_PER_BLOCK
+from repro.common.constants import (
+    CACHELINE_BYTES,
+    MAX_COMPRESSED_CACHELINES,
+    MAX_OUTLIERS,
+    VALUES_PER_BLOCK,
+)
 from repro.common.types import CompressionMethod, DataType, ErrorThresholds
 from repro.compression import (
     AVRCompressor,
@@ -278,14 +284,87 @@ def test_kernels_match_gather_kernels(seed, nblocks, span):
         assert np.array_equal(got, want)
 
 
+def _paired_outliers(
+    rng: np.random.Generator, base: np.ndarray, pairs: int, low: float, high: float
+) -> np.ndarray:
+    """``base`` with ``pairs`` adjacent value pairs moved by ``+d`` and ``-d``.
+
+    A pair ``(2j, 2j + 1)`` shares its 1D sub-block and its 2D tile, so
+    every summary stays put and the ``2 * pairs`` moved values, and only
+    they, become outliers.
+    """
+    row = base.copy()
+    first = rng.choice(VALUES_PER_BLOCK // 2, pairs, replace=False) * 2
+    d = rng.uniform(low, high, pairs)
+    row[first] += d
+    row[first + 1] -= d
+    return row
+
+
+def _sized_batches() -> dict[DataType, np.ndarray]:
+    """Per dtype, blocks whose compressed sizes reach 1 to 8 cachelines.
+
+    0 to 52 outlier pairs on a smooth ramp span 0 to 104 outliers, every
+    size the timing model charges; the float batch adds NaN, Inf, zero,
+    tiny, huge and noise blocks and the crafted extremes.
+    """
+    rng = np.random.default_rng(23)
+    max_pairs = MAX_OUTLIERS // 2
+    ramp = np.linspace(1.0, 2.0, VALUES_PER_BLOCK)
+    rows = [_paired_outliers(rng, ramp, k, 20.0, 60.0) for k in range(max_pairs + 1)]
+    for special in (np.nan, np.inf):
+        rows.append(np.where(np.arange(VALUES_PER_BLOCK) == 9, special, ramp))
+    rows += [np.zeros(VALUES_PER_BLOCK), ramp * 1e-30, ramp * 1e30,
+             rng.normal(0, 1, VALUES_PER_BLOCK)]
+    floats = np.concatenate([np.array(rows, dtype=np.float32), CRAFTED["batch-of-all"],
+                             CRAFTED["max-ramp"], CRAFTED["60-decades"]])
+    int_ramp = 2.0**20 + np.arange(VALUES_PER_BLOCK) * 2.0**12
+    int_rows = [_paired_outliers(rng, int_ramp, k, 2.0**26, 2.0**27)
+                for k in range(max_pairs + 1)]
+    int_rows += [np.zeros(VALUES_PER_BLOCK), rng.integers(-(2**31), 2**31, VALUES_PER_BLOCK)]
+    return {DataType.FLOAT32: floats, DataType.FIXED32: np.rint(int_rows).astype(np.int32)}
+
+
+SIZED = _sized_batches()
+
+
 def test_decompress_blocks_matches_compressed_reconstruction():
-    """decompress_blocks rebuilds every compressed block's values."""
-    comp = AVRCompressor()
-    blocks = np.concatenate([CRAFTED["batch-of-all"], CRAFTED["max-ramp"],
-                             CRAFTED["60-decades"]])
-    res = comp.compress_blocks(blocks)
-    ok = res.success
-    assert ok.any()
-    out = comp.decompress_blocks(res.summaries[ok], res.method[ok], res.bias[ok])
-    approx = ~res.outlier_mask[ok]
-    assert np.array_equal(_bits(out[approx]), _bits(res.reconstructed[ok][approx]))
+    """Every charged size is a real byte image that decompresses to the
+    reconstruction.
+
+    Each compressed block is packed into :class:`oracles.CompressedBlock`'s
+    Fig. 2a image, which must be exactly ``size_cachelines`` long.  The
+    image, unpacked with the CMT fields (method, bias, size), runs through
+    :meth:`AVRCompressor.decompress_blocks`; with the outliers overlaid,
+    that rebuilds ``reconstructed`` bit for bit.
+    """
+    sizes = range(1, MAX_COMPRESSED_CACHELINES + 1)
+    for (dtype, blocks), mode, t2 in itertools.product(
+        SIZED.items(), MODES, (0.001, 0.01, 0.05)
+    ):
+        comp = AVRCompressor(ErrorThresholds.from_t2(t2), check_mode=mode)
+        res = comp.compress_blocks(blocks, dtype)
+        ok = np.flatnonzero(res.success)
+        assert set(res.size_cachelines[ok].tolist()) == set(sizes), (dtype, mode, t2)
+        raw = blocks.view(np.uint32)
+        unpacked = []
+        for i in ok:
+            mask = res.outlier_mask[i]
+            image = CompressedBlock(
+                method=CompressionMethod(int(res.method[i])), bias=int(res.bias[i]),
+                summary=res.summaries[i], outlier_mask=mask, outlier_bits=raw[i][mask],
+            ).pack()
+            assert len(image) == CACHELINE_BYTES * res.size_cachelines[i]
+            unpacked.append(CompressedBlock.unpack(
+                image, CompressionMethod(int(res.method[i])), int(res.bias[i]),
+                int(res.size_cachelines[i]),
+            ))
+        out = comp.decompress_blocks(
+            np.array([b.summary for b in unpacked]),
+            np.array([b.method for b in unpacked]),
+            np.array([b.bias for b in unpacked]),
+            dtype,
+        )
+        for row, block in zip(out, unpacked):
+            row[block.outlier_mask] = block.outlier_bits.view(row.dtype)
+        assert np.array_equal(_bits(out), _bits(res.reconstructed[ok])), (dtype, mode, t2)

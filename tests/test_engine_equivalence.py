@@ -61,8 +61,8 @@ def test_engines_bit_identical(workload_context, design):
 
 def test_write_heavy_trace_bit_identical():
     """Writes drive the dirty-victim / writeback machinery hardest."""
+    from oracles import make_trace
     from repro.system.layout import AddressLayout
-    from repro.trace.events import make_trace
     from repro.trace.generator import GeneratedTrace
 
     rng = np.random.default_rng(3)
@@ -169,8 +169,8 @@ def test_avr_ablations_bit_identical(heat_context, variant):
 
 def _mixed_trace(num_cores=4, n=3_000, seed=11):
     """Synthetic multi-core trace over mixed approx + exact regions."""
+    from oracles import make_trace
     from repro.system.layout import AddressLayout
-    from repro.trace.events import make_trace
     from repro.trace.generator import GeneratedTrace
 
     rng = np.random.default_rng(seed)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_size_of, is_approx
+from oracles import block_size_of, is_approx, make_trace
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import VALUES_PER_BLOCK
 from repro.common.types import ErrorThresholds
 from repro.compression import AVRCompressor
 from repro.system import AddressLayout, build_system
-from repro.trace.events import make_trace
 from repro.trace.generator import GeneratedTrace
 
 CONFIG = SystemConfig(
@@ -123,9 +122,9 @@ class TestCompressorInvariants:
         """The stored summary is the fixed-point block-mean vector."""
         values = np.linspace(10.0, 20.0, VALUES_PER_BLOCK).astype(np.float32)
         comp = AVRCompressor(ErrorThresholds(0.02, 0.01))
-        block, _ = comp.compress_block(values)
-        assert block is not None
-        recon = comp.decompress_block(block)
+        res = comp.compress_blocks(values[None, :])
+        assert res.success[0] and res.outlier_count[0] == 0
+        recon = comp.decompress_blocks(res.summaries, res.method, res.bias)[0]
         seg_means_orig = values.reshape(16, 16).mean(axis=1)
         seg_means_recon = recon.reshape(16, 16).mean(axis=1)
         assert np.allclose(seg_means_recon, seg_means_orig, rtol=0.01)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import block_average_error, detect_outliers
+from oracles import (
+    block_average_error,
+    detect_outliers,
+    max_outliers_for_size,
+    pack_bitmap,
+    unpack_bitmap,
+)
 from repro.common.constants import (
     BITMAP_BYTES,
     CACHELINE_BYTES,
@@ -14,12 +20,7 @@ from repro.common.constants import (
     VALUES_PER_BLOCK,
 )
 from repro.common.types import ErrorThresholds
-from repro.compression.outliers import (
-    compressed_size_cachelines,
-    max_outliers_for_size,
-    pack_bitmap,
-    unpack_bitmap,
-)
+from repro.compression.outliers import compressed_size_cachelines
 
 TH = ErrorThresholds(t1=0.02, t2=0.01)
 

@@ -413,6 +413,18 @@ class TestDaemonEndToEnd:
             outcome = survivor.wait(survivor.submit(SPEC_A))
         assert outcome["result"]["experiment"] == "serve-a"
 
+    def test_disconnect_after_units_ran_ends_session(self, daemon):
+        # the pool's workers run this client's units while it is
+        # connected; none of them may keep its socket open after it leaves
+        client = ServeClient(port=daemon.port).connect()
+        job = client.submit(SPEC_A)
+        next(e for e in client.events(job) if e.get("event") == "unit_done")
+        client.close()
+        deadline = time.monotonic() + 60
+        while daemon.sessions and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not daemon.sessions
+
     def test_bad_spec_reports_error_without_closing_session(self, daemon):
         with ServeClient(port=daemon.port) as client:
             with pytest.raises(ServeError, match="unknown experiment"):

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import block_size_of, is_approx
+from oracles import block_size_of, is_approx, make_trace
 from repro.cache.llc_avr import AVRLLC
 from repro.cache.llc_baseline import BaselineLLC
 from repro.common.config import SystemConfig
 from repro.common.constants import BLOCK_BYTES, BLOCK_CACHELINES
 from repro.designs import AVR, BASELINE, DGANGER, TRUNCATE, ZERO_AVR
 from repro.system import AddressLayout, build_system, compute_front_end
-from repro.trace.events import make_trace
 from repro.trace.generator import GeneratedTrace
 
 CONFIG = SystemConfig.scaled(num_cores=2)

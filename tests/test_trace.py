@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import concat_traces, make_trace
 from repro.approx import ApproxMemory
-from repro.trace import (
-    TRACE_DTYPE,
-    concat_traces,
-    generate_trace,
-    make_trace,
-    total_instructions,
-)
+from repro.trace import TRACE_DTYPE, generate_trace, total_instructions
 from repro.workloads.base import Phase, TraceSpec
 
 
