@@ -1,22 +1,27 @@
 """Microbenchmarks of the hot computational kernels.
 
 These are genuine throughput measurements (pytest-benchmark) of the
-vectorized compressor pipeline, the workloads' step loops and the
-simulator primitives — the pieces whose performance bounds the whole
-reproduction.
+vectorized compressor pipeline, the workloads' step loops, the timing
+front end and the simulator primitives — the pieces whose performance
+bounds the whole reproduction.
 """
 
 import numpy as np
 import pytest
 
 from repro.cache.array_lru import BatchedLRUMatrix
-from repro.common.config import DRAMConfig
+from repro.common import bitops
+from repro.common.config import DRAMConfig, SystemConfig
 from repro.common.constants import VALUES_PER_BLOCK
 from repro.common.types import ErrorThresholds
-from repro.compression import AVRCompressor, truncate_roundtrip
+from repro.compression import AVRCompressor
 from repro.compression.downsample import downsample_2d, reconstruct_2d
+from repro.compression.truncate import KEPT_MANTISSA_BITS
 from repro.doppelganger import dedup_roundtrip
 from repro.memory import DRAM
+from repro.system.frontend import compute_front_end
+from repro.trace.events import TRACE_DTYPE
+from repro.trace.generator import GeneratedTrace
 from repro.workloads import make_workload
 
 NBLOCKS = 4096  # 4 MB of data per round
@@ -77,7 +82,8 @@ def test_downsample_reconstruct_2d(benchmark, blocks):
 
 
 def test_truncate_throughput(benchmark, blocks):
-    out = benchmark(truncate_roundtrip, blocks)
+    """The call a Truncate run makes on every synced region."""
+    out = benchmark(bitops.truncate_mantissa, blocks, KEPT_MANTISSA_BITS)
     assert out.shape == blocks.shape
 
 
@@ -106,6 +112,22 @@ def test_cache_access_rate(benchmark, pattern):
         return (BatchedLRUMatrix(num_sets, 16), sets, lines, writes), {}
 
     benchmark.pedantic(BatchedLRUMatrix.replay, setup=fresh_matrix, rounds=50)
+
+
+def test_front_end(benchmark):
+    """The timing front end of a trace shaped like avr-stream's: 4 cores
+    of 100k accesses, each a new line and every other one a write, so
+    every access misses L1 and L2 and half the L2 victims are dirty."""
+    per_core = 100_000
+    cores = []
+    for c in range(4):
+        core = np.zeros(per_core, dtype=TRACE_DTYPE)
+        core["addr"] = (c << 28) + np.arange(per_core, dtype=np.int64) * 64
+        core["write"] = np.arange(per_core) % 2 == 1
+        cores.append(core)
+    trace = GeneratedTrace(cores=cores, iterations_simulated=1, iterations_total=1)
+    front_end = benchmark(compute_front_end, trace, SystemConfig.scaled(num_cores=4))
+    assert front_end.needs_llc.all()
 
 
 def test_dram_access_rate(benchmark):

@@ -60,7 +60,12 @@ from .compression import AVRCompressor
 # bitmap packing, the block-image backing store, the BDI stack, the
 # scalar fixed-point and float-field helpers and the trace builders.
 # Simulation results and keys are unchanged.
-__version__ = "1.12.0"
+# 1.13.0: public names removed: ``truncate_values``,
+# ``truncate_roundtrip`` and ``max_truncation_error``.
+# ``FilteredTrace``'s four per-access writeback columns became the
+# core-major LLC event columns.  Simulation results and keys are
+# unchanged.
+__version__ = "1.13.0"
 
 #: The version of the simulated model, folded into every result-cache,
 #: trace and front-end key and naming the ``m<MODEL_VERSION>/`` store

@@ -136,8 +136,8 @@ class BatchedLRUMatrix:
         accesses count toward ``hits``/``misses``.
 
         Returns ``(present, victim_line, victim_dirty)``: whether each
-        op found its line resident, and the evicted line per op
-        (:data:`EMPTY` where nothing was evicted).
+        op found its line resident, and the evicted line per op and its
+        dirty bit (:data:`EMPTY` and False where nothing was evicted).
 
         The batch goes through the module docstring's three passes:
         guaranteed hits fold into the head of their chain, each set
@@ -403,21 +403,22 @@ def _fold(
 
 @dataclass
 class FilteredTrace:
-    """Per-access outcome of the batched private L1+L2 filter.
+    """Outcome of the batched private L1+L2 filter.
 
-    Arrays are parallel to the concatenated access stream (all cores,
-    core-major order).  ``wb_insert_*`` is the dirty L2 victim displaced
-    by the L1-victim install, ``wb_access_*`` the one displaced by the
-    demand fill — the two possible L2 writebacks of one access, in
-    order.
+    ``l1_hit`` and ``needs_llc`` are parallel to the concatenated access
+    stream (all cores, core-major order).  The event columns list the
+    LLC-bound events in the same core-major order.  An access issues its
+    demand read if it missed both levels, then the writeback of the
+    dirty L2 victim the L1-victim install displaced, then that of the
+    demand fill's dirty L2 victim: the order of the oracle's per-access
+    loop.
     """
 
-    l1_hit: np.ndarray          # (n,) bool
-    needs_llc: np.ndarray       # (n,) bool — missed both private levels
-    wb_insert_addr: np.ndarray  # (n,) int64
-    wb_insert_valid: np.ndarray  # (n,) bool
-    wb_access_addr: np.ndarray  # (n,) int64
-    wb_access_valid: np.ndarray  # (n,) bool
+    l1_hit: np.ndarray         # (n,) bool
+    needs_llc: np.ndarray      # (n,) bool — missed both private levels
+    event_addr: np.ndarray     # (m,) int64
+    event_is_read: np.ndarray  # (m,) bool — demand read, else writeback
+    event_access: np.ndarray   # (m,) int64 — the access that issued it
 
 
 class BatchedPrivateFilter:
@@ -459,55 +460,74 @@ class BatchedPrivateFilter:
         line1 = addrs >> self._l1_shift
         set1 = line1 % self._l1_sets + core_ids * self._l1_sets
         hit1, v1_line, v1_dirty = self.l1.replay(set1, line1, writes)
+        del line1, set1
 
-        # --- L2 op stream: for each L1 miss, install the L1 victim
-        # (clean or dirty), then the demand access ----------------------
-        miss_ids = np.flatnonzero(~hit1)
-        k = int(miss_ids.size)
-        op_addr = np.empty(2 * k, dtype=np.int64)
-        op_addr[0::2] = v1_line[miss_ids] << self._l1_shift
-        op_addr[1::2] = addrs[miss_ids]
-        op_flag = np.zeros(2 * k, dtype=bool)
-        op_flag[0::2] = v1_dirty[miss_ids]
-        op_is_access = np.zeros(2 * k, dtype=bool)
-        op_is_access[1::2] = True
-        op_access_id = np.repeat(miss_ids, 2)
-        op_core = np.repeat(core_ids[miss_ids], 2)
-        valid = np.ones(2 * k, dtype=bool)
-        valid[0::2] = v1_line[miss_ids] != EMPTY   # not every miss evicts
-        op_addr, op_flag, op_is_access = (
-            op_addr[valid], op_flag[valid], op_is_access[valid]
-        )
-        op_access_id, op_core = op_access_id[valid], op_core[valid]
-
-        line2 = op_addr >> self._l2_shift
-        set2 = line2 % self._l2_sets + op_core * self._l2_sets
+        # --- L2 op stream: for each L1 miss, the install of its L1
+        # victim (clean or dirty), if it evicted one, then the demand
+        # access.  Miss i's demand op sits at pos[i], its install at
+        # pos[i] - 1.
+        miss = np.flatnonzero(~hit1)
+        victim = v1_line[miss]
+        del v1_line
+        has_victim = victim != EMPTY
+        pos = np.add(has_victim, 1, dtype=np.int64)
+        np.cumsum(pos, out=pos)
+        pos -= 1
+        install = pos[has_victim]
+        install -= 1
+        ops = int(pos[-1]) + 1 if miss.size else 0
+        line2 = np.empty(ops, dtype=np.int64)
+        line2[pos] = addrs[miss] >> self._l2_shift
+        line2[install] = (victim[has_victim] << self._l1_shift) >> self._l2_shift
+        del victim
+        set2 = np.empty(ops, dtype=np.int64)
+        row = core_ids[miss] * self._l2_sets
+        set2[pos] = row
+        set2[install] = row[has_victim]
+        del row
+        set2 += line2 % self._l2_sets
+        flag2 = np.zeros(ops, dtype=bool)
+        flag2[install] = v1_dirty[miss[has_victim]]
+        del v1_dirty
+        is_access = np.ones(ops, dtype=bool)
+        is_access[install] = False
+        del install
         hit2, v2_line, v2_dirty = self.l2.replay(
-            set2, line2, op_flag, is_access=op_is_access
+            set2, line2, flag2, is_access=is_access
         )
+        del line2, set2, flag2, is_access
 
-        # --- scatter L2 outcomes back to their accesses ----------------
+        # --- the LLC events, read back through the same positions ------
+        needs = ~hit2[pos]
+        del hit2
         needs_llc = np.zeros(n, dtype=bool)
-        acc = op_is_access
-        needs_llc[op_access_id[acc]] = ~hit2[acc]
-
-        v2_addr = v2_line << self._l2_shift
-        wb_valid = (v2_line != EMPTY) & v2_dirty
-        wb_insert_addr = np.zeros(n, dtype=np.int64)
-        wb_insert_valid = np.zeros(n, dtype=bool)
-        wb_access_addr = np.zeros(n, dtype=np.int64)
-        wb_access_valid = np.zeros(n, dtype=bool)
-        ins = ~acc
-        wb_insert_addr[op_access_id[ins]] = v2_addr[ins]
-        wb_insert_valid[op_access_id[ins]] = wb_valid[ins]
-        wb_access_addr[op_access_id[acc]] = v2_addr[acc]
-        wb_access_valid[op_access_id[acc]] = wb_valid[acc]
-
+        needs_llc[miss] = needs
+        wb_access = v2_dirty[pos]
+        # Without an install, pos - 1 is another op (or wraps to the
+        # last one); has_victim masks it out.
+        wb_install = v2_dirty[pos - 1]
+        wb_install &= has_victim
+        del v2_dirty
+        count = np.add(needs, wb_install, dtype=np.int64)
+        count += wb_access
+        end = np.cumsum(count)
+        event_access = np.repeat(miss, count)
+        m = int(event_access.size)
+        first = end - count
+        del count
+        event_addr = np.empty(m, dtype=np.int64)
+        event_is_read = np.zeros(m, dtype=bool)
+        at = first[needs]
+        event_addr[at] = addrs[miss[needs]]
+        event_is_read[at] = True
+        at = first[wb_install] + needs[wb_install]
+        event_addr[at] = v2_line[pos[wb_install] - 1] << self._l2_shift
+        at = end[wb_access] - 1
+        event_addr[at] = v2_line[pos[wb_access]] << self._l2_shift
         return FilteredTrace(
             l1_hit=hit1,
             needs_llc=needs_llc,
-            wb_insert_addr=wb_insert_addr,
-            wb_insert_valid=wb_insert_valid,
-            wb_access_addr=wb_access_addr,
-            wb_access_valid=wb_access_valid,
+            event_addr=event_addr,
+            event_is_read=event_is_read,
+            event_access=event_access,
         )

@@ -215,8 +215,9 @@ class AVRLLC:
         per-event work is restructured for batch speed:
 
         1. **Decode** — one numpy pass gives every event its dense line
-           id (blocks remapped to dense ids, ``bid * 16 + line
-           offset``) and its block's approx and CMS-refresh class; the
+           id (``bid * 16 + line offset``, where a block's dense id
+           counts the stream's blocks below it in a presence table over
+           the block span) and its block's approx and CMS-refresh class; the
            layout is consulted once per distinct block.  So the scan
            probes flat slot tables (one index per lookup) instead of a
            key dict, and the eviction flows read per-block static
@@ -249,7 +250,18 @@ class AVRLLC:
             return np.zeros(0, dtype=np.int64)
 
         # ---- stage 1: stateless decode ------------------------------
-        uniq_blocks, bid = np.unique(addrs // BLOCK_BYTES, return_inverse=True)
+        # Dense block ids from a presence table over the stream's block
+        # span (the layout's address span bounds it): the ids count the
+        # present blocks below, so they follow block order.
+        block = addrs // BLOCK_BYTES
+        low = int(block.min())
+        block -= low
+        present = np.zeros(int(block.max()) + 1, dtype=bool)
+        present[block] = True
+        bid = np.cumsum(present, dtype=np.int64)[block]
+        bid -= 1
+        del block
+        uniq_blocks = np.flatnonzero(present) + low
         block_addrs = uniq_blocks * BLOCK_BYTES
         approx = self.layout.is_approx_batch(block_addrs)
         sizes = self.layout.block_size_of_batch(block_addrs)

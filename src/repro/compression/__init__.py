@@ -9,7 +9,7 @@ from .downsample import (
 )
 from .errors import mean_relative_error, relative_error
 from .outliers import compressed_size_cachelines
-from .truncate import TRUNCATE_RATIO, truncate_roundtrip, truncate_values
+from .truncate import TRUNCATE_RATIO
 
 __all__ = [
     "AVRCompressor",
@@ -22,6 +22,4 @@ __all__ = [
     "reconstruct_1d",
     "reconstruct_2d",
     "relative_error",
-    "truncate_roundtrip",
-    "truncate_values",
 ]

@@ -4,35 +4,15 @@ Truncate compresses approximate float32 values to half width by
 dropping the 16 least-significant bits (as in Concise loads/stores,
 Proteus and GPU link compression [21, 22, 42]).  The surviving 16 bits
 are sign + exponent + the top 7 mantissa bits, so the compression ratio
-is a flat 2:1 and the worst-case relative error is ~2^-8.
+is a flat 2:1 and the worst-case relative error is ~2^-8.  A Truncate
+run applies :func:`repro.common.bitops.truncate_mantissa` with
+:data:`KEPT_MANTISSA_BITS` (:class:`repro.approx.TruncateApproximator`).
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from ..common import bitops
 
 #: Mantissa bits kept by the 16-bit truncated format.
 KEPT_MANTISSA_BITS = 7
 
 #: Truncate's fixed compression ratio.
 TRUNCATE_RATIO = 2.0
-
-
-def truncate_values(values: np.ndarray) -> np.ndarray:
-    """Round-trip values through the truncated 16-bit representation."""
-    return bitops.truncate_mantissa(
-        np.asarray(values, dtype=np.float32), KEPT_MANTISSA_BITS
-    )
-
-
-def truncate_roundtrip(array: np.ndarray) -> np.ndarray:
-    """Apply truncation to an arbitrarily-shaped float array (same shape)."""
-    values = np.asarray(array, dtype=np.float32)
-    return truncate_values(values.ravel()).reshape(values.shape)
-
-
-def max_truncation_error() -> float:
-    """Worst-case relative error introduced by dropping 16 mantissa bits."""
-    return float(2.0 ** -(KEPT_MANTISSA_BITS + 1))

@@ -46,11 +46,26 @@ def line_signatures(
     ``lines`` is ``(nlines, 16)`` float32.  The signature combines the
     bucketed mean and bucketed min-max spread of the line; lines with
     equal signatures are deduplicated.
+
+    Each reduction halves the 16 columns, so it runs as a few
+    ``(nlines,)``-wide passes.  The float64 mean adds in the order
+    numpy's pairwise sum takes for a 16-value row (``r = a[:8] + a[8:]``,
+    then ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``), so it
+    equals ``lines.mean(axis=1, dtype=np.float64)`` bit for bit.
     """
     if bucket_width <= 0:
         raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-    means = lines.mean(axis=1, dtype=np.float64)
-    spreads = (lines.max(axis=1) - lines.min(axis=1)).astype(np.float64)
+    half = VALUES_PER_CACHELINE // 2
+    high = np.maximum(lines[:, :half], lines[:, half:])
+    low = np.minimum(lines[:, :half], lines[:, half:])
+    total = lines[:, :half].astype(np.float64)
+    total += lines[:, half:]
+    while high.shape[1] > 1:
+        high = np.maximum(high[:, ::2], high[:, 1::2])
+        low = np.minimum(low[:, ::2], low[:, 1::2])
+        total = total[:, ::2] + total[:, 1::2]
+    means = total[:, 0] / VALUES_PER_CACHELINE
+    spreads = (high[:, 0] - low[:, 0]).astype(np.float64)
     qm = np.floor(means / bucket_width).astype(np.int64)
     qs = np.floor(spreads / bucket_width).astype(np.int64)
     # Combine into one 64-bit key (means dominate; spreads disambiguate).
@@ -71,23 +86,30 @@ def dedup_roundtrip(
     nlines = values.size // VALUES_PER_CACHELINE
     if nlines == 0:
         return np.array(array, dtype=np.float32, copy=True), DedupStats(0, 0)
-    head = values[: nlines * VALUES_PER_CACHELINE].reshape(nlines, VALUES_PER_CACHELINE)
+    size = nlines * VALUES_PER_CACHELINE
+    head = values[:size].reshape(nlines, VALUES_PER_CACHELINE)
 
-    finite = head[np.isfinite(head)]
-    span = float(finite.max() - finite.min()) if finite.size else 0.0
+    high, low = head.max(), head.min()
+    if not (np.isfinite(high) and np.isfinite(low)):
+        finite = head[np.isfinite(head)]
+        high, low = (finite.max(), finite.min()) if finite.size else (0, 0)
+    span = float(high - low)
+    out = values.copy()
     if span == 0.0:
         # Degenerate constant data: every line dedups to one entry, no error.
-        out = values.copy()
-        stats = DedupStats(nlines, 1)
-        return out.reshape(np.asarray(array).shape), stats
+        return out.reshape(np.asarray(array).shape), DedupStats(nlines, 1)
 
-    bucket = span * similarity_threshold
-    sigs = line_signatures(head, bucket)
-    # First occurrence of each signature becomes the representative.
-    _, rep_idx, inverse = np.unique(sigs, return_index=True, return_inverse=True)
-    approx = head[rep_idx][inverse]
-
-    out = values.copy()
-    out[: nlines * VALUES_PER_CACHELINE] = approx.ravel()
-    stats = DedupStats(nlines, int(rep_idx.size))
+    sigs = line_signatures(head, span * similarity_threshold)
+    # The first line of each signature, in line order, represents it.
+    order = np.argsort(sigs, kind="stable")
+    sigs = sigs[order]
+    first = np.empty(nlines, dtype=bool)
+    first[0] = True
+    np.not_equal(sigs[1:], sigs[:-1], out=first[1:])
+    group = np.cumsum(first)
+    group -= 1
+    rep_of = np.empty(nlines, dtype=np.intp)
+    rep_of[order] = order[first][group]
+    out[:size] = head[rep_of].ravel()
+    stats = DedupStats(nlines, int(group[-1]) + 1)
     return out.reshape(np.asarray(array).shape), stats

@@ -3,8 +3,9 @@
 A timing run splits in two halves.  The **front end** depends only on
 the trace, the private-cache geometry and the core count: every core's
 private L1+L2 filter (:class:`~repro.cache.array_lru.BatchedPrivateFilter`)
-and the LLC-bound event stream it leaves behind, sorted into the
-chunk-interleaved order in which cores take turns at the shared levels.
+and the LLC-bound event stream it leaves behind, placed by counting into
+the chunk-interleaved order in which cores take turns at the shared
+levels.
 The **back end** (:meth:`repro.system.simulator.TimingSystem.run`)
 replays that stream through one design's LLC and DRAM and folds the
 per-core cycle counts.  Every design of a grid point, and every
@@ -137,36 +138,44 @@ def compute_front_end(
     parameters, and the design, belong to the back end.
     """
     num_cores = len(trace.cores)
-    core_ids, addrs, writes, _gaps, offsets = trace.concatenated()
-    n = int(addrs.size)
+    core_ids, addrs, writes, gaps, offsets = trace.concatenated()
+    del gaps  # not needed here: free them before the filter's peak
     filt = BatchedPrivateFilter(config, num_cores).filter(core_ids, addrs, writes)
-
-    # Chunk pass k handles accesses [12k, 12k+12) of core 0, then of
-    # core 1, ...; within one access: demand read, then the
-    # insert-victim writeback, then the access-victim writeback.
-    per_core_idx = np.arange(n, dtype=np.int64) - offsets[core_ids]
-    chunk_key = (per_core_idx // INTERLEAVE_CHUNK) * num_cores + core_ids
-
-    ev_valid = np.empty((n, 3), dtype=bool)
-    ev_valid[:, 0] = filt.needs_llc
-    ev_valid[:, 1] = filt.wb_insert_valid
-    ev_valid[:, 2] = filt.wb_access_valid
-    ev_addr = np.empty((n, 3), dtype=np.int64)
-    ev_addr[:, 0] = addrs
-    ev_addr[:, 1] = filt.wb_insert_addr
-    ev_addr[:, 2] = filt.wb_access_addr
-    ev_is_read = np.zeros((n, 3), dtype=bool)
-    ev_is_read[:, 0] = True
-
-    mask = ev_valid.ravel()
-    # Stable sort: equal keys (same chunk pass, same core) keep the
-    # flattened row-major order, i.e. per-core access/slot order.
-    order = np.argsort(np.repeat(chunk_key, 3)[mask], kind="stable")
+    del core_ids, addrs, writes
+    slot = _interleave_slots(filt.event_access, offsets)
+    columns: dict[str, np.ndarray] = {}
+    for name in ("event_addr", "event_is_read", "event_access"):
+        core_major = getattr(filt, name)
+        columns[name] = np.empty_like(core_major)
+        columns[name][slot] = core_major
     return TimingFrontEnd(
-        offsets=offsets,
-        l1_hit=filt.l1_hit,
-        needs_llc=filt.needs_llc,
-        event_addr=ev_addr.ravel()[mask][order],
-        event_is_read=ev_is_read.ravel()[mask][order],
-        event_access=np.repeat(np.arange(n, dtype=np.int64), 3)[mask][order],
+        offsets=offsets, l1_hit=filt.l1_hit, needs_llc=filt.needs_llc, **columns
     )
+
+
+def _interleave_slots(event_access: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each core-major event's slot in the chunk-interleaved order.
+
+    Bin ``(c, j)`` holds the events of core ``c``'s accesses
+    ``[12j, 12j + 12)``.  Chunk pass ``j`` replays bins ``(0, j)``,
+    ``(1, j)``, ...; a bin keeps its core-major order, so an event's
+    slot is its bin's first slot plus its offset within the bin.
+    ``event_access`` is non-decreasing (core-major), so the events before
+    each bin bound are one binary search away.
+    """
+    lengths = np.diff(offsets)
+    chunks = -(-int(lengths.max(initial=0)) // INTERLEAVE_CHUNK)
+    # (cores, chunks + 1) access bounds of every bin
+    bounds = np.minimum(
+        np.arange(chunks + 1, dtype=np.int64) * INTERLEAVE_CHUNK, lengths[:, None]
+    )
+    bounds += offsets[:-1, None]
+    before = np.searchsorted(event_access, bounds)
+    counts = np.diff(before, axis=1)
+    # Exclusive prefix sum in (chunk, core) order: each bin's first slot.
+    by_pass = counts.T.ravel()
+    first = np.cumsum(by_pass) - by_pass
+    shift = first.reshape(chunks, lengths.size).T - before[:, :-1]
+    slot = np.repeat(shift.ravel(), counts.ravel())
+    slot += np.arange(slot.size, dtype=np.int64)
+    return slot

@@ -136,8 +136,8 @@ class TimingSystem:
            batched pass
            (:class:`~repro.cache.array_lru.BatchedPrivateFilter`), and the
            surviving events (demand reads that missed L2, plus dirty L2
-           victim writebacks) are sorted into exactly the per-access
-           loop's chunk-interleaved order.  None of this depends on the
+           victim writebacks) are placed, by counting, into exactly the
+           per-access loop's chunk-interleaved order.  None of this depends on the
            design, so the sweep computes it once per trace
            (:func:`~repro.system.frontend.compute_front_end`) and passes
            it in as ``front_end``; without one, ``run`` computes it.

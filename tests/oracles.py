@@ -38,6 +38,10 @@ On top of the twins:
 
 * :func:`run_reference` — the interleaved access-at-a-time timing
   replay, the oracle of :meth:`repro.system.TimingSystem.run`;
+* :func:`compute_front_end_reference` — the private filter's masked
+  two-slot L2 op stream and the sorted ``(n, 3)`` event staging, the
+  oracle of :func:`repro.system.frontend.compute_front_end`
+  (``test_frontend_equivalence.py``);
 * :func:`replay_llc` — one LLC event list through a fresh package LLC
   and through its twin, asserting they agree (the LLC unit tests'
   driver);
@@ -89,6 +93,15 @@ its workload's ``execute`` replaced, called as ``f(workload, mem)``
 * :func:`lbm_execute_reference` — the same D3Q19 loop with 18 rolls,
   the oracle of :meth:`repro.workloads.lbm.LbmWorkload.execute`.
 
+The functional layer's other two designs:
+
+* :func:`dedup_roundtrip_reference` with :func:`line_signatures_reference`
+  — Doppelgänger's round trip through numpy's row reductions and
+  ``np.unique``, the oracle of :func:`repro.doppelganger.dedup_roundtrip`
+  (``test_dedup_equivalence.py``);
+* :func:`max_truncation_error` — the Truncate design's error bound
+  (``test_truncate.py``).
+
 The benchmarks import this module by putting ``tests/`` on
 ``sys.path``.
 """
@@ -131,6 +144,7 @@ from repro.common.constants import (
     TILES_PER_SIDE_2D,
     VALUE_BYTES,
     VALUES_PER_BLOCK,
+    VALUES_PER_CACHELINE,
 )
 from repro.common.stats import StatCounter
 from repro.common.types import CompressionMethod, DataType, ErrorThresholds
@@ -141,11 +155,13 @@ from repro.compression.compressor import (
 )
 from repro.compression.errors import relative_error
 from repro.compression.outliers import compressed_size_cachelines
+from repro.compression.truncate import KEPT_MANTISSA_BITS
 from repro.cpu.interval import IntervalCore
+from repro.doppelganger import DedupStats
 from repro.fixedpoint.bias import BIAS_FIELD_MAX, BIAS_FIELD_MIN, TARGET_MAX_EXPONENT
 from repro.fixedpoint.convert import DEFAULT_FORMAT, FixedPointFormat
 from repro.memory.dram import DRAM
-from repro.system.frontend import INTERLEAVE_CHUNK
+from repro.system.frontend import INTERLEAVE_CHUNK, TimingFrontEnd
 from repro.system.layout import AddressLayout
 from repro.system.simulator import SimResult, TimingSystem
 from repro.trace.events import TRACE_DTYPE
@@ -1223,6 +1239,106 @@ def run_reference(system: TimingSystem, trace: GeneratedTrace) -> SimResult:
     )
 
 
+def compute_front_end_reference(
+    trace: GeneratedTrace, config: SystemConfig
+) -> TimingFrontEnd:
+    """The front end through staged arrays, masks and a sort.
+
+    The oracle of :func:`repro.system.frontend.compute_front_end`.  The
+    private filter lays out two L2 op slots per L1 miss, compacts them
+    with a mask, and scatters the L2 outcomes back into four per-access
+    writeback columns.  The interleave stages each access's three event
+    slots in ``(n, 3)`` matrices and stable-sorts the kept ones by their
+    chunk key.
+    """
+    num_cores = len(trace.cores)
+    core_ids, addrs, writes, _gaps, offsets = trace.concatenated()
+    n = int(addrs.size)
+    l1_sets, l2_sets = config.l1.num_sets, config.l2.num_sets
+    l1_shift = config.l1.line_bytes.bit_length() - 1
+    l2_shift = config.l2.line_bytes.bit_length() - 1
+    l1 = BatchedLRUMatrix(l1_sets * num_cores, config.l1.ways)
+    l2 = BatchedLRUMatrix(l2_sets * num_cores, config.l2.ways)
+
+    # --- L1: every access
+    line1 = addrs >> l1_shift
+    set1 = line1 % l1_sets + core_ids * l1_sets
+    hit1, v1_line, v1_dirty = l1.replay(set1, line1, writes)
+
+    # --- L2 op stream: for each L1 miss, install the L1 victim (clean
+    # or dirty), then the demand access
+    miss_ids = np.flatnonzero(~hit1)
+    k = int(miss_ids.size)
+    op_addr = np.empty(2 * k, dtype=np.int64)
+    op_addr[0::2] = v1_line[miss_ids] << l1_shift
+    op_addr[1::2] = addrs[miss_ids]
+    op_flag = np.zeros(2 * k, dtype=bool)
+    op_flag[0::2] = v1_dirty[miss_ids]
+    op_is_access = np.zeros(2 * k, dtype=bool)
+    op_is_access[1::2] = True
+    op_access_id = np.repeat(miss_ids, 2)
+    op_core = np.repeat(core_ids[miss_ids], 2)
+    valid = np.ones(2 * k, dtype=bool)
+    valid[0::2] = v1_line[miss_ids] != EMPTY   # not every miss evicts
+    op_addr, op_flag, op_is_access = (
+        op_addr[valid], op_flag[valid], op_is_access[valid]
+    )
+    op_access_id, op_core = op_access_id[valid], op_core[valid]
+
+    line2 = op_addr >> l2_shift
+    set2 = line2 % l2_sets + op_core * l2_sets
+    hit2, v2_line, v2_dirty = l2.replay(
+        set2, line2, op_flag, is_access=op_is_access
+    )
+
+    # --- scatter L2 outcomes back to their accesses
+    needs_llc = np.zeros(n, dtype=bool)
+    acc = op_is_access
+    needs_llc[op_access_id[acc]] = ~hit2[acc]
+
+    v2_addr = v2_line << l2_shift
+    wb_valid = (v2_line != EMPTY) & v2_dirty
+    wb_insert_addr = np.zeros(n, dtype=np.int64)
+    wb_insert_valid = np.zeros(n, dtype=bool)
+    wb_access_addr = np.zeros(n, dtype=np.int64)
+    wb_access_valid = np.zeros(n, dtype=bool)
+    ins = ~acc
+    wb_insert_addr[op_access_id[ins]] = v2_addr[ins]
+    wb_insert_valid[op_access_id[ins]] = wb_valid[ins]
+    wb_access_addr[op_access_id[acc]] = v2_addr[acc]
+    wb_access_valid[op_access_id[acc]] = wb_valid[acc]
+
+    # --- chunk interleave: pass k handles accesses [12k, 12k+12) of
+    # core 0, then of core 1, ...; within one access: demand read, then
+    # the insert-victim writeback, then the access-victim writeback
+    per_core_idx = np.arange(n, dtype=np.int64) - offsets[core_ids]
+    chunk_key = (per_core_idx // INTERLEAVE_CHUNK) * num_cores + core_ids
+
+    ev_valid = np.empty((n, 3), dtype=bool)
+    ev_valid[:, 0] = needs_llc
+    ev_valid[:, 1] = wb_insert_valid
+    ev_valid[:, 2] = wb_access_valid
+    ev_addr = np.empty((n, 3), dtype=np.int64)
+    ev_addr[:, 0] = addrs
+    ev_addr[:, 1] = wb_insert_addr
+    ev_addr[:, 2] = wb_access_addr
+    ev_is_read = np.zeros((n, 3), dtype=bool)
+    ev_is_read[:, 0] = True
+
+    mask = ev_valid.ravel()
+    # Stable sort: equal keys (same chunk pass, same core) keep the
+    # flattened row-major order, i.e. per-core access/slot order.
+    order = np.argsort(np.repeat(chunk_key, 3)[mask], kind="stable")
+    return TimingFrontEnd(
+        offsets=offsets,
+        l1_hit=hit1,
+        needs_llc=needs_llc,
+        event_addr=ev_addr.ravel()[mask][order],
+        event_is_read=ev_is_read.ravel()[mask][order],
+        event_access=np.repeat(np.arange(n, dtype=np.int64), 3)[mask][order],
+    )
+
+
 @dataclass
 class ReplayOutcome:
     """What :func:`replay_llc` observed (identical on both sides)."""
@@ -1997,3 +2113,59 @@ def lbm_execute_reference(
 
     speed = np.sqrt((velocity.astype(np.float64) ** 2).sum(axis=0))
     return speed.astype(np.float32), workload.steps
+
+
+# ======================================================================
+# Truncate and Doppelgänger
+# ======================================================================
+def max_truncation_error() -> float:
+    """Worst-case relative error of keeping :data:`KEPT_MANTISSA_BITS`
+    mantissa bits with round-to-nearest: half a unit in the last kept
+    place."""
+    return float(2.0 ** -(KEPT_MANTISSA_BITS + 1))
+
+
+def line_signatures_reference(lines: np.ndarray, bucket_width: float) -> np.ndarray:
+    """Per-line signatures through numpy's row reductions."""
+    means = lines.mean(axis=1, dtype=np.float64)
+    spreads = (lines.max(axis=1) - lines.min(axis=1)).astype(np.float64)
+    qm = np.floor(means / bucket_width).astype(np.int64)
+    qs = np.floor(spreads / bucket_width).astype(np.int64)
+    return qm * np.int64(1 << 20) + qs
+
+
+def dedup_roundtrip_reference(
+    array: np.ndarray, similarity_threshold: float = 0.02
+) -> tuple[np.ndarray, DedupStats]:
+    """Doppelgänger's round trip through ``np.unique``.
+
+    The oracle of :func:`repro.doppelganger.dedup_roundtrip`: the span
+    from a boolean ``isfinite`` copy, signatures through
+    :func:`line_signatures_reference`, and each line's representative
+    through ``np.unique(..., return_index=True, return_inverse=True)``
+    and two gathers (``test_dedup_equivalence.py``).
+    """
+    values = np.asarray(array, dtype=np.float32).ravel()
+    nlines = values.size // VALUES_PER_CACHELINE
+    if nlines == 0:
+        return np.array(array, dtype=np.float32, copy=True), DedupStats(0, 0)
+    head = values[: nlines * VALUES_PER_CACHELINE].reshape(nlines, VALUES_PER_CACHELINE)
+
+    finite = head[np.isfinite(head)]
+    span = float(finite.max() - finite.min()) if finite.size else 0.0
+    if span == 0.0:
+        # Degenerate constant data: every line dedups to one entry, no error.
+        out = values.copy()
+        stats = DedupStats(nlines, 1)
+        return out.reshape(np.asarray(array).shape), stats
+
+    bucket = span * similarity_threshold
+    sigs = line_signatures_reference(head, bucket)
+    # First occurrence of each signature becomes the representative.
+    _, rep_idx, inverse = np.unique(sigs, return_index=True, return_inverse=True)
+    approx = head[rep_idx][inverse]
+
+    out = values.copy()
+    out[: nlines * VALUES_PER_CACHELINE] = approx.ravel()
+    stats = DedupStats(nlines, int(rep_idx.size))
+    return out.reshape(np.asarray(array).shape), stats

@@ -297,12 +297,18 @@ def _assert_filter_matches_private_caches(config, streams):
     filt = bpf.filter(core_ids, all_addrs, all_writes)
 
     assert np.array_equal(np.array(ref_needs), filt.needs_llc)
+    # The events are core-major: each access's demand read, then its
+    # writebacks in the order PrivateCaches hands them over.
+    assert np.all(np.diff(filt.event_access) >= 0)
+    bounds = np.searchsorted(filt.event_access, np.arange(all_addrs.size + 1))
     for i, wbs in enumerate(ref_wbs):
-        got = []
-        if filt.wb_insert_valid[i]:
-            got.append(int(filt.wb_insert_addr[i]))
-        if filt.wb_access_valid[i]:
-            got.append(int(filt.wb_access_addr[i]))
+        ev = slice(bounds[i], bounds[i + 1])
+        reads = filt.event_is_read[ev]
+        kinds = [True] * ref_needs[i] + [False] * len(wbs)
+        assert reads.tolist() == kinds, f"event kinds mismatch at op {i}"
+        if ref_needs[i]:
+            assert int(filt.event_addr[ev][0]) == int(all_addrs[i])
+        got = filt.event_addr[ev][~reads].tolist()
         assert [a for a, _ in wbs] == got, f"writeback mismatch at op {i}"
     # Every access reaches L1, and every L1 miss reaches L2.
     assert filt.l1_hit.size == sum(p.l1.accesses for p in ref_privates)
@@ -311,6 +317,7 @@ def _assert_filter_matches_private_caches(config, streams):
     )
     assert bpf.l1.hits == sum(p.l1.hits for p in ref_privates)
     assert bpf.l2.hits == sum(p.l2.hits for p in ref_privates)
+    return ref_wbs
 
 
 def test_private_filter_matches_private_caches():
@@ -351,6 +358,22 @@ def test_private_filter_cores_sharing_addresses(config):
     addrs = np.concatenate([loop, sweep, pool, loop]).astype(np.int64)
     streams = [(addrs, rng.random(addrs.size) < 0.35) for _ in range(3)]
     _assert_filter_matches_private_caches(config, streams)
+
+
+def test_private_filter_orders_both_writebacks():
+    """A conflict-heavy stream in which accesses hand two dirty L2
+    victims to the LLC: the install's victim must come first."""
+    config = SystemConfig(
+        num_cores=2,
+        l1=CacheConfig(2 * 64, 2, 1),
+        l2=CacheConfig(4 * 64, 2, 8),
+    )
+    rng = np.random.default_rng(3)
+    streams = [
+        (rng.integers(0, 16, 400) * 64, rng.random(400) < 0.5) for _ in range(2)
+    ]
+    ref_wbs = _assert_filter_matches_private_caches(config, streams)
+    assert sum(len(wbs) == 2 for wbs in ref_wbs) > 0
 
 
 class TestFirstOfGroups:
