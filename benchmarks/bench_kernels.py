@@ -52,14 +52,31 @@ def test_compress_blocks_throughput(benchmark, nblocks):
     assert result.success.all()
 
 
-@pytest.mark.parametrize("name", ["orbit", "lattice", "lbm"])
-def test_workload_run(benchmark, name):
-    """One baseline-design functional run of a step-loop kernel at
-    grid-cold's size (scale 0.15): the workload's own compute, with
-    syncs that approximate nothing."""
+#: (workload, design): the step-loop kernels under baseline, and the
+#: workloads with write-only regions under AVR
+WORKLOAD_RUNS = [
+    ("orbit", "baseline"),
+    ("lattice", "baseline"),
+    ("lbm", "baseline"),
+    ("lattice", "AVR"),
+    ("lbm", "AVR"),
+    ("bscholes", "AVR"),
+]
+
+
+@pytest.mark.parametrize(
+    ("name", "design"), WORKLOAD_RUNS, ids=[f"{n}-{d}" for n, d in WORKLOAD_RUNS]
+)
+def test_workload_run(benchmark, name, design):
+    """One functional run at grid-cold's size (scale 0.15).  Under
+    baseline it is the workload's own compute, with syncs that
+    approximate nothing.  Under AVR the compressor runs too: at every
+    sync for a region the kernel reads, once per run for a write-only
+    one."""
     workload = make_workload(name, scale=0.15)
-    result = benchmark(workload.run, "baseline")
-    assert result.iterations == workload.steps
+    result = benchmark(workload.run, design)
+    expected = workload.passes if name == "bscholes" else workload.steps
+    assert result.iterations == expected
 
 
 def test_decompress_blocks_throughput(benchmark, blocks):

@@ -65,7 +65,11 @@ from .compression import AVRCompressor
 # ``FilteredTrace``'s four per-access writeback columns became the
 # core-major LLC event columns.  Simulation results and keys are
 # unchanged.
-__version__ = "1.13.0"
+# 1.14.0: ``ApproxMemory.alloc(..., write_only=True)`` and
+# ``ApproxMemory.settle()``: a write-only region is approximated once,
+# at settle, instead of at every sync.  ``RegionReport.approx`` is
+# removed.  Simulation results and keys are unchanged.
+__version__ = "1.14.0"
 
 #: The version of the simulated model, folded into every result-cache,
 #: trace and front-end key and naming the ``m<MODEL_VERSION>/`` store

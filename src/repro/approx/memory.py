@@ -7,6 +7,13 @@ stream through the memory hierarchy — the registry round-trips every
 approximable region through the active design's approximator and
 accumulates compression statistics.
 
+The approximation reaches the program only through the values it reads
+back.  A region the kernel overwrites in full before every sync, and
+reads only for its final output, is declared ``write_only``: its syncs
+are counted, but the round trip is applied once, by :meth:`settle`, to
+the last-written contents.  The result is the one an approximation at
+every sync would leave, since each of those is overwritten unread.
+
 The registry also lays regions out in a simulated physical address
 space (page-aligned, gap between regions) so the trace generator and
 the timing simulator agree on which addresses are approximable.
@@ -69,13 +76,13 @@ class RegionReport:
 
     name: str
     nbytes: int
-    approx: bool
+    #: round trips of the region; only approximable regions count them
     syncs: int = 0
     last: SyncStats = field(default_factory=SyncStats)
 
     @property
     def compression_ratio(self) -> float:
-        return self.last.compression_ratio if self.approx and self.syncs else 1.0
+        return self.last.compression_ratio if self.syncs else 1.0
 
 
 class ApproxMemory:
@@ -90,6 +97,8 @@ class ApproxMemory:
         self.reports: dict[str, RegionReport] = {}
         self._next_addr = self.BASE_ADDRESS
         self.sync_count = 0
+        #: write-only regions synced since the last :meth:`settle`
+        self._pending: dict[str, None] = {}
 
     # ------------------------------------------------------------------
     # allocation
@@ -102,11 +111,19 @@ class ApproxMemory:
         dtype: DataType = DataType.FLOAT32,
         init: np.ndarray | None = None,
         thresholds: ErrorThresholds | None = None,
+        write_only: bool = False,
     ) -> np.ndarray:
         """Allocate a named region; returns the backing numpy array.
 
         ``thresholds`` sets a per-region error knob (the paper's §3.1
         extension); None inherits the program-wide setting.
+
+        ``write_only`` declares that the kernel overwrites the whole
+        region before every sync and reads it only after
+        :meth:`settle`.  Its syncs then defer the approximation to
+        ``settle``.  A wrong declaration changes results: a kernel that
+        reads the region between syncs would see exact values where
+        every sync should have approximated them.
         """
         if name in self.regions:
             raise ValueError(f"region {name!r} already allocated")
@@ -121,10 +138,11 @@ class ApproxMemory:
             approx=approx,
             dtype=dtype,
             thresholds=thresholds,
+            write_only=write_only,
         )
         self._next_addr += padded_pages(array.nbytes)
         self.regions[name] = region
-        self.reports[name] = RegionReport(name=name, nbytes=array.nbytes, approx=approx)
+        self.reports[name] = RegionReport(name=name, nbytes=array.nbytes)
         return array
 
     def region(self, name: str) -> Region:
@@ -143,18 +161,35 @@ class ApproxMemory:
         """Round-trip approximable regions through the active design.
 
         Called by workloads wherever their data would stream through
-        main memory (typically once per outer iteration).
+        main memory (typically once per outer iteration).  Every
+        approximable region in ``names`` (default: all) counts one
+        round trip.  A ``write_only`` region is approximated later, by
+        :meth:`settle`; every other one is approximated now.
         """
         targets = names if names is not None else list(self.regions)
         for name in targets:
             region = self.regions[name]
             if not region.approx:
                 continue
-            stats = self.approximator.apply(region)
             report = self.reports[name]
             report.syncs += 1
-            report.last = stats
+            if region.write_only:
+                self._pending[name] = None
+            else:
+                report.last = self.approximator.apply(region)
         self.sync_count += 1
+
+    def settle(self) -> None:
+        """Approximate the write-only regions synced since the last call.
+
+        Kernels call it before they read a write-only region for their
+        output; :meth:`repro.workloads.base.Workload.run` calls it
+        after ``execute``.  Each pending region is round-tripped once,
+        in its last-written state.
+        """
+        for name in self._pending:
+            self.reports[name].last = self.approximator.apply(self.regions[name])
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     # reporting
@@ -185,8 +220,8 @@ class ApproxMemory:
     def compression_ratio(self) -> float:
         """Aggregate ratio over approximable data (paper Table 4, row 1)."""
         blocks = stored = 0
-        for name, report in self.reports.items():
-            if not self.regions[name].approx or report.syncs == 0:
+        for report in self.reports.values():
+            if report.syncs == 0:
                 continue
             blocks += report.last.blocks
             stored += report.last.stored_cachelines
@@ -210,11 +245,7 @@ class ApproxMemory:
 
     def dedup_factor(self) -> float:
         """Capacity multiplier measured by dedup designs (Doppelgänger)."""
-        factors = [
-            self.reports[n].last.dedup_factor
-            for n, r in self.regions.items()
-            if r.approx and self.reports[n].syncs
-        ]
+        factors = [r.last.dedup_factor for r in self.reports.values() if r.syncs]
         return float(np.mean(factors)) if factors else 1.0
 
     def block_size_map(self) -> dict[int, np.ndarray]:

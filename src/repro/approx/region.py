@@ -30,6 +30,10 @@ class Region:
     #: allocated memory region" extension, §3.1); None uses the
     #: program-wide setting.
     thresholds: ErrorThresholds | None = None
+    #: True when the kernel overwrites the whole region before every
+    #: sync and reads it only after ``ApproxMemory.settle()``: a sync
+    #: then counts the round trip and ``settle`` approximates it once.
+    write_only: bool = False
     #: Most recent per-block compressed sizes (cachelines), None before
     #: the first compression pass or for non-AVR designs.
     block_sizes: np.ndarray | None = field(default=None, repr=False)

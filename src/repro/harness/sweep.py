@@ -649,6 +649,17 @@ def run_sweep(
     needed_functional = functional_designs(spec.designs)
     stats = SweepStats()
 
+    # Each unit's key is hashed once per sweep: the stages below look
+    # the same (point, design) up several times.
+    functional_keys: dict[tuple[SweepPoint, DesignLike], str] = {}
+    timing_keys: dict[tuple[SweepPoint, DesignSpec], str] = {}
+
+    def functional_key(point: SweepPoint, design: DesignLike) -> str:
+        key = functional_keys.get((point, design))
+        if key is None:
+            key = functional_keys[(point, design)] = functional_job_key(point, design)
+        return key
+
     pool = executor if executor is not None else _make_pool(jobs)
     try:
         # --- stage 1: functional jobs, deduplicated by content key ----
@@ -658,13 +669,13 @@ def run_sweep(
         functional_jobs: dict[str, tuple] = {}
         for point in points:
             for design in needed_functional:
-                key = functional_job_key(point, design)
+                key = functional_key(point, design)
                 functional_jobs.setdefault(key, (run_functional_job, point, design))
         for spoint in scenario_points:
             for plan in spoint.plans():
                 ipoint = spoint.instance_point(plan)
                 for design in scenario_functional_designs(spec.designs):
-                    key = functional_job_key(ipoint, design)
+                    key = functional_key(ipoint, design)
                     functional_jobs.setdefault(
                         key, (run_functional_job, ipoint, design)
                     )
@@ -676,7 +687,7 @@ def run_sweep(
         def functional_for(
             point: SweepPoint, design: DesignLike
         ) -> WorkloadResult:
-            return functional[functional_job_key(point, design)]
+            return functional[functional_key(point, design)]
 
         # --- stage 2: per-point composed layout + trace, then timing --
         # Every point — classic single-workload or multi-programmed mix
@@ -698,7 +709,7 @@ def run_sweep(
         dedups: dict[tuple[SweepPoint, DesignSpec], float] = {}
         for point in points:
             workload = point.make()
-            reference = functional[functional_job_key(point, BASELINE)]
+            reference = functional_for(point, BASELINE)
             solo = ScenarioPoint(
                 scenario=Scenario.solo(
                     point.workload,
@@ -715,12 +726,14 @@ def run_sweep(
             )
             contexts.append((point, workload, reference, context.layout))
             for design in spec.designs:
-                func = functional.get(functional_job_key(point, design), reference)
+                func = functional.get(functional_key(point, design), reference)
                 dedup = (
                     func.memory.dedup_factor() if design.measures_dedup else 1.0
                 )
                 dedups[(point, design)] = dedup
-                key = timing_job_key(point, design, config)
+                key = timing_keys[(point, design)] = timing_job_key(
+                    point, design, config
+                )
                 descriptors[key] = (
                     context,
                     design,
@@ -804,11 +817,11 @@ def run_sweep(
             avr_compression_ratio=layout.mean_compression_ratio(),
         )
         for design in spec.designs:
-            func = functional.get(functional_job_key(point, design), reference)
+            func = functional.get(functional_key(point, design), reference)
             # A copy: the collected result may be shared (the serve
             # scheduler hands one unit's result to every joined session).
             sim = replace(
-                timing[timing_job_key(point, design, config)],
+                timing[timing_keys[(point, design)]],
                 iteration_factor=func.iterations / max(reference.iterations, 1),
             )
             error = (

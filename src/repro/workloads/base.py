@@ -160,7 +160,8 @@ class Workload(abc.ABC):
         """Run the computation; returns (output, iterations executed).
 
         Implementations call ``mem.sync()`` at every point their data
-        would round-trip through main memory.
+        would round-trip through main memory, and ``mem.settle()``
+        before reading a ``write_only`` region for the output.
         """
 
     def approx_regions_for(self, design: "DesignSpec") -> tuple[str, ...] | None:
@@ -207,6 +208,9 @@ class Workload(abc.ABC):
             for name, region in mem.regions.items():
                 region.approx = name in marked
         output, iterations = self.execute(mem)
+        # Write-only regions a kernel does not read for its output are
+        # approximated here, so the result holds their final state.
+        mem.settle()
         return WorkloadResult(output=output, memory=mem, iterations=iterations)
 
     def output_error(self, result: WorkloadResult, reference: WorkloadResult) -> float:

@@ -69,9 +69,10 @@ class BlackScholesWorkload(Workload):
         mem.alloc("expiry", (n,), approx=False, init=expiry)
         # Prices are part of the annotated approximate dataset: they
         # are produced from approximate inputs and tolerate the same
-        # error budget.
-        mem.alloc("call_price", (n,), approx=True)
-        mem.alloc("put_price", (n,), approx=True)
+        # error budget.  Every pass rewrites them and only the output
+        # reads them.
+        mem.alloc("call_price", (n,), approx=True, write_only=True)
+        mem.alloc("put_price", (n,), approx=True, write_only=True)
 
     def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
         spot = mem.region("spot").array
@@ -97,6 +98,7 @@ class BlackScholesWorkload(Workload):
             # The freshly written prices stream back to memory too.
             mem.sync(["call_price", "put_price"])
 
+        mem.settle()
         return np.concatenate([call, put]), self.passes
 
     def trace_spec(self) -> TraceSpec:

@@ -71,8 +71,10 @@ class KMeansWorkload(Workload):
         mem.alloc("points", (self.npoints,), approx=True, init=terrain)
         # Per-point cluster labels: geographically ordered, written every
         # iteration, and approximation-tolerant (a flipped boundary label
-        # is equivalent to a small point perturbation).
-        mem.alloc("assignments", (self.npoints,), approx=True)
+        # is equivalent to a small point perturbation).  The centroid
+        # update reads the labels before they are stored, never the
+        # region.
+        mem.alloc("assignments", (self.npoints,), approx=True, write_only=True)
         mem.alloc("centroids", (self.k,), approx=False)
         mem.alloc("assign_counts", (self.k,), approx=False)
 

@@ -93,6 +93,15 @@ its workload's ``execute`` replaced, called as ``f(workload, mem)``
 * :func:`lbm_execute_reference` — the same D3Q19 loop with 18 rolls,
   the oracle of :meth:`repro.workloads.lbm.LbmWorkload.execute`.
 
+These loops read lattice's ``macro`` and lbm's ``velocity`` for their
+output without settling them, so they run under the eager memory:
+
+* :class:`EagerApproxMemory` — :meth:`repro.approx.ApproxMemory.sync`
+  approximating every approximable region at every sync, ``write_only``
+  or not, the oracle of the deferred write-only round trip
+  (``test_sync_equivalence.py``).  A test runs a workload under it by
+  replacing ``repro.workloads.base.ApproxMemory``.
+
 The functional layer's other two designs:
 
 * :func:`dedup_roundtrip_reference` with :func:`line_signatures_reference`
@@ -1989,8 +1998,29 @@ class CompressedBlock:
 
 
 # ======================================================================
-# workload kernels: the per-step numpy loops
+# workload kernels: the per-step numpy loops and the eager memory
 # ======================================================================
+class EagerApproxMemory(ApproxMemory):
+    """:class:`ApproxMemory` with every round trip applied at its sync.
+
+    ``sync`` approximates every approximable region it names, declared
+    ``write_only`` or not, so :meth:`ApproxMemory.settle` never finds
+    one pending.
+    """
+
+    def sync(self, names: list[str] | None = None) -> None:
+        targets = names if names is not None else list(self.regions)
+        for name in targets:
+            region = self.regions[name]
+            if not region.approx:
+                continue
+            stats = self.approximator.apply(region)
+            report = self.reports[name]
+            report.syncs += 1
+            report.last = stats
+        self.sync_count += 1
+
+
 def orbit_execute_reference(
     workload: orbit_kernel.OrbitWorkload, mem: ApproxMemory
 ) -> tuple[np.ndarray, int]:

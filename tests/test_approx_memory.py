@@ -16,6 +16,7 @@ from repro.approx import (
 from repro.approx.region import Region
 from repro.common.constants import BLOCK_BYTES, PAGE_BYTES
 from repro.common.types import DataType, ErrorThresholds
+from repro.workloads import make_workload
 
 
 class TestRegion:
@@ -167,6 +168,29 @@ class TestReporting:
         mem.alloc("a", 4096, init=np.ones(4096))
         mem.sync()
         assert mem.dedup_factor() > 10.0
+
+    def test_region_marked_after_allocation_reports_its_ratio(self):
+        """``Workload.run`` re-marks regions after allocating them; the
+        report follows the round trips, not the allocation's flag."""
+        mem = ApproxMemory(AVRApproximator())
+        mem.alloc("a", 4096, approx=False, init=np.linspace(1, 2, 4096))
+        mem.regions["a"].approx = True
+        mem.sync()
+        report = mem.reports["a"]
+        assert report.syncs == 1
+        assert report.compression_ratio == report.last.compression_ratio > 4.0
+
+    def test_lbm_dganger_report_counts_f(self):
+        """lbm allocates ``f`` exact and marks it approximable under
+        Doppelgänger: its report counts all 50 round trips and keeps no
+        allocation-time flag that would still call ``f`` exact."""
+        result = make_workload("lbm", scale=0.05).run("dganger")
+        mem = result.memory
+        report = mem.reports["f"]
+        assert mem.regions["f"].approx
+        assert report.syncs == result.iterations == 50
+        assert report.last.dedup_factor > 100.0
+        assert set(vars(report)) == {"name", "nbytes", "syncs", "last"}
 
 
 class TestApproximatorFactory:

@@ -5,11 +5,20 @@ each 2,048-step chunk at once; ``LatticeWorkload.execute`` and
 ``LbmWorkload.execute`` run their step in preallocated buffers with one
 gather for bounce-back, streaming and outflow.  ``tests/oracles.py``
 keeps the per-step numpy loops they replaced.  Each case runs one
-workload under one design through :meth:`Workload.run` twice, once per
-kernel, and compares as bit patterns: every synced region before and
-after each ``mem.sync`` with its report, then every final region, the
-output, the iteration count, every :class:`RegionReport` and the block
-sizes.
+workload under one design through :meth:`Workload.run` twice: the
+package kernel under the package's :class:`ApproxMemory`, and the
+oracle loop under ``oracles.EagerApproxMemory``, which approximates
+every approximable region at every sync.  The loops read lattice's
+``macro`` and lbm's ``velocity`` for their output without settling
+them, so they need the eager memory; the package defers those
+``write_only`` regions to ``mem.settle()``.
+
+The runs are compared as bit patterns.  At each ``mem.sync``: every
+synced region before the sync; after it, every region the kernel reads
+with its report and block sizes, and each write-only region's round
+trip count.  Then every final region (so each write-only region's
+approximated state), the output, the iteration count, every
+:class:`RegionReport`, ``sync_count`` and the block sizes.
 
 Sizes: the minimum geometry, scale 0.15 (the benchmark's), scale 0.2,
 and the paper geometry (scale 1.0) with a few steps for lattice and lbm;
@@ -26,12 +35,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    EagerApproxMemory,
     lattice_execute_reference,
     lbm_execute_reference,
     orbit_execute_reference,
 )
 from repro.approx.memory import ApproxMemory
-from repro.workloads import make_workload
+from repro.workloads import base, make_workload
 from repro.workloads.base import Workload
 
 REFERENCES: dict[str, Callable[..., tuple[np.ndarray, int]]] = {
@@ -71,31 +81,36 @@ def _run(
 ) -> dict[str, Any]:
     """Everything one run stores, with the state around each sync.
 
-    ``execute`` replaces the workload's kernel; ``None`` runs the
-    package's.  Floats are compared through their digests and reprs,
-    which tell every bit pattern apart.
+    ``execute`` replaces the workload's kernel and runs it under the
+    eager memory; ``None`` runs the package's kernel under the
+    package's memory.  Floats are compared through their digests and
+    reprs, which tell every bit pattern apart.
     """
+    memory = ApproxMemory if execute is None else EagerApproxMemory
     syncs: list[tuple[Any, ...]] = []
-    sync = ApproxMemory.sync
+    sync = memory.sync
+
+    def after_sync(mem: ApproxMemory, name: str) -> tuple[Any, ...]:
+        region = mem.regions[name]
+        if region.write_only:
+            # Approximated at the end, by settle() or by the last sync.
+            return name, mem.reports[name].syncs
+        return (
+            name,
+            _digest(region.array),
+            repr(mem.reports[name]),
+            None if region.block_sizes is None else _digest(region.block_sizes),
+        )
 
     def recording_sync(self: ApproxMemory, names: list[str] | None = None) -> None:
         targets = names if names is not None else list(self.regions)
         before = [(n, _digest(self.regions[n].array)) for n in targets]
         sync(self, names)
-        after = [
-            (
-                n,
-                _digest(self.regions[n].array),
-                repr(self.reports[n]),
-                None if self.regions[n].block_sizes is None
-                else _digest(self.regions[n].block_sizes),
-            )
-            for n in targets
-        ]
-        syncs.append((before, after))
+        syncs.append((before, [after_sync(self, n) for n in targets]))
 
     with monkeypatch.context() as patch:
-        patch.setattr(ApproxMemory, "sync", recording_sync)
+        patch.setattr(memory, "sync", recording_sync)
+        patch.setattr(base, "ApproxMemory", memory)
         if execute is not None:
             patch.setattr(workload, "execute", functools.partial(execute, workload))
         result = workload.run(design)
