@@ -10,10 +10,10 @@ most: a fine-grained heat variant (25k short iterations on a small
 grid, 8 cores, 600k accesses/core ≈ 4.8M accesses total) whose
 per-fragment work is tiny, so the reference loop's per-(iteration,
 phase) Python overhead dominates.  ``--check`` is the CI mode: a small
-differential matrix over every workload x both jitter-stream modes
-plus one heterogeneous scenario mix through full composition, each
-case enforced bit-identical, and a store round-trip asserting the warm
-run maps (not regenerates) the composed trace.  The repo's
+differential check of every workload plus one heterogeneous scenario
+mix through full composition, each case enforced bit-identical, and a
+store round-trip asserting the warm run maps (not regenerates) the
+composed trace.  The repo's
 ``BENCH_trace_synthesis.json`` is ``--repeat 3 --json
 BENCH_trace_synthesis.json``.
 
@@ -121,22 +121,16 @@ def bench_store(spec, mem, cores, accesses, seed, trace, repeat, store_dir):
 # CI differential matrix
 # ----------------------------------------------------------------------
 def check_workloads(scale: float, accesses: int) -> list[str]:
-    """Every workload x stream mode: fast path == oracle, bitwise."""
+    """Every workload: fast path == oracle, bitwise."""
     failures = []
     for name, cls in sorted(WORKLOADS.items()):
         workload = cls(scale=scale)
         spec, mem = workload.trace_spec(), allocate_only(workload)
-        for per_core_streams in (False, True):
-            kwargs = dict(
-                num_cores=4, max_accesses_per_core=accesses, seed=0,
-                per_core_streams=per_core_streams,
-            )
-            vec = generate_trace(spec, mem, **kwargs)
-            ref = generate_trace_reference(spec, mem, **kwargs)
-            if not traces_identical(vec, ref):
-                failures.append(
-                    f"{name} (per_core_streams={per_core_streams}) diverged"
-                )
+        kwargs = dict(num_cores=4, max_accesses_per_core=accesses, seed=0)
+        vec = generate_trace(spec, mem, **kwargs)
+        ref = generate_trace_reference(spec, mem, **kwargs)
+        if not traces_identical(vec, ref):
+            failures.append(f"{name} diverged")
     return failures
 
 
@@ -174,12 +168,11 @@ def check_scenario(scale: float, accesses: int) -> list[str]:
 def run_check(scale: float, accesses: int) -> int:
     failures = check_workloads(scale, accesses)
     failures += check_scenario(scale, accesses)
-    matrix = len(WORKLOADS) * 2
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print(f"generators agree: {matrix} workload cases + 1 scenario mix "
+    print(f"generators agree: {len(WORKLOADS)} workloads + 1 scenario mix "
           f"(composed, stored, mapped) bit-identical")
     return 0
 

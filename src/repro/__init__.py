@@ -69,7 +69,20 @@ from .compression import AVRCompressor
 # ``ApproxMemory.settle()``: a write-only region is approximated once,
 # at settle, instead of at every sync.  ``RegionReport.approx`` is
 # removed.  Simulation results and keys are unchanged.
-__version__ = "1.14.0"
+# 1.15.0: public names removed: ``DesignSpec.builder``,
+# ``LLCBuildContext``, ``DesignSpec.validate_options`` and
+# ``consumes_avr_options``, the ``avr_options`` keyword of
+# ``build_system``, ``run_timing_job`` and ``timing_job_key`` (an AVR
+# LLC option lives in ``DesignSpec.avr_options`` alone), the
+# ``trace_store`` keyword of ``run_sweep`` and ``run_experiment``, the
+# ``ExperimentSpec.trace_store`` field, ``repro experiment
+# --trace-store`` and ``resolve_trace_store`` (the store always lives
+# at ``<cache-dir>/m<MODEL_VERSION>/traces``), and the
+# ``per_core_streams`` keyword of ``generate_trace`` and ``trace_key``.
+# A spec file or daemon submission that still carries ``trace_store``
+# fails with the unknown-key error, as ``engine`` and ``cache_backend``
+# do.  Simulation results and keys are unchanged.
+__version__ = "1.15.0"
 
 #: The version of the simulated model, folded into every result-cache,
 #: trace and front-end key and naming the ``m<MODEL_VERSION>/`` store

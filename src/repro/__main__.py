@@ -22,11 +22,10 @@ Commands:
 suggestions.  The simulation commands accept ``--jobs N`` to fan the
 evaluation grid's job units out over ``N`` worker processes (``1`` =
 serial, bit-identical to parallel runs) and ``--cache-dir PATH`` to
-memoize job results on disk so repeated runs skip completed points;
-``experiment`` also takes ``--trace-store PATH|off`` to
-control the memory-mapped composed-trace store (default:
-``<cache-dir>/m<MODEL_VERSION>/traces`` whenever ``--cache-dir`` is
-given); warm runs map stored traces instead of regenerating them.
+memoize job results on disk so repeated runs skip completed points.
+A cache directory also holds the memory-mapped composed-trace store,
+``<cache-dir>/m<MODEL_VERSION>/traces``; warm runs map stored traces
+instead of regenerating them.
 """
 
 from __future__ import annotations
@@ -171,7 +170,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = SystemConfig.scaled(num_cores=args.cores)
     try:
         design = get_design(args.design)
-        if not design.consumes_avr_options:
+        if design.llc != "avr":
             raise ValueError(
                 f"design {design.name!r} cannot consume LLC ablation "
                 "options; pick an AVR-family design"
@@ -255,10 +254,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
           f"{workloads} workload(s), "
           f"{len(spec.scenarios)} scenario(s), designs "
           f"{', '.join(spec.designs)}")
-    result = run_experiment(
-        spec, jobs=args.jobs, cache_dir=args.cache_dir,
-        trace_store=args.trace_store,
-    )
+    result = run_experiment(spec, jobs=args.jobs, cache_dir=args.cache_dir)
 
     if result.evaluations:
         try:
@@ -578,10 +574,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ex.add_argument("--cache-dir", default=None, metavar="PATH",
                       help="on-disk result cache; re-runs skip "
                            "already-computed sweep points")
-    p_ex.add_argument("--trace-store", default=None, metavar="PATH|off",
-                      help="memory-mapped composed-trace store; default "
-                           "derives <cache-dir>/m<MODEL_VERSION>/traces "
-                           "when caching, 'off' disables it")
     p_ex.add_argument("--expect-cached", action="store_true",
                       help="exit 1 unless every job was served from the "
                            "cache (CI warm-cache assertion)")

@@ -9,30 +9,25 @@ names through :func:`get_design`.  A new design point is one
 :func:`register_design` call; nothing in ``system/factory.py`` or
 ``common/types.py`` changes.
 
-Three layers of extensibility, cheapest first:
+Two layers of extensibility:
 
 1. **Parameterized variants** — new capacity/compression parameters on
-   the built-in LLC families (``llc="baseline"`` /, ``llc="avr"``).
+   the built-in LLC families (``llc="baseline"``, ``llc="avr"``).
    The shipped ``truncate-16`` (quarter-width approximate lines) and
    ``avr-conservative`` (halved error thresholds, self-measured
    layout) are examples.
 2. **Baked-in AVR options** — ``avr_options`` pins
    :class:`~repro.cache.llc_avr.AVRLLC` ablation knobs into a design's
-   identity (e.g. a no-DBUF AVR variant).
-3. **A custom builder hook** — ``builder`` takes over LLC construction
-   entirely for genuinely new cache organizations (see
-   ``examples/custom_design.py``).  The hook must be a module-level
-   callable so specs still pickle into sweep worker processes; it is
-   excluded from a spec's identity (equality, hashing and sweep-cache
-   keys cover the declarative fields only, so two specs that differ
-   only in builder must differ in name).
+   identity (e.g. a no-DBUF AVR variant, as in
+   ``examples/custom_design.py``).  The LLC ablations build their
+   variants this way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from difflib import get_close_matches
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from typing import Any, Iterable, TYPE_CHECKING
 
 from .common.types import ErrorThresholds
 
@@ -52,7 +47,6 @@ __all__ = [
     "DesignMap",
     "DesignLike",
     "DesignSpec",
-    "LLCBuildContext",
     "PAPER_DESIGNS",
     "TRUNCATE",
     "TRUNCATE_16",
@@ -75,46 +69,21 @@ LLC_FAMILIES = ("baseline", "avr")
 CAPACITY_MODELS = ("none", "truncate", "dganger")
 
 
-@dataclass
-class LLCBuildContext:
-    """Everything an LLC builder may consume, bundled as one value.
-
-    Passed to :meth:`DesignSpec.build_llc` and to custom ``builder``
-    hooks, so growing the construction interface never changes hook
-    signatures.  ``options`` already merges the spec's baked-in
-    ``avr_options`` with the caller's runtime overrides (ablations).
-    """
-
-    config: "SystemConfig"
-    dram: "DRAM"
-    layout: "AddressLayout"
-    footprint_bytes: int
-    dedup_factor: float = 1.0
-    options: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def approx_fraction(self) -> float:
-        """Fraction of the workload footprint that is approximable."""
-        if not self.footprint_bytes:
-            return 0.0
-        return min(1.0, self.layout.approx_bytes / self.footprint_bytes)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DesignSpec:
     """One system design point, as an open, declarative value.
 
     Identity (equality, hashing, and sweep-cache canonicalization)
-    covers every field except ``builder``; a spec therefore keys result
-    dictionaries and on-disk cache entries stably across processes and
-    interpreter runs.  A spec equals only another spec, never its name
-    string: resolve names through :func:`get_design` (or look results
-    up in a :class:`DesignMap`, which does).
+    covers every field; a spec therefore keys result dictionaries and
+    on-disk cache entries stably across processes and interpreter runs.
+    A spec equals only another spec, never its name string: resolve
+    names through :func:`get_design` (or look results up in a
+    :class:`DesignMap`, which does).
     """
 
     #: registry name; also the display label in tables and the CLI
     name: str
-    #: built-in LLC family the timing layer builds (see ``builder``)
+    #: built-in LLC family the timing layer builds
     llc: str = "baseline"
     #: functional-layer approximation strategy applied to marked data
     approximator: str = "exact"
@@ -139,12 +108,6 @@ class DesignSpec:
     layout_source: str | None = None
     #: one-line description shown by ``list`` surfaces and docs
     doc: str = ""
-    #: custom LLC constructor hook ``(spec, ctx) -> LLC``; overrides the
-    #: built-in family dispatch.  Excluded from identity — must be a
-    #: picklable module-level callable.
-    builder: Callable[["DesignSpec", LLCBuildContext], Any] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -196,29 +159,16 @@ class DesignSpec:
                 raise ValueError(
                     f"avr_options must be (name, value) pairs, got {pair!r}"
                 )
-        if options and self.llc != "avr" and self.builder is None:
-            raise ValueError(
-                f"design {self.name!r} bakes in avr_options but its "
-                f"{self.llc!r} LLC family cannot consume them"
-            )
-        self._check_avr_options(dict(options))
+        if options:
+            if self.llc != "avr":
+                raise ValueError(
+                    f"design {self.name!r} bakes in avr_options but its "
+                    f"{self.llc!r} LLC family cannot consume them"
+                )
+            from .cache.llc_avr import check_avr_options
+
+            check_avr_options(dict(options))
         object.__setattr__(self, "avr_options", tuple(sorted(options)))
-
-    # ------------------------------------------------------------------
-    # identity
-    # ------------------------------------------------------------------
-    def _identity(self) -> tuple:
-        return tuple(
-            getattr(self, f.name) for f in fields(self) if f.compare
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DesignSpec):
-            return self._identity() == other._identity()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
 
     # ------------------------------------------------------------------
     # derived roles
@@ -237,36 +187,6 @@ class DesignSpec:
     def measures_dedup(self) -> bool:
         """Its functional run's dedup factor parameterizes capacity."""
         return self.approximator == "dganger"
-
-    @property
-    def consumes_avr_options(self) -> bool:
-        """Whether runtime ``avr_options`` overrides are meaningful."""
-        return self.llc == "avr" or self.builder is not None
-
-    def validate_options(self, avr_options: dict | None) -> None:
-        """Reject runtime LLC options a design cannot consume.
-
-        ``build_system`` used to silently drop ``avr_options`` for
-        non-AVR designs; an ablation sweep over the wrong design then
-        measured nothing.  Now it is a loud error, as is an option the
-        built-in AVR LLC does not know or a value it does not accept
-        (see :data:`repro.cache.llc_avr.AVR_OPTIONS`).
-        """
-        if avr_options and not self.consumes_avr_options:
-            raise ValueError(
-                f"design {self.name!r} ({self.llc!r} LLC family) cannot "
-                f"consume avr_options {sorted(avr_options)}; only AVR-family "
-                "designs (or designs with a custom builder) accept them"
-            )
-        self._check_avr_options(avr_options or {})
-
-    def _check_avr_options(self, options: dict[str, Any]) -> None:
-        # the built-in AVR family feeds options to AVRLLC's keywords; a
-        # custom builder decides for itself what its options mean
-        if options and self.llc == "avr" and self.builder is None:
-            from .cache.llc_avr import check_avr_options
-
-            check_avr_options(options)
 
     # ------------------------------------------------------------------
     # functional layer
@@ -295,59 +215,66 @@ class DesignSpec:
     # ------------------------------------------------------------------
     # timing layer
     # ------------------------------------------------------------------
-    def build_llc(self, ctx: LLCBuildContext) -> Any:
-        """Construct this design's LLC from the build context.
+    def build_llc(
+        self,
+        config: SystemConfig,
+        dram: DRAM,
+        layout: AddressLayout,
+        footprint_bytes: int,
+        dedup_factor: float,
+    ) -> BaselineLLC | AVRLLC:
+        """Construct this design's LLC: the built-in family dispatch.
 
-        Custom ``builder`` hooks take over entirely; otherwise the
-        built-in family dispatch applies (the open-registry replacement
-        of the old ``build_system`` if/elif chain).
+        ``footprint_bytes`` and ``dedup_factor`` size the capacity
+        models of the ``baseline`` family; the ``avr`` family takes the
+        spec's baked-in ``avr_options``.
         """
-        if self.builder is not None:
-            return self.builder(self, ctx)
-        if self.llc == "avr":
-            return self._build_avr_llc(ctx)
-        return self._build_baseline_llc(ctx)
+        from .cache.llc_avr import AVRLLC
+        from .cache.llc_baseline import BaselineLLC
+        from .system.layout import AddressLayout
 
-    def _capacity_multiplier(self, ctx: LLCBuildContext) -> float:
-        frac = ctx.approx_fraction
+        if self.llc == "avr":
+            # ZeroAVR: AVR machinery present, nothing marked approximable
+            if self.approximate_nothing:
+                layout = AddressLayout()
+            return AVRLLC(config.llc, dram, layout, **dict(self.avr_options))
+        if self.capacity_model == "none" and self.approx_line_bytes is None:
+            # a plain cache: all traffic counts as exact
+            return BaselineLLC(config.llc, dram, AddressLayout())
+        return BaselineLLC(
+            config.llc,
+            dram,
+            layout,
+            capacity_multiplier=self._capacity_multiplier(
+                config, layout, footprint_bytes, dedup_factor
+            ),
+            approx_line_bytes=self.approx_line_bytes or config.llc.line_bytes,
+        )
+
+    def _capacity_multiplier(
+        self,
+        config: SystemConfig,
+        layout: AddressLayout,
+        footprint_bytes: int,
+        dedup_factor: float,
+    ) -> float:
+        # fraction of the workload footprint that is approximable
+        frac = (
+            min(1.0, layout.approx_bytes / footprint_bytes)
+            if footprint_bytes else 0.0
+        )
         if self.capacity_model == "truncate":
             # Approximate lines stored at ``approx_line_bytes`` width:
             # capacity stretches by the approximate share's saved space.
-            line = ctx.config.llc.line_bytes
+            line = config.llc.line_bytes
             narrow = self.approx_line_bytes or line
             return 1.0 / (1.0 - frac * (1.0 - narrow / line))
         if self.capacity_model == "dganger":
             # Dedup shares data entries between similar lines; reach is
             # bounded by the enlarged tag array.
-            effective = min(
-                max(ctx.dedup_factor, 1.0), float(ctx.config.dganger_tag_factor)
-            )
+            effective = min(max(dedup_factor, 1.0), float(config.dganger_tag_factor))
             return 1.0 / (1.0 - frac * (1.0 - 1.0 / effective))
         return 1.0
-
-    def _build_baseline_llc(self, ctx: LLCBuildContext) -> BaselineLLC:
-        from .cache.llc_baseline import BaselineLLC
-        from .system.layout import AddressLayout
-
-        if self.capacity_model == "none" and self.approx_line_bytes is None:
-            # a plain cache: all traffic counts as exact
-            return BaselineLLC(ctx.config.llc, ctx.dram, AddressLayout())
-        return BaselineLLC(
-            ctx.config.llc,
-            ctx.dram,
-            ctx.layout,
-            capacity_multiplier=self._capacity_multiplier(ctx),
-            approx_line_bytes=self.approx_line_bytes
-            or ctx.config.llc.line_bytes,
-        )
-
-    def _build_avr_llc(self, ctx: LLCBuildContext) -> AVRLLC:
-        from .cache.llc_avr import AVRLLC
-        from .system.layout import AddressLayout
-
-        # ZeroAVR: AVR machinery present, nothing marked approximable
-        layout = AddressLayout() if self.approximate_nothing else ctx.layout
-        return AVRLLC(ctx.config.llc, ctx.dram, layout, **ctx.options)
 
 
 #: anything the design-accepting APIs resolve through :func:`get_design`
@@ -370,7 +297,7 @@ def register_design(spec: DesignSpec, replace: bool = False) -> DesignSpec:
     key = spec.name.lower()
     existing = _REGISTRY.get(key)
     if existing is not None and not replace:
-        if existing == spec and existing.builder is spec.builder:
+        if existing == spec:
             return existing
         raise ValueError(
             f"design name {spec.name!r} is already registered; pass "

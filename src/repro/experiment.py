@@ -92,10 +92,6 @@ class ExperimentSpec:
     jobs: int = 1
     #: default on-disk result-cache directory (None = no cache)
     cache_dir: str | None = None
-    #: memory-mapped composed-trace store directory; None derives
-    #: ``<cache_dir>/m<MODEL_VERSION>/traces`` when caching, ``"off"``
-    #: disables it (see :func:`repro.trace.store.resolve_trace_store`)
-    trace_store: str | None = None
 
     def __post_init__(self) -> None:
         for name, kind in (("workloads", str), ("scenarios", str),
@@ -147,9 +143,8 @@ class ExperimentSpec:
     # identity
     # ------------------------------------------------------------------
     #: fields that do not affect results: the display label and the
-    #: execution settings; stored traces are bit-identical to
-    #: regenerated ones, so the trace store is execution-only too
-    _NON_IDENTITY_FIELDS = frozenset({"name", "jobs", "cache_dir", "trace_store"})
+    #: execution settings
+    _NON_IDENTITY_FIELDS = frozenset({"name", "jobs", "cache_dir"})
 
     def content_hash(self) -> str:
         """Stable SHA-256 of the spec's *grid identity*.
@@ -157,9 +152,9 @@ class ExperimentSpec:
         Built by the same canonicalization the sweep cache keys use, so
         it is stable across processes and interpreter runs and blind to
         everything that cannot change results: field ordering in a spec
-        file, the ``name`` label, and the ``jobs``/``cache_dir``/
-        ``trace_store`` execution settings.  Two specs hash equal iff
-        they enumerate the same job units.
+        file, the ``name`` label, and the ``jobs``/``cache_dir``
+        execution settings.  Two specs hash equal iff they enumerate the
+        same job units.
 
         The digest is computed once per instance and memoized: the
         spec is frozen, so re-serializing the full canonical form for
@@ -337,7 +332,6 @@ def run_experiment(
     spec: ExperimentSpec | str | Path,
     jobs: int | None = None,
     cache_dir: str | Path | Any | None = None,
-    trace_store: str | Path | bool | None = None,
     executor: Any | None = None,
     on_unit_done: Any | None = None,
 ) -> ExperimentResult:
@@ -347,9 +341,8 @@ def run_experiment(
     (:meth:`ExperimentSpec.to_sweep_spec`), so results are
     bit-identical to the equivalent
     :func:`~repro.harness.sweep.run_sweep` call and cache entries are
-    shared with it.  ``jobs`` / ``cache_dir`` /
-    ``trace_store`` override the spec's execution settings without
-    touching its identity;
+    shared with it.  ``jobs`` / ``cache_dir`` override the spec's
+    execution settings without touching its identity;
     ``cache_dir`` may also be a prebuilt
     :class:`~repro.harness.cache.ResultCache`.  ``executor`` /
     ``on_unit_done`` forward to :func:`~repro.harness.sweep.run_sweep`
@@ -365,7 +358,6 @@ def run_experiment(
         spec.to_sweep_spec(),
         jobs=jobs if jobs is not None else spec.jobs,
         cache_dir=resolved_cache,
-        trace_store=trace_store if trace_store is not None else spec.trace_store,
         executor=executor,
         on_unit_done=on_unit_done,
     )

@@ -12,8 +12,7 @@ Two families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,13 +82,15 @@ def run_llc_ablations(
 ) -> dict[str, AblationPoint]:
     """Run one AVR-family design under each LLC ablation variant.
 
-    ``design`` is any registered AVR-family design (spec or name) — a
-    design that cannot consume ``avr_options`` is rejected up front.  Built on the sweep engine's job units: the
-    functional runs (baseline reference + the design's layout source)
-    and each variant's timing replay are independent jobs, fanned out
-    over ``jobs`` workers and memoized in ``cache_dir``; the variants
-    share one trace and one timing front end.  The
-    functional jobs share cache entries with
+    ``design`` is any registered AVR-family design (spec or name); any
+    other design is rejected up front.  Each variant is that design
+    with the variant's options merged into its ``avr_options`` and its
+    name kept, so "full AVR" is the design itself.  Built on the sweep
+    engine's job units: the functional runs (baseline reference + the
+    design's layout source) and each variant's timing replay are
+    independent jobs, fanned out over ``jobs`` workers and memoized in
+    ``cache_dir``; the variants share one trace and one timing front
+    end.  The functional jobs share cache entries with
     :func:`~repro.experiment.run_experiment` and
     :func:`~repro.harness.sweep.run_sweep` runs of the same point, and
     the "full AVR" variant shares its timing entry with them too.
@@ -97,13 +98,19 @@ def run_llc_ablations(
     config = config or SystemConfig.scaled(num_cores=8)
     variants = variants if variants is not None else LLC_ABLATIONS
     design = get_design(design)
-    if not design.consumes_avr_options:
+    if design.llc != "avr":
         raise ValueError(
             f"design {design.name!r} cannot consume LLC ablation options; "
             "pick an AVR-family design"
         )
-    for options in variants.values():
-        design.validate_options(options)
+    # Building the variants checks every option before any run.
+    variant_designs = {
+        label: replace(
+            design,
+            avr_options=tuple({**dict(design.avr_options), **options}.items()),
+        )
+        for label, options in variants.items()
+    }
     layout_design = layout_source_design(design)
     point = SweepPoint(
         workload=workload_name,
@@ -128,8 +135,8 @@ def run_llc_ablations(
         timing: dict[str, object] = {}
         timing_jobs: dict[str, tuple] = {}
         variant_keys = {
-            timing_job_key(point, design, config, options): options
-            for options in variants.values()
+            timing_job_key(point, variant, config): variant
+            for variant in variant_designs.values()
         }
         # One batched pass over every variant's key; only misses pay
         # for trace generation and a replay job.  The variants differ in
@@ -137,7 +144,7 @@ def run_llc_ablations(
         if cache is not None:
             timing.update(cache.get_many(list(variant_keys)))
         shared = None
-        for key, options in variant_keys.items():
+        for key, variant in variant_keys.items():
             if key in timing:
                 continue
             if shared is None:
@@ -150,8 +157,8 @@ def run_llc_ablations(
                 )
                 shared = (trace, compute_front_end(trace, config))
             timing_jobs[key] = (
-                partial(run_timing_job, avr_options=options),
-                design,
+                run_timing_job,
+                variant,
                 config,
                 layout,
                 *shared,
@@ -163,8 +170,8 @@ def run_llc_ablations(
         timing.update(timing_results)
 
     results: dict[str, AblationPoint] = {}
-    for label, options in variants.items():
-        res = timing[timing_job_key(point, design, config, options)]
+    for label, variant in variant_designs.items():
+        res = timing[timing_job_key(point, variant, config)]
         results[label] = AblationPoint(
             cycles=res.cycles,
             total_bytes=res.total_bytes,

@@ -64,8 +64,8 @@ def _canonical(obj: Any) -> str:
     hashing by ``repr`` identity.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # Fields marked compare=False are outside a value's identity
-        # (e.g. a DesignSpec's builder callable) and stay out of keys.
+        # Fields marked compare=False are outside a value's identity and
+        # stay out of keys (KEY001 skips them by the same rule).
         fields = ",".join(
             f"{f.name}={_canonical(getattr(obj, f.name))}"
             for f in dataclasses.fields(obj)

@@ -59,13 +59,7 @@ from ..system.frontend import TimingFrontEnd
 from ..system.layout import AddressLayout
 from ..system.simulator import SimResult
 from ..trace.generator import GeneratedTrace
-from ..trace.store import (
-    FrontEndHandle,
-    TraceHandle,
-    TraceStore,
-    TraceStoreStats,
-    resolve_trace_store,
-)
+from ..trace.store import FrontEndHandle, TraceHandle, TraceStore
 from ..workloads import WORKLOADS, make_workload
 from ..workloads.base import Workload, WorkloadResult
 from .cache import ResultCache, content_key, resolve_result_cache
@@ -261,7 +255,6 @@ def run_timing_job(
     cores: tuple[int, ...] | None,
     footprint_bytes: int,
     dedup_factor: float = 1.0,
-    avr_options: dict | None = None,
 ) -> SimResult:
     """Job unit: one design's timing replay of one point's trace.
 
@@ -276,8 +269,7 @@ def run_timing_job(
     instead of unpickling megabytes of arrays, and replay
     bit-identically either way.  ``cores`` restricts the replay to a
     scenario subset's cores (``None``: every core); the others keep
-    their slots with empty streams.  ``avr_options`` forwards LLC
-    ablation flags.
+    their slots with empty streams.
     """
     if isinstance(trace, TraceHandle):
         trace = trace.load()
@@ -285,10 +277,7 @@ def run_timing_job(
         front_end = front_end.load()
     if cores is not None:
         trace, front_end = trace.restrict(cores), front_end.restrict(cores)
-    system = build_system(
-        design, config, layout, footprint_bytes, dedup_factor,
-        avr_options=avr_options,
-    )
+    system = build_system(design, config, layout, footprint_bytes, dedup_factor)
     return system.run(trace, front_end)
 
 
@@ -311,15 +300,12 @@ def functional_job_key(point: SweepPoint, design: DesignLike) -> str:
 
 
 def timing_job_key(
-    point: SweepPoint,
-    design: DesignLike,
-    config: SystemConfig,
-    avr_options: dict | None = None,
+    point: SweepPoint, design: DesignLike, config: SystemConfig
 ) -> str:
     """Cache key of a timing job (config-dependent, unlike functional)."""
+    # The trailing {} held runtime AVR options; it stays so keys don't move.
     return content_key(
-        "timing", MODEL_VERSION, point, get_design(design), config,
-        avr_options or {},
+        "timing", MODEL_VERSION, point, get_design(design), config, {}
     )
 
 
@@ -595,7 +581,6 @@ def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
     cache_dir: str | Path | ResultCache | None = None,
-    trace_store: TraceStore | str | Path | bool | None = None,
     executor: JobExecutor | None = None,
     on_unit_done: UnitCallback | None = None,
 ) -> SweepResult:
@@ -613,14 +598,13 @@ def run_sweep(
     daemon passes its one shared, locked instance to every session's
     sweep, so its counters span them all.
 
-    ``trace_store`` selects the memory-mapped composed-trace store
-    (see :func:`repro.trace.store.resolve_trace_store`): by default
-    ``<cache_dir>/m<MODEL_VERSION>/traces``, so warm runs that still
-    need a trace — new designs, a cleared result cache — map the
-    stored stream and its timing front end instead of regenerating and
-    re-filtering them; ``False``/``"off"`` disables it.  Stored or not,
-    traces and front ends are bit-identical, so the result-cache keys
-    are unaffected.
+    With a cache, composed traces and their timing front ends live in
+    the memory-mapped trace store ``<cache_dir>/m<MODEL_VERSION>/traces``
+    (see :mod:`repro.trace.store`), so warm runs that still need a
+    trace — new designs, a cleared result cache — map the stored stream
+    and its front end instead of regenerating and re-filtering them.
+    Stored or not, traces and front ends are bit-identical, so the
+    result-cache keys are unaffected.
 
     ``executor`` injects a caller-owned :class:`JobExecutor` in place
     of the per-run pool (``jobs`` is then ignored and the executor is
@@ -637,12 +621,7 @@ def run_sweep(
     """
     config = spec.resolved_config()
     cache = resolve_result_cache(cache_dir)
-    store = resolve_trace_store(
-        trace_store, cache.root if cache is not None else None
-    )
-    # Snapshot so a caller-supplied store's (or shared cache's) prior
-    # traffic is not attributed to this run.
-    store0 = replace(store.stats) if store is not None else TraceStoreStats()
+    store = TraceStore(cache.root / "traces") if cache is not None else None
     cache_stores0 = cache.stats.stores if cache is not None else 0
     points = spec.points()
     scenario_points = spec.scenario_points()
@@ -797,12 +776,10 @@ def run_sweep(
     if executor is None:
         pool.shutdown()
     if store is not None:
-        stats.traces_mapped = store.stats.hits - store0.hits
-        stats.traces_generated = store.stats.stores - store0.stores
-        stats.frontends_mapped = store.stats.front_end_hits - store0.front_end_hits
-        stats.frontends_computed = (
-            store.stats.front_end_stores - store0.front_end_stores
-        )
+        stats.traces_mapped = store.stats.hits
+        stats.traces_generated = store.stats.stores
+        stats.frontends_mapped = store.stats.front_end_hits
+        stats.frontends_computed = store.stats.front_end_stores
     if cache is not None:
         stats.cache_stores = cache.stats.stores - cache_stores0
 

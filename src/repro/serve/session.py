@@ -29,9 +29,10 @@ from .scheduler import JobHandle, SubmissionCancelled
 __all__ = ["Session"]
 
 #: spec keys describing *where/how* to execute rather than *what* —
-#: the daemon substitutes its own shared cache, trace store and
-#: executor, so client-side settings for these must not leak through
-_EXECUTION_ONLY_KEYS = ("jobs", "cache_dir", "trace_store")
+#: the daemon substitutes its own shared cache (and with it the trace
+#: store) and executor, so client-side settings for these must not
+#: leak through
+_EXECUTION_ONLY_KEYS = ("jobs", "cache_dir")
 
 
 class _Job:

@@ -8,7 +8,7 @@ one ``register_design`` call and this file never changes.
 from __future__ import annotations
 
 from ..common.config import SystemConfig
-from ..designs import DesignSpec, LLCBuildContext, get_design
+from ..designs import DesignSpec, get_design
 from ..memory.dram import DRAM
 from .layout import AddressLayout
 from .simulator import TimingSystem
@@ -20,7 +20,6 @@ def build_system(
     layout: AddressLayout,
     footprint_bytes: int,
     dedup_factor: float = 1.0,
-    avr_options: dict | None = None,
 ) -> TimingSystem:
     """Wire up DRAM + the design's LLC into a runnable timing system.
 
@@ -30,19 +29,10 @@ def build_system(
     ``footprint_bytes`` the total workload footprint (to estimate the
     fraction of LLC-resident data that is approximate for the capacity
     models); ``dedup_factor`` the functional layer's measured
-    Doppelgänger dedup; ``avr_options`` forwards ablation flags to
-    :class:`~repro.cache.llc_avr.AVRLLC` — passing them to a design
-    that cannot consume them raises ``ValueError``.
+    Doppelgänger dedup.  AVR LLC options come from the design's
+    ``avr_options``.
     """
     spec = get_design(design)
-    spec.validate_options(avr_options)
     dram = DRAM(config.dram, line_bytes=config.llc.line_bytes)
-    ctx = LLCBuildContext(
-        config=config,
-        dram=dram,
-        layout=layout,
-        footprint_bytes=footprint_bytes,
-        dedup_factor=dedup_factor,
-        options=dict(spec.avr_options) | dict(avr_options or {}),
-    )
-    return TimingSystem(spec, config, spec.build_llc(ctx), dram)
+    llc = spec.build_llc(config, dram, layout, footprint_bytes, dedup_factor)
+    return TimingSystem(spec, config, llc, dram)

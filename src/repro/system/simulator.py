@@ -266,7 +266,6 @@ class TimingSystem:
             "dram_lines": dram_lines,
             "compressor_ops": compressor_ops,
         }
-        # a class attribute of the LLC, so any LLC a custom builder
-        # returns answers for itself (one without it has no compressor)
-        has_compressor = bool(getattr(self.llc, "has_compressor", False))
-        return EnergyModel().compute(counts, seconds, num_cores, has_compressor)
+        return EnergyModel().compute(
+            counts, seconds, num_cores, self.llc.has_compressor
+        )

@@ -9,7 +9,6 @@ from .store import (
     TraceStoreStats,
     TraceStoreUsage,
     front_end_key,
-    resolve_trace_store,
     trace_key,
     trace_store_usage,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "TraceStoreUsage",
     "front_end_key",
     "generate_trace",
-    "resolve_trace_store",
     "total_instructions",
     "trace_key",
     "trace_store_usage",

@@ -271,12 +271,11 @@ def generate_trace(
     num_cores: int = 1,
     max_accesses_per_core: int = 300_000,
     seed: int = 0,
-    per_core_streams: bool = False,
 ) -> GeneratedTrace:
     """Build per-core traces for a workload's main loop.
 
     Deterministic in ``(spec, mem layout, num_cores,
-    max_accesses_per_core, seed, per_core_streams)``: the only
+    max_accesses_per_core, seed)``: the only
     randomness is the seeded per-access gap jitter that drifts cores
     out of lockstep.  The sweep engine relies on this determinism to
     rebuild identical traces in the parent process regardless of where
@@ -285,33 +284,19 @@ def generate_trace(
     would exceed the per-core access budget, a prefix of iterations is
     generated and recorded in the result's ``scale_factor``.
 
-    By default all cores draw jitter from one sequential RNG stream
-    (the historical behaviour — existing single-workload traces stay
-    bit-identical).  With ``per_core_streams`` each core draws from its
-    own :class:`~numpy.random.SeedSequence` child of ``seed``, so a
-    core's jitter no longer depends on how much trace the cores before
-    it generated.  Scenario composition spawns *instance*-level child
-    seeds the same way (:func:`repro.scenario.compose.instance_seeds`),
-    which is what keeps two instances of one workload from emitting
-    identical streams.
+    All cores draw jitter from one sequential RNG stream, core by
+    core.  Scenario composition spawns *instance*-level
+    :class:`~numpy.random.SeedSequence` child seeds
+    (:func:`repro.scenario.compose.instance_seeds`), which is what keeps
+    two instances of one workload from emitting identical streams.
     """
     iters_sim = budget_iterations(spec, mem, num_cores, max_accesses_per_core)
-
-    if per_core_streams:
-        core_rngs = [
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(max(num_cores, 1))
-        ]
-    else:
-        shared_rng = np.random.default_rng(seed)
-    cores: list[np.ndarray] = []
-    for core in range(num_cores):
-        rng = core_rngs[core] if per_core_streams else shared_rng
-        cores.append(
-            _generate_core(spec, mem, core, num_cores, iters_sim, rng)
-        )
+    rng = np.random.default_rng(seed)
     return GeneratedTrace(
-        cores=cores,
+        cores=[
+            _generate_core(spec, mem, core, num_cores, iters_sim, rng)
+            for core in range(num_cores)
+        ],
         iterations_simulated=iters_sim,
         iterations_total=spec.iterations,
     )

@@ -56,7 +56,6 @@ __all__ = [
     "TraceStoreStats",
     "TraceStoreUsage",
     "front_end_key",
-    "resolve_trace_store",
     "trace_key",
     "trace_store_usage",
 ]
@@ -71,14 +70,13 @@ def trace_key(
     num_cores: int,
     max_accesses_per_core: int,
     seed: int,
-    per_core_streams: bool = False,
 ) -> str:
     """Content key of one :func:`~repro.trace.generator.generate_trace` call.
 
     Folds everything the generated stream depends on — the
     :class:`~repro.workloads.base.TraceSpec`, the concrete region
     layout the spec references (name, base address, size), core count,
-    access budget, seed, stream mode — plus :data:`repro.MODEL_VERSION`,
+    access budget and seed — plus :data:`repro.MODEL_VERSION`,
     so a model-version bump invalidates every stored trace along with
     the result cache.
     """
@@ -93,9 +91,11 @@ def trace_key(
         seen.add(phase.region)
         region = mem.region(phase.region)
         regions.append((region.name, region.base_addr, region.nbytes))
+    # The trailing False held the jitter-stream mode; it stays so keys
+    # don't move.
     return content_key(
         "trace", MODEL_VERSION, spec, tuple(regions), num_cores,
-        max_accesses_per_core, seed, per_core_streams,
+        max_accesses_per_core, seed, False,
     )
 
 
@@ -360,25 +360,3 @@ def trace_store_usage(root: str | Path) -> TraceStoreUsage:
         elif path.suffix == ".json":
             usage.traces += 1
     return usage
-
-
-def resolve_trace_store(
-    trace_store: Any, cache_dir: str | Path | None
-) -> TraceStore | None:
-    """Resolve a user-facing trace-store setting to a store (or None).
-
-    ``None`` means "default": a ``traces/`` directory under
-    ``cache_dir`` when one is set, else no store (``run_sweep`` passes
-    the result cache's model directory, ``<cache-dir>/m<MODEL_VERSION>``).
-    ``False`` or the string ``"off"`` disables the store explicitly; a
-    path selects a directory; a :class:`TraceStore` passes through.
-    """
-    if trace_store is False or trace_store == "off":
-        return None
-    if isinstance(trace_store, TraceStore):
-        return trace_store
-    if trace_store is not None:
-        return TraceStore(trace_store)
-    if cache_dir is not None:
-        return TraceStore(Path(cache_dir) / "traces")
-    return None

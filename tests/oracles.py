@@ -1481,26 +1481,19 @@ def generate_trace_reference(
     num_cores: int = 1,
     max_accesses_per_core: int = 300_000,
     seed: int = 0,
-    per_core_streams: bool = False,
 ) -> GeneratedTrace:
     """:func:`repro.trace.generate_trace` built on the fragment loop.
 
-    Same signature, same iteration budget and the same jitter-stream
-    plumbing (one shared RNG, or one ``SeedSequence`` child per core);
-    only the per-core synthesis differs.
+    Same signature, same iteration budget and the same jitter stream
+    (one RNG shared by the cores, in core order); only the per-core
+    synthesis differs.
     """
     iters_sim = budget_iterations(spec, mem, num_cores, max_accesses_per_core)
-    if per_core_streams:
-        rngs = [
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(max(num_cores, 1))
-        ]
-    else:
-        rngs = [np.random.default_rng(seed)] * num_cores
+    rng = np.random.default_rng(seed)
     return GeneratedTrace(
         cores=[
             _generate_core_reference(spec, mem, core, num_cores, iters_sim, rng)
-            for core, rng in zip(range(num_cores), rngs)
+            for core in range(num_cores)
         ],
         iterations_simulated=iters_sim,
         iterations_total=spec.iterations,

@@ -157,6 +157,40 @@ class TestAblationHarness:
         assert set(results) == set(variants)
         assert len(calls) == 1
 
+    def test_variants_share_the_experiment_cache(self, tmp_path):
+        """"full AVR" is the AVR design itself, so it reads the timing
+        entry ``run_experiment`` stored; the other variants are designs
+        of their own, stored once each."""
+        from repro.experiment import ExperimentSpec, run_experiment
+        from repro.harness.cache import ResultCache
+
+        size = dict(scale=0.15, max_accesses_per_core=1_500)
+        config = SystemConfig.scaled(num_cores=2)
+        spec = ExperimentSpec(
+            workloads=("heat",), designs=("baseline", "AVR"),
+            scales=(size["scale"],), num_cores=config.num_cores,
+            max_accesses_per_core=size["max_accesses_per_core"],
+        )
+        ev = run_experiment(spec, cache_dir=tmp_path).by_workload()["heat"]
+        entries = len(ResultCache(tmp_path))
+
+        full = run_llc_ablations(
+            "heat", config=config, variants={"full AVR": {}},
+            cache_dir=tmp_path, **size,
+        )
+        assert len(ResultCache(tmp_path)) == entries
+        assert full["full AVR"].cycles == ev.runs["AVR"].timing.cycles
+
+        shipped = run_llc_ablations(
+            "heat", config=config, cache_dir=tmp_path, **size
+        )
+        assert len(ResultCache(tmp_path)) == entries + 6
+        again = run_llc_ablations(
+            "heat", config=config, cache_dir=tmp_path, **size
+        )
+        assert len(ResultCache(tmp_path)) == entries + 6
+        assert again == shipped
+
     def test_bad_variant_rejected_before_any_run(self):
         with pytest.raises(ValueError, match="valid options: enable_dbuf"):
             run_llc_ablations("heat", variants={"typo": {"enabel_dbuf": False}})

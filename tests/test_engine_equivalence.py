@@ -11,6 +11,8 @@ path.  Component by component, the suite pins ``AVRLLC``,
 per-event oracle twins.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,16 +155,9 @@ def heat_context():
 def test_avr_ablations_bit_identical(heat_context, variant):
     """Every ablation flag must survive the fast replay unchanged."""
     layout, trace, footprint = heat_context
-    options = AVR_VARIANTS[variant]
-    ref = run_reference(
-        build_system(
-            AVR, CONFIG, layout, footprint, avr_options=dict(options)
-        ),
-        trace,
-    )
-    vec = build_system(
-        AVR, CONFIG, layout, footprint, avr_options=dict(options)
-    ).run(trace)
+    design = replace(AVR, avr_options=AVR_VARIANTS[variant])
+    ref = run_reference(build_system(design, CONFIG, layout, footprint), trace)
+    vec = build_system(design, CONFIG, layout, footprint).run(trace)
     diffs = ref.metric_diffs(vec)
     assert not diffs, f"AVR[{variant}] replay diverges from the oracle: {diffs}"
 
@@ -199,16 +194,9 @@ def test_avr_multicore_mixed_regions_bit_identical(variant):
     """Approx + exact interleaved across 4 cores, write-heavy."""
     layout, trace = _mixed_trace()
     config = SystemConfig.scaled(num_cores=4)
-    options = AVR_VARIANTS[variant]
-    ref = run_reference(
-        build_system(
-            AVR, config, layout, 1 << 19, avr_options=dict(options)
-        ),
-        trace,
-    )
-    vec = build_system(
-        AVR, config, layout, 1 << 19, avr_options=dict(options)
-    ).run(trace)
+    design = replace(AVR, avr_options=AVR_VARIANTS[variant])
+    ref = run_reference(build_system(design, config, layout, 1 << 19), trace)
+    vec = build_system(design, config, layout, 1 << 19).run(trace)
     assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
 

@@ -102,13 +102,15 @@ class TestSerialization:
         assert toml.content_hash() == json_.content_hash()
 
     def test_unknown_key_rejected(self):
-        # ``engine`` and ``cache_backend`` were execution selectors that
-        # could not change a result; the unknown-key error is the
-        # migration path for old spec files and daemon submissions.
+        # ``engine``, ``cache_backend`` and ``trace_store`` were
+        # execution selectors that could not change a result; the
+        # unknown-key error is the migration path for old spec files and
+        # daemon submissions.
         for key, value in (
             ("worloads", ["heat"]),
             ("engine", "vectorized"),
             ("cache_backend", "memory"),
+            ("trace_store", "off"),
         ):
             with pytest.raises(ValueError, match="unknown experiment spec keys"):
                 ExperimentSpec.from_mapping({"workloads": ["heat"], key: value})
@@ -126,9 +128,7 @@ class TestSerialization:
     def test_content_hash_covers_grid_identity_only(self):
         base = ExperimentSpec(**SMALL)
         relabeled = ExperimentSpec(**{**SMALL, "name": "other"})
-        parallel = ExperimentSpec(**{**SMALL, "jobs": 4,
-                                     "cache_dir": "/tmp/x",
-                                     "trace_store": "off"})
+        parallel = ExperimentSpec(**{**SMALL, "jobs": 4, "cache_dir": "/tmp/x"})
         assert relabeled.content_hash() == base.content_hash()
         assert parallel.content_hash() == base.content_hash()
         different = ExperimentSpec(**{**SMALL, "seeds": (1,)})

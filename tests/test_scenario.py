@@ -188,27 +188,6 @@ class TestSeedsAndBalance:
         full = context.trace()
         assert not np.array_equal(full.cores[0]["addr"], full.cores[1]["addr"])
 
-    def test_per_core_streams_opt_in(self):
-        _, context = _context("heat@2")
-        ref = context.references[0]
-        spec = context.workloads[0].trace_spec()
-        default = generate_trace(spec, ref.memory, num_cores=2,
-                                 max_accesses_per_core=ACCESSES, seed=0)
-        spawned = generate_trace(spec, ref.memory, num_cores=2,
-                                 max_accesses_per_core=ACCESSES, seed=0,
-                                 per_core_streams=True)
-        again = generate_trace(spec, ref.memory, num_cores=2,
-                               max_accesses_per_core=ACCESSES, seed=0,
-                               per_core_streams=True)
-        for c in range(2):
-            assert np.array_equal(default.cores[c]["addr"],
-                                  spawned.cores[c]["addr"])
-            assert np.array_equal(spawned.cores[c], again.cores[c])
-        assert any(
-            not np.array_equal(default.cores[c]["gap"], spawned.cores[c]["gap"])
-            for c in range(2)
-        )
-
     def test_balancing_bounds_instruction_counts(self):
         point, context = _context("kmeans*2+heat@2")
         plans = context.plans

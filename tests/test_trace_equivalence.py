@@ -3,8 +3,8 @@
 Every workload's generated stream must be *bit-identical* between
 :func:`repro.trace.generate_trace` (the columnar fast path) and
 :func:`oracles.generate_trace_reference` (the historical
-per-(iteration, phase) fragment loop) — across core counts, both
-jitter-stream modes, and multiple seeds.  A heterogeneous scenario mix is pushed through full
+per-(iteration, phase) fragment loop) — across core counts and
+multiple seeds.  A heterogeneous scenario mix is pushed through full
 per-instance generation + composition the same way, so the equivalence
 holds end to end, not just per workload.
 """
@@ -55,10 +55,9 @@ def generate_both(spec, mem, **kwargs):
 
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("per_core_streams", [False, True])
     @pytest.mark.parametrize("num_cores", [1, 4, 8])
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_bit_identical(self, name, num_cores, per_core_streams, seed):
+    def test_bit_identical(self, name, num_cores, seed):
         workload = make_workload(name, scale=SCALE)
         vec, ref = generate_both(
             workload.trace_spec(),
@@ -66,7 +65,6 @@ class TestWorkloadEquivalence:
             num_cores=num_cores,
             max_accesses_per_core=BUDGET,
             seed=seed,
-            per_core_streams=per_core_streams,
         )
         assert vec.total_accesses > 0
         assert_traces_identical(vec, ref)

@@ -3,7 +3,7 @@
 Three properties every generated trace must satisfy:
 
 * **determinism** — the stream is a pure function of (spec, layout,
-  cores, budget, seed, stream mode); only the seed perturbs it.
+  cores, budget, seed); only the seed perturbs it.
 * **domain decomposition** — per-core slices of a phase's sweep are
   pairwise disjoint and stay inside the swept region.
 * **exact budget accounting** — :func:`budget_iterations` agrees with
@@ -40,13 +40,9 @@ def mem():
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("per_core_streams", [False, True])
-    def test_same_inputs_same_stream(self, mem, per_core_streams):
+    def test_same_inputs_same_stream(self, mem):
         spec = TraceSpec(8, (Phase("data", gap=20),))
-        kwargs = dict(
-            num_cores=4, max_accesses_per_core=BUDGET, seed=3,
-            per_core_streams=per_core_streams,
-        )
+        kwargs = dict(num_cores=4, max_accesses_per_core=BUDGET, seed=3)
         a = generate_trace(spec, mem, **kwargs)
         b = generate_trace(spec, mem, **kwargs)
         assert all(np.array_equal(x, y) for x, y in zip(a.cores, b.cores))

@@ -24,7 +24,6 @@ from repro.trace import (
     TraceStore,
     front_end_key,
     generate_trace,
-    resolve_trace_store,
     trace_key,
     trace_store_usage,
 )
@@ -192,14 +191,10 @@ class TestKeys:
             {"num_cores": 4},
             {"max_accesses_per_core": 6_000},
             {"seed": 1},
-            {"per_core_streams": True},
         ],
     )
     def test_key_covers_every_generation_input(self, kwargs):
-        base = dict(
-            num_cores=2, max_accesses_per_core=5_000, seed=0,
-            per_core_streams=False,
-        )
+        base = dict(num_cores=2, max_accesses_per_core=5_000, seed=0)
         assert trace_key(SPEC, make_mem(), **base) != trace_key(
             SPEC, make_mem(), **{**base, **kwargs}
         )
@@ -211,25 +206,6 @@ class TestKeys:
         assert trace_key(SPEC, make_mem(), 2, 5_000, 0) == before
         monkeypatch.setattr(repro, "MODEL_VERSION", "0.0.0-test")
         assert trace_key(SPEC, make_mem(), 2, 5_000, 0) != before
-
-
-class TestResolve:
-    def test_off_disables(self, tmp_path):
-        assert resolve_trace_store("off", tmp_path) is None
-        assert resolve_trace_store(False, tmp_path) is None
-
-    def test_default_derives_from_cache_dir(self, tmp_path):
-        store = resolve_trace_store(None, tmp_path)
-        assert store is not None
-        assert store.root == tmp_path / "traces"
-
-    def test_no_cache_dir_means_no_store(self):
-        assert resolve_trace_store(None, None) is None
-
-    def test_explicit_path_and_passthrough(self, tmp_path):
-        store = resolve_trace_store(tmp_path / "t", None)
-        assert store.root == tmp_path / "t"
-        assert resolve_trace_store(store, None) is store
 
 
 class TestFrontEndEntries:
@@ -373,13 +349,12 @@ class TestSweepIntegration:
         assert cached.stats.frontends_computed == 0
         assert cached.stats.frontends_mapped == 0
 
-    def test_store_off_skips_the_trace_dir(self, sweep_spec, tmp_path):
+    def test_no_cache_means_no_store(self, sweep_spec):
         from repro.harness.sweep import run_sweep
 
-        result = run_sweep(sweep_spec, cache_dir=tmp_path, trace_store="off")
-        assert result.stats.traces_generated == 0
-        assert result.stats.traces_mapped == 0
-        assert not default_store(tmp_path).exists()
+        stats = run_sweep(sweep_spec).stats
+        assert (stats.traces_generated, stats.traces_mapped) == (0, 0)
+        assert (stats.frontends_computed, stats.frontends_mapped) == (0, 0)
 
     def test_every_design_shares_one_front_end_entry(self, sweep_spec, tmp_path):
         from repro.designs import AVR_CONSERVATIVE, TRUNCATE
