@@ -1,5 +1,7 @@
 """Tests for the ablation hooks and the ablation harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import BLOCK_BYTES, CACHELINE_BYTES, VALUES_PER_BLOCK
 from repro.common.types import CompressionMethod, ErrorThresholds
 from repro.compression import AVRCompressor
+from repro.designs import AVR, AVR_CONSERVATIVE
 from repro.harness import run_compressor_ablations, run_llc_ablations
 from repro.harness.ablations import LLC_ABLATIONS
+from repro.system.factory import build_system
 from repro.system.layout import AddressLayout
 
 APPROX_BASE = 0x10000
@@ -116,6 +120,39 @@ class TestCompressorOptions:
         res = comp.compress_blocks(blocks)
         best = AVRCompressor(ErrorThresholds(0.02, 0.01)).compress_blocks(blocks)
         assert np.array_equal(res.size_cachelines, best.size_cachelines)
+
+
+#: every keyword an LLC ablation variant may override
+AVR_FLAGS = (
+    "enable_dbuf",
+    "enable_lazy_eviction",
+    "enable_skip_counters",
+    "enable_cms_lru_refresh",
+    "pfe_threshold",
+)
+
+
+class TestVariantDesigns:
+    """An ablation variant is its design with the variant's options
+    baked into ``avr_options``: they reach the LLC the variant builds,
+    and every other flag and field keeps the design's value."""
+
+    @pytest.mark.parametrize(
+        "design", [AVR, AVR_CONSERVATIVE], ids=lambda d: d.name
+    )
+    @pytest.mark.parametrize("label", list(LLC_ABLATIONS))
+    def test_options_reach_the_llc(self, label, design):
+        options = LLC_ABLATIONS[label]
+        variant = replace(design, avr_options=options)
+        assert replace(variant, avr_options=()) == design
+        assert (variant == design) == (not options)
+
+        config = SystemConfig.scaled(num_cores=2)
+        full = build_system(design, config, AddressLayout(), 0).llc
+        llc = build_system(variant, config, AddressLayout(), 0).llc
+        assert set(options) <= set(AVR_FLAGS)
+        for flag in AVR_FLAGS:
+            assert getattr(llc, flag) == options.get(flag, getattr(full, flag))
 
 
 class TestAblationHarness:

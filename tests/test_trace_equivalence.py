@@ -3,10 +3,10 @@
 Every workload's generated stream must be *bit-identical* between
 :func:`repro.trace.generate_trace` (the columnar fast path) and
 :func:`oracles.generate_trace_reference` (the historical
-per-(iteration, phase) fragment loop) — across core counts and
-multiple seeds.  A heterogeneous scenario mix is pushed through full
-per-instance generation + composition the same way, so the equivalence
-holds end to end, not just per workload.
+per-(iteration, phase) fragment loop) — across core counts, two access
+budgets and multiple seeds.  A heterogeneous scenario mix is pushed
+through full per-instance generation + composition the same way, so the
+equivalence holds end to end, not just per workload.
 """
 
 import numpy as np
@@ -24,9 +24,15 @@ from repro.trace import generate_trace
 from repro.workloads import WORKLOADS, make_workload
 
 #: small-but-representative configuration: every workload still emits
-#: multiple iterations and every phase type under this budget
+#: every phase type under this budget (most emit a one-iteration prefix)
 SCALE = 0.15
 BUDGET = 2_500
+#: budgets of the per-workload suite: ``BUDGET``, plus one under which
+#: every workload emits at least two iterations at every core count and
+#: several (orbit and wrf at every core count, among others) run to
+#: completion, so the iteration tiling and the untruncated branch of
+#: :func:`~repro.trace.generator.budget_iterations` are covered too
+BUDGETS = (BUDGET, 40_000)
 
 
 def allocate_only(workload) -> ApproxMemory:
@@ -55,18 +61,21 @@ def generate_both(spec, mem, **kwargs):
 
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("num_cores", [1, 4, 8])
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_bit_identical(self, name, num_cores, seed):
+    def test_bit_identical(self, name, num_cores, budget, seed):
         workload = make_workload(name, scale=SCALE)
         vec, ref = generate_both(
             workload.trace_spec(),
             allocate_only(workload),
             num_cores=num_cores,
-            max_accesses_per_core=BUDGET,
+            max_accesses_per_core=budget,
             seed=seed,
         )
         assert vec.total_accesses > 0
+        if budget > BUDGET:
+            assert vec.iterations_simulated >= 2
         assert_traces_identical(vec, ref)
 
 
