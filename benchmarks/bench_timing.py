@@ -1,6 +1,7 @@
 """Benchmark: batched timing replay vs the access-at-a-time oracle.
 
-Runs one workload's trace through :meth:`TimingSystem.run` and through
+Runs one workload's trace through its timing front end
+(:func:`compute_front_end`) and :meth:`TimingSystem.run`, and through
 the reference loop kept as a test oracle (``tests/oracles.py``) under
 each design, verifies the equivalence contract (every ``SimResult``
 metric bit-identical), and reports the per-design wall-clock breakdown.
@@ -45,6 +46,7 @@ from repro.designs import AVR, BASELINE, DGANGER, TRUNCATE, list_designs, resolv
 from repro.harness.runner import _build_layout
 from repro.harness.sweep import SweepPoint, run_functional_job
 from repro.system.factory import build_system
+from repro.system.frontend import compute_front_end
 from repro.trace.generator import generate_trace
 from repro.workloads import WORKLOADS
 
@@ -94,7 +96,8 @@ def time_replay(design, config, layout, trace, footprint, replay):
 
 
 def run_fast(system, trace):
-    return system.run(trace)
+    """The production path: the trace's front end, then its replay."""
+    return system.run(compute_front_end(trace, system.config))
 
 
 def compare(design, config, layout, trace, footprint, repeat: int = 1):

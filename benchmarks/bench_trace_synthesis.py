@@ -2,27 +2,23 @@
 
 Generates one workload's multi-core trace with :func:`generate_trace`
 and with the fragment loop kept as a test oracle (``tests/oracles.py``),
-verifies bit-identity, and reports the wall-clock ratio; then measures the trace store's warm path — memory-mapping a
-committed entry vs generating (and committing) it cold.
+verifies bit-identity, and reports the wall-clock ratio.
 
 Default mode stresses the generators where the reference loop hurts
 most: a fine-grained heat variant (25k short iterations on a small
 grid, 8 cores, 600k accesses/core ≈ 4.8M accesses total) whose
 per-fragment work is tiny, so the reference loop's per-(iteration,
 phase) Python overhead dominates.  ``--check`` is the CI mode: a small
-differential check of every workload plus one heterogeneous scenario
-mix through full composition, each case enforced bit-identical, and a
-store round-trip asserting the warm run maps (not regenerates) the
-composed trace.  The repo's
-``BENCH_trace_synthesis.json`` is ``--repeat 3 --json
-BENCH_trace_synthesis.json``.
+differential check of every workload, each case enforced bit-identical
+(``tests/test_trace_equivalence.py`` also pins a composed scenario mix
+against the oracle).  The repo's ``BENCH_trace_synthesis.json`` is
+``--repeat 3 --json BENCH_trace_synthesis.json``.
 
 Usage::
 
     python benchmarks/bench_trace_synthesis.py              # full numbers
     python benchmarks/bench_trace_synthesis.py --check      # CI matrix
-    python benchmarks/bench_trace_synthesis.py --min-speedup 10 \
-        --min-warm-speedup 20                               # enforce floors
+    python benchmarks/bench_trace_synthesis.py --min-speedup 10
     python benchmarks/bench_trace_synthesis.py --json out.json
 """
 
@@ -31,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -40,7 +35,6 @@ import numpy as np
 from repro import __version__
 from repro.approx.memory import ApproxMemory
 from repro.trace.generator import generate_trace
-from repro.trace.store import TraceStore, trace_key
 from repro.workloads import WORKLOADS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -93,30 +87,6 @@ def time_generator(spec, mem, cores, accesses, seed, generate, repeat):
     return best, trace
 
 
-def bench_store(spec, mem, cores, accesses, seed, trace, repeat, store_dir):
-    """Cold (generate + commit) vs warm (memory-map) acquisition."""
-    key = trace_key(spec, mem, cores, accesses, seed)
-    cold_s = warm_s = float("inf")
-    mapped = None
-    for _ in range(repeat):
-        with tempfile.TemporaryDirectory(dir=store_dir) as tmp:
-            store = TraceStore(tmp)
-            start = time.perf_counter()
-            store.get_or_generate(
-                key,
-                lambda: generate_trace(
-                    spec, mem, num_cores=cores,
-                    max_accesses_per_core=accesses, seed=seed,
-                ),
-            )
-            cold_s = min(cold_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            mapped = store.get(key)
-            warm_s = min(warm_s, time.perf_counter() - start)
-    identical = mapped is not None and traces_identical(mapped, trace)
-    return cold_s, warm_s, identical
-
-
 # ----------------------------------------------------------------------
 # CI differential matrix
 # ----------------------------------------------------------------------
@@ -134,46 +104,13 @@ def check_workloads(scale: float, accesses: int) -> list[str]:
     return failures
 
 
-def check_scenario(scale: float, accesses: int) -> list[str]:
-    """One heterogeneous mix: cold composition == warm memory-mapped."""
-    from repro.harness.scenario import scenario_timing_context
-
-    failures = []
-    with tempfile.TemporaryDirectory() as tmp:
-        store = TraceStore(tmp)
-        _, _, cold, _ = scenario_timing_context(
-            "kmeans*2+heat@2",
-            seed=0, max_accesses_per_core=accesses, store=store,
-        )
-        if store.stats.stores != 1:
-            failures.append(
-                f"cold scenario run committed {store.stats.stores} "
-                f"trace(s), expected 1"
-            )
-        warm_store = TraceStore(tmp)
-        _, _, warm, _ = scenario_timing_context(
-            "kmeans*2+heat@2",
-            seed=0, max_accesses_per_core=accesses, store=warm_store,
-        )
-        if warm_store.stats.hits != 1 or warm_store.stats.stores != 0:
-            failures.append(
-                f"warm scenario run hit={warm_store.stats.hits} "
-                f"stored={warm_store.stats.stores}, expected a pure map"
-            )
-        if not traces_identical(cold, warm):
-            failures.append("scenario mix trace diverged cold vs warm")
-    return failures
-
-
 def run_check(scale: float, accesses: int) -> int:
     failures = check_workloads(scale, accesses)
-    failures += check_scenario(scale, accesses)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print(f"generators agree: {len(WORKLOADS)} workloads + 1 scenario mix "
-          f"(composed, stored, mapped) bit-identical")
+    print(f"generators agree: {len(WORKLOADS)} workloads bit-identical")
     return 0
 
 
@@ -190,18 +127,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeat", type=int, default=1,
                         help="time each path N times, report the best")
-    parser.add_argument("--store-dir", default=None, metavar="PATH",
-                        help="parent directory for the throwaway store "
-                             "(default: the system temp dir)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the measurements as JSON")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail unless vectorized/reference reaches this")
-    parser.add_argument("--min-warm-speedup", type=float, default=None,
-                        help="fail unless warm-map/cold-generate reaches this")
     parser.add_argument("--check", action="store_true",
                         help="CI mode: small differential matrix over all "
-                             "workloads + one scenario mix, store asserted")
+                             "workloads")
     args = parser.parse_args(argv)
 
     if args.check:
@@ -236,14 +168,6 @@ def main(argv=None) -> int:
     print(f"  vectorized {vec_s:8.3f}s  ({speedup:.1f}x, "
           f"{'bit-identical' if identical else 'DIVERGED'})")
 
-    cold_s, warm_s, mapped_ok = bench_store(
-        spec, mem, args.cores, args.accesses, args.seed, vec,
-        args.repeat, args.store_dir,
-    )
-    warm_speedup = cold_s / warm_s if warm_s else float("inf")
-    print(f"  store cold {cold_s:8.3f}s  (generate + commit)")
-    print(f"  store warm {warm_s:8.3f}s  ({warm_speedup:.1f}x, memory-"
-          f"mapped, {'bit-identical' if mapped_ok else 'DIVERGED'})")
 
     if args.json:
         payload = {
@@ -262,26 +186,16 @@ def main(argv=None) -> int:
                 "speedup": round(speedup, 2),
                 "identical": identical,
             },
-            "store": {
-                "cold_s": round(cold_s, 4),
-                "warm_s": round(warm_s, 4),
-                "warm_speedup": round(warm_speedup, 2),
-                "identical": mapped_ok,
-            },
         }
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")
 
-    if not identical or not mapped_ok:
+    if not identical:
         print("FAIL: traces diverged")
         return 1
     if args.min_speedup is not None and speedup < args.min_speedup:
         print(f"FAIL: generator speedup {speedup:.2f}x < "
               f"required {args.min_speedup}x")
-        return 1
-    if args.min_warm_speedup is not None and warm_speedup < args.min_warm_speedup:
-        print(f"FAIL: warm-store speedup {warm_speedup:.2f}x < "
-              f"required {args.min_warm_speedup}x")
         return 1
     return 0
 

@@ -30,7 +30,8 @@ Public API highlights:
   are shipped entries.
 * :mod:`repro.trace` — vectorized trace synthesis (bit-identical to
   the reference fragment loop) and the content-keyed, memory-mapped
-  :class:`repro.trace.TraceStore` that warm sweeps map traces from.
+  :class:`repro.trace.TraceStore` that warm sweeps map timing front
+  ends from.
 * :mod:`repro.analysis` — the ``repro check`` static analysis pass:
   repo invariants (RNG discipline, kernel dtypes, cache-key
   completeness, picklable hooks, engine parity, docstrings) as
@@ -78,18 +79,41 @@ from .compression import AVRCompressor
 # ``ExperimentSpec.trace_store`` field, ``repro experiment
 # --trace-store`` and ``resolve_trace_store`` (the store always lives
 # at ``<cache-dir>/m<MODEL_VERSION>/traces``), and the
-# ``per_core_streams`` keyword of ``generate_trace`` and ``trace_key``.
+# ``per_core_streams`` keyword of ``generate_trace`` and of the trace
+# key function.
 # A spec file or daemon submission that still carries ``trace_store``
 # fails with the unknown-key error, as ``engine`` and ``cache_backend``
 # do.  Simulation results and keys are unchanged.
-__version__ = "1.15.0"
+# 1.16.0: the timing front end is the one timing input that is stored
+# and shipped: it carries each access's ``gap`` and the trace's
+# iteration counts, ``TimingSystem.run`` takes only a front end, and
+# ``run_timing_job`` lost its trace argument.  Public names removed
+# (CHANGES.md lists each verbatim): the trace store's trace entries
+# with their content-key function, handle class and get-or-generate
+# method; ``TraceStore.contains``, ``len(TraceStore)``,
+# ``get_front_end`` and ``put_front_end`` (``get`` and ``put`` now
+# read and write front ends); ``TraceStoreUsage``'s trace count; the scenario context's
+# trace-payload method; ``GeneratedTrace.restrict``; the ``store``
+# keyword of ``scenario_timing_context``; ``SweepStats``' two trace
+# counters; and from the functional layer the ``thresholds`` keyword
+# of ``ApproxMemory.alloc``, ``Region.thresholds``, the ``check_mode``
+# keyword of ``Workload.run``, ``approximator_for`` and
+# ``AVRApproximator``, and the ``dganger_threshold`` keyword of
+# ``Workload.run``.  A stored front end without a ``gap`` column reads
+# as a miss and is rewritten.  Simulation results and keys are
+# unchanged.
+__version__ = "1.16.0"
 
-#: The version of the simulated model, folded into every result-cache,
-#: trace and front-end key and naming the ``m<MODEL_VERSION>/`` store
+#: The version of the simulated model, folded into every result-cache
+#: and front-end key and naming the ``m<MODEL_VERSION>/`` store
 #: directory.  Bump it when a change moves a simulated output, changes
 #: what a key's inputs mean, or changes the shape of a stored payload
-#: (a pickled result dataclass, or the trace or front-end record).  A
-#: release that does none of these leaves it, so caches stay warm.
+#: in a way a reader would misread (a pickled result dataclass).  A
+#: stored record whose older form reads as a miss needs no bump: the
+#: front-end reader rejects a record that lacks a column or field it
+#: needs, and the recomputed entry it writes under the unchanged key
+#: holds the same values.  A release that does none of these leaves
+#: it, so caches stay warm.
 MODEL_VERSION = "1.10.0"
 
 #: sweep-engine names re-exported lazily so ``import repro`` stays

@@ -23,9 +23,10 @@ suggestions.  The simulation commands accept ``--jobs N`` to fan the
 evaluation grid's job units out over ``N`` worker processes (``1`` =
 serial, bit-identical to parallel runs) and ``--cache-dir PATH`` to
 memoize job results on disk so repeated runs skip completed points.
-A cache directory also holds the memory-mapped composed-trace store,
-``<cache-dir>/m<MODEL_VERSION>/traces``; warm runs map stored traces
-instead of regenerating them.
+A cache directory also holds the memory-mapped trace store,
+``<cache-dir>/m<MODEL_VERSION>/traces``, of the composed traces' timing
+front ends; warm runs map a stored front end instead of regenerating
+and re-filtering its trace.
 """
 
 from __future__ import annotations
@@ -283,8 +284,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     print(f"sweep: {stats.executed} job(s) executed, "
           f"{stats.cache_hits} cache hit(s), {stats.cache_misses} miss(es), "
           f"{stats.cache_stores} stored, "
-          f"{stats.traces_mapped} trace(s) mapped, "
-          f"{stats.traces_generated} generated, "
           f"{stats.frontends_mapped} front end(s) mapped, "
           f"{stats.frontends_computed} computed")
     if args.json:
@@ -328,8 +327,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"  shards:    {usage.shards}")
         print(f"  tmp files: {usage.tmp_files}")
         traces = trace_store_usage(cache.root / "traces")
-        print(f"  traces:    {traces.traces} trace(s), "
-              f"{traces.front_ends} front end(s), "
+        print(f"  traces:    {traces.front_ends} front end(s), "
               f"{traces.total_bytes:,} bytes ({cache.root / 'traces'})")
         print(f"  stale:     {len(usage.stale)} dir(s), "
               f"{sum(usage.stale.values()):,} bytes "
@@ -692,8 +690,8 @@ def main(argv: list[str] | None = None) -> int:
         help="inspect and maintain an on-disk result cache",
         description="Operate on a --cache-dir directory, whose stores "
                     "live in its m<MODEL_VERSION>/ model directory: "
-                    "'stats' summarizes the result entries, the trace "
-                    "and front-end entries of its traces/ store and the "
+                    "'stats' summarizes the result entries, the "
+                    "front-end entries of its traces/ store and the "
                     "stale directories beside it, 'gc' sweeps orphaned "
                     "temp files / removes stale directories / evicts "
                     "result entries to a byte budget, 'verify' "

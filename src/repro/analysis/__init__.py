@@ -4,8 +4,8 @@ The correctness story of this reproduction rests on conventions no
 general-purpose linter knows about: seeded-RNG discipline (content
 hashes and differential tests assume determinism), explicit dtypes in
 the kernel sub-packages (bit-identity across platforms), cache-key
-completeness of the spec dataclasses, picklable job units and builder
-hooks, and retained reference paths for every batched replay
+completeness of the spec dataclasses, picklable job units, and
+retained reference paths for every batched replay
 implementation.  This package encodes those invariants as AST-level
 rules with stable ids, a registry (:mod:`repro.analysis.registry`),
 inline ``# repro: ignore[RULE]`` suppressions, and a CLI/CI gate

@@ -13,8 +13,7 @@ entries.  Two rules keep the spec surface honest statically:
   ``SystemConfig``) and every dataclass reachable from their field
   annotations, and flags any identity-participating field whose
   annotation is not statically canonicalizable.  ``compare=False``
-  fields are outside a value's identity (e.g. ``DesignSpec.builder``)
-  and are skipped.  Bare ``Any`` is flagged; ``Any`` nested inside a
+  fields are outside a value's identity and are skipped.  Bare ``Any`` is flagged; ``Any`` nested inside a
   container is tolerated (the runtime canonicalizer still guards it).
 * **KEY002** flags mutable defaults (``default_factory=list/dict/set``
   or a lambda returning a literal) on *frozen* dataclasses: a frozen

@@ -1,19 +1,13 @@
-"""PKL001 — job units and registry hooks must pickle.
+"""PKL001 — job units must pickle.
 
 The sweep engine fans job units out over a
 ``ProcessPoolExecutor``; everything submitted to the pool — job
-functions, their arguments, and the ``DesignSpec.builder`` hooks
-carried inside specs — crosses a process boundary by pickling.
-Lambdas and functions defined inside another function do not pickle,
-and the failure surfaces only when a sweep first runs with ``jobs>1``
-(often in CI, long after the code merged).  This rule catches the two
-patterns statically:
-
-* a ``builder=`` keyword argument (the ``DesignSpec`` /
-  ``register_design`` hook seam) bound to a lambda or to a function
-  defined in a local scope,
-* a lambda submitted directly to an executor (``pool.submit(lambda:
-  ...)``) or wrapped in ``functools.partial``.
+functions and their arguments — crosses a process boundary by
+pickling.  Lambdas do not pickle, and the failure surfaces only when a
+sweep first runs with ``jobs>1`` (often in CI, long after the code
+merged).  This rule catches a lambda submitted directly to an executor
+(``pool.submit(lambda: ...)``, ``pool.map(lambda ...)``) or wrapped in
+``functools.partial``.
 
 Module-level functions (and ``functools.partial`` over them) pickle
 fine and never fire.
@@ -31,65 +25,24 @@ from ..registry import Rule, register_rule
 __all__ = ["PicklableHooks"]
 
 
-def _local_function_names(tree: ast.Module) -> set[str]:
-    """Names of functions defined inside another function's body."""
-    local: set[str] = set()
-    for outer in ast.walk(tree):
-        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for inner in ast.walk(outer):
-            if inner is outer:
-                continue
-            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                local.add(inner.name)
-    return local
-
-
 @register_rule
 class PicklableHooks(Rule):
-    """Flag unpicklable callables bound to job-unit/builder seams."""
+    """Flag lambdas submitted to executors or wrapped in ``partial``."""
 
     id = "PKL001"
     name = "picklable-hooks"
     summary = (
-        "no lambdas or local functions as builder= hooks or executor "
-        "submissions — job units must pickle into pool workers"
+        "no lambdas as executor submissions or functools.partial "
+        "targets — job units must pickle into pool workers"
     )
     hint = "define the callable at module level so it pickles"
 
     def check(
         self, module: SourceModule, project: Project
     ) -> Iterator[Finding]:
-        local_fns = _local_function_names(module.tree)
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            yield from self._check_builder_kwargs(node, module, local_fns)
-            yield from self._check_submissions(node, module)
-
-    def _check_builder_kwargs(
-        self, node: ast.Call, module: SourceModule, local_fns: set[str]
-    ) -> Iterator[Finding]:
-        for kw in node.keywords:
-            if kw.arg != "builder":
-                continue
-            if isinstance(kw.value, ast.Lambda):
-                what = "a lambda"
-            elif isinstance(kw.value, ast.Name) and kw.value.id in local_fns:
-                what = f"local function {kw.value.id!r}"
-            else:
-                continue
-            yield Finding(
-                rule=self.id,
-                path=module.display,
-                line=kw.value.lineno,
-                col=kw.value.col_offset,
-                message=(
-                    f"builder hook bound to {what}: it cannot pickle "
-                    "into sweep worker processes"
-                ),
-                hint=self.hint,
-            )
+            if isinstance(node, ast.Call):
+                yield from self._check_submissions(node, module)
 
     def _check_submissions(
         self, node: ast.Call, module: SourceModule

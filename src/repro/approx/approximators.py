@@ -81,38 +81,18 @@ class ExactApproximator(Approximator):
 
 
 class AVRApproximator(Approximator):
-    """Blockwise AVR compression round-trip.
-
-    Regions carrying their own :class:`ErrorThresholds` (the paper's
-    per-region-knob extension) are compressed with a dedicated
-    compressor instance at those settings.
-    """
+    """Blockwise AVR compression round-trip."""
 
     name = "AVR"
 
-    def __init__(
-        self,
-        thresholds: ErrorThresholds | None = None,
-        check_mode: str = "hybrid",
-    ) -> None:
-        self.check_mode = check_mode
-        self.compressor = AVRCompressor(thresholds, check_mode=check_mode)
-        self._per_region: dict[str, AVRCompressor] = {}
-
-    def _compressor_for(self, region: Region) -> AVRCompressor:
-        if region.thresholds is None:
-            return self.compressor
-        comp = self._per_region.get(region.name)
-        if comp is None or comp.thresholds != region.thresholds:
-            comp = AVRCompressor(region.thresholds, check_mode=self.check_mode)
-            self._per_region[region.name] = comp
-        return comp
+    def __init__(self, thresholds: ErrorThresholds | None = None) -> None:
+        self.compressor = AVRCompressor(thresholds)
 
     def apply(self, region: Region) -> SyncStats:
         flat = region.array.ravel()
         blocks = padded_blocks(flat)
         nblocks = blocks.shape[0]
-        result = self._compressor_for(region).compress_blocks(blocks, region.dtype)
+        result = self.compressor.compress_blocks(blocks, region.dtype)
         flat[:] = result.reconstructed.reshape(-1)[: flat.size]
         region.block_sizes = result.size_cachelines.copy()
         return SyncStats(

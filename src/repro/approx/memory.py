@@ -44,9 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 def approximator_for(
     design: "DesignLike",
-    thresholds: ErrorThresholds | None = None,
-    check_mode: str = "hybrid",
-    dganger_threshold: float = 0.02,
+    thresholds: ErrorThresholds | None,
+    dganger_threshold: float,
 ) -> Approximator:
     """The approximation strategy a design applies to marked data.
 
@@ -62,7 +61,7 @@ def approximator_for(
     if spec.approximator == "exact":
         return ExactApproximator()
     if spec.approximator == "avr":
-        return AVRApproximator(thresholds, check_mode)
+        return AVRApproximator(thresholds)
     if spec.approximator == "truncate":
         return TruncateApproximator.for_line_bytes(spec.approx_line_bytes)
     if spec.approximator == "dganger":
@@ -110,13 +109,9 @@ class ApproxMemory:
         approx: bool = True,
         dtype: DataType = DataType.FLOAT32,
         init: np.ndarray | None = None,
-        thresholds: ErrorThresholds | None = None,
         write_only: bool = False,
     ) -> np.ndarray:
         """Allocate a named region; returns the backing numpy array.
-
-        ``thresholds`` sets a per-region error knob (the paper's §3.1
-        extension); None inherits the program-wide setting.
 
         ``write_only`` declares that the kernel overwrites the whole
         region before every sync and reads it only after
@@ -137,7 +132,6 @@ class ApproxMemory:
             array=array,
             approx=approx,
             dtype=dtype,
-            thresholds=thresholds,
             write_only=write_only,
         )
         self._next_addr += padded_pages(array.nbytes)

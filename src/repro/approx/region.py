@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.constants import BLOCK_BYTES, PAGE_BYTES
-from ..common.types import DataType, ErrorThresholds
+from ..common.types import DataType
 
 
 @dataclass
@@ -26,10 +26,6 @@ class Region:
     array: np.ndarray
     approx: bool
     dtype: DataType = DataType.FLOAT32
-    #: Optional per-region error knob (the paper's "thresholds per
-    #: allocated memory region" extension, §3.1); None uses the
-    #: program-wide setting.
-    thresholds: ErrorThresholds | None = None
     #: True when the kernel overwrites the whole region before every
     #: sync and reads it only after ``ApproxMemory.settle()``: a sync
     #: then counts the round trip and ``settle`` approximates it once.

@@ -89,8 +89,8 @@ def run_llc_ablations(
     engine's job units: the functional runs (baseline reference + the
     design's layout source) and each variant's timing replay are
     independent jobs, fanned out over ``jobs`` workers and memoized in
-    ``cache_dir``; the variants share one trace and one timing front
-    end.  The functional jobs share cache entries with
+    ``cache_dir``; the variants share one timing front end.  The
+    functional jobs share cache entries with
     :func:`~repro.experiment.run_experiment` and
     :func:`~repro.harness.sweep.run_sweep` runs of the same point, and
     the "full AVR" variant shares its timing entry with them too.
@@ -143,11 +143,11 @@ def run_llc_ablations(
         # the LLC alone, so they all replay one front end.
         if cache is not None:
             timing.update(cache.get_many(list(variant_keys)))
-        shared = None
+        front_end = None
         for key, variant in variant_keys.items():
             if key in timing:
                 continue
-            if shared is None:
+            if front_end is None:
                 trace = generate_trace(
                     workload.trace_spec(),
                     reference.memory,
@@ -155,13 +155,13 @@ def run_llc_ablations(
                     max_accesses_per_core=max_accesses_per_core,
                     seed=point.seed,
                 )
-                shared = (trace, compute_front_end(trace, config))
+                front_end = compute_front_end(trace, config)
             timing_jobs[key] = (
                 run_timing_job,
                 variant,
                 config,
                 layout,
-                *shared,
+                front_end,
                 None,
                 reference.memory.footprint_bytes,
                 1.0,

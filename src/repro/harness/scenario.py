@@ -18,8 +18,8 @@ what sharing the LLC and DRAM costs each co-runner:
   split into the instance's own solo misses and the misses it induces
   on everyone else.
 
-All replays are sweep-engine job units (:func:`run_timing_job` on one
-composed trace and its shared timing front end, restricted to each
+All replays are sweep-engine job units (:func:`run_timing_job` on the
+composed trace's one shared timing front end, restricted to each
 subset's cores), cached under scenario-qualified content keys, and
 bit-identical to the per-event oracle.  Completion times
 fold the bandwidth bound in proportionally: when a run is
@@ -58,7 +58,7 @@ from ..system.frontend import TimingFrontEnd, compute_front_end
 from ..system.layout import AddressLayout
 from ..system.simulator import SimResult
 from ..trace.generator import GeneratedTrace, budget_iterations, generate_trace
-from ..trace.store import FrontEndHandle, TraceHandle, TraceStore, front_end_key
+from ..trace.store import FrontEndHandle, TraceStore, front_end_key
 from ..workloads.base import Workload, WorkloadResult
 from .cache import content_key
 from .runner import _build_layout
@@ -168,9 +168,9 @@ class ScenarioContext:
     """Composed machine view of one scenario point.
 
     Built in the parent process from (cached) functional results; the
-    composed trace and its timing front end are built lazily, so a
-    fully warm timing cache never pays for trace generation or the
-    private-cache filter, mirroring the single-workload sweep path.
+    composed trace's timing front end is built lazily, so a fully warm
+    timing cache never pays for trace generation or the private-cache
+    filter, mirroring the single-workload sweep path.
     """
 
     point: ScenarioPoint
@@ -186,12 +186,9 @@ class ScenarioContext:
     instance_footprints: list[int]
     scale_factors: list[float]
     dedup_factors: DesignMap
-    #: memory-mapped trace store consulted before composing the trace
-    #: (None = always generate in-process), plus this point's content
-    #: key in it — see :func:`scenario_trace_key`
+    #: memory-mapped store consulted for the point's front end before
+    #: computing it (None = always compute in-process)
     store: TraceStore | None = field(default=None, repr=False)
-    store_key: str | None = None
-    _trace: GeneratedTrace | None = field(default=None, repr=False)
     _front_end: TimingFrontEnd | FrontEndHandle | None = field(
         default=None, repr=False
     )
@@ -210,24 +207,11 @@ class ScenarioContext:
         return self.layouts[layout_source_design(design)]
 
     def trace(self) -> GeneratedTrace:
-        """The composed machine-wide trace.
+        """The composed machine-wide trace, generated in-process.
 
-        With a :class:`~repro.trace.store.TraceStore` attached, a warm
-        run memory-maps the stored composed stream instead of
-        regenerating and recomposing per-instance traces; a cold run
-        generates it once and commits it for the next run.  Without a
-        store the trace is generated in-process on first use.
+        Timing jobs replay the point's front end, so a sweep generates
+        the trace only when the front end is missing from its store.
         """
-        if self._trace is None:
-            if self.store is not None and self.store_key is not None:
-                self._trace = self.store.get_or_generate(
-                    self.store_key, self._compose
-                )
-            else:
-                self._trace = self._compose()
-        return self._trace
-
-    def _compose(self) -> GeneratedTrace:
         per_instance = [
             generate_trace(
                 workload.trace_spec(),
@@ -244,23 +228,6 @@ class ScenarioContext:
             per_instance, self.plans, self.offsets, self.num_cores
         )
 
-    def trace_payload(self) -> GeneratedTrace | TraceHandle:
-        """What a timing job should carry as its trace argument.
-
-        When the composed trace is committed to the store, jobs get a
-        tiny picklable :class:`~repro.trace.store.TraceHandle` and the
-        worker maps the shared payload file; otherwise they carry the
-        arrays themselves (the historical behaviour).
-        """
-        trace = self.trace()
-        if (
-            self.store is not None
-            and self.store_key is not None
-            and self.store.contains(self.store_key)
-        ):
-            return TraceHandle(root=str(self.store.root), key=self.store_key)
-        return trace
-
     def front_end_payload(
         self, claim: Callable[[str], AbstractContextManager[None]]
     ) -> TimingFrontEnd | FrontEndHandle:
@@ -271,21 +238,23 @@ class ScenarioContext:
         it, and every design and instance subset replays from it.  With
         a store, a warm run maps the committed entry and a cold run
         commits it under :func:`~repro.trace.store.front_end_key`; jobs
-        then carry a :class:`~repro.trace.store.FrontEndHandle`.
-        Without a store they carry the arrays, like
-        :meth:`trace_payload`.  ``claim`` is the executor's
+        then carry a :class:`~repro.trace.store.FrontEndHandle`, and the
+        worker maps the shared payload file.  Without a store they carry
+        the arrays.  ``claim`` is the executor's
         :meth:`~repro.harness.sweep.JobExecutor.claim`: a daemon
         session that needs a front end another session is computing
         waits for it and maps it.
         """
         if self._front_end is None:
-            if self.store is None or self.store_key is None:
+            if self.store is None:
                 self._front_end = compute_front_end(self.trace(), self.config)
             else:
-                key = front_end_key(self.store_key, self.config)
+                key = front_end_key(
+                    scenario_trace_key(self.point, self.num_cores), self.config
+                )
                 with claim(key):
-                    if self.store.get_front_end(key) is None:
-                        self.store.put_front_end(
+                    if self.store.get(key) is None:
+                        self.store.put(
                             key, compute_front_end(self.trace(), self.config)
                         )
                 self._front_end = FrontEndHandle(
@@ -306,13 +275,15 @@ class ScenarioContext:
 def scenario_trace_key(point: ScenarioPoint, num_cores: int) -> str:
     """Content key of one point's composed machine-wide trace.
 
-    Covers everything trace composition consumes: the mix's entries,
+    The trace itself is not stored: this key names it inside its front
+    end's :func:`~repro.trace.store.front_end_key`.  It covers
+    everything trace composition consumes: the mix's entries,
     placement, seed and access budget (via the point's canonical form),
     the machine width, and the model version.  Excluded, like the
     timing keys: the scenario's cosmetic ``name``, and the error
     ``thresholds`` — traces are generated from reference (exact)
     memory layouts, so every threshold setting of one mix maps the
-    same stored stream.
+    same stored front end.
     """
     from dataclasses import replace
 
@@ -338,8 +309,8 @@ def build_scenario_context(
     the seam that lets :func:`repro.harness.sweep.run_sweep` and
     :func:`scenario_timing_context` share this builder.  ``designs``
     are the designs the context is built for (their layout sources and
-    dedup factors).  With a ``store``, the context serves its composed
-    trace from (and commits it to) the memory-mapped trace store.
+    dedup factors).  With a ``store``, the context serves its timing
+    front end from (and commits it to) the memory-mapped trace store.
     """
     designs = resolve_designs(designs)
     scenario = point.scenario
@@ -421,11 +392,6 @@ def build_scenario_context(
         scale_factors=scale_factors,
         dedup_factors=dedup_factors,
         store=store,
-        store_key=(
-            scenario_trace_key(point, config.num_cores)
-            if store is not None
-            else None
-        ),
     )
 
 
@@ -620,15 +586,13 @@ def scenario_timing_context(
     config: SystemConfig | None = None,
     seed: int = 0,
     max_accesses_per_core: int = 50_000,
-    store: TraceStore | None = None,
 ) -> tuple[SystemConfig, AddressLayout, GeneratedTrace, int]:
     """Composed (config, layout, trace, footprint) of a mix's full co-run.
 
     The scenario analogue of ``bench_timing.build_context``: runs the
     functional layer serially in-process and returns everything a
     timing replay of the complete mix needs — used by the benchmarks'
-    ``--scenario`` modes and the CI scenario smoke job.  With a
-    ``store``, the composed trace is served from / committed to it.
+    ``--scenario`` modes and the CI scenario smoke job.
     """
     from .sweep import run_functional_job
 
@@ -646,6 +610,6 @@ def scenario_timing_context(
         return cache[key]
 
     context = build_scenario_context(
-        point, config, functional_for, designs=(BASELINE, AVR), store=store
+        point, config, functional_for, designs=(BASELINE, AVR)
     )
     return config, context.layout, context.trace(), context.footprint_bytes

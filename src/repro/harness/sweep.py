@@ -16,10 +16,10 @@ and to cache on disk):
   that every design of a point shares one reference result, exactly as
   the serial path shares ``functional[...]``.
 * :func:`run_timing_job` — one design's trace replay through the
-  timing system, given the layout and trace derived from the
-  functional results and the trace's timing front end (the private
-  filter and LLC event order, computed once per trace in the parent
-  and shared by every design and scenario subset).
+  timing system, given the layout derived from the functional results
+  and the trace's timing front end (the private filter, LLC event order
+  and per-access gaps, computed once per trace in the parent and shared
+  by every design and scenario subset).
 
 ``run_sweep(spec, jobs=1)`` executes the same job units in-process in
 deterministic order, so the serial and parallel paths are one code
@@ -58,8 +58,7 @@ from ..system.factory import build_system
 from ..system.frontend import TimingFrontEnd
 from ..system.layout import AddressLayout
 from ..system.simulator import SimResult
-from ..trace.generator import GeneratedTrace
-from ..trace.store import FrontEndHandle, TraceHandle, TraceStore
+from ..trace.store import FrontEndHandle, TraceStore
 from ..workloads import WORKLOADS, make_workload
 from ..workloads.base import Workload, WorkloadResult
 from .cache import ResultCache, content_key, resolve_result_cache
@@ -250,7 +249,6 @@ def run_timing_job(
     design: DesignSpec,
     config: SystemConfig,
     layout: AddressLayout,
-    trace: GeneratedTrace | TraceHandle,
     front_end: TimingFrontEnd | FrontEndHandle,
     cores: tuple[int, ...] | None,
     footprint_bytes: int,
@@ -258,27 +256,24 @@ def run_timing_job(
 ) -> SimResult:
     """Job unit: one design's timing replay of one point's trace.
 
-    ``layout``, ``trace`` and its ``front_end`` (see
+    ``layout`` and the trace's ``front_end`` (see
     :mod:`repro.system.frontend`) are derived deterministically from
     the point's functional results, so this too is a pure function of
-    its arguments.  ``trace`` and ``front_end`` may arrive as
-    :class:`~repro.trace.store.TraceHandle` /
-    :class:`~repro.trace.store.FrontEndHandle`: content-keyed
-    references into the memory-mapped trace store, which the job
-    resolves here — so worker processes map the shared payload files
+    its arguments.  ``front_end`` may arrive as a
+    :class:`~repro.trace.store.FrontEndHandle`: a content-keyed
+    reference into the memory-mapped trace store, which the job
+    resolves here — so worker processes map the shared payload file
     instead of unpickling megabytes of arrays, and replay
     bit-identically either way.  ``cores`` restricts the replay to a
     scenario subset's cores (``None``: every core); the others keep
     their slots with empty streams.
     """
-    if isinstance(trace, TraceHandle):
-        trace = trace.load()
     if isinstance(front_end, FrontEndHandle):
         front_end = front_end.load()
     if cores is not None:
-        trace, front_end = trace.restrict(cores), front_end.restrict(cores)
+        front_end = front_end.restrict(cores)
     system = build_system(design, config, layout, footprint_bytes, dedup_factor)
-    return system.run(trace, front_end)
+    return system.run(front_end)
 
 
 def functional_job_key(point: SweepPoint, design: DesignLike) -> str:
@@ -424,13 +419,9 @@ class SweepStats:
     #: happens in pool workers, but every store happens in the parent,
     #: so this reflects the whole run regardless of worker count
     cache_stores: int = 0
-    #: composed traces memory-mapped from the trace store vs generated
-    #: (and committed) this run — a warm store maps everything
-    traces_mapped: int = 0
-    traces_generated: int = 0
     #: timing front ends (private filter + LLC event order, one per
     #: trace) mapped from the trace store vs computed and committed this
-    #: run; like the trace counters, both stay 0 without a store
+    #: run — a warm store maps everything; both stay 0 without a store
     frontends_mapped: int = 0
     frontends_computed: int = 0
     #: cache-missed units this run *joined* instead of launching — an
@@ -598,13 +589,13 @@ def run_sweep(
     daemon passes its one shared, locked instance to every session's
     sweep, so its counters span them all.
 
-    With a cache, composed traces and their timing front ends live in
-    the memory-mapped trace store ``<cache_dir>/m<MODEL_VERSION>/traces``
-    (see :mod:`repro.trace.store`), so warm runs that still need a
-    trace — new designs, a cleared result cache — map the stored stream
-    and its front end instead of regenerating and re-filtering them.
-    Stored or not, traces and front ends are bit-identical, so the
-    result-cache keys are unaffected.
+    With a cache, the composed traces' timing front ends live in the
+    memory-mapped trace store ``<cache_dir>/m<MODEL_VERSION>/traces``
+    (see :mod:`repro.trace.store`), so warm runs that still replay a
+    trace — new designs, a cleared result cache — map its front end
+    instead of regenerating and re-filtering the trace.  Stored or not,
+    front ends are bit-identical, so the result-cache keys are
+    unaffected.
 
     ``executor`` injects a caller-owned :class:`JobExecutor` in place
     of the per-run pool (``jobs`` is then ignored and the executor is
@@ -675,12 +666,12 @@ def run_sweep(
         # layout and trace are bit-identical to the historical path.
         # Keys for *all* timing replays are enumerated first and
         # resolved in one batched cache pass; only then are misses
-        # turned into pool jobs.  The trace and its timing front end are
-        # only built for points with at least one timing cache miss: a
-        # warm re-run reassembles everything without regenerating a
-        # single address stream, without filtering one, and without a
-        # single per-key cache probe.  One front end serves every
-        # design and scenario subset of its point.
+        # turned into pool jobs.  A point's timing front end is only
+        # built (or mapped) for points with at least one timing cache
+        # miss: a warm re-run reassembles everything without
+        # regenerating a single address stream, without filtering one,
+        # and without a single per-key cache probe.  One front end
+        # serves every design and scenario subset of its point.
         contexts: list[tuple[SweepPoint, Workload, WorkloadResult, AddressLayout]] = []
         timing: dict[str, SimResult] = {}
         #: key -> how to build the job if the batched lookup misses
@@ -755,7 +746,6 @@ def run_sweep(
                 design,
                 config,
                 context.layout_for(design),
-                context.trace_payload(),
                 context.front_end_payload(pool.claim),
                 None if active is None else context.active_cores(active),
                 footprint,
@@ -776,8 +766,6 @@ def run_sweep(
     if executor is None:
         pool.shutdown()
     if store is not None:
-        stats.traces_mapped = store.stats.hits
-        stats.traces_generated = store.stats.stores
         stats.frontends_mapped = store.stats.front_end_hits
         stats.frontends_computed = store.stats.front_end_stores
     if cache is not None:

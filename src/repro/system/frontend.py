@@ -5,13 +5,15 @@ the trace, the private-cache geometry and the core count: every core's
 private L1+L2 filter (:class:`~repro.cache.array_lru.BatchedPrivateFilter`)
 and the LLC-bound event stream it leaves behind, placed by counting into
 the chunk-interleaved order in which cores take turns at the shared
-levels.
+levels.  It also carries what else the replay reads of the trace: each
+access's compute gap, the per-core stream lengths and the iteration
+counts behind the full-run scale factor.
 The **back end** (:meth:`repro.system.simulator.TimingSystem.run`)
 replays that stream through one design's LLC and DRAM and folds the
-per-core cycle counts.  Every design of a grid point, and every
-instance subset of a scenario mix, shares one front end: the sweep
-computes it once per trace and stores it beside the trace in the
-:class:`~repro.trace.store.TraceStore`.
+per-core cycle counts from the front end alone.  Every design of a grid
+point, and every instance subset of a scenario mix, shares one front
+end: the sweep computes it once per trace and keeps it, not the trace,
+in the :class:`~repro.trace.store.TraceStore`.
 
 A subset replay keeps every core slot and empties the inactive ones.
 Private state never crosses cores and the interleave key of an access
@@ -22,13 +24,14 @@ subset's front end is the full one restricted to the active cores
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from ..cache.array_lru import BatchedPrivateFilter
 from ..common.config import SystemConfig
+from ..trace.events import TRACE_DTYPE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..trace.generator import GeneratedTrace
@@ -44,6 +47,7 @@ INTERLEAVE_CHUNK = 12
 #: column -> dtype, in storage order
 _DTYPES = {
     "offsets": np.dtype(np.int64),
+    "gap": TRACE_DTYPE["gap"],
     "l1_hit": np.dtype(bool),
     "needs_llc": np.dtype(bool),
     "event_addr": np.dtype(np.int64),
@@ -65,6 +69,9 @@ class TimingFrontEnd:
 
     #: (cores + 1,) per-core slice bounds of the access arrays
     offsets: np.ndarray
+    #: (n,) instructions the core executes before the access (the
+    #: trace's ``gap``, in the trace's own dtype)
+    gap: np.ndarray
     #: (n,) the access hit in L1
     l1_hit: np.ndarray
     #: (n,) the access missed both private levels
@@ -75,16 +82,23 @@ class TimingFrontEnd:
     event_is_read: np.ndarray
     #: (m,) index of the access that issued the event
     event_access: np.ndarray
+    #: the trace's iteration bookkeeping (see
+    #: :attr:`~repro.trace.generator.GeneratedTrace.scale_factor`)
+    iterations_simulated: int
+    iterations_total: int
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            array = getattr(self, f.name)
-            if array.dtype != _DTYPES[f.name] or array.ndim != 1:
-                raise ValueError(f"front-end column {f.name!r} is mis-typed")
+        for name, dtype in _DTYPES.items():
+            array = getattr(self, name)
+            if array.dtype != dtype or array.ndim != 1:
+                raise ValueError(f"front-end column {name!r} is mis-typed")
         n = int(self.offsets[-1]) if self.offsets.size else -1
         if n < 0 or int(self.offsets[0]) != 0:
             raise ValueError("front-end offsets must run from 0 to n")
-        if self.l1_hit.shape != (n,) or self.needs_llc.shape != (n,):
+        if any(
+            column.shape != (n,)
+            for column in (self.gap, self.l1_hit, self.needs_llc)
+        ):
             raise ValueError("front-end access columns do not match the offsets")
         m = self.event_addr.shape
         if self.event_is_read.shape != m or self.event_access.shape != m:
@@ -93,6 +107,18 @@ class TimingFrontEnd:
     def columns(self) -> dict[str, np.ndarray]:
         """Every array by field name, in storage order."""
         return {name: getattr(self, name) for name in _DTYPES}
+
+    @property
+    def num_cores(self) -> int:
+        """Core slots of the trace, populated or not."""
+        return int(self.offsets.size) - 1
+
+    @property
+    def scale_factor(self) -> float:
+        """Multiply simulated totals by this to estimate the full run."""
+        if self.iterations_simulated == 0:
+            return 1.0
+        return self.iterations_total / self.iterations_simulated
 
     @property
     def l1_accesses(self) -> int:
@@ -107,10 +133,11 @@ class TimingFrontEnd:
     def restrict(self, cores: Iterable[int]) -> TimingFrontEnd:
         """The front end of this trace with only ``cores`` populated.
 
-        Every other core keeps its slot with an empty stream, as in
-        :meth:`~repro.trace.generator.GeneratedTrace.restrict`; kept
-        events stay in order and their access indices are renumbered
-        into the restricted stream.
+        Every other core keeps its slot with an empty stream, so core
+        ids, the machine width and the iteration bookkeeping are those
+        of the full trace: a scenario's solo and leave-one-out replays
+        run the full mix this way.  Kept events stay in order and their
+        access indices are renumbered into the restricted stream.
         """
         lengths = np.diff(self.offsets)
         active = np.zeros(lengths.size, dtype=bool)
@@ -121,11 +148,14 @@ class TimingFrontEnd:
         kept_events = keep[self.event_access]
         return TimingFrontEnd(
             offsets=np.concatenate(([0], np.cumsum(kept_lengths))),
+            gap=self.gap[keep],
             l1_hit=self.l1_hit[keep],
             needs_llc=self.needs_llc[keep],
             event_addr=self.event_addr[kept_events],
             event_is_read=self.event_is_read[kept_events],
             event_access=renumber[self.event_access[kept_events]],
+            iterations_simulated=self.iterations_simulated,
+            iterations_total=self.iterations_total,
         )
 
 
@@ -137,9 +167,9 @@ def compute_front_end(
     Uses ``config``'s L1 and L2 geometry only; the LLC, DRAM and core
     parameters, and the design, belong to the back end.
     """
-    num_cores = len(trace.cores)
-    core_ids, addrs, writes, gaps, offsets = trace.concatenated()
-    del gaps  # not needed here: free them before the filter's peak
+    # A machine without cores filters nothing, but its filter needs a set.
+    num_cores = max(len(trace.cores), 1)
+    core_ids, addrs, writes, gap, offsets = trace.concatenated()
     filt = BatchedPrivateFilter(config, num_cores).filter(core_ids, addrs, writes)
     del core_ids, addrs, writes
     slot = _interleave_slots(filt.event_access, offsets)
@@ -149,7 +179,13 @@ def compute_front_end(
         columns[name] = np.empty_like(core_major)
         columns[name][slot] = core_major
     return TimingFrontEnd(
-        offsets=offsets, l1_hit=filt.l1_hit, needs_llc=filt.needs_llc, **columns
+        offsets=offsets,
+        gap=gap,
+        l1_hit=filt.l1_hit,
+        needs_llc=filt.needs_llc,
+        **columns,
+        iterations_simulated=trace.iterations_simulated,
+        iterations_total=trace.iterations_total,
     )
 
 

@@ -24,8 +24,7 @@ from ..cpu.interval import IntervalCore
 from ..designs import DesignSpec, get_design
 from ..energy.model import EnergyBreakdown, EnergyModel
 from ..memory.dram import DRAM
-from ..trace.generator import GeneratedTrace
-from .frontend import TimingFrontEnd, compute_front_end
+from .frontend import TimingFrontEnd
 
 
 @dataclass
@@ -111,10 +110,8 @@ class TimingSystem:
         self.llc = llc
         self.dram = dram
 
-    def run(
-        self, trace: GeneratedTrace, front_end: TimingFrontEnd | None = None
-    ) -> SimResult:
-        """Replay ``trace`` and return the run's aggregate metrics.
+    def run(self, front_end: TimingFrontEnd) -> SimResult:
+        """Replay ``front_end``'s trace and return the run's aggregate metrics.
 
         Cores execute their streams in fixed-size interleaved chunks
         (see :data:`~repro.system.frontend.INTERLEAVE_CHUNK`) so
@@ -138,9 +135,10 @@ class TimingSystem:
            surviving events (demand reads that missed L2, plus dirty L2
            victim writebacks) are placed, by counting, into exactly the
            per-access loop's chunk-interleaved order.  None of this depends on the
-           design, so the sweep computes it once per trace
-           (:func:`~repro.system.frontend.compute_front_end`) and passes
-           it in as ``front_end``; without one, ``run`` computes it.
+           design, so the caller computes it once per trace
+           (:func:`~repro.system.frontend.compute_front_end`) and every
+           design replays it.  It carries each access's gap and the
+           trace's iteration counts, so the replay needs no trace.
         2. **LLC event replay** — the event stream goes through the
            LLC's own batched replay (``BaselineLLC.replay_batch`` or the
            AVR fast scan, ``AVRLLC.replay_batch``) with DRAM settled in
@@ -156,14 +154,7 @@ class TimingSystem:
         replay raises on a second call.
         """
         config = self.config
-        num_cores = len(trace.cores)
-        if num_cores == 0:
-            return self._finalize(trace, [], l1_accesses=0, l2_accesses=0)
-        if front_end is None:
-            front_end = compute_front_end(trace, config)
         offsets = front_end.offsets
-        if not np.array_equal(np.diff(offsets), [len(c) for c in trace.cores]):
-            raise ValueError("front end was computed for a different trace")
 
         # Every LLC flavour owns a batched replay of the filtered event
         # stream: BaselineLLC (baseline / Truncate / Doppelgänger)
@@ -179,13 +170,13 @@ class TimingSystem:
         l1_lat, l2_lat = config.l1.latency_cycles, config.l2.latency_cycles
         latency = np.where(front_end.l1_hit, l1_lat, l1_lat + l2_lat) + llc_lat
         l1_hit_flag = ~front_end.needs_llc & (latency <= l1_lat)
-        cores = [IntervalCore(config.core) for _ in range(num_cores)]
-        for c, stream in enumerate(trace.cores):
+        cores = [IntervalCore(config.core) for _ in range(front_end.num_cores)]
+        for c, core in enumerate(cores):
             sl = slice(int(offsets[c]), int(offsets[c + 1]))
-            cores[c].replay_batch(stream["gap"], latency[sl], l1_hit_flag[sl])
+            core.replay_batch(front_end.gap[sl], latency[sl], l1_hit_flag[sl])
 
         return self._finalize(
-            trace,
+            front_end.scale_factor,
             cores,
             l1_accesses=front_end.l1_accesses,
             l2_accesses=front_end.l2_accesses,
@@ -196,7 +187,7 @@ class TimingSystem:
     # ------------------------------------------------------------------
     def _finalize(
         self,
-        trace: GeneratedTrace,
+        scale_factor: float,
         cores: list[IntervalCore],
         l1_accesses: int,
         l2_accesses: int,
@@ -240,7 +231,7 @@ class TimingSystem:
             dram_stats=dram_stats,
             energy=energy,
             core_cycles=tuple(float(c.cycles) for c in cores),
-            scale_factor=trace.scale_factor,
+            scale_factor=scale_factor,
         )
 
     def _energy(

@@ -32,7 +32,6 @@ every iteration sweeps the same working set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -72,9 +71,9 @@ class GeneratedTrace:
         Returns ``(core_ids, addrs, writes, gaps, offsets)``: parallel
         arrays over all accesses in core-major order (core 0's whole
         stream, then core 1's, ...), plus the per-core start offsets
-        (``offsets[c]:offsets[c+1]`` slices core ``c``).  Addresses and
-        gaps are widened to int64 so downstream shift/compare arithmetic
-        is signed and overflow-free.
+        (``offsets[c]:offsets[c+1]`` slices core ``c``).  Addresses are
+        widened to int64 so downstream shift/compare arithmetic is
+        signed and overflow-free; gaps keep the trace's own dtype.
         """
         lengths = np.array([len(t) for t in self.cores], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(lengths)))
@@ -82,31 +81,13 @@ class GeneratedTrace:
         core_ids = np.repeat(np.arange(len(self.cores), dtype=np.int64), lengths)
         addrs = np.empty(n, dtype=np.int64)
         writes = np.empty(n, dtype=bool)
-        gaps = np.empty(n, dtype=np.int64)
+        gaps = np.empty(n, dtype=TRACE_DTYPE["gap"])
         for c, t in enumerate(self.cores):
             sl = slice(int(offsets[c]), int(offsets[c + 1]))
             addrs[sl] = t["addr"].astype(np.int64)
             writes[sl] = t["write"]
             gaps[sl] = t["gap"]
         return core_ids, addrs, writes, gaps, offsets
-
-    def restrict(self, cores: Iterable[int]) -> GeneratedTrace:
-        """This trace with only ``cores`` populated.
-
-        Every other core keeps its slot with an empty stream, so core
-        ids, the machine width and the iteration bookkeeping are those
-        of the full trace: a scenario's solo and leave-one-out replays
-        run the full mix this way.
-        """
-        keep = set(cores)
-        return GeneratedTrace(
-            cores=[
-                stream if c in keep else stream[:0]
-                for c, stream in enumerate(self.cores)
-            ],
-            iterations_simulated=self.iterations_simulated,
-            iterations_total=self.iterations_total,
-        )
 
 
 def _phase_addresses(
@@ -280,7 +261,7 @@ def generate_trace(
     out of lockstep.  The sweep engine relies on this determinism to
     rebuild identical traces in the parent process regardless of where
     the functional jobs ran, and the trace store relies on it to key
-    stored traces by content.  When the spec's full iteration count
+    stored front ends by the content of their traces.  When the spec's full iteration count
     would exceed the per-core access budget, a prefix of iterations is
     generated and recorded in the result's ``scale_factor``.
 

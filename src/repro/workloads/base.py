@@ -180,17 +180,16 @@ class Workload(abc.ABC):
         self,
         design: "DesignLike" = "baseline",
         thresholds: ErrorThresholds | None = None,
-        check_mode: str = "hybrid",
-        dganger_threshold: float | None = None,
     ) -> WorkloadResult:
         """Full functional run under one design point.
 
         ``design`` is anything :func:`repro.designs.get_design`
-        resolves (a spec or a registry name).
-        ``thresholds``/``dganger_threshold`` default to the workload's
-        per-application knob settings; the design's
+        resolves (a spec or a registry name).  ``thresholds`` defaults
+        to the workload's per-application knob, and the design's
         ``thresholds_scale`` then scales the resolved thresholds (see
-        :meth:`repro.designs.DesignSpec.resolve_thresholds`).
+        :meth:`repro.designs.DesignSpec.resolve_thresholds`);
+        Doppelgänger's similarity threshold is the workload's
+        ``dganger_threshold``.
         """
         from ..designs import get_design
 
@@ -198,8 +197,7 @@ class Workload(abc.ABC):
         approximator = approximator_for(
             design,
             design.resolve_thresholds(thresholds, self.default_thresholds),
-            check_mode,
-            dganger_threshold if dganger_threshold is not None else self.dganger_threshold,
+            self.dganger_threshold,
         )
         mem = ApproxMemory(approximator)
         self.allocate(mem)

@@ -37,7 +37,8 @@ The per-event timing model, one twin per component:
 On top of the twins:
 
 * :func:`run_reference` — the interleaved access-at-a-time timing
-  replay, the oracle of :meth:`repro.system.TimingSystem.run`;
+  replay, the oracle of :meth:`repro.system.TimingSystem.run` on the
+  trace's front end (:func:`replay`);
 * :func:`compute_front_end_reference` — the private filter's masked
   two-slot L2 op stream and the sorted ``(n, 3)`` event staging, the
   oracle of :func:`repro.system.frontend.compute_front_end`
@@ -170,7 +171,11 @@ from repro.doppelganger import DedupStats
 from repro.fixedpoint.bias import BIAS_FIELD_MAX, BIAS_FIELD_MIN, TARGET_MAX_EXPONENT
 from repro.fixedpoint.convert import DEFAULT_FORMAT, FixedPointFormat
 from repro.memory.dram import DRAM
-from repro.system.frontend import INTERLEAVE_CHUNK, TimingFrontEnd
+from repro.system.frontend import (
+    INTERLEAVE_CHUNK,
+    TimingFrontEnd,
+    compute_front_end,
+)
 from repro.system.layout import AddressLayout
 from repro.system.simulator import SimResult, TimingSystem
 from repro.trace.events import TRACE_DTYPE
@@ -1198,13 +1203,18 @@ def reference_system(system: TimingSystem) -> TimingSystem:
     return TimingSystem(system.design, system.config, twin, dram)
 
 
+def replay(system: TimingSystem, trace: GeneratedTrace) -> SimResult:
+    """The production replay of ``trace``: its front end, then ``run``."""
+    return system.run(compute_front_end(trace, system.config))
+
+
 def run_reference(system: TimingSystem, trace: GeneratedTrace) -> SimResult:
     """The original interleaved per-access replay loop.
 
     Replays ``trace`` access by access through per-event twins of every
     component (:func:`reference_system`) and finalizes through a
     :class:`~repro.system.simulator.TimingSystem` holding them, so the
-    result is comparable field for field with ``system.run(trace)``.
+    result is comparable field for field with :func:`replay`'s.
     ``system`` is left untouched.
     """
     ref = reference_system(system)
@@ -1241,7 +1251,7 @@ def run_reference(system: TimingSystem, trace: GeneratedTrace) -> SimResult:
             positions[cid] = end
 
     return ref._finalize(
-        trace,
+        trace.scale_factor,
         cores,
         l1_accesses=sum(p.l1.accesses for p in privates),
         l2_accesses=sum(p.l2.accesses for p in privates),
@@ -1261,7 +1271,7 @@ def compute_front_end_reference(
     chunk key.
     """
     num_cores = len(trace.cores)
-    core_ids, addrs, writes, _gaps, offsets = trace.concatenated()
+    core_ids, addrs, writes, gaps, offsets = trace.concatenated()
     n = int(addrs.size)
     l1_sets, l2_sets = config.l1.num_sets, config.l2.num_sets
     l1_shift = config.l1.line_bytes.bit_length() - 1
@@ -1340,11 +1350,14 @@ def compute_front_end_reference(
     order = np.argsort(np.repeat(chunk_key, 3)[mask], kind="stable")
     return TimingFrontEnd(
         offsets=offsets,
+        gap=gaps,
         l1_hit=hit1,
         needs_llc=needs_llc,
         event_addr=ev_addr.ravel()[mask][order],
         event_is_read=ev_is_read.ravel()[mask][order],
         event_access=np.repeat(np.arange(n, dtype=np.int64), 3)[mask][order],
+        iterations_simulated=trace.iterations_simulated,
+        iterations_total=trace.iterations_total,
     )
 
 

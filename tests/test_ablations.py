@@ -282,21 +282,3 @@ class TestAblationHarness:
 
         stats = AVRApproximator(workload.default_thresholds).apply(mem.region("velocity"))
         assert results["full pipeline"]["ratio"] == stats.compression_ratio
-
-
-class TestPerRegionThresholds:
-    def test_region_knob_overrides_global(self):
-        from repro.approx import ApproxMemory, AVRApproximator
-
-        mem = ApproxMemory(AVRApproximator(ErrorThresholds.from_t2(0.01)))
-        rng = np.random.default_rng(0)
-        x = np.linspace(0, 3, 4096)
-        # mild noise: invisible to the loose knob, outliers for the tight one
-        data = (np.sin(x) + 2.0 + rng.normal(0, 1e-3, x.size)).astype(np.float32)
-        mem.alloc("loose", 4096, init=data)
-        mem.alloc("tight", 4096, init=data,
-                  thresholds=ErrorThresholds.from_t2(0.0001))
-        mem.sync()
-        loose = mem.reports["loose"].last.compression_ratio
-        tight = mem.reports["tight"].last.compression_ratio
-        assert tight < loose  # tighter knob -> more outliers -> lower ratio

@@ -253,37 +253,6 @@ class TestCacheKeyCompleteness:
 # PKL001 — picklable hooks
 # ----------------------------------------------------------------------
 class TestPicklableHooks:
-    def test_lambda_builder_flagged(self, tmp_path):
-        result = check_snippet(
-            tmp_path,
-            "def register(spec): ...\n"
-            "register(builder=lambda spec, ctx: None)\n",
-            select=["PKL001"],
-        )
-        assert rule_ids(result) == ["PKL001"]
-
-    def test_local_function_builder_flagged(self, tmp_path):
-        result = check_snippet(
-            tmp_path,
-            "def setup(register):\n"
-            "    def build(spec, ctx):\n"
-            "        return None\n"
-            "    register(builder=build)\n",
-            select=["PKL001"],
-        )
-        assert rule_ids(result) == ["PKL001"]
-
-    def test_module_level_builder_passes(self, tmp_path):
-        result = check_snippet(
-            tmp_path,
-            "def build(spec, ctx):\n"
-            "    return None\n"
-            "def setup(register):\n"
-            "    register(builder=build)\n",
-            select=["PKL001"],
-        )
-        assert result.ok
-
     def test_lambda_submitted_to_pool_flagged(self, tmp_path):
         result = check_snippet(
             tmp_path,
@@ -292,6 +261,28 @@ class TestPicklableHooks:
             select=["PKL001"],
         )
         assert rule_ids(result) == ["PKL001"]
+
+    def test_lambda_wrapped_in_partial_flagged(self, tmp_path):
+        result = check_snippet(
+            tmp_path,
+            "import functools\n"
+            "job = functools.partial(lambda x: x, 1)\n",
+            select=["PKL001"],
+        )
+        assert rule_ids(result) == ["PKL001"]
+        assert "functools.partial" in result.findings[0].message
+
+    def test_module_level_submission_passes(self, tmp_path):
+        result = check_snippet(
+            tmp_path,
+            "import functools\n"
+            "def job(x):\n"
+            "    return x\n"
+            "def run(pool):\n"
+            "    return pool.submit(functools.partial(job, 1))\n",
+            select=["PKL001"],
+        )
+        assert result.ok
 
 
 # ----------------------------------------------------------------------

@@ -205,7 +205,7 @@ class TestApproximatorFactory:
         ],
     )
     def test_mapping(self, design, cls):
-        assert isinstance(approximator_for(design), cls)
+        assert isinstance(approximator_for(design, None, 0.02), cls)
 
     def test_truncate_rejects_fixed(self):
         mem = ApproxMemory(TruncateApproximator())

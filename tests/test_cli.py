@@ -189,7 +189,7 @@ def test_cache_stats_reports_the_trace_store(warm_cache, capsys):
         line for line in capsys.readouterr().out.splitlines()
         if line.strip().startswith("traces:")
     )
-    assert "1 trace(s), 1 front end(s)" in line
+    assert "1 front end(s)" in line
     on_disk = sum(
         f.stat().st_size
         for f in (warm_cache / f"m{MODEL_VERSION}" / "traces").rglob("*")
@@ -200,7 +200,7 @@ def test_cache_stats_reports_the_trace_store(warm_cache, capsys):
 
 def test_cache_stats_without_a_trace_store(tmp_path, capsys):
     assert main(["cache", "stats", str(tmp_path)]) == 0
-    assert "0 trace(s), 0 front end(s), 0 bytes" in capsys.readouterr().out
+    assert "0 front end(s), 0 bytes" in capsys.readouterr().out
     assert not (tmp_path / "traces").exists()
 
 
@@ -211,9 +211,7 @@ def test_added_design_maps_the_stored_front_end(warm_cache, capsys):
         "--cache-dir", str(warm_cache),
     ])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "1 trace(s) mapped, 0 generated" in out
-    assert "1 front end(s) mapped, 0 computed" in out
+    assert "1 front end(s) mapped, 0 computed" in capsys.readouterr().out
 
 
 def test_cache_verify_ok_and_corrupt(warm_cache, capsys):

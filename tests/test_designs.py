@@ -42,6 +42,7 @@ from repro.harness.sweep import (
     run_functional_job,
 )
 from repro.system.factory import build_system
+from repro.system.frontend import compute_front_end
 from repro.trace.generator import generate_trace
 
 SCALE = 0.12
@@ -305,7 +306,7 @@ def seed_context():
     return {
         "config": config,
         "layout": layout,
-        "trace": trace,
+        "front_end": compute_front_end(trace, config),
         "footprint": reference.memory.footprint_bytes,
         "dedup": dganger_run.memory.dedup_factor(),
     }
@@ -359,10 +360,10 @@ def test_registry_bit_identical_to_legacy_factory(design, seed_context):
     dedup = ctx["dedup"] if design is DGANGER else 1.0
     legacy = _legacy_build_system(
         design, ctx["config"], ctx["layout"], ctx["footprint"], dedup
-    ).run(ctx["trace"])
+    ).run(ctx["front_end"])
     registry = build_system(
         design, ctx["config"], ctx["layout"], ctx["footprint"], dedup
-    ).run(ctx["trace"])
+    ).run(ctx["front_end"])
     assert registry.metrics_equal(legacy), registry.metric_diffs(legacy)
 
 

@@ -16,13 +16,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import IntervalCoreReference, replay_llc, run_reference
+from oracles import IntervalCoreReference, replay, replay_llc, run_reference
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import BLOCK_BYTES, CACHELINE_BYTES
 from repro.designs import AVR, BASELINE, PAPER_DESIGNS, TRUNCATE
 from repro.harness.runner import _build_layout
 from repro.harness.sweep import SweepPoint, run_functional_job
 from repro.system.factory import build_system
+from repro.system.frontend import compute_front_end
 from repro.trace.generator import generate_trace
 
 CONFIG = SystemConfig.scaled(num_cores=2)
@@ -53,7 +54,7 @@ def workload_context(request):
 def test_engines_bit_identical(workload_context, design):
     layout, trace, footprint = workload_context
     ref = run_reference(build_system(design, CONFIG, layout, footprint), trace)
-    vec = build_system(design, CONFIG, layout, footprint).run(trace)
+    vec = replay(build_system(design, CONFIG, layout, footprint), trace)
     diffs = ref.metric_diffs(vec)
     assert not diffs, f"replay diverges from the oracle on {design.name}: {diffs}"
     # Spot-pin the strictest fields: exact float equality, not approx.
@@ -80,7 +81,7 @@ def test_write_heavy_trace_bit_identical():
     layout.add_region(0, 1 << 20, 2)
     for design in (BASELINE, AVR, TRUNCATE):
         ref = run_reference(build_system(design, CONFIG, layout, 1 << 20), trace)
-        vec = build_system(design, CONFIG, layout, 1 << 20).run(trace)
+        vec = replay(build_system(design, CONFIG, layout, 1 << 20), trace)
         assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
 
@@ -97,9 +98,7 @@ def test_empty_trace_both_engines():
     ref = run_reference(
         build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20), empty
     )
-    vec = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
-        empty
-    )
+    vec = replay(build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20), empty)
     assert ref.metrics_equal(vec)
     assert vec.cycles == 0.0 and vec.instructions == 0
 
@@ -112,9 +111,7 @@ def test_coreless_trace_both_engines():
     ref = run_reference(
         build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20), bare
     )
-    vec = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20).run(
-        bare
-    )
+    vec = replay(build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20), bare)
     assert ref.metrics_equal(vec)
 
 
@@ -157,7 +154,7 @@ def test_avr_ablations_bit_identical(heat_context, variant):
     layout, trace, footprint = heat_context
     design = replace(AVR, avr_options=AVR_VARIANTS[variant])
     ref = run_reference(build_system(design, CONFIG, layout, footprint), trace)
-    vec = build_system(design, CONFIG, layout, footprint).run(trace)
+    vec = replay(build_system(design, CONFIG, layout, footprint), trace)
     diffs = ref.metric_diffs(vec)
     assert not diffs, f"AVR[{variant}] replay diverges from the oracle: {diffs}"
 
@@ -196,7 +193,7 @@ def test_avr_multicore_mixed_regions_bit_identical(variant):
     config = SystemConfig.scaled(num_cores=4)
     design = replace(AVR, avr_options=AVR_VARIANTS[variant])
     ref = run_reference(build_system(design, config, layout, 1 << 19), trace)
-    vec = build_system(design, config, layout, 1 << 19).run(trace)
+    vec = replay(build_system(design, config, layout, 1 << 19), trace)
     assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
 
@@ -390,9 +387,10 @@ def test_one_replay_per_llc(design):
         llc.replay_batch(addrs, is_read)
 
     system = build_system(design, config, layout, 1 << 19)
-    system.run(trace)
+    front_end = compute_front_end(trace, config)
+    system.run(front_end)
     with pytest.raises(ValueError, match="once per LLC"):
-        system.run(trace)
+        system.run(front_end)
 
 
 def test_misaligned_region_rejected():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import block_size_of, is_approx, make_trace
+from oracles import block_size_of, is_approx, make_trace, replay
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import VALUES_PER_BLOCK
 from repro.common.types import ErrorThresholds
@@ -42,7 +42,7 @@ class TestTrafficConservation:
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 19, 2)
         system = build_system(design, CONFIG, layout, 1 << 20, dedup_factor=2.0)
-        res = system.run(mixed_trace())
+        res = replay(system, mixed_trace())
         tagged = res.approx_bytes + res.exact_bytes
         slack = res.llc_stats.get("llc_misses", 0) * 12 + 4096  # CMT metadata
         if design in ("baseline", "ZeroAVR"):
@@ -54,7 +54,7 @@ class TestTrafficConservation:
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 19, 2)
         system = build_system("AVR", CONFIG, layout, 1 << 20)
-        res = system.run(mixed_trace())
+        res = replay(system, mixed_trace())
         assert res.dram_bytes_read > 0
         assert res.dram_bytes_written > 0
         assert res.total_bytes == res.dram_bytes_read + res.dram_bytes_written
@@ -67,7 +67,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             system = build_system("AVR", CONFIG, layout, 1 << 20)
-            runs.append(system.run(mixed_trace(seed=7)))
+            runs.append(replay(system, mixed_trace(seed=7)))
         assert runs[0].cycles == runs[1].cycles
         assert runs[0].total_bytes == runs[1].total_bytes
         assert runs[0].llc_stats == runs[1].llc_stats
@@ -82,7 +82,7 @@ class TestPaperConfigPath:
         layout.add_region(0x10000, 1 << 19, 2)
         system = build_system("AVR", config, layout, 1 << 22)
         trace = mixed_trace(n=800)
-        res = system.run(trace)
+        res = replay(system, trace)
         assert res.cycles > 0
         # the 8 MB LLC swallows this small working set entirely
         assert res.llc_mpki < 60.0

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import block_size_of, is_approx, run_reference
+from oracles import block_size_of, is_approx, replay, run_reference
 from repro.common.config import CacheConfig, SystemConfig
 from repro.designs import AVR, BASELINE
 from repro.harness.runner import _build_layout
@@ -350,9 +350,10 @@ class TestEngineEquivalence:
             ),
             trace,
         )
-        vec = build_system(
-            AVR, config, context.layout, context.footprint_bytes
-        ).run(trace)
+        vec = replay(
+            build_system(AVR, config, context.layout, context.footprint_bytes),
+            trace,
+        )
         assert ref.metrics_equal(vec), ref.metric_diffs(vec)
         assert ref.core_cycles == vec.core_cycles
 
@@ -366,16 +367,18 @@ class TestEngineEquivalence:
             ),
             trace,
         )
-        vec = build_system(
-            design, CONFIG, context.layout, context.footprint_bytes
-        ).run(trace)
+        vec = replay(
+            build_system(design, CONFIG, context.layout, context.footprint_bytes),
+            trace,
+        )
         assert ref.metrics_equal(vec), ref.metric_diffs(vec)
 
     def test_core_cycles_consistent_with_cycles(self):
         _, context = _context("kmeans*2+heat@2")
-        sim = build_system(
-            BASELINE, CONFIG, context.layout, context.footprint_bytes
-        ).run(context.trace())
+        sim = replay(
+            build_system(BASELINE, CONFIG, context.layout, context.footprint_bytes),
+            context.trace(),
+        )
         assert len(sim.core_cycles) == CONFIG.num_cores
         assert sim.cycles >= max(sim.core_cycles)
 
@@ -417,10 +420,13 @@ class TestSharedFrontEnd:
                 continue
             direct = compute_front_end(_emptied(trace, set(cores)), SIX_CORES)
             restricted = front_end.restrict(cores)
+            assert set(direct.columns()) >= {"gap", "event_addr"}
             for name, column in direct.columns().items():
+                assert restricted.columns()[name].dtype == column.dtype
                 assert np.array_equal(restricted.columns()[name], column), (
                     active, name,
                 )
+            assert restricted.scale_factor == direct.scale_factor
 
     @pytest.mark.parametrize("design", [BASELINE, AVR])
     def test_subset_replays_match_the_oracle(self, mix, design):
@@ -432,12 +438,12 @@ class TestSharedFrontEnd:
                 build_system(design, SIX_CORES, layout, context.footprint_bytes),
                 _emptied(trace, cores),
             )
-            replay = run_timing_job(
-                design, SIX_CORES, layout, trace, front_end,
+            sim = run_timing_job(
+                design, SIX_CORES, layout, front_end,
                 context.active_cores(active), context.footprint_bytes,
             )
-            assert not ref.metric_diffs(replay), (active, ref.metric_diffs(replay))
-            assert ref.core_cycles == replay.core_cycles
+            assert not ref.metric_diffs(sim), (active, ref.metric_diffs(sim))
+            assert ref.core_cycles == sim.core_cycles
 
     def test_mix_sweep_filters_once(self, monkeypatch):
         from repro.cache.array_lru import BatchedPrivateFilter

@@ -251,7 +251,7 @@ class TestModelVersion:
         set_model_version(monkeypatch, "0.0.0")
         bumped = run_sweep(SPEC, jobs=1, cache_dir=tmp_path)
         assert bumped.stats.executed == cold.stats.executed
-        assert bumped.stats.traces_generated == cold.stats.traces_generated
+        assert bumped.stats.frontends_computed == cold.stats.frontends_computed
         cache = ResultCache(tmp_path)
         assert cache.root == tmp_path / "m0.0.0"
         assert len(cache) == cold.stats.executed

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import block_size_of, is_approx, make_trace
+from oracles import block_size_of, is_approx, make_trace, replay
 from repro.cache.llc_avr import AVRLLC
 from repro.cache.llc_baseline import BaselineLLC
 from repro.common.config import SystemConfig
@@ -92,7 +92,7 @@ class TestFactory:
 class TestSimulator:
     def test_baseline_run_produces_metrics(self):
         sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
-        res = sys_.run(_tiny_trace())
+        res = replay(sys_, _tiny_trace())
         assert res.cycles > 0
         assert res.instructions > 0
         assert res.total_bytes > 0
@@ -103,22 +103,22 @@ class TestSimulator:
     def test_avr_reduces_traffic_on_compressible_data(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 20, 2)
-        base = build_system(BASELINE, CONFIG, layout, 1 << 20).run(_tiny_trace())
-        avr = build_system(AVR, CONFIG, layout, 1 << 20).run(_tiny_trace())
+        base = replay(build_system(BASELINE, CONFIG, layout, 1 << 20), _tiny_trace())
+        avr = replay(build_system(AVR, CONFIG, layout, 1 << 20), _tiny_trace())
         assert avr.total_bytes < base.total_bytes
         assert avr.llc_mpki < base.llc_mpki
 
     def test_zero_avr_close_to_baseline(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 20, 2)
-        base = build_system(BASELINE, CONFIG, layout, 1 << 20).run(_tiny_trace())
-        zero = build_system(ZERO_AVR, CONFIG, layout, 1 << 20).run(_tiny_trace())
+        base = replay(build_system(BASELINE, CONFIG, layout, 1 << 20), _tiny_trace())
+        zero = replay(build_system(ZERO_AVR, CONFIG, layout, 1 << 20), _tiny_trace())
         assert zero.total_bytes == pytest.approx(base.total_bytes, rel=0.05)
         assert zero.cycles == pytest.approx(base.cycles, rel=0.05)
 
     def test_iteration_factor_scales_adjusted(self):
         sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
-        res = sys_.run(_tiny_trace())
+        res = replay(sys_, _tiny_trace())
         res.iteration_factor = 2.0
         assert res.adjusted_cycles == pytest.approx(2 * res.cycles)
         assert res.adjusted_bytes == pytest.approx(2 * res.total_bytes)
@@ -126,34 +126,42 @@ class TestSimulator:
     def test_instructions_match_trace(self):
         sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
         trace = _tiny_trace(num_cores=1, lines=100, gap=10)
-        res = sys_.run(trace)
+        res = replay(sys_, trace)
         assert res.instructions == 100 * 11
 
     def test_compute_bound_trace_insensitive_to_design(self):
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 20, 2)
         t = _tiny_trace(lines=256, gap=2000)  # huge compute gaps
-        base = build_system(BASELINE, CONFIG, layout, 1 << 20).run(t)
-        avr = build_system(AVR, CONFIG, layout, 1 << 20).run(t)
+        base = replay(build_system(BASELINE, CONFIG, layout, 1 << 20), t)
+        avr = replay(build_system(AVR, CONFIG, layout, 1 << 20), t)
         assert avr.cycles == pytest.approx(base.cycles, rel=0.05)
 
-    def test_front_end_of_another_trace_is_rejected(self):
-        sys_ = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
-        other = compute_front_end(_tiny_trace(lines=256), CONFIG)
-        with pytest.raises(ValueError, match="different trace"):
-            sys_.run(_tiny_trace(), other)
-
     def test_front_end_serves_every_design(self):
+        """A replay leaves the front end as it found it, so one serves
+        every design."""
         layout = AddressLayout()
         layout.add_region(0x10000, 1 << 20, 2)
         trace = _tiny_trace()
         front_end = compute_front_end(trace, CONFIG)
         for design in (BASELINE, TRUNCATE, DGANGER, ZERO_AVR, AVR):
-            own = build_system(design, CONFIG, layout, 1 << 20).run(trace)
-            shared = build_system(design, CONFIG, layout, 1 << 20).run(
-                trace, front_end
-            )
+            own = replay(build_system(design, CONFIG, layout, 1 << 20), trace)
+            shared = build_system(design, CONFIG, layout, 1 << 20).run(front_end)
             assert own.metrics_equal(shared), design
+
+    def test_front_end_carries_gaps_and_scale_factor(self):
+        trace = _tiny_trace(num_cores=2, lines=64, gap=7)
+        trace.iterations_total = 4
+        front_end = compute_front_end(trace, CONFIG)
+        assert front_end.gap.dtype == trace.cores[0]["gap"].dtype
+        assert np.array_equal(
+            front_end.gap, np.concatenate([c["gap"] for c in trace.cores])
+        )
+        assert front_end.scale_factor == trace.scale_factor == 4.0
+        system = build_system(BASELINE, CONFIG, AddressLayout(), 1 << 20)
+        res = system.run(front_end)
+        assert res.scale_factor == 4.0
+        assert res.instructions == 2 * 64 * 8
 
 
 def test_is_approx_batch_matches_scalar():
