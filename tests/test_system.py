@@ -1,5 +1,7 @@
 """Tests for the address layout, system factory and timing simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,15 @@ def _tiny_trace(num_cores=2, lines=512, gap=50):
             make_trace(addrs, np.zeros(lines, bool), np.full(lines, gap))
         )
     return GeneratedTrace(cores=cores, iterations_simulated=1, iterations_total=1)
+
+
+#: ways a front end can be mis-formed -> the columns that make it so
+MIS_FORMED = {
+    "gap widened to int64": lambda fe: {"gap": fe.gap.astype(np.int64)},
+    "offsets not from 0": lambda fe: {"offsets": fe.offsets + 1},
+    "access column short": lambda fe: {"l1_hit": fe.l1_hit[:-1]},
+    "event columns differ": lambda fe: {"event_access": fe.event_access[:-1]},
+}
 
 
 class TestFactory:
@@ -162,6 +173,15 @@ class TestSimulator:
         res = system.run(front_end)
         assert res.scale_factor == 4.0
         assert res.instructions == 2 * 64 * 8
+
+    @pytest.mark.parametrize("form", sorted(MIS_FORMED))
+    def test_mis_formed_front_end_is_rejected(self, form):
+        """Construction checks every column, so a stored payload its
+        record mis-describes reads as a miss, never as replay input."""
+        front_end = compute_front_end(_tiny_trace(), CONFIG)
+        assert front_end.event_access.size > 0
+        with pytest.raises(ValueError):
+            replace(front_end, **MIS_FORMED[form](front_end))
 
 
 def test_is_approx_batch_matches_scalar():

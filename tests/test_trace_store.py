@@ -10,6 +10,7 @@ front end instead of regenerating and re-filtering the trace.
 """
 
 import json
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -19,6 +20,9 @@ import pytest
 import repro
 from repro.approx import ApproxMemory
 from repro.common.config import CacheConfig, DRAMConfig, SystemConfig
+from repro.common.types import ErrorThresholds
+from repro.harness.scenario import ScenarioPoint, scenario_trace_key
+from repro.scenario import parse_mix
 from repro.system.frontend import compute_front_end
 from repro.trace import (
     FrontEndHandle,
@@ -38,6 +42,8 @@ CONFIG = SystemConfig(
 )
 #: stands in for a composed trace's content key
 TRACE = "t" * 64
+#: a two-instance mix whose points the key tests vary
+MIX = "heat@1+lbm@1"
 
 
 def make_mem() -> ApproxMemory:
@@ -82,6 +88,22 @@ def put_older_form(store, key, front_end):
     )
 
 
+def point_front_end_key(
+    num_cores=2, max_accesses_per_core=5_000, seed=0, name=None, thresholds=None
+):
+    """The key a sweep stores the front end of a point of ``MIX`` under,
+    on a ``num_cores``-core machine."""
+    point = ScenarioPoint(
+        parse_mix(MIX, name=name),
+        seed=seed,
+        thresholds=thresholds,
+        max_accesses_per_core=max_accesses_per_core,
+    )
+    return front_end_key(
+        scenario_trace_key(point, num_cores), replace(CONFIG, num_cores=num_cores)
+    )
+
+
 def _concurrent_writer(root: str, _worker: int) -> int:
     """Module-level so it pickles into pool workers: everyone races to
     commit the same content-keyed entry."""
@@ -118,6 +140,15 @@ class TestRoundTrip:
         TraceStore(tmp_path).put(key, front_end)
         handle = FrontEndHandle(root=str(tmp_path), key=key)
         assert_front_ends_identical(handle.load(), front_end)
+
+    def test_handle_pickles_without_the_payload(self, tmp_path):
+        """Jobs carry the handle, not the columns: it pickles to its two
+        strings, however large the entry."""
+        key, front_end = make_front_end_and_key()
+        TraceStore(tmp_path).put(key, front_end)
+        blob = pickle.dumps(FrontEndHandle(root=str(tmp_path), key=key))
+        assert len(blob) < 512 < front_end.gap.nbytes
+        assert_front_ends_identical(pickle.loads(blob).load(), front_end)
 
     def test_handle_load_missing_entry_raises(self, tmp_path):
         handle = FrontEndHandle(root=str(tmp_path), key="0" * 64)
@@ -213,6 +244,28 @@ class TestUsage:
 
 
 class TestKeys:
+    def test_key_is_deterministic(self):
+        """Two separately parsed points of one mix share an entry."""
+        assert point_front_end_key() == point_front_end_key()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_cores": 4},
+            {"max_accesses_per_core": 6_000},
+            {"seed": 1},
+        ],
+    )
+    def test_key_covers_every_generation_input(self, kwargs):
+        assert point_front_end_key(**kwargs) != point_front_end_key()
+
+    def test_key_ignores_the_name_and_thresholds(self):
+        """Traces are generated from exact memory, so every spelling and
+        every threshold setting of one mix maps the same entry."""
+        base = point_front_end_key()
+        assert point_front_end_key(name="renamed") == base
+        assert point_front_end_key(thresholds=ErrorThresholds.from_t2(0.04)) == base
+
     def test_key_covers_private_caches_and_core_count(self):
         base = front_end_key(TRACE, CONFIG)
         assert base == front_end_key(TRACE, CONFIG)
@@ -320,6 +373,39 @@ class TestSweepIntegration:
         assert cached.stats.executed == 0
         assert cached.stats.frontends_computed == 0
         assert cached.stats.frontends_mapped == 0
+
+    def test_cleared_result_cache_replays_a_mix_from_the_stored_front_end(
+        self, tmp_path, monkeypatch
+    ):
+        """Every instance subset of a mix replays the one stored front
+        end, restricted to its cores, and the rerun generates no trace."""
+        from repro.designs import AVR, BASELINE
+        from repro.harness.scenario import scenario_subsets
+        from repro.harness.sweep import SweepSpec, run_sweep
+
+        spec = SweepSpec(
+            scenarios=(parse_mix(MIX),),
+            designs=(BASELINE, AVR),
+            config=SystemConfig.scaled(num_cores=2),
+            scales=(0.15,),
+            max_accesses_per_core=1_500,
+        )
+        cold = run_sweep(spec, cache_dir=tmp_path)
+        assert cold.stats.frontends_computed == 1
+
+        clear_result_cache(tmp_path)
+        no_trace_generation(monkeypatch)
+        warm = run_sweep(spec, cache_dir=tmp_path)
+        assert warm.stats.frontends_computed == 0
+        assert warm.stats.frontends_mapped == 1
+        assert warm.stats.timing_executed == 2 * len(scenario_subsets(2))
+        for design in spec.designs:
+            a = cold.by_scenario()[MIX].runs[design]
+            b = warm.by_scenario()[MIX].runs[design]
+            assert b.corun.metrics_equal(a.corun), design.name
+            for ia, ib in zip(a.instances, b.instances):
+                assert ib.per_core_slowdown == ia.per_core_slowdown
+                assert ib.pressure_llc_misses == ia.pressure_llc_misses
 
     def test_no_cache_means_no_store(self, sweep_spec):
         from repro.harness.sweep import run_sweep
