@@ -66,7 +66,7 @@ def build_context(workload_name: str, scale: float, cores: int, accesses: int, s
     )
     workload = point.make()
     reference = run_functional_job(point, BASELINE)
-    avr = run_functional_job(point, AVR)
+    avr = run_functional_job(point, AVR, reference)
     layout = _build_layout(workload, avr)
     config = SystemConfig.scaled(num_cores=cores)
     trace = generate_trace(

@@ -102,7 +102,19 @@ from .compression import AVRCompressor
 # ``Workload.run``.  A stored front end without a ``gap`` column reads
 # as a miss and is rewritten.  Simulation results and keys are
 # unchanged.
-__version__ = "1.16.0"
+# 1.17.0: ``Workload.execute`` returns only the iteration count, and the
+# new ``Workload.output(mem)`` reads the output from the settled
+# regions; ``Workload.run`` is the one place that settles.
+# ``Workload.derive`` and ``ApproxMemory.resettled`` build a design's
+# run from the baseline run when the design approximates only
+# write-only data, and ``run_functional_job`` takes the point's
+# reference to do so.  ``GeneratedTrace.concatenated`` no longer returns
+# the gap column (``GeneratedTrace.gaps`` does).  Timing jobs of an
+# in-process executor (``JobExecutor.in_process``) carry the front end
+# itself, and a sweep releases each point's front end after its last
+# replay (``ScenarioContext.release_front_end``).  Simulation results
+# and keys are unchanged.
+__version__ = "1.17.0"
 
 #: The version of the simulated model, folded into every result-cache
 #: and front-end key and naming the ``m<MODEL_VERSION>/`` store

@@ -21,7 +21,7 @@ the timing simulator agree on which addresses are approximable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -176,14 +176,43 @@ class ApproxMemory:
     def settle(self) -> None:
         """Approximate the write-only regions synced since the last call.
 
-        Kernels call it before they read a write-only region for their
-        output; :meth:`repro.workloads.base.Workload.run` calls it
-        after ``execute``.  Each pending region is round-tripped once,
-        in its last-written state.
+        :meth:`repro.workloads.base.Workload.run` calls it after
+        ``execute``, before it reads the output; kernels never do.
+        Each pending region is round-tripped once, in its last-written
+        state.
         """
         for name in self._pending:
             self.reports[name].last = self.approximator.apply(self.regions[name])
         self._pending.clear()
+
+    def resettled(self, approximator: Approximator) -> ApproxMemory:
+        """A copy of this settled memory, settled under ``approximator``.
+
+        ``self`` must come from a run under the exact approximator
+        whose every approximable region is ``write_only``.  No sync of
+        that run changed a value, so each region holds the kernel's
+        last writes.  The copy keeps every region, round-trip count and
+        address, and round-trips each synced approximable region once
+        through ``approximator``.  That is the state a run of the same
+        kernel under ``approximator`` settles to.  ``self`` is left
+        unchanged.
+        """
+        if not isinstance(self.approximator, ExactApproximator) or self._pending:
+            raise ValueError("only a settled exact memory can be resettled")
+        if any(r.approx and not r.write_only for r in self.regions.values()):
+            raise ValueError("an approximable region is not write-only")
+        copy = ApproxMemory(approximator)
+        copy.regions = {
+            name: replace(region, array=region.array.copy())
+            for name, region in self.regions.items()
+        }
+        copy.reports = {name: replace(report) for name, report in self.reports.items()}
+        copy._next_addr = self._next_addr
+        copy.sync_count = self.sync_count
+        for name, region in copy.regions.items():
+            if region.approx and copy.reports[name].syncs:
+                copy.reports[name].last = approximator.apply(region)
+        return copy
 
     # ------------------------------------------------------------------
     # reporting

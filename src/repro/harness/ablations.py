@@ -32,10 +32,9 @@ from .sweep import (
     SweepPoint,
     _execute_jobs,
     _make_pool,
-    _run_jobs,
+    _run_functional_jobs,
     _SerialExecutor,
     functional_job_key,
-    run_functional_job,
     run_timing_job,
     timing_job_key,
 )
@@ -123,13 +122,15 @@ def run_llc_ablations(
     workload = point.make()
 
     with _make_pool(jobs) as pool:
-        functional_jobs = {
-            functional_job_key(point, d): (run_functional_job, point, d)
-            for d in (BASELINE, layout_design)
-        }
-        functional, _ = _run_jobs(pool, cache, functional_jobs)
-        reference = functional[functional_job_key(point, BASELINE)]
-        layout_run = functional[functional_job_key(point, layout_design)]
+        reference_key = functional_job_key(point, BASELINE)
+        layout_key = functional_job_key(point, layout_design)
+        functional, _ = _run_functional_jobs(
+            pool,
+            cache,
+            {reference_key: (point, BASELINE), layout_key: (point, layout_design)},
+        )
+        reference = functional[reference_key]
+        layout_run = functional[layout_key]
 
         layout = _build_layout(workload, layout_run)
         timing: dict[str, object] = {}
@@ -166,7 +167,7 @@ def run_llc_ablations(
                 reference.memory.footprint_bytes,
                 1.0,
             )
-        timing_results, _ = _execute_jobs(pool, cache, timing_jobs)
+        timing_results, _ = _execute_jobs(pool, cache, timing_jobs.items())
         timing.update(timing_results)
 
     results: dict[str, AblationPoint] = {}
@@ -219,8 +220,8 @@ def run_compressor_ablations(
     )
     cache = resolve_result_cache(cache_dir)
     key = functional_job_key(point, BASELINE)
-    functional, _ = _run_jobs(
-        _SerialExecutor(), cache, {key: (run_functional_job, point, BASELINE)}
+    functional, _ = _run_functional_jobs(
+        _SerialExecutor(), cache, {key: (point, BASELINE)}
     )
     reference = functional[key]
     workload = point.make()

@@ -229,7 +229,9 @@ class ScenarioContext:
         )
 
     def front_end_payload(
-        self, claim: Callable[[str], AbstractContextManager[None]]
+        self,
+        claim: Callable[[str], AbstractContextManager[None]],
+        in_process: bool,
     ) -> TimingFrontEnd | FrontEndHandle:
         """What a timing job should carry as its front-end argument.
 
@@ -237,13 +239,14 @@ class ScenarioContext:
         is computed once per point, the first time a timing job needs
         it, and every design and instance subset replays from it.  With
         a store, a warm run maps the committed entry and a cold run
-        commits it under :func:`~repro.trace.store.front_end_key`; jobs
-        then carry a :class:`~repro.trace.store.FrontEndHandle`, and the
-        worker maps the shared payload file.  Without a store they carry
-        the arrays.  ``claim`` is the executor's
-        :meth:`~repro.harness.sweep.JobExecutor.claim`: a daemon
-        session that needs a front end another session is computing
-        waits for it and maps it.
+        commits it under :func:`~repro.trace.store.front_end_key`.
+        Jobs that run in this process (``in_process``) and jobs of a
+        run without a store carry the front end itself; jobs bound for
+        worker processes carry a :class:`~repro.trace.store.FrontEndHandle`,
+        and the worker maps the shared payload file.  ``claim`` is the
+        executor's :meth:`~repro.harness.sweep.JobExecutor.claim`: a
+        daemon session that needs a front end another session is
+        computing waits for it and maps it.
         """
         if self._front_end is None:
             if self.store is None:
@@ -253,14 +256,25 @@ class ScenarioContext:
                     scenario_trace_key(self.point, self.num_cores), self.config
                 )
                 with claim(key):
-                    if self.store.get(key) is None:
-                        self.store.put(
-                            key, compute_front_end(self.trace(), self.config)
-                        )
-                self._front_end = FrontEndHandle(
-                    root=str(self.store.root), key=key
+                    front_end = self.store.get(key)
+                    if front_end is None:
+                        front_end = compute_front_end(self.trace(), self.config)
+                        self.store.put(key, front_end)
+                self._front_end = (
+                    front_end
+                    if in_process
+                    else FrontEndHandle(root=str(self.store.root), key=key)
                 )
         return self._front_end
+
+    def release_front_end(self) -> None:
+        """Drop the front end :meth:`front_end_payload` holds.
+
+        The sweep calls it once the point's last replay is submitted; a
+        later call of :meth:`front_end_payload` would map or compute it
+        again.
+        """
+        self._front_end = None
 
     def active_cores(self, active: tuple[int, ...]) -> tuple[int, ...] | None:
         """Cores a replay of instance subset ``active`` keeps populated.
@@ -606,7 +620,10 @@ def scenario_timing_context(
     def functional_for(ipoint: SweepPoint, design: DesignSpec) -> WorkloadResult:
         key = (ipoint, design)
         if key not in cache:
-            cache[key] = run_functional_job(ipoint, design)
+            reference = (
+                None if design == BASELINE else functional_for(ipoint, BASELINE)
+            )
+            cache[key] = run_functional_job(ipoint, design, reference)
         return cache[key]
 
     context = build_scenario_context(

@@ -39,7 +39,7 @@ from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from .. import MODEL_VERSION
 from ..common.config import SystemConfig
@@ -67,6 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..designs import DesignLike
 from .runner import DesignRun, WorkloadEvaluation
 from .scenario import (
+    ScenarioContext,
     ScenarioEvaluation,
     ScenarioPoint,
     assemble_scenario_evaluation,
@@ -230,7 +231,11 @@ def functional_designs(designs: Iterable[DesignLike]) -> tuple[DesignSpec, ...]:
 # ----------------------------------------------------------------------
 # Job units (module-level so they pickle into worker processes)
 # ----------------------------------------------------------------------
-def run_functional_job(point: SweepPoint, design: DesignLike) -> WorkloadResult:
+def run_functional_job(
+    point: SweepPoint,
+    design: DesignLike,
+    reference: WorkloadResult | None = None,
+) -> WorkloadResult:
     """Job unit: one functional round-trip of one design point.
 
     Pure function of ``(point, design)``: the workload is freshly
@@ -238,10 +243,21 @@ def run_functional_job(point: SweepPoint, design: DesignLike) -> WorkloadResult:
     wherever the job runs.  Exact (reference) designs ignore threshold
     overrides (they approximate nothing), which lets threshold-ablation
     sweeps share one cached reference run.
+
+    ``reference`` is the point's baseline result, when the caller holds
+    it.  Where the design approximates only write-only data, the result
+    is derived from it (:meth:`~repro.workloads.base.Workload.derive`)
+    without running the kernel; otherwise the kernel runs.  The result,
+    and so the unit's cache key, is the same either way, and
+    ``reference`` is not changed.
     """
     design = get_design(design)
     workload = point.make()
     thresholds = None if design.is_reference else point.thresholds
+    if reference is not None:
+        derived = workload.derive(design, reference, thresholds)
+        if derived is not None:
+            return derived
     return workload.run(design, thresholds=thresholds)
 
 
@@ -337,6 +353,10 @@ class JobExecutor(abc.ABC):
     drained.
     """
 
+    #: True when units run in the submitting process, so their
+    #: arguments reach them as given and are never pickled
+    in_process: bool = False
+
     @abc.abstractmethod
     def submit_unit(
         self, key: str, fn: Callable, /, *args: Any
@@ -377,6 +397,8 @@ class _SerialExecutor(JobExecutor):
     functions, no pickling — the determinism anchor the parallel path
     is tested against.
     """
+
+    in_process = True
 
     def submit_unit(
         self, key: str, fn: Callable, /, *args: Any
@@ -496,12 +518,15 @@ UnitCallback = Callable[[str, bool], None]
 def _execute_jobs(
     pool: JobExecutor,
     cache: ResultCache | None,
-    jobs: dict[str, tuple],
+    jobs: Iterable[tuple[str, tuple]],
     stats: SweepStats | None = None,
     on_unit_done: UnitCallback | None = None,
 ) -> tuple[dict[str, Any], int]:
-    """Submit ``{key: (fn, *args)}``, collect results, store them.
+    """Submit each ``(key, (fn, *args))`` in order, collect, store.
 
+    ``jobs`` is consumed one unit at a time, each submitted before the
+    next is taken, so a generator can build a unit's arguments just
+    before its submission (and, in process, its execution).
     Returns the results by key and how many units this call actually
     *launched* — with a deduplicating executor, units joined from
     another client's in-flight execution are collected but not counted
@@ -511,7 +536,7 @@ def _execute_jobs(
     """
     futures: dict[str, Any] = {}
     launched: set[str] = set()
-    for key, (fn, *args) in jobs.items():
+    for key, (fn, *args) in jobs:
         future, fresh = pool.submit_unit(key, fn, *args)
         futures[key] = future
         if fresh:
@@ -521,43 +546,60 @@ def _execute_jobs(
         results[key] = future.result()
         if on_unit_done is not None:
             on_unit_done(key, key in launched)
-    if cache is not None:
+    if cache is not None and launched:
         cache.put_many({key: results[key] for key in launched})
     if stats is not None:
-        stats.units_deduped += len(jobs) - len(launched)
+        stats.units_deduped += len(futures) - len(launched)
     return results, len(launched)
 
 
-def _run_jobs(
+def _run_functional_jobs(
     pool: JobExecutor,
     cache: ResultCache | None,
-    jobs: dict[str, tuple],
+    units: dict[str, tuple[SweepPoint, DesignSpec]],
     stats: SweepStats | None = None,
     on_unit_done: UnitCallback | None = None,
-) -> tuple[dict[str, Any], int]:
-    """Execute ``{key: (fn, *args)}``, consulting the cache first.
+) -> tuple[dict[str, WorkloadResult], int]:
+    """Run the functional units ``{key: (point, design)}``, cache first.
 
-    All pending keys are resolved in **one** batched cache pass
-    (:meth:`~repro.harness.cache.ResultCache.get_many`) before any miss
-    is submitted to the pool.  Returns the results by key and the
-    number of jobs actually launched (i.e. neither served from the
-    cache nor joined in flight).
+    Every point's baseline (reference) unit must be among ``units``.
+    All keys are resolved in **one** batched cache pass
+    (:meth:`~repro.harness.cache.ResultCache.get_many`).  The missing
+    reference units run first.  Every other missing unit then runs
+    with its point's reference, so a design that approximates only
+    write-only data derives its result instead of running the kernel
+    (:func:`run_functional_job`).  Returns the results by key and the
+    number of units launched (neither served from the cache nor joined
+    in flight).
     """
-    results: dict[str, Any] = {}
-    pending = dict(jobs)
+    results: dict[str, WorkloadResult] = {}
     if cache is not None:
-        cached = cache.get_many(list(jobs))
-        results.update(cached)
-        for key in cached:
-            del pending[key]
+        results.update(cache.get_many(list(units)))
         if stats is not None:
-            stats.cache_hits += len(cached)
-            stats.cache_misses += len(pending)
-    executed_results, launched = _execute_jobs(
-        pool, cache, pending, stats, on_unit_done
+            stats.cache_hits += len(results)
+            stats.cache_misses += len(units) - len(results)
+    reference_keys = {
+        point: key for key, (point, design) in units.items() if design == BASELINE
+    }
+    references = {
+        key: (run_functional_job, point, BASELINE)
+        for point, key in reference_keys.items()
+        if key not in results
+    }
+    executed, launched = _execute_jobs(
+        pool, cache, references.items(), stats, on_unit_done
     )
-    results.update(executed_results)
-    return results, launched
+    results.update(executed)
+    others = {
+        key: (run_functional_job, point, design, results[reference_keys[point]])
+        for key, (point, design) in units.items()
+        if key not in results
+    }
+    executed, launched_others = _execute_jobs(
+        pool, cache, others.items(), stats, on_unit_done
+    )
+    results.update(executed)
+    return results, launched + launched_others
 
 
 def _make_pool(jobs: int) -> JobExecutor:
@@ -633,24 +675,24 @@ def run_sweep(
     pool = executor if executor is not None else _make_pool(jobs)
     try:
         # --- stage 1: functional jobs, deduplicated by content key ----
-        # Workload points and scenario instances enumerate into one job
+        # Workload points and scenario instances enumerate into one unit
         # dict: a mix containing a workload that is also swept solo
-        # shares the very same functional jobs and cache entries.
-        functional_jobs: dict[str, tuple] = {}
+        # shares the very same functional jobs and cache entries.  Each
+        # point's baseline runs before its other designs, which may
+        # derive their results from it.
+        functional_units: dict[str, tuple[SweepPoint, DesignSpec]] = {}
         for point in points:
             for design in needed_functional:
                 key = functional_key(point, design)
-                functional_jobs.setdefault(key, (run_functional_job, point, design))
+                functional_units.setdefault(key, (point, design))
         for spoint in scenario_points:
             for plan in spoint.plans():
                 ipoint = spoint.instance_point(plan)
                 for design in scenario_functional_designs(spec.designs):
                     key = functional_key(ipoint, design)
-                    functional_jobs.setdefault(
-                        key, (run_functional_job, ipoint, design)
-                    )
-        functional, executed = _run_jobs(
-            pool, cache, functional_jobs, stats, on_unit_done
+                    functional_units.setdefault(key, (ipoint, design))
+        functional, executed = _run_functional_jobs(
+            pool, cache, functional_units, stats, on_unit_done
         )
         stats.functional_executed += executed
 
@@ -737,22 +779,35 @@ def run_sweep(
             timing.update(cached_timing)
             stats.cache_hits += len(cached_timing)
             stats.cache_misses += len(descriptors) - len(cached_timing)
-        timing_jobs: dict[str, tuple] = {}
-        for key, (context, design, active, footprint, dedup) in descriptors.items():
-            if key in timing:
-                continue
-            timing_jobs[key] = (
-                run_timing_job,
-                design,
-                config,
-                context.layout_for(design),
-                context.front_end_payload(pool.claim),
-                None if active is None else context.active_cores(active),
-                footprint,
-                dedup,
-            )
+
+        def timing_jobs() -> Iterator[tuple[str, tuple]]:
+            # A point's replays are contiguous: its front end is built
+            # (or mapped) for the first and released after the last is
+            # submitted, so the sweep holds one front end at a time.
+            held: ScenarioContext | None = None
+            for key, descriptor in descriptors.items():
+                if key in timing:
+                    continue
+                context, design, active, footprint, dedup = descriptor
+                if context is not held:
+                    if held is not None:
+                        held.release_front_end()
+                    held = context
+                yield key, (
+                    run_timing_job,
+                    design,
+                    config,
+                    context.layout_for(design),
+                    context.front_end_payload(pool.claim, pool.in_process),
+                    None if active is None else context.active_cores(active),
+                    footprint,
+                    dedup,
+                )
+            if held is not None:
+                held.release_front_end()
+
         timing_results, launched = _execute_jobs(
-            pool, cache, timing_jobs, stats, on_unit_done
+            pool, cache, timing_jobs(), stats, on_unit_done
         )
         timing.update(timing_results)
         stats.timing_executed += launched

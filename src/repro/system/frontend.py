@@ -169,9 +169,11 @@ def compute_front_end(
     """
     # A machine without cores filters nothing, but its filter needs a set.
     num_cores = max(len(trace.cores), 1)
-    core_ids, addrs, writes, gap, offsets = trace.concatenated()
+    core_ids, addrs, writes, offsets = trace.concatenated()
     filt = BatchedPrivateFilter(config, num_cores).filter(core_ids, addrs, writes)
     del core_ids, addrs, writes
+    # Gathered after the filter, so the column is not held through its peak.
+    gap = trace.gaps()
     slot = _interleave_slots(filt.event_access, offsets)
     columns: dict[str, np.ndarray] = {}
     for name in ("event_addr", "event_is_read", "event_access"):

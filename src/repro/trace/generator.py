@@ -65,15 +65,16 @@ class GeneratedTrace:
 
     def concatenated(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten the per-core streams for the batched timing engine.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Flatten the per-core streams for the batched private filter.
 
-        Returns ``(core_ids, addrs, writes, gaps, offsets)``: parallel
-        arrays over all accesses in core-major order (core 0's whole
-        stream, then core 1's, ...), plus the per-core start offsets
+        Returns ``(core_ids, addrs, writes, offsets)``: parallel arrays
+        over all accesses in core-major order (core 0's whole stream,
+        then core 1's, ...), plus the per-core start offsets
         (``offsets[c]:offsets[c+1]`` slices core ``c``).  Addresses are
         widened to int64 so downstream shift/compare arithmetic is
-        signed and overflow-free; gaps keep the trace's own dtype.
+        signed and overflow-free.  :meth:`gaps` gives the gap column in
+        the same order.
         """
         lengths = np.array([len(t) for t in self.cores], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(lengths)))
@@ -81,13 +82,21 @@ class GeneratedTrace:
         core_ids = np.repeat(np.arange(len(self.cores), dtype=np.int64), lengths)
         addrs = np.empty(n, dtype=np.int64)
         writes = np.empty(n, dtype=bool)
-        gaps = np.empty(n, dtype=TRACE_DTYPE["gap"])
         for c, t in enumerate(self.cores):
             sl = slice(int(offsets[c]), int(offsets[c + 1]))
             addrs[sl] = t["addr"].astype(np.int64)
             writes[sl] = t["write"]
-            gaps[sl] = t["gap"]
-        return core_ids, addrs, writes, gaps, offsets
+        return core_ids, addrs, writes, offsets
+
+    def gaps(self) -> np.ndarray:
+        """Every access's ``gap``, in :meth:`concatenated`'s order and
+        the trace's own dtype."""
+        gaps = np.empty(self.total_accesses, dtype=TRACE_DTYPE["gap"])
+        start = 0
+        for t in self.cores:
+            gaps[start:start + len(t)] = t["gap"]
+            start += len(t)
+        return gaps
 
 
 def _phase_addresses(

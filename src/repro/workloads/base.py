@@ -5,8 +5,10 @@ A workload owns two views of itself:
 * a *functional* view — :meth:`Workload.allocate` +
   :meth:`Workload.execute` run the real computation on numpy arrays
   registered with an :class:`~repro.approx.ApproxMemory`, calling
-  ``mem.sync()`` wherever data streams through main memory.  This view
-  produces the output error (Table 3) and compression ratios (Table 4).
+  ``mem.sync()`` wherever data streams through main memory, and
+  :meth:`Workload.output` reads the result from the settled regions.
+  This view produces the output error (Table 3) and compression ratios
+  (Table 4).
 * a *timing* view — :meth:`Workload.trace_spec` describes the memory
   access pattern (which regions are swept, how often, with how much
   compute in between) that the trace generator turns into the address
@@ -21,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..approx.approximators import Approximator
 from ..approx.memory import ApproxMemory, approximator_for
 from ..common.types import ErrorThresholds
 from ..compression.errors import mean_relative_error
@@ -110,7 +113,15 @@ class WorkloadResult:
 
 
 class Workload(abc.ABC):
-    """Base class for the seven paper applications."""
+    """Base class for the seven paper applications.
+
+    A subclass supplies :meth:`allocate`, :meth:`execute` (the kernel,
+    returning its iteration count), :meth:`output` (the result, read
+    from the settled regions) and :meth:`trace_spec`.  :meth:`run`
+    drives one functional run and is the only caller of
+    ``mem.settle()``.  :meth:`derive` rebuilds a run from the baseline
+    run where the design approximates only write-only data.
+    """
 
     #: short name used in tables/figures (matches the paper)
     name: str = "abstract"
@@ -156,12 +167,22 @@ class Workload(abc.ABC):
         """Allocate and initialize all regions."""
 
     @abc.abstractmethod
-    def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
-        """Run the computation; returns (output, iterations executed).
+    def execute(self, mem: ApproxMemory) -> int:
+        """Run the computation; returns the iterations executed.
 
         Implementations call ``mem.sync()`` at every point their data
-        would round-trip through main memory, and ``mem.settle()``
-        before reading a ``write_only`` region for the output.
+        would round-trip through main memory.  They never call
+        ``mem.settle()`` and leave the output in the regions:
+        :meth:`run` settles the memory and then reads it with
+        :meth:`output`.
+        """
+
+    @abc.abstractmethod
+    def output(self, mem: ApproxMemory) -> np.ndarray:
+        """The run's output, read from ``mem``'s settled regions.
+
+        A function of the final region contents alone, so a run whose
+        final memory is known (:meth:`derive`) needs no kernel.
         """
 
     def approx_regions_for(self, design: "DesignSpec") -> tuple[str, ...] | None:
@@ -190,26 +211,77 @@ class Workload(abc.ABC):
         :meth:`repro.designs.DesignSpec.resolve_thresholds`);
         Doppelgänger's similarity threshold is the workload's
         ``dganger_threshold``.
+
+        The steps: allocate, mark (:meth:`approx_regions_for`),
+        :meth:`execute`, ``mem.settle()``, :meth:`output`.  This is
+        the one place a run settles its memory: the write-only regions
+        are approximated here, once, in their final state.
         """
         from ..designs import get_design
 
         design = get_design(design)
-        approximator = approximator_for(
-            design,
-            design.resolve_thresholds(thresholds, self.default_thresholds),
-            self.dganger_threshold,
-        )
-        mem = ApproxMemory(approximator)
+        mem = ApproxMemory(self._approximator(design, thresholds))
         self.allocate(mem)
         marked = self.approx_regions_for(design)
         if marked is not None:
             for name, region in mem.regions.items():
                 region.approx = name in marked
-        output, iterations = self.execute(mem)
-        # Write-only regions a kernel does not read for its output are
-        # approximated here, so the result holds their final state.
+        iterations = self.execute(mem)
         mem.settle()
-        return WorkloadResult(output=output, memory=mem, iterations=iterations)
+        return WorkloadResult(
+            output=self.output(mem), memory=mem, iterations=iterations
+        )
+
+    def derive(
+        self,
+        design: "DesignLike",
+        reference: WorkloadResult,
+        thresholds: ErrorThresholds | None = None,
+    ) -> WorkloadResult | None:
+        """:meth:`run` under ``design`` from the baseline run, without the kernel.
+
+        ``reference`` is this workload's run under the baseline design,
+        and is left unchanged.  The approximation reaches a kernel only
+        through the values it reads back, and a ``write_only`` region
+        is read only for the output.  So when ``design`` marks the
+        regions the reference marked (:meth:`approx_regions_for`) and
+        every marked region is write-only, the run under ``design``
+        computes the reference's trajectory, and only its final
+        ``settle()`` differs.  The result is then the reference's final
+        memory under the design's approximator (built as :meth:`run`
+        builds it, ``thresholds`` included), with every synced marked
+        region approximated once, and its :meth:`output`: bit for bit
+        what :meth:`run` returns.  Otherwise ``None``: the design
+        approximates data the kernel reads, so it needs its own run.
+        """
+        from ..designs import BASELINE, get_design
+
+        design = get_design(design)
+        regions = reference.memory.regions
+        approx = {name for name, region in regions.items() if region.approx}
+        marked = self.approx_regions_for(design)
+        if marked is None:
+            # Both keep the allocation's flags, unless the baseline
+            # re-marked them.
+            unchanged = self.approx_regions_for(BASELINE) is None
+        else:
+            unchanged = approx == set(marked) & regions.keys()
+        if not unchanged or not all(regions[name].write_only for name in approx):
+            return None
+        mem = reference.memory.resettled(self._approximator(design, thresholds))
+        return WorkloadResult(
+            output=self.output(mem), memory=mem, iterations=reference.iterations
+        )
+
+    def _approximator(
+        self, design: "DesignSpec", thresholds: ErrorThresholds | None
+    ) -> Approximator:
+        """The approximator a run under ``design`` applies to marked data."""
+        return approximator_for(
+            design,
+            design.resolve_thresholds(thresholds, self.default_thresholds),
+            self.dganger_threshold,
+        )
 
     def output_error(self, result: WorkloadResult, reference: WorkloadResult) -> float:
         """Paper's quality metric: mean relative error of output values."""

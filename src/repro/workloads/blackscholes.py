@@ -74,7 +74,7 @@ class BlackScholesWorkload(Workload):
         mem.alloc("call_price", (n,), approx=True, write_only=True)
         mem.alloc("put_price", (n,), approx=True, write_only=True)
 
-    def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
+    def execute(self, mem: ApproxMemory) -> int:
         spot = mem.region("spot").array
         strike = mem.region("strike").array
         vol = mem.region("volatility").array
@@ -98,8 +98,12 @@ class BlackScholesWorkload(Workload):
             # The freshly written prices stream back to memory too.
             mem.sync(["call_price", "put_price"])
 
-        mem.settle()
-        return np.concatenate([call, put]), self.passes
+        return self.passes
+
+    def output(self, mem: ApproxMemory) -> np.ndarray:
+        return np.concatenate([
+            mem.region("call_price").array, mem.region("put_price").array
+        ])
 
     def trace_spec(self) -> TraceSpec:
         # Streaming read of 4 input arrays + write of 2 outputs, with a

@@ -78,7 +78,7 @@ class KMeansWorkload(Workload):
         mem.alloc("centroids", (self.k,), approx=False)
         mem.alloc("assign_counts", (self.k,), approx=False)
 
-    def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
+    def execute(self, mem: ApproxMemory) -> int:
         points = mem.region("points").array
         centroids_arr = mem.region("centroids").array
 
@@ -115,7 +115,10 @@ class KMeansWorkload(Workload):
             prev_sse = sse
 
         centroids_arr[:] = np.sort(centroids).astype(np.float32)
-        return centroids_arr.copy(), iterations
+        return iterations
+
+    def output(self, mem: ApproxMemory) -> np.ndarray:
+        return mem.region("centroids").array.copy()
 
     def trace_spec(self) -> TraceSpec:
         # Per iteration: stream-read every point; centroid accumulators

@@ -58,7 +58,7 @@ class OrbitWorkload(Workload):
         mem.alloc("angmom_log", (6, self.steps), approx=False)
         mem.alloc("work", (4, self.steps), approx=False)
 
-    def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
+    def execute(self, mem: ApproxMemory) -> int:
         pos_h = mem.region("pos_history").array
         vel_h = mem.region("vel_history").array
         energy = mem.region("energy_log").array
@@ -141,8 +141,13 @@ class OrbitWorkload(Workload):
                 # The filled chunk streams out to main memory.
                 mem.sync(["pos_history", "vel_history"])
 
-        output = np.concatenate([pos_h.ravel(), vel_h.ravel()])
-        return output, self.steps
+        return self.steps
+
+    def output(self, mem: ApproxMemory) -> np.ndarray:
+        return np.concatenate([
+            mem.region("pos_history").array.ravel(),
+            mem.region("vel_history").array.ravel(),
+        ])
 
     def trace_spec(self) -> TraceSpec:
         # History logging is a pure streaming-write pattern; the exact

@@ -70,7 +70,7 @@ class WrfWorkload(Workload):
         mem.alloc("geopotential", shape, approx=False,
                   init=(9.81 * 1000.0 * altitude * np.ones(shape)).astype(np.float32))
 
-    def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
+    def execute(self, mem: ApproxMemory) -> int:
         temp = mem.region("temperature").array
         wind_u = mem.region("wind_u").array
         wind_v = mem.region("wind_v").array
@@ -98,7 +98,10 @@ class WrfWorkload(Workload):
             # The temperature field streams through memory every step.
             mem.sync(["temperature"])
 
-        return temp.copy(), self.steps
+        return self.steps
+
+    def output(self, mem: ApproxMemory) -> np.ndarray:
+        return mem.region("temperature").array.copy()
 
     def trace_spec(self) -> TraceSpec:
         return TraceSpec(

@@ -94,8 +94,11 @@ its workload's ``execute`` replaced, called as ``f(workload, mem)``
 * :func:`lbm_execute_reference` — the same D3Q19 loop with 18 rolls,
   the oracle of :meth:`repro.workloads.lbm.LbmWorkload.execute`.
 
-These loops read lattice's ``macro`` and lbm's ``velocity`` for their
-output without settling them, so they run under the eager memory:
+Each loop returns the iteration count and leaves the output in the
+regions, as ``execute`` does; :meth:`repro.workloads.base.Workload.run`
+reads it with the workload's ``output``.  The loops run under the eager
+memory, so the comparison also covers the deferred write-only round
+trip:
 
 * :class:`EagerApproxMemory` — :meth:`repro.approx.ApproxMemory.sync`
   approximating every approximable region at every sync, ``write_only``
@@ -1271,7 +1274,8 @@ def compute_front_end_reference(
     chunk key.
     """
     num_cores = len(trace.cores)
-    core_ids, addrs, writes, gaps, offsets = trace.concatenated()
+    core_ids, addrs, writes, offsets = trace.concatenated()
+    gaps = np.concatenate([t["gap"] for t in trace.cores])
     n = int(addrs.size)
     l1_sets, l2_sets = config.l1.num_sets, config.l2.num_sets
     l1_shift = config.l1.line_bytes.bit_length() - 1
@@ -2029,7 +2033,7 @@ class EagerApproxMemory(ApproxMemory):
 
 def orbit_execute_reference(
     workload: orbit_kernel.OrbitWorkload, mem: ApproxMemory
-) -> tuple[np.ndarray, int]:
+) -> int:
     """:meth:`OrbitWorkload.execute` as a per-step loop on numpy arrays."""
     G, M1, M2 = orbit_kernel.G, orbit_kernel.M1, orbit_kernel.M2
     pos_h = mem.region("pos_history").array
@@ -2068,13 +2072,12 @@ def orbit_execute_reference(
         if (step + 1) % workload.CHUNK == 0:
             mem.sync(["pos_history", "vel_history"])
 
-    output = np.concatenate([pos_h.ravel(), vel_h.ravel()])
-    return output, workload.steps
+    return workload.steps
 
 
 def lattice_execute_reference(
     workload: lattice_kernel.LatticeWorkload, mem: ApproxMemory
-) -> tuple[np.ndarray, int]:
+) -> int:
     """:meth:`LatticeWorkload.execute` with a fresh array per operation."""
     ex, ey, opposite = lattice_kernel._EX, lattice_kernel._EY, lattice_kernel._OPPOSITE
     equilibrium = lattice_kernel.equilibrium
@@ -2108,14 +2111,12 @@ def lattice_execute_reference(
         macro[0], macro[1], macro[2] = rho, ux, uy
         mem.sync(["f", "macro"])
 
-    speed = np.sqrt(macro[1] ** 2 + macro[2] ** 2)
-    pressure = macro[0] / 3.0
-    return np.stack([speed, pressure]), workload.steps
+    return workload.steps
 
 
 def lbm_execute_reference(
     workload: lbm_kernel.LbmWorkload, mem: ApproxMemory
-) -> tuple[np.ndarray, int]:
+) -> int:
     """:meth:`LbmWorkload.execute` with a fresh array per operation."""
     e, opposite = lbm_kernel._E, lbm_kernel._OPPOSITE
     equilibrium_3d = lbm_kernel.equilibrium_3d
@@ -2147,8 +2148,7 @@ def lbm_execute_reference(
         velocity[...] = u
         mem.sync(["f", "velocity"])
 
-    speed = np.sqrt((velocity.astype(np.float64) ** 2).sum(axis=0))
-    return speed.astype(np.float32), workload.steps
+    return workload.steps
 
 
 # ======================================================================

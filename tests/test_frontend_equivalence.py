@@ -142,8 +142,10 @@ def streaming_trace(cores: int, per_core: int) -> GeneratedTrace:
 def test_front_end_transient_memory_per_access():
     """Guard the front end's transient peak on streaming traffic: events
     are written to their positions and placed by counting, with no
-    ``(n, 3)`` staging or sort, so the peak stays at or below 160 bytes
-    per access (135 measured; the staged, sorted pipeline took 220)."""
+    ``(n, 3)`` staging or sort, and the gap column is gathered after the
+    private filter, so the peak stays at or below 156 bytes per access
+    (135.1 measured; 139.1 with the gaps held through the filter, and
+    the staged, sorted pipeline took 220)."""
     trace = streaming_trace(4, 50_000)
     n = trace.total_accesses
     config = SystemConfig.scaled(num_cores=4)
@@ -154,4 +156,4 @@ def test_front_end_transient_memory_per_access():
     finally:
         tracemalloc.stop()
     assert not front_end.l1_hit.any() and front_end.needs_llc.all()
-    assert peak / n <= 160, f"{peak / n:.1f} B/access"
+    assert peak / n <= 156, f"{peak / n:.1f} B/access"

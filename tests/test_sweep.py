@@ -1,7 +1,13 @@
 """Tests for the parallel sweep engine and its on-disk result cache."""
 
+import gc
+import pickle
+import weakref
+from contextlib import nullcontext
 from copy import deepcopy
 from dataclasses import replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given
@@ -19,6 +25,7 @@ from repro.harness.cache import ResultCache, _canonical, content_key
 from repro.harness.report import sweep_stats_to_mapping
 from repro.harness.scenario import (
     ScenarioPoint,
+    build_scenario_context,
     scenario_timing_key,
     scenario_trace_key,
 )
@@ -27,11 +34,14 @@ from repro.harness.sweep import (
     SweepPoint,
     SweepSpec,
     functional_job_key,
+    run_functional_job,
     run_sweep,
     timing_job_key,
 )
-from repro.scenario import get_scenario
+from repro.scenario import Scenario, get_scenario
+from repro.system.frontend import TimingFrontEnd
 from repro.system.simulator import SimResult
+from repro.trace.store import FrontEndHandle, TraceStore
 
 # Small machine + small workload so full sweeps stay test-sized.
 CONFIG = SystemConfig(
@@ -310,6 +320,79 @@ class TestSharedFrontEnd:
         assert filter_calls == []
         assert warm.stats.frontends_mapped == 0
         assert warm.stats.frontends_computed == 0
+
+    def test_in_process_jobs_replay_the_looked_up_front_end(
+        self, tmp_path, monkeypatch
+    ):
+        """Serial timing jobs replay the front end the store lookup
+        mapped or computed: one lookup per point, cold and on a warm
+        store."""
+        gets = []
+        original = TraceStore.get
+
+        def counting(self, key):
+            gets.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(TraceStore, "get", counting)
+        spec = replace(SPEC, designs=(BASELINE, AVR, TRUNCATE))
+        cold = run_sweep(spec, cache_dir=tmp_path)
+        assert cold.stats.timing_executed == 3 and len(gets) == 1
+        assert cold.stats.frontends_computed == 1
+        ResultCache(tmp_path).gc(max_bytes=0)  # the trace store stays
+        gets.clear()
+        warm_store = run_sweep(spec, cache_dir=tmp_path)
+        assert warm_store.stats.timing_executed == 3 and len(gets) == 1
+        assert warm_store.stats.frontends_mapped == 1
+
+    def test_the_sweep_holds_one_front_end_at_a_time(self, tmp_path, monkeypatch):
+        """A point's front end is released once its last replay is
+        submitted: when the next point's first replay runs, the earlier
+        front end is gone."""
+        seen = []
+        original = repro.harness.sweep.run_timing_job
+
+        def tracking(design, config, layout, front_end, *args):
+            gc.collect()
+            assert isinstance(front_end, TimingFrontEnd)
+            assert all(ref() in (None, front_end) for ref in seen)
+            if not any(ref() is front_end for ref in seen):
+                seen.append(weakref.ref(front_end))
+            return original(design, config, layout, front_end, *args)
+
+        monkeypatch.setattr(repro.harness.sweep, "run_timing_job", tracking)
+        spec = replace(SPEC, scales=(0.15, 0.2), designs=(BASELINE, AVR))
+        assert run_sweep(spec, cache_dir=tmp_path).stats.timing_executed == 4
+        assert len(seen) == 2
+
+    def test_workers_get_a_handle_and_in_process_jobs_the_front_end(
+        self, tmp_path
+    ):
+        point = SPEC.points()[0]
+        solo = ScenarioPoint(
+            scenario=Scenario.solo(
+                point.workload,
+                cores=CONFIG.num_cores,
+                scale=point.scale,
+                workload_kwargs=point.workload_kwargs,
+            ),
+            max_accesses_per_core=point.max_accesses_per_core,
+        )
+        context = build_scenario_context(
+            solo,
+            CONFIG,
+            run_functional_job,
+            designs=(BASELINE, AVR),
+            store=TraceStore(tmp_path),
+        )
+        handle = context.front_end_payload(nullcontext, in_process=False)
+        assert isinstance(handle, FrontEndHandle)
+        assert len(pickle.dumps(handle)) < 512
+        context.release_front_end()
+        front_end = context.front_end_payload(nullcontext, in_process=True)
+        assert isinstance(front_end, TimingFrontEnd)
+        for name, column in front_end.columns().items():
+            assert np.array_equal(column, handle.load().columns()[name]), name
 
     def test_without_a_store_jobs_share_the_in_memory_front_end(
         self, filter_calls

@@ -111,12 +111,14 @@ class WritesEveryStep(Workload):
         state = mem.region("state").array
         state[:] = mem.region("input").array * np.float32(1.0 + 0.37 * i)
 
-    def execute(self, mem: ApproxMemory) -> tuple[np.ndarray, int]:
+    def execute(self, mem: ApproxMemory) -> int:
         for i in range(self.steps):
             self.step(mem, i)
             mem.sync(["state"])
-        mem.settle()
-        return mem.region("state").array.copy(), self.steps
+        return self.steps
+
+    def output(self, mem: ApproxMemory) -> np.ndarray:
+        return mem.region("state").array.copy()
 
     def trace_spec(self) -> TraceSpec:
         return TraceSpec(iterations=self.steps, phases=(Phase("state", writes=True),))

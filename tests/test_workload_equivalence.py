@@ -8,10 +8,16 @@ keeps the per-step numpy loops they replaced.  Each case runs one
 workload under one design through :meth:`Workload.run` twice: the
 package kernel under the package's :class:`ApproxMemory`, and the
 oracle loop under ``oracles.EagerApproxMemory``, which approximates
-every approximable region at every sync.  The loops read lattice's
-``macro`` and lbm's ``velocity`` for their output without settling
-them, so they need the eager memory; the package defers those
-``write_only`` regions to ``mem.settle()``.
+every approximable region at every sync.  Kernel and oracle alike
+return the iteration count and leave the output in the regions;
+:meth:`Workload.run` settles the memory and reads the output with
+:meth:`Workload.output`.  Under the package memory, ``settle()``
+approximates lattice's ``macro`` and lbm's ``velocity`` (the
+``write_only`` regions) once, at the end; under the eager memory every
+sync did, and nothing is left for ``settle()``.  So the comparison
+covers the kernels and the deferral together.  The direct run pinned
+here is what ``tests/test_derived_runs.py`` compares each derived
+result with.
 
 The runs are compared as bit patterns.  At each ``mem.sync``: every
 synced region before the sync; after it, every region the kernel reads
@@ -44,7 +50,7 @@ from repro.approx.memory import ApproxMemory
 from repro.workloads import base, make_workload
 from repro.workloads.base import Workload
 
-REFERENCES: dict[str, Callable[..., tuple[np.ndarray, int]]] = {
+REFERENCES: dict[str, Callable[..., int]] = {
     "orbit": orbit_execute_reference,
     "lattice": lattice_execute_reference,
     "lbm": lbm_execute_reference,
@@ -77,7 +83,7 @@ def _run(
     monkeypatch: pytest.MonkeyPatch,
     workload: Workload,
     design: str,
-    execute: Callable[..., tuple[np.ndarray, int]] | None = None,
+    execute: Callable[..., int] | None = None,
 ) -> dict[str, Any]:
     """Everything one run stores, with the state around each sync.
 
