@@ -107,13 +107,14 @@ from .compression import AVRCompressor
 # regions; ``Workload.run`` is the one place that settles.
 # ``Workload.derive`` and ``ApproxMemory.resettled`` build a design's
 # run from the baseline run when the design approximates only
-# write-only data, and ``run_functional_job`` takes the point's
-# reference to do so.  ``GeneratedTrace.concatenated`` no longer returns
-# the gap column (``GeneratedTrace.gaps`` does).  Timing jobs of an
-# in-process executor (``JobExecutor.in_process``) carry the front end
-# itself, and a sweep releases each point's front end after its last
-# replay (``ScenarioContext.release_front_end``).  Simulation results
-# and keys are unchanged.
+# write-only data (``Workload.derivable``), and ``run_functional_job``
+# takes the point's reference to do so.  ``GeneratedTrace.concatenated``
+# no longer returns the gap column (``GeneratedTrace.gaps`` does).
+# Timing jobs of an in-process executor (``JobExecutor.in_process``)
+# carry the front end itself; ``ScenarioContext.front_end_payload``
+# takes ``in_process`` and maps or computes the front end on every
+# call, and the sweep calls it once per point.  Simulation results and
+# keys are unchanged.
 __version__ = "1.17.0"
 
 #: The version of the simulated model, folded into every result-cache

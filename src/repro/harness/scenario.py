@@ -189,9 +189,6 @@ class ScenarioContext:
     #: memory-mapped store consulted for the point's front end before
     #: computing it (None = always compute in-process)
     store: TraceStore | None = field(default=None, repr=False)
-    _front_end: TimingFrontEnd | FrontEndHandle | None = field(
-        default=None, repr=False
-    )
 
     @property
     def num_cores(self) -> int:
@@ -233,48 +230,33 @@ class ScenarioContext:
         claim: Callable[[str], AbstractContextManager[None]],
         in_process: bool,
     ) -> TimingFrontEnd | FrontEndHandle:
-        """What a timing job should carry as its front-end argument.
+        """What the point's timing jobs should carry as their front end.
 
         The composed trace's :class:`~repro.system.frontend.TimingFrontEnd`
-        is computed once per point, the first time a timing job needs
-        it, and every design and instance subset replays from it.  With
-        a store, a warm run maps the committed entry and a cold run
-        commits it under :func:`~repro.trace.store.front_end_key`.
-        Jobs that run in this process (``in_process``) and jobs of a
-        run without a store carry the front end itself; jobs bound for
-        worker processes carry a :class:`~repro.trace.store.FrontEndHandle`,
-        and the worker maps the shared payload file.  ``claim`` is the
-        executor's :meth:`~repro.harness.sweep.JobExecutor.claim`: a
-        daemon session that needs a front end another session is
-        computing waits for it and maps it.
+        serves every design and instance subset of the point; the sweep
+        calls this once per point and hands the payload to each of its
+        replays.  With a store, a warm run maps the committed entry and
+        a cold run commits it under
+        :func:`~repro.trace.store.front_end_key`.  Jobs that run in this
+        process (``in_process``) and jobs of a run without a store carry
+        the front end itself; jobs bound for worker processes carry a
+        :class:`~repro.trace.store.FrontEndHandle`, and the worker maps
+        the shared payload file.  ``claim`` is the executor's
+        :meth:`~repro.harness.sweep.JobExecutor.claim`: a daemon session
+        that needs a front end another session is computing waits for it
+        and maps it.
         """
-        if self._front_end is None:
-            if self.store is None:
-                self._front_end = compute_front_end(self.trace(), self.config)
-            else:
-                key = front_end_key(
-                    scenario_trace_key(self.point, self.num_cores), self.config
-                )
-                with claim(key):
-                    front_end = self.store.get(key)
-                    if front_end is None:
-                        front_end = compute_front_end(self.trace(), self.config)
-                        self.store.put(key, front_end)
-                self._front_end = (
-                    front_end
-                    if in_process
-                    else FrontEndHandle(root=str(self.store.root), key=key)
-                )
-        return self._front_end
-
-    def release_front_end(self) -> None:
-        """Drop the front end :meth:`front_end_payload` holds.
-
-        The sweep calls it once the point's last replay is submitted; a
-        later call of :meth:`front_end_payload` would map or compute it
-        again.
-        """
-        self._front_end = None
+        if self.store is None:
+            return compute_front_end(self.trace(), self.config)
+        key = front_end_key(scenario_trace_key(self.point, self.num_cores), self.config)
+        with claim(key):
+            front_end = self.store.get(key)
+            if front_end is None:
+                front_end = compute_front_end(self.trace(), self.config)
+                self.store.put(key, front_end)
+        if in_process:
+            return front_end
+        return FrontEndHandle(root=str(self.store.root), key=key)
 
     def active_cores(self, active: tuple[int, ...]) -> tuple[int, ...] | None:
         """Cores a replay of instance subset ``active`` keeps populated.

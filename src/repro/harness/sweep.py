@@ -245,7 +245,8 @@ def run_functional_job(
     sweeps share one cached reference run.
 
     ``reference`` is the point's baseline result, when the caller holds
-    it.  Where the design approximates only write-only data, the result
+    it (:func:`run_sweep` hands it only to the units that derive).
+    Where the design approximates only write-only data, the result
     is derived from it (:meth:`~repro.workloads.base.Workload.derive`)
     without running the kernel; otherwise the kernel runs.  The result,
     and so the unit's cache key, is the same either way, and
@@ -562,15 +563,18 @@ def _run_functional_jobs(
 ) -> tuple[dict[str, WorkloadResult], int]:
     """Run the functional units ``{key: (point, design)}``, cache first.
 
-    Every point's baseline (reference) unit must be among ``units``.
-    All keys are resolved in **one** batched cache pass
-    (:meth:`~repro.harness.cache.ResultCache.get_many`).  The missing
-    reference units run first.  Every other missing unit then runs
-    with its point's reference, so a design that approximates only
-    write-only data derives its result instead of running the kernel
-    (:func:`run_functional_job`).  Returns the results by key and the
-    number of units launched (neither served from the cache nor joined
-    in flight).
+    Every point's baseline (reference) unit must be among ``units``,
+    under :func:`functional_job_key`: points that differ only in their
+    thresholds share it.  All keys are resolved in **one** batched
+    cache pass (:meth:`~repro.harness.cache.ResultCache.get_many`).
+    The missing reference units run first.  Every other missing unit
+    then runs, and the parent hands it its point's reference only where
+    the design approximates only write-only data
+    (:meth:`~repro.workloads.base.Workload.derivable`), so that unit
+    derives its result instead of running the kernel
+    (:func:`run_functional_job`) and no other unit is shipped the
+    reference.  Returns the results by key and the number of units
+    launched (neither served from the cache nor joined in flight).
     """
     results: dict[str, WorkloadResult] = {}
     if cache is not None:
@@ -578,23 +582,25 @@ def _run_functional_jobs(
         if stats is not None:
             stats.cache_hits += len(results)
             stats.cache_misses += len(units) - len(results)
-    reference_keys = {
-        point: key for key, (point, design) in units.items() if design == BASELINE
-    }
+    missing = {key: unit for key, unit in units.items() if key not in results}
     references = {
-        key: (run_functional_job, point, BASELINE)
-        for point, key in reference_keys.items()
-        if key not in results
+        key: (run_functional_job, point, design)
+        for key, (point, design) in missing.items()
+        if design == BASELINE
     }
     executed, launched = _execute_jobs(
         pool, cache, references.items(), stats, on_unit_done
     )
     results.update(executed)
-    others = {
-        key: (run_functional_job, point, design, results[reference_keys[point]])
-        for key, (point, design) in units.items()
-        if key not in results
-    }
+    others: dict[str, tuple] = {}
+    for key, (point, design) in missing.items():
+        if design == BASELINE:
+            continue
+        reference = results[functional_job_key(point, BASELINE)]
+        derives = point.make().derivable(design, reference)
+        others[key] = (
+            run_functional_job, point, design, reference if derives else None
+        )
     executed, launched_others = _execute_jobs(
         pool, cache, others.items(), stats, on_unit_done
     )
@@ -782,29 +788,28 @@ def run_sweep(
 
         def timing_jobs() -> Iterator[tuple[str, tuple]]:
             # A point's replays are contiguous: its front end is built
-            # (or mapped) for the first and released after the last is
-            # submitted, so the sweep holds one front end at a time.
+            # (or mapped) for the first and dropped when the next point's
+            # replaces it, so the sweep holds one front end at a time.
             held: ScenarioContext | None = None
             for key, descriptor in descriptors.items():
                 if key in timing:
                     continue
                 context, design, active, footprint, dedup = descriptor
                 if context is not held:
-                    if held is not None:
-                        held.release_front_end()
                     held = context
+                    front_end = context.front_end_payload(
+                        pool.claim, pool.in_process
+                    )
                 yield key, (
                     run_timing_job,
                     design,
                     config,
                     context.layout_for(design),
-                    context.front_end_payload(pool.claim, pool.in_process),
+                    front_end,
                     None if active is None else context.active_cores(active),
                     footprint,
                     dedup,
                 )
-            if held is not None:
-                held.release_front_end()
 
         timing_results, launched = _execute_jobs(
             pool, cache, timing_jobs(), stats, on_unit_done

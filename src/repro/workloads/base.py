@@ -120,7 +120,8 @@ class Workload(abc.ABC):
     from the settled regions) and :meth:`trace_spec`.  :meth:`run`
     drives one functional run and is the only caller of
     ``mem.settle()``.  :meth:`derive` rebuilds a run from the baseline
-    run where the design approximates only write-only data.
+    run where the design approximates only write-only data
+    (:meth:`derivable`).
     """
 
     #: short name used in tables/figures (matches the paper)
@@ -232,6 +233,32 @@ class Workload(abc.ABC):
             output=self.output(mem), memory=mem, iterations=iterations
         )
 
+    def derivable(self, design: "DesignLike", reference: WorkloadResult) -> bool:
+        """Whether :meth:`derive` can rebuild the run under ``design``.
+
+        ``reference`` is this workload's run under the baseline design.
+        The approximation reaches a kernel only through the values it
+        reads back, and a ``write_only`` region is read only for the
+        output.  So when ``design`` marks the regions the reference
+        marked (:meth:`approx_regions_for`) and every marked region is
+        write-only, the run under ``design`` computes the reference's
+        trajectory, and only its final ``settle()`` differs.  Otherwise
+        the design approximates data the kernel reads, and it needs its
+        own run.
+        """
+        from ..designs import BASELINE, get_design
+
+        regions = reference.memory.regions
+        approx = {name for name, region in regions.items() if region.approx}
+        marked = self.approx_regions_for(get_design(design))
+        if marked is None:
+            # Both keep the allocation's flags, unless the baseline
+            # re-marked them.
+            unchanged = self.approx_regions_for(BASELINE) is None
+        else:
+            unchanged = approx == set(marked) & regions.keys()
+        return unchanged and all(regions[name].write_only for name in approx)
+
     def derive(
         self,
         design: "DesignLike",
@@ -241,32 +268,17 @@ class Workload(abc.ABC):
         """:meth:`run` under ``design`` from the baseline run, without the kernel.
 
         ``reference`` is this workload's run under the baseline design,
-        and is left unchanged.  The approximation reaches a kernel only
-        through the values it reads back, and a ``write_only`` region
-        is read only for the output.  So when ``design`` marks the
-        regions the reference marked (:meth:`approx_regions_for`) and
-        every marked region is write-only, the run under ``design``
-        computes the reference's trajectory, and only its final
-        ``settle()`` differs.  The result is then the reference's final
-        memory under the design's approximator (built as :meth:`run`
-        builds it, ``thresholds`` included), with every synced marked
-        region approximated once, and its :meth:`output`: bit for bit
-        what :meth:`run` returns.  Otherwise ``None``: the design
-        approximates data the kernel reads, so it needs its own run.
+        and is left unchanged.  Where :meth:`derivable` holds, the
+        result is the reference's final memory under the design's
+        approximator (built as :meth:`run` builds it, ``thresholds``
+        included), with every synced marked region approximated once,
+        and its :meth:`output`: bit for bit what :meth:`run` returns.
+        Otherwise ``None``.
         """
-        from ..designs import BASELINE, get_design
+        from ..designs import get_design
 
         design = get_design(design)
-        regions = reference.memory.regions
-        approx = {name for name, region in regions.items() if region.approx}
-        marked = self.approx_regions_for(design)
-        if marked is None:
-            # Both keep the allocation's flags, unless the baseline
-            # re-marked them.
-            unchanged = self.approx_regions_for(BASELINE) is None
-        else:
-            unchanged = approx == set(marked) & regions.keys()
-        if not unchanged or not all(regions[name].write_only for name in approx):
+        if not self.derivable(design, reference):
             return None
         mem = reference.memory.resettled(self._approximator(design, thresholds))
         return WorkloadResult(

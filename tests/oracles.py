@@ -95,10 +95,12 @@ its workload's ``execute`` replaced, called as ``f(workload, mem)``
   the oracle of :meth:`repro.workloads.lbm.LbmWorkload.execute`.
 
 Each loop returns the iteration count and leaves the output in the
-regions, as ``execute`` does; :meth:`repro.workloads.base.Workload.run`
-reads it with the workload's ``output``.  The loops run under the eager
-memory, so the comparison also covers the deferred write-only round
-trip:
+regions, as ``execute`` does.  :func:`orbit_output_reference`,
+:func:`lattice_output_reference` and :func:`lbm_output_reference` read
+it back, the oracles of each workload's ``output``, which
+:meth:`repro.workloads.base.Workload.run` calls once the memory is
+settled.  The loops run under the eager memory, so the comparison also
+covers the deferred write-only round trip:
 
 * :class:`EagerApproxMemory` — :meth:`repro.approx.ApproxMemory.sync`
   approximating every approximable region at every sync, ``write_only``
@@ -2075,6 +2077,15 @@ def orbit_execute_reference(
     return workload.steps
 
 
+def orbit_output_reference(
+    workload: orbit_kernel.OrbitWorkload, mem: ApproxMemory
+) -> np.ndarray:
+    """:meth:`OrbitWorkload.output`: both histories, flattened."""
+    pos_h = mem.region("pos_history").array
+    vel_h = mem.region("vel_history").array
+    return np.concatenate([pos_h.ravel(), vel_h.ravel()])
+
+
 def lattice_execute_reference(
     workload: lattice_kernel.LatticeWorkload, mem: ApproxMemory
 ) -> int:
@@ -2114,6 +2125,16 @@ def lattice_execute_reference(
     return workload.steps
 
 
+def lattice_output_reference(
+    workload: lattice_kernel.LatticeWorkload, mem: ApproxMemory
+) -> np.ndarray:
+    """:meth:`LatticeWorkload.output`: flow speed over pressure."""
+    macro = mem.region("macro").array
+    speed = np.sqrt(macro[1] ** 2 + macro[2] ** 2)
+    pressure = macro[0] / 3.0
+    return np.stack([speed, pressure])
+
+
 def lbm_execute_reference(
     workload: lbm_kernel.LbmWorkload, mem: ApproxMemory
 ) -> int:
@@ -2149,6 +2170,15 @@ def lbm_execute_reference(
         mem.sync(["f", "velocity"])
 
     return workload.steps
+
+
+def lbm_output_reference(
+    workload: lbm_kernel.LbmWorkload, mem: ApproxMemory
+) -> np.ndarray:
+    """:meth:`LbmWorkload.output`: the per-cell speed, summed in float64."""
+    velocity = mem.region("velocity").array
+    speed = np.sqrt((velocity.astype(np.float64) ** 2).sum(axis=0))
+    return speed.astype(np.float32)
 
 
 # ======================================================================

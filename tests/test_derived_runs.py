@@ -19,13 +19,16 @@ The cases here pin:
 - toy workloads outside the rule never derive;
 - ``run_sweep`` runs each point's kernel once where its designs allow,
   serially and over a pool, cold, from a cache holding only the
-  baselines, and warm.
+  baselines, and warm; it ships the reference only to the units that
+  derive, and points that differ only in their thresholds share one
+  baseline unit.
 """
 
 from __future__ import annotations
 
 import pickle
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,12 +40,14 @@ from repro.designs import BASELINE, PAPER_DESIGNS, list_designs
 from repro.harness.cache import ResultCache
 from repro.harness.report import evaluation_to_mapping
 from repro.harness.sweep import (
+    JobExecutor,
     SweepPoint,
     SweepSpec,
     functional_job_key,
     run_functional_job,
     run_sweep,
 )
+from repro.scenario import get_scenario
 from repro.workloads import WORKLOADS
 from repro.workloads.base import Phase, TraceSpec, Workload
 
@@ -247,3 +252,59 @@ class TestSweep:
         warm = run_sweep(SPEC, cache_dir=tmp_path)
         assert warm.stats.executed == 0
         assert not executions
+
+    def test_only_deriving_units_are_shipped_the_reference(self):
+        executor = _RecordingExecutor()
+        run_sweep(SPEC, executor=executor)
+        shipped = {
+            (args[0].workload, args[1].name): args[2] is not None
+            for fn, args in executor.submitted
+            if fn is run_functional_job and args[1] != BASELINE
+        }
+        assert shipped == {
+            ("lattice", "dganger"): True,
+            ("lattice", "truncate"): True,
+            ("lattice", "AVR"): True,
+            ("lbm", "dganger"): False,
+            ("lbm", "truncate"): True,
+            ("lbm", "AVR"): True,
+        }
+
+    def test_threshold_settings_share_one_baseline(self, tmp_path, executions):
+        """Points that differ only in their thresholds, solo and as a
+        mix's instances, share one baseline unit; each finds it."""
+        spec = replace(
+            SPEC,
+            workloads=("lattice",),
+            thresholds=(None, ErrorThresholds.from_t2(0.05)),
+            scenarios=(get_scenario("lattice@1+lbm@1"),),
+        )
+        serial = run_sweep(spec, jobs=1)
+        # One lattice baseline serves the solo and instance points of
+        # both settings; lbm's Doppelgänger runs once per setting.
+        assert executions == {"lattice": 1, "lbm": 3}
+        parallel = run_sweep(spec, jobs=2, cache_dir=tmp_path)
+        assert_same_evaluations(parallel, serial)
+        assert list(parallel.scenario_evaluations) == list(serial.scenario_evaluations)
+        for point, evaluation in serial.scenario_evaluations.items():
+            assert parallel.scenario_evaluations[point] == evaluation
+
+
+class _Done:
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+class _RecordingExecutor(JobExecutor):
+    """Runs each unit as it is submitted and records its arguments,
+    which a pool executor would pickle."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit_unit(self, key, fn, /, *args):
+        self.submitted.append((fn, args))
+        return _Done(fn(*args)), True

@@ -346,8 +346,8 @@ class TestSharedFrontEnd:
         assert warm_store.stats.frontends_mapped == 1
 
     def test_the_sweep_holds_one_front_end_at_a_time(self, tmp_path, monkeypatch):
-        """A point's front end is released once its last replay is
-        submitted: when the next point's first replay runs, the earlier
+        """A point's front end is dropped once the next point's is
+        built: when the next point's first replay runs, the earlier
         front end is gone."""
         seen = []
         original = repro.harness.sweep.run_timing_job
@@ -388,7 +388,6 @@ class TestSharedFrontEnd:
         handle = context.front_end_payload(nullcontext, in_process=False)
         assert isinstance(handle, FrontEndHandle)
         assert len(pickle.dumps(handle)) < 512
-        context.release_front_end()
         front_end = context.front_end_payload(nullcontext, in_process=True)
         assert isinstance(front_end, TimingFrontEnd)
         for name, column in front_end.columns().items():

@@ -11,7 +11,8 @@ oracle loop under ``oracles.EagerApproxMemory``, which approximates
 every approximable region at every sync.  Kernel and oracle alike
 return the iteration count and leave the output in the regions;
 :meth:`Workload.run` settles the memory and reads the output with
-:meth:`Workload.output`.  Under the package memory, ``settle()``
+:meth:`Workload.output`, which the oracle run replaces with the
+workload's ``*_output_reference``.  Under the package memory, ``settle()``
 approximates lattice's ``macro`` and lbm's ``velocity`` (the
 ``write_only`` regions) once, at the end; under the eager memory every
 sync did, and nothing is left for ``settle()``.  So the comparison
@@ -43,17 +44,22 @@ import pytest
 from oracles import (
     EagerApproxMemory,
     lattice_execute_reference,
+    lattice_output_reference,
     lbm_execute_reference,
+    lbm_output_reference,
     orbit_execute_reference,
+    orbit_output_reference,
 )
 from repro.approx.memory import ApproxMemory
 from repro.workloads import base, make_workload
 from repro.workloads.base import Workload
 
-REFERENCES: dict[str, Callable[..., int]] = {
-    "orbit": orbit_execute_reference,
-    "lattice": lattice_execute_reference,
-    "lbm": lbm_execute_reference,
+#: workload -> (kernel oracle, output oracle)
+Oracle = tuple[Callable[..., int], Callable[..., np.ndarray]]
+REFERENCES: dict[str, Oracle] = {
+    "orbit": (orbit_execute_reference, orbit_output_reference),
+    "lattice": (lattice_execute_reference, lattice_output_reference),
+    "lbm": (lbm_execute_reference, lbm_output_reference),
 }
 DESIGNS = ("baseline", "dganger", "truncate", "AVR")
 #: (workload, scale, kwargs): 0.01 is each kernel's minimum geometry;
@@ -83,16 +89,16 @@ def _run(
     monkeypatch: pytest.MonkeyPatch,
     workload: Workload,
     design: str,
-    execute: Callable[..., int] | None = None,
+    oracle: Oracle | None = None,
 ) -> dict[str, Any]:
     """Everything one run stores, with the state around each sync.
 
-    ``execute`` replaces the workload's kernel and runs it under the
-    eager memory; ``None`` runs the package's kernel under the
-    package's memory.  Floats are compared through their digests and
-    reprs, which tell every bit pattern apart.
+    ``oracle`` replaces the workload's kernel and output and runs them
+    under the eager memory; ``None`` runs the package's kernel and
+    output under the package's memory.  Floats are compared through
+    their digests and reprs, which tell every bit pattern apart.
     """
-    memory = ApproxMemory if execute is None else EagerApproxMemory
+    memory = ApproxMemory if oracle is None else EagerApproxMemory
     syncs: list[tuple[Any, ...]] = []
     sync = memory.sync
 
@@ -117,8 +123,10 @@ def _run(
     with monkeypatch.context() as patch:
         patch.setattr(memory, "sync", recording_sync)
         patch.setattr(base, "ApproxMemory", memory)
-        if execute is not None:
+        if oracle is not None:
+            execute, output = oracle
             patch.setattr(workload, "execute", functools.partial(execute, workload))
+            patch.setattr(workload, "output", functools.partial(output, workload))
         result = workload.run(design)
     mem = result.memory
     return {
@@ -175,7 +183,7 @@ def test_orbit_partial_last_chunk_matches_oracle(monkeypatch):
     want_workload = make_workload("orbit", scale=0.01)
     got_workload.steps = want_workload.steps = 4096 + 1000
     got = _run(monkeypatch, got_workload, "AVR")
-    want = _run(monkeypatch, want_workload, "AVR", orbit_execute_reference)
+    want = _run(monkeypatch, want_workload, "AVR", REFERENCES["orbit"])
     assert len(got["syncs"]) == 2
     assert_same_run(got, want)
 
@@ -198,8 +206,24 @@ def test_recorder_sees_a_changed_bit(monkeypatch):
         return lattice_execute_reference(workload, mem)
 
     got = _run(monkeypatch, make_workload("lattice", scale=0.01, steps=6), "baseline",
-               flipped)
+               (flipped, lattice_output_reference))
     want = _run(monkeypatch, make_workload("lattice", scale=0.01, steps=6), "baseline",
-                lattice_execute_reference)
+                REFERENCES["lattice"])
     with pytest.raises(AssertionError, match="sync 3"):
+        assert_same_run(got, want)
+
+
+def test_recorder_sees_a_changed_output(monkeypatch):
+    """The outputs are compared too: one flipped bit in the value an
+    output oracle reads back is reported."""
+    def flipped(workload, mem):
+        output = lattice_output_reference(workload, mem)
+        output.reshape(-1).view(np.uint8)[0] ^= 1
+        return output
+
+    got = _run(monkeypatch, make_workload("lattice", scale=0.01, steps=6), "baseline",
+               (lattice_execute_reference, flipped))
+    want = _run(monkeypatch, make_workload("lattice", scale=0.01, steps=6), "baseline",
+                REFERENCES["lattice"])
+    with pytest.raises(AssertionError, match="output"):
         assert_same_run(got, want)
