@@ -115,7 +115,13 @@ from .compression import AVRCompressor
 # takes ``in_process`` and maps or computes the front end on every
 # call, and the sweep calls it once per point.  Simulation results and
 # keys are unchanged.
-__version__ = "1.17.0"
+# 1.18.0: ``BatchedPrivateFilter.filter`` takes ``repeats``, the number
+# of times each core's stream repeats one period, and
+# ``compute_front_end`` passes the trace's ``iterations_simulated``:
+# the filter replays periods until both levels' LRU state repeats and
+# tiles the rest.  scipy is a declared dependency (bscholes has always
+# imported it).  Simulation results and keys are unchanged.
+__version__ = "1.18.0"
 
 #: The version of the simulated model, folded into every result-cache
 #: and front-end key and naming the ``m<MODEL_VERSION>/`` store

@@ -170,7 +170,11 @@ def compute_front_end(
     # A machine without cores filters nothing, but its filter needs a set.
     num_cores = max(len(trace.cores), 1)
     core_ids, addrs, writes, offsets = trace.concatenated()
-    filt = BatchedPrivateFilter(config, num_cores).filter(core_ids, addrs, writes)
+    # A generated trace emits every iteration as the same per-core
+    # addresses and write flags, so the filter may tile a steady state.
+    filt = BatchedPrivateFilter(config, num_cores).filter(
+        core_ids, addrs, writes, repeats=trace.iterations_simulated
+    )
     del core_ids, addrs, writes
     # Gathered after the filter, so the column is not held through its peak.
     gap = trace.gaps()

@@ -108,6 +108,14 @@ covers the deferred write-only round trip:
   (``test_sync_equivalence.py``).  A test runs a workload under it by
   replacing ``repro.workloads.base.ApproxMemory``.
 
+Workload data:
+
+* :func:`bscholes_spot_reference` — bscholes' spot prices through the
+  element-by-element AR(1) loop over numpy scalars, the oracle of the
+  running fold in
+  :meth:`repro.workloads.blackscholes.BlackScholesWorkload.allocate`
+  (``test_workload_equivalence.py``).
+
 The functional layer's other two designs:
 
 * :func:`dedup_roundtrip_reference` with :func:`line_signatures_reference`
@@ -190,6 +198,7 @@ from repro.trace.generator import (
     _phase_addresses,
     budget_iterations,
 )
+from repro.workloads import blackscholes as bscholes_kernel
 from repro.workloads import lattice as lattice_kernel
 from repro.workloads import lbm as lbm_kernel
 from repro.workloads import orbit as orbit_kernel
@@ -210,6 +219,7 @@ __all__ = [
     "block_average_error",
     "block_scale",
     "block_size_of",
+    "bscholes_spot_reference",
     "choose_biases_reference",
     "cms_key",
     "compress_blocks_reference",
@@ -2179,6 +2189,23 @@ def lbm_output_reference(
     velocity = mem.region("velocity").array
     speed = np.sqrt((velocity.astype(np.float64) ** 2).sum(axis=0))
     return speed.astype(np.float32)
+
+
+def bscholes_spot_reference(
+    workload: bscholes_kernel.BlackScholesWorkload,
+) -> np.ndarray:
+    """bscholes' ``spot`` region: the AR(1) walk ``acc = phi * acc + eps``
+    around the 100.0 level, one element at a time, clipped to
+    [40, 200] and stored as float32."""
+    n = workload.noptions
+    steps_noise = workload._rng().normal(0.0, 0.25, n)
+    phi = 0.995
+    ar = np.empty(n)
+    acc = 0.0
+    for i in range(n):
+        acc = phi * acc + steps_noise[i]
+        ar[i] = acc
+    return np.clip(100.0 + ar, 40.0, 200.0).astype(np.float32)
 
 
 # ======================================================================

@@ -5,7 +5,10 @@ reproduce :class:`SetAssocCache` / :class:`PrivateCaches` *exactly* —
 per-op hits, victims, victim dirty flags, counters and final contents —
 because the vectorized timing engine's bit-identical guarantee rests on
 them.  These tests replay the same randomized op streams through both
-models and compare everything.
+models and compare everything.  Streams built as copies of a template
+take the filter's steady-state fast path, which must match the same
+way: outcomes, events and counters access by access, and each row's
+LRU state at the end.
 """
 
 import tracemalloc
@@ -16,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import PrivateCaches, SetAssocCache, matrix_lru_state
-from repro.cache.array_lru import EMPTY, BatchedLRUMatrix, BatchedPrivateFilter
+from repro.cache import array_lru
+from repro.cache.array_lru import (
+    EMPTY,
+    MIN_REPEATS,
+    BatchedLRUMatrix,
+    BatchedPrivateFilter,
+)
 from repro.common.config import CacheConfig, SystemConfig
 
 
@@ -277,47 +286,86 @@ def test_empty_batch_is_a_noop():
     assert mat.hits == mat.misses == 0
 
 
-def _assert_filter_matches_private_caches(config, streams):
-    """Filter per-core ``(addrs, writes)`` streams in one batched pass
-    and compare it with one :class:`PrivateCaches` per core."""
-    num_cores = len(streams)
-    # Reference: one PrivateCaches per core, accesses in core order.
+def _filter_and_compare(config, calls):
+    """Filter each call's per-core ``(addrs, writes)`` streams with its
+    ``repeats``, call after call, through one
+    :class:`BatchedPrivateFilter`, through a second one that replays
+    every call in one batch, and through one :class:`PrivateCaches` per
+    core; compare everything.
+
+    Per call: every access's L1 hit and LLC need, and its events in
+    order (demand read, then the writebacks in the order PrivateCaches
+    hands them over), equal the references'.  At the end: both levels'
+    hit and miss counters, and their clocks, equal a one-batch
+    replay's, and every row holds the reference's lines and dirty bits
+    in its recency order.  Returns the last call's writebacks per
+    access and the sizes of the filter's L1 replays.
+    """
+    num_cores = len(calls[0][0])
     ref_privates = [PrivateCaches(config) for _ in range(num_cores)]
-    ref_needs, ref_wbs = [], []
-    for (addrs, writes), priv in zip(streams, ref_privates):
-        for addr, write in zip(addrs.tolist(), writes.tolist()):
-            latency, needs_llc, wbs = priv.access(addr, write)
-            ref_needs.append(needs_llc)
-            ref_wbs.append(list(wbs))
-
-    core_ids = np.repeat(np.arange(num_cores), [a.size for a, _ in streams])
-    all_addrs = np.concatenate([a for a, _ in streams])
-    all_writes = np.concatenate([w for _, w in streams])
     bpf = BatchedPrivateFilter(config, num_cores)
-    filt = bpf.filter(core_ids, all_addrs, all_writes)
+    whole = BatchedPrivateFilter(config, num_cores)
+    l1_replays = []
+    replay = bpf.l1.replay
 
-    assert np.array_equal(np.array(ref_needs), filt.needs_llc)
-    # The events are core-major: each access's demand read, then its
-    # writebacks in the order PrivateCaches hands them over.
-    assert np.all(np.diff(filt.event_access) >= 0)
-    bounds = np.searchsorted(filt.event_access, np.arange(all_addrs.size + 1))
-    for i, wbs in enumerate(ref_wbs):
-        ev = slice(bounds[i], bounds[i + 1])
-        reads = filt.event_is_read[ev]
-        kinds = [True] * ref_needs[i] + [False] * len(wbs)
-        assert reads.tolist() == kinds, f"event kinds mismatch at op {i}"
-        if ref_needs[i]:
-            assert int(filt.event_addr[ev][0]) == int(all_addrs[i])
-        got = filt.event_addr[ev][~reads].tolist()
-        assert [a for a, _ in wbs] == got, f"writeback mismatch at op {i}"
-    # Every access reaches L1, and every L1 miss reaches L2.
-    assert filt.l1_hit.size == sum(p.l1.accesses for p in ref_privates)
-    assert np.count_nonzero(~filt.l1_hit) == sum(
-        p.l2.accesses for p in ref_privates
-    )
-    assert bpf.l1.hits == sum(p.l1.hits for p in ref_privates)
-    assert bpf.l2.hits == sum(p.l2.hits for p in ref_privates)
-    return ref_wbs
+    def counting(set_idx, *args, **kwargs):
+        l1_replays.append(int(set_idx.size))
+        return replay(set_idx, *args, **kwargs)
+
+    bpf.l1.replay = counting
+    for streams, repeats in calls:
+        # Reference: one PrivateCaches per core, accesses in core order.
+        ref_hit, ref_needs, ref_wbs = [], [], []
+        for (addrs, writes), priv in zip(streams, ref_privates):
+            for addr, write in zip(addrs.tolist(), writes.tolist()):
+                hits = priv.l1.hits
+                _, needs_llc, wbs = priv.access(addr, write)
+                ref_hit.append(priv.l1.hits > hits)
+                ref_needs.append(needs_llc)
+                ref_wbs.append(list(wbs))
+
+        core_ids = np.repeat(np.arange(num_cores), [a.size for a, _ in streams])
+        all_addrs = np.concatenate([a for a, _ in streams]).astype(np.int64)
+        all_writes = np.concatenate([w for _, w in streams]).astype(bool)
+        filt = bpf.filter(core_ids, all_addrs, all_writes, repeats=repeats)
+        batch = whole.filter(core_ids, all_addrs, all_writes)
+        for name in ("l1_hit", "needs_llc", "event_addr", "event_is_read",
+                     "event_access"):
+            got, want = getattr(filt, name), getattr(batch, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+        assert filt.l1_hit.tolist() == ref_hit
+        assert filt.needs_llc.tolist() == ref_needs
+        # The events are core-major: each access's demand read, then its
+        # writebacks in the order PrivateCaches hands them over.
+        assert np.all(np.diff(filt.event_access) >= 0)
+        bounds = np.searchsorted(filt.event_access, np.arange(all_addrs.size + 1))
+        for i, wbs in enumerate(ref_wbs):
+            ev = slice(bounds[i], bounds[i + 1])
+            reads = filt.event_is_read[ev]
+            kinds = [True] * ref_needs[i] + [False] * len(wbs)
+            assert reads.tolist() == kinds, f"event kinds mismatch at op {i}"
+            if ref_needs[i]:
+                assert int(filt.event_addr[ev][0]) == int(all_addrs[i])
+            got = filt.event_addr[ev][~reads].tolist()
+            assert [a for a, _ in wbs] == got, f"writeback mismatch at op {i}"
+
+    for level in ("l1", "l2"):
+        fast, batched = getattr(bpf, level), getattr(whole, level)
+        refs = [getattr(p, level) for p in ref_privates]
+        assert fast.hits == batched.hits == sum(r.hits for r in refs), level
+        assert fast.misses == batched.misses == sum(r.misses for r in refs), level
+        assert fast._clock == batched._clock, level
+        # LRU-equivalent: core c's rows hold its reference's lines.
+        assert matrix_lru_state(fast) == [
+            list(s) for r in refs for s in r.lru_state()
+        ], level
+    return ref_wbs, l1_replays
+
+
+def _assert_filter_matches_private_caches(config, streams, repeats=1):
+    """:func:`_filter_and_compare` for one call."""
+    return _filter_and_compare(config, [(streams, repeats)])
 
 
 def test_private_filter_matches_private_caches():
@@ -372,8 +420,149 @@ def test_private_filter_orders_both_writebacks():
     streams = [
         (rng.integers(0, 16, 400) * 64, rng.random(400) < 0.5) for _ in range(2)
     ]
-    ref_wbs = _assert_filter_matches_private_caches(config, streams)
+    ref_wbs, _ = _assert_filter_matches_private_caches(config, streams)
     assert sum(len(wbs) == 2 for wbs in ref_wbs) > 0
+
+
+#: one L1 set of 2 ways over one L2 set of 4: every line conflicts
+ONE_SET = SystemConfig(
+    num_cores=3,
+    l1=CacheConfig(2 * 64, 2, 1),
+    l2=CacheConfig(4 * 64, 4, 8),
+)
+#: machines for the repeating streams: the scaled one (16 L1 sets,
+#: 32 L2 sets), ONE_SET, and 4 two-way L1 sets over 4 four-way L2 sets
+REPEAT_CONFIGS = {
+    "scaled": SystemConfig.scaled(num_cores=3),
+    "one-set": ONE_SET,
+    "small": SystemConfig(
+        num_cores=3,
+        l1=CacheConfig(4 * 2 * 64, 2, 1),
+        l2=CacheConfig(4 * 4 * 64, 4, 8),
+    ),
+}
+
+
+def _tiled(templates, copies):
+    """Per-core streams, each ``copies`` copies of its core's
+    ``(lines, writes)`` template (lines as 64-byte addresses)."""
+    return [
+        (np.tile(np.asarray(lines, dtype=np.int64) * 64, copies),
+         np.tile(np.asarray(writes, dtype=bool), copies))
+        for lines, writes in templates
+    ]
+
+
+@settings(max_examples=60)
+@given(
+    templates=st.lists(
+        st.lists(st.tuples(st.integers(0, 23), st.booleans()), max_size=24),
+        min_size=1,
+        max_size=3,
+    ),
+    stride=st.sampled_from([1, 16]),
+    copies=st.integers(MIN_REPEATS, 14),
+    config=st.sampled_from(sorted(REPEAT_CONFIGS)),
+)
+def test_filter_tiles_repeating_streams(templates, stride, copies, config):
+    """Streams of ``copies`` copies of drawn per-core templates (a
+    stride of 16 lines puts every line in one scaled L1 set): the
+    fast path matches PrivateCaches, and on a fresh filter it replays
+    at most three periods (the module docstring's bound)."""
+    streams = _tiled(
+        [([line * stride for line, _ in t], [w for _, w in t]) for t in templates],
+        copies,
+    )
+    _, l1_replays = _assert_filter_matches_private_caches(
+        REPEAT_CONFIGS[config], streams, repeats=copies
+    )
+    period = sum(len(t) for t in templates)
+    if period:
+        assert len(l1_replays) <= 3
+        assert l1_replays == [period] * len(l1_replays)
+
+
+#: one core whose L1 repeats its state after the second period and
+#: whose L2 only after the third: the line-0 and line-1 installs carry
+#: the first period's writes into L2 once more
+LATE_L2 = [([0, 1, 2], [True, True, False])]
+
+
+def test_late_l2_settles_on_the_third_period():
+    """On ONE_SET the template's L2 state repeats one period after its
+    L1 state: the filter replays three periods of ten, then tiles."""
+    streams = _tiled(LATE_L2, 10)
+    _, l1_replays = _assert_filter_matches_private_caches(ONE_SET, streams, 10)
+    assert l1_replays == [3, 3, 3]
+
+
+def test_unsettled_state_replays_the_rest_in_one_batch(monkeypatch):
+    """With a cut-off of two periods the late L2 never repeats within
+    it: two single periods, then the other eight in one batch."""
+    monkeypatch.setattr(array_lru, "SETTLE_PERIODS", 2)
+    streams = _tiled(LATE_L2, 10)
+    _, l1_replays = _assert_filter_matches_private_caches(ONE_SET, streams, 10)
+    assert l1_replays == [3, 3, 24]
+
+
+def _differ_at(streams, core, index, field):
+    """``streams`` with one access's address or write flag changed."""
+    changed = [(a.copy(), w.copy()) for a, w in streams]
+    if field == "addr":
+        changed[core][0][index] += 64
+    else:
+        changed[core][1][index] ^= True
+    return changed
+
+
+TEMPLATES = [([0, 5, 9, 0, 13], [True, False, False, True, False]),
+             ([3, 3, 40, 7], [False, True, True, False])]
+
+
+@pytest.mark.parametrize(("streams", "repeats", "tiles"), [
+    # 12 copies, every other one a period: the stream still repeats
+    pytest.param(_tiled(TEMPLATES, 12), 6, True, id="period-of-two-copies"),
+    # 12 copies of 5 and 4 accesses do not split into 8 periods
+    pytest.param(_tiled(TEMPLATES, 12), 8, False, id="repeats-does-not-divide"),
+    pytest.param(_differ_at(_tiled(TEMPLATES, 8), 1, 21, "addr"), 8, False,
+                 id="one-address-differs"),
+    pytest.param(_differ_at(_tiled(TEMPLATES, 8), 0, 37, "write"), 8, False,
+                 id="one-write-flag-differs"),
+    pytest.param(_tiled(TEMPLATES, MIN_REPEATS - 1), MIN_REPEATS - 1, False,
+                 id="too-few-repeats"),
+])
+def test_repeats_is_checked(streams, repeats, tiles):
+    """A ``repeats`` the streams do not bear out, or one too small to
+    pay, replays in one batch; a true one tiles."""
+    _, l1_replays = _assert_filter_matches_private_caches(
+        REPEAT_CONFIGS["small"], streams, repeats
+    )
+    n = sum(a.size for a, _ in streams)
+    if tiles:
+        assert sum(l1_replays) < n
+    else:
+        assert l1_replays == [n]
+
+
+@pytest.mark.parametrize("second", ["repeating", "random"])
+def test_filter_continues_after_a_fast_forward(second):
+    """A second call on a filter whose first call tiled: the matrices
+    the fast forward left are LRU-equivalent to a full replay's, so the
+    second call's outcomes match too."""
+    rng = np.random.default_rng(5)
+    first = _tiled(TEMPLATES, 10)
+    if second == "repeating":
+        then = (_tiled([([1, 9, 0, 22, 5, 5], [False] * 5 + [True]),
+                        ([40, 3, 8], [True, False, False])], 7), 7)
+    else:
+        then = ([(rng.integers(0, 48, 60) * 64, rng.random(60) < 0.5)
+                 for _ in range(2)], 1)
+    _, l1_replays = _filter_and_compare(
+        REPEAT_CONFIGS["small"], [(first, 10), then]
+    )
+    assert sum(l1_replays) < sum(a.size for a, _ in first) + sum(
+        a.size for a, _ in then[0]
+    )
 
 
 class TestFirstOfGroups:

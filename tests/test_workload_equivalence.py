@@ -30,6 +30,10 @@ approximated state), the output, the iteration count, every
 Sizes: the minimum geometry, scale 0.15 (the benchmark's), scale 0.2,
 and the paper geometry (scale 1.0) with a few steps for lattice and lbm;
 orbit at scale 1.0 runs all 32,768 steps.
+
+bscholes' input data is pinned too: its spot prices, an AR(1) walk
+``allocate`` computes as a running fold over Python floats, against the
+element-by-element loop ``oracles.bscholes_spot_reference``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import pytest
 
 from oracles import (
     EagerApproxMemory,
+    bscholes_spot_reference,
     lattice_execute_reference,
     lattice_output_reference,
     lbm_execute_reference,
@@ -227,3 +232,17 @@ def test_recorder_sees_a_changed_output(monkeypatch):
                 REFERENCES["lattice"])
     with pytest.raises(AssertionError, match="output"):
         assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("scale", [0.05, 0.15, 1.0])
+def test_bscholes_spot_matches_oracle(scale, seed):
+    """bscholes' spot walk runs as one running fold; its float32 prices
+    carry the element-by-element loop's bits."""
+    workload = make_workload("bscholes", scale=scale, seed=seed)
+    mem = ApproxMemory()
+    workload.allocate(mem)
+    got = mem.region("spot").array
+    want = bscholes_spot_reference(workload)
+    assert got.dtype == want.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
