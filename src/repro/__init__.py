@@ -121,7 +121,13 @@ from .compression import AVRCompressor
 # the filter replays periods until both levels' LRU state repeats and
 # tiles the rest.  scipy is a declared dependency (bscholes has always
 # imported it).  Simulation results and keys are unchanged.
-__version__ = "1.18.0"
+# 1.19.0: the LLC replays tile a repeating event stream:
+# ``TimingSystem.run`` finds where the stream repeats from the front
+# end's columns (``StreamRepeat``), and ``BaselineLLC.replay_batch``
+# and ``AVRLLC.replay_batch`` take it as ``repeat``, replaying copies
+# until the LLC's state repeats.  Simulation results, keys and the
+# stored front end are unchanged.
+__version__ = "1.19.0"
 
 #: The version of the simulated model, folded into every result-cache
 #: and front-end key and naming the ``m<MODEL_VERSION>/`` store

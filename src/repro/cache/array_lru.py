@@ -106,7 +106,7 @@ periods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -126,6 +126,25 @@ EMPTY = -1
 #: the fourth is a spare)
 MIN_REPEATS = 6
 SETTLE_PERIODS = 4
+
+#: the copies of a repeating LLC stream an LLC replays before it gives
+#: up on a steady state and replays the rest whole (:class:`StreamRepeat`).
+#: On every tiled trace measured (heat at scales 0.12 and 0.2, lattice
+#: at 0.2, every registered design) the state after the second copy
+#: equalled the state after the first; the other two are spares.
+LLC_SETTLE_COPIES = 4
+
+
+class StreamRepeat(NamedTuple):
+    """Where an LLC event stream repeats: its events ``[start, start +
+    copies * width)`` are ``copies`` copies of events ``[start, start +
+    width)``.  :meth:`repro.system.simulator.TimingSystem.run` derives
+    it and the LLC replays tile it (see ``docs/architecture.md``,
+    "Repeating traces")."""
+
+    start: int
+    width: int
+    copies: int
 
 
 def first_of_groups(values: np.ndarray) -> np.ndarray:

@@ -26,7 +26,11 @@ dirty bits, DBUF masks and hit counters, so it resolves in one numpy
 pass; state-changing events (misses, insertions, block evictions, lazy
 writebacks) run a tuned per-event flow; and every DRAM call is queued
 and settled afterwards in one
-:meth:`repro.memory.dram.DRAM.replay_transfers` pass.
+:meth:`repro.memory.dram.DRAM.replay_transfers` pass.  A stream that
+repeats (:class:`~repro.cache.array_lru.StreamRepeat`, found by the
+caller) is scanned one copy at a time until the cache's canonical state
+repeats, and the remaining copies take the last scanned copy's
+transfers, events and counters (:meth:`AVRLLC._scan`, "Steady state").
 
 The data array is a set of fixed ``(num_sets, ways)`` tag/dirty/age
 planes stored flat and row-major: ``array``/``bytearray`` buffers that
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
 
 import numpy as np
@@ -63,7 +68,7 @@ from ..common.constants import (
 )
 from ..common.stats import StatCounter
 from ..memory.dram import DRAM
-from .array_lru import EMPTY
+from .array_lru import EMPTY, LLC_SETTLE_COPIES, StreamRepeat
 from .cmt import CACHE_PAGES, MISS_TRAFFIC_BYTES, CMTEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -133,6 +138,27 @@ def check_avr_options(options: Mapping[str, object]) -> None:
                 f"(valid options: {valid})"
             )
 
+
+#: the scan's counters, as :attr:`AVRLLC.stats` names them
+_STAT_NAMES = (
+    "llc_hits",
+    "llc_misses",
+    "req_hit_dbuf",
+    "req_hit_uncompressed",
+    "req_hit_compressed",
+    "req_miss",
+    "decompressions",
+    "compressions",
+    "pfe_prefetches",
+    "cms_block_evictions",
+    "exact_writebacks",
+    "evict_recompress",
+    "evict_lazy_writeback",
+    "evict_fetch_recompress",
+    "evict_uncompressed_writeback",
+    "bytes_approx",
+    "bytes_exact",
+)
 
 #: bias of the CMS keys: key ``-2`` is ``(block 0, off 0)``, strictly
 #: below the :data:`EMPTY` sentinel ``-1``
@@ -206,7 +232,12 @@ class AVRLLC:
         self.stats = StatCounter()
         self._replayed = False
 
-    def replay_batch(self, addrs: np.ndarray, is_read: np.ndarray) -> np.ndarray:
+    def replay_batch(
+        self,
+        addrs: np.ndarray,
+        is_read: np.ndarray,
+        repeat: StreamRepeat | None = None,
+    ) -> np.ndarray:
         """Replay a whole LLC event stream; returns per-event latencies.
 
         ``addrs``/``is_read`` describe the filtered, chunk-interleaved
@@ -235,6 +266,16 @@ class AVRLLC:
            and the resulting latencies scatter back into the per-event
            latency vector beside the scan's decompression cycles.
 
+        ``repeat`` says where the stream repeats (checked by the
+        caller).  The scan then compares the cache's state at the end of
+        each copy with its state at the end of the copy before, and once
+        a copy leaves the state it found, it copies that copy's outcomes
+        into the remaining copies instead of scanning them
+        (:meth:`_scan`); only the events of the copies it scans are
+        decoded.  DRAM still settles the whole transfer log in one pass,
+        so its row-buffer state and channel busy time are those of a
+        full scan.
+
         The batch is the whole traffic this LLC ever sees (the timing
         engine runs exactly one trace per system); a second call
         raises rather than replaying against the wrong state.
@@ -252,15 +293,22 @@ class AVRLLC:
         # ---- stage 1: stateless decode ------------------------------
         # Dense block ids from a presence table over the stream's block
         # span (the layout's address span bounds it): the ids count the
-        # present blocks below, so they follow block order.
-        block = addrs // BLOCK_BYTES
+        # present blocks below, so they follow block order.  Copies of
+        # a repeating stream hold the first copy's blocks.
+        sample = addrs
+        if repeat is not None:
+            start, width, copies = repeat
+            sample = np.concatenate(
+                (addrs[:start + width], addrs[start + copies * width:])
+            )
+        block = sample >> 10
         low = int(block.min())
         block -= low
         present = np.zeros(int(block.max()) + 1, dtype=bool)
         present[block] = True
-        bid = np.cumsum(present, dtype=np.int64)[block]
-        bid -= 1
-        del block
+        del sample, block
+        dense = np.cumsum(present, dtype=np.int64)
+        dense -= 1
         uniq_blocks = np.flatnonzero(present) + low
         block_addrs = uniq_blocks * BLOCK_BYTES
         approx = self.layout.is_approx_batch(block_addrs)
@@ -269,28 +317,35 @@ class AVRLLC:
         # own CMS entries, so its events skip every CMS probe/refresh
         refreshes = approx & (sizes < BLOCK_CACHELINES)
         refreshes &= self.enable_cms_lru_refresh
-        dline = bid * BLOCK_CACHELINES + (addrs // CACHELINE_BYTES) % BLOCK_CACHELINES
+        ev_dline = np.empty(m, dtype=np.int64)
+        ev_apx = np.empty(m, dtype=bool)
+        ev_refresh = np.empty(m, dtype=bool)
+
+        def decode(a: int, b: int) -> None:
+            # events [a, b): dense line (bid * 16 + the line's offset
+            # in its block) and its block's classes
+            bid = dense[(addrs[a:b] >> 10) - low]
+            ev_dline[a:b] = ((addrs[a:b] >> 6) & 15) | (bid << 4)
+            ev_apx[a:b] = approx[bid]
+            ev_refresh[a:b] = refreshes[bid]
 
         # ---- stage 2: the event scan --------------------------------
-        log, read_events, extra_events, extra_cycles = self._scan(
-            is_read, dline, approx[bid], refreshes[bid],
-            uniq_blocks.tolist(), sizes.tolist(), approx.tolist(),
+        packed, read_events, extra_events, extra_cycles = self._scan(
+            is_read, ev_dline, ev_apx, ev_refresh, decode,
+            uniq_blocks.tolist(), sizes.tolist(), approx.tolist(), repeat,
         )
 
         # ---- stage 3: settle the deferred DRAM transfer log ---------
         # unpack the scan's packed transfer words (see _scan: address,
         # line count, write flag, demand-read marker)
-        packed = np.array(log, dtype=np.int64)
         t_lines = (packed >> 2) & 31
         dram_lat = self.dram.replay_transfers(
             packed >> 7, t_lines, (packed & 2).astype(bool)
         )
-        lat = np.where(is_read, np.int64(self.latency), np.int64(0))
-        lat[np.array(extra_events, dtype=np.int64)] += np.array(
-            extra_cycles, dtype=np.int64
-        )
+        lat = is_read * np.int64(self.latency)
+        lat[extra_events] += extra_cycles
         demand = (packed & 1).astype(bool)
-        lat[np.array(read_events, dtype=np.int64)] += dram_lat[demand]
+        lat[read_events] += dram_lat[demand]
         return lat
 
     def _scan(
@@ -299,10 +354,12 @@ class AVRLLC:
         ev_dline: np.ndarray,
         ev_apx: np.ndarray,
         ev_refresh: np.ndarray,
+        decode: Callable[[int, int], None],
         real_blocks: list[int],
         size_by_bid: list[int],
         approx_by_bid: list[bool],
-    ) -> tuple[list[int], list[int], list[int], list[int]]:
+        repeat: StreamRepeat | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The event scan: cache-state machine over the decoded stream.
 
         **Resident windows.**  From a probe point, a galloping search
@@ -339,6 +396,22 @@ class AVRLLC:
         writes the same memory through numpy views.  All state starts
         empty and is dropped on return: only the stats and the DRAM
         model outlive the scan.
+
+        **Steady state.**  Given ``repeat``, the scan stops where each
+        of the first :data:`~repro.cache.array_lru.LLC_SETTLE_COPIES`
+        copies ends and takes the cache's canonical state: each set's
+        (tag, dirty) pairs in recency order (empty ways first), the
+        DBUF's block and masks, every CMT entry, and the CMT page
+        cache's LRU order.  No outcome depends on anything else: a
+        victim is the way with the smallest age *within its set*, so
+        way positions and the ages' values (the clock) never decide
+        one.  Once a copy ends in the canonical state it began in (the
+        one the copy before it ended in), every later copy repeats its
+        transfer words, its demand and decompression events (one copy's
+        width further on) and its counter increments, and ends in that
+        state too.  The scan copies them in and goes on with the events
+        after the last copy.  A state that has not repeated by the last
+        of those copies scans the rest.
         """
         # --- state -------------------------------------------------------
         S = self.num_sets
@@ -373,6 +446,15 @@ class AVRLLC:
         st_decomp = st_comp = st_pfe = st_cms_evict = st_exact_wb = 0
         st_recomp = st_lazy = st_fetch_recomp = st_unc_wb = 0
         bytes_approx = bytes_exact = 0
+
+        def totals() -> tuple[int, ...]:
+            # every counter, in _STAT_NAMES order
+            return (
+                st_hits, st_misses, st_dbuf, st_unc, st_cms_hit, st_miss_apx,
+                st_decomp, st_comp, st_pfe, st_cms_evict, st_exact_wb,
+                st_recomp, st_lazy, st_fetch_recomp, st_unc_wb,
+                bytes_approx, bytes_exact,
+            )
 
         # --- deferred DRAM transfer log (packed words) -------------------
         log: list[int] = []
@@ -669,10 +751,10 @@ class AVRLLC:
         m = int(ev_dline.size)
         offsets = np.arange(BLOCK_CACHELINES, dtype=np.int64)
 
-        def window_end(a: int) -> int:
+        def window_end(a: int, stop_at: int) -> int:
             # galloping search from `a`: the first event whose line is
             # absent, or the end of the longest window one pass takes
-            limit = min(m, a + _WINDOW_MAX)
+            limit = min(stop_at, a + _WINDOW_MAX)
             step = _PROBE
             while a < limit:
                 b = min(a + step, limit)
@@ -732,13 +814,63 @@ class AVRLLC:
                 int(np.count_nonzero(apx_rd)) - n_dbuf,
             )
 
+        # --- steady state ------------------------------------------------
+        cmt_fields = attrgetter(*CMTEntry.__slots__)
+
+        def canonical() -> tuple[object, ...]:
+            # the state every later outcome depends on (see Steady state)
+            order = np.argsort(ages_np.reshape(S, W), axis=1, kind="stable")
+            by_age = np.array(tags, dtype=np.int64).reshape(S, W)
+            return (
+                np.take_along_axis(by_age, order, axis=1).tobytes(),
+                np.take_along_axis(dirty_np.reshape(S, W), order, axis=1).tobytes(),
+                dbuf_k0d,
+                dbuf_req,
+                dbuf_in,
+                {block: cmt_fields(entry) for block, entry in cmt_entries.items()},
+                tuple(cmt_cache),
+            )
+
+        # where the copies the scan compares end, the last first
+        start, width, copies = repeat or (0, 0, 0)
+        checks = [
+            start + j * width
+            for j in range(min(copies - 1, LLC_SETTLE_COPIES), 0, -1)
+        ]
+        seen: tuple[object, ...] | None = None  # the state at the last check
+        marks = (0, 0, 0, totals())  # output lengths and counters there
+        ends = (0, 0, 0)  # output lengths where the unscanned copies go
+        tiles = 0  # copies the scan did not scan
+        tiled = [0] * len(_STAT_NAMES)  # their counter increments
+
         # --- the scan ----------------------------------------------------
         pos = 0
         next_probe = 0
         backoff = _PROBE
+        stop_at = checks.pop() if checks else m
+        decode(0, stop_at)
         while pos < m:
+            if pos == stop_at:
+                state = canonical()
+                if state == seen:
+                    # the last copy left the state it found: the rest
+                    # repeat it
+                    tiles = copies - (pos - start) // width
+                    tiled = [
+                        tiles * (now - then)
+                        for now, then in zip(totals(), marks[3])
+                    ]
+                    ends = (len(log), len(read_events), len(extra_events))
+                    pos = start + copies * width
+                    checks.clear()
+                else:
+                    seen = state
+                    marks = (len(log), len(read_events), len(extra_events), totals())
+                stop_at = checks.pop() if checks else m
+                decode(pos, stop_at)
+                continue
             if pos >= next_probe:
-                end = window_end(pos)
+                end = window_end(pos, stop_at)
                 if end - pos >= _WINDOW_MIN:
                     hits, dbuf_hits, unc_hits = resolve_window(pos, end)
                     st_hits += hits
@@ -753,7 +885,7 @@ class AVRLLC:
                 # too short: per-event until the next probe, backing off
                 next_probe = pos + backoff
                 backoff = min(2 * backoff, _PROBE_CAP)
-            stop = min(next_probe, m)
+            stop = min(next_probe, stop_at)
             for i, rd, dline, apx, refresh in zip(
                 range(pos, stop),
                 ev_read[pos:stop].tolist(),
@@ -939,29 +1071,31 @@ class AVRLLC:
         # fold only the counters the event flows actually hit: absent
         # keys stay absent
         add = self.stats.add
-        for name, count in (
-            ("llc_hits", st_hits),
-            ("llc_misses", st_misses),
-            ("req_hit_dbuf", st_dbuf),
-            ("req_hit_uncompressed", st_unc),
-            ("req_hit_compressed", st_cms_hit),
-            ("req_miss", st_miss_apx),
-            ("decompressions", st_decomp),
-            ("compressions", st_comp),
-            ("pfe_prefetches", st_pfe),
-            ("cms_block_evictions", st_cms_evict),
-            ("exact_writebacks", st_exact_wb),
-            ("evict_recompress", st_recomp),
-            ("evict_lazy_writeback", st_lazy),
-            ("evict_fetch_recompress", st_fetch_recomp),
-            ("evict_uncompressed_writeback", st_unc_wb),
-            ("bytes_approx", bytes_approx),
-            ("bytes_exact", bytes_exact),
-        ):
-            if count:
-                add(name, count)
-        return log, read_events, extra_events, extra_cycles
+        for name, count, more in zip(_STAT_NAMES, totals(), tiled):
+            if count + more:
+                add(name, count + more)
+        # the unscanned copies' outputs go after the last scanned copy's
+        return (
+            _insert_copies(log, marks[0], ends[0], tiles, 0),
+            _insert_copies(read_events, marks[1], ends[1], tiles, width),
+            _insert_copies(extra_events, marks[2], ends[2], tiles, width),
+            _insert_copies(extra_cycles, marks[2], ends[2], tiles, 0),
+        )
 
     @property
     def mpki_misses(self) -> int:
         return int(self.stats["llc_misses"])
+
+
+def _insert_copies(
+    values: list[int], first: int, last: int, copies: int, step: int
+) -> np.ndarray:
+    """``values`` with ``copies`` copies of ``values[first:last]``
+    inserted after it, copy ``k`` (from 1) advanced by ``k * step``."""
+    array = np.array(values, dtype=np.int64)
+    advance = np.arange(1, copies + 1, dtype=np.int64) * step
+    return np.concatenate((
+        array[:last],
+        np.add.outer(advance, array[first:last]).ravel(),
+        array[last:],
+    ))

@@ -13,10 +13,13 @@ as speedup for bandwidth-bound workloads, the paper's central effect.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..cache.array_lru import StreamRepeat
 from ..cache.llc_avr import AVRLLC
 from ..cache.llc_baseline import BaselineLLC
 from ..common.config import SystemConfig
@@ -24,7 +27,13 @@ from ..cpu.interval import IntervalCore
 from ..designs import DesignSpec, get_design
 from ..energy.model import EnergyBreakdown, EnergyModel
 from ..memory.dram import DRAM
-from .frontend import TimingFrontEnd
+from .frontend import INTERLEAVE_CHUNK, TimingFrontEnd
+
+#: fewest copies of a repeating LLC event stream for which the LLC
+#: replays tile it (see :func:`_event_repeat`): at 7 copies of a heat or
+#: lattice stream the one-batch AVR replay was faster, at 8 the two
+#: were about even, at 9 the tiled one was faster on three of four traces
+MIN_LLC_REPEATS = 8
 
 
 @dataclass
@@ -142,7 +151,13 @@ class TimingSystem:
         2. **LLC event replay** — the event stream goes through the
            LLC's own batched replay (``BaselineLLC.replay_batch`` or the
            AVR fast scan, ``AVRLLC.replay_batch``) with DRAM settled in
-           bulk.
+           bulk.  A generated trace repeats every core's accesses, and
+           once the private caches settle its event stream repeats too:
+           :func:`_event_repeat` finds where, from the front end's
+           columns alone, and the LLC replays copies of it only until
+           the LLC's state repeats, then copies their outcomes into the
+           rest.  DRAM still settles the whole transfer stream, so every
+           metric equals a replay of every event.
         3. **Cycle accounting** — per-core interval accounting is a
            sequential chain of float additions; with the LLC latencies
            from stage 2 scattered back per access, the chain folds
@@ -162,7 +177,9 @@ class TimingSystem:
         # runs its array-backed fast scan (decode pass, resident
         # windows, deferred DRAM settlement).
         is_read = front_end.event_is_read
-        read_lats = self.llc.replay_batch(front_end.event_addr, is_read)[is_read]
+        read_lats = self.llc.replay_batch(
+            front_end.event_addr, is_read, repeat=_event_repeat(front_end)
+        )[is_read]
 
         # --- scatter LLC latencies back, fold per-core accounting -----
         llc_lat = np.zeros(front_end.l1_accesses, dtype=np.int64)
@@ -260,3 +277,63 @@ class TimingSystem:
         return EnergyModel().compute(
             counts, seconds, num_cores, self.llc.has_compressor
         )
+
+
+def _event_repeat(front_end: TimingFrontEnd) -> StreamRepeat | None:
+    """Where ``front_end``'s LLC event stream repeats, if it repeats at
+    least :data:`MIN_LLC_REPEATS` times.
+
+    A populated core's stream is ``iterations_simulated`` copies of a
+    period of ``w`` accesses, or the stream does not repeat.  The core
+    then takes the same accesses every ``w / gcd(w, INTERLEAVE_CHUNK)``
+    chunk turns, and the cores together every *superperiod*: the least
+    common multiple of those turn counts.  The last superperiod in
+    which every populated core takes all its turns gives the width of
+    one copy, in events (an event's turn is its access index within its
+    core's stream, divided by the chunk).  One shifted comparison of
+    event addresses and read flags then finds where the events start to
+    equal those one width later, and the copies run from there to that
+    superperiod's end.  The front end's columns are the only input, and
+    a claim they do not bear out finds no copies.
+    """
+    lengths = np.diff(front_end.offsets)
+    lengths = lengths[lengths > 0]
+    repeats = front_end.iterations_simulated
+    if repeats < MIN_LLC_REPEATS or not lengths.size or (lengths % repeats).any():
+        return None
+    turns = math.lcm(
+        *(w // math.gcd(w, INTERLEAVE_CHUNK) for w in (lengths // repeats).tolist())
+    )
+    full = int(lengths.min()) // (turns * INTERLEAVE_CHUNK)
+    if full < MIN_LLC_REPEATS:
+        return None
+    end = _first_event_of_turn(front_end, full * turns)
+    width = end - _first_event_of_turn(front_end, (full - 1) * turns)
+    if not width:
+        return None
+    addr = front_end.event_addr
+    is_read = front_end.event_is_read
+    differs = np.flatnonzero(
+        (addr[width:end] != addr[:end - width])
+        | (is_read[width:end] != is_read[:end - width])
+    )
+    copies = (end - (int(differs[-1]) + 1 if differs.size else 0)) // width
+    if copies < MIN_LLC_REPEATS:
+        return None
+    return StreamRepeat(end - copies * width, width, copies)
+
+
+def _first_event_of_turn(front_end: TimingFrontEnd, turn: int) -> int:
+    """Index of the first event of chunk turn ``turn`` or a later one.
+
+    Events are in chunk-interleaved order, so their turns never fall
+    along the stream, and a binary search finds the bound."""
+    offsets = front_end.offsets.tolist()
+    access = front_end.event_access
+
+    def turn_of(i: int) -> int:
+        a = int(access[i])
+        core_start = offsets[bisect.bisect_right(offsets, a) - 1]
+        return (a - core_start) // INTERLEAVE_CHUNK
+
+    return bisect.bisect_left(range(access.size), turn, key=turn_of)

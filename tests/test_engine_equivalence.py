@@ -11,31 +11,46 @@ path.  Component by component, the suite pins ``AVRLLC``,
 per-event oracle twins.
 """
 
+from __future__ import annotations
+
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import IntervalCoreReference, replay, replay_llc, run_reference
+from repro.cache import llc_avr, llc_baseline
+from repro.cache.array_lru import BatchedLRUMatrix
+from repro.cache.llc_avr import AVRLLC
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import BLOCK_BYTES, CACHELINE_BYTES
-from repro.designs import AVR, BASELINE, PAPER_DESIGNS, TRUNCATE
+from repro.designs import (
+    AVR,
+    BASELINE,
+    PAPER_DESIGNS,
+    TRUNCATE,
+    list_designs,
+    resolve_designs,
+)
 from repro.harness.runner import _build_layout
 from repro.harness.sweep import SweepPoint, run_functional_job
+from repro.system import simulator
 from repro.system.factory import build_system
 from repro.system.frontend import compute_front_end
-from repro.trace.generator import generate_trace
+from repro.system.layout import AddressLayout
+from repro.trace.generator import GeneratedTrace, generate_trace
+from test_frontend_equivalence import repeating_trace
 
 CONFIG = SystemConfig.scaled(num_cores=2)
 ACCESSES = 3_000
 
 
-@pytest.fixture(scope="module", params=["heat", "kmeans", "orbit"])
-def workload_context(request):
-    """Layout + trace of one small workload (functional layer run once)."""
-    point = SweepPoint(
-        workload=request.param, scale=0.15, max_accesses_per_core=ACCESSES
-    )
+def _workload_context(name, scale, accesses, num_cores=CONFIG.num_cores):
+    """Layout, trace and footprint of one workload at seed 0 (its
+    functional layer run once)."""
+    point = SweepPoint(workload=name, scale=scale, max_accesses_per_core=accesses)
     workload = point.make()
     reference = run_functional_job(point, BASELINE)
     avr = run_functional_job(point, AVR)
@@ -43,11 +58,17 @@ def workload_context(request):
     trace = generate_trace(
         workload.trace_spec(),
         reference.memory,
-        num_cores=CONFIG.num_cores,
-        max_accesses_per_core=ACCESSES,
+        num_cores=num_cores,
+        max_accesses_per_core=accesses,
         seed=point.seed,
     )
     return layout, trace, reference.memory.footprint_bytes
+
+
+@pytest.fixture(scope="module", params=["heat", "kmeans", "orbit"])
+def workload_context(request):
+    """Layout + trace of one small workload (functional layer run once)."""
+    return _workload_context(request.param, 0.15, ACCESSES)
 
 
 @pytest.mark.parametrize("design", PAPER_DESIGNS, ids=lambda d: d.name)
@@ -133,19 +154,7 @@ AVR_VARIANTS = {
 @pytest.fixture(scope="module")
 def heat_context():
     """One small heat workload context shared by the ablation matrix."""
-    point = SweepPoint(workload="heat", scale=0.15, max_accesses_per_core=2_500)
-    workload = point.make()
-    reference = run_functional_job(point, BASELINE)
-    avr = run_functional_job(point, AVR)
-    layout = _build_layout(workload, avr)
-    trace = generate_trace(
-        workload.trace_spec(),
-        reference.memory,
-        num_cores=CONFIG.num_cores,
-        max_accesses_per_core=2_500,
-        seed=point.seed,
-    )
-    return layout, trace, reference.memory.footprint_bytes
+    return _workload_context("heat", 0.15, 2_500)
 
 
 @pytest.mark.parametrize("variant", sorted(AVR_VARIANTS))
@@ -462,3 +471,280 @@ def test_interval_core_replay_batch_bit_identical():
     assert fast.mem_accesses == slow.mem_accesses
     assert fast.mem_latency_total == slow.mem_latency_total
     assert fast.amat == slow.amat
+
+
+# ----------------------------------------------------------------------
+# Repeating LLC streams: replays that tile, against the oracle
+# ----------------------------------------------------------------------
+#: every registered design, and AVR under each ablation flag
+TILING_DESIGNS = (
+    *resolve_designs(list_designs()),
+    *(
+        replace(AVR, avr_options=options)
+        for options in AVR_VARIANTS.values()
+        if options
+    ),
+)
+
+#: one 2-way L1 set over a 4-set, 2-way L2, so most accesses reach the
+#: LLC, and an LLC of 16 sets x 4 ways, which streams of 48 lines per
+#: core overflow
+TILING_CONFIG = SystemConfig(
+    num_cores=4,
+    l1=CacheConfig(2 * 64, 2, 1),
+    l2=CacheConfig(8 * 64, 2, 8),
+    llc=CacheConfig(16 * 4 * 64, 4, 15),
+)
+TILING_FOOTPRINT = 4 << 20
+
+#: per-core periods in accesses: multiples of the 12-access interleave
+#: chunk (12, 24, 60, 96) and not (5, 8, 13); 0 leaves a core without
+#: accesses
+PERIODS = (0, 5, 8, 12, 13, 24, 60, 96)
+
+
+def tiling_layout(seed):
+    """The first 32 KB of each core's 1 MB window approximable, its
+    blocks compressing to 1, 3 or 16 lines."""
+    rng = np.random.default_rng(seed)
+    layout = AddressLayout()
+    for core in range(4):
+        sizes = rng.choice([1, 3, 16], size=32).astype(np.int64)
+        layout.add_region(core << 20, 1 << 15, sizes)
+    return layout
+
+
+def emptied(trace, cores):
+    """``trace`` with every core but ``cores`` emptied: what the oracle
+    replays for a front end restricted to ``cores``."""
+    return GeneratedTrace(
+        cores=[t if c in cores else t[:0] for c, t in enumerate(trace.cores)],
+        iterations_simulated=trace.iterations_simulated,
+        iterations_total=trace.iterations_total,
+    )
+
+
+def assert_designs_match_oracle(trace, front_end, config, layout, footprint,
+                                designs=TILING_DESIGNS):
+    """``front_end``'s replay equals the oracle's replay of ``trace``
+    under every design."""
+    for design in designs:
+        ref = run_reference(build_system(design, config, layout, footprint), trace)
+        got = build_system(design, config, layout, footprint).run(front_end)
+        diffs = ref.metric_diffs(got)
+        assert not diffs, f"{design.name} {dict(design.avr_options)}: {diffs}"
+
+
+@settings(max_examples=80)
+@given(
+    periods=st.lists(st.sampled_from(PERIODS), min_size=1, max_size=4),
+    equal=st.booleans(),
+    copies=st.integers(6, 14),
+    seed=st.integers(0, 2**32 - 2),
+    pool=st.sampled_from([3, 12, 48]),
+    stride=st.sampled_from([1, 32]),
+    write_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    shared=st.booleans(),
+    subset=st.none() | st.sets(st.integers(0, 3)),
+)
+def test_tiled_llc_replays_match_oracle(
+    periods, equal, copies, seed, pool, stride, write_frac, shared, subset
+):
+    """Repeating traces, as generated ones are, restricted to a core
+    subset or not: every design's replay, which tiles the LLC stream
+    wherever it repeats at least twice, equals the oracle's.  Periods
+    that are not whole chunks, or that differ between cores, make
+    superperiods of several periods, and copy counts that are not a
+    whole number of them leave a partial last superperiod."""
+    if equal:
+        periods = [periods[0]] * len(periods)
+    trace = repeating_trace(periods, copies, seed, pool, stride, write_frac, shared)
+    config = replace(TILING_CONFIG, num_cores=len(periods))
+    front_end = compute_front_end(trace, config)
+    if subset is not None:
+        cores = sorted(c for c in subset if c < len(periods))
+        trace = emptied(trace, cores)
+        front_end = front_end.restrict(cores)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "MIN_LLC_REPEATS", 2)
+        assert_designs_match_oracle(
+            trace, front_end, config, tiling_layout(seed), TILING_FOOTPRINT
+        )
+
+
+class CountingMatrix(BatchedLRUMatrix):
+    """An LRU matrix that counts the ops it replays: the baseline
+    LLC's data array, patched in."""
+
+    instances: list[CountingMatrix] = []
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        super().__init__(num_sets, ways)
+        self.ops = 0
+        CountingMatrix.instances.append(self)
+
+    def replay(self, set_idx, *args, **kwargs):
+        self.ops += int(set_idx.size)
+        return super().replay(set_idx, *args, **kwargs)
+
+
+class CountingAVRLLC(AVRLLC):
+    """An AVR LLC that counts the events its scan decodes, which are the
+    events it scans."""
+
+    def _scan(self, ev_read, ev_dline, ev_apx, ev_refresh, decode, *rest):
+        self.scanned = 0
+
+        def counting(a, b):
+            self.scanned += b - a
+            decode(a, b)
+
+        return super()._scan(ev_read, ev_dline, ev_apx, ev_refresh, counting, *rest)
+
+
+@pytest.fixture
+def counting_llcs(monkeypatch):
+    """LLCs built from here on count the events they replay; returns
+    the count of a system's LLC after its run."""
+    monkeypatch.setattr(CountingMatrix, "instances", [])
+    monkeypatch.setattr(llc_baseline, "BatchedLRUMatrix", CountingMatrix)
+    monkeypatch.setattr(llc_avr, "AVRLLC", CountingAVRLLC)
+
+    def replayed(system):
+        if isinstance(system.llc, CountingAVRLLC):
+            return system.llc.scanned
+        return CountingMatrix.instances[-1].ops
+
+    return replayed
+
+
+#: (periods, copies, kept cores or None): streams whose LLC replays
+#: tile, checked to tile
+TILING_SHAPES = {
+    # every core's period two whole chunk turns, so a superperiod is
+    # one period, as on avr-stream's trace (54 turns)
+    "equal-chunk-multiples": ([24, 24, 24], 12, None),
+    # superperiods of 2 turns: 3 of core 1's periods, 2 of core 0's,
+    # and 13 copies leave a partial last one
+    "unequal-periods": ([12, 8], 13, None),
+    # core 2 never runs and cores 0 and 2 are emptied, so only
+    # cores 1 and 3 set the superperiod
+    "restricted": ([24, 36, 0, 12], 12, [1, 3]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TILING_SHAPES))
+def test_repeating_llc_streams_tile(monkeypatch, counting_llcs, shape):
+    """Each shape's LLC stream repeats (at least twice, the bound the
+    property test uses too), both LLC families replay fewer events than
+    it holds, and every design matches the oracle."""
+    monkeypatch.setattr(simulator, "MIN_LLC_REPEATS", 2)
+    periods, copies, kept = TILING_SHAPES[shape]
+    trace = repeating_trace(periods, copies, 1, 12, 1, 0.3, False)
+    config = replace(TILING_CONFIG, num_cores=len(periods))
+    front_end = compute_front_end(trace, config)
+    if kept is not None:
+        trace = emptied(trace, kept)
+        front_end = front_end.restrict(kept)
+    repeat = simulator._event_repeat(front_end)
+    assert repeat is not None
+    layout = tiling_layout(1)
+    for design in (BASELINE, AVR):
+        system = build_system(design, config, layout, TILING_FOOTPRINT)
+        system.run(front_end)
+        assert counting_llcs(system) < front_end.event_addr.size, design.name
+    assert_designs_match_oracle(trace, front_end, config, layout, TILING_FOOTPRINT)
+
+
+@pytest.fixture(scope="module")
+def tiling_heat_context():
+    """heat at scale 0.12 on 2 cores, 12,000 accesses per core: 30
+    periods of 400 accesses, so superperiods of 3 periods (100 chunk
+    turns), and an LLC stream of a 3,200-event first superperiod then
+    9 copies of a 3,600-event one."""
+    layout, trace, footprint = _workload_context("heat", 0.12, 12_000)
+    return layout, trace, footprint, compute_front_end(trace, CONFIG)
+
+
+def test_repeating_heat_trace_tiles_and_matches_oracle(
+    counting_llcs, tiling_heat_context
+):
+    """A real trace whose LLC stream tiles: both LLC families replay the
+    first superperiod and at most three copies, and every design and
+    AVR ablation matches the oracle."""
+    layout, trace, footprint, front_end = tiling_heat_context
+    assert trace.iterations_simulated == 30
+    repeat = simulator._event_repeat(front_end)
+    assert repeat == (3_200, 3_600, 9)
+    for design in (BASELINE, AVR):
+        system = build_system(design, CONFIG, layout, footprint)
+        system.run(front_end)
+        assert counting_llcs(system) <= repeat.start + 3 * repeat.width
+    assert_designs_match_oracle(trace, front_end, CONFIG, layout, footprint)
+
+
+def test_perturbed_llc_stream_replays_in_one_batch(tiling_heat_context):
+    """One late access of core 1 moved to a fresh line changes one late
+    LLC event: the stream no longer repeats to its end, so no LLC
+    tiles, and every design still matches the oracle.  A late event
+    whose read flag alone flips stops the repeat too."""
+    layout, trace, footprint, whole = tiling_heat_context
+    flipped = whole.event_is_read.copy()
+    flipped[-5] = not flipped[-5]
+    assert simulator._event_repeat(replace(whole, event_is_read=flipped)) is None
+    core = trace.cores[1].copy()
+    core["addr"][-5] = 1 << 32
+    perturbed = GeneratedTrace(
+        cores=[trace.cores[0], core],
+        iterations_simulated=trace.iterations_simulated,
+        iterations_total=trace.iterations_total,
+    )
+    front_end = compute_front_end(perturbed, CONFIG)
+    assert simulator._event_repeat(front_end) is None
+    assert_designs_match_oracle(
+        perturbed, front_end, CONFIG, layout, footprint,
+        designs=resolve_designs(list_designs()),
+    )
+
+
+def test_unsettled_llc_replays_the_rest(
+    monkeypatch, counting_llcs, tiling_heat_context
+):
+    """With a settle bound of one copy no LLC compares two copies'
+    states, so both replay every event after the first copy without
+    tiling, and every design matches the oracle."""
+    monkeypatch.setattr(llc_baseline, "LLC_SETTLE_COPIES", 1)
+    monkeypatch.setattr(llc_avr, "LLC_SETTLE_COPIES", 1)
+    layout, trace, footprint, front_end = tiling_heat_context
+    assert simulator._event_repeat(front_end) is not None
+    for design in (BASELINE, AVR):
+        system = build_system(design, CONFIG, layout, footprint)
+        system.run(front_end)
+        assert counting_llcs(system) == front_end.event_addr.size
+    assert_designs_match_oracle(
+        trace, front_end, CONFIG, layout, footprint,
+        designs=resolve_designs(list_designs()),
+    )
+
+
+def test_avr_stream_llcs_replay_four_superperiods(monkeypatch, counting_llcs):
+    """benchsuite's avr-stream trace (heat at scale 0.2, 4 cores, 100k
+    accesses per core): a 2,864-event first superperiod, then 149
+    copies of a 3,888-event one.  Each LLC replays the first
+    superperiod and at most three copies, and every design's
+    ``SimResult`` equals a replay that does not tile."""
+    layout, trace, footprint = _workload_context("heat", 0.2, 100_000, num_cores=4)
+    config = SystemConfig.scaled(num_cores=4)
+    front_end = compute_front_end(trace, config)
+    repeat = simulator._event_repeat(front_end)
+    assert repeat == (2_864, 3_888, 149)
+    assert repeat.start + repeat.copies * repeat.width == front_end.event_addr.size
+    tiled = {}
+    for design in resolve_designs(list_designs()):
+        system = build_system(design, config, layout, footprint)
+        tiled[design.name] = system.run(front_end)
+        assert counting_llcs(system) <= repeat.start + 3 * repeat.width, design.name
+    monkeypatch.setattr(simulator, "_event_repeat", lambda front_end: None)
+    for design in resolve_designs(list_designs()):
+        whole = build_system(design, config, layout, footprint).run(front_end)
+        assert tiled[design.name].metrics_equal(whole), design.name
